@@ -204,16 +204,12 @@ def evaluation_matrix(code) -> np.ndarray:
 
 def lipschitz_norm(distance: np.ndarray, values: np.ndarray) -> float:
     """Exact Lipschitz norm of a value table: sup over point pairs."""
-    n = len(values)
-    best = 0.0
-    for i in range(n):
-        diff = np.abs(values - values[i])
-        dist = distance[i]
-        mask = dist > 0
-        mask[i] = False
-        if mask.any():
-            best = max(best, float(np.max(diff[mask] / dist[mask])))
-    return best
+    mask = distance > 0
+    np.fill_diagonal(mask, False)
+    if not mask.any():
+        return 0.0
+    diff = np.abs(values[None, :] - values[:, None])
+    return float(np.max(diff[mask] / distance[mask]))
 
 
 def _offdiag_report(matrix: np.ndarray):

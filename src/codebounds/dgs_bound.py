@@ -22,12 +22,11 @@ import numpy as np
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, basis_values
 from .linprog import LE, LinearProgram, solve_lp
-from .scanning import chebyshev_points, scan_maximum
+from .scanning import REFINE_STEPS, chebyshev_points, scan_maximum
 
 SIGN_TOL = 1e-9
 COEFF_TOL = 1e-12
 MAX_ROUNDS = 10
-GOLDEN_ITERATIONS = 60
 INFLATION_TARGET = 1e-4
 
 __all__ = [
@@ -46,7 +45,7 @@ __all__ = [
 class DGSVerification:
     passed: bool
     grid_size: int
-    refinement_depth: int  # golden-section iterations per local maximum
+    refinement_depth: int  # batched bracket-refinement steps of the scan
     max_sign_violation: float  # max of P over [-1, cos_theta]
     violation_location: float
     min_coeff: float
@@ -115,14 +114,14 @@ def lp_bound(
     on solver breakdown. Every returned certificate has been re-verified.
     """
     _validate_inputs(d, cos_theta, degree, grid_points)
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     if degree < 1:
         raise NoCertificateError(
             "no certificate at this degree: with only a_0 > 0 the polynomial "
             "is a positive constant and cannot be <= 0 on the interval"
         )
     points = chebyshev_points(-1.0, float(cos_theta), grid_points)
-    coeffs = None
-    rounds_used = 0
     for round_index in range(max_rounds):
         rounds_used = round_index + 1
         a = _solve_grid_lp(d, degree, points)
@@ -130,16 +129,16 @@ def lp_bound(
         poly = GegenbauerPoly(d, coeffs)
         p_at_1 = poly.at_one()
         violation, _, maxima = scan_maximum(
-            poly, -1.0, float(cos_theta), 10 * grid_points,
-            GOLDEN_ITERATIONS, return_all_maxima=True,
+            poly, -1.0, float(cos_theta), 10 * grid_points, return_all_maxima=True
         )
         inflation = (
             violation * (p_at_1 - 1.0) / (1.0 - violation) if violation > 0 else 0.0
         )
         if inflation <= INFLATION_TARGET or round_index == max_rounds - 1:
             break
-        new_points = [x for x in maxima if float(poly(x)) > 0.0]
-        if not new_points:
+        maxima = np.asarray(maxima)
+        new_points = maxima[poly(maxima) > 0.0]
+        if not new_points.size:
             break
         points = np.unique(np.concatenate([points, new_points]))
 
@@ -148,11 +147,7 @@ def lp_bound(
     # other coefficients nonnegative, at the cost of a slightly larger
     # bound (recorded in the report). Skipped when the residual violation
     # plus evaluation noise already sits inside the verifier tolerance.
-    poly = GegenbauerPoly(d, coeffs)
-    violation, _ = scan_maximum(
-        poly, -1.0, float(cos_theta), 10 * grid_points, GOLDEN_ITERATIONS
-    )
-    p_at_1 = poly.at_one()
+    # ``violation`` and ``p_at_1`` are the last round's scan of ``coeffs``.
     noise = 1e-10 + 3e-15 * abs(p_at_1)
     shift = 0.0 if violation + noise <= SIGN_TOL else max(violation, 0.0) + noise
     if shift >= 1.0:
@@ -194,9 +189,9 @@ def verify_certificate(
     """Independently re-check a certificate.
 
     Checks (a) coefficient signs, (b) P <= SIGN_TOL on [-1, cos_theta] on
-    a 10x-finer-than-construction grid with golden-section refinement
-    around every local maximum, (c) the bound arithmetic P(1)/a_0 and the
-    floor. All failures are collected, not short-circuited.
+    a 10x-finer-than-construction grid with batched bracket refinement
+    around every local maximum of the grid, (c) the bound arithmetic
+    P(1)/a_0 and the floor. All failures are collected, not short-circuited.
     """
     coeffs = np.asarray(cert.poly.coeffs, dtype=float)
     if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
@@ -221,7 +216,7 @@ def verify_certificate(
         messages.append(f"stored a0 = {cert.a0!r} disagrees with coefficients")
 
     violation, location = scan_maximum(
-        cert.poly, -1.0, float(cert.cos_theta), grid_size, GOLDEN_ITERATIONS
+        cert.poly, -1.0, float(cert.cos_theta), grid_size
     )
     if violation > SIGN_TOL:
         passed = False
@@ -243,7 +238,7 @@ def verify_certificate(
     return DGSVerification(
         passed=passed,
         grid_size=grid_size,
-        refinement_depth=GOLDEN_ITERATIONS,
+        refinement_depth=REFINE_STEPS,
         max_sign_violation=violation,
         violation_location=location,
         min_coeff=min(min_coeff, a0),

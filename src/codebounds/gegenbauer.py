@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import roots_jacobi
 
 MAX_TABLE_DEGREE = 40
 
@@ -194,6 +192,8 @@ def quadrature_rule(dim: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     dim = 2 exponent -1/2 is an endpoint singularity that Gauss-Jacobi
     handles natively (nodes stay interior).
     """
+    from scipy.special import roots_jacobi  # lazy: keeps CLI start-up fast
+
     dim = _check_dim(dim)
     if n_nodes < 1:
         raise ValueError("need at least one quadrature node")
@@ -241,6 +241,8 @@ def expand_in_basis(mono_coeffs, dim: int) -> GegenbauerPoly:
     coefficient). Quadrature projection is the independent cross-check
     used by the test suite, not by this routine.
     """
+    from scipy.linalg import solve_triangular  # lazy: keeps CLI start-up fast
+
     dim = _check_dim(dim)
     b = np.atleast_1d(np.asarray(mono_coeffs, dtype=float))
     if b.ndim != 1 or b.size == 0:

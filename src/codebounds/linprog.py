@@ -12,7 +12,6 @@ ends with an independent feasibility check of the reported solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,8 @@ PIVOT_TOL = 1e-10
 DEGENERATE_STREAK_LIMIT = 20
 
 LE, GE, EQ = "<=", ">=", "="
-_RELATIONS = (LE, GE, EQ)
+# relation code of a row: the sign of its slack column (0 for an equality)
+_SENSE = {LE: 1.0, GE: -1.0, EQ: 0.0}
 
 __all__ = ["LinearProgram", "LPSolution", "solve_lp", "LE", "GE", "EQ"]
 
@@ -33,13 +33,18 @@ class LinearProgram:
     """Dense LP: minimize ``objective @ x`` under rows and variable bounds.
 
     ``constraints`` is a list of (row, relation, rhs) with relation one of
-    "<=", ">=", "=". Bounds default to x >= 0 with no upper limit.
+    "<=", ">=", "=". Bounds default to x >= 0 with no upper limit. The rows
+    are stacked once, at construction, into ``A`` (m x n), ``b`` (m,) and
+    ``sense`` (m,): +1 for "<=", -1 for ">=", 0 for "=".
     """
 
     objective: np.ndarray
     constraints: list = field(default_factory=list)
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    A: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+    sense: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -48,21 +53,22 @@ class LinearProgram:
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective entries must be finite")
         n = self.n_vars
-        rows = []
-        for item in self.constraints:
-            row, rel, rhs = item
-            row = np.asarray(row, dtype=float)
-            if row.shape != (n,):
+        rows, relations, rhs = (
+            zip(*self.constraints) if self.constraints else ((), (), ())
+        )
+        for row in rows:
+            if np.shape(row) != (n,):
                 raise ValueError(
-                    f"constraint row has length {row.shape}, expected ({n},)"
+                    f"constraint row has length {np.shape(row)}, expected ({n},)"
                 )
-            if rel not in _RELATIONS:
+        for rel in relations:
+            if rel not in (LE, GE, EQ):
                 raise ValueError(f"unknown relation {rel!r}")
-            rhs = float(rhs)
-            if not (np.all(np.isfinite(row)) and math.isfinite(rhs)):
-                raise ValueError("constraint entries must be finite")
-            rows.append((row, rel, rhs))
-        self.constraints = rows
+        self.A = np.array(rows, dtype=float).reshape(len(rows), n)
+        self.b = np.array(rhs, dtype=float).reshape(len(rows))
+        self.sense = np.array([_SENSE[rel] for rel in relations])
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+            raise ValueError("constraint entries must be finite")
         self.lower = (
             np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float)
         )
@@ -91,15 +97,9 @@ class LPSolution:
 
 
 def _violation(lp: LinearProgram, x: np.ndarray) -> float:
-    worst = 0.0
-    for row, rel, rhs in lp.constraints:
-        value = float(row @ x)
-        if rel == LE:
-            worst = max(worst, value - rhs)
-        elif rel == GE:
-            worst = max(worst, rhs - value)
-        else:
-            worst = max(worst, abs(value - rhs))
+    residual = lp.A @ x - lp.b
+    rows = np.where(lp.sense == 0.0, np.abs(residual), lp.sense * residual)
+    worst = float(rows.max()) if rows.size else 0.0
     finite_lo = np.isfinite(lp.lower)
     finite_hi = np.isfinite(lp.upper)
     if finite_lo.any():
@@ -110,40 +110,28 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 class _Core:
-    """Tableau simplex for min c @ z, A z (rel) b, z >= 0."""
+    """Tableau simplex for min c @ z, A z (sense) b, z >= 0."""
 
-    def __init__(self, c, A, relations, b, maxiter):
+    def __init__(self, c, A, sense, b, maxiter):
         m, n = A.shape
         self.m, self.n = m, n
         self.maxiter = maxiter
         A = A.copy()
         b = np.asarray(b, dtype=float).copy()
-        relations = list(relations)
         flip = b < 0
         A[flip] *= -1.0
         b[flip] = -b[flip]
-        for i in np.where(flip)[0]:
-            if relations[i] == LE:
-                relations[i] = GE
-            elif relations[i] == GE:
-                relations[i] = LE
         self.row_sign = np.where(flip, -1.0, 1.0)
-        n_slack = sum(1 for rel in relations if rel != EQ)
+        sense = sense * self.row_sign
+        slack_rows = np.flatnonzero(sense)
+        n_slack = len(slack_rows)
         ncols = n + n_slack + m
         T = np.zeros((m, ncols + 1))
         T[:, :n] = A
         T[:, -1] = b
-        si = n
-        for i, rel in enumerate(relations):
-            if rel == LE:
-                T[i, si] = 1.0
-                si += 1
-            elif rel == GE:
-                T[i, si] = -1.0
-                si += 1
+        T[slack_rows, n + np.arange(n_slack)] = sense[slack_rows]
         self.art0 = n + n_slack
-        for i in range(m):
-            T[i, self.art0 + i] = 1.0
+        T[np.arange(m), self.art0 + np.arange(m)] = 1.0
         self.T = T
         self.ncols = ncols
         self.basis = list(range(self.art0, self.art0 + m))
@@ -234,13 +222,13 @@ class _Core:
                 self.T[row, -1] = 0.0
 
 
-def _solve_via_core(c, A, relations, b, maxiter):
+def _solve_via_core(c, A, sense, b, maxiter):
     if A.shape[0] == 0:
         # no rows: minimum of c @ z over z >= 0
         if np.any(c < -OPT_TOL):
             return "unbounded", None, None, 0
         return "optimal", np.zeros(len(c)), np.zeros(0), 0
-    core = _Core(c, A, relations, b, maxiter)
+    core = _Core(c, A, sense, b, maxiter)
     status, z, pi = core.solve(c)
     return status, z, pi, core.iterations
 
@@ -260,50 +248,30 @@ def _solve_direct(lp: LinearProgram, maxiter: int):
             offsets[j], signs[j] = hi[j], -1.0
         else:
             split[j] = True
-    n_cols = n + int(split.sum())
-    split_col = {}
-    next_col = n
-    for j in np.where(split)[0]:
-        split_col[j] = next_col
-        next_col += 1
+    split_cols = np.flatnonzero(split)
 
-    def transform_row(row):
-        out = np.zeros(n_cols)
-        out[:n] = row * signs
-        for j, col in split_col.items():
-            out[col] = -row[j]
-        return out
+    def transform_rows(rows):
+        return np.hstack([rows * signs, -rows[:, split_cols]])
 
-    rows, relations, rhs = [], [], []
-    for row, rel, b in lp.constraints:
-        rows.append(transform_row(row))
-        relations.append(rel)
-        rhs.append(b - float(row @ offsets))
-    for j in range(n):
-        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
-            row = np.zeros(n)
-            row[j] = 1.0
-            rows.append(transform_row(row))
-            relations.append(LE)
-            rhs.append(hi[j] - lo[j])
-    A = np.array(rows) if rows else np.zeros((0, n_cols))
-    b_vec = np.array(rhs)
-    c = transform_row(lp.objective)
-    status, z, _, iters = _solve_via_core(c, A, relations, b_vec, maxiter)
+    boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi))
+    A = transform_rows(np.vstack([lp.A, np.eye(n)[boxed]]))
+    sense = np.concatenate([lp.sense, np.ones(len(boxed))])
+    b_vec = np.concatenate([lp.b - lp.A @ offsets, hi[boxed] - lo[boxed]])
+    c = transform_rows(lp.objective[None, :])[0]
+    status, z, _, iters = _solve_via_core(c, A, sense, b_vec, maxiter)
     if status != "optimal":
         return status, None, iters
     x = offsets + signs * z[:n]
-    for j, col in split_col.items():
-        x[j] -= z[col]
+    x[split_cols] -= z[n:]
     return status, x, iters
 
 
 def _dual_fast_path_applies(lp: LinearProgram) -> bool:
     if not (np.all(lp.lower == 0.0) and np.all(np.isinf(lp.upper))):
         return False
-    if any(rel == EQ for _, rel, _ in lp.constraints):
+    if np.any(lp.sense == 0.0):
         return False
-    return len(lp.constraints) >= max(64, 4 * lp.n_vars)
+    return len(lp.b) >= max(64, 4 * lp.n_vars)
 
 
 def _refine_primal(lp, A, b, x, y):
@@ -344,17 +312,10 @@ def _solve_dual(lp: LinearProgram, maxiter: int):
     Dual pair: max -b@y s.t. -A^T y <= c, y >= 0; the optimal primal x is
     the negated vector of simplex multipliers of the dual solve.
     """
-    n = lp.n_vars
-    A = np.empty((len(lp.constraints), n))
-    b = np.empty(len(lp.constraints))
-    for i, (row, rel, rhs) in enumerate(lp.constraints):
-        if rel == LE:
-            A[i], b[i] = row, rhs
-        else:
-            A[i], b[i] = -row, -rhs
-    relations = [LE] * n
+    A = lp.A * lp.sense[:, None]  # every row as "<=" (no equalities here)
+    b = lp.b * lp.sense
     status, z, pi, iters = _solve_via_core(
-        b, -A.T, relations, lp.objective, maxiter
+        b, -A.T, np.ones(lp.n_vars), lp.objective, maxiter
     )
     if status == "unbounded":
         return "infeasible", None, iters
@@ -376,8 +337,8 @@ def solve_lp(lp: LinearProgram, maxiter: int | None = None) -> LPSolution:
     ``numerical_failure`` rather than reported as optimal.
     """
     if maxiter is None:
-        maxiter = 50 * (len(lp.constraints) + lp.n_vars) + 2000
-    rhs_scale = 1.0 + max((abs(rhs) for _, _, rhs in lp.constraints), default=0.0)
+        maxiter = 50 * (len(lp.b) + lp.n_vars) + 2000
+    rhs_scale = 1.0 + float(np.max(np.abs(lp.b), initial=0.0))
 
     used_fallback = False
     if _dual_fast_path_applies(lp):

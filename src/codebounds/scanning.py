@@ -2,57 +2,45 @@
 
 Used by the certificate verifiers to bound sign conditions: a Chebyshev
 sample resolves every local maximum of a moderate-degree polynomial (or
-piecewise-linear table), and golden-section refinement around each grid
-maximum pins the value down to search-noise level.
+piecewise-linear table), and a batched bracket refinement around all grid
+maxima at once pins the value down to search-noise level.
+
+Each refinement step evaluates ``fn`` once, on REFINE_POINTS evenly spaced
+points across the bracket of every grid maximum, and narrows each bracket
+to the two neighbours of its best point: a 32x shrink per step. The first
+bracket spans two grid spacings, so on the 2048- and 20000-point grids the
+verifiers use the final bracket is below 1e-10 wide. The reported maximum
+is the largest value ever evaluated, so it is never below the grid
+maximum.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+REFINE_STEPS = 5
+REFINE_POINTS = 65
 
-__all__ = ["chebyshev_points", "scan_maximum"]
+__all__ = ["REFINE_STEPS", "chebyshev_points", "scan_maximum"]
 
 
 def chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
-    """n Chebyshev-Lobatto points on [lo, hi], endpoints included."""
+    """n Chebyshev-Lobatto points on [lo, hi], endpoints included exactly."""
     if n < 2:
         return np.array([lo, hi][: max(n, 1)])
     i = np.arange(n)
-    return lo + (hi - lo) * (1.0 - np.cos(np.pi * i / (n - 1))) / 2.0
-
-
-def _golden_refine(fn, lo: float, hi: float, iterations: int) -> tuple[float, float]:
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1 = float(fn(np.array([x1]))[0])
-    f2 = float(fn(np.array([x2]))[0])
-    for _ in range(iterations):
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = float(fn(np.array([x1]))[0])
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = float(fn(np.array([x2]))[0])
-    x = 0.5 * (lo + hi)
-    return float(fn(np.array([x]))[0]), x
+    points = lo + (hi - lo) * (1.0 - np.cos(np.pi * i / (n - 1))) / 2.0
+    # cos(pi) rounds, so the affine map can miss hi by an ulp
+    points[0], points[-1] = lo, hi
+    return points
 
 
 def scan_maximum(
-    fn,
-    lo: float,
-    hi: float,
-    grid_size: int,
-    golden_iterations: int = 60,
-    return_all_maxima: bool = False,
+    fn, lo: float, hi: float, grid_size: int, return_all_maxima: bool = False
 ):
     """Maximum of a vectorized function on [lo, hi].
 
+    ``fn`` is called with 1-d float arrays, at most 1 + REFINE_STEPS times.
     Returns (value, location) or, with ``return_all_maxima``, additionally
     the refined locations of every interior local maximum of the grid
     sample (used by the LP cutting-plane loop).
@@ -64,19 +52,27 @@ def scan_maximum(
         return (v, lo, [lo]) if return_all_maxima else (v, lo)
     grid = chebyshev_points(lo, hi, max(grid_size, 8))
     values = np.asarray(fn(grid), dtype=float)
-    best_val = float(values.max())
-    best_loc = float(grid[int(np.argmax(values))])
     interior = np.where(
         (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
     )[0] + 1
-    maxima_locs = []
-    for i in interior:
-        val, loc = _golden_refine(
-            fn, float(grid[i - 1]), float(grid[i + 1]), golden_iterations
-        )
-        maxima_locs.append(loc)
-        if val > best_val:
-            best_val, best_loc = val, loc
+    left, right = grid[interior - 1], grid[interior + 1]
+    locs, vals = grid[interior], values[interior]
+    rows = np.arange(len(interior))
+    fractions = np.linspace(0.0, 1.0, REFINE_POINTS)
+    for _ in range(REFINE_STEPS if len(interior) else 0):
+        x = left[:, None] + (right - left)[:, None] * fractions
+        fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        j = np.argmax(fx, axis=1)
+        better = fx[rows, j] > vals
+        vals = np.where(better, fx[rows, j], vals)
+        locs = np.where(better, x[rows, j], locs)
+        left = x[rows, np.maximum(j - 1, 0)]
+        right = x[rows, np.minimum(j + 1, REFINE_POINTS - 1)]
+    best = int(np.argmax(values))
+    best_val, best_loc = float(values[best]), float(grid[best])
+    if len(vals) and vals.max() > best_val:
+        best = int(np.argmax(vals))
+        best_val, best_loc = float(vals[best]), float(locs[best])
     if return_all_maxima:
-        return best_val, best_loc, maxima_locs
+        return best_val, best_loc, locs.tolist()
     return best_val, best_loc

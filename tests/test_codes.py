@@ -249,6 +249,26 @@ class TestMetricVerification:
         for f in metric.functions:
             assert abs(lipschitz_norm(metric.space.distance, f) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "family, dim",
+        [("e8_roots", None), ("d4_roots", None), ("icosahedron", None), ("simplex", 5)],
+    )
+    def test_norm_bit_identical_to_pairwise_loop(self, family, dim):
+        def loop_reference(distance, values):
+            best = 0.0
+            for i in range(len(values)):
+                mask = distance[i] > 0
+                mask[i] = False
+                if mask.any():
+                    ratios = np.abs(values - values[i])[mask] / distance[i][mask]
+                    best = max(best, float(np.max(ratios)))
+            return best
+
+        metric = embed_as_metric_code(generate(family, dim=dim))
+        for f in metric.functions[:12]:
+            d = metric.space.distance
+            assert lipschitz_norm(d, f) == loop_reference(d, f)
+
 
 class TestGenerate:
     def test_simplex_exact_inner_products(self):

@@ -17,6 +17,7 @@ from codebounds.dgs_bound import (
 )
 from codebounds.errors import NoCertificateError
 from codebounds.gegenbauer import GegenbauerPoly
+from codebounds.scanning import REFINE_STEPS
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,8 @@ class TestLPBound:
             lp_bound(3, 0.5, 41)
         with pytest.raises(ValueError):
             lp_bound(3, 0.5, 6, grid_points=32)
+        with pytest.raises(ValueError, match="max_rounds"):
+            lp_bound(3, 0.5, 6, max_rounds=0)
 
 
 class TestVerification:
@@ -205,3 +208,11 @@ class TestSerialization:
             "verification",
         ]
         assert data["kind"] == "dgs"
+        assert data["verification"]["refinement_depth"] == REFINE_STEPS
+
+    def test_file_with_old_refinement_depth_still_loads(self, cert_d8):
+        data = certificate_to_json_dict(cert_d8)
+        data["verification"]["refinement_depth"] = 60  # as in files written by older versions
+        back = certificate_from_json_dict(data)
+        assert back.verification.refinement_depth == 60
+        assert verify_certificate(back).passed

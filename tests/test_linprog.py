@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds.linprog import EQ, GE, LE, LinearProgram, solve_lp
+from codebounds.linprog import EQ, GE, LE, LinearProgram, _violation, solve_lp
 
 
 def enumerate_vertices(objective, rows, rhs, upper):
@@ -110,6 +110,54 @@ class TestExamples:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             LinearProgram(objective=[1.0, 1.0], constraints=[([1.0], LE, 0.0)])
+
+    @pytest.mark.parametrize(
+        "constraints, message",
+        [
+            ([([1.0, 0.0], LE, 0.0), ([1.0], GE, 0.0)], "row has length"),
+            ([([1.0, 0.0], "<", 0.0)], "unknown relation"),
+            ([([1.0, np.nan], LE, 0.0)], "must be finite"),
+            ([([1.0, 0.0], EQ, np.inf)], "must be finite"),
+        ],
+    )
+    def test_malformed_rows_rejected(self, constraints, message):
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(objective=[1.0, 1.0], constraints=constraints)
+
+    def test_rows_stacked_with_relation_codes(self):
+        lp = LinearProgram(
+            objective=[1.0, 1.0],
+            constraints=[
+                ([1.0, 2.0], LE, 3.0),
+                ([4.0, 5.0], GE, 6.0),
+                ([7.0, 8.0], EQ, 9.0),
+            ],
+        )
+        assert lp.A.tolist() == [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]]
+        assert lp.b.tolist() == [3.0, 6.0, 9.0]
+        assert lp.sense.tolist() == [1.0, -1.0, 0.0]
+        empty = LinearProgram(objective=[1.0, 1.0])
+        assert empty.A.shape == (0, 2) and empty.b.shape == (0,)
+
+    def test_residual_matches_row_loop(self):
+        def loop_reference(lp, x):
+            worst = 0.0
+            for row, rel, rhs in lp.constraints:
+                value = float(np.asarray(row) @ x)
+                gap = {LE: value - rhs, GE: rhs - value, EQ: abs(value - rhs)}[rel]
+                worst = max(worst, gap)
+            return max(worst, float(np.max(lp.lower - x)), 0.0)
+
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m, n = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            relations = rng.choice([LE, GE, EQ], size=m)
+            rhs = rng.normal(size=m)
+            rows = [(rng.normal(size=n), str(r), b) for r, b in zip(relations, rhs)]
+            lp = LinearProgram(objective=np.ones(n), constraints=rows)
+            x = rng.normal(size=n)
+            expected = loop_reference(lp, x)
+            assert _violation(lp, x) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 class TestOracle:
