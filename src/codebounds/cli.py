@@ -18,24 +18,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import codes, dgs_bound, jsonutil, pfender
 from .errors import CodeBoundsError, NoCertificateError, TheoremViolationError
 from .gegenbauer import expand_in_basis, gegenbauer_eval
-
-DEFAULT_SEED = 20240803  # reserved for randomized harness entry points
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    paths: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -49,7 +37,7 @@ def _cos_theta_from_args(args) -> float:
     return args.cos_theta
 
 
-def cmd_gegenbauer(args, config: RunConfig) -> int:
+def cmd_gegenbauer(args) -> int:
     if args.action == "eval":
         value = gegenbauer_eval(args.dim, args.degree, args.at)
         print(_fmt(value))
@@ -61,7 +49,7 @@ def cmd_gegenbauer(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_bound(args, config: RunConfig) -> int:
+def cmd_bound(args) -> int:
     if args.kind == "lp":
         cos_theta = _cos_theta_from_args(args)
         try:
@@ -114,7 +102,7 @@ def cmd_bound(args, config: RunConfig) -> int:
     return 0 if verified else 1
 
 
-def cmd_code(args, config: RunConfig) -> int:
+def cmd_code(args) -> int:
     if args.action == "gen":
         code = codes.generate(args.family, dim=args.dim)
         jsonutil.dump_path(args.out, codes.code_to_json_dict(code))
@@ -157,12 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codebounds",
         description="Upper bounds for spherical, functional, and metric codes",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for randomized harness entry points (fixed default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,29 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    values = vars(args)
-    config = RunConfig(
-        subcommand=args.command,
-        paths={
-            key: values[key]
-            for key in ("out", "phi", "code", "file", "cert")
-            if values.get(key) is not None
-        },
-        flags={
-            key: value
-            for key, value in values.items()
-            if key not in ("command", "action", "kind", "seed", "out", "phi",
-                           "code", "file", "cert")
-            and value is not None
-        },
-        seed=args.seed,
-    )
     try:
         if args.command == "gegenbauer":
-            return cmd_gegenbauer(args, config)
+            return cmd_gegenbauer(args)
         if args.command == "bound":
-            return cmd_bound(args, config)
-        return cmd_code(args, config)
+            return cmd_bound(args)
+        return cmd_code(args)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno} column {exc.colno}: "

@@ -78,14 +78,19 @@ def _validate_inputs(d: int, cos_theta: float, degree: int, grid_points: int):
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not (-1.0 <= cos_theta < 1.0):
         raise ValueError(f"cos_theta must lie in [-1, 1), got {cos_theta}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if degree > MAX_TABLE_DEGREE:
         raise ValueError(f"degree is capped at {MAX_TABLE_DEGREE}")
     if grid_points < 64:
         raise ValueError("grid_points must be >= 64")
 
 
-def _solve_grid_lp(d: int, degree: int, points: np.ndarray) -> np.ndarray:
-    """min sum(a) s.t. sum_k a_k G_k(r_i) <= -1, a >= 0 (a_0 = 1 moved to rhs)."""
+def _solve_grid_lp(d: int, degree: int, points: np.ndarray):
+    """min sum(a) s.t. sum_k a_k G_k(r_i) <= -1, a >= 0 (a_0 = 1 moved to rhs).
+
+    Returns the LP solution; an infeasible LP raises NoCertificateError.
+    """
     table = basis_values(d, degree, points)  # (degree+1, npts)
     rows = [(table[1:, i], LE, -1.0) for i in range(len(points))]
     lp = LinearProgram(objective=np.ones(degree), constraints=rows)
@@ -95,48 +100,50 @@ def _solve_grid_lp(d: int, degree: int, points: np.ndarray) -> np.ndarray:
             f"no certificate at this degree: the degree-{degree} LP at "
             f"cos_theta={points[-1]!r} is infeasible"
         )
-    if solution.status != "optimal":
-        raise LPFailureError(f"LP solver returned status {solution.status!r}")
-    return solution.x
+    return solution
 
 
 def lp_bound(
-    d: int,
-    cos_theta: float,
-    degree: int,
-    grid_points: int = 2000,
-    max_rounds: int = MAX_ROUNDS,
+    d: int, cos_theta: float, degree: int, grid_points: int = 2000
 ) -> DGSCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
     Raises NoCertificateError when no polynomial of this degree can meet
     the sign condition (degree 0, or an infeasible LP), and LPFailureError
-    on solver breakdown. Every returned certificate has been re-verified.
+    when the first cutting-plane round's LP fails (solver stall or a
+    solution outside the residual tolerance). When a later round's LP
+    fails, the previous round's polynomial is shifted and certified
+    instead, and the verification message names the failed round. Every
+    returned certificate has been re-verified.
     """
     _validate_inputs(d, cos_theta, degree, grid_points)
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     if degree < 1:
         raise NoCertificateError(
             "no certificate at this degree: with only a_0 > 0 the polynomial "
             "is a positive constant and cannot be <= 0 on the interval"
         )
     points = chebyshev_points(-1.0, float(cos_theta), grid_points)
-    for round_index in range(max_rounds):
+    failed_round = ""
+    for round_index in range(MAX_ROUNDS):
+        solution = _solve_grid_lp(d, degree, points)
+        if solution.status != "optimal":
+            if round_index == 0:
+                raise LPFailureError(f"LP solver returned status {solution.status!r}")
+            # the LP is only a search step: keep the last scanned polynomial
+            failed_round = f"; round {round_index + 1} LP status {solution.status!r}"
+            break
         rounds_used = round_index + 1
-        a = _solve_grid_lp(d, degree, points)
-        coeffs = np.concatenate(([1.0], a))
+        coeffs = np.concatenate(([1.0], solution.x))
         poly = GegenbauerPoly(d, coeffs)
         p_at_1 = poly.at_one()
         violation, _, maxima = scan_maximum(
-            poly, -1.0, float(cos_theta), 10 * grid_points, return_all_maxima=True
+            poly, -1.0, float(cos_theta), 10 * grid_points
         )
         inflation = (
             violation * (p_at_1 - 1.0) / (1.0 - violation) if violation > 0 else 0.0
         )
-        if inflation <= INFLATION_TARGET or round_index == max_rounds - 1:
+        if inflation <= INFLATION_TARGET or round_index == MAX_ROUNDS - 1:
             break
-        maxima = np.asarray(maxima)
         new_points = maxima[poly(maxima) > 0.0]
         if not new_points.size:
             break
@@ -172,7 +179,7 @@ def lp_bound(
     report = verify_certificate(certificate, grid_size=10 * grid_points)
     report.messages.append(
         f"grid LP bound {p_at_1!r} inflated by shift {shift!r} over "
-        f"{rounds_used} cutting-plane rounds"
+        f"{rounds_used} cutting-plane rounds{failed_round}"
     )
     certificate.verification = report
     if not report.passed:
@@ -215,7 +222,7 @@ def verify_certificate(
         passed = False
         messages.append(f"stored a0 = {cert.a0!r} disagrees with coefficients")
 
-    violation, location = scan_maximum(
+    violation, location, _ = scan_maximum(
         cert.poly, -1.0, float(cert.cos_theta), grid_size
     )
     if violation > SIGN_TOL:

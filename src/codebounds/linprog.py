@@ -4,10 +4,13 @@ Minimizes ``objective @ x`` subject to row constraints (<=, >=, =) and
 per-variable bounds. The core works on a full tableau with artificial
 variables on every row, Dantzig pricing, and a switch to Bland's rule
 after a streak of degenerate pivots. Grid-discretized bound LPs have
-thousands of constraints but only a few variables; for that shape the
-solver transparently solves the dual (same core, tiny tableau) and
-recovers the primal solution from the simplex multipliers. Either path
-ends with an independent feasibility check of the reported solution.
+thousands of constraints but only a few variables, and a nonnegative
+cost; for exactly that shape the solver solves the dual instead (same
+core, tiny tableau) and recovers the primal solution from the simplex
+multipliers. Each LP takes one of the two paths, never both, and the
+reported solution is checked independently against the original
+constraints: a result outside tolerance comes back as
+``numerical_failure``, not as optimal and not re-solved another way.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ def _solve_direct(lp: LinearProgram, maxiter: int):
 def _dual_fast_path_applies(lp: LinearProgram) -> bool:
     if not (np.all(lp.lower == 0.0) and np.all(np.isinf(lp.upper))):
         return False
-    if np.any(lp.sense == 0.0):
+    if np.any(lp.sense == 0.0) or np.any(lp.objective < 0.0):
         return False
     return len(lp.b) >= max(64, 4 * lp.n_vars)
 
@@ -310,7 +313,9 @@ def _solve_dual(lp: LinearProgram, maxiter: int):
     """Solve min c@x, A x <= b, x >= 0 through its dual (few rows, many columns).
 
     Dual pair: max -b@y s.t. -A^T y <= c, y >= 0; the optimal primal x is
-    the negated vector of simplex multipliers of the dual solve.
+    the negated vector of simplex multipliers of the dual solve. With
+    c >= 0, y = 0 is dual-feasible, so an unbounded dual means an
+    infeasible primal, and an infeasible dual can only be roundoff.
     """
     A = lp.A * lp.sense[:, None]  # every row as "<=" (no equalities here)
     b = lp.b * lp.sense
@@ -320,7 +325,7 @@ def _solve_dual(lp: LinearProgram, maxiter: int):
     if status == "unbounded":
         return "infeasible", None, iters
     if status == "infeasible":
-        return "ambiguous", None, iters
+        return "numerical_failure", None, iters
     if status != "optimal":
         return status, None, iters
     x = -pi
@@ -329,28 +334,19 @@ def _solve_dual(lp: LinearProgram, maxiter: int):
     return "optimal", x, iters
 
 
-def solve_lp(lp: LinearProgram, maxiter: int | None = None) -> LPSolution:
+def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve the LP; deterministic for a fixed input.
 
-    Optimal solutions are re-checked against the original constraints: a
-    result that violates them beyond tolerance is downgraded to
-    ``numerical_failure`` rather than reported as optimal.
+    Tall LPs with x >= 0, no equalities and a nonnegative cost go through
+    the dual; every other LP through the direct tableau. Optimal solutions
+    are re-checked against the original constraints: a result that
+    violates them beyond tolerance is downgraded to ``numerical_failure``
+    rather than reported as optimal.
     """
-    if maxiter is None:
-        maxiter = 50 * (len(lp.b) + lp.n_vars) + 2000
+    maxiter = 50 * (len(lp.b) + lp.n_vars) + 2000
     rhs_scale = 1.0 + float(np.max(np.abs(lp.b), initial=0.0))
-
-    used_fallback = False
-    if _dual_fast_path_applies(lp):
-        status, x, iters = _solve_dual(lp, maxiter)
-        if status == "optimal":
-            if _violation(lp, x) > FEAS_TOL * rhs_scale:
-                used_fallback = True  # rare: recover through the direct path
-        elif status == "ambiguous":
-            used_fallback = True
-        if not used_fallback and status in ("optimal", "infeasible", "unbounded"):
-            return _finish(lp, status, x, iters, rhs_scale)
-    status, x, iters = _solve_direct(lp, maxiter)
+    solve = _solve_dual if _dual_fast_path_applies(lp) else _solve_direct
+    status, x, iters = solve(lp, maxiter)
     return _finish(lp, status, x, iters, rhs_scale)
 
 

@@ -143,8 +143,7 @@ def _bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
 
 
 def _interval_margin(phi: PhiSpec, c: float, cos_theta: float, grid: int):
-    val, loc = scan_maximum(lambda r: phi(r) + c, -1.0, float(cos_theta), grid)
-    return val, loc
+    return scan_maximum(lambda r: phi(r) + c, -1.0, float(cos_theta), grid)[:2]
 
 
 def pfender_bound(

@@ -35,21 +35,18 @@ def chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
     return points
 
 
-def scan_maximum(
-    fn, lo: float, hi: float, grid_size: int, return_all_maxima: bool = False
-):
+def scan_maximum(fn, lo: float, hi: float, grid_size: int):
     """Maximum of a vectorized function on [lo, hi].
 
     ``fn`` is called with 1-d float arrays, at most 1 + REFINE_STEPS times.
-    Returns (value, location) or, with ``return_all_maxima``, additionally
-    the refined locations of every interior local maximum of the grid
-    sample (used by the LP cutting-plane loop).
+    Returns (value, location, maxima): ``maxima`` is an array of the
+    refined locations of every interior local maximum of the grid sample
+    (the LP cutting-plane loop adds them to its grid).
     """
     if hi < lo:
         raise ValueError("empty interval")
     if hi == lo:
-        v = float(fn(np.array([lo]))[0])
-        return (v, lo, [lo]) if return_all_maxima else (v, lo)
+        return float(fn(np.array([lo]))[0]), lo, np.array([lo])
     grid = chebyshev_points(lo, hi, max(grid_size, 8))
     values = np.asarray(fn(grid), dtype=float)
     interior = np.where(
@@ -73,6 +70,4 @@ def scan_maximum(
     if len(vals) and vals.max() > best_val:
         best = int(np.argmax(vals))
         best_val, best_loc = float(vals[best]), float(locs[best])
-    if return_all_maxima:
-        return best_val, best_loc, locs.tolist()
-    return best_val, best_loc
+    return best_val, best_loc, locs

@@ -11,6 +11,7 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    # function-scoped: a test's draws never depend on which tests ran first
     return np.random.default_rng(20240803)

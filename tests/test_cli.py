@@ -76,6 +76,13 @@ class TestBoundLP:
         assert code == 1
         assert "no certificate" in err
 
+    def test_negative_degree_exits_2(self):
+        code, _, err = run_cli(
+            "bound", "lp", "--dim", "3", "--cos-theta", "0.5", "--degree", "-2"
+        )
+        assert code == 2
+        assert "degree must be >= 0" in err
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

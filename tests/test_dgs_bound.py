@@ -2,11 +2,12 @@
 
 import copy
 import math
+import time
 
 import numpy as np
 import pytest
 
-from codebounds import jsonutil
+from codebounds import dgs_bound, jsonutil
 from codebounds.dgs_bound import (
     DGSCertificate,
     bound_table,
@@ -15,8 +16,9 @@ from codebounds.dgs_bound import (
     lp_bound,
     verify_certificate,
 )
-from codebounds.errors import NoCertificateError
+from codebounds.errors import LPFailureError, NoCertificateError
 from codebounds.gegenbauer import GegenbauerPoly
+from codebounds.linprog import LPSolution
 from codebounds.scanning import REFINE_STEPS
 
 
@@ -65,8 +67,53 @@ class TestLPBound:
             lp_bound(3, 0.5, 41)
         with pytest.raises(ValueError):
             lp_bound(3, 0.5, 6, grid_points=32)
-        with pytest.raises(ValueError, match="max_rounds"):
-            lp_bound(3, 0.5, 6, max_rounds=0)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            lp_bound(3, 0.5, -2)
+        with pytest.raises(NoCertificateError):
+            lp_bound(3, 0.5, 0)
+
+
+class TestFailedLPRound:
+    @staticmethod
+    def _fail_from_round(monkeypatch, first_failing):
+        real_solve = dgs_bound.solve_lp
+        calls = []
+
+        def solve(lp):
+            calls.append(len(lp.b))
+            if len(calls) >= first_failing:
+                return LPSolution(status="numerical_failure")
+            return real_solve(lp)
+
+        monkeypatch.setattr(dgs_bound, "solve_lp", solve)
+        return calls
+
+    def test_later_round_failure_certifies_previous_round(self, monkeypatch):
+        # (8, 0.5, 6) takes 3 rounds when every LP succeeds
+        calls = self._fail_from_round(monkeypatch, 2)
+        cert = lp_bound(8, 0.5, 6)
+        assert len(calls) == 2
+        assert cert.verification.passed
+        assert verify_certificate(cert).passed
+        assert cert.verification.messages[-1].endswith(
+            "over 1 cutting-plane rounds; round 2 LP status 'numerical_failure'"
+        )
+        assert 240.0 - 1e-6 <= cert.bound_real
+
+    def test_first_round_failure_raises(self, monkeypatch):
+        self._fail_from_round(monkeypatch, 1)
+        with pytest.raises(LPFailureError, match="numerical_failure"):
+            lp_bound(8, 0.5, 6)
+
+    def test_d48_degree30_ends_quickly_with_a_certificate(self):
+        # round 6's dual answer misses the residual tolerance; the run has to
+        # end with round 5's polynomial, not with a dense re-solve of the LP
+        start = time.perf_counter()
+        cert = lp_bound(48, 0.5, 30)
+        assert time.perf_counter() - start < 5.0
+        assert cert.verification.passed
+        assert cert.bound_int >= 4512  # the D48 root system's minimal vectors
+        assert "LP status" in cert.verification.messages[-1]
 
 
 class TestVerification:

@@ -63,14 +63,23 @@ class TestEval:
             assert np.max(np.abs(values - 1.0)) <= 1e-12
 
     def test_recursion_vs_table_agreement(self, rng):
+        # Horner's forward-error bound gamma_2k * sum |c_j| |r|^j on the table
+        # value, with gamma_n = n u / (1 - n u); the factor 4 covers the
+        # recursion's own rounding (worst measured ratio 1.11, dim 2..32).
+        unit_roundoff = np.finfo(float).eps / 2
         for _ in range(1000):
             dim = int(rng.integers(2, 33))
             k = int(rng.integers(0, 21))
             r = float(rng.uniform(-1.0, 1.0))
             basis = GegenbauerBasis(dim, k)
-            assert basis.eval_table(k, r) == pytest.approx(
-                gegenbauer_eval(dim, k, r), abs=1e-10
+            gamma = 2 * k * unit_roundoff / (1.0 - 2 * k * unit_roundoff)
+            magnitude = float(
+                np.polynomial.polynomial.polyval(
+                    abs(r), np.abs(basis.monomial_coeffs(k))
+                )
             )
+            gap = abs(basis.eval_table(k, r) - gegenbauer_eval(dim, k, r))
+            assert gap <= 4.0 * gamma * magnitude
 
 
 class TestBasisTables:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from codebounds import linprog
 from codebounds.linprog import EQ, GE, LE, LinearProgram, _violation, solve_lp
 
 
@@ -279,6 +280,32 @@ class TestDualFastPath:
         rows.append((np.ones(n), LE, -1.0))  # impossible with x >= 0
         lp = LinearProgram(objective=np.ones(n), constraints=rows)
         assert solve_lp(lp).status == "infeasible"
+
+    def test_tall_lp_with_negative_cost_takes_direct_path(self, monkeypatch):
+        # y = 0 is dual-feasible only for a nonnegative cost, so one negative
+        # entry sends a tall LP to the direct tableau, and only there
+        paths = []
+        for name in ("_solve_dual", "_solve_direct"):
+            real = getattr(linprog, name)
+
+            def spy(lp, maxiter, real=real, name=name):
+                paths.append(name)
+                return real(lp, maxiter)
+
+            monkeypatch.setattr(linprog, name, spy)
+        rng = np.random.default_rng(11)
+        n, m = 2, 64
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(0.2, 1.0, n) + rng.uniform(0.05, 1.0, m)
+        c = np.array([0.7, -0.4])
+        rows = [(A[i], LE, b[i]) for i in range(m)]
+        sol = solve_lp(LinearProgram(objective=c, constraints=rows))
+        assert paths == ["_solve_direct"]
+        assert sol.status == "optimal"
+        oracle = enumerate_vertices(c, A, b, [1e6] * n)
+        assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
+        solve_lp(LinearProgram(objective=np.abs(c), constraints=rows))
+        assert paths == ["_solve_direct", "_solve_dual"]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -36,7 +36,7 @@ phis = st.one_of(
 @given(phi=phis, interval=intervals)
 def test_never_below_dense_reference(phi, interval):
     lo, hi = interval
-    value, location = scan_maximum(phi, lo, hi, 2048)
+    value, location, _ = scan_maximum(phi, lo, hi, 2048)
     reference = float(np.max(phi(np.linspace(lo, hi, DENSE_POINTS))))
     assert value >= reference - 1e-12
     assert lo <= location <= hi
@@ -64,7 +64,7 @@ def test_plateau_every_point_a_maximum_still_one_batch_per_step():
         calls.append(r.size)
         return np.zeros_like(r)
 
-    value, _, maxima = scan_maximum(flat, -1.0, 0.5, 500, return_all_maxima=True)
+    value, _, maxima = scan_maximum(flat, -1.0, 0.5, 500)
     assert value == 0.0
     assert len(maxima) == 498
     assert len(calls) == 1 + REFINE_STEPS
@@ -73,19 +73,15 @@ def test_plateau_every_point_a_maximum_still_one_batch_per_step():
 def test_refined_maxima_locations():
     # cos(6 pi r) on [0, 1] peaks at 1/3 and 2/3 inside the interval
     fn = lambda r: np.cos(6.0 * np.pi * r)  # noqa: E731
-    value, location, maxima = scan_maximum(fn, 0.0, 1.0, 100, return_all_maxima=True)
+    value, location, maxima = scan_maximum(fn, 0.0, 1.0, 100)
     assert maxima == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-9)
     assert value == pytest.approx(1.0, abs=1e-15)
     assert location == 0.0  # first of the tied global maxima, a grid endpoint
 
 
 def test_degenerate_and_empty_intervals():
-    assert scan_maximum(lambda r: r * 2.0, 0.25, 0.25, 100) == (0.5, 0.25)
-    assert scan_maximum(lambda r: r, 0.25, 0.25, 100, return_all_maxima=True) == (
-        0.25,
-        0.25,
-        [0.25],
-    )
+    value, location, maxima = scan_maximum(lambda r: r * 2.0, 0.25, 0.25, 100)
+    assert (value, location, maxima.tolist()) == (0.5, 0.25, [0.25])
     with pytest.raises(ValueError):
         scan_maximum(lambda r: r, 0.5, 0.25, 100)
 
@@ -106,6 +102,6 @@ def test_scan_evaluates_the_right_endpoint_itself():
         seen.append(r)
         return r
 
-    value, location = scan_maximum(fn, -1.0, 0.9, 2000)
+    value, location, _ = scan_maximum(fn, -1.0, 0.9, 2000)
     assert value == 0.9 and location == 0.9
     assert 0.9 in seen[0]
