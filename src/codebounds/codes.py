@@ -61,6 +61,18 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
+def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """lp_norm of every row: one axis=1 reduction, then lp_norm's scalar root.
+
+    numpy's vectorized power can differ from the scalar one in the last
+    bit, and the norms appear in failure messages.
+    """
+    if p == math.inf:
+        return np.max(np.abs(rows), axis=1)
+    sums = np.sum(np.abs(rows) ** p, axis=1)
+    return np.array([s ** (1.0 / p) for s in sums.tolist()])
+
+
 def dual_exponent(p: float) -> float:
     if p == 1.0:
         return math.inf
@@ -242,10 +254,18 @@ def verify(code, cos_theta: float | None = None) -> VerifyReport:
     elif isinstance(code, FunctionalCode):
         p = code.space.p
         q = dual_exponent(p)
-        for j in range(code.n):
-            np_ = lp_norm(code.points[j], p)
-            nf = lp_norm(code.functionals[j], q)
-            fjj = float(code.functionals[j] @ code.points[j])
+        point_norms = _row_norms(code.points, p)
+        functional_norms = _row_norms(code.functionals, q)
+        # row-by-row dot products, as f_j @ tau_j
+        pairings = (code.functionals[:, None, :] @ code.points[:, :, None]).ravel()
+        off = (
+            (np.abs(point_norms - 1.0) > TOL_EQ)
+            | (np.abs(functional_norms - 1.0) > TOL_EQ)
+            | (np.abs(pairings - 1.0) > TOL_EQ)
+        )
+        for j in np.flatnonzero(off):
+            np_, nf = float(point_norms[j]), float(functional_norms[j])
+            fjj = float(pairings[j])
             if abs(np_ - 1.0) > TOL_EQ:
                 failures.append(f"axiom (ii): point {j} has l_{p} norm {np_!r}")
             if abs(nf - 1.0) > TOL_EQ:

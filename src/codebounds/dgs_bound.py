@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, basis_values
-from .linprog import LE, LinearProgram, solve_lp
+from .linprog import LinearProgram, solve_lp
 from .scanning import REFINE_STEPS, chebyshev_points, scan_maximum
 
 SIGN_TOL = 1e-9
@@ -86,19 +86,23 @@ def _validate_inputs(d: int, cos_theta: float, degree: int, grid_points: int):
         raise ValueError("grid_points must be >= 64")
 
 
-def _solve_grid_lp(d: int, degree: int, points: np.ndarray):
+def _solve_grid_lp(
+    degree: int, rows: np.ndarray, cos_theta: float, basis: np.ndarray | None
+):
     """min sum(a) s.t. sum_k a_k G_k(r_i) <= -1, a >= 0 (a_0 = 1 moved to rhs).
 
-    Returns the LP solution; an infeasible LP raises NoCertificateError.
+    ``rows`` holds G_1..G_degree at each grid point. Returns the LP
+    solution; an infeasible LP raises NoCertificateError.
     """
-    table = basis_values(d, degree, points)  # (degree+1, npts)
-    rows = [(table[1:, i], LE, -1.0) for i in range(len(points))]
-    lp = LinearProgram(objective=np.ones(degree), constraints=rows)
-    solution = solve_lp(lp)
+    m = len(rows)
+    lp = LinearProgram(
+        objective=np.ones(degree), A=rows, b=np.full(m, -1.0), sense=np.ones(m)
+    )
+    solution = solve_lp(lp, basis)
     if solution.status == "infeasible":
         raise NoCertificateError(
             f"no certificate at this degree: the degree-{degree} LP at "
-            f"cos_theta={points[-1]!r} is infeasible"
+            f"cos_theta={cos_theta!r} is infeasible"
         )
     return solution
 
@@ -113,8 +117,10 @@ def lp_bound(
     when the first cutting-plane round's LP fails (solver stall or a
     solution outside the residual tolerance). When a later round's LP
     fails, the previous round's polynomial is shifted and certified
-    instead, and the verification message names the failed round. Every
-    returned certificate has been re-verified.
+    instead, and the verification message names the failed round. Each
+    round appends its cutting-plane points as new LP rows and warm-starts
+    the LP from the previous round's optimal basis. Every returned
+    certificate has been re-verified.
     """
     _validate_inputs(d, cos_theta, degree, grid_points)
     if degree < 1:
@@ -122,10 +128,13 @@ def lp_bound(
             "no certificate at this degree: with only a_0 > 0 the polynomial "
             "is a positive constant and cannot be <= 0 on the interval"
         )
-    points = chebyshev_points(-1.0, float(cos_theta), grid_points)
+    cos_theta = float(cos_theta)
+    points = chebyshev_points(-1.0, cos_theta, grid_points)
+    rows = basis_values(d, degree, points)[1:].T
+    basis = None
     failed_round = ""
     for round_index in range(MAX_ROUNDS):
-        solution = _solve_grid_lp(d, degree, points)
+        solution = _solve_grid_lp(degree, rows, cos_theta, basis)
         if solution.status != "optimal":
             if round_index == 0:
                 raise LPFailureError(f"LP solver returned status {solution.status!r}")
@@ -133,21 +142,22 @@ def lp_bound(
             failed_round = f"; round {round_index + 1} LP status {solution.status!r}"
             break
         rounds_used = round_index + 1
+        basis = solution.basis
         coeffs = np.concatenate(([1.0], solution.x))
         poly = GegenbauerPoly(d, coeffs)
         p_at_1 = poly.at_one()
-        violation, _, maxima = scan_maximum(
-            poly, -1.0, float(cos_theta), 10 * grid_points
-        )
+        violation, _, maxima = scan_maximum(poly, -1.0, cos_theta, 10 * grid_points)
         inflation = (
             violation * (p_at_1 - 1.0) / (1.0 - violation) if violation > 0 else 0.0
         )
         if inflation <= INFLATION_TARGET or round_index == MAX_ROUNDS - 1:
             break
-        new_points = maxima[poly(maxima) > 0.0]
+        # appended after the old rows, so the row numbers in ``basis`` hold
+        new_points = np.setdiff1d(maxima[poly(maxima) > 0.0], points)
         if not new_points.size:
             break
-        points = np.unique(np.concatenate([points, new_points]))
+        points = np.concatenate([points, new_points])
+        rows = np.vstack([rows, basis_values(d, degree, new_points)[1:].T])
 
     # Shift and rescale so the emitted polynomial is nonpositive on the
     # whole interval: P_hat = (P - v) / (1 - v) keeps a_0 = 1 and all the
@@ -169,7 +179,7 @@ def lp_bound(
     bound_real = final_poly.at_one()
     certificate = DGSCertificate(
         dim=d,
-        cos_theta=float(cos_theta),
+        cos_theta=cos_theta,
         poly=final_poly,
         a0=1.0,
         bound_real=bound_real,

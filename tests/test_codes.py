@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from codebounds import jsonutil
 from codebounds.codes import (
+    FAMILIES,
     FunctionalCode,
     LpSpace,
     MetricCode,
@@ -18,11 +19,13 @@ from codebounds.codes import (
     SphericalCode,
     code_from_json_dict,
     code_to_json_dict,
+    dual_exponent,
     embed_as_metric_code,
     euclidean_to_functional,
     evaluation_matrix,
     generate,
     lipschitz_norm,
+    lp_norm,
     norming_functional,
     random_functional_code,
     verify,
@@ -332,6 +335,44 @@ class TestRandomFunctionalCodes:
         M = evaluation_matrix(code)
         assert np.max(np.abs(M)) <= 1.0 + 1e-12
 
+    def test_axiom_messages_match_row_loop(self, rng):
+        def loop_reference(code):
+            # the per-row checks of the functional branch, one lp_norm call each
+            p = code.space.p
+            q = dual_exponent(p)
+            failures = []
+            for j in range(code.n):
+                np_ = lp_norm(code.points[j], p)
+                nf = lp_norm(code.functionals[j], q)
+                fjj = float(code.functionals[j] @ code.points[j])
+                if abs(np_ - 1.0) > 1e-12:
+                    failures.append(f"axiom (ii): point {j} has l_{p} norm {np_!r}")
+                if abs(nf - 1.0) > 1e-12:
+                    failures.append(f"axiom (i): functional {j} has l_{q} norm {nf!r}")
+                if abs(fjj - 1.0) > 1e-12:
+                    failures.append(f"axiom (iii): f_{j}(tau_{j}) = {fjj!r}, not 1")
+            return failures
+
+        codes = [euclidean_to_functional(generate(family, dim=6)) for family in FAMILIES]
+        for p in (1.0, 1.5, 2.0, 3.0, 7.5, math.inf):
+            for dim, n in ((2, 3), (5, 8), (17, 30)):
+                try:
+                    codes.append(random_functional_code(rng, p, dim, n))
+                except ValueError:  # p = 1 and inf have no unique norming functional
+                    pass
+        checked = 0
+        for code in codes:
+            # scale a few points and functionals so every axiom fails somewhere
+            points, functionals = code.points.copy(), code.functionals.copy()
+            points[rng.random(code.n) < 0.3] *= 1.0 + 1e-6
+            functionals[rng.random(code.n) < 0.3] *= 1.0 - 1e-7
+            broken = FunctionalCode(code.space, points, functionals, code.cos_theta)
+            for candidate in (code, broken):
+                expected = loop_reference(candidate)
+                failures = verify(candidate).axiom_failures
+                assert [m for m in failures if not m.startswith("axiom (iv)")] == expected
+                checked += bool(expected)
+        assert checked >= 10
 
 class TestSerialization:
     def test_spherical_round_trip(self):

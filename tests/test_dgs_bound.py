@@ -1,6 +1,7 @@
 """LP bound pipeline: flagship values, verification, mutations, JSON."""
 
 import copy
+import hashlib
 import math
 import time
 
@@ -18,7 +19,7 @@ from codebounds.dgs_bound import (
 )
 from codebounds.errors import LPFailureError, NoCertificateError
 from codebounds.gegenbauer import GegenbauerPoly
-from codebounds.linprog import LPSolution
+from codebounds.linprog import LPSolution, solve_lp
 from codebounds.scanning import REFINE_STEPS
 
 
@@ -79,11 +80,11 @@ class TestFailedLPRound:
         real_solve = dgs_bound.solve_lp
         calls = []
 
-        def solve(lp):
+        def solve(lp, basis=None):
             calls.append(len(lp.b))
             if len(calls) >= first_failing:
                 return LPSolution(status="numerical_failure")
-            return real_solve(lp)
+            return real_solve(lp, basis)
 
         monkeypatch.setattr(dgs_bound, "solve_lp", solve)
         return calls
@@ -106,14 +107,69 @@ class TestFailedLPRound:
             lp_bound(8, 0.5, 6)
 
     def test_d48_degree30_ends_quickly_with_a_certificate(self):
-        # round 6's dual answer misses the residual tolerance; the run has to
-        # end with round 5's polynomial, not with a dense re-solve of the LP
+        # a cold re-solve of round 6 used to miss the residual tolerance; warm
+        # started from the previous basis, every round's LP solves
         start = time.perf_counter()
         cert = lp_bound(48, 0.5, 30)
         assert time.perf_counter() - start < 5.0
         assert cert.verification.passed
         assert cert.bound_int >= 4512  # the D48 root system's minimal vectors
-        assert "LP status" in cert.verification.messages[-1]
+        assert cert.verification.messages[-1].endswith("over 10 cutting-plane rounds")
+        assert cert.bound_real <= 895755214.43  # round 5's certificate before
+
+
+class TestWarmStartedRounds:
+    @staticmethod
+    def _record(monkeypatch):
+        """Spy on lp_bound's LP solves; each entry is (lp, basis, solution)."""
+        calls = []
+
+        def solve(lp, basis=None):
+            solution = solve_lp(lp, basis)
+            calls.append((lp, basis, solution))
+            return solution
+
+        monkeypatch.setattr(dgs_bound, "solve_lp", solve)
+        return calls
+
+    @pytest.mark.parametrize("case", [(8, 0.5, 6), (24, 0.5, 20), (16, 0.7, 16)])
+    def test_every_round_matches_a_cold_solve(self, monkeypatch, case):
+        calls = self._record(monkeypatch)
+        lp_bound(*case)
+        assert len(calls) >= 3
+        for index, (lp, basis, warm) in enumerate(calls):
+            assert (basis is None) == (index == 0)
+            cold = solve_lp(lp)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+
+    def test_later_rounds_cost_few_pivots(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        lp_bound(24, 0.5, 20)
+        pivots = [solution.iterations for _, _, solution in calls]
+        assert len(pivots) == 10
+        assert sum(pivots) <= 2 * pivots[0]
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ((3, 0.5, 10), "69d0faf9d550f9caca233f3a6fd429d129ae5a199184525c135602b576e11a92"),
+            ((4, 0.5, 10), "cbf68c3b057af6fadebbde259b365678f7e60eaa3c0eb3646cdfde5a535894a0"),
+        ],
+    )
+    def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
+        # the files these one-round cases wrote before the LP was warm-started
+        path = tmp_path / "cert.json"
+        jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_infeasible_message_names_cos_theta(self):
+        with pytest.raises(NoCertificateError) as info:
+            lp_bound(24, np.float64(0.7), 12)
+        assert str(info.value) == (
+            "no certificate at this degree: the degree-12 LP at cos_theta=0.7 "
+            "is infeasible"
+        )
 
 
 class TestVerification:

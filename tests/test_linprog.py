@@ -1,5 +1,7 @@
 """Simplex solver: examples, oracle equivalence, invariants."""
 
+import gc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -288,9 +290,9 @@ class TestDualFastPath:
         for name in ("_solve_dual", "_solve_direct"):
             real = getattr(linprog, name)
 
-            def spy(lp, maxiter, real=real, name=name):
+            def spy(lp, maxiter, *basis, real=real, name=name):
                 paths.append(name)
-                return real(lp, maxiter)
+                return real(lp, maxiter, *basis)
 
             monkeypatch.setattr(linprog, name, spy)
         rng = np.random.default_rng(11)
@@ -306,6 +308,143 @@ class TestDualFastPath:
         assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
         solve_lp(LinearProgram(objective=np.abs(c), constraints=rows))
         assert paths == ["_solve_direct", "_solve_dual"]
+
+
+class TestStackedRows:
+    def test_arrays_match_row_tuples(self, rng):
+        A = rng.normal(size=(5, 3))
+        b = rng.normal(size=5)
+        relations = [LE, GE, EQ, LE, GE]
+        rows = LinearProgram(
+            objective=np.ones(3),
+            constraints=[(A[i], relations[i], b[i]) for i in range(5)],
+        )
+        stacked = LinearProgram(
+            objective=np.ones(3), A=A, b=b, sense=[1.0, -1.0, 0.0, 1.0, -1.0]
+        )
+        for lp in (rows, stacked):
+            assert np.array_equal(lp.A, A) and np.array_equal(lp.b, b)
+            assert lp.sense.tolist() == [1.0, -1.0, 0.0, 1.0, -1.0]
+            assert len(lp.constraints) == 5
+            assert [rel for _, rel, _ in lp.constraints] == relations
+            assert np.array_equal(lp.constraints[3][0], A[3])
+            assert lp.constraints[-1][2] == b[4]
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ((np.ones((2, 3)), np.zeros(2), np.ones(2)), "row has length"),
+            ((np.ones(2), np.zeros(1), np.ones(1)), "row has length"),
+            ((np.ones((2, 2)), np.zeros(2), [1.0, 2.0]), "unknown relation"),
+            ((np.array([[1.0, np.nan]]), np.zeros(1), np.ones(1)), "must be finite"),
+            ((np.ones((1, 2)), [np.inf], np.ones(1)), "must be finite"),
+            ((np.ones((2, 2)), np.zeros(3), np.ones(2)), "one entry per row"),
+            ((np.ones((2, 2)), None, np.ones(2)), "given together"),
+        ],
+    )
+    def test_malformed_arrays_rejected(self, arrays, message):
+        A, b, sense = arrays
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(objective=[1.0, 1.0], A=A, b=b, sense=sense)
+
+    def test_freed_without_the_cycle_collector(self):
+        # no reference cycle: a cutting-plane loop's LPs are freed one by one
+        # instead of piling up until the next garbage collection
+        gc.disable()
+        try:
+            lp = LinearProgram(objective=[1.0], A=[[1.0]], b=[1.0], sense=[1.0])
+            freed = weakref.ref(lp)
+            del lp
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_rows_given_twice_rejected(self):
+        with pytest.raises(ValueError, match="not both"):
+            LinearProgram(
+                objective=[1.0],
+                constraints=[([1.0], LE, 1.0)],
+                A=[[1.0]],
+                b=[1.0],
+                sense=[1.0],
+            )
+
+
+def tall_lp(rng, m, n=4):
+    """A feasible tall LP that takes the dual path: A x <= b, x >= 0, c > 0."""
+    A = rng.normal(size=(m, n))
+    b = A @ rng.uniform(0.2, 1.0, n) + rng.uniform(0.01, 0.5, m)
+    c = rng.uniform(0.1, 1.0, n)
+    return c, A, b
+
+
+def leading_rows(c, A, b, m):
+    return LinearProgram(objective=c, A=A[:m], b=b[:m], sense=np.ones(m))
+
+
+class TestWarmStart:
+    def test_dual_path_reports_a_basis_and_direct_path_none(self, rng):
+        c, A, b = tall_lp(rng, 300)
+        sol = solve_lp(leading_rows(c, A, b, 300))
+        assert sol.status == "optimal"
+        assert sol.basis.shape == (4,) and len(set(sol.basis.tolist())) == 4
+        direct = LinearProgram(
+            objective=c, A=A, b=b, sense=np.ones(300), upper=[1e9] * 4
+        )
+        assert solve_lp(direct).basis is None
+
+    def test_own_basis_takes_no_pivots(self, rng):
+        c, A, b = tall_lp(rng, 300)
+        lp = leading_rows(c, A, b, 300)
+        cold = solve_lp(lp)
+        again = solve_lp(lp, cold.basis)
+        assert cold.iterations > 0
+        assert again.status == "optimal" and again.iterations == 0
+        assert again.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+
+    def test_appended_rows_match_a_cold_solve(self, rng):
+        n, m = 4, 460
+        A = rng.normal(size=(m, n))
+        x0 = rng.uniform(0.2, 1.0, n)
+        b = A @ x0 + rng.uniform(0.01, 0.5, m)
+        b[400:] = A[400:] @ x0 + 1e-3  # rows that cut the earlier optima off
+        c = rng.uniform(0.1, 1.0, n)
+        basis = None
+        for rows in (400, 420, 440, 460):
+            lp = leading_rows(c, A, b, rows)
+            warm = solve_lp(lp, basis)
+            cold = solve_lp(lp)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+            if basis is not None:
+                assert warm.iterations < cold.iterations
+            basis = warm.basis
+
+    def test_singular_basis_is_a_numerical_failure(self, rng):
+        c, A, b = tall_lp(rng, 300, n=2)
+        A[7] = A[3]
+        b[7] = b[3]
+        lp = leading_rows(c, A, b, 300)
+        # rows 3 and 7 give two equal dual columns: B is singular
+        assert solve_lp(lp, np.array([2 + 3, 2 + 7])).status == "numerical_failure"
+
+    def test_infeasible_basis_is_a_numerical_failure(self):
+        # min x s.t. x <= 5 (64 times): x = 0 leaves every row slack, and a
+        # basis that makes a row tight prices x at -1, not dual-feasible
+        m = 64
+        lp = LinearProgram(
+            objective=[1.0], A=np.ones((m, 1)), b=np.full(m, 5.0), sense=np.ones(m)
+        )
+        assert solve_lp(lp).status == "optimal"
+        assert solve_lp(lp, np.array([1 + 3])).status == "numerical_failure"
+
+    @pytest.mark.parametrize(
+        "basis", [[0, 1, 2], [0, 0, 1, 2], [0, 1, 2, 5 + 300], [0.0, 1.0, 2.0, 3.0]]
+    )
+    def test_malformed_basis_rejected(self, rng, basis):
+        c, A, b = tall_lp(rng, 300)
+        with pytest.raises(ValueError, match="basis must name 4 distinct columns"):
+            solve_lp(leading_rows(c, A, b, 300), np.array(basis))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
