@@ -215,13 +215,16 @@ def evaluation_matrix(code) -> np.ndarray:
 
 
 def lipschitz_norm(distance: np.ndarray, values: np.ndarray) -> float:
-    """Exact Lipschitz norm of a value table: sup over point pairs."""
-    mask = distance > 0
-    np.fill_diagonal(mask, False)
-    if not mask.any():
-        return 0.0
-    diff = np.abs(values[None, :] - values[:, None])
-    return float(np.max(diff[mask] / distance[mask]))
+    """Exact Lipschitz norm of a value table: sup over point pairs.
+
+    Two points at distance 0 with different values make it infinite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # + 0.0 turns a -0.0 distance into +0.0, so a jump across it is +inf
+        ratios = np.abs(values[None, :] - values[:, None]) / (distance + 0.0)
+    # NaN is 0 / 0 (a point with itself, or equal values at distance 0) and
+    # is skipped; a negative distance gives a ratio <= 0, which never counts
+    return float(np.fmax.reduce(ratios, axis=None, initial=0.0))
 
 
 def _offdiag_report(matrix: np.ndarray):

@@ -94,10 +94,7 @@ def _solve_grid_lp(
     ``rows`` holds G_1..G_degree at each grid point. Returns the LP
     solution; an infeasible LP raises NoCertificateError.
     """
-    m = len(rows)
-    lp = LinearProgram(
-        objective=np.ones(degree), A=rows, b=np.full(m, -1.0), sense=np.ones(m)
-    )
+    lp = LinearProgram(objective=np.ones(degree), A=rows, b=np.full(len(rows), -1.0))
     solution = solve_lp(lp, basis)
     if solution.status == "infeasible":
         raise NoCertificateError(
@@ -169,8 +166,9 @@ def lp_bound(
     shift = 0.0 if violation + noise <= SIGN_TOL else max(violation, 0.0) + noise
     if shift >= 1.0:
         raise NoCertificateError(
-            "no certificate at this degree: residual sign violation "
-            f"{violation!r} cannot be absorbed"
+            f"residual sign violation {violation!r} after {rounds_used} "
+            f"cutting-plane rounds on a {grid_points}-point grid cannot be "
+            f"absorbed{failed_round}"
         )
     final_coeffs = coeffs.copy()
     final_coeffs[0] = 1.0 - shift

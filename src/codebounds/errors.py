@@ -6,7 +6,12 @@ class CodeBoundsError(Exception):
 
 
 class NoCertificateError(CodeBoundsError):
-    """The LP admits no sign-feasible polynomial at the requested degree."""
+    """No sign-feasible polynomial was found at the requested degree.
+
+    Either the LP admits none, or the cutting-plane search ended with a
+    residual sign violation too large for the shift to absorb; the
+    message says which, with the rounds run and the grid size.
+    """
 
 
 class LPFailureError(CodeBoundsError):

@@ -314,23 +314,18 @@ def test_criterion_8_orthonormal_finite_set():
 
 
 def test_criterion_9_lp_oracle_and_mutations():
-    from test_linprog import enumerate_vertices, random_bounded_lp
+    from test_linprog import enumerate_vertices, random_covering_lp
 
-    from codebounds.linprog import LE, LinearProgram, solve_lp
+    from codebounds.linprog import solve_lp
 
     t0 = time.time()
     rng = np.random.default_rng(SEED)
     oracle_worst = 0.0
     for _ in range(100):
-        c, A, b, upper = random_bounded_lp(rng)
-        lp = LinearProgram(
-            objective=c,
-            constraints=[(A[i], LE, b[i]) for i in range(len(b))],
-            upper=upper,
-        )
+        lp, oracle_inputs = random_covering_lp(rng)
         sol = solve_lp(lp)
         assert sol.status == "optimal"
-        oracle = enumerate_vertices(c, A, b, upper)
+        oracle = enumerate_vertices(*oracle_inputs)
         oracle_worst = max(oracle_worst, abs(sol.objective_value - oracle))
 
     emitted = [

@@ -235,6 +235,25 @@ class TestMetricVerification:
         assert not report.valid
         assert any("Lipschitz" in f for f in report.axiom_failures)
 
+    def test_different_values_at_distance_zero_are_not_lipschitz(self):
+        # five points at one location, each f_j = 1 at its own point and -1 at
+        # the other four: distance 0 between tau_j and tau_k, values 2 apart
+        n = 5
+        d = np.zeros((n + 1, n + 1))
+        d[0, 1:] = d[1:, 0] = 1.0
+        functions = np.hstack([np.zeros((n, 1)), 2.0 * np.eye(n) - 1.0])
+        code = MetricCode(
+            space=PointedMetricSpace(d),
+            point_indices=np.arange(1, n + 1),
+            functions=functions,
+            cos_theta=-1.0,
+        )
+        assert lipschitz_norm(d, functions[0]) == math.inf
+        assert lipschitz_norm(np.full((2, 2), -0.0), np.array([0.0, 1.0])) == math.inf
+        report = verify(code)
+        assert not report.valid
+        assert any("Lipschitz norm inf" in f for f in report.axiom_failures)
+
     def test_duplicate_tau_warns_not_fails(self):
         code = self._tiny_metric_code()
         dup = MetricCode(

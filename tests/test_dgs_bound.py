@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -116,6 +117,48 @@ class TestFailedLPRound:
         assert cert.bound_int >= 4512  # the D48 root system's minimal vectors
         assert cert.verification.messages[-1].endswith("over 10 cutting-plane rounds")
         assert cert.bound_real <= 895755214.43  # round 5's certificate before
+
+
+SMALL_GRID_CASES = [
+    (d, cos_theta, degree, grid)
+    for grid in (64, 100, 159)
+    for degree in (12, 17, 24, 30, 40)
+    if grid < 4 * degree
+    for d in (3, 8, 24)
+    for cos_theta in (0.5, 0.7, -0.3)
+]
+
+
+class TestSmallGrids:
+    # grids with fewer than 4 * degree points: every input ends with a
+    # verified certificate or NoCertificateError, never LPFailureError
+    @pytest.mark.parametrize("case", SMALL_GRID_CASES, ids=str)
+    def test_ends_with_a_certificate_or_no_certificate(self, case):
+        d, cos_theta, degree, grid = case
+        try:
+            cert = lp_bound(d, cos_theta, degree, grid_points=grid)
+        except NoCertificateError as exc:
+            assert re.search(
+                r"is infeasible$|after \d+ cutting-plane rounds on a "
+                rf"{grid}-point grid cannot be absorbed",
+                str(exc),
+            )
+        else:
+            assert verify_certificate(cert).passed
+
+    def test_unabsorbed_violation_names_rounds_and_grid(self):
+        with pytest.raises(NoCertificateError) as info:
+            lp_bound(24, 0.7, 17, grid_points=64)
+        assert re.fullmatch(
+            r"residual sign violation \S+ after \d+ cutting-plane rounds on a "
+            r"64-point grid cannot be absorbed",
+            str(info.value),
+        )
+
+    def test_d24_degree40_on_a_100_point_grid(self):
+        # the cutting planes reach the kissing number from a 100-point grid
+        cert = lp_bound(24, 0.5, 40, grid_points=100)
+        assert 196560.0 <= cert.bound_real <= 196561.0
 
 
 class TestWarmStartedRounds:

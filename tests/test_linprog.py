@@ -1,4 +1,4 @@
-"""Simplex solver: examples, oracle equivalence, invariants."""
+"""Dual simplex solver: examples, oracle equivalence, invariants."""
 
 import gc
 import weakref
@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds import linprog
-from codebounds.linprog import EQ, GE, LE, LinearProgram, _violation, solve_lp
+from codebounds.linprog import LinearProgram, _violation, solve_lp
 
 
 def enumerate_vertices(objective, rows, rhs, upper):
@@ -47,30 +46,37 @@ def enumerate_vertices(objective, rows, rhs, upper):
     return best
 
 
-def random_bounded_lp(rng):
+def random_covering_lp(rng):
+    """A feasible LP of the solver's shape, and the oracle's inputs.
+
+    Cost c in [0, 1)^n; the box 0 <= x <= upper is written as "<=" rows
+    after A; b = A @ interior + slack, so rows can cut x = 0 off and the
+    optimum is often above 0. Returns the LP and (c, A, b, upper).
+    """
     n = int(rng.integers(2, 5))
     m = int(rng.integers(2, 11))
     A = rng.normal(size=(m, n))
     interior = rng.uniform(0.1, 2.0, n)
     b = A @ interior + rng.uniform(0.05, 1.0, m)
-    c = rng.normal(size=n)
+    c = rng.uniform(0.0, 1.0, n)
     upper = rng.uniform(2.5, 6.0, n)
-    return c, A, b, upper
+    lp = LinearProgram(c, np.vstack([A, np.eye(n)]), np.concatenate([b, upper]))
+    return lp, (c, A, b, upper)
 
 
 class TestExamples:
     def test_single_variable(self):
-        lp = LinearProgram(objective=[-1.0], constraints=[([1.0], LE, 1.0)])
+        # min x s.t. x >= 1, written as -x <= -1
+        lp = LinearProgram(objective=[1.0], A=[[-1.0]], b=[-1.0])
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
-        assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
     def test_two_variable_vertex(self):
         # hand enumeration: vertices (0,2), (2,0), (2/3,2/3); optimum 4/3
         lp = LinearProgram(
-            objective=[1.0, 1.0],
-            constraints=[([1.0, 2.0], GE, 2.0), ([2.0, 1.0], GE, 2.0)],
+            objective=[1.0, 1.0], A=[[-1.0, -2.0], [-2.0, -1.0]], b=[-2.0, -2.0]
         )
         sol = solve_lp(lp)
         assert sol.status == "optimal"
@@ -78,86 +84,38 @@ class TestExamples:
         assert sol.x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-8)
 
     def test_infeasible(self):
-        lp = LinearProgram(
-            objective=[1.0],
-            constraints=[([1.0], GE, 1.0), ([1.0], LE, 0.0)],
-        )
+        # x >= 1 and x <= 0
+        lp = LinearProgram(objective=[1.0], A=[[-1.0], [1.0]], b=[-1.0, 0.0])
         assert solve_lp(lp).status == "infeasible"
-
-    def test_unbounded(self):
-        lp = LinearProgram(objective=[-1.0], constraints=[([-1.0], LE, 0.0)])
-        assert solve_lp(lp).status == "unbounded"
-
-    def test_equality_constraint(self):
-        lp = LinearProgram(
-            objective=[1.0, 2.0],
-            constraints=[([1.0, 1.0], EQ, 3.0)],
-            upper=[2.0, 5.0],
-        )
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.x == pytest.approx([2.0, 1.0], abs=1e-9)
-
-    def test_free_and_shifted_variables(self):
-        # x free, y in [-2, 5]: minimize x + y with x >= y - 1
-        lp = LinearProgram(
-            objective=[1.0, 1.0],
-            constraints=[([1.0, -1.0], GE, -1.0)],
-            lower=[-np.inf, -2.0],
-            upper=[np.inf, 5.0],
-        )
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            LinearProgram(objective=[1.0, 1.0], constraints=[([1.0], LE, 0.0)])
+            LinearProgram(objective=[1.0, 1.0], A=[[1.0]], b=[0.0])
 
     @pytest.mark.parametrize(
-        "constraints, message",
+        "objective, message",
         [
-            ([([1.0, 0.0], LE, 0.0), ([1.0], GE, 0.0)], "row has length"),
-            ([([1.0, 0.0], "<", 0.0)], "unknown relation"),
-            ([([1.0, np.nan], LE, 0.0)], "must be finite"),
-            ([([1.0, 0.0], EQ, np.inf)], "must be finite"),
+            ([0.7, -0.4], "nonnegative"),
+            ([np.nan, 1.0], "must be finite"),
+            ([np.inf, 1.0], "must be finite"),
         ],
     )
-    def test_malformed_rows_rejected(self, constraints, message):
+    def test_negative_or_non_finite_cost_rejected(self, objective, message):
+        # with c >= 0 the all-slack dual basis is feasible: the solver's one path
         with pytest.raises(ValueError, match=message):
-            LinearProgram(objective=[1.0, 1.0], constraints=constraints)
-
-    def test_rows_stacked_with_relation_codes(self):
-        lp = LinearProgram(
-            objective=[1.0, 1.0],
-            constraints=[
-                ([1.0, 2.0], LE, 3.0),
-                ([4.0, 5.0], GE, 6.0),
-                ([7.0, 8.0], EQ, 9.0),
-            ],
-        )
-        assert lp.A.tolist() == [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]]
-        assert lp.b.tolist() == [3.0, 6.0, 9.0]
-        assert lp.sense.tolist() == [1.0, -1.0, 0.0]
-        empty = LinearProgram(objective=[1.0, 1.0])
-        assert empty.A.shape == (0, 2) and empty.b.shape == (0,)
+            LinearProgram(objective=objective, A=np.ones((64, 2)), b=np.ones(64))
 
     def test_residual_matches_row_loop(self):
         def loop_reference(lp, x):
             worst = 0.0
-            for row, rel, rhs in lp.constraints:
-                value = float(np.asarray(row) @ x)
-                gap = {LE: value - rhs, GE: rhs - value, EQ: abs(value - rhs)}[rel]
-                worst = max(worst, gap)
-            return max(worst, float(np.max(lp.lower - x)), 0.0)
+            for row, rhs in zip(lp.constraints, lp.b):
+                worst = max(worst, float(row @ x) - rhs)
+            return max(worst, float(np.max(-x)), 0.0)
 
         rng = np.random.default_rng(5)
         for _ in range(50):
             m, n = int(rng.integers(1, 30)), int(rng.integers(1, 6))
-            relations = rng.choice([LE, GE, EQ], size=m)
-            rhs = rng.normal(size=m)
-            rows = [(rng.normal(size=n), str(r), b) for r, b in zip(relations, rhs)]
-            lp = LinearProgram(objective=np.ones(n), constraints=rows)
+            lp = LinearProgram(np.ones(n), rng.normal(size=(m, n)), rng.normal(size=m))
             x = rng.normal(size=n)
             expected = loop_reference(lp, x)
             assert _violation(lp, x) == pytest.approx(expected, rel=1e-12, abs=1e-14)
@@ -165,54 +123,29 @@ class TestExamples:
 
 class TestOracle:
     def test_hundred_random_instances(self, rng):
-        solved = 0
+        nonzero = 0
         for _ in range(100):
-            c, A, b, upper = random_bounded_lp(rng)
-            lp = LinearProgram(
-                objective=c,
-                constraints=[(A[i], LE, b[i]) for i in range(len(b))],
-                upper=upper,
-            )
+            lp, oracle_inputs = random_covering_lp(rng)
             sol = solve_lp(lp)
             assert sol.status == "optimal"
-            oracle = enumerate_vertices(c, A, b, upper)
+            oracle = enumerate_vertices(*oracle_inputs)
             assert oracle is not None
             assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
-            solved += 1
-        assert solved == 100
-
-    def test_mixed_relations_against_oracle(self, rng):
-        for _ in range(25):
-            c, A, b, upper = random_bounded_lp(rng)
-            # flip half the rows to >= form; same feasible set
-            rows = []
-            for i in range(len(b)):
-                if i % 2 == 0:
-                    rows.append((A[i], LE, b[i]))
-                else:
-                    rows.append((-A[i], GE, -b[i]))
-            lp = LinearProgram(objective=c, constraints=rows, upper=upper)
-            sol = solve_lp(lp)
-            assert sol.status == "optimal"
-            oracle = enumerate_vertices(c, A, b, upper)
-            assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
+            nonzero += oracle > 1e-9
+        # x = 0 is optimal whenever it is feasible; most instances cut it off
+        assert nonzero >= 50
 
 
 class TestInvariants:
     def test_reported_solutions_feasible(self, rng):
         for _ in range(50):
-            c, A, b, upper = random_bounded_lp(rng)
-            lp = LinearProgram(
-                objective=c,
-                constraints=[(A[i], LE, b[i]) for i in range(len(b))],
-                upper=upper,
-            )
+            lp, (c, A, b, upper) = random_covering_lp(rng)
             sol = solve_lp(lp)
             assert sol.status == "optimal"
             # recheck independently of the solver's own bookkeeping
             worst = max(float(A[i] @ sol.x - b[i]) for i in range(len(b)))
             worst = max(worst, float(np.max(-sol.x)), float(np.max(sol.x - upper)))
-            scale = 1.0 + float(np.max(np.abs(b)))
+            scale = 1.0 + float(np.max(np.abs(lp.b)))
             assert worst <= 1e-9 * scale
             assert sol.max_constraint_violation <= 1e-9 * scale
             assert sol.objective_value == pytest.approx(
@@ -221,177 +154,105 @@ class TestInvariants:
 
     def test_constraint_permutation_stability(self, rng):
         for _ in range(20):
-            c, A, b, upper = random_bounded_lp(rng)
-            rows = [(A[i], LE, b[i]) for i in range(len(b))]
-            base = solve_lp(LinearProgram(objective=c, constraints=rows, upper=upper))
-            perm = rng.permutation(len(rows))
-            shuffled = solve_lp(
-                LinearProgram(
-                    objective=c, constraints=[rows[i] for i in perm], upper=upper
-                )
-            )
+            lp, _ = random_covering_lp(rng)
+            base = solve_lp(lp)
+            perm = rng.permutation(len(lp.b))
+            shuffled = solve_lp(LinearProgram(lp.objective, lp.A[perm], lp.b[perm]))
             assert base.status == shuffled.status == "optimal"
             assert abs(base.objective_value - shuffled.objective_value) <= 1e-8
 
     def test_determinism(self, rng):
-        c, A, b, upper = random_bounded_lp(rng)
-        lp = LinearProgram(
-            objective=c,
-            constraints=[(A[i], LE, b[i]) for i in range(len(b))],
-            upper=upper,
-        )
+        lp, _ = random_covering_lp(rng)
         first = solve_lp(lp)
         second = solve_lp(lp)
         assert first.objective_value == second.objective_value
         assert np.array_equal(first.x, second.x)
 
 
-class TestDualFastPath:
-    def test_tall_lp_matches_direct_solve(self, rng):
-        # enough rows to trigger the dual path; compare to a sliced-down
-        # direct solve of the same instance
-        n = 5
-        m = 400
-        A = rng.normal(size=(m, n))
-        x0 = rng.uniform(0.2, 1.0, n)
-        b = A @ x0 + rng.uniform(0.01, 0.5, m)
-        c = rng.uniform(0.1, 1.0, n)
-        tall = LinearProgram(
-            objective=c, constraints=[(A[i], LE, b[i]) for i in range(m)]
-        )
-        sol = solve_lp(tall)
-        assert sol.status == "optimal"
-        # direct path forced by a harmless finite bound on one variable
-        direct = LinearProgram(
-            objective=c,
-            constraints=[(A[i], LE, b[i]) for i in range(m)],
-            upper=[1e9] * n,
-        )
-        ref = solve_lp(direct)
-        assert ref.status == "optimal"
-        assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-7)
-        worst = max(float(A[i] @ sol.x - b[i]) for i in range(m))
-        assert worst <= 1e-9 * (1.0 + float(np.max(np.abs(b))))
-
-    def test_tall_infeasible(self, rng):
-        n = 3
-        m = 300
-        A = rng.normal(size=(m, n))
-        b = A @ rng.uniform(0.2, 1.0, n) + 0.1
-        rows = [(A[i], LE, b[i]) for i in range(m)]
-        rows.append((np.ones(n), LE, -1.0))  # impossible with x >= 0
-        lp = LinearProgram(objective=np.ones(n), constraints=rows)
-        assert solve_lp(lp).status == "infeasible"
-
-    def test_tall_lp_with_negative_cost_takes_direct_path(self, monkeypatch):
-        # y = 0 is dual-feasible only for a nonnegative cost, so one negative
-        # entry sends a tall LP to the direct tableau, and only there
-        paths = []
-        for name in ("_solve_dual", "_solve_direct"):
-            real = getattr(linprog, name)
-
-            def spy(lp, maxiter, *basis, real=real, name=name):
-                paths.append(name)
-                return real(lp, maxiter, *basis)
-
-            monkeypatch.setattr(linprog, name, spy)
-        rng = np.random.default_rng(11)
-        n, m = 2, 64
-        A = rng.normal(size=(m, n))
-        b = A @ rng.uniform(0.2, 1.0, n) + rng.uniform(0.05, 1.0, m)
-        c = np.array([0.7, -0.4])
-        rows = [(A[i], LE, b[i]) for i in range(m)]
-        sol = solve_lp(LinearProgram(objective=c, constraints=rows))
-        assert paths == ["_solve_direct"]
-        assert sol.status == "optimal"
-        oracle = enumerate_vertices(c, A, b, [1e6] * n)
-        assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
-        solve_lp(LinearProgram(objective=np.abs(c), constraints=rows))
-        assert paths == ["_solve_direct", "_solve_dual"]
-
-
-class TestStackedRows:
-    def test_arrays_match_row_tuples(self, rng):
-        A = rng.normal(size=(5, 3))
-        b = rng.normal(size=5)
-        relations = [LE, GE, EQ, LE, GE]
-        rows = LinearProgram(
-            objective=np.ones(3),
-            constraints=[(A[i], relations[i], b[i]) for i in range(5)],
-        )
-        stacked = LinearProgram(
-            objective=np.ones(3), A=A, b=b, sense=[1.0, -1.0, 0.0, 1.0, -1.0]
-        )
-        for lp in (rows, stacked):
-            assert np.array_equal(lp.A, A) and np.array_equal(lp.b, b)
-            assert lp.sense.tolist() == [1.0, -1.0, 0.0, 1.0, -1.0]
-            assert len(lp.constraints) == 5
-            assert [rel for _, rel, _ in lp.constraints] == relations
-            assert np.array_equal(lp.constraints[3][0], A[3])
-            assert lp.constraints[-1][2] == b[4]
-
-    @pytest.mark.parametrize(
-        "arrays, message",
-        [
-            ((np.ones((2, 3)), np.zeros(2), np.ones(2)), "row has length"),
-            ((np.ones(2), np.zeros(1), np.ones(1)), "row has length"),
-            ((np.ones((2, 2)), np.zeros(2), [1.0, 2.0]), "unknown relation"),
-            ((np.array([[1.0, np.nan]]), np.zeros(1), np.ones(1)), "must be finite"),
-            ((np.ones((1, 2)), [np.inf], np.ones(1)), "must be finite"),
-            ((np.ones((2, 2)), np.zeros(3), np.ones(2)), "one entry per row"),
-            ((np.ones((2, 2)), None, np.ones(2)), "given together"),
-        ],
-    )
-    def test_malformed_arrays_rejected(self, arrays, message):
-        A, b, sense = arrays
-        with pytest.raises(ValueError, match=message):
-            LinearProgram(objective=[1.0, 1.0], A=A, b=b, sense=sense)
-
-    def test_freed_without_the_cycle_collector(self):
-        # no reference cycle: a cutting-plane loop's LPs are freed one by one
-        # instead of piling up until the next garbage collection
-        gc.disable()
-        try:
-            lp = LinearProgram(objective=[1.0], A=[[1.0]], b=[1.0], sense=[1.0])
-            freed = weakref.ref(lp)
-            del lp
-            assert freed() is None
-        finally:
-            gc.enable()
-
-    def test_rows_given_twice_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            LinearProgram(
-                objective=[1.0],
-                constraints=[([1.0], LE, 1.0)],
-                A=[[1.0]],
-                b=[1.0],
-                sense=[1.0],
-            )
-
-
 def tall_lp(rng, m, n=4):
-    """A feasible tall LP that takes the dual path: A x <= b, x >= 0, c > 0."""
+    """A feasible tall LP: A x <= b, x >= 0, c > 0."""
     A = rng.normal(size=(m, n))
     b = A @ rng.uniform(0.2, 1.0, n) + rng.uniform(0.01, 0.5, m)
     c = rng.uniform(0.1, 1.0, n)
     return c, A, b
 
 
+class TestDualFastPath:
+    def test_tall_lp_matches_highs(self, rng):
+        # imported here only: scipy.optimize costs the package's cold start
+        # about 0.5 s, so the program itself never imports it
+        from scipy.optimize import linprog as highs
+
+        for m in np.geomspace(64, 3000, 12).astype(int):
+            n = int(rng.integers(2, 9))
+            c, A, b = tall_lp(rng, m, n)
+            sol = solve_lp(LinearProgram(c, A, b))
+            ref = highs(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+            assert sol.status == "optimal" and ref.status == 0
+            assert ref.fun > 0.0
+            assert sol.objective_value == pytest.approx(ref.fun, rel=1e-9)
+            assert sol.max_constraint_violation <= 1e-9 * (1.0 + np.max(np.abs(b)))
+
+    def test_tall_infeasible(self, rng):
+        n = 3
+        m = 300
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(0.2, 1.0, n) + 0.1
+        A = np.vstack([A, np.ones(n)])
+        b = np.append(b, -1.0)  # impossible with x >= 0
+        lp = LinearProgram(objective=np.ones(n), A=A, b=b)
+        assert solve_lp(lp).status == "infeasible"
+
+
+class TestStackedRows:
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ((np.ones((2, 3)), np.zeros(2)), "row has length"),
+            ((np.ones(2), np.zeros(1)), "row has length"),
+            ((np.ones((2, 2)), np.zeros((2, 1))), "one entry per row"),
+            ((np.array([[1.0, np.nan]]), np.zeros(1)), "must be finite"),
+            ((np.ones((1, 2)), [np.inf]), "must be finite"),
+            ((np.ones((2, 2)), np.zeros(3)), "one entry per row"),
+        ],
+    )
+    def test_malformed_arrays_rejected(self, arrays, message):
+        A, b = arrays
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(objective=[1.0, 1.0], A=A, b=b)
+
+    def test_constraints_view_has_one_read_only_entry_per_row(self, rng):
+        A = rng.normal(size=(5, 3))
+        lp = LinearProgram(np.ones(3), A, rng.normal(size=5))
+        assert len(lp.constraints) == 5
+        assert np.array_equal(lp.constraints[3], A[3])
+        with pytest.raises(ValueError, match="read-only"):
+            lp.constraints[0, 0] = 1.0
+
+    def test_freed_without_the_cycle_collector(self):
+        # no reference cycle: a cutting-plane loop's LPs are freed one by one
+        # instead of piling up until the next garbage collection
+        gc.disable()
+        try:
+            lp = LinearProgram(objective=[1.0], A=[[1.0]], b=[1.0])
+            assert len(lp.constraints) == 1
+            freed = weakref.ref(lp)
+            del lp
+            assert freed() is None
+        finally:
+            gc.enable()
+
+
 def leading_rows(c, A, b, m):
-    return LinearProgram(objective=c, A=A[:m], b=b[:m], sense=np.ones(m))
+    return LinearProgram(objective=c, A=A[:m], b=b[:m])
 
 
 class TestWarmStart:
-    def test_dual_path_reports_a_basis_and_direct_path_none(self, rng):
+    def test_optimal_solution_reports_a_basis(self, rng):
         c, A, b = tall_lp(rng, 300)
         sol = solve_lp(leading_rows(c, A, b, 300))
         assert sol.status == "optimal"
         assert sol.basis.shape == (4,) and len(set(sol.basis.tolist())) == 4
-        direct = LinearProgram(
-            objective=c, A=A, b=b, sense=np.ones(300), upper=[1e9] * 4
-        )
-        assert solve_lp(direct).basis is None
 
     def test_own_basis_takes_no_pivots(self, rng):
         c, A, b = tall_lp(rng, 300)
@@ -432,9 +293,7 @@ class TestWarmStart:
         # min x s.t. x <= 5 (64 times): x = 0 leaves every row slack, and a
         # basis that makes a row tight prices x at -1, not dual-feasible
         m = 64
-        lp = LinearProgram(
-            objective=[1.0], A=np.ones((m, 1)), b=np.full(m, 5.0), sense=np.ones(m)
-        )
+        lp = LinearProgram(objective=[1.0], A=np.ones((m, 1)), b=np.full(m, 5.0))
         assert solve_lp(lp).status == "optimal"
         assert solve_lp(lp, np.array([1 + 3])).status == "numerical_failure"
 
@@ -449,14 +308,8 @@ class TestWarmStart:
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_lp_oracle_property(seed):
-    rng = np.random.default_rng(seed)
-    c, A, b, upper = random_bounded_lp(rng)
-    lp = LinearProgram(
-        objective=c,
-        constraints=[(A[i], LE, b[i]) for i in range(len(b))],
-        upper=upper,
-    )
+    lp, oracle_inputs = random_covering_lp(np.random.default_rng(seed))
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    oracle = enumerate_vertices(c, A, b, upper)
+    oracle = enumerate_vertices(*oracle_inputs)
     assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
