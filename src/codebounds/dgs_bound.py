@@ -5,11 +5,12 @@ P = sum a_k G_k^{(d)} with a_0 > 0, a_k >= 0, and P <= 0 on
 [-1, cos_theta] bounds every such code by P(1) / a_0. With a_0
 normalized to 1 the best such bound at a fixed degree is a linear
 program over the remaining coefficients; the sign condition is enforced
-on a Chebyshev grid, re-checked on a much finer refined scan, and the
-grid is grown with cutting planes until the residual violation is
-negligible. The final polynomial is shifted and rescaled so it is
-genuinely nonpositive on the interval, which turns the LP output into a
-certificate that stands on its own.
+on a Chebyshev grid, and the grid is grown with cutting planes at the
+critical points of P (the roots of P') where P > 0 until the residual
+violation is negligible. The final polynomial is shifted and rescaled so
+it is genuinely nonpositive on the interval, which turns the LP output
+into a certificate that stands on its own; the verifier re-checks the
+sign condition at the endpoints and every critical point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, basis_values
 from .linprog import LinearProgram, solve_lp
-from .scanning import REFINE_STEPS, chebyshev_points, scan_maximum
+from .scanning import chebyshev_points, polynomial_maximum
 
 SIGN_TOL = 1e-9
 COEFF_TOL = 1e-12
@@ -44,8 +45,6 @@ __all__ = [
 @dataclass
 class DGSVerification:
     passed: bool
-    grid_size: int
-    refinement_depth: int  # batched bracket-refinement steps of the scan
     max_sign_violation: float  # max of P over [-1, cos_theta]
     violation_location: float
     min_coeff: float
@@ -135,7 +134,7 @@ def lp_bound(
         if solution.status != "optimal":
             if round_index == 0:
                 raise LPFailureError(f"LP solver returned status {solution.status!r}")
-            # the LP is only a search step: keep the last scanned polynomial
+            # the LP is only a search step: keep the last checked polynomial
             failed_round = f"; round {round_index + 1} LP status {solution.status!r}"
             break
         rounds_used = round_index + 1
@@ -143,14 +142,17 @@ def lp_bound(
         coeffs = np.concatenate(([1.0], solution.x))
         poly = GegenbauerPoly(d, coeffs)
         p_at_1 = poly.at_one()
-        violation, _, maxima = scan_maximum(poly, -1.0, cos_theta, 10 * grid_points)
-        inflation = (
-            violation * (p_at_1 - 1.0) / (1.0 - violation) if violation > 0 else 0.0
+        violation, _, critical = polynomial_maximum(poly, degree, -1.0, cos_theta)
+        # shifting out a violation v inflates the bound by v (P(1) - 1) / (1 - v);
+        # no shift absorbs v >= 1, so the cutting planes go on there
+        converged = violation <= 0.0 or (
+            violation < 1.0
+            and violation * (p_at_1 - 1.0) / (1.0 - violation) <= INFLATION_TARGET
         )
-        if inflation <= INFLATION_TARGET or round_index == MAX_ROUNDS - 1:
+        if converged or round_index == MAX_ROUNDS - 1:
             break
         # appended after the old rows, so the row numbers in ``basis`` hold
-        new_points = np.setdiff1d(maxima[poly(maxima) > 0.0], points)
+        new_points = np.setdiff1d(critical[poly(critical) > 0.0], points)
         if not new_points.size:
             break
         points = np.concatenate([points, new_points])
@@ -161,7 +163,7 @@ def lp_bound(
     # other coefficients nonnegative, at the cost of a slightly larger
     # bound (recorded in the report). Skipped when the residual violation
     # plus evaluation noise already sits inside the verifier tolerance.
-    # ``violation`` and ``p_at_1`` are the last round's scan of ``coeffs``.
+    # ``violation`` and ``p_at_1`` are the last round's maximum of ``coeffs``.
     noise = 1e-10 + 3e-15 * abs(p_at_1)
     shift = 0.0 if violation + noise <= SIGN_TOL else max(violation, 0.0) + noise
     if shift >= 1.0:
@@ -184,7 +186,7 @@ def lp_bound(
         bound_int=math.floor(bound_real + 1e-9),
         verification=None,
     )
-    report = verify_certificate(certificate, grid_size=10 * grid_points)
+    report = verify_certificate(certificate)
     report.messages.append(
         f"grid LP bound {p_at_1!r} inflated by shift {shift!r} over "
         f"{rounds_used} cutting-plane rounds{failed_round}"
@@ -198,23 +200,19 @@ def lp_bound(
     return certificate
 
 
-def verify_certificate(
-    cert: DGSCertificate, grid_size: int | None = None
-) -> DGSVerification:
+def verify_certificate(cert: DGSCertificate) -> DGSVerification:
     """Independently re-check a certificate.
 
-    Checks (a) coefficient signs, (b) P <= SIGN_TOL on [-1, cos_theta] on
-    a 10x-finer-than-construction grid with batched bracket refinement
-    around every local maximum of the grid, (c) the bound arithmetic
-    P(1)/a_0 and the floor. All failures are collected, not short-circuited.
+    Checks (a) coefficient signs, (b) P <= SIGN_TOL on [-1, cos_theta],
+    with P evaluated at both endpoints and at every critical point inside,
+    (c) the bound arithmetic P(1)/a_0 and the floor. All failures are
+    collected, not short-circuited.
     """
     coeffs = np.asarray(cert.poly.coeffs, dtype=float)
     if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
         raise ValueError("malformed certificate: coefficients must be finite")
     if cert.poly.dim != cert.dim:
         raise ValueError("malformed certificate: polynomial dimension mismatch")
-    if grid_size is None:
-        grid_size = 20000
     messages: list[str] = []
     passed = True
 
@@ -230,8 +228,8 @@ def verify_certificate(
         passed = False
         messages.append(f"stored a0 = {cert.a0!r} disagrees with coefficients")
 
-    violation, location, _ = scan_maximum(
-        cert.poly, -1.0, float(cert.cos_theta), grid_size
+    violation, location, _ = polynomial_maximum(
+        cert.poly, cert.poly.degree, -1.0, float(cert.cos_theta)
     )
     if violation > SIGN_TOL:
         passed = False
@@ -252,8 +250,6 @@ def verify_certificate(
 
     return DGSVerification(
         passed=passed,
-        grid_size=grid_size,
-        refinement_depth=REFINE_STEPS,
         max_sign_violation=violation,
         violation_location=location,
         min_coeff=min(min_coeff, a0),
@@ -299,8 +295,6 @@ def certificate_to_json_dict(cert: DGSCertificate) -> dict:
         "bound_int": int(cert.bound_int),
         "verification": {
             "passed": bool(verification.passed),
-            "grid_size": int(verification.grid_size),
-            "refinement_depth": int(verification.refinement_depth),
             "max_sign_violation": float(verification.max_sign_violation),
             "violation_location": float(verification.violation_location),
             "min_coeff": float(verification.min_coeff),
@@ -321,8 +315,6 @@ def certificate_from_json_dict(data: dict) -> DGSCertificate:
     if raw is not None:
         verification = DGSVerification(
             passed=bool(raw["passed"]),
-            grid_size=int(raw["grid_size"]),
-            refinement_depth=int(raw["refinement_depth"]),
             max_sign_violation=float(raw["max_sign_violation"]),
             violation_location=float(raw["violation_location"]),
             min_coeff=float(raw["min_coeff"]),

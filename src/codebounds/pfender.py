@@ -23,7 +23,7 @@ import numpy as np
 from . import codes
 from .errors import TheoremViolationError
 from .gegenbauer import GegenbauerPoly, basis_values
-from .scanning import scan_maximum
+from .scanning import polynomial_maximum
 
 COND_TOL = 1e-9
 COEFF_TOL = 1e-12
@@ -142,15 +142,27 @@ def _bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
     return bound_real, bound_int, special
 
 
-def _interval_margin(phi: PhiSpec, c: float, cos_theta: float, grid: int):
-    return scan_maximum(lambda r: phi(r) + c, -1.0, float(cos_theta), grid)[:2]
+def _interval_margin(phi: PhiSpec, c: float, cos_theta: float):
+    """(max, argmax) of phi(r) + c on [-1, cos_theta], both exact up to
+    rounding: a polynomial peaks at an endpoint or a critical point, and a
+    table at an endpoint or a node."""
+    cos_theta = float(cos_theta)
+    if phi.basis != "table":
+        return polynomial_maximum(
+            lambda r: phi(r) + c, len(phi.coeffs) - 1, -1.0, cos_theta
+        )[:2]
+    nodes = np.linspace(-1.0, 1.0, len(phi.coeffs))
+    inside = nodes[(nodes > -1.0) & (nodes < cos_theta)]
+    points = np.concatenate(([-1.0, cos_theta], inside))
+    values = phi(points) + c
+    best = int(np.argmax(values))
+    return float(values[best]), float(points[best])
 
 
-def pfender_bound(
-    phi: PhiSpec, c: float, cos_theta: float, grid_points: int = 2048
-) -> PfenderCertificate:
+def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificate:
     """Structural certificate: condition (i) from nonnegative Gegenbauer
-    coefficients, condition (ii) by a refined grid scan of phi(r) + c.
+    coefficients, condition (ii) from the maximum of phi(r) + c over the
+    endpoints and the critical points (or table nodes) of the interval.
 
     The returned certificate carries a verification report; ``passed`` is
     False when phi is not a nonnegative Gegenbauer combination (condition
@@ -182,7 +194,7 @@ def pfender_bound(
             "condition (i) not established: structural mode requires a "
             "Gegenbauer representation"
         )
-    margin, loc = _interval_margin(phi, c, cos_theta, grid_points)
+    margin, loc = _interval_margin(phi, c, cos_theta)
     ok_ii = margin <= COND_TOL
     if not ok_ii:
         messages.append(f"not a certificate: phi(r) + c = {margin!r} at r = {loc!r}")
@@ -235,7 +247,6 @@ def functional_pfender_check(
     c: float,
     variant: str = "interval",
     cos_theta: float | None = None,
-    grid_points: int = 2048,
 ) -> PfenderCheckResult:
     """Check both bound conditions directly on a concrete code.
 
@@ -264,7 +275,7 @@ def functional_pfender_check(
 
     messages: list[str] = []
     if variant == "interval":
-        margin, loc = _interval_margin(phi, c, ct, grid_points)
+        margin, loc = _interval_margin(phi, c, ct)
     else:
         if n >= 2:
             off = M[~np.eye(n, dtype=bool)]

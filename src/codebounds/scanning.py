@@ -1,27 +1,24 @@
-"""Grid-plus-refinement maximization of 1-d functions on an interval.
+"""Maximum of a polynomial on an interval, from the critical points of P'.
 
-Used by the certificate verifiers to bound sign conditions: a Chebyshev
-sample resolves every local maximum of a moderate-degree polynomial (or
-piecewise-linear table), and a batched bracket refinement around all grid
-maxima at once pins the value down to search-noise level.
-
-Each refinement step evaluates ``fn`` once, on REFINE_POINTS evenly spaced
-points across the bracket of every grid maximum, and narrows each bracket
-to the two neighbours of its best point: a 32x shrink per step. The first
-bracket spans two grid spacings, so on the 2048- and 20000-point grids the
-verifiers use the final bracket is below 1e-10 wide. The reported maximum
-is the largest value ever evaluated, so it is never below the grid
-maximum.
+A polynomial of degree m attains its maximum on [lo, hi] at an endpoint
+or at a real root of P'. ``polynomial_maximum`` interpolates P at m + 1
+Chebyshev-Lobatto points (exact up to rounding, since P has degree m),
+differentiates the Chebyshev series and takes the roots of P' as the
+eigenvalues of the colleague matrix (Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 18). The reported value is P itself
+evaluated at the endpoints and at those roots, never the interpolant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-REFINE_STEPS = 5
-REFINE_POINTS = 65
+# Rounding can merge a close maximum/minimum pair of P into a complex pair
+# of roots of P'. Its real part is kept as a candidate: an extra candidate
+# costs one evaluation, a missed one could cost a maximum.
+IMAG_TOL = 1e-3
 
-__all__ = ["REFINE_STEPS", "chebyshev_points", "scan_maximum"]
+__all__ = ["chebyshev_points", "polynomial_maximum"]
 
 
 def chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
@@ -35,39 +32,29 @@ def chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
     return points
 
 
-def scan_maximum(fn, lo: float, hi: float, grid_size: int):
-    """Maximum of a vectorized function on [lo, hi].
+def polynomial_maximum(fn, degree: int, lo: float, hi: float):
+    """Maximum on [lo, hi] of ``fn``, a vectorized polynomial of degree
+    at most ``degree``.
 
-    ``fn`` is called with 1-d float arrays, at most 1 + REFINE_STEPS times.
-    Returns (value, location, maxima): ``maxima`` is an array of the
-    refined locations of every interior local maximum of the grid sample
-    (the LP cutting-plane loop adds them to its grid).
+    ``fn`` is called twice with 1-d float arrays. Returns (value,
+    location, critical_points): ``critical_points`` holds the real roots
+    of P' inside [lo, hi], maxima and minima alike (the LP cutting-plane
+    loop adds those where P > 0 to its grid).
     """
     if hi < lo:
         raise ValueError("empty interval")
-    if hi == lo:
-        return float(fn(np.array([lo]))[0]), lo, np.array([lo])
-    grid = chebyshev_points(lo, hi, max(grid_size, 8))
-    values = np.asarray(fn(grid), dtype=float)
-    interior = np.where(
-        (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
-    )[0] + 1
-    left, right = grid[interior - 1], grid[interior + 1]
-    locs, vals = grid[interior], values[interior]
-    rows = np.arange(len(interior))
-    fractions = np.linspace(0.0, 1.0, REFINE_POINTS)
-    for _ in range(REFINE_STEPS if len(interior) else 0):
-        x = left[:, None] + (right - left)[:, None] * fractions
-        fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-        j = np.argmax(fx, axis=1)
-        better = fx[rows, j] > vals
-        vals = np.where(better, fx[rows, j], vals)
-        locs = np.where(better, x[rows, j], locs)
-        left = x[rows, np.maximum(j - 1, 0)]
-        right = x[rows, np.minimum(j + 1, REFINE_POINTS - 1)]
+    roots = np.empty(0)
+    if degree >= 2 and hi > lo:
+        cheb = np.polynomial.chebyshev
+        t = -np.cos(np.pi * np.arange(degree + 1) / degree)
+        samples = np.asarray(fn(chebyshev_points(lo, hi, degree + 1)), dtype=float)
+        # chebroots drops exactly-zero leading coefficients itself
+        t_roots = cheb.chebroots(cheb.chebder(cheb.chebfit(t, samples, degree)))
+        t_roots = t_roots.real[
+            (np.abs(t_roots.imag) <= IMAG_TOL) & (np.abs(t_roots.real) < 1.0)
+        ]
+        roots = np.sort(lo + (hi - lo) * (t_roots + 1.0) / 2.0)
+    candidates = np.concatenate(([lo, hi], roots))
+    values = np.asarray(fn(candidates), dtype=float)
     best = int(np.argmax(values))
-    best_val, best_loc = float(values[best]), float(grid[best])
-    if len(vals) and vals.max() > best_val:
-        best = int(np.argmax(vals))
-        best_val, best_loc = float(vals[best]), float(locs[best])
-    return best_val, best_loc, locs
+    return float(values[best]), float(candidates[best]), roots

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import json
 import math
 import re
 import time
@@ -21,7 +22,6 @@ from codebounds.dgs_bound import (
 from codebounds.errors import LPFailureError, NoCertificateError
 from codebounds.gegenbauer import GegenbauerPoly
 from codebounds.linprog import LPSolution, solve_lp
-from codebounds.scanning import REFINE_STEPS
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,19 @@ SMALL_GRID_CASES = [
     for cos_theta in (0.5, 0.7, -0.3)
 ]
 
+# round 1 leaves a violation > 1 on these, which no shift can absorb: the
+# cutting planes must go on, and they reach a certificate
+VIOLATION_ABOVE_ONE_CASES = {
+    (24, 0.7, 17, 64),
+    (24, 0.7, 24, 64),
+    (24, 0.7, 30, 64),
+    (24, 0.7, 40, 64),
+    (24, 0.7, 30, 100),
+    (24, 0.7, 40, 100),
+    (24, 0.7, 40, 159),
+}
+assert VIOLATION_ABOVE_ONE_CASES <= set(SMALL_GRID_CASES)
+
 
 class TestSmallGrids:
     # grids with fewer than 4 * degree points: every input ends with a
@@ -138,6 +151,7 @@ class TestSmallGrids:
         try:
             cert = lp_bound(d, cos_theta, degree, grid_points=grid)
         except NoCertificateError as exc:
+            assert case not in VIOLATION_ABOVE_ONE_CASES
             assert re.search(
                 r"is infeasible$|after \d+ cutting-plane rounds on a "
                 rf"{grid}-point grid cannot be absorbed",
@@ -145,8 +159,12 @@ class TestSmallGrids:
             )
         else:
             assert verify_certificate(cert).passed
+            if case in VIOLATION_ABOVE_ONE_CASES:
+                assert cert.bound_real >= 196560.0  # the Leech lattice's minimal vectors
 
-    def test_unabsorbed_violation_names_rounds_and_grid(self):
+    def test_unabsorbed_violation_names_rounds_and_grid(self, monkeypatch):
+        # round 1 of this input leaves a violation of about 123
+        monkeypatch.setattr(dgs_bound, "MAX_ROUNDS", 1)
         with pytest.raises(NoCertificateError) as info:
             lp_bound(24, 0.7, 17, grid_points=64)
         assert re.fullmatch(
@@ -196,12 +214,13 @@ class TestWarmStartedRounds:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ((3, 0.5, 10), "69d0faf9d550f9caca233f3a6fd429d129ae5a199184525c135602b576e11a92"),
-            ((4, 0.5, 10), "cbf68c3b057af6fadebbde259b365678f7e60eaa3c0eb3646cdfde5a535894a0"),
+            ((3, 0.5, 10), "52baa90a956e385f246813217134f90a5b27d3fe6513a457a7c0575a031a2d45"),
+            ((4, 0.5, 10), "b3b34cca22e127cd7a225a9c723eb573367ade387bb9839373140b3378692433"),
         ],
     )
     def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
-        # the files these one-round cases wrote before the LP was warm-started
+        # one-round runs solve a single cold LP, so their files pin the LP,
+        # the shift and the verification report (maxima from the roots of P')
         path = tmp_path / "cert.json"
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -354,11 +373,21 @@ class TestSerialization:
             "verification",
         ]
         assert data["kind"] == "dgs"
-        assert data["verification"]["refinement_depth"] == REFINE_STEPS
+        assert list(data["verification"].keys()) == [
+            "passed",
+            "max_sign_violation",
+            "violation_location",
+            "min_coeff",
+            "bound_error",
+            "messages",
+        ]
 
     def test_file_with_old_refinement_depth_still_loads(self, cert_d8):
         data = certificate_to_json_dict(cert_d8)
-        data["verification"]["refinement_depth"] = 60  # as in files written by older versions
-        back = certificate_from_json_dict(data)
-        assert back.verification.refinement_depth == 60
+        # files written by older versions also record the scan's grid
+        data["verification"]["grid_size"] = 20000
+        data["verification"]["refinement_depth"] = 60
+        back = certificate_from_json_dict(json.loads(jsonutil.dumps(data)))
+        assert back.verification.passed
+        assert not hasattr(back.verification, "grid_size")
         assert verify_certificate(back).passed

@@ -1,12 +1,13 @@
-"""Grid-plus-refinement scan: soundness against a dense sample, call budget."""
+"""Polynomial maxima from the critical points of P': soundness against a
+dense sample, degenerate degrees, and exact table maxima."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds.pfender import PhiSpec
-from codebounds.scanning import REFINE_STEPS, chebyshev_points, scan_maximum
+from codebounds.pfender import PhiSpec, _interval_margin
+from codebounds.scanning import chebyshev_points, polynomial_maximum
 
 DENSE_POINTS = 200_000
 
@@ -16,7 +17,7 @@ intervals = st.tuples(
 unit_coeffs = st.floats(-1.0, 1.0)
 
 
-phis = st.one_of(
+polynomial_phis = st.one_of(
     st.builds(
         lambda dim, coeffs: PhiSpec("gegenbauer", coeffs, dim=dim),
         st.integers(2, 32),
@@ -26,64 +27,89 @@ phis = st.one_of(
         lambda coeffs: PhiSpec("monomial", coeffs),
         st.lists(unit_coeffs, min_size=1, max_size=12),
     ),
-    st.builds(
-        lambda values: PhiSpec("table", values),
-        st.lists(unit_coeffs, min_size=2, max_size=60),
-    ),
 )
 
 
-@given(phi=phis, interval=intervals)
+def _maximum(phi, lo, hi):
+    return polynomial_maximum(phi, len(phi.coeffs) - 1, lo, hi)
+
+
+@given(phi=polynomial_phis, interval=intervals)
 def test_never_below_dense_reference(phi, interval):
     lo, hi = interval
-    value, location, _ = scan_maximum(phi, lo, hi, 2048)
+    value, location, critical = _maximum(phi, lo, hi)
     reference = float(np.max(phi(np.linspace(lo, hi, DENSE_POINTS))))
     assert value >= reference - 1e-12
     assert lo <= location <= hi
-    # the value was attained at the location (up to batch-dependent rounding)
+    assert np.all((lo <= critical) & (critical <= hi))
+    # the value is phi itself at the location, not the interpolant
     assert value == pytest.approx(phi(np.array([location]))[0], rel=1e-13, abs=1e-13)
 
 
-@pytest.mark.parametrize("maxima", [0, 1, 7, 300])
-def test_fn_called_at_most_one_plus_steps_times(maxima):
-    calls = []
-
-    def fn(r):
-        calls.append(r.shape)
-        return np.cos(2.0 * np.pi * maxima * r) if maxima else r
-
-    scan_maximum(fn, 0.0, 1.0, 20000)
-    assert len(calls) <= 1 + REFINE_STEPS
-    assert all(len(shape) == 1 for shape in calls)
-
-
-def test_plateau_every_point_a_maximum_still_one_batch_per_step():
-    calls = []
-
-    def flat(r):
-        calls.append(r.size)
-        return np.zeros_like(r)
-
-    value, _, maxima = scan_maximum(flat, -1.0, 0.5, 500)
-    assert value == 0.0
-    assert len(maxima) == 498
-    assert len(calls) == 1 + REFINE_STEPS
+@given(
+    values=st.lists(unit_coeffs, min_size=2, max_size=60),
+    cos_theta=st.floats(-1.0, 0.99),
+    c=st.floats(0.0, 1.0),
+)
+def test_table_margin_never_below_dense_reference(values, cos_theta, c):
+    phi = PhiSpec("table", values)
+    margin, location = _interval_margin(phi, c, cos_theta)
+    reference = float(np.max(phi(np.linspace(-1.0, cos_theta, DENSE_POINTS)))) + c
+    assert margin >= reference
+    assert -1.0 <= location <= cos_theta
+    assert margin == phi(location) + c
 
 
-def test_refined_maxima_locations():
-    # cos(6 pi r) on [0, 1] peaks at 1/3 and 2/3 inside the interval
-    fn = lambda r: np.cos(6.0 * np.pi * r)  # noqa: E731
-    value, location, maxima = scan_maximum(fn, 0.0, 1.0, 100)
-    assert maxima == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-9)
-    assert value == pytest.approx(1.0, abs=1e-15)
-    assert location == 0.0  # first of the tied global maxima, a grid endpoint
+def test_table_single_positive_node_is_reported_exactly():
+    values = np.full(21, -1.0)
+    values[7] = 0.25  # the node at -0.3, inside [-1, 0.5]
+    margin, location = _interval_margin(PhiSpec("table", values), 0.0, 0.5)
+    assert (margin, location) == (0.25, np.linspace(-1.0, 1.0, 21)[7])
+
+
+@pytest.mark.parametrize(
+    "phi, expected",
+    [
+        # leading coefficients that are exactly zero
+        (PhiSpec("monomial", [0.5, 0.0, 0.0]), 0.5),
+        (PhiSpec("gegenbauer", [0.2, 0.3, 0.0, 0.0, 0.0], dim=3), 0.2 + 0.3 * 0.5),
+        (PhiSpec("monomial", [-0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-300]), -0.25),
+        # degree 0 and 1
+        (PhiSpec("monomial", [0.7]), 0.7),
+        (PhiSpec("gegenbauer", [-0.1], dim=8), -0.1),
+        (PhiSpec("monomial", [0.1, -2.0]), 2.1),
+        (PhiSpec("gegenbauer", [0.1, 2.0], dim=8), 1.1),
+    ],
+    ids=str,
+)
+def test_low_and_padded_degrees(phi, expected):
+    value, location, _ = _maximum(phi, -1.0, 0.5)
+    assert value == pytest.approx(expected, abs=1e-15)
+    assert -1.0 <= location <= 0.5
+
+
+def test_critical_points_of_a_chebyshev_polynomial():
+    # T_5 has its interior extrema at cos(k pi / 5), k = 1..4
+    t5 = PhiSpec("monomial", [0.0, 5.0, 0.0, -20.0, 0.0, 16.0])
+    value, location, critical = _maximum(t5, -1.0, 1.0)
+    expected = np.sort(np.cos(np.pi * np.arange(1, 5) / 5))
+    assert critical == pytest.approx(expected, abs=1e-12)
+    assert value == pytest.approx(1.0, abs=1e-14)
+
+
+def test_flat_maximum_of_a_triple_critical_point():
+    # P = -(r - 0.3)^4: P' has a triple root at 0.3, where P peaks at 0
+    quartic = PhiSpec("monomial", np.polynomial.polynomial.polyfromroots([0.3] * 4) * -1)
+    value, location, _ = _maximum(quartic, -1.0, 0.9)
+    assert value >= -1e-12
+    assert location == pytest.approx(0.3, abs=1e-3)
 
 
 def test_degenerate_and_empty_intervals():
-    value, location, maxima = scan_maximum(lambda r: r * 2.0, 0.25, 0.25, 100)
-    assert (value, location, maxima.tolist()) == (0.5, 0.25, [0.25])
+    value, location, critical = polynomial_maximum(lambda r: r * 2.0, 3, 0.25, 0.25)
+    assert (value, location, critical.tolist()) == (0.5, 0.25, [])
     with pytest.raises(ValueError):
-        scan_maximum(lambda r: r, 0.5, 0.25, 100)
+        polynomial_maximum(lambda r: r, 3, 0.5, 0.25)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 2000, 20000])
@@ -102,6 +128,6 @@ def test_scan_evaluates_the_right_endpoint_itself():
         seen.append(r)
         return r
 
-    value, location, _ = scan_maximum(fn, -1.0, 0.9, 2000)
+    value, location, _ = polynomial_maximum(fn, 5, -1.0, 0.9)
     assert value == 0.9 and location == 0.9
-    assert 0.9 in seen[0]
+    assert 0.9 in seen[-1]
