@@ -10,11 +10,20 @@ Bland's rule after a streak of degenerate pivots. The dual has no phase
 any optimal basis of the same LP with fewer rows. A solve starts from
 the basis it is given (all-slack by default), refactorized from the
 original data, so a cutting-plane loop can hand each round's optimal
-basis to the next. The primal solution is recovered from the simplex
-multipliers and checked independently against the original
-constraints: a result outside tolerance comes back as
-``numerical_failure``, not as optimal and not re-solved another way.
-Because cost and x are both nonnegative the LP is never unbounded.
+basis to the next.
+
+An optimum has at most n tight rows, so a tall LP is solved by row
+generation: the dual simplex runs on a working set of rows (about 8n
+evenly spaced ones plus those the starting basis names), every row the
+working optimum violates is added, and the working LP is re-solved from
+its own optimal basis until no row outside it is violated. The rows left
+out have dual 0, so the last working optimum is the full LP's optimum,
+and an infeasible working LP proves the full LP infeasible. The primal
+solution is recovered from the simplex multipliers and checked against
+every original row, each within a tolerance relative to its own scale: a
+result outside it comes back as ``numerical_failure``, not as optimal and
+not re-solved another way. Because cost and x are both nonnegative the
+LP is never unbounded.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
 DEGENERATE_STREAK_LIMIT = 20
+# row generation starts from this many evenly spaced rows per variable
+ROWS_PER_VARIABLE = 8
 
 __all__ = ["LinearProgram", "LPSolution", "solve_lp"]
 
@@ -77,7 +88,7 @@ class LPSolution:
     x: np.ndarray | None = None
     objective_value: float = float("nan")
     max_constraint_violation: float = float("nan")
-    iterations: int = 0  # pivots of this solve only
+    iterations: int = 0  # pivots of this solve, over all row-generation passes
     # The n primal columns that are nonbasic at the optimum, numbered
     # x_0..x_{n-1} and then the slack of each row. The numbering keeps
     # its meaning when rows are appended, so this can warm-start
@@ -88,6 +99,17 @@ class LPSolution:
 def _violation(lp: LinearProgram, x: np.ndarray) -> float:
     residual = float(np.max(lp.A @ x - lp.b, initial=0.0))
     return max(residual, float(np.max(-x)))
+
+
+def _within_tolerance(lp: LinearProgram, x: np.ndarray) -> bool:
+    """Whether x >= 0 satisfies every row up to roundoff of that row's size.
+
+    Row i may exceed b_i by FEAS_TOL (1 + |b_i| + (|A| x)_i): a grid row's
+    terms reach 1e8 when P(1) does, so an absolute tolerance would reject
+    pure rounding.
+    """
+    allowance = FEAS_TOL * (1.0 + np.abs(lp.b) + np.abs(lp.A) @ x)
+    return bool(np.all(lp.A @ x - lp.b <= allowance))
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, maxiter: int):
@@ -169,7 +191,7 @@ def _tableau_columns(basis, m: int, n: int) -> np.ndarray:
         or not np.issubdtype(basis.dtype, np.integer)
         or basis.min() < 0
         or basis.max() >= n + m
-        or len(np.unique(basis)) != n
+        or np.any(np.diff(np.sort(basis)) == 0)
     ):
         raise ValueError(
             f"basis must name {n} distinct columns out of the {n + m} "
@@ -187,7 +209,8 @@ def _solve_dual(lp: LinearProgram, basis=None):
     means an infeasible primal. The solve starts from ``basis`` (default:
     all slack) with the tableau refactorized from the data as
     B^-1 [-A^T | I | c], and ends as ``numerical_failure`` when that
-    basis is singular, not feasible, or the pivots stall.
+    basis is singular, not feasible, or the pivots stall. Returns the
+    status, x, the dual solution y, the pivot count and the optimal basis.
     """
     m, n = lp.A.shape
     basic = np.arange(m, m + n) if basis is None else _tableau_columns(basis, m, n)
@@ -195,47 +218,91 @@ def _solve_dual(lp: LinearProgram, basis=None):
     try:
         T = np.linalg.solve(data[:, basic], data)
     except np.linalg.LinAlgError:
-        return "numerical_failure", None, 0, None
+        return "numerical_failure", None, None, 0, None
     rhs = T[:, -1]
     if not np.all(np.isfinite(T)) or rhs.min() < -FEAS_TOL * (1.0 + np.abs(rhs).max()):
-        return "numerical_failure", None, 0, None
+        return "numerical_failure", None, None, 0, None
     np.clip(rhs, 0.0, None, out=rhs)
     cost = np.concatenate([lp.b, np.zeros(n)])
     status, iterations = _simplex(T, basic, cost, 50 * (m + n) + 2000)
     if status == "unbounded":
-        return "infeasible", None, iterations, None
+        return "infeasible", None, None, iterations, None
     if status != "optimal":
-        return "numerical_failure", None, iterations, None
+        return "numerical_failure", None, None, iterations, None
     # simplex multipliers through the slack columns, which hold B^-1
     x = -(cost[basic] @ T[:, m:-1])
     np.clip(x, 0.0, None, out=x)
     y = np.zeros(m)
     dual_rows = basic < m
     y[basic[dual_rows]] = T[dual_rows, -1]
-    x = _refine_primal(lp, x, y)
-    return "optimal", x, iterations, np.where(dual_rows, basic + n, basic - m)
+    return "optimal", x, y, iterations, np.where(dual_rows, basic + n, basic - m)
+
+
+def _solve_by_row_generation(lp: LinearProgram, basis=None):
+    """``_solve_dual`` on a growing working set of rows; same returns.
+
+    The working set starts as ROWS_PER_VARIABLE * n evenly spaced rows
+    plus the rows named in ``basis``; each pass appends every row outside
+    it that the working optimum violates and warm-starts from the pass's
+    optimal basis, whose numbering appended rows leave valid. Bases come
+    in and go out in the full LP's numbering.
+    """
+    m, n = lp.A.shape
+    selected = np.zeros(m, dtype=bool)
+    selected[np.linspace(0, m - 1, ROWS_PER_VARIABLE * n).round().astype(int)] = True
+    if basis is not None:
+        _tableau_columns(basis, m, n)  # rejects a malformed basis
+        basis = np.asarray(basis)
+        named = basis >= n
+        selected[basis[named] - n] = True
+    rows = np.flatnonzero(selected)
+    if basis is not None:
+        basis = np.where(named, n + np.searchsorted(rows, basis - n), basis)
+    iterations = 0
+    while True:
+        working = LinearProgram(lp.objective, lp.A[rows], lp.b[rows])
+        status, x, y, pivots, basis = _solve_dual(working, basis)
+        iterations += pivots
+        if status != "optimal":
+            return status, None, None, iterations, None
+        violated = np.flatnonzero(~selected & (lp.A @ x > lp.b))
+        if not violated.size:
+            full_y = np.zeros(m)
+            full_y[rows] = y
+            named = basis >= n
+            basis[named] = n + rows[basis[named] - n]
+            return "optimal", x, full_y, iterations, basis
+        rows = np.concatenate([rows, violated])
+        selected[violated] = True
 
 
 def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     """Solve the LP; deterministic for a fixed input and ``basis``.
 
     ``basis``, an ``LPSolution.basis`` of the same LP or of one with the
-    same variables and fewer (leading) rows, warm-starts the solve. An
-    optimal solution is re-checked against the original constraints: a
-    result that violates them beyond tolerance is downgraded to
-    ``numerical_failure`` rather than reported as optimal.
+    same variables and fewer (leading) rows, warm-starts the solve. An LP
+    with more than 2 * ROWS_PER_VARIABLE rows per variable is solved by
+    row generation (see the module docstring), a smaller one in a single
+    dual simplex run; ``iterations`` counts the pivots of all passes. An
+    optimal solution is re-checked against every original row: a result
+    that violates one beyond its tolerance (``_within_tolerance``) is
+    downgraded to ``numerical_failure`` rather than reported as optimal.
     """
-    status, x, iterations, basis = _solve_dual(lp, basis)
+    m, n = lp.A.shape
+    if m > 2 * ROWS_PER_VARIABLE * n:
+        status, x, y, iterations, basis = _solve_by_row_generation(lp, basis)
+    else:
+        status, x, y, iterations, basis = _solve_dual(lp, basis)
     if status != "optimal":
         return LPSolution(status=status, iterations=iterations)
-    violation = _violation(lp, x)
-    if violation > FEAS_TOL * (1.0 + float(np.max(np.abs(lp.b), initial=0.0))):
+    x = _refine_primal(lp, x, y)
+    if not _within_tolerance(lp, x):
         return LPSolution(status="numerical_failure", iterations=iterations)
     return LPSolution(
         status="optimal",
         x=x,
         objective_value=float(lp.objective @ x),
-        max_constraint_violation=violation,
+        max_constraint_violation=_violation(lp, x),
         iterations=iterations,
         basis=basis,
     )

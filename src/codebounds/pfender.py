@@ -135,10 +135,10 @@ class PfenderCheckResult:
     slack: float | None  # bound_real - n when applicable
 
 
-def _bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
-    bound_real = (phi.phi_at_1 + c) / c
+def _bound_values(phi_at_1: float, c: float) -> tuple[float, int, bool]:
+    bound_real = (phi_at_1 + c) / c
     bound_int = math.floor(bound_real + 1e-9)
-    special = phi.phi_at_1 + c <= 1.0 + COEFF_TOL
+    special = phi_at_1 + c <= 1.0 + COEFF_TOL
     return bound_real, bound_int, special
 
 
@@ -200,7 +200,7 @@ def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificat
         messages.append(f"not a certificate: phi(r) + c = {margin!r} at r = {loc!r}")
     if phi.node_spacing is not None:
         messages.append(f"table phi with node spacing {phi.node_spacing!r}")
-    bound_real, bound_int, special = _bound_values(phi, c)
+    bound_real, bound_int, special = _bound_values(phi.phi_at_1, c)
     verification = PfenderVerification(
         condition_i_ok=ok_i,
         condition_i_evidence=evidence,
@@ -285,7 +285,8 @@ def functional_pfender_check(
         else:
             margin, loc = -math.inf, None
     ok_ii = margin <= COND_TOL
-    bound_real, bound_int, special = _bound_values(phi, c)
+    phi_at_1 = phi.phi_at_1
+    bound_real, bound_int, special = _bound_values(phi_at_1, c)
     applicable = ok_i and ok_ii
     reason = None
     if not applicable:
@@ -300,7 +301,7 @@ def functional_pfender_check(
         if n > bound_real + BOUND_SLACK:
             raise TheoremViolationError(
                 f"code with n = {n} exceeds certified bound {bound_real!r} "
-                f"(phi(1) = {phi.phi_at_1!r}, c = {c!r})"
+                f"(phi(1) = {phi_at_1!r}, c = {c!r})"
             )
         slack = bound_real - n
     if phi.node_spacing is not None:

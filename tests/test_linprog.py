@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds.linprog import LinearProgram, _violation, solve_lp
+from codebounds import linprog
+from codebounds.gegenbauer import basis_values
+from codebounds.linprog import (
+    FEAS_TOL,
+    LinearProgram,
+    _solve_dual,
+    _violation,
+    _within_tolerance,
+    solve_lp,
+)
+from codebounds.scanning import chebyshev_points
 
 
 def enumerate_vertices(objective, rows, rhs, upper):
@@ -46,15 +56,16 @@ def enumerate_vertices(objective, rows, rhs, upper):
     return best
 
 
-def random_covering_lp(rng):
+def random_covering_lp(rng, n=None, m=None):
     """A feasible LP of the solver's shape, and the oracle's inputs.
 
     Cost c in [0, 1)^n; the box 0 <= x <= upper is written as "<=" rows
     after A; b = A @ interior + slack, so rows can cut x = 0 off and the
-    optimum is often above 0. Returns the LP and (c, A, b, upper).
+    optimum is often above 0. n and m are drawn (2..4 and 2..10) unless
+    given. Returns the LP and (c, A, b, upper).
     """
-    n = int(rng.integers(2, 5))
-    m = int(rng.integers(2, 11))
+    n = int(rng.integers(2, 5)) if n is None else n
+    m = int(rng.integers(2, 11)) if m is None else m
     A = rng.normal(size=(m, n))
     interior = rng.uniform(0.1, 2.0, n)
     b = A @ interior + rng.uniform(0.05, 1.0, m)
@@ -202,6 +213,109 @@ class TestDualFastPath:
         b = np.append(b, -1.0)  # impossible with x >= 0
         lp = LinearProgram(objective=np.ones(n), A=A, b=b)
         assert solve_lp(lp).status == "infeasible"
+
+
+# the grid LPs of the benchmark's kissing_lp cases: (d, cos_theta, degree)
+KISSING_CASES = [
+    (3, 0.5, 10),
+    (4, 0.5, 10),
+    (8, 0.5, 6),
+    (24, 0.5, 10),
+    (24, 0.5, 20),
+    (32, 0.5, 20),
+    (16, 0.7, 16),
+]
+
+
+def grid_lp(d, cos_theta, degree, grid_points=2000):
+    """lp_bound's first-round LP: sum_k a_k G_k(r_i) <= -1 on a Chebyshev grid."""
+    points = chebyshev_points(-1.0, cos_theta, grid_points)
+    rows = basis_values(d, degree, points)[1:].T
+    return LinearProgram(np.ones(degree), rows, np.full(len(rows), -1.0))
+
+
+def working_set_sizes(monkeypatch):
+    """Spy on solve_lp's dual simplex runs; records the rows of each."""
+    sizes = []
+    real = linprog._solve_dual
+
+    def solve(lp, basis=None):
+        sizes.append(len(lp.b))
+        return real(lp, basis)
+
+    monkeypatch.setattr(linprog, "_solve_dual", solve)
+    return sizes
+
+
+class TestRowGeneration:
+    @pytest.mark.parametrize("case", KISSING_CASES, ids=str)
+    def test_grid_lp_matches_one_full_tableau_solve(self, monkeypatch, case):
+        lp = grid_lp(*case)
+        status, x, *_ = _solve_dual(lp)
+        sizes = working_set_sizes(monkeypatch)
+        sol = solve_lp(lp)
+        assert sol.status == status == "optimal"
+        assert sizes[0] < len(lp.b)
+        assert sol.objective_value == pytest.approx(lp.objective @ x, rel=1e-9)
+
+    def test_tall_covering_lps_match_the_vertex_oracle(self, monkeypatch, rng):
+        sizes = working_set_sizes(monkeypatch)
+        nonzero = 0
+        for _ in range(10):
+            lp, oracle_inputs = random_covering_lp(rng, n=2, m=int(rng.integers(40, 60)))
+            sizes.clear()
+            sol = solve_lp(lp)
+            assert sol.status == "optimal"
+            assert sizes[0] < len(lp.b)
+            oracle = enumerate_vertices(*oracle_inputs)
+            assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
+            nonzero += oracle > 1e-9
+        assert nonzero >= 5
+
+    def test_infeasible_rows_outside_the_working_set(self, monkeypatch, rng):
+        c, A, b = tall_lp(rng, 200, n=2)
+        # x_0 >= 2 and x_0 <= 1, at rows that the first working set leaves out
+        A[5], b[5] = [-1.0, 0.0], -2.0
+        A[6], b[6] = [1.0, 0.0], 1.0
+        sizes = working_set_sizes(monkeypatch)
+        assert solve_lp(LinearProgram(c, A, b)).status == "infeasible"
+        assert len(sizes) >= 2 and sizes[0] < 200
+
+    def test_basis_naming_rows_outside_the_first_working_set(self, rng):
+        n, m = 4, 300
+        c, A, b = tall_lp(rng, m, n)
+        lp = LinearProgram(c, A, b)
+        cold = solve_lp(lp)
+        first = np.linspace(0, m - 1, linprog.ROWS_PER_VARIABLE * n).round() + n
+        assert np.setdiff1d(cold.basis[cold.basis >= n], first).size
+        again = solve_lp(lp, cold.basis)
+        assert again.status == "optimal" and again.iterations == 0
+        assert np.array_equal(again.basis, cold.basis)
+        assert again.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+
+
+class TestRowScaledTolerance:
+    def test_rounding_of_large_terms_is_accepted(self, rng):
+        # the terms of a row reach 8e7 here: 1e-12 relative noise in x moves
+        # rows far beyond an absolute tolerance, yet only by rounding
+        lp = grid_lp(24, 0.7, 24)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        noisy = sol.x * (1.0 + 1e-12 * rng.standard_normal(len(sol.x)))
+        assert _violation(lp, noisy) > 2.0 * FEAS_TOL
+        assert _within_tolerance(lp, noisy)
+
+    @pytest.mark.parametrize("scale", [0.99, 1.0 - 1e-6])
+    @pytest.mark.parametrize("case", [(3, 0.5, 10), (8, 0.5, 6)], ids=str)
+    def test_scaled_optimum_is_a_numerical_failure(self, monkeypatch, case, scale):
+        # the tight rows then exceed -1 by 1 - scale, far above rounding
+        lp = grid_lp(*case)
+        assert solve_lp(lp).status == "optimal"
+        real = linprog._refine_primal
+        monkeypatch.setattr(
+            linprog, "_refine_primal", lambda lp, x, y: scale * real(lp, x, y)
+        )
+        assert solve_lp(lp).status == "numerical_failure"
 
 
 class TestStackedRows:

@@ -221,6 +221,27 @@ class TestFunctionalCheck:
         with pytest.raises(TheoremViolationError):
             functional_pfender_check(code, phi, 1e-9, variant="finite_set")
 
+    def test_phi_at_1_is_evaluated_once_per_check(self, monkeypatch):
+        # phi(1) depends on phi alone; each evaluation is a full basis_values call
+        evaluations = []
+        real = PhiSpec.phi_at_1
+
+        def counting(phi):
+            evaluations.append(phi)
+            return real.fget(phi)
+
+        monkeypatch.setattr(PhiSpec, "phi_at_1", property(counting))
+        code = codes.euclidean_to_functional(codes.generate("simplex", dim=4))
+        functional_pfender_check(code, g1(4), 0.25, variant="interval", cos_theta=-0.25)
+        assert len(evaluations) == 1
+        code = codes.euclidean_to_functional(codes.generate("orthonormal", dim=4))
+        phi = PhiSpec("table", [-1.0, -1e-10, 1e-9])
+        with pytest.raises(TheoremViolationError, match=r"phi\(1\) = 1e-09"):
+            functional_pfender_check(code, phi, 1e-9, variant="finite_set")
+        assert len(evaluations) == 2
+        pfender_bound(g1(4), 0.25, -0.25)
+        assert len(evaluations) == 3
+
 
 class TestSerialization:
     def test_phi_round_trip(self):
