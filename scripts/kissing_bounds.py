@@ -22,7 +22,6 @@ def main() -> int:
     parser.add_argument("--dims", default="3,4,8,24", help="comma-separated dimensions")
     parser.add_argument("--degree", type=int, default=None,
                         help="LP degree (default: per-dimension classic choice)")
-    parser.add_argument("--grid", type=int, default=2000)
     parser.add_argument("--out-dir", default="certificates")
     args = parser.parse_args()
 
@@ -34,7 +33,7 @@ def main() -> int:
         degree = args.degree or DEFAULT_DEGREES.get(d, 10)
         t0 = time.time()
         try:
-            cert = lp_bound(d, 0.5, degree, grid_points=args.grid)
+            cert = lp_bound(d, 0.5, degree)
         except NoCertificateError as exc:
             print(f"{d:>4} {degree:>6} {'no certificate':>18}  ({exc})")
             continue

@@ -30,7 +30,6 @@ from .errors import (
 from .gegenbauer import (
     GegenbauerBasis,
     GegenbauerPoly,
-    Weight,
     expand_in_basis,
     gegenbauer_eval,
     weighted_inner_product,
@@ -52,7 +51,6 @@ __all__ = [
     "NoCertificateError",
     "LPFailureError",
     "TheoremViolationError",
-    "Weight",
     "GegenbauerBasis",
     "GegenbauerPoly",
     "gegenbauer_eval",

@@ -28,6 +28,8 @@ from .scanning import chebyshev_points, polynomial_maximum
 SIGN_TOL = 1e-9
 COEFF_TOL = 1e-12
 MAX_ROUNDS = 10
+# Chebyshev points of the first round's LP
+GRID_POINTS = 2000
 INFLATION_TARGET = 1e-4
 # rows spread evenly over the grid gap around each positive maximum
 GAP_ROWS = 7
@@ -74,7 +76,7 @@ class BoundTableRow:
     certificate: DGSCertificate | None = None
 
 
-def _validate_inputs(d: int, cos_theta: float, degree: int, grid_points: int):
+def _validate_inputs(d: int, cos_theta: float, degree: int):
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not (-1.0 <= cos_theta < 1.0):
@@ -83,8 +85,6 @@ def _validate_inputs(d: int, cos_theta: float, degree: int, grid_points: int):
         raise ValueError(f"degree must be >= 0, got {degree}")
     if degree > MAX_TABLE_DEGREE:
         raise ValueError(f"degree is capped at {MAX_TABLE_DEGREE}")
-    if grid_points < 64:
-        raise ValueError("grid_points must be >= 64")
 
 
 def _solve_grid_lp(
@@ -112,44 +112,50 @@ def _gap_rows(grid: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     P is tangent to 0 near a peak, so its excess over the gap's rows grows
     with the square of the gap: splitting it into GAP_ROWS + 1 parts cuts
     the violation about (GAP_ROWS + 1)^2-fold, where the peak alone only
-    bisects the gap. Points already on the grid are dropped.
+    bisects the gap. Returns the points sorted, without duplicates or
+    points already on the (sorted) grid.
     """
     right = np.clip(np.searchsorted(grid, peaks), 1, len(grid) - 1)
     left, width = grid[right - 1], grid[right] - grid[right - 1]
     fractions = np.arange(1, GAP_ROWS + 1) / (GAP_ROWS + 1)
     filled = left[:, None] + width[:, None] * fractions
-    return np.setdiff1d(np.concatenate([peaks, filled.ravel()]), grid)
+    # by hand rather than np.setdiff1d, whose np.unique imports numpy.ma
+    points = np.sort(np.concatenate([peaks, filled.ravel()]))
+    keep = np.ones(len(points), dtype=bool)
+    keep[1:] = points[1:] != points[:-1]
+    keep &= grid[np.minimum(np.searchsorted(grid, points), len(grid) - 1)] != points
+    return points[keep]
 
 
-def lp_bound(
-    d: int, cos_theta: float, degree: int, grid_points: int = 2000
-) -> DGSCertificate:
+def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
-    Raises NoCertificateError when no polynomial of this degree can meet
-    the sign condition (degree 0, or an infeasible LP), and LPFailureError
-    when the first cutting-plane round's LP fails (solver stall or a
-    solution outside the residual tolerance). When a later round's LP
-    fails, the previous round's polynomial is shifted and certified
-    instead, and the verification message names the failed round. Each
-    round appends its cutting-plane points as new LP rows and warm-starts
-    the LP from the previous round's optimal basis. The rows fill the grid
-    gap around each critical point where P > 0: the point itself and
-    GAP_ROWS evenly spaced points (``_gap_rows``), so a round divides the
-    violation by about 64 where the point alone divided it by 4. The
-    rounds end when the shift's inflation of the bound is below
+    The first round's LP enforces the sign condition on a fixed grid of
+    GRID_POINTS Chebyshev points of [-1, cos_theta], which the cutting
+    planes grow. Raises NoCertificateError when no polynomial of this
+    degree can meet the sign condition (degree 0, or an infeasible LP),
+    and LPFailureError when the first cutting-plane round's LP fails
+    (solver stall or a solution outside the residual tolerance). When a
+    later round's LP fails, the previous round's polynomial is shifted and
+    certified instead, and the verification message names the failed
+    round. Each round appends its cutting-plane points as new LP rows and
+    warm-starts the LP from the previous round's optimal basis. The rows
+    fill the grid gap around each critical point where P > 0: the point
+    itself and GAP_ROWS evenly spaced points (``_gap_rows``), so a round
+    divides the violation by about 64 where the point alone divided it by
+    4. The rounds end when the shift's inflation of the bound is below
     INFLATION_TARGET, when a round leaves a violation below 1 within a
     factor 2 of the previous one (the cuts no longer bite), or after
     MAX_ROUNDS. Every returned certificate has been re-verified.
     """
-    _validate_inputs(d, cos_theta, degree, grid_points)
+    _validate_inputs(d, cos_theta, degree)
     if degree < 1:
         raise NoCertificateError(
             "no certificate at this degree: with only a_0 > 0 the polynomial "
             "is a positive constant and cannot be <= 0 on the interval"
         )
     cos_theta = float(cos_theta)
-    points = chebyshev_points(-1.0, cos_theta, grid_points)
+    points = chebyshev_points(-1.0, cos_theta, GRID_POINTS)
     rows = basis_values(d, degree, points)[1:].T
     basis = None
     failed_round = ""
@@ -200,7 +206,7 @@ def lp_bound(
     if shift >= 1.0:
         raise NoCertificateError(
             f"residual sign violation {violation!r} after {rounds_used} "
-            f"cutting-plane rounds on a {grid_points}-point grid cannot be "
+            f"cutting-plane rounds on a {GRID_POINTS}-point grid cannot be "
             f"absorbed{failed_round}"
         )
     final_coeffs = coeffs.copy()
@@ -289,17 +295,15 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
     )
 
 
-def bound_table(
-    d: int, cos_theta: float, degrees, grid_points: int = 2000
-) -> list[BoundTableRow]:
-    """One lp_bound row per degree, sharing the same base grid size."""
+def bound_table(d: int, cos_theta: float, degrees) -> list[BoundTableRow]:
+    """One lp_bound row per degree, each from the same GRID_POINTS grid."""
     degrees = list(degrees)
     if degrees != sorted(degrees):
         raise ValueError("degrees must be ascending")
     rows = []
     for m in degrees:
         try:
-            cert = lp_bound(d, cos_theta, m, grid_points)
+            cert = lp_bound(d, cos_theta, m)
         except NoCertificateError:
             rows.append(BoundTableRow(degree=m, status="no certificate"))
         else:

@@ -23,7 +23,6 @@ MAX_TABLE_DEGREE = 40
 
 __all__ = [
     "MAX_TABLE_DEGREE",
-    "Weight",
     "GegenbauerBasis",
     "GegenbauerPoly",
     "gegenbauer_eval",
@@ -47,24 +46,6 @@ def _check_r(r):
     if np.any(arr < -1.0) or np.any(arr > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
     return arr
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Orthogonality weight rho(r) = (1 - r^2)^((dim-3)/2) on [-1, 1]."""
-
-    dim: int
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-
-    @property
-    def exponent(self) -> float:
-        return (self.dim - 3) / 2.0
-
-    def __call__(self, r):
-        arr = _check_r(r)
-        return (1.0 - arr * arr) ** self.exponent
 
 
 def basis_values(dim: int, max_degree: int, r) -> np.ndarray:
@@ -175,14 +156,6 @@ class GegenbauerPoly:
     def at_one(self) -> float:
         """Value at r = 1; every G_k(1) equals 1, so this is the coefficient sum."""
         return float(math.fsum(self.coeffs.tolist()))
-
-    def trimmed(self) -> "GegenbauerPoly":
-        """Canonical form with trailing zero coefficients removed."""
-        coeffs = self.coeffs
-        end = len(coeffs)
-        while end > 1 and coeffs[end - 1] == 0.0:
-            end -= 1
-        return GegenbauerPoly(self.dim, coeffs[:end])
 
 
 def quadrature_rule(dim: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,18 +12,18 @@ the basis it is given (all-slack by default), refactorized from the
 original data, so a cutting-plane loop can hand each round's optimal
 basis to the next.
 
-An optimum has at most n tight rows, so a tall LP is solved by row
+An optimum has at most n tight rows, so every LP is solved by row
 generation: the dual simplex runs on a working set of rows (about 8n
-evenly spaced ones plus those the starting basis names), every row the
-working optimum violates is added, and the working LP is re-solved from
-its own optimal basis until no row outside it is violated. The rows left
-out have dual 0, so the last working optimum is the full LP's optimum,
-and an infeasible working LP proves the full LP infeasible. The primal
-solution is recovered from the simplex multipliers and checked against
-every original row, each within a tolerance relative to its own scale: a
-result outside it comes back as ``numerical_failure``, not as optimal and
-not re-solved another way. Because cost and x are both nonnegative the
-LP is never unbounded.
+evenly spaced ones plus those the starting basis names, or all rows of a
+shorter LP), every row the working optimum violates is added, and the
+working LP is re-solved from its own optimal basis until no row outside
+it is violated. The rows left out have dual 0, so the last working
+optimum is the full LP's optimum, and an infeasible working LP proves
+the full LP infeasible. The primal solution is recovered from the
+simplex multipliers and checked against every original row, each within
+a tolerance relative to its own scale: a result outside it comes back as
+``numerical_failure``, not as optimal and not re-solved another way.
+Because cost and x are both nonnegative the LP is never unbounded.
 """
 
 from __future__ import annotations
@@ -238,18 +238,27 @@ def _solve_dual(lp: LinearProgram, basis=None):
     return "optimal", x, y, iterations, np.where(dual_rows, basic + n, basic - m)
 
 
-def _solve_by_row_generation(lp: LinearProgram, basis=None):
-    """``_solve_dual`` on a growing working set of rows; same returns.
+def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
+    """Solve the LP; deterministic for a fixed input and ``basis``.
 
-    The working set starts as ROWS_PER_VARIABLE * n evenly spaced rows
-    plus the rows named in ``basis``; each pass appends every row outside
-    it that the working optimum violates and warm-starts from the pass's
-    optimal basis, whose numbering appended rows leave valid. Bases come
-    in and go out in the full LP's numbering.
+    ``basis``, an ``LPSolution.basis`` of the same LP or of one with the
+    same variables and fewer (leading) rows, warm-starts the solve. Every
+    LP is solved by row generation (see the module docstring): the
+    working set starts as ROWS_PER_VARIABLE * n evenly spaced rows (all
+    of them in a shorter LP) plus the rows named in ``basis``. Each pass
+    runs ``_solve_dual`` on it, appends every row outside it that the
+    working optimum violates, and warm-starts from the pass's optimal
+    basis, whose numbering appended rows leave valid. An LP of at most
+    ROWS_PER_VARIABLE rows per variable thus takes one pass on all its
+    rows. ``iterations`` counts the pivots of all passes. An optimal
+    solution is re-checked against every original row: a result that
+    violates one beyond its tolerance (``_within_tolerance``) is
+    downgraded to ``numerical_failure`` rather than reported as optimal.
     """
     m, n = lp.A.shape
     selected = np.zeros(m, dtype=bool)
-    selected[np.linspace(0, m - 1, ROWS_PER_VARIABLE * n).round().astype(int)] = True
+    first = np.linspace(0, m - 1, min(m, ROWS_PER_VARIABLE * n))
+    selected[first.round().astype(int)] = True
     if basis is not None:
         _tableau_columns(basis, m, n)  # rejects a malformed basis
         basis = np.asarray(basis)
@@ -257,44 +266,24 @@ def _solve_by_row_generation(lp: LinearProgram, basis=None):
         selected[basis[named] - n] = True
     rows = np.flatnonzero(selected)
     if basis is not None:
+        # the working LP numbers a row by its place in ``rows``
         basis = np.where(named, n + np.searchsorted(rows, basis - n), basis)
     iterations = 0
     while True:
         working = LinearProgram(lp.objective, lp.A[rows], lp.b[rows])
-        status, x, y, pivots, basis = _solve_dual(working, basis)
+        status, x, working_y, pivots, basis = _solve_dual(working, basis)
         iterations += pivots
         if status != "optimal":
-            return status, None, None, iterations, None
+            return LPSolution(status=status, iterations=iterations)
         violated = np.flatnonzero(~selected & (lp.A @ x > lp.b))
         if not violated.size:
-            full_y = np.zeros(m)
-            full_y[rows] = y
-            named = basis >= n
-            basis[named] = n + rows[basis[named] - n]
-            return "optimal", x, full_y, iterations, basis
+            break
         rows = np.concatenate([rows, violated])
         selected[violated] = True
-
-
-def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
-    """Solve the LP; deterministic for a fixed input and ``basis``.
-
-    ``basis``, an ``LPSolution.basis`` of the same LP or of one with the
-    same variables and fewer (leading) rows, warm-starts the solve. An LP
-    with more than 2 * ROWS_PER_VARIABLE rows per variable is solved by
-    row generation (see the module docstring), a smaller one in a single
-    dual simplex run; ``iterations`` counts the pivots of all passes. An
-    optimal solution is re-checked against every original row: a result
-    that violates one beyond its tolerance (``_within_tolerance``) is
-    downgraded to ``numerical_failure`` rather than reported as optimal.
-    """
-    m, n = lp.A.shape
-    if m > 2 * ROWS_PER_VARIABLE * n:
-        status, x, y, iterations, basis = _solve_by_row_generation(lp, basis)
-    else:
-        status, x, y, iterations, basis = _solve_dual(lp, basis)
-    if status != "optimal":
-        return LPSolution(status=status, iterations=iterations)
+    y = np.zeros(m)
+    y[rows] = working_y
+    named = basis >= n
+    basis[named] = n + rows[basis[named] - n]
     x = _refine_primal(lp, x, y)
     if not _within_tolerance(lp, x):
         return LPSolution(status="numerical_failure", iterations=iterations)

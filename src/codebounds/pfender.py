@@ -22,7 +22,7 @@ import numpy as np
 
 from . import codes
 from .errors import TheoremViolationError
-from .gegenbauer import GegenbauerPoly, basis_values
+from .gegenbauer import basis_values
 from .scanning import polynomial_maximum
 
 COND_TOL = 1e-9
@@ -96,11 +96,6 @@ class PhiSpec:
         if self.basis != "table":
             return None
         return 2.0 / (len(self.coeffs) - 1)
-
-    def as_gegenbauer(self) -> GegenbauerPoly | None:
-        if self.basis != "gegenbauer":
-            return None
-        return GegenbauerPoly(self.dim, self.coeffs)
 
 
 @dataclass

@@ -30,10 +30,10 @@ SEED = 20240803
 _CERT_CACHE = {}
 
 
-def cached_lp_bound(d, cos_theta, degree, grid=2000):
-    key = (d, cos_theta, degree, grid)
+def cached_lp_bound(d, cos_theta, degree):
+    key = (d, cos_theta, degree)
     if key not in _CERT_CACHE:
-        _CERT_CACHE[key] = lp_bound(d, cos_theta, degree, grid_points=grid)
+        _CERT_CACHE[key] = lp_bound(d, cos_theta, degree)
     return _CERT_CACHE[key]
 
 
@@ -336,7 +336,7 @@ def test_criterion_9_lp_oracle_and_mutations():
     ]
     emitted += [
         row.certificate
-        for row in bound_table(3, 0.5, [6, 8], grid_points=1000)
+        for row in bound_table(3, 0.5, [6, 8])
         if row.certificate is not None
     ]
     reverified = sum(1 for cert in emitted if verify_certificate(cert).passed)

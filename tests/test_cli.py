@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from codebounds import jsonutil
+from codebounds import cli, codes, jsonutil, pfender
+from codebounds.errors import TheoremViolationError
 
 
 def run_cli(*args):
@@ -88,15 +89,24 @@ class TestBoundLP:
         for path in (a, b):
             code, _, _ = run_cli(
                 "bound", "lp", "--dim", "4", "--cos-theta", "0.5", "--degree", "6",
-                "--grid", "500", "--out", str(path),
+                "--out", str(path),
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_grid_flag_is_gone_exits_2(self, capsys):
+        # the first-round grid is fixed at dgs_bound.GRID_POINTS
+        with pytest.raises(SystemExit) as info:
+            cli.main([
+                "bound", "lp", "--dim", "3", "--cos-theta", "0.5", "--degree", "6",
+                "--grid", "500",
+            ])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --grid 500" in capsys.readouterr().err
+
     def test_theta_degrees_flag(self, tmp_path):
         code, out, _ = run_cli(
             "bound", "lp", "--dim", "3", "--theta-degrees", "90", "--degree", "4",
-            "--grid", "200",
         )
         assert code == 0
         assert "verified=yes" in out
@@ -230,6 +240,35 @@ class TestCode:
         )
         assert code == 1
         assert "not applicable" in err
+
+    def test_check_theorem_violation_exits_1(self, tmp_path, monkeypatch, capsys):
+        code_file, cert_file = tmp_path / "ortho.json", tmp_path / "cert.json"
+        jsonutil.dump_path(
+            str(code_file),
+            codes.code_to_json_dict(codes.generate("orthonormal", dim=4)),
+        )
+        jsonutil.dump_path(
+            str(cert_file),
+            {
+                "kind": "pfender",
+                "variant": "interval",
+                "phi": {"basis": "gegenbauer", "dim": 4, "coeffs": [0.0, 1.0]},
+                "c": 0.25,
+                "cos_theta": 0.5,
+                "bound_real": 5.0,
+                "bound_int": 5,
+            },
+        )
+
+        def violated(*args, **kwargs):
+            raise TheoremViolationError("planted")
+
+        monkeypatch.setattr(pfender, "functional_pfender_check", violated)
+        code = cli.main([
+            "code", "check-theorem", "--file", str(code_file), "--cert", str(cert_file),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "THEOREM VIOLATION: planted\n"
 
     def test_gen_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

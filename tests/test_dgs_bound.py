@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -22,6 +24,7 @@ from codebounds.dgs_bound import (
 from codebounds.errors import LPFailureError, NoCertificateError
 from codebounds.gegenbauer import GegenbauerPoly
 from codebounds.linprog import LPSolution, solve_lp
+from codebounds.scanning import chebyshev_points
 
 
 # the last verification message of a certificate from lp_bound
@@ -32,7 +35,7 @@ ROUNDS_MESSAGE = re.compile(
 
 @pytest.fixture(scope="module")
 def cert_d8():
-    return lp_bound(8, 0.5, 6, grid_points=2000)
+    return lp_bound(8, 0.5, 6)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +66,7 @@ class TestLPBound:
     def test_simplex_angle_degree_one_exact(self):
         # optimal P = 1 + d r; bound exactly d + 1, no sign violation at all
         for d in (2, 3, 7, 16):
-            cert = lp_bound(d, -1.0 / d, 1, grid_points=256)
+            cert = lp_bound(d, -1.0 / d, 1)
             assert cert.bound_real == pytest.approx(d + 1, abs=1e-9)
 
     def test_input_validation(self):
@@ -73,8 +76,6 @@ class TestLPBound:
             lp_bound(3, 1.0, 6)
         with pytest.raises(ValueError):
             lp_bound(3, 0.5, 41)
-        with pytest.raises(ValueError):
-            lp_bound(3, 0.5, 6, grid_points=32)
         with pytest.raises(ValueError, match="degree must be >= 0"):
             lp_bound(3, 0.5, -2)
         with pytest.raises(NoCertificateError):
@@ -97,7 +98,7 @@ class TestFailedLPRound:
         return calls
 
     def test_later_round_failure_certifies_previous_round(self, monkeypatch):
-        # (8, 0.5, 6) takes 3 rounds when every LP succeeds
+        # (8, 0.5, 6) takes 2 rounds when every LP succeeds
         calls = self._fail_from_round(monkeypatch, 2)
         cert = lp_bound(8, 0.5, 6)
         assert len(calls) == 2
@@ -127,6 +128,21 @@ class TestFailedLPRound:
         assert cert.bound_real <= 895755214.43  # round 5's certificate before
 
 
+class TestGapRows:
+    def test_points_are_sorted_unique_and_off_the_grid(self):
+        grid = chebyshev_points(-1.0, 0.5, 64)
+        fractions = np.arange(1, dgs_bound.GAP_ROWS + 1) / (dgs_bound.GAP_ROWS + 1)
+
+        def gap(i):
+            return grid[i] + (grid[i + 1] - grid[i]) * fractions
+
+        inside = grid[20] + (grid[21] - grid[20]) / 3
+        # a peak on a grid point, and one peak twice
+        points = dgs_bound._gap_rows(grid, np.array([inside, grid[10], inside]))
+        expected = np.sort(np.concatenate([gap(9), gap(20), [inside]]))
+        assert np.array_equal(points, expected)
+
+
 SMALL_GRID_CASES = [
     (d, cos_theta, degree, grid)
     for grid in (64, 100, 159)
@@ -151,13 +167,15 @@ assert VIOLATION_ABOVE_ONE_CASES <= set(SMALL_GRID_CASES)
 
 
 class TestSmallGrids:
-    # grids with fewer than 4 * degree points: every input ends with a
-    # verified certificate or NoCertificateError, never LPFailureError
+    # first-round grids (GRID_POINTS, patched) with fewer than 4 * degree
+    # points: every input ends with a verified certificate or
+    # NoCertificateError, never LPFailureError
     @pytest.mark.parametrize("case", SMALL_GRID_CASES, ids=str)
-    def test_ends_with_a_certificate_or_no_certificate(self, case):
+    def test_ends_with_a_certificate_or_no_certificate(self, monkeypatch, case):
         d, cos_theta, degree, grid = case
+        monkeypatch.setattr(dgs_bound, "GRID_POINTS", grid)
         try:
-            cert = lp_bound(d, cos_theta, degree, grid_points=grid)
+            cert = lp_bound(d, cos_theta, degree)
         except NoCertificateError as exc:
             assert case not in VIOLATION_ABOVE_ONE_CASES
             assert re.search(
@@ -173,8 +191,9 @@ class TestSmallGrids:
     def test_unabsorbed_violation_names_rounds_and_grid(self, monkeypatch):
         # round 1 of this input leaves a violation of about 123
         monkeypatch.setattr(dgs_bound, "MAX_ROUNDS", 1)
+        monkeypatch.setattr(dgs_bound, "GRID_POINTS", 64)
         with pytest.raises(NoCertificateError) as info:
-            lp_bound(24, 0.7, 17, grid_points=64)
+            lp_bound(24, 0.7, 17)
         assert re.fullmatch(
             r"residual sign violation \S+ after \d+ cutting-plane rounds on a "
             r"64-point grid cannot be absorbed",
@@ -182,17 +201,19 @@ class TestSmallGrids:
         )
 
     @pytest.mark.parametrize("grid", [64, 100, 159, 2000])
-    def test_d24_degree24_reaches_one_bound_on_every_grid(self, grid):
+    def test_d24_degree24_reaches_one_bound_on_every_grid(self, monkeypatch, grid):
         # the terms of a row reach 8e7 here: the LP checks each row against
         # its own scale, so rounding fails no round and every grid ends alike
-        cert = lp_bound(24, 0.7, 24, grid_points=grid)
+        monkeypatch.setattr(dgs_bound, "GRID_POINTS", grid)
+        cert = lp_bound(24, 0.7, 24)
         assert "LP status" not in cert.verification.messages[-1]
         assert verify_certificate(cert).passed
         assert cert.bound_real == pytest.approx(79909684.66, rel=1e-8)
 
-    def test_d24_degree40_on_a_100_point_grid(self):
+    def test_d24_degree40_on_a_100_point_grid(self, monkeypatch):
         # the cutting planes reach the kissing number from a 100-point grid
-        cert = lp_bound(24, 0.5, 40, grid_points=100)
+        monkeypatch.setattr(dgs_bound, "GRID_POINTS", 100)
+        cert = lp_bound(24, 0.5, 40)
         assert 196560.0 <= cert.bound_real <= 196561.0
 
 
@@ -266,14 +287,29 @@ class TestWarmStartedRounds:
         [
             ((3, 0.5, 10), "52baa90a956e385f246813217134f90a5b27d3fe6513a457a7c0575a031a2d45"),
             ((4, 0.5, 10), "b3b34cca22e127cd7a225a9c723eb573367ade387bb9839373140b3378692433"),
+            ((8, 0.5, 6), "18678d182778a00273fac84e16f318b1dd0d0939dd5f9e916fcef208ff9e3aee"),
+            ((24, 0.5, 10), "4beb5625494251341b921acbcd8b14dafb63fcfb26c65d7ec8a245b356bc95d1"),
         ],
     )
     def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
-        # one-round runs solve a single cold LP, so their files pin the LP,
-        # the shift and the verification report (maxima from the roots of P')
+        # the first two run one round, a single cold LP, so their files pin the
+        # LP, the shift and the verification report (maxima from the roots of
+        # P'); the last two run 2 and 5 rounds and also pin the cutting planes
+        # (_gap_rows) and the warm-started, row-generated LPs
         path = tmp_path / "cert.json"
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_cutting_planes_do_not_import_numpy_ma(self):
+        # np.setdiff1d and np.isin import numpy.ma, 10-20 ms of a cold start
+        script = (
+            "import sys; from codebounds.dgs_bound import lp_bound; "
+            "lp_bound(24, 0.5, 10); print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_infeasible_message_names_cos_theta(self):
         with pytest.raises(NoCertificateError) as info:
@@ -353,7 +389,7 @@ class TestVerification:
 
 class TestBoundTable:
     def test_d8_sweep(self):
-        rows = bound_table(8, 0.5, [2, 4, 6], grid_points=1000)
+        rows = bound_table(8, 0.5, [2, 4, 6])
         by_degree = {row.degree: row for row in rows}
         assert by_degree[6].status == "certificate"
         assert by_degree[6].bound_real == pytest.approx(240.0, abs=1e-3)
@@ -361,7 +397,7 @@ class TestBoundTable:
         assert low.status == "no certificate" or low.bound_real > 240.001
 
     def test_monotone_in_degree(self):
-        rows = bound_table(3, 0.5, [6, 10], grid_points=1000)
+        rows = bound_table(3, 0.5, [6, 10])
         assert all(row.status == "certificate" for row in rows)
         # nested feasible sets at a fixed grid; refinement adds at most the
         # reported inflation, absorbed by the cushion
@@ -391,7 +427,7 @@ class TestSoundnessFloor:
             (5, 0.0, 8, 10),
         ]
         for d, ct, m, n in cases:
-            cert = lp_bound(d, ct, m, grid_points=1000)
+            cert = lp_bound(d, ct, m)
             assert cert.bound_real >= n - 1e-6
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from codebounds.gegenbauer import (
     GegenbauerBasis,
     GegenbauerPoly,
-    Weight,
     basis_values,
     expand_in_basis,
     gegenbauer_eval,
@@ -101,19 +100,6 @@ class TestBasisTables:
             GegenbauerBasis(3, 41)
 
 
-class TestWeight:
-    def test_symmetric_and_nonnegative(self):
-        w = Weight(6)
-        r = np.linspace(-0.999, 0.999, 101)
-        values = w(r)
-        assert np.all(values >= 0.0)
-        assert np.allclose(values, w(-r))
-
-    def test_exponent(self):
-        assert Weight(3).exponent == 0.0
-        assert Weight(2).exponent == -0.5
-
-
 class TestInnerProduct:
     def test_distinct_degrees_orthogonal(self):
         ip = weighted_inner_product(
@@ -196,12 +182,6 @@ class TestExpansion:
             solved = expand_in_basis(mono, dim).coeffs
             projected = quadrature_projection(mono, dim)
             assert np.max(np.abs(solved - projected)) <= 1e-10
-
-    def test_trimming(self):
-        poly = GegenbauerPoly(4, [1.0, 2.0, 0.0, 0.0])
-        trimmed = poly.trimmed()
-        assert trimmed.degree == 1
-        assert np.array_equal(trimmed.coeffs, [1.0, 2.0])
 
 
 class TestPositiveDefiniteness:

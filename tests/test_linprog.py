@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds import linprog
+from codebounds import dgs_bound, linprog
 from codebounds.gegenbauer import basis_values
 from codebounds.linprog import (
     FEAS_TOL,
@@ -227,9 +227,9 @@ KISSING_CASES = [
 ]
 
 
-def grid_lp(d, cos_theta, degree, grid_points=2000):
+def grid_lp(d, cos_theta, degree):
     """lp_bound's first-round LP: sum_k a_k G_k(r_i) <= -1 on a Chebyshev grid."""
-    points = chebyshev_points(-1.0, cos_theta, grid_points)
+    points = chebyshev_points(-1.0, cos_theta, dgs_bound.GRID_POINTS)
     rows = basis_values(d, degree, points)[1:].T
     return LinearProgram(np.ones(degree), rows, np.full(len(rows), -1.0))
 
@@ -248,6 +248,21 @@ def working_set_sizes(monkeypatch):
 
 
 class TestRowGeneration:
+    def test_a_short_lp_is_one_pass_over_every_row(self, monkeypatch, rng):
+        # with at most ROWS_PER_VARIABLE rows per variable the first working
+        # set is the whole LP, in order: one _solve_dual run on the LP itself
+        sizes = working_set_sizes(monkeypatch)
+        for _ in range(20):
+            lp, _ = random_covering_lp(rng)
+            assert len(lp.b) <= linprog.ROWS_PER_VARIABLE * len(lp.objective)
+            status, _, _, pivots, basis = _solve_dual(lp)
+            sizes.clear()
+            sol = solve_lp(lp)
+            assert sizes == [len(lp.b)]
+            assert sol.status == status == "optimal"
+            assert sol.iterations == pivots
+            assert np.array_equal(sol.basis, basis)
+
     @pytest.mark.parametrize("case", KISSING_CASES, ids=str)
     def test_grid_lp_matches_one_full_tableau_solve(self, monkeypatch, case):
         lp = grid_lp(*case)

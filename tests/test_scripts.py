@@ -1,0 +1,26 @@
+"""Scripts run end to end and write what the library computes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from codebounds import jsonutil
+from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_kissing_bounds_writes_the_library_certificates(tmp_path):
+    proc = subprocess.run(
+        [
+            sys.executable, str(SCRIPTS / "kissing_bounds.py"),
+            "--dims", "3,8", "--out-dir", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for d, degree in ((3, 10), (8, 6)):
+        written = (tmp_path / f"kissing_d{d}_m{degree}.json").read_bytes()
+        expected = jsonutil.dumps(certificate_to_json_dict(lp_bound(d, 0.5, degree)))
+        assert written == expected.encode()
