@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from codebounds import codes
-from codebounds.dgs_bound import lp_bound
+from codebounds.dgs_bound import lp_bound, pfender_form
 from codebounds.errors import TheoremViolationError
 from codebounds.pfender import PhiSpec, functional_pfender_check
 
@@ -30,11 +30,8 @@ def certificate_catalog():
         catalog.append((f"sq_d{d}", PhiSpec("monomial", [-1.0 / d, 0.0, 1.0]),
                         1.0 / d, "finite_set"))
     for d, degree in ((3, 10), (4, 10), (8, 6)):
-        cert = lp_bound(d, 0.5, degree)
-        coeffs = cert.poly.coeffs.copy()
-        coeffs[0] = 0.0
-        catalog.append((f"lp_d{d}_m{degree}", PhiSpec("gegenbauer", coeffs, dim=d),
-                        1.0, "interval"))
+        phi, c = pfender_form(lp_bound(d, 0.5, degree).poly)
+        catalog.append((f"lp_d{d}_m{degree}", phi, c, "interval"))
     return catalog
 
 

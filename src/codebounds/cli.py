@@ -28,10 +28,8 @@ def _fmt(x: float) -> str:
 
 
 def _cos_theta_from_args(args) -> float:
-    if getattr(args, "theta_degrees", None) is not None:
+    if args.theta_degrees is not None:
         return math.cos(math.radians(args.theta_degrees))
-    if getattr(args, "cos_theta", None) is None:
-        raise ValueError("either --cos-theta or --theta-degrees is required")
     return args.cos_theta
 
 
@@ -156,16 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound", help="compute and verify bound certificates")
     bound_sub = bound.add_subparsers(dest="kind", required=True)
     blp = bound_sub.add_parser("lp")
+    bpf = bound_sub.add_parser("pfender")
+    for bound_parser in (blp, bpf):
+        angle = bound_parser.add_mutually_exclusive_group(required=True)
+        angle.add_argument("--cos-theta", type=float)
+        angle.add_argument("--theta-degrees", type=float)
     blp.add_argument("--dim", type=int, required=True)
-    blp.add_argument("--cos-theta", type=float)
-    blp.add_argument("--theta-degrees", type=float)
     blp.add_argument("--degree", type=int, required=True)
     blp.add_argument("--out")
-    bpf = bound_sub.add_parser("pfender")
     bpf.add_argument("--phi", required=True, help="phi JSON file")
     bpf.add_argument("--c", type=float, required=True)
-    bpf.add_argument("--cos-theta", type=float)
-    bpf.add_argument("--theta-degrees", type=float)
     bpf.add_argument("--finite-set", action="store_true")
     bpf.add_argument("--code", help="code JSON file for a per-code check")
     bpf.add_argument("--out")

@@ -9,8 +9,8 @@ on a Chebyshev grid, and the grid is grown with cutting planes that fill
 the grid gap around each critical point of P (a root of P') where P > 0,
 until the residual violation is negligible or stops falling. The final polynomial is shifted and rescaled so
 it is genuinely nonpositive on the interval, which turns the LP output
-into a certificate that stands on its own; the verifier re-checks the
-sign condition at the endpoints and every critical point.
+into a certificate that stands on its own. P is the structural Pfender
+certificate (P - a_0, a_0), and the verifier checks it as one.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pfender
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, basis_values
 from .linprog import LinearProgram, solve_lp
 from .scanning import chebyshev_points, polynomial_maximum
 
-SIGN_TOL = 1e-9
-COEFF_TOL = 1e-12
 MAX_ROUNDS = 10
 # Chebyshev points of the first round's LP
 GRID_POINTS = 2000
@@ -39,6 +38,7 @@ __all__ = [
     "DGSCertificate",
     "BoundTableRow",
     "lp_bound",
+    "pfender_form",
     "verify_certificate",
     "bound_table",
     "certificate_to_json_dict",
@@ -146,7 +146,8 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     4. The rounds end when the shift's inflation of the bound is below
     INFLATION_TARGET, when a round leaves a violation below 1 within a
     factor 2 of the previous one (the cuts no longer bite), or after
-    MAX_ROUNDS. Every returned certificate has been re-verified.
+    MAX_ROUNDS. Every returned certificate has passed
+    ``verify_certificate``, the Pfender checks of (P - a_0, a_0).
     """
     _validate_inputs(d, cos_theta, degree)
     if degree < 1:
@@ -202,7 +203,8 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     # plus evaluation noise already sits inside the verifier tolerance.
     # ``violation`` and ``p_at_1`` are the last round's maximum of ``coeffs``.
     noise = 1e-10 + 3e-15 * abs(p_at_1)
-    shift = 0.0 if violation + noise <= SIGN_TOL else max(violation, 0.0) + noise
+    inside = violation + noise <= pfender.COND_TOL
+    shift = 0.0 if inside else max(violation, 0.0) + noise
     if shift >= 1.0:
         raise NoCertificateError(
             f"residual sign violation {violation!r} after {rounds_used} "
@@ -213,14 +215,14 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     final_coeffs[0] = 1.0 - shift
     final_coeffs /= 1.0 - shift
     final_poly = GegenbauerPoly(d, final_coeffs)
-    bound_real = final_poly.at_one()
+    bound_real, bound_int, _ = pfender.bound_values(*pfender_form(final_poly))
     certificate = DGSCertificate(
         dim=d,
         cos_theta=cos_theta,
         poly=final_poly,
         a0=1.0,
         bound_real=bound_real,
-        bound_int=math.floor(bound_real + 1e-9),
+        bound_int=bound_int,
         verification=None,
     )
     report = verify_certificate(certificate)
@@ -237,12 +239,22 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     return certificate
 
 
-def verify_certificate(cert: DGSCertificate) -> DGSVerification:
-    """Independently re-check a certificate.
+def pfender_form(poly: GegenbauerPoly) -> tuple[pfender.PhiSpec, float]:
+    """The structural Pfender certificate (phi, c) = (P - a_0, a_0) that a
+    Delsarte polynomial P is: phi + c = P and (phi(1) + c) / c = P(1) / a_0
+    (Pfender, J. Combin. Theory A 114, 2007)."""
+    coeffs = poly.coeffs.copy()
+    c = float(coeffs[0])
+    coeffs[0] = 0.0
+    return pfender.PhiSpec("gegenbauer", coeffs, dim=poly.dim), c
 
-    Checks (a) coefficient signs, (b) P <= SIGN_TOL on [-1, cos_theta],
-    with P evaluated at both endpoints and at every critical point inside,
-    (c) the bound arithmetic P(1)/a_0 and the floor. All failures are
+
+def verify_certificate(cert: DGSCertificate) -> DGSVerification:
+    """Independently re-check a certificate with the ``pfender`` checks of
+    (phi, c) = ``pfender_form(cert.poly)``: (a) coefficient signs and
+    a_0 > 0, (b) P = phi + c <= pfender.COND_TOL on [-1, cos_theta], at
+    both endpoints and every critical point inside, (c) the stored a0,
+    bound P(1)/a_0 and floor against the coefficients. All failures are
     collected, not short-circuited.
     """
     coeffs = np.asarray(cert.poly.coeffs, dtype=float)
@@ -250,46 +262,41 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
         raise ValueError("malformed certificate: coefficients must be finite")
     if cert.poly.dim != cert.dim:
         raise ValueError("malformed certificate: polynomial dimension mismatch")
+    phi, a0 = pfender_form(cert.poly)
     messages: list[str] = []
-    passed = True
 
-    a0 = float(coeffs[0])
-    min_coeff = float(np.min(coeffs[1:])) if len(coeffs) > 1 else 0.0
-    if not (a0 >= COEFF_TOL):
-        passed = False
+    ok_i, evidence = pfender.condition_i(phi)
+    if not ok_i:
+        messages.append(evidence)
+    if not (a0 > 0.0):
         messages.append(f"a_0 = {a0!r} is not positive")
-    if min_coeff < -COEFF_TOL:
-        passed = False
-        messages.append(f"negative Gegenbauer coefficient {min_coeff!r}")
-    if abs(a0 - cert.a0) > COEFF_TOL * max(1.0, abs(cert.a0)):
-        passed = False
+    if abs(a0 - cert.a0) > pfender.COEFF_TOL * max(1.0, abs(cert.a0)):
         messages.append(f"stored a0 = {cert.a0!r} disagrees with coefficients")
 
-    violation, location, _ = polynomial_maximum(
-        cert.poly, cert.poly.degree, -1.0, float(cert.cos_theta)
-    )
-    if violation > SIGN_TOL:
-        passed = False
+    violation, location = pfender.interval_margin(phi, a0, cert.cos_theta)
+    if violation > pfender.COND_TOL:
         messages.append(
-            f"sign condition fails: P({location!r}) = {violation!r} > {SIGN_TOL}"
+            f"sign condition fails: P({location!r}) = {violation!r} > "
+            f"{pfender.COND_TOL}"
         )
 
-    ratio = cert.poly.at_one() / a0 if a0 != 0 else math.inf
+    try:
+        ratio, floor, _ = pfender.bound_values(phi, a0)
+    except (ZeroDivisionError, OverflowError):  # a_0 = 0, or past float range
+        ratio, floor = math.inf, None
     bound_error = abs(ratio - cert.bound_real)
     if bound_error > 1e-9 * max(1.0, abs(ratio)):
-        passed = False
         messages.append(
             f"bound arithmetic: stored {cert.bound_real!r} vs P(1)/a_0 = {ratio!r}"
         )
-    if math.isfinite(ratio) and cert.bound_int != math.floor(cert.bound_real + 1e-9):
-        passed = False
-        messages.append(f"bound_int {cert.bound_int} is not floor(bound_real)")
+    if floor is not None and cert.bound_int != floor:
+        messages.append(f"bound_int {cert.bound_int} is not floor(P(1)/a_0) = {floor}")
 
     return DGSVerification(
-        passed=passed,
+        passed=not messages,
         max_sign_violation=violation,
         violation_location=location,
-        min_coeff=min(min_coeff, a0),
+        min_coeff=float(np.min(coeffs)),
         bound_error=bound_error,
         messages=messages,
     )

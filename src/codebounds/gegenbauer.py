@@ -214,8 +214,6 @@ def expand_in_basis(mono_coeffs, dim: int) -> GegenbauerPoly:
     coefficient). Quadrature projection is the independent cross-check
     used by the test suite, not by this routine.
     """
-    from scipy.linalg import solve_triangular  # lazy: keeps CLI start-up fast
-
     dim = _check_dim(dim)
     b = np.atleast_1d(np.asarray(mono_coeffs, dtype=float))
     if b.ndim != 1 or b.size == 0:
@@ -230,8 +228,4 @@ def expand_in_basis(mono_coeffs, dim: int) -> GegenbauerPoly:
     for k in range(m + 1):
         table = basis.monomial_tables[k]
         system[: len(table), k] = table
-    if m == 0:
-        a = b / system[0, 0]
-    else:
-        a = solve_triangular(system, b, lower=False)
-    return GegenbauerPoly(dim, a)
+    return GegenbauerPoly(dim, np.linalg.solve(system, b))

@@ -11,6 +11,13 @@ condition (i) for every Euclidean code of a given dimension through
 nonnegative Gegenbauer coefficients; per-code checks evaluate both
 conditions directly on a concrete code, either over the whole interval
 or only on the finite set of observed off-diagonal values.
+
+The trusted checks live here once: ``condition_i`` (a nonnegative
+Gegenbauer combination), ``interval_margin`` (the maximum of phi + c on
+[-1, cos_theta]) and ``bound_values`` (the bound, its floor and the
+phi(1) + c <= 1 clause), with the tolerances COND_TOL and COEFF_TOL. A
+Delsarte polynomial is checked by the same three as the structural
+certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ __all__ = [
     "PfenderVerification",
     "PfenderCertificate",
     "PfenderCheckResult",
+    "condition_i",
+    "interval_margin",
+    "bound_values",
     "pfender_bound",
     "double_sum",
     "functional_pfender_check",
@@ -130,28 +140,100 @@ class PfenderCheckResult:
     slack: float | None  # bound_real - n when applicable
 
 
-def _bound_values(phi_at_1: float, c: float) -> tuple[float, int, bool]:
-    bound_real = (phi_at_1 + c) / c
-    bound_int = math.floor(bound_real + 1e-9)
-    special = phi_at_1 + c <= 1.0 + COEFF_TOL
-    return bound_real, bound_int, special
+def condition_i(phi: PhiSpec) -> tuple[bool, str]:
+    """Condition (i) for every code of phi's dimension at once: phi is a
+    nonnegative combination of the G_k, each positive definite on the
+    sphere. Returns the verdict and its evidence."""
+    if phi.basis != "gegenbauer":
+        return False, (
+            "condition (i) not established: structural mode requires a "
+            "Gegenbauer representation"
+        )
+    min_coeff = float(np.min(phi.coeffs))
+    if min_coeff < -COEFF_TOL:
+        return False, (
+            "condition (i) not established: negative Gegenbauer coefficient "
+            f"{min_coeff!r}"
+        )
+    return True, (
+        f"nonnegative Gegenbauer coefficients for dimension {phi.dim} "
+        f"(min coefficient {min_coeff!r})"
+    )
 
 
-def _interval_margin(phi: PhiSpec, c: float, cos_theta: float):
+def interval_margin(phi: PhiSpec, c: float, cos_theta: float):
     """(max, argmax) of phi(r) + c on [-1, cos_theta], both exact up to
     rounding: a polynomial peaks at an endpoint or a critical point, and a
-    table at an endpoint or a node."""
+    table at an endpoint or a node. A polynomial takes c into its constant
+    coefficient, so (P - a_0, a_0) is evaluated exactly as P is."""
     cos_theta = float(cos_theta)
     if phi.basis != "table":
-        return polynomial_maximum(
-            lambda r: phi(r) + c, len(phi.coeffs) - 1, -1.0, cos_theta
-        )[:2]
+        coeffs = phi.coeffs.copy()
+        coeffs[0] += c
+        shifted = PhiSpec(phi.basis, coeffs, phi.dim)
+        return polynomial_maximum(shifted, len(coeffs) - 1, -1.0, cos_theta)[:2]
     nodes = np.linspace(-1.0, 1.0, len(phi.coeffs))
     inside = nodes[(nodes > -1.0) & (nodes < cos_theta)]
     points = np.concatenate(([-1.0, cos_theta], inside))
     values = phi(points) + c
     best = int(np.argmax(values))
     return float(values[best]), float(points[best])
+
+
+def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
+    """The bound (phi(1) + c) / c, its floor, and whether phi(1) + c <= 1
+    (then the bound is also at most 1/c). Every G_k(1) and power of 1 is
+    1, so phi(1) + c is the exactly rounded sum of a polynomial's
+    coefficients and c, or of a table's last value and c: for (P - a_0,
+    a_0) it is P(1) bit for bit."""
+    terms = [phi.coeffs[-1]] if phi.basis == "table" else phi.coeffs.tolist()
+    top = math.fsum([*terms, c])
+    bound_real = top / c
+    return bound_real, math.floor(bound_real + 1e-9), top <= 1.0 + COEFF_TOL
+
+
+def _certify(phi, c, cos_theta, mode, ok_i, evidence, values=None):
+    """The certificate (phi, c) with its report, given condition (i)'s
+    verdict; condition (ii) is checked on [-1, cos_theta], or only on
+    ``values`` (the finite-set variant) when they are given."""
+    if not (c > 0.0):
+        raise ValueError("c must be strictly positive")
+    if values is None:
+        margin, location = interval_margin(phi, c, cos_theta)
+    elif values.size:
+        shifted = phi(np.clip(values, -1.0, 1.0)) + c
+        best = int(np.argmax(shifted))
+        margin, location = float(shifted[best]), float(values[best])
+    else:
+        margin, location = -math.inf, None
+    ok_ii = margin <= COND_TOL
+    messages = []
+    if not ok_ii:
+        messages.append(
+            f"not a certificate: phi(r) + c = {margin!r} at r = {location!r}"
+        )
+    if phi.node_spacing is not None:
+        messages.append(f"table phi with node spacing {phi.node_spacing!r}")
+    bound_real, bound_int, special = bound_values(phi, c)
+    verification = PfenderVerification(
+        condition_i_ok=ok_i,
+        condition_i_evidence=evidence,
+        condition_ii_ok=ok_ii,
+        condition_ii_margin=margin,
+        condition_ii_location=location,
+        passed=ok_i and ok_ii,
+        special_case_le_one=special,
+        messages=messages,
+    )
+    return PfenderCertificate(
+        phi=phi,
+        c=float(c),
+        cos_theta=float(cos_theta),
+        mode=mode,
+        bound_real=bound_real,
+        bound_int=bound_int,
+        verification=verification,
+    )
 
 
 def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificate:
@@ -164,57 +246,9 @@ def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificat
     (i) not established) or when condition (ii) fails, with the violation
     location recorded.
     """
-    if not (c > 0.0):
-        raise ValueError("c must be strictly positive")
     if not (-1.0 <= cos_theta <= 1.0):
         raise ValueError("cos_theta must lie in [-1, 1]")
-    messages: list[str] = []
-    if phi.basis == "gegenbauer":
-        min_coeff = float(np.min(phi.coeffs))
-        if min_coeff >= -COEFF_TOL:
-            ok_i = True
-            evidence = (
-                f"nonnegative Gegenbauer coefficients for dimension {phi.dim} "
-                f"(min coefficient {min_coeff!r})"
-            )
-        else:
-            ok_i = False
-            evidence = (
-                "condition (i) not established: negative Gegenbauer coefficient "
-                f"{min_coeff!r}"
-            )
-    else:
-        ok_i = False
-        evidence = (
-            "condition (i) not established: structural mode requires a "
-            "Gegenbauer representation"
-        )
-    margin, loc = _interval_margin(phi, c, cos_theta)
-    ok_ii = margin <= COND_TOL
-    if not ok_ii:
-        messages.append(f"not a certificate: phi(r) + c = {margin!r} at r = {loc!r}")
-    if phi.node_spacing is not None:
-        messages.append(f"table phi with node spacing {phi.node_spacing!r}")
-    bound_real, bound_int, special = _bound_values(phi.phi_at_1, c)
-    verification = PfenderVerification(
-        condition_i_ok=ok_i,
-        condition_i_evidence=evidence,
-        condition_ii_ok=ok_ii,
-        condition_ii_margin=margin,
-        condition_ii_location=loc,
-        passed=ok_i and ok_ii,
-        special_case_le_one=special,
-        messages=messages,
-    )
-    return PfenderCertificate(
-        phi=phi,
-        c=float(c),
-        cos_theta=float(cos_theta),
-        mode="structural",
-        bound_real=bound_real,
-        bound_int=bound_int,
-        verification=verification,
-    )
+    return _certify(phi, c, cos_theta, "structural", *condition_i(phi))
 
 
 def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
@@ -251,8 +285,6 @@ def functional_pfender_check(
     must cover the code; a violation raises TheoremViolationError (it
     would disprove the bound) instead of being folded into the report.
     """
-    if not (c > 0.0):
-        raise ValueError("c must be strictly positive")
     if variant not in ("interval", "finite_set"):
         raise ValueError(f"unknown variant {variant!r}")
     ct = float(code.cos_theta if cos_theta is None else cos_theta)
@@ -265,68 +297,35 @@ def functional_pfender_check(
     n = code.n
     M = codes.evaluation_matrix(code)
     total = double_sum(phi, M)
-    ok_i = total >= -COND_TOL * n * n
-    evidence = f"double sum = {total!r} over {n}x{n} evaluations"
-
-    messages: list[str] = []
-    if variant == "interval":
-        margin, loc = _interval_margin(phi, c, ct)
-    else:
-        if n >= 2:
-            off = M[~np.eye(n, dtype=bool)]
-            vals = phi(np.clip(off, -1.0, 1.0)) + c
-            i = int(np.argmax(vals))
-            margin, loc = float(vals[i]), float(off[i])
-        else:
-            margin, loc = -math.inf, None
-    ok_ii = margin <= COND_TOL
-    phi_at_1 = phi.phi_at_1
-    bound_real, bound_int, special = _bound_values(phi_at_1, c)
-    applicable = ok_i and ok_ii
-    reason = None
-    if not applicable:
+    certificate = _certify(
+        phi,
+        c,
+        ct,
+        "finite_set" if variant == "finite_set" else "per_code",
+        total >= -COND_TOL * n * n,
+        f"double sum = {total!r} over {n}x{n} evaluations",
+        M[~np.eye(n, dtype=bool)] if variant == "finite_set" else None,
+    )
+    checked = certificate.verification
+    bound_real = certificate.bound_real
+    if not checked.passed:
         parts = []
-        if not ok_i:
-            parts.append(f"condition (i) fails: {evidence}")
-        if not ok_ii:
-            parts.append(f"condition (ii) fails: phi(r) + c = {margin!r} at r = {loc!r}")
-        reason = "certificate not applicable to this code: " + "; ".join(parts)
-    slack = None
-    if applicable:
-        if n > bound_real + BOUND_SLACK:
-            raise TheoremViolationError(
-                f"code with n = {n} exceeds certified bound {bound_real!r} "
-                f"(phi(1) = {phi_at_1!r}, c = {c!r})"
+        if not checked.condition_i_ok:
+            parts.append(f"condition (i) fails: {checked.condition_i_evidence}")
+        if not checked.condition_ii_ok:
+            parts.append(
+                "condition (ii) fails: phi(r) + c = "
+                f"{checked.condition_ii_margin!r} at r = "
+                f"{checked.condition_ii_location!r}"
             )
-        slack = bound_real - n
-    if phi.node_spacing is not None:
-        messages.append(f"table phi with node spacing {phi.node_spacing!r}")
-    verification = PfenderVerification(
-        condition_i_ok=ok_i,
-        condition_i_evidence=evidence,
-        condition_ii_ok=ok_ii,
-        condition_ii_margin=margin if margin != -math.inf else float("-inf"),
-        condition_ii_location=loc,
-        passed=applicable,
-        special_case_le_one=special,
-        messages=messages,
-    )
-    certificate = PfenderCertificate(
-        phi=phi,
-        c=float(c),
-        cos_theta=ct,
-        mode="finite_set" if variant == "finite_set" else "per_code",
-        bound_real=bound_real,
-        bound_int=bound_int,
-        verification=verification,
-    )
-    return PfenderCheckResult(
-        certificate=certificate,
-        applicable=applicable,
-        reason=reason,
-        n=n,
-        slack=slack,
-    )
+        reason = "certificate not applicable to this code: " + "; ".join(parts)
+        return PfenderCheckResult(certificate, False, reason, n, None)
+    if n > bound_real + BOUND_SLACK:
+        raise TheoremViolationError(
+            f"code with n = {n} exceeds certified bound {bound_real!r} "
+            f"(phi(1) = {phi.phi_at_1!r}, c = {c!r})"
+        )
+    return PfenderCheckResult(certificate, True, None, n, bound_real - n)
 
 
 def phi_to_json_dict(phi: PhiSpec) -> dict:
@@ -367,7 +366,7 @@ def certificate_from_json_dict(data: dict) -> PfenderCertificate:
         raise ValueError(f"unknown certificate variant {variant!r}")
     if variant == "finite_set":
         mode = "finite_set"
-    elif phi.basis == "gegenbauer" and float(np.min(phi.coeffs)) >= -COEFF_TOL:
+    elif condition_i(phi)[0]:
         mode = "structural"
     else:
         mode = "per_code"

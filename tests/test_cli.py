@@ -54,6 +54,18 @@ class TestGegenbauer:
         assert lines[0].startswith("a_0 = 0.333333")
         assert lines[2].startswith("a_2 = 0.666666")
 
+    def test_expand_does_not_import_scipy(self):
+        # importing scipy.linalg is about 0.3 s of a cold start
+        script = (
+            "import sys; from codebounds.cli import main; "
+            "main(['gegenbauer', 'expand', '--dim', '3', '--expand', '0,0,1']); "
+            "print('scipy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestBoundLP:
     def test_kissing_d8(self, tmp_path):
@@ -103,6 +115,24 @@ class TestBoundLP:
             ])
         assert info.value.code == 2
         assert "unrecognized arguments: --grid 500" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bound", "lp", "--dim", "3", "--degree", "4"],
+            ["bound", "pfender", "--phi", "phi.json", "--c", "0.25"],
+        ],
+        ids=["lp", "pfender"],
+    )
+    @pytest.mark.parametrize(
+        "angle", [[], ["--cos-theta", "0.5", "--theta-degrees", "90"]],
+        ids=["neither", "both"],
+    )
+    def test_exactly_one_angle_flag(self, command, angle, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(command + angle)
+        assert info.value.code == 2
+        assert "--cos-theta" in capsys.readouterr().err
 
     def test_theta_degrees_flag(self, tmp_path):
         code, out, _ = run_cli(

@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from codebounds import dgs_bound, jsonutil
+from codebounds import dgs_bound, jsonutil, pfender
 from codebounds.dgs_bound import (
     DGSCertificate,
     bound_table,
     certificate_from_json_dict,
     certificate_to_json_dict,
     lp_bound,
+    pfender_form,
     verify_certificate,
 )
 from codebounds.errors import LPFailureError, NoCertificateError
@@ -385,6 +386,54 @@ class TestVerification:
         bad.poly = GegenbauerPoly(5, bad.poly.coeffs)  # wrong dimension tag
         with pytest.raises(ValueError):
             verify_certificate(bad)
+
+
+class TestPfenderForm:
+    """A Delsarte certificate is checked as the structural Pfender
+    certificate (P - a_0, a_0), by the same code."""
+
+    @staticmethod
+    def _variants(cert):
+        # the certificate and criterion 9's two mutants of it
+        negated = cert.poly.coeffs.copy()
+        negated[1] = -abs(negated[1]) - 0.1
+        shifted = cert.poly.coeffs.copy()
+        shifted[0] += 0.5
+        return [
+            cert,
+            DGSCertificate(cert.dim, cert.cos_theta, GegenbauerPoly(cert.dim, negated),
+                           cert.a0, cert.bound_real, cert.bound_int),
+            DGSCertificate(cert.dim, cert.cos_theta, GegenbauerPoly(cert.dim, shifted),
+                           float(shifted[0]), cert.bound_real, cert.bound_int),
+        ]
+
+    @pytest.mark.parametrize(
+        "case",
+        [(3, 0.5, 10), (4, 0.5, 10), (8, 0.5, 6), (24, 0.5, 10),
+         (24, 0.5, 20), (32, 0.5, 20), (16, 0.7, 16)],
+    )
+    def test_verdicts_and_bounds_agree(self, case):
+        passed = []
+        for cert in self._variants(lp_bound(*case)):
+            phi, c = pfender_form(cert.poly)
+            assert c == cert.a0 and phi.coeffs[0] == 0.0
+            report = verify_certificate(cert)
+            structural = pfender.pfender_bound(phi, c, cert.cos_theta)
+            checked = structural.verification
+            assert report.passed == checked.passed
+            assert report.max_sign_violation == checked.condition_ii_margin
+            assert report.violation_location == checked.condition_ii_location
+            # bitwise: P(1) / a_0 is (phi(1) + c) / c
+            assert structural.bound_real == cert.poly.at_one() / cert.a0
+            if report.passed:
+                assert structural.bound_real == cert.bound_real
+            data = pfender.certificate_to_json_dict(structural)
+            back = pfender.certificate_from_json_dict(json.loads(jsonutil.dumps(data)))
+            assert back.mode == ("structural" if checked.condition_i_ok else "per_code")
+            assert np.array_equal(back.phi.coeffs, phi.coeffs)
+            assert back.bound_real == structural.bound_real
+            passed.append(report.passed)
+        assert passed == [True, False, False]
 
 
 class TestBoundTable:

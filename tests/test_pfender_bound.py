@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds import codes, jsonutil
+from codebounds import codes, jsonutil, pfender
 from codebounds.errors import TheoremViolationError
 from codebounds.pfender import (
     PhiSpec,
@@ -222,25 +222,32 @@ class TestFunctionalCheck:
             functional_pfender_check(code, phi, 1e-9, variant="finite_set")
 
     def test_phi_at_1_is_evaluated_once_per_check(self, monkeypatch):
-        # phi(1) depends on phi alone; each evaluation is a full basis_values call
-        evaluations = []
-        real = PhiSpec.phi_at_1
+        # phi(1) depends on phi alone. The bound takes phi(1) + c as the sum
+        # of phi's coefficients and c, once per check; phi itself is evaluated
+        # at 1 (a full basis_values call) only for a theorem violation's message
+        evaluations, bounds = [], []
+        real_phi_at_1, real_bound_values = PhiSpec.phi_at_1, pfender.bound_values
 
         def counting(phi):
             evaluations.append(phi)
-            return real.fget(phi)
+            return real_phi_at_1.fget(phi)
+
+        def bound_values(phi, c):
+            bounds.append(phi)
+            return real_bound_values(phi, c)
 
         monkeypatch.setattr(PhiSpec, "phi_at_1", property(counting))
+        monkeypatch.setattr(pfender, "bound_values", bound_values)
         code = codes.euclidean_to_functional(codes.generate("simplex", dim=4))
         functional_pfender_check(code, g1(4), 0.25, variant="interval", cos_theta=-0.25)
-        assert len(evaluations) == 1
+        assert (len(evaluations), len(bounds)) == (0, 1)
         code = codes.euclidean_to_functional(codes.generate("orthonormal", dim=4))
         phi = PhiSpec("table", [-1.0, -1e-10, 1e-9])
         with pytest.raises(TheoremViolationError, match=r"phi\(1\) = 1e-09"):
             functional_pfender_check(code, phi, 1e-9, variant="finite_set")
-        assert len(evaluations) == 2
+        assert (len(evaluations), len(bounds)) == (1, 2)
         pfender_bound(g1(4), 0.25, -0.25)
-        assert len(evaluations) == 3
+        assert (len(evaluations), len(bounds)) == (1, 3)
 
 
 class TestSerialization:

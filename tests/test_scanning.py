@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds.pfender import PhiSpec, _interval_margin
+from codebounds.pfender import PhiSpec, interval_margin
 from codebounds.scanning import chebyshev_points, polynomial_maximum
 
 DENSE_POINTS = 200_000
@@ -53,7 +53,7 @@ def test_never_below_dense_reference(phi, interval):
 )
 def test_table_margin_never_below_dense_reference(values, cos_theta, c):
     phi = PhiSpec("table", values)
-    margin, location = _interval_margin(phi, c, cos_theta)
+    margin, location = interval_margin(phi, c, cos_theta)
     reference = float(np.max(phi(np.linspace(-1.0, cos_theta, DENSE_POINTS)))) + c
     assert margin >= reference
     assert -1.0 <= location <= cos_theta
@@ -63,7 +63,7 @@ def test_table_margin_never_below_dense_reference(values, cos_theta, c):
 def test_table_single_positive_node_is_reported_exactly():
     values = np.full(21, -1.0)
     values[7] = 0.25  # the node at -0.3, inside [-1, 0.5]
-    margin, location = _interval_margin(PhiSpec("table", values), 0.0, 0.5)
+    margin, location = interval_margin(PhiSpec("table", values), 0.0, 0.5)
     assert (margin, location) == (0.25, np.linspace(-1.0, 1.0, 21)[7])
 
 
