@@ -6,12 +6,19 @@ evaluations at most cos(theta). ``verify`` checks every axiom of the
 matching definition and reports the coherence (largest off-diagonal
 value). A fixed generator catalog provides the classical extremal
 configurations used to anchor the bound modules.
+
+Codes are immutable values: each constructor copies its arrays and marks
+the copies read-only. So the axiom work that does not depend on the
+angle (axioms (i)-(iii), the metric axioms, the evaluation matrix and
+its largest off-diagonal value) is done once, on a code's first
+``verify``, and kept on the code; only the comparison with cos_theta
+(axiom (iv)) runs on every call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations, product
 
 import numpy as np
@@ -55,6 +62,11 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def lp_norm(x: np.ndarray, p: float) -> float:
     if p == math.inf:
         return float(np.max(np.abs(x)))
@@ -81,6 +93,14 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+class _Rebuilt:
+    """Copies and pickles are rebuilt through the constructor, so their
+    arrays are read-only copies too and they carry no axiom facts."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class LpSpace:
     """Real l_p space of a fixed dimension; p in [1, inf]."""
@@ -96,7 +116,7 @@ class LpSpace:
 
 
 @dataclass(frozen=True)
-class SphericalCode:
+class SphericalCode(_Rebuilt):
     """Unit vectors in R^dim with declared pairwise inner-product ceiling."""
 
     dim: int
@@ -106,11 +126,11 @@ class SphericalCode:
     kind = "spherical"
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.vectors, dtype=float))
+        arr = np.atleast_2d(np.array(self.vectors, dtype=float))
         _check_finite(arr, "vectors")
         if arr.shape[1] != self.dim:
             raise ValueError(f"vectors have dimension {arr.shape[1]}, declared {self.dim}")
-        object.__setattr__(self, "vectors", arr)
+        object.__setattr__(self, "vectors", _read_only(arr))
         object.__setattr__(self, "cos_theta", float(self.cos_theta))
 
     @property
@@ -119,7 +139,7 @@ class SphericalCode:
 
 
 @dataclass(frozen=True)
-class FunctionalCode:
+class FunctionalCode(_Rebuilt):
     """Points and dual functionals in an l_p space, paired by evaluation."""
 
     space: LpSpace
@@ -130,14 +150,14 @@ class FunctionalCode:
     kind = "functional"
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        fns = np.atleast_2d(np.asarray(self.functionals, dtype=float))
+        pts = np.atleast_2d(np.array(self.points, dtype=float))
+        fns = np.atleast_2d(np.array(self.functionals, dtype=float))
         _check_finite(pts, "points")
         _check_finite(fns, "functionals")
         if pts.shape != fns.shape or pts.shape[1] != self.space.dim:
             raise ValueError("points/functionals shape mismatch")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "functionals", fns)
+        object.__setattr__(self, "points", _read_only(pts))
+        object.__setattr__(self, "functionals", _read_only(fns))
         object.__setattr__(self, "cos_theta", float(self.cos_theta))
 
     @property
@@ -146,20 +166,20 @@ class FunctionalCode:
 
 
 @dataclass(frozen=True)
-class PointedMetricSpace:
+class PointedMetricSpace(_Rebuilt):
     """Finite metric space given by a distance matrix; point 0 is the base."""
 
     distance: np.ndarray
     base: int = 0
 
     def __post_init__(self):
-        d = np.asarray(self.distance, dtype=float)
+        d = np.array(self.distance, dtype=float)
         _check_finite(d, "distance matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
         if self.base != 0:
             raise ValueError("base point index must be 0")
-        object.__setattr__(self, "distance", d)
+        object.__setattr__(self, "distance", _read_only(d))
 
     @property
     def n_points(self) -> int:
@@ -167,7 +187,7 @@ class PointedMetricSpace:
 
 
 @dataclass(frozen=True)
-class MetricCode:
+class MetricCode(_Rebuilt):
     """Lipschitz code: value tables f_j over a pointed metric space."""
 
     space: PointedMetricSpace
@@ -178,15 +198,15 @@ class MetricCode:
     kind = "metric"
 
     def __post_init__(self):
-        idx = np.atleast_1d(np.asarray(self.point_indices, dtype=int))
-        fns = np.atleast_2d(np.asarray(self.functions, dtype=float))
+        idx = np.atleast_1d(np.array(self.point_indices, dtype=int))
+        fns = np.atleast_2d(np.array(self.functions, dtype=float))
         _check_finite(fns, "function tables")
         if fns.shape != (len(idx), self.space.n_points):
             raise ValueError("function tables must cover every space point")
         if np.any(idx < 0) or np.any(idx >= self.space.n_points):
             raise ValueError("point index out of range")
-        object.__setattr__(self, "point_indices", idx)
-        object.__setattr__(self, "functions", fns)
+        object.__setattr__(self, "point_indices", _read_only(idx))
+        object.__setattr__(self, "functions", _read_only(fns))
         object.__setattr__(self, "cos_theta", float(self.cos_theta))
 
     @property
@@ -237,15 +257,28 @@ def _offdiag_report(matrix: np.ndarray):
     return float(off[j, k]), (int(j), int(k))
 
 
-def verify(code, cos_theta: float | None = None) -> VerifyReport:
-    """Check every axiom of the code's definition.
+@dataclass(frozen=True)
+class _AxiomFacts:
+    """The half of ``verify`` that does not depend on the angle."""
 
-    ``cos_theta`` overrides the declared angle when given (used by the CLI
-    to re-verify a stored code against a different ceiling). NaN or
-    infinite entries raise immediately; axiom failures are reported, not
-    raised.
-    """
-    ct = code.cos_theta if cos_theta is None else float(cos_theta)
+    failures: tuple[str, ...]
+    warnings: tuple[str, ...]
+    matrix: np.ndarray  # the evaluation matrix, read-only
+    max_offdiag: float | None
+    worst_pair: tuple[int, int] | None
+
+
+def _axiom_facts(code) -> _AxiomFacts:
+    """The code's axiom facts, computed on the first call and kept on the
+    code. A code's arrays are read-only, so the facts cannot go stale."""
+    facts = getattr(code, "_axiom_facts", None)
+    if facts is None:
+        facts = _check_axioms(code)
+        object.__setattr__(code, "_axiom_facts", facts)
+    return facts
+
+
+def _check_axioms(code) -> _AxiomFacts:
     failures: list[str] = []
     warnings: list[str] = []
 
@@ -315,24 +348,37 @@ def verify(code, cos_theta: float | None = None) -> VerifyReport:
     else:
         raise TypeError(f"not a code: {type(code).__name__}")
 
-    matrix = evaluation_matrix(code)
+    matrix = _read_only(evaluation_matrix(code))
     max_offdiag, worst_pair = _offdiag_report(matrix)
-    if max_offdiag is not None and max_offdiag > ct + TOL_EQ:
-        j, k = worst_pair
+    if isinstance(code, SphericalCode) and code.n >= 2 and max_offdiag >= 1.0 - TOL_EQ:
+        warnings.append("duplicate vectors (off-diagonal inner product 1)")
+    return _AxiomFacts(tuple(failures), tuple(warnings), matrix, max_offdiag, worst_pair)
+
+
+def verify(code, cos_theta: float | None = None) -> VerifyReport:
+    """Check every axiom of the code's definition.
+
+    ``cos_theta`` overrides the declared angle when given (used by the CLI
+    to re-verify a stored code against a different ceiling). NaN or
+    infinite entries raise immediately; axiom failures are reported, not
+    raised. A code is immutable, so everything but the cos_theta
+    comparison of axiom (iv) is computed on its first ``verify`` and
+    reused by every later call; each call returns fresh lists.
+    """
+    ct = code.cos_theta if cos_theta is None else float(cos_theta)
+    facts = _axiom_facts(code)
+    failures = list(facts.failures)
+    if facts.max_offdiag is not None and facts.max_offdiag > ct + TOL_EQ:
+        j, k = facts.worst_pair
         failures.append(
-            f"axiom (iv): f_{j}(tau_{k}) = {max_offdiag!r} exceeds cos_theta = {ct!r}"
+            f"axiom (iv): f_{j}(tau_{k}) = {facts.max_offdiag!r} exceeds cos_theta = {ct!r}"
         )
-    if isinstance(code, SphericalCode) and code.n >= 2:
-        gram = matrix.copy()
-        np.fill_diagonal(gram, -np.inf)
-        if np.max(gram) >= 1.0 - TOL_EQ:
-            warnings.append("duplicate vectors (off-diagonal inner product 1)")
     return VerifyReport(
         valid=not failures,
-        max_offdiag=max_offdiag,
-        worst_pair=worst_pair,
+        max_offdiag=facts.max_offdiag,
+        worst_pair=facts.worst_pair,
         axiom_failures=failures,
-        warnings=warnings,
+        warnings=list(facts.warnings),
     )
 
 

@@ -282,8 +282,11 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
 
     try:
         ratio, floor, _ = pfender.bound_values(phi, a0)
-    except (ZeroDivisionError, OverflowError):  # a_0 = 0, or past float range
+    except ZeroDivisionError:  # a_0 = 0, reported above
         ratio, floor = math.inf, None
+    except ValueError as exc:  # P(1)/a_0 past the float range
+        ratio, floor = math.inf, None
+        messages.append(f"bound arithmetic: {exc}")
     bound_error = abs(ratio - cert.bound_real)
     if bound_error > 1e-9 * max(1.0, abs(ratio)):
         messages.append(

@@ -185,23 +185,31 @@ def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
     (then the bound is also at most 1/c). Every G_k(1) and power of 1 is
     1, so phi(1) + c is the exactly rounded sum of a polynomial's
     coefficients and c, or of a table's last value and c: for (P - a_0,
-    a_0) it is P(1) bit for bit."""
+    a_0) it is P(1) bit for bit. A bound past the float range raises
+    ValueError, naming c."""
     terms = [phi.coeffs[-1]] if phi.basis == "table" else phi.coeffs.tolist()
     top = math.fsum([*terms, c])
     bound_real = top / c
+    if math.isinf(bound_real):
+        raise ValueError(
+            f"c = {c!r} is too small: the bound (phi(1) + c) / c = "
+            f"{top!r} / {c!r} is past the float range"
+        )
     return bound_real, math.floor(bound_real + 1e-9), top <= 1.0 + COEFF_TOL
 
 
-def _certify(phi, c, cos_theta, mode, ok_i, evidence, values=None):
+def _certify(phi, c, cos_theta, mode, ok_i, evidence, finite_set=None):
     """The certificate (phi, c) with its report, given condition (i)'s
-    verdict; condition (ii) is checked on [-1, cos_theta], or only on
-    ``values`` (the finite-set variant) when they are given."""
+    verdict; condition (ii) is checked on [-1, cos_theta], or only on a
+    finite set of values r when ``finite_set`` = (r, phi(clipped r)) is
+    given."""
     if not (c > 0.0):
         raise ValueError("c must be strictly positive")
-    if values is None:
+    if finite_set is None:
         margin, location = interval_margin(phi, c, cos_theta)
-    elif values.size:
-        shifted = phi(np.clip(values, -1.0, 1.0)) + c
+    elif finite_set[0].size:
+        values, phi_values = finite_set
+        shifted = phi_values + c
         best = int(np.argmax(shifted))
         margin, location = float(shifted[best]), float(values[best])
     else:
@@ -251,8 +259,8 @@ def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificat
     return _certify(phi, c, cos_theta, "structural", *condition_i(phi))
 
 
-def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
-    """sum_{j,k} phi(M[j,k]) including diagonal terms.
+def _phi_of_entries(phi: PhiSpec, M: np.ndarray) -> np.ndarray:
+    """phi of every entry of M, clipped to [-1, 1], in row-major order.
 
     Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
     this); anything further out raises, naming the offending cell.
@@ -266,8 +274,16 @@ def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
         raise ValueError(
             f"evaluation value {M[j, k]!r} at (j={j}, k={k}) lies outside [-1, 1]"
         )
-    clipped = np.clip(M, -1.0, 1.0)
-    return float(np.sum(phi(clipped.ravel())))
+    return phi(np.clip(M, -1.0, 1.0).ravel())
+
+
+def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
+    """sum_{j,k} phi(M[j,k]) including diagonal terms.
+
+    Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
+    this); anything further out raises, naming the offending cell.
+    """
+    return float(np.sum(_phi_of_entries(phi, M)))
 
 
 def functional_pfender_check(
@@ -295,8 +311,16 @@ def functional_pfender_check(
             f"{report.axiom_failures}"
         )
     n = code.n
-    M = codes.evaluation_matrix(code)
-    total = double_sum(phi, M)
+    # phi is evaluated once per pair: its sum over all n^2 values is the
+    # double sum (exactly as double_sum adds it up), and its off-diagonal
+    # entries are the finite set of the finite-set variant
+    M = codes._axiom_facts(code).matrix
+    phi_values = _phi_of_entries(phi, M)
+    total = float(np.sum(phi_values))
+    finite_set = None
+    if variant == "finite_set":
+        off = ~np.eye(n, dtype=bool).ravel()
+        finite_set = (M.ravel()[off], phi_values[off])
     certificate = _certify(
         phi,
         c,
@@ -304,7 +328,7 @@ def functional_pfender_check(
         "finite_set" if variant == "finite_set" else "per_code",
         total >= -COND_TOL * n * n,
         f"double sum = {total!r} over {n}x{n} evaluations",
-        M[~np.eye(n, dtype=bool)] if variant == "finite_set" else None,
+        finite_set,
     )
     checked = certificate.verification
     bound_real = certificate.bound_real

@@ -180,6 +180,17 @@ class TestBoundPfender:
         )
         assert code == 2
 
+    def test_bound_past_float_range_exits_2(self, phi_file):
+        # (phi(1) + c) / c = 1 / 1e-320 overflows to inf
+        code, out, err = run_cli(
+            "bound", "pfender", "--phi", str(phi_file), "--c", "1e-320",
+            "--cos-theta", "-0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: c = 1e-320 ")
+        assert "Traceback" not in err
+
     def test_finite_set_without_code_exits_2(self, phi_file):
         code, _, err = run_cli(
             "bound", "pfender", "--phi", str(phi_file), "--c", "0.5",

@@ -1,7 +1,9 @@
 """Code representations, axiom verification, catalog, embeddings."""
 
+import copy
 import json
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -430,6 +432,82 @@ class TestSerialization:
         back = code_from_json_dict(code_to_json_dict(code))
         assert back.space.p == math.inf
         assert verify(back).valid
+
+
+def _one_code_of_each_kind():
+    spherical = generate("icosahedron")
+    return spherical, euclidean_to_functional(spherical), embed_as_metric_code(spherical)
+
+
+def _arrays(code):
+    if isinstance(code, SphericalCode):
+        return [code.vectors]
+    if isinstance(code, FunctionalCode):
+        return [code.points, code.functionals]
+    return [code.functions, code.point_indices, code.space.distance]
+
+
+class TestImmutableCodes:
+    def test_arrays_are_read_only(self):
+        for arr in [a for code in _one_code_of_each_kind() for a in _arrays(code)]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+
+    def test_caller_arrays_stay_writable_and_unchanged(self):
+        vectors = np.eye(3)
+        code = SphericalCode(3, vectors, 0.0)
+        distance = np.array([[0.0, 1.0], [1.0, 0.0]])
+        functions = np.array([[0.0, 1.0]])
+        metric = MetricCode(PointedMetricSpace(distance), np.array([1]), functions, 0.0)
+        for arr in (vectors, distance, functions):
+            assert arr.flags.writeable
+        vectors[0, 0] = 2.0
+        distance[0, 1] = 3.0
+        functions[0, 1] = 4.0
+        assert code.vectors[0, 0] == 1.0
+        assert metric.space.distance[0, 1] == 1.0
+        assert metric.functions[0, 1] == 1.0
+        assert verify(code).valid and verify(metric).valid
+
+    def test_copies_are_read_only_too(self):
+        for code in _one_code_of_each_kind():
+            verify(code)
+            for twin in (copy.deepcopy(code), pickle.loads(pickle.dumps(code))):
+                assert code_to_json_dict(twin) == code_to_json_dict(code)
+                assert not any(arr.flags.writeable for arr in _arrays(twin))
+                assert verify(twin) == verify(code)
+
+    def test_json_round_trip_is_unchanged(self):
+        for code in _one_code_of_each_kind():
+            data = code_to_json_dict(code)
+            back = code_from_json_dict(json.loads(jsonutil.dumps(data)))
+            assert code_to_json_dict(back) == data
+            assert verify(back) == verify(code)
+
+
+class TestAxiomFactsKeptOnTheCode:
+    def test_axiom_iv_is_compared_on_every_call(self):
+        code = generate("icosahedron")  # coherence 1/sqrt(5) = 0.447...
+        for ct, valid in ((0.45, True), (0.44, False), (0.45, True), (0.44, False)):
+            report = verify(code, cos_theta=ct)
+            assert report.valid is valid
+            iv = [f for f in report.axiom_failures if f.startswith("axiom (iv)")]
+            assert len(iv) == (0 if valid else 1)
+            if not valid:
+                assert iv[0].endswith(f"cos_theta = {ct!r}")
+
+    def test_reports_do_not_share_lists(self):
+        vecs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        code = SphericalCode(2, vecs, 0.5)
+        first = verify(code)
+        expected = (list(first.axiom_failures), list(first.warnings))
+        assert expected[0] and expected[1]
+        first.axiom_failures.append("changed")
+        first.warnings.clear()
+        second = verify(code)
+        assert (second.axiom_failures, second.warnings) == expected
 
 
 class TestRoundTripInvariant:

@@ -381,6 +381,27 @@ class TestVerification:
             ratio = scaled.poly.at_one() / scaled.a0
             assert ratio == pytest.approx(cert_d8.bound_real, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "a0, message",
+        [(0.0, "a_0 = 0.0 is not positive"), (1e-320, "past the float range")],
+    )
+    def test_a0_without_a_finite_bound_rejected(self, cert_d8, a0, message):
+        # P(1)/a_0 divides by zero or overflows; a stored bound of 1 must not
+        # pass for the bound the coefficients cannot give
+        coeffs = cert_d8.poly.coeffs.copy()
+        coeffs[0] = a0
+        bad = DGSCertificate(
+            dim=cert_d8.dim,
+            cos_theta=cert_d8.cos_theta,
+            poly=GegenbauerPoly(cert_d8.dim, coeffs),
+            a0=a0,
+            bound_real=1.0,
+            bound_int=1,
+        )
+        report = verify_certificate(bad)
+        assert not report.passed
+        assert any(message in m for m in report.messages), report.messages
+
     def test_malformed_certificate(self, cert_d8):
         bad = copy.deepcopy(cert_d8)
         bad.poly = GegenbauerPoly(5, bad.poly.coeffs)  # wrong dimension tag

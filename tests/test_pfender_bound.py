@@ -1,7 +1,9 @@
 """Pfender-style bounds: arithmetic, conditions, per-code checks."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,17 @@ from codebounds.pfender import (
     phi_from_json_dict,
     phi_to_json_dict,
 )
+
+
+HARNESS = Path(__file__).resolve().parent.parent / "scripts" / "consistency_harness.py"
+
+
+def harness_catalog():
+    """The 27 (name, phi, c, variant) certificates of the consistency harness."""
+    spec = importlib.util.spec_from_file_location("consistency_harness", HARNESS)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return harness.certificate_catalog()
 
 
 def g1(dim):
@@ -220,6 +233,60 @@ class TestFunctionalCheck:
         phi = PhiSpec("table", [-1.0, -1e-10, 1e-9])  # phi(0)+c = 9e-10, tolerated
         with pytest.raises(TheoremViolationError):
             functional_pfender_check(code, phi, 1e-9, variant="finite_set")
+
+    def test_single_evaluation_matches_separate_evaluations(self, rng):
+        # condition (i) is double_sum bit for bit, and the finite-set margin
+        # and its location are those of phi evaluated on the off-diagonal
+        # values alone
+        for phi, c in ((g1(3), 1.0 / 3.0), (shifted_square(3), 1.0 / 3.0)):
+            for _ in range(10):
+                code = codes.random_functional_code(rng, 3.0, 3, int(rng.integers(2, 9)))
+                M, n = codes.evaluation_matrix(code), code.n
+                result = functional_pfender_check(code, phi, c, variant="finite_set")
+                checked = result.certificate.verification
+                assert checked.condition_i_evidence == (
+                    f"double sum = {double_sum(phi, M)!r} over {n}x{n} evaluations"
+                )
+                off = M[~np.eye(n, dtype=bool)]
+                shifted = phi(np.clip(off, -1.0, 1.0)) + c
+                best = int(np.argmax(shifted))
+                assert checked.condition_ii_margin == float(shifted[best])
+                assert checked.condition_ii_location == float(off[best])
+
+    def test_range_check_survives_the_single_evaluation(self):
+        # f_0(tau_1) = -1 - 1e-10 passes verify (f_0's Lipschitz norm
+        # 1 + 1e-10 is within TOL_LIP) but lies outside [-1, 1] by more than
+        # double_sum's 1e-12, so the check must refuse the code
+        d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        functions = np.array([[0.0, 1.0, -1.0 - 1e-10], [0.0, -1.0, 1.0]])
+        code = codes.MetricCode(
+            codes.PointedMetricSpace(d), np.array([1, 2]), functions, -0.5
+        )
+        assert codes.verify(code).valid
+        for variant in ("interval", "finite_set"):
+            with pytest.raises(ValueError, match=r"\(j=0, k=1\) lies outside \[-1, 1\]"):
+                functional_pfender_check(code, g1(3), 0.5, variant=variant)
+
+    def test_code_axioms_are_checked_once_per_code(self, monkeypatch):
+        # the Lipschitz and triangle checks depend on the code alone: one
+        # metric code checked against every certificate of the harness runs
+        # them once, one Lipschitz norm per function
+        code = codes.embed_as_metric_code(codes.generate("icosahedron"))
+        catalog = harness_catalog()
+        calls = []
+        real_lipschitz_norm = codes.lipschitz_norm
+
+        def lipschitz_norm(distance, values):
+            calls.append(values)
+            return real_lipschitz_norm(distance, values)
+
+        monkeypatch.setattr(codes, "lipschitz_norm", lipschitz_norm)
+        applicable = [
+            functional_pfender_check(code, phi, c, variant=variant).applicable
+            for _, phi, c, variant in catalog
+        ]
+        assert (len(catalog), len(calls)) == (27, code.n)
+        assert any(applicable)
 
     def test_phi_at_1_is_evaluated_once_per_check(self, monkeypatch):
         # phi(1) depends on phi alone. The bound takes phi(1) + c as the sum
