@@ -3,7 +3,9 @@
 Gegenbauer machinery, a self-contained LP solver, the Delsarte linear
 programming bound with certificate verification, Pfender-style bounds
 (structural, per-code, and finite-set variants), and a catalog of
-classical code constructions to check everything against.
+classical code constructions to check everything against. numpy is the
+only runtime dependency; scipy is used by the test suite alone, as an
+independent oracle for the quadrature and the LP solver.
 """
 
 from .codes import (
@@ -28,7 +30,6 @@ from .errors import (
     TheoremViolationError,
 )
 from .gegenbauer import (
-    GegenbauerBasis,
     GegenbauerPoly,
     expand_in_basis,
     gegenbauer_eval,
@@ -51,7 +52,6 @@ __all__ = [
     "NoCertificateError",
     "LPFailureError",
     "TheoremViolationError",
-    "GegenbauerBasis",
     "GegenbauerPoly",
     "gegenbauer_eval",
     "weighted_inner_product",

@@ -22,9 +22,7 @@ import sys
 from . import codes, dgs_bound, jsonutil, pfender
 from .errors import CodeBoundsError, NoCertificateError, TheoremViolationError
 from .gegenbauer import expand_in_basis, gegenbauer_eval
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from .jsonutil import format_float
 
 
 def _cos_theta_from_args(args) -> float:
@@ -36,12 +34,12 @@ def _cos_theta_from_args(args) -> float:
 def cmd_gegenbauer(args) -> int:
     if args.action == "eval":
         value = gegenbauer_eval(args.dim, args.degree, args.at)
-        print(_fmt(value))
+        print(format_float(value))
         return 0
     mono = [float(v) for v in args.expand.split(",")]
     poly = expand_in_basis(mono, args.dim)
     for k, a in enumerate(poly.coeffs):
-        print(f"a_{k} = {_fmt(a)}")
+        print(f"a_{k} = {format_float(a)}")
     return 0
 
 
@@ -57,7 +55,7 @@ def cmd_bound(args) -> int:
         if args.out:
             jsonutil.dump_path(args.out, dgs_bound.certificate_to_json_dict(cert))
         print(
-            f"bound_real={_fmt(cert.bound_real)} bound_int={cert.bound_int} "
+            f"bound_real={format_float(cert.bound_real)} bound_int={cert.bound_int} "
             f"verified={'yes' if verified else 'no'}"
         )
         return 0 if verified else 1
@@ -90,7 +88,7 @@ def cmd_bound(args) -> int:
     if args.out:
         jsonutil.dump_path(args.out, pfender.certificate_to_json_dict(cert))
     print(
-        f"bound_real={_fmt(cert.bound_real)} bound_int={cert.bound_int} "
+        f"bound_real={format_float(cert.bound_real)} bound_int={cert.bound_int} "
         f"verified={'yes' if verified else 'no'}"
     )
     return 0 if verified else 1
@@ -106,7 +104,7 @@ def cmd_code(args) -> int:
     if args.action == "verify":
         code = codes.code_from_json_dict(jsonutil.load_path(args.file))
         report = codes.verify(code, cos_theta=args.cos_theta)
-        offdiag = "" if report.max_offdiag is None else _fmt(report.max_offdiag)
+        offdiag = "" if report.max_offdiag is None else format_float(report.max_offdiag)
         print(f"valid={'yes' if report.valid else 'no'} max_offdiag={offdiag}")
         for failure in report.axiom_failures:
             print(f"failure: {failure}")
@@ -125,8 +123,8 @@ def cmd_code(args) -> int:
         print(result.reason, file=sys.stderr)
         return 1
     print(
-        f"n={result.n} bound={_fmt(result.certificate.bound_real)} "
-        f"slack={_fmt(result.slack)}"
+        f"n={result.n} bound={format_float(result.certificate.bound_real)} "
+        f"slack={format_float(result.slack)}"
     )
     return 0
 

@@ -360,12 +360,15 @@ def verify(code, cos_theta: float | None = None) -> VerifyReport:
 
     ``cos_theta`` overrides the declared angle when given (used by the CLI
     to re-verify a stored code against a different ceiling). NaN or
-    infinite entries raise immediately; axiom failures are reported, not
-    raised. A code is immutable, so everything but the cos_theta
-    comparison of axiom (iv) is computed on its first ``verify`` and
-    reused by every later call; each call returns fresh lists.
+    infinite entries, or a cos_theta that is not finite, raise
+    immediately; axiom failures are reported, not raised. A code is
+    immutable, so everything but the cos_theta comparison of axiom (iv)
+    is computed on its first ``verify`` and reused by every later call;
+    each call returns fresh lists.
     """
     ct = code.cos_theta if cos_theta is None else float(cos_theta)
+    if not math.isfinite(ct):
+        raise ValueError(f"cos_theta must be finite, got {ct!r}")
     facts = _axiom_facts(code)
     failures = list(facts.failures)
     if facts.max_offdiag is not None and facts.max_offdiag > ct + TOL_EQ:

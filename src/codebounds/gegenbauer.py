@@ -15,7 +15,7 @@ programming bounds for codes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,8 @@ MAX_TABLE_DEGREE = 40
 
 __all__ = [
     "MAX_TABLE_DEGREE",
-    "GegenbauerBasis",
     "GegenbauerPoly",
+    "monomial_table",
     "gegenbauer_eval",
     "basis_values",
     "quadrature_rule",
@@ -78,49 +78,23 @@ def gegenbauer_eval(dim: int, k: int, r):
     return values
 
 
-def _monomial_tables(dim: int, max_degree: int) -> tuple[np.ndarray, ...]:
-    # ascending monomial coefficients of each G_k, by the same recursion
-    tables = [np.array([1.0]), np.array([0.0, 1.0])]
+def monomial_table(dim: int, max_degree: int) -> np.ndarray:
+    """Upper-triangular (m+1) x (m+1) matrix whose column k holds G_k's
+    ascending monomial coefficients, built by the same recursion."""
+    dim = _check_dim(dim)
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    if max_degree > MAX_TABLE_DEGREE:
+        raise ValueError(f"monomial tables are capped at degree {MAX_TABLE_DEGREE}")
+    table = np.zeros((max_degree + 1, max_degree + 1))
+    table[0, 0] = 1.0
+    if max_degree >= 1:
+        table[1, 1] = 1.0
     for k in range(2, max_degree + 1):
-        shifted = np.concatenate(([0.0], tables[k - 1])) * (2 * k + dim - 4)
-        lower = np.concatenate((tables[k - 2], [0.0, 0.0])) * (k - 1)
-        tables.append((shifted - lower) / (k + dim - 3))
-    return tuple(t for t in tables[: max_degree + 1])
-
-
-@dataclass(frozen=True)
-class GegenbauerBasis:
-    """Monomial coefficient tables for G_0..G_max_degree in one dimension."""
-
-    dim: int
-    max_degree: int
-    monomial_tables: tuple[np.ndarray, ...] = field(repr=False, default=())
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        if self.max_degree > MAX_TABLE_DEGREE:
-            raise ValueError(
-                f"monomial tables are capped at degree {MAX_TABLE_DEGREE}"
-            )
-        if not self.monomial_tables:
-            object.__setattr__(
-                self, "monomial_tables", _monomial_tables(self.dim, self.max_degree)
-            )
-
-    def monomial_coeffs(self, k: int) -> np.ndarray:
-        """Ascending monomial coefficients of G_k (length k + 1)."""
-        if not 0 <= k <= self.max_degree:
-            raise ValueError(f"degree {k} outside table range 0..{self.max_degree}")
-        return self.monomial_tables[k].copy()
-
-    def eval_table(self, k: int, r):
-        """Evaluate G_k from its monomial table (Horner); cross-checks the recursion."""
-        if not 0 <= k <= self.max_degree:
-            raise ValueError(f"degree {k} outside table range 0..{self.max_degree}")
-        arr = _check_r(r)
-        return np.polynomial.polynomial.polyval(arr, self.monomial_tables[k])
+        table[1:, k] = table[:-1, k - 1] * (2 * k + dim - 4)
+        table[:, k] -= table[:, k - 2] * (k - 1)
+        table[:, k] /= k + dim - 3
+    return table
 
 
 @dataclass(frozen=True)
@@ -161,17 +135,29 @@ class GegenbauerPoly:
 def quadrature_rule(dim: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights for the dimension-``dim`` weight.
 
-    Exact for polynomial integrands of degree <= 2 * n_nodes - 1. The
-    dim = 2 exponent -1/2 is an endpoint singularity that Gauss-Jacobi
-    handles natively (nodes stay interior).
+    Exact for polynomial integrands of degree <= 2 * n_nodes - 1. By
+    Golub & Welsch (Math. Comp. 23, 1969) the nodes are the eigenvalues
+    of the weight's Jacobi matrix and each weight is mu_0 v_0^2, from
+    the first entry of the eigenvector. The dim = 2 exponent -1/2 is an
+    endpoint singularity that this handles natively (nodes stay interior).
     """
-    from scipy.special import roots_jacobi  # lazy: keeps CLI start-up fast
-
     dim = _check_dim(dim)
     if n_nodes < 1:
         raise ValueError("need at least one quadrature node")
-    a = (dim - 3) / 2.0
-    return roots_jacobi(n_nodes, a, a)
+    lam = (dim - 2) / 2.0
+    k = np.arange(1.0, n_nodes)
+    # squared off-diagonal of the monic recurrence; at dim = 2 the first
+    # is 0/0, and the Chebyshev value 1/2 takes its place
+    numerator = k * (k + 2 * lam - 1)
+    denominator = 4 * (k + lam) * (k + lam - 1)
+    beta = np.divide(
+        numerator, denominator, out=np.full(n_nodes - 1, 0.5), where=denominator != 0
+    )
+    # eigh reads the lower triangle only
+    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(beta), -1))
+    # mu_0 is the weight's integral; lgamma, since gamma overflows near dim 340
+    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(lam + 0.5) - math.lgamma(lam + 1))
+    return nodes, mu0 * vectors[0] ** 2
 
 
 def _as_poly_eval(p, dim: int):
@@ -209,8 +195,8 @@ def weighted_inner_product(p, q, dim: int) -> float:
 def expand_in_basis(mono_coeffs, dim: int) -> GegenbauerPoly:
     """Rewrite sum_j b_j r^j as a Gegenbauer combination.
 
-    Solves the upper-triangular change-of-basis system built from the
-    monomial tables (degree of G_k is exactly k, with positive leading
+    Solves the upper-triangular change-of-basis system, the monomial
+    table (degree of G_k is exactly k, with positive leading
     coefficient). Quadrature projection is the independent cross-check
     used by the test suite, not by this routine.
     """
@@ -221,11 +207,4 @@ def expand_in_basis(mono_coeffs, dim: int) -> GegenbauerPoly:
     if not np.all(np.isfinite(b)):
         raise ValueError("mono_coeffs must be finite")
     m = len(b) - 1
-    if m > MAX_TABLE_DEGREE:
-        raise ValueError(f"expansion is capped at degree {MAX_TABLE_DEGREE}")
-    basis = GegenbauerBasis(dim, m)
-    system = np.zeros((m + 1, m + 1))
-    for k in range(m + 1):
-        table = basis.monomial_tables[k]
-        system[: len(table), k] = table
-    return GegenbauerPoly(dim, np.linalg.solve(system, b))
+    return GegenbauerPoly(dim, np.linalg.solve(monomial_table(dim, m), b))

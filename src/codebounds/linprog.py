@@ -89,6 +89,7 @@ class LPSolution:
     objective_value: float = float("nan")
     max_constraint_violation: float = float("nan")
     iterations: int = 0  # pivots of this solve, over all row-generation passes
+    restarts: int = 0  # passes re-solved from all-slack after a rejected warm start
     # The n primal columns that are nonbasic at the optimum, numbered
     # x_0..x_{n-1} and then the slack of each row. The numbering keeps
     # its meaning when rows are appended, so this can warm-start
@@ -250,7 +251,11 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     working optimum violates, and warm-starts from the pass's optimal
     basis, whose numbering appended rows leave valid. An LP of at most
     ROWS_PER_VARIABLE rows per variable thus takes one pass on all its
-    rows. ``iterations`` counts the pivots of all passes. An optimal
+    rows. When ``_solve_dual`` rejects a pass's starting basis (singular,
+    or not feasible once refactorized: a failure after 0 pivots), that
+    pass is solved again from the all-slack basis, which is feasible
+    because c >= 0, and counted in ``restarts``. ``iterations`` counts
+    the pivots of all passes. An optimal
     solution is re-checked against every original row: a result that
     violates one beyond its tolerance (``_within_tolerance``) is
     downgraded to ``numerical_failure`` rather than reported as optimal.
@@ -268,13 +273,17 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     if basis is not None:
         # the working LP numbers a row by its place in ``rows``
         basis = np.where(named, n + np.searchsorted(rows, basis - n), basis)
-    iterations = 0
+    iterations = restarts = 0
     while True:
         working = LinearProgram(lp.objective, lp.A[rows], lp.b[rows])
-        status, x, working_y, pivots, basis = _solve_dual(working, basis)
+        result = _solve_dual(working, basis)
+        if result[0] == "numerical_failure" and result[3] == 0 and basis is not None:
+            restarts += 1
+            result = _solve_dual(working)
+        status, x, working_y, pivots, basis = result
         iterations += pivots
         if status != "optimal":
-            return LPSolution(status=status, iterations=iterations)
+            return LPSolution(status=status, iterations=iterations, restarts=restarts)
         violated = np.flatnonzero(~selected & (lp.A @ x > lp.b))
         if not violated.size:
             break
@@ -286,12 +295,13 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     basis[named] = n + rows[basis[named] - n]
     x = _refine_primal(lp, x, y)
     if not _within_tolerance(lp, x):
-        return LPSolution(status="numerical_failure", iterations=iterations)
+        return LPSolution("numerical_failure", iterations=iterations, restarts=restarts)
     return LPSolution(
         status="optimal",
         x=x,
         objective_value=float(lp.objective @ x),
         max_constraint_violation=_violation(lp, x),
         iterations=iterations,
+        restarts=restarts,
         basis=basis,
     )

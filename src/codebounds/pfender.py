@@ -203,8 +203,8 @@ def _certify(phi, c, cos_theta, mode, ok_i, evidence, finite_set=None):
     verdict; condition (ii) is checked on [-1, cos_theta], or only on a
     finite set of values r when ``finite_set`` = (r, phi(clipped r)) is
     given."""
-    if not (c > 0.0):
-        raise ValueError("c must be strictly positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be strictly positive and finite, got {c!r}")
     if finite_set is None:
         margin, location = interval_margin(phi, c, cos_theta)
     elif finite_set[0].size:

@@ -1,13 +1,18 @@
 """CLI surface: outputs, exit codes, deterministic files."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from codebounds import cli, codes, jsonutil, pfender
 from codebounds.errors import TheoremViolationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -54,17 +59,54 @@ class TestGegenbauer:
         assert lines[0].startswith("a_0 = 0.333333")
         assert lines[2].startswith("a_2 = 0.666666")
 
-    def test_expand_does_not_import_scipy(self):
-        # importing scipy.linalg is about 0.3 s of a cold start
-        script = (
-            "import sys; from codebounds.cli import main; "
-            "main(['gegenbauer', 'expand', '--dim', '3', '--expand', '0,0,1']); "
-            "print('scipy' in sys.modules)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
-        )
-        assert proc.stdout.splitlines()[-1] == "False"
+
+def readme_commands():
+    """The ``codebounds`` and ``python scripts/...`` lines of the README."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    for block in re.findall(r"^```\w*\n(.*?)^```$", text, re.S | re.M):
+        for line in block.splitlines():
+            words = line.split()
+            if words[:1] == ["codebounds"] or line.startswith("python scripts/"):
+                yield words
+
+
+def test_readme_commands_do_not_import_scipy(tmp_path):
+    # numpy is the only runtime dependency; importing scipy.linalg alone is
+    # about 0.3 s of a cold start
+    commands = list(readme_commands())
+    assert sum(words[0] == "python" for words in commands) == 2
+    assert {words[1] for words in commands if words[0] == "codebounds"} == {
+        "gegenbauer", "bound", "code",
+    }
+    jsonutil.dump_path(
+        str(tmp_path / "phi.json"), {"basis": "gegenbauer", "dim": 3, "coeffs": [0, 1]}
+    )
+    jsonutil.dump_path(
+        str(tmp_path / "ortho.json"),
+        codes.code_to_json_dict(codes.generate("orthonormal", dim=3)),
+    )
+    script = (
+        "import runpy, sys\n"
+        "from codebounds.cli import main\n"
+        f"for words in {commands!r}:\n"
+        "    if words[0] == 'codebounds':\n"
+        "        main(words[1:])\n"
+        "        continue\n"
+        f"    sys.argv = [{str(ROOT)!r} + '/' + words[1], *words[2:]]\n"
+        "    try:\n"
+        "        runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, words\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    # the commands write their files into tmp_path, so the package is
+    # found through an absolute path
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestBoundLP:
@@ -191,6 +233,19 @@ class TestBoundPfender:
         assert err.startswith("error: c = 1e-320 ")
         assert "Traceback" not in err
 
+    def test_finite_set_non_finite_cos_theta_exits_2(self, phi_file, tmp_path):
+        simplex = tmp_path / "s3.json"
+        jsonutil.dump_path(
+            str(simplex), codes.code_to_json_dict(codes.generate("simplex", dim=3))
+        )
+        code, out, err = run_cli(
+            "bound", "pfender", "--phi", str(phi_file), "--c", "0.25",
+            "--finite-set", "--code", str(simplex), "--cos-theta", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cos_theta must be finite, got nan\n"
+
     def test_finite_set_without_code_exits_2(self, phi_file):
         code, _, err = run_cli(
             "bound", "pfender", "--phi", str(phi_file), "--c", "0.5",
@@ -211,6 +266,16 @@ class TestCode:
         assert code == 0
         assert "valid=yes" in out
         assert "max_offdiag=0.44721" in out
+
+    def test_verify_non_finite_cos_theta_exits_2(self, tmp_path):
+        e8 = tmp_path / "e8.json"
+        assert run_cli("code", "gen", "--family", "e8_roots", "--out", str(e8))[0] == 0
+        code, out, err = run_cli(
+            "code", "verify", "--file", str(e8), "--cos-theta", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cos_theta must be finite, got nan\n"
 
     def test_verify_non_unit_vector_exits_1(self, tmp_path):
         bad = tmp_path / "bad_code.json"

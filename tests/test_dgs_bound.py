@@ -301,6 +301,18 @@ class TestWarmStartedRounds:
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("case", [(44, 0.625, 33), (63, 0.4643, 23)])
+    def test_rejected_warm_start_restarts_cold(self, monkeypatch, case):
+        # a row-generation pass rejected the previous pass's basis at 0
+        # pivots, which ended these inputs in LPFailureError; solving that
+        # pass again from the all-slack basis certifies them
+        calls = self._record(monkeypatch)
+        start = time.perf_counter()
+        cert = lp_bound(*case)
+        assert time.perf_counter() - start < 2.0
+        assert cert.verification.passed and verify_certificate(cert).passed
+        assert sum(solution.restarts for _, _, solution in calls) >= 1
+
     def test_cutting_planes_do_not_import_numpy_ma(self):
         # np.setdiff1d and np.isin import numpy.ma, 10-20 ms of a cold start
         script = (

@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codebounds.gegenbauer import (
-    GegenbauerBasis,
     GegenbauerPoly,
     basis_values,
     expand_in_basis,
     gegenbauer_eval,
+    monomial_table,
     quadrature_rule,
     weighted_inner_product,
 )
@@ -70,34 +70,34 @@ class TestEval:
             dim = int(rng.integers(2, 33))
             k = int(rng.integers(0, 21))
             r = float(rng.uniform(-1.0, 1.0))
-            basis = GegenbauerBasis(dim, k)
+            column = monomial_table(dim, k)[:, k]
             gamma = 2 * k * unit_roundoff / (1.0 - 2 * k * unit_roundoff)
-            magnitude = float(
-                np.polynomial.polynomial.polyval(
-                    abs(r), np.abs(basis.monomial_coeffs(k))
-                )
-            )
-            gap = abs(basis.eval_table(k, r) - gegenbauer_eval(dim, k, r))
+            magnitude = float(np.polynomial.polynomial.polyval(abs(r), np.abs(column)))
+            table_value = np.polynomial.polynomial.polyval(r, column)
+            gap = abs(table_value - gegenbauer_eval(dim, k, r))
             assert gap <= 4.0 * gamma * magnitude
 
 
 class TestBasisTables:
     def test_table_shapes_and_leading_coeff(self):
-        basis = GegenbauerBasis(7, 12)
-        for k in range(13):
-            table = basis.monomial_coeffs(k)
-            assert len(table) == k + 1
-            assert table[-1] != 0.0
+        # column k holds G_k's coefficients: degree exactly k
+        table = monomial_table(7, 12)
+        assert table.shape == (13, 13)
+        assert np.array_equal(np.triu(table), table)
+        assert np.all(np.diag(table) > 0.0)
 
     def test_table_normalized_at_one(self):
+        # G_k(1) is the sum of column k
         for dim in (2, 3, 8, 24):
-            basis = GegenbauerBasis(dim, 20)
-            for k in range(21):
-                assert basis.eval_table(k, 1.0) == pytest.approx(1.0, abs=1e-10)
+            at_one = monomial_table(dim, 20).sum(axis=0)
+            assert at_one == pytest.approx(np.ones(21), abs=1e-10)
 
     def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            GegenbauerBasis(3, 41)
+        assert monomial_table(3, 40).shape == (41, 41)
+        with pytest.raises(ValueError, match="capped at degree 40"):
+            monomial_table(3, 41)
+        with pytest.raises(ValueError, match="capped at degree 40"):
+            expand_in_basis(np.ones(42), 3)
 
 
 class TestInnerProduct:
@@ -128,6 +128,26 @@ class TestInnerProduct:
             weighted_inner_product(
                 GegenbauerPoly(3, [1.0]), GegenbauerPoly(4, [1.0]), 3
             )
+
+    def test_quadrature_matches_roots_jacobi(self):
+        # scipy is the oracle here only; the package computes the rule by
+        # Golub-Welsch with numpy alone
+        from scipy.special import roots_jacobi
+
+        worst = 0.0
+        for dim in [*range(2, 60), 100, 200, 500, 1000]:
+            a = (dim - 3) / 2.0
+            for n in [*range(1, 9), 16, 31, 64, 99, 100]:
+                x, w = quadrature_rule(dim, n)
+                x_ref, w_ref = roots_jacobi(n, a, a)
+                worst = max(worst, np.max(np.abs(x - x_ref)), np.max(np.abs(w - w_ref)))
+        assert worst <= 1e-11
+
+    def test_quadrature_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="dimension"):
+            quadrature_rule(1, 4)
+        with pytest.raises(ValueError, match="at least one"):
+            quadrature_rule(3, 0)
 
     def test_orthogonality_relative_sweep(self):
         worst = 0.0

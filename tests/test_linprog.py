@@ -410,21 +410,29 @@ class TestWarmStart:
                 assert warm.iterations < cold.iterations
             basis = warm.basis
 
-    def test_singular_basis_is_a_numerical_failure(self, rng):
+    def test_singular_basis_restarts_cold(self, rng):
         c, A, b = tall_lp(rng, 300, n=2)
         A[7] = A[3]
         b[7] = b[3]
         lp = leading_rows(c, A, b, 300)
-        # rows 3 and 7 give two equal dual columns: B is singular
-        assert solve_lp(lp, np.array([2 + 3, 2 + 7])).status == "numerical_failure"
+        # rows 3 and 7 give two equal dual columns: B is singular, so the
+        # pass is solved again from the all-slack basis
+        cold = solve_lp(lp)
+        warm = solve_lp(lp, np.array([2 + 3, 2 + 7]))
+        assert cold.status == warm.status == "optimal"
+        assert warm.x == pytest.approx(cold.x, rel=1e-12, abs=1e-12)
+        assert (cold.restarts, warm.restarts) == (0, 1)
 
-    def test_infeasible_basis_is_a_numerical_failure(self):
+    def test_infeasible_basis_restarts_cold(self):
         # min x s.t. x <= 5 (64 times): x = 0 leaves every row slack, and a
         # basis that makes a row tight prices x at -1, not dual-feasible
         m = 64
         lp = LinearProgram(objective=[1.0], A=np.ones((m, 1)), b=np.full(m, 5.0))
-        assert solve_lp(lp).status == "optimal"
-        assert solve_lp(lp, np.array([1 + 3])).status == "numerical_failure"
+        cold = solve_lp(lp)
+        warm = solve_lp(lp, np.array([1 + 3]))
+        assert cold.status == warm.status == "optimal"
+        assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.x, [0.0])
+        assert (cold.restarts, warm.restarts) == (0, 1)
 
     @pytest.mark.parametrize(
         "basis", [[0, 1, 2], [0, 0, 1, 2], [0, 1, 2, 5 + 300], [0.0, 1.0, 2.0, 3.0]]

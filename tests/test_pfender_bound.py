@@ -123,6 +123,15 @@ class TestStructuralBound:
         with pytest.raises(ValueError):
             pfender_bound(g1(3), -0.2, -0.5)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_c_is_named(self, c):
+        message = "c must be strictly positive and finite"
+        with pytest.raises(ValueError, match=message):
+            pfender_bound(g1(3), c, -0.5)
+        code = codes.generate("orthonormal", dim=3)
+        with pytest.raises(ValueError, match=message):
+            functional_pfender_check(code, shifted_square(3), c, variant="finite_set")
+
     def test_scale_behavior(self):
         # (lambda phi, lambda c) leaves the bound and both conditions alone
         base = pfender_bound(g1(6), 1.0 / 6.0, -1.0 / 6.0)
