@@ -115,9 +115,8 @@ def cmd_code(args) -> int:
     # check-theorem
     code = codes.code_from_json_dict(jsonutil.load_path(args.file))
     cert = pfender.certificate_from_json_dict(jsonutil.load_path(args.cert))
-    variant = "finite_set" if cert.mode == "finite_set" else "interval"
     result = pfender.functional_pfender_check(
-        code, cert.phi, cert.c, variant=variant, cos_theta=cert.cos_theta
+        code, cert.phi, cert.c, variant=cert.variant, cos_theta=cert.cos_theta
     )
     if not result.applicable:
         print(result.reason, file=sys.stderr)

@@ -23,6 +23,8 @@ from itertools import combinations, product
 
 import numpy as np
 
+from . import jsonutil
+
 TOL_EQ = 1e-12
 TOL_LIP = 1e-9
 
@@ -422,23 +424,13 @@ def embed_as_metric_code(code: SphericalCode) -> MetricCode:
     report = verify(code)
     if not report.valid:
         raise ValueError(f"invalid spherical code: {report.axiom_failures}")
-    if report.max_offdiag is not None and report.max_offdiag > code.cos_theta + TOL_EQ:
-        raise ValueError("coherence exceeds the declared cos_theta")
     pts = np.vstack([np.zeros(code.dim), code.vectors])
     diff = pts[:, None, :] - pts[None, :, :]
     distance = np.linalg.norm(diff, axis=2)
     functions = pts @ code.vectors.T  # column j = <., tau_j>
     functions = functions.T
-    space = PointedMetricSpace(distance)
-    for j in range(code.n):
-        lip = lipschitz_norm(distance, functions[j])
-        if lip < 1.0 - TOL_LIP:
-            raise ValueError(
-                f"add witness points: f_{j} attains Lipschitz norm only {lip!r} "
-                "on the finite point set"
-            )
     return MetricCode(
-        space=space,
+        space=PointedMetricSpace(distance),
         point_indices=np.arange(1, code.n + 1),
         functions=functions,
         cos_theta=code.cos_theta,
@@ -574,7 +566,7 @@ def code_from_json_dict(data: dict):
     kind = data.get("kind")
     if kind == "spherical":
         return SphericalCode(
-            dim=int(data["dim"]),
+            dim=jsonutil.json_int(data["dim"], "dim"),
             vectors=np.array(data["vectors"], dtype=float),
             cos_theta=float(data["cos_theta"]),
         )
@@ -582,7 +574,7 @@ def code_from_json_dict(data: dict):
         p = data["space"]["p"]
         p = math.inf if p == "inf" else float(p)
         return FunctionalCode(
-            space=LpSpace(p, int(data["space"]["dim"])),
+            space=LpSpace(p, jsonutil.json_int(data["space"]["dim"], "space dim")),
             points=np.array(data["points"], dtype=float),
             functionals=np.array(data["functionals"], dtype=float),
             cos_theta=float(data["cos_theta"]),
@@ -590,9 +582,13 @@ def code_from_json_dict(data: dict):
     if kind == "metric":
         return MetricCode(
             space=PointedMetricSpace(
-                np.array(data["distance"], dtype=float), int(data.get("base", 0))
+                np.array(data["distance"], dtype=float),
+                jsonutil.json_int(data.get("base", 0), "base"),
             ),
-            point_indices=np.array(data["point_indices"], dtype=int),
+            point_indices=np.array(
+                [jsonutil.json_int(i, "point_indices") for i in data["point_indices"]],
+                dtype=int,
+            ),
             functions=np.array(data["functions"], dtype=float),
             cos_theta=float(data["cos_theta"]),
         )

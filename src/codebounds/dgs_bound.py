@@ -10,7 +10,8 @@ the grid gap around each critical point of P (a root of P') where P > 0,
 until the residual violation is negligible or stops falling. The final polynomial is shifted and rescaled so
 it is genuinely nonpositive on the interval, which turns the LP output
 into a certificate that stands on its own. P is the structural Pfender
-certificate (P - a_0, a_0), and the verifier checks it as one.
+certificate (P - a_0, a_0), and ``verify_certificate`` is one call of
+``pfender.pfender_bound`` on it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pfender
+from . import jsonutil, pfender
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, basis_values
 from .linprog import LinearProgram, solve_lp
@@ -52,16 +53,14 @@ class DGSVerification:
     max_sign_violation: float  # max of P over [-1, cos_theta]
     violation_location: float
     min_coeff: float
-    bound_error: float  # |bound_real - P(1)/a_0|
+    bound_error: float  # |bound_real - P(1)/a_0|, inf if pfender_bound rejects a_0
     messages: list[str] = field(default_factory=list)
 
 
 @dataclass
 class DGSCertificate:
-    dim: int
     cos_theta: float
-    poly: GegenbauerPoly  # coefficients (a_0, ..., a_m)
-    a0: float
+    poly: GegenbauerPoly  # dimension and coefficients (a_0, ..., a_m)
     bound_real: float
     bound_int: int
     verification: DGSVerification | None = None
@@ -70,10 +69,7 @@ class DGSCertificate:
 @dataclass
 class BoundTableRow:
     degree: int
-    status: str  # "certificate" | "no certificate"
-    bound_real: float | None = None
-    bound_int: int | None = None
-    certificate: DGSCertificate | None = None
+    certificate: DGSCertificate | None  # None: no certificate at this degree
 
 
 def _validate_inputs(d: int, cos_theta: float, degree: int):
@@ -216,15 +212,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     final_coeffs /= 1.0 - shift
     final_poly = GegenbauerPoly(d, final_coeffs)
     bound_real, bound_int, _ = pfender.bound_values(*pfender_form(final_poly))
-    certificate = DGSCertificate(
-        dim=d,
-        cos_theta=cos_theta,
-        poly=final_poly,
-        a0=1.0,
-        bound_real=bound_real,
-        bound_int=bound_int,
-        verification=None,
-    )
+    certificate = DGSCertificate(cos_theta, final_poly, bound_real, bound_int)
     report = verify_certificate(certificate)
     report.messages.append(
         f"grid LP bound {p_at_1!r} inflated by shift {shift!r} over "
@@ -250,56 +238,38 @@ def pfender_form(poly: GegenbauerPoly) -> tuple[pfender.PhiSpec, float]:
 
 
 def verify_certificate(cert: DGSCertificate) -> DGSVerification:
-    """Independently re-check a certificate with the ``pfender`` checks of
-    (phi, c) = ``pfender_form(cert.poly)``: (a) coefficient signs and
-    a_0 > 0, (b) P = phi + c <= pfender.COND_TOL on [-1, cos_theta], at
-    both endpoints and every critical point inside, (c) the stored a0,
-    bound P(1)/a_0 and floor against the coefficients. All failures are
-    collected, not short-circuited.
+    """Independently re-check a certificate by one ``pfender.pfender_bound``
+    call on ``pfender_form(cert.poly)`` (coefficient signs, P <= COND_TOL
+    on [-1, cos_theta], the bound P(1)/a_0 and its floor), then compare the
+    stored bounds; all failures are collected. An a_0 <= 0 or a P(1)/a_0
+    past the float range fails with pfender_bound's message alone; a
+    cos_theta outside [-1, 1] raises ValueError.
     """
-    coeffs = np.asarray(cert.poly.coeffs, dtype=float)
-    if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
-        raise ValueError("malformed certificate: coefficients must be finite")
-    if cert.poly.dim != cert.dim:
-        raise ValueError("malformed certificate: polynomial dimension mismatch")
     phi, a0 = pfender_form(cert.poly)
-    messages: list[str] = []
-
-    ok_i, evidence = pfender.condition_i(phi)
-    if not ok_i:
-        messages.append(evidence)
-    if not (a0 > 0.0):
-        messages.append(f"a_0 = {a0!r} is not positive")
-    if abs(a0 - cert.a0) > pfender.COEFF_TOL * max(1.0, abs(cert.a0)):
-        messages.append(f"stored a0 = {cert.a0!r} disagrees with coefficients")
-
-    violation, location = pfender.interval_margin(phi, a0, cert.cos_theta)
-    if violation > pfender.COND_TOL:
-        messages.append(
-            f"sign condition fails: P({location!r}) = {violation!r} > "
-            f"{pfender.COND_TOL}"
-        )
-
+    min_coeff = float(np.min(cert.poly.coeffs))
     try:
-        ratio, floor, _ = pfender.bound_values(phi, a0)
-    except ZeroDivisionError:  # a_0 = 0, reported above
-        ratio, floor = math.inf, None
-    except ValueError as exc:  # P(1)/a_0 past the float range
-        ratio, floor = math.inf, None
-        messages.append(f"bound arithmetic: {exc}")
+        structural = pfender.pfender_bound(phi, a0, cert.cos_theta)
+    except ValueError as exc:
+        if not -1.0 <= cert.cos_theta <= 1.0:
+            raise
+        margin = pfender.interval_margin(phi, a0, cert.cos_theta)
+        return DGSVerification(False, *margin, min_coeff, math.inf, [str(exc)])
+    checked = structural.verification
+    messages = [] if checked.condition_i_ok else [checked.condition_i_evidence]
+    messages += checked.messages
+    ratio, floor = structural.bound_real, structural.bound_int
     bound_error = abs(ratio - cert.bound_real)
     if bound_error > 1e-9 * max(1.0, abs(ratio)):
         messages.append(
             f"bound arithmetic: stored {cert.bound_real!r} vs P(1)/a_0 = {ratio!r}"
         )
-    if floor is not None and cert.bound_int != floor:
+    if cert.bound_int != floor:
         messages.append(f"bound_int {cert.bound_int} is not floor(P(1)/a_0) = {floor}")
-
     return DGSVerification(
         passed=not messages,
-        max_sign_violation=violation,
-        violation_location=location,
-        min_coeff=float(np.min(coeffs)),
+        max_sign_violation=checked.condition_ii_margin,
+        violation_location=checked.condition_ii_location,
+        min_coeff=min_coeff,
         bound_error=bound_error,
         messages=messages,
     )
@@ -315,17 +285,8 @@ def bound_table(d: int, cos_theta: float, degrees) -> list[BoundTableRow]:
         try:
             cert = lp_bound(d, cos_theta, m)
         except NoCertificateError:
-            rows.append(BoundTableRow(degree=m, status="no certificate"))
-        else:
-            rows.append(
-                BoundTableRow(
-                    degree=m,
-                    status="certificate",
-                    bound_real=cert.bound_real,
-                    bound_int=cert.bound_int,
-                    certificate=cert,
-                )
-            )
+            cert = None
+        rows.append(BoundTableRow(m, cert))
     return rows
 
 
@@ -333,7 +294,7 @@ def certificate_to_json_dict(cert: DGSCertificate) -> dict:
     verification = cert.verification
     return {
         "kind": "dgs",
-        "dim": int(cert.dim),
+        "dim": int(cert.poly.dim),
         "cos_theta": float(cert.cos_theta),
         "gegenbauer_coeffs": [float(v) for v in cert.poly.coeffs],
         "bound_real": float(cert.bound_real),
@@ -367,11 +328,9 @@ def certificate_from_json_dict(data: dict) -> DGSCertificate:
             messages=list(raw.get("messages", [])),
         )
     return DGSCertificate(
-        dim=int(data["dim"]),
         cos_theta=float(data["cos_theta"]),
-        poly=GegenbauerPoly(int(data["dim"]), coeffs),
-        a0=float(coeffs[0]),
+        poly=GegenbauerPoly(jsonutil.json_int(data["dim"], "dim"), coeffs),
         bound_real=float(data["bound_real"]),
-        bound_int=int(data["bound_int"]),
+        bound_int=jsonutil.json_int(data["bound_int"], "bound_int"),
         verification=verification,
     )

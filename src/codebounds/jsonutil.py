@@ -59,6 +59,15 @@ def dump_path(path: str, obj: Any) -> None:
         fh.write(dumps(obj))
 
 
+def json_int(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer. int(...) would truncate a float
+    such as 8.7 and take a bool as 0 or 1, so anything else raises
+    ValueError naming the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_path(path: str) -> Any:
     with open(path) as fh:
         return json.load(fh)

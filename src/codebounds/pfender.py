@@ -16,8 +16,8 @@ The trusted checks live here once: ``condition_i`` (a nonnegative
 Gegenbauer combination), ``interval_margin`` (the maximum of phi + c on
 [-1, cos_theta]) and ``bound_values`` (the bound, its floor and the
 phi(1) + c <= 1 clause), with the tolerances COND_TOL and COEFF_TOL. A
-Delsarte polynomial is checked by the same three as the structural
-certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
+Delsarte polynomial P is verified by one ``pfender_bound`` call on the
+structural certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codes
+from . import codes, jsonutil
 from .errors import TheoremViolationError
 from .gegenbauer import basis_values
 from .scanning import polynomial_maximum
@@ -125,7 +125,7 @@ class PfenderCertificate:
     phi: PhiSpec
     c: float
     cos_theta: float
-    mode: str  # "structural" | "per_code" | "finite_set"
+    variant: str  # "interval" | "finite_set": where condition (ii) is checked
     bound_real: float
     bound_int: int
     verification: PfenderVerification | None = None
@@ -198,7 +198,7 @@ def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
     return bound_real, math.floor(bound_real + 1e-9), top <= 1.0 + COEFF_TOL
 
 
-def _certify(phi, c, cos_theta, mode, ok_i, evidence, finite_set=None):
+def _certify(phi, c, cos_theta, variant, ok_i, evidence, finite_set=None):
     """The certificate (phi, c) with its report, given condition (i)'s
     verdict; condition (ii) is checked on [-1, cos_theta], or only on a
     finite set of values r when ``finite_set`` = (r, phi(clipped r)) is
@@ -237,7 +237,7 @@ def _certify(phi, c, cos_theta, mode, ok_i, evidence, finite_set=None):
         phi=phi,
         c=float(c),
         cos_theta=float(cos_theta),
-        mode=mode,
+        variant=variant,
         bound_real=bound_real,
         bound_int=bound_int,
         verification=verification,
@@ -256,7 +256,7 @@ def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificat
     """
     if not (-1.0 <= cos_theta <= 1.0):
         raise ValueError("cos_theta must lie in [-1, 1]")
-    return _certify(phi, c, cos_theta, "structural", *condition_i(phi))
+    return _certify(phi, c, cos_theta, "interval", *condition_i(phi))
 
 
 def _phi_of_entries(phi: PhiSpec, M: np.ndarray) -> np.ndarray:
@@ -325,7 +325,7 @@ def functional_pfender_check(
         phi,
         c,
         ct,
-        "finite_set" if variant == "finite_set" else "per_code",
+        variant,
         total >= -COND_TOL * n * n,
         f"double sum = {total!r} over {n}x{n} evaluations",
         finite_set,
@@ -365,14 +365,14 @@ def phi_from_json_dict(data: dict) -> PhiSpec:
     return PhiSpec(
         basis=data["basis"],
         coeffs=np.array(data["coeffs"], dtype=float),
-        dim=None if dim is None else int(dim),
+        dim=None if dim is None else jsonutil.json_int(dim, "dim"),
     )
 
 
 def certificate_to_json_dict(cert: PfenderCertificate) -> dict:
     return {
         "kind": "pfender",
-        "variant": "finite_set" if cert.mode == "finite_set" else "interval",
+        "variant": cert.variant,
         "phi": phi_to_json_dict(cert.phi),
         "c": float(cert.c),
         "cos_theta": float(cert.cos_theta),
@@ -388,17 +388,11 @@ def certificate_from_json_dict(data: dict) -> PfenderCertificate:
     variant = data["variant"]
     if variant not in ("interval", "finite_set"):
         raise ValueError(f"unknown certificate variant {variant!r}")
-    if variant == "finite_set":
-        mode = "finite_set"
-    elif condition_i(phi)[0]:
-        mode = "structural"
-    else:
-        mode = "per_code"
     return PfenderCertificate(
         phi=phi,
         c=float(data["c"]),
         cos_theta=float(data["cos_theta"]),
-        mode=mode,
+        variant=variant,
         bound_real=float(data["bound_real"]),
-        bound_int=int(data["bound_int"]),
+        bound_int=jsonutil.json_int(data["bound_int"], "bound_int"),
     )

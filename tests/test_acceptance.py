@@ -348,10 +348,8 @@ def test_criterion_9_lp_oracle_and_mutations():
         negated = cert.poly.coeffs.copy()
         negated[1] = -abs(negated[1]) - 0.1
         mutant = type(cert)(
-            dim=cert.dim,
             cos_theta=cert.cos_theta,
-            poly=GegenbauerPoly(cert.dim, negated),
-            a0=cert.a0,
+            poly=GegenbauerPoly(cert.poly.dim, negated),
             bound_real=cert.bound_real,
             bound_int=cert.bound_int,
         )
@@ -362,10 +360,8 @@ def test_criterion_9_lp_oracle_and_mutations():
         shifted = cert.poly.coeffs.copy()
         shifted[0] += 0.5  # pushes P above zero on the interval
         mutant = type(cert)(
-            dim=cert.dim,
             cos_theta=cert.cos_theta,
-            poly=GegenbauerPoly(cert.dim, shifted),
-            a0=float(shifted[0]),
+            poly=GegenbauerPoly(cert.poly.dim, shifted),
             bound_real=cert.bound_real,
             bound_int=cert.bound_int,
         )

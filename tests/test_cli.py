@@ -293,6 +293,17 @@ class TestCode:
         assert "valid=no" in out
         assert "axiom (ii)" in out
 
+    def test_float_dimension_exits_2(self, tmp_path):
+        path = tmp_path / "code.json"
+        jsonutil.dump_path(
+            str(path),
+            {"kind": "spherical", "dim": 2.5, "cos_theta": 0.5,
+             "vectors": [[1.0, 0.0], [0.0, 1.0]]},
+        )
+        code, out, err = run_cli("code", "verify", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: dim must be an integer, got 2.5\n"
+
     def test_malformed_json_exits_2_with_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "spherical", ')

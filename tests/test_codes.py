@@ -433,6 +433,30 @@ class TestSerialization:
         assert back.space.p == math.inf
         assert verify(back).valid
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("spherical", ("dim",), 3.7),
+            ("functional", ("space", "dim"), 3.0),
+            ("metric", ("base",), True),
+            ("metric", ("point_indices", 0), 1.9),
+        ],
+        ids=str,
+    )
+    def test_integer_fields_take_json_integers_only(self, kind, field, value):
+        # int(...) would truncate 3.7 to 3 and 1.9 to 1, and read true as 1
+        code = {c.kind: c for c in _one_code_of_each_kind()}[kind]
+        data = json.loads(jsonutil.dumps(code_to_json_dict(code)))
+        *parents, last = field
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        name = " ".join(str(key) for key in field if key != 0)
+        message = f"^{name} must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            code_from_json_dict(data)
+
 
 def _one_code_of_each_kind():
     spherical = generate("icosahedron")

@@ -309,6 +309,20 @@ class TestRowGeneration:
         assert again.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
 
 
+class TestBlandsRule:
+    @pytest.mark.parametrize("case", [(8, 0.5, 6), (24, 0.5, 10), (16, 0.7, 16)])
+    def test_bland_from_the_first_pivot_gives_the_same_optimum(self, monkeypatch, case):
+        # no default run takes a degenerate streak long enough to switch to
+        # Bland's rule; a limit of 0 runs every pivot by it
+        lp = grid_lp(*case)
+        default = solve_lp(lp)
+        monkeypatch.setattr(linprog, "DEGENERATE_STREAK_LIMIT", 0)
+        bland = solve_lp(lp)
+        assert bland.status == default.status == "optimal"
+        assert bland.objective_value == default.objective_value
+        assert bland.iterations > default.iterations
+
+
 class TestRowScaledTolerance:
     def test_rounding_of_large_terms_is_accepted(self, rng):
         # the terms of a row reach 8e7 here: 1e-12 relative noise in x moves

@@ -350,7 +350,7 @@ class TestSerialization:
         assert back.c == cert.c
         assert back.cos_theta == cert.cos_theta
         assert back.bound_real == cert.bound_real
-        assert back.mode == "structural"
+        assert back.variant == "interval"
 
     def test_finite_set_variant_round_trip(self):
         code = codes.euclidean_to_functional(codes.generate("orthonormal", dim=3))
@@ -360,7 +360,23 @@ class TestSerialization:
         data = certificate_to_json_dict(result.certificate)
         assert data["variant"] == "finite_set"
         back = certificate_from_json_dict(data)
-        assert back.mode == "finite_set"
+        assert back.variant == "finite_set"
+
+    @pytest.mark.parametrize("value", [3.7, 3.0, "3", False])
+    def test_phi_dim_takes_json_integers_only(self, value):
+        data = phi_to_json_dict(g1(3))
+        data["dim"] = value
+        message = f"^dim must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            phi_from_json_dict(data)
+
+    @pytest.mark.parametrize("value", [4.9, 4.0])
+    def test_certificate_bound_int_takes_json_integers_only(self, value):
+        data = certificate_to_json_dict(pfender_bound(g1(5), 0.2, -0.2))
+        data["bound_int"] = value
+        message = f"^bound_int must be an integer, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json_dict(data)
 
 
 class TestStructuralSoundness:
