@@ -196,7 +196,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except KeyError as exc:
+        print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
+        return 2
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TheoremViolationError as exc:

@@ -97,7 +97,8 @@ def dual_exponent(p: float) -> float:
 
 class _Rebuilt:
     """Copies and pickles are rebuilt through the constructor, so their
-    arrays are read-only copies too and they carry no axiom facts."""
+    arrays are read-only copies too and they carry none of the facts kept
+    on the original (a code's axiom facts, a phi's critical points)."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -563,7 +564,7 @@ def code_to_json_dict(code) -> dict:
 
 
 def code_from_json_dict(data: dict):
-    kind = data.get("kind")
+    kind = jsonutil.json_object(data, "code").get("kind")
     if kind == "spherical":
         return SphericalCode(
             dim=jsonutil.json_int(data["dim"], "dim"),
@@ -571,10 +572,10 @@ def code_from_json_dict(data: dict):
             cos_theta=float(data["cos_theta"]),
         )
     if kind == "functional":
-        p = data["space"]["p"]
-        p = math.inf if p == "inf" else float(p)
+        space = jsonutil.json_object(data["space"], "space")
+        p = math.inf if space["p"] == "inf" else float(space["p"])
         return FunctionalCode(
-            space=LpSpace(p, jsonutil.json_int(data["space"]["dim"], "space dim")),
+            space=LpSpace(p, jsonutil.json_int(space["dim"], "space dim")),
             points=np.array(data["points"], dtype=float),
             functionals=np.array(data["functionals"], dtype=float),
             cos_theta=float(data["cos_theta"]),

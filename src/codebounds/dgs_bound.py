@@ -313,12 +313,13 @@ def certificate_to_json_dict(cert: DGSCertificate) -> dict:
 
 
 def certificate_from_json_dict(data: dict) -> DGSCertificate:
-    if data.get("kind") != "dgs":
+    if jsonutil.json_object(data, "dgs certificate").get("kind") != "dgs":
         raise ValueError("not a dgs certificate")
     coeffs = np.array(data["gegenbauer_coeffs"], dtype=float)
     verification = None
     raw = data.get("verification")
     if raw is not None:
+        jsonutil.json_object(raw, "verification")
         verification = DGSVerification(
             passed=bool(raw["passed"]),
             max_sign_violation=float(raw["max_sign_violation"]),

@@ -41,9 +41,10 @@ def _check_dim(dim: int) -> int:
 
 def _check_r(r):
     arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("evaluation points must be finite")
-    if np.any(arr < -1.0) or np.any(arr > 1.0):
+    # one min/max pass; NaN fails both comparisons
+    if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("evaluation points must be finite")
         raise ValueError("evaluation points must lie in [-1, 1]")
     return arr
 
@@ -121,9 +122,10 @@ class GegenbauerPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, r):
-        values = basis_values(self.dim, self.degree, r)
-        out = np.tensordot(self.coeffs, values, axes=(0, 0))
-        if np.isscalar(r) or np.asarray(r).shape == ():
+        arr = np.asarray(r, dtype=float)
+        values = basis_values(self.dim, self.degree, arr.reshape(-1))
+        out = (self.coeffs @ values).reshape(arr.shape)
+        if arr.shape == ():
             return float(out)
         return out
 

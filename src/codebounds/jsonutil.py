@@ -68,6 +68,14 @@ def json_int(value: Any, name: str) -> int:
     return value
 
 
+def json_object(value: Any, name: str) -> dict:
+    """``value`` if it is a JSON object; anything else (a top-level array,
+    say) raises ValueError saying that ``name`` must be an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_path(path: str) -> Any:
     with open(path) as fh:
         return json.load(fh)

@@ -18,6 +18,12 @@ Gegenbauer combination), ``interval_margin`` (the maximum of phi + c on
 phi(1) + c <= 1 clause), with the tolerances COND_TOL and COEFF_TOL. A
 Delsarte polynomial P is verified by one ``pfender_bound`` call on the
 structural certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
+
+A ``PhiSpec`` is immutable, like a code: its coefficients are a
+read-only copy. The same phi is typically checked against many codes,
+each with its own cos_theta, so a polynomial phi finds the real roots of
+phi' on [-1, 1] once, on its first interval check, and keeps them; each
+check then evaluates phi + c at -1, cos_theta and the roots in between.
 """
 
 from __future__ import annotations
@@ -57,13 +63,16 @@ _BASES = ("gegenbauer", "monomial", "table")
 
 
 @dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(codes._Rebuilt):
     """A function on [-1, 1] given in one of three representations.
 
     gegenbauer: coeffs are Gegenbauer coefficients for dimension ``dim``;
     monomial: ascending monomial coefficients; table: values at uniformly
     spaced nodes over [-1, 1] (piecewise-linear interpolation between
     nodes, spacing is the certificate author's responsibility).
+
+    ``coeffs`` is a read-only copy, so the critical points a polynomial
+    phi keeps after its first interval check cannot go stale.
     """
 
     basis: str
@@ -73,7 +82,7 @@ class PhiSpec:
     def __post_init__(self):
         if self.basis not in _BASES:
             raise ValueError(f"unknown phi basis {self.basis!r}")
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        arr = np.atleast_1d(np.array(self.coeffs, dtype=float))
         if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
             raise ValueError("phi coefficients must be a finite 1-d vector")
         if self.basis == "gegenbauer":
@@ -81,18 +90,15 @@ class PhiSpec:
                 raise ValueError("gegenbauer phi requires an ambient dimension >= 2")
         if self.basis == "table" and arr.size < 2:
             raise ValueError("table phi needs at least two nodes")
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", codes._read_only(arr))
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)
-        if self.basis == "gegenbauer":
-            values = basis_values(self.dim, len(self.coeffs) - 1, arr)
-            out = np.tensordot(self.coeffs, values, axes=(0, 0))
-        elif self.basis == "monomial":
-            out = np.polynomial.polynomial.polyval(arr, self.coeffs)
-        else:
+        if self.basis == "table":
             nodes = np.linspace(-1.0, 1.0, len(self.coeffs))
             out = np.interp(arr, nodes, self.coeffs)
+        else:
+            out = _polynomial_values(self.basis, self.coeffs, self.dim, arr)
         if arr.shape == ():
             return float(out)
         return out
@@ -106,6 +112,24 @@ class PhiSpec:
         if self.basis != "table":
             return None
         return 2.0 / (len(self.coeffs) - 1)
+
+
+def _polynomial_values(basis, coeffs, dim, arr):
+    """The polynomial with ``coeffs`` in ``basis`` at every entry of ``arr``."""
+    if basis == "monomial":
+        return np.polynomial.polynomial.polyval(arr, coeffs)
+    values = basis_values(dim, len(coeffs) - 1, arr.reshape(-1))
+    return (coeffs @ values).reshape(arr.shape)
+
+
+def _critical_points(phi: PhiSpec) -> np.ndarray:
+    """The real roots of a polynomial phi' in [-1, 1], found on the first
+    call and kept on phi: they depend on neither c nor cos_theta."""
+    roots = getattr(phi, "_critical_points", None)
+    if roots is None:
+        roots = polynomial_maximum(phi, len(phi.coeffs) - 1, -1.0, 1.0)[2]
+        object.__setattr__(phi, "_critical_points", codes._read_only(roots))
+    return roots
 
 
 @dataclass
@@ -164,18 +188,27 @@ def condition_i(phi: PhiSpec) -> tuple[bool, str]:
 def interval_margin(phi: PhiSpec, c: float, cos_theta: float):
     """(max, argmax) of phi(r) + c on [-1, cos_theta], both exact up to
     rounding: a polynomial peaks at an endpoint or a critical point, and a
-    table at an endpoint or a node. A polynomial takes c into its constant
+    table at an endpoint or a node. The candidates are -1, cos_theta and
+    the critical points (or nodes) between them, in that order, and the
+    first maximum wins. A polynomial's critical points on [-1, 1] are found
+    once per phi (``_critical_points``), so checking one phi against many
+    codes costs one evaluation per pair; c goes into the constant
     coefficient, so (P - a_0, a_0) is evaluated exactly as P is."""
     cos_theta = float(cos_theta)
-    if phi.basis != "table":
+    if not -1.0 <= cos_theta <= 1.0:
+        raise ValueError("cos_theta must lie in [-1, 1]")
+    if phi.basis == "table":
+        inside = np.linspace(-1.0, 1.0, len(phi.coeffs))
+    else:
+        inside = _critical_points(phi)
+    inside = inside[(inside > -1.0) & (inside < cos_theta)]
+    points = np.concatenate(([-1.0, cos_theta], inside))
+    if phi.basis == "table":
+        values = phi(points) + c
+    else:
         coeffs = phi.coeffs.copy()
         coeffs[0] += c
-        shifted = PhiSpec(phi.basis, coeffs, phi.dim)
-        return polynomial_maximum(shifted, len(coeffs) - 1, -1.0, cos_theta)[:2]
-    nodes = np.linspace(-1.0, 1.0, len(phi.coeffs))
-    inside = nodes[(nodes > -1.0) & (nodes < cos_theta)]
-    points = np.concatenate(([-1.0, cos_theta], inside))
-    values = phi(points) + c
+        values = _polynomial_values(phi.basis, coeffs, phi.dim, points)
     best = int(np.argmax(values))
     return float(values[best]), float(points[best])
 
@@ -252,10 +285,8 @@ def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificat
     The returned certificate carries a verification report; ``passed`` is
     False when phi is not a nonnegative Gegenbauer combination (condition
     (i) not established) or when condition (ii) fails, with the violation
-    location recorded.
+    location recorded. A cos_theta outside [-1, 1] raises ValueError.
     """
-    if not (-1.0 <= cos_theta <= 1.0):
-        raise ValueError("cos_theta must lie in [-1, 1]")
     return _certify(phi, c, cos_theta, "interval", *condition_i(phi))
 
 
@@ -361,7 +392,7 @@ def phi_to_json_dict(phi: PhiSpec) -> dict:
 
 
 def phi_from_json_dict(data: dict) -> PhiSpec:
-    dim = data.get("dim")
+    dim = jsonutil.json_object(data, "phi").get("dim")
     return PhiSpec(
         basis=data["basis"],
         coeffs=np.array(data["coeffs"], dtype=float),
@@ -382,7 +413,7 @@ def certificate_to_json_dict(cert: PfenderCertificate) -> dict:
 
 
 def certificate_from_json_dict(data: dict) -> PfenderCertificate:
-    if data.get("kind") != "pfender":
+    if jsonutil.json_object(data, "pfender certificate").get("kind") != "pfender":
         raise ValueError("not a pfender certificate")
     phi = phi_from_json_dict(data["phi"])
     variant = data["variant"]

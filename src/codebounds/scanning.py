@@ -39,7 +39,8 @@ def polynomial_maximum(fn, degree: int, lo: float, hi: float):
     ``fn`` is called twice with 1-d float arrays. Returns (value,
     location, critical_points): ``critical_points`` holds the real roots
     of P' inside [lo, hi], maxima and minima alike (the LP cutting-plane
-    loop adds those where P > 0 to its grid).
+    loop adds those where P > 0 to its grid, and ``pfender`` keeps a
+    phi's on [-1, 1] for all of its interval checks).
     """
     if hi < lo:
         raise ValueError("empty interval")

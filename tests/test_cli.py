@@ -246,6 +246,22 @@ class TestBoundPfender:
         assert out == ""
         assert err == "error: cos_theta must be finite, got nan\n"
 
+    def test_non_object_phi_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "phi.json"
+        path.write_text("[1, 2]")
+        argv = ["bound", "pfender", "--phi", str(path), "--c", "1", "--cos-theta", "0"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: phi must be a JSON object, got list\n")
+
+    def test_missing_field_is_named(self, tmp_path, capsys):
+        path = tmp_path / "phi.json"
+        jsonutil.dump_path(str(path), {"basis": "gegenbauer", "dim": 3})
+        argv = ["bound", "pfender", "--phi", str(path), "--c", "1", "--cos-theta", "0"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: missing field 'coeffs'\n")
+
     def test_finite_set_without_code_exits_2(self, phi_file):
         code, _, err = run_cli(
             "bound", "pfender", "--phi", str(phi_file), "--c", "0.5",
@@ -310,6 +326,30 @@ class TestCode:
         code, _, err = run_cli("code", "verify", "--file", str(path))
         assert code == 2
         assert "line 1" in err
+
+    def test_non_object_code_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "code.json"
+        path.write_text("[1]")
+        assert cli.main(["code", "verify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: code must be a JSON object, got list\n")
+
+    def test_nested_non_object_phi_exits_2(self, tmp_path, capsys):
+        ortho = tmp_path / "ortho.json"
+        cert = tmp_path / "cert.json"
+        jsonutil.dump_path(
+            str(ortho), codes.code_to_json_dict(codes.generate("orthonormal", dim=3))
+        )
+        data = pfender.certificate_to_json_dict(
+            pfender.pfender_bound(pfender.PhiSpec("gegenbauer", [0.0, 1.0], dim=3),
+                                  0.5, -0.5)
+        )
+        data["phi"] = []
+        jsonutil.dump_path(str(cert), data)
+        argv = ["code", "check-theorem", "--file", str(ortho), "--cert", str(cert)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: phi must be a JSON object, got list\n")
 
     def test_check_theorem_orthonormal(self, tmp_path):
         ortho = tmp_path / "ortho_d5.json"

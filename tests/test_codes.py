@@ -457,6 +457,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             code_from_json_dict(data)
 
+    def test_code_and_space_must_be_objects(self):
+        with pytest.raises(ValueError, match="^code must be a JSON object, got list$"):
+            code_from_json_dict([1])
+        data = code_to_json_dict(euclidean_to_functional(generate("icosahedron")))
+        data["space"] = [2.0, 3]
+        with pytest.raises(ValueError, match="^space must be a JSON object, got list$"):
+            code_from_json_dict(data)
+
 
 def _one_code_of_each_kind():
     spherical = generate("icosahedron")

@@ -326,17 +326,18 @@ class TestWarmStartedRounds:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ((3, 0.5, 10), "52baa90a956e385f246813217134f90a5b27d3fe6513a457a7c0575a031a2d45"),
-            ((4, 0.5, 10), "b3b34cca22e127cd7a225a9c723eb573367ade387bb9839373140b3378692433"),
-            ((8, 0.5, 6), "18678d182778a00273fac84e16f318b1dd0d0939dd5f9e916fcef208ff9e3aee"),
-            ((24, 0.5, 10), "4beb5625494251341b921acbcd8b14dafb63fcfb26c65d7ec8a245b356bc95d1"),
+            ((3, 0.5, 10), "f913ae5681460bfe57e61eb97ff734685dbb36a8c4f1258c165277147e0d438d"),
+            ((4, 0.5, 10), "300f082c8ab22a9e87331cf143e53de834a0e43d54a20d55790ea6bfd9a70b5b"),
+            ((8, 0.5, 6), "40ec2abd3ddff1c7c59d67b3bcaa164d381cf45868936905c5178964ddec53ec"),
+            ((24, 0.5, 10), "7c0cfec2c9f50ad1ac795b142283956e44bbe8f804397dab2b3483177d49bdc2"),
         ],
     )
     def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
         # the first two run one round, a single cold LP, so their files pin the
         # LP, the shift and the verification report (maxima from the roots of
         # P'); the last two run 2 and 5 rounds and also pin the cutting planes
-        # (_gap_rows) and the warm-started, row-generated LPs
+        # (_gap_rows) and the warm-started, row-generated LPs; the report's
+        # maximum is taken over the critical points of P' on [-1, 1]
         path = tmp_path / "cert.json"
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -605,6 +606,16 @@ class TestSerialization:
         data = certificate_to_json_dict(cert_d8)
         data[field] = value
         message = f"^{field} must be an integer, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json_dict(data)
+
+    def test_certificate_and_report_must_be_objects(self, cert_d8):
+        message = "^dgs certificate must be a JSON object, got list$"
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json_dict([1, 2])
+        data = certificate_to_json_dict(cert_d8)
+        data["verification"] = [True]
+        message = "^verification must be a JSON object, got list$"
         with pytest.raises(ValueError, match=message):
             certificate_from_json_dict(data)
 

@@ -56,6 +56,32 @@ class TestEval:
         with pytest.raises(ValueError):
             gegenbauer_eval(3, -1, 0.5)
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([0.5, math.nan], "must be finite"),
+            ([math.inf, 0.5], "must be finite"),
+            ([2.0, -math.inf], "must be finite"),
+            ([-1.0000001, 0.5], r"must lie in \[-1, 1\]"),
+            (1.5, r"must lie in \[-1, 1\]"),
+        ],
+    )
+    def test_point_errors_name_the_first_failing_check(self, points, message):
+        with pytest.raises(ValueError, match=f"evaluation points {message}"):
+            basis_values(4, 3, points)
+
+    def test_empty_and_boundary_points(self):
+        assert basis_values(4, 3, np.empty(0)).shape == (4, 0)
+        assert basis_values(4, 3, [-1.0, 1.0])[:, 1].tolist() == [1.0] * 4
+
+    def test_poly_keeps_the_shape_of_its_points(self):
+        poly = GegenbauerPoly(5, [0.5, -0.25, 1.0, 0.125])
+        grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        values = poly(grid)
+        assert values.shape == (3, 4)
+        assert values.tolist() == poly(grid.ravel()).reshape(3, 4).tolist()
+        assert poly(grid[1, 2]) == values[1, 2]
+
     def test_normalization_sweep(self):
         for dim in range(2, 33):
             values = basis_values(dim, 20, np.array([1.0]))

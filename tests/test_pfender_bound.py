@@ -1,8 +1,10 @@
 """Pfender-style bounds: arithmetic, conditions, per-code checks."""
 
+import copy
 import importlib.util
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -11,17 +13,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codebounds import codes, jsonutil, pfender
+from codebounds.dgs_bound import lp_bound, pfender_form
 from codebounds.errors import TheoremViolationError
 from codebounds.pfender import (
+    COND_TOL,
     PhiSpec,
     certificate_from_json_dict,
     certificate_to_json_dict,
     double_sum,
     functional_pfender_check,
+    interval_margin,
     pfender_bound,
     phi_from_json_dict,
     phi_to_json_dict,
 )
+from codebounds.scanning import polynomial_maximum
 
 
 HARNESS = Path(__file__).resolve().parent.parent / "scripts" / "consistency_harness.py"
@@ -326,6 +332,122 @@ class TestFunctionalCheck:
         assert (len(evaluations), len(bounds)) == (1, 3)
 
 
+# the certificate cases of the kissing_lp and lp_stress benchmark workloads
+BENCHMARK_CERTIFICATES = [
+    (3, 0.5, 10), (4, 0.5, 10), (8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20),
+    (32, 0.5, 20), (16, 0.7, 16), (24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30),
+]
+
+
+def scan_margin(phi, c, cos_theta):
+    """The margin by a full scan: the maximum of the c-shifted phi on
+    [-1, cos_theta], with the critical points of phi' found on that
+    interval itself."""
+    coeffs = np.array(phi.coeffs)
+    coeffs[0] += c
+    shifted = PhiSpec(phi.basis, coeffs, phi.dim)
+    return polynomial_maximum(shifted, len(coeffs) - 1, -1.0, cos_theta)[:2]
+
+
+def assert_margins_agree(phi, c, cos_theta):
+    margin, location = interval_margin(phi, c, cos_theta)
+    reference, _ = scan_margin(phi, c, cos_theta)
+    # the sum of |coefficients| and c; P(1) for a certificate (P - a_0, a_0)
+    scale = math.fsum(np.abs(phi.coeffs).tolist()) + abs(c)
+    assert abs(margin - reference) <= 1e-14 * max(1.0, scale)
+    assert (margin <= COND_TOL) == (reference <= COND_TOL)
+    assert -1.0 <= location <= cos_theta
+
+
+@pytest.fixture(scope="module")
+def degree_10_certificate():
+    """(phi, c) = (P - a_0, a_0) of the degree-10 certificate at (3, .5)."""
+    return pfender_form(lp_bound(3, 0.5, 10).poly)
+
+
+class TestCriticalPointsKeptOnPhi:
+    """A polynomial phi finds the critical points of phi' once; each
+    interval check then evaluates phi + c at -1, cos_theta and the
+    critical points between them."""
+
+    def test_roots_are_found_once_for_many_codes(self, monkeypatch, degree_10_certificate):
+        phi, c = degree_10_certificate
+        calls = []
+        real_maximum = pfender.polynomial_maximum
+
+        def spy(fn, degree, lo, hi):
+            calls.append((degree, lo, hi))
+            return real_maximum(fn, degree, lo, hi)
+
+        monkeypatch.setattr(pfender, "polynomial_maximum", spy)
+        results = [
+            functional_pfender_check(codes.SphericalCode(3, np.eye(3), ct), phi, c)
+            for ct in np.linspace(0.0, 0.5, 20)
+        ]
+        assert calls == [(10, -1.0, 1.0)]
+        assert all(result.applicable for result in results)
+        assert len({result.certificate.cos_theta for result in results}) == 20
+
+    def test_coeffs_are_a_read_only_copy(self):
+        source = np.array([0.0, 0.5, 0.25])
+        phi = PhiSpec("gegenbauer", source, dim=3)
+        with pytest.raises(ValueError, match="read-only"):
+            phi.coeffs[0] = 1.0
+        assert source.flags.writeable
+        assert source.tolist() == [0.0, 0.5, 0.25]
+        source[1] = 9.0
+        assert phi.coeffs.tolist() == [0.0, 0.5, 0.25]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda phi: pickle.loads(pickle.dumps(phi))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_read_only_and_give_the_same_margins(
+        self, clone, degree_10_certificate
+    ):
+        phi, c = degree_10_certificate
+        angles = np.linspace(-1.0, 1.0, 9)
+        margins = [interval_margin(phi, c, ct) for ct in angles]
+        twin = clone(phi)
+        assert twin.coeffs is not phi.coeffs
+        assert not twin.coeffs.flags.writeable
+        assert np.array_equal(twin.coeffs, phi.coeffs)
+        assert [interval_margin(twin, c, ct) for ct in angles] == margins
+
+    @pytest.mark.parametrize("case", BENCHMARK_CERTIFICATES, ids=str)
+    def test_benchmark_certificates_agree_with_a_full_scan(self, case):
+        phi, c = pfender_form(lp_bound(*case).poly)
+        assert_margins_agree(phi, c, case[1])
+
+    def test_catalog_phis_agree_with_a_full_scan(self):
+        angles = np.random.default_rng(13).uniform(-1.0, 1.0, 50)
+        phis = [
+            (phi, c) for name, phi, c, _ in harness_catalog()
+            if name.startswith(("g1", "lp_d"))
+        ]
+        assert len(phis) == 12
+        for phi, c in phis:
+            for ct in angles:
+                assert_margins_agree(phi, c, ct)
+
+    def test_random_phis_agree_with_a_full_scan(self, rng):
+        # a random phi peaks inside the interval only a few times in a
+        # hundred, so this takes many draws
+        for _ in range(500):
+            coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 26)))
+            c, cos_theta = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)
+            dim = int(rng.integers(2, 33))
+            assert_margins_agree(PhiSpec("gegenbauer", coeffs, dim=dim), c, cos_theta)
+            assert_margins_agree(PhiSpec("monomial", coeffs[:12]), c, cos_theta)
+
+    @pytest.mark.parametrize("cos_theta", [-1.0000001, 1.0000001, math.nan])
+    def test_angle_outside_the_interval_raises(self, cos_theta):
+        for phi in (g1(3), shifted_square(3), PhiSpec("table", [-1.0, 0.0, 1.0])):
+            with pytest.raises(ValueError, match=r"cos_theta must lie in \[-1, 1\]"):
+                interval_margin(phi, 0.5, cos_theta)
+
+
 class TestSerialization:
     def test_phi_round_trip(self):
         for phi in (g1(7), shifted_square(3), PhiSpec("table", [-1.0, 0.2, 0.9])):
@@ -377,6 +499,22 @@ class TestSerialization:
         message = f"^bound_int must be an integer, got {value}$"
         with pytest.raises(ValueError, match=message):
             certificate_from_json_dict(data)
+
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0], "phi", None])
+    def test_phi_must_be_an_object(self, value):
+        name = type(value).__name__
+        with pytest.raises(ValueError, match=f"^phi must be a JSON object, got {name}$"):
+            phi_from_json_dict(value)
+        data = certificate_to_json_dict(pfender_bound(g1(5), 0.2, -0.2))
+        data["phi"] = value
+        with pytest.raises(ValueError, match=f"^phi must be a JSON object, got {name}$"):
+            certificate_from_json_dict(data)
+
+    def test_certificate_must_be_an_object(self):
+        message = "^pfender certificate must be a JSON object, got list$"
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json_dict([1, 2])
 
 
 class TestStructuralSoundness:
