@@ -118,7 +118,7 @@ class LpSpace:
             raise ValueError("dimension must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalCode(_Rebuilt):
     """Unit vectors in R^dim with declared pairwise inner-product ceiling."""
 
@@ -141,7 +141,7 @@ class SphericalCode(_Rebuilt):
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalCode(_Rebuilt):
     """Points and dual functionals in an l_p space, paired by evaluation."""
 
@@ -168,7 +168,7 @@ class FunctionalCode(_Rebuilt):
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointedMetricSpace(_Rebuilt):
     """Finite metric space given by a distance matrix; point 0 is the base."""
 
@@ -189,7 +189,7 @@ class PointedMetricSpace(_Rebuilt):
         return len(self.distance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricCode(_Rebuilt):
     """Lipschitz code: value tables f_j over a pointed metric space."""
 
@@ -260,7 +260,7 @@ def _offdiag_report(matrix: np.ndarray):
     return float(off[j, k]), (int(j), int(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _AxiomFacts:
     """The half of ``verify`` that does not depend on the angle."""
 

@@ -52,20 +52,31 @@ def _check_r(r):
 def basis_values(dim: int, max_degree: int, r) -> np.ndarray:
     """Evaluate G_0..G_max_degree at ``r`` via the recursion.
 
-    Returns an array of shape (max_degree + 1,) + shape(r).
+    Returns an array of shape (max_degree + 1,) + shape(r). Each G_k is
+    computed in place in its output row, with one scratch row, in the
+    operation order of ((2k + dim - 4) r G_{k-1} - (k - 1) G_{k-2}) / (k + dim - 3).
     """
     dim = _check_dim(dim)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     arr = _check_r(r)
     out = np.empty((max_degree + 1,) + arr.shape)
-    out[0] = 1.0
+    # flat rows, so that even a 0-d r gets row views to write into
+    rows = out.reshape(max_degree + 1, arr.size)
+    x = arr.reshape(-1)
+    rows[0] = 1.0
     if max_degree >= 1:
-        out[1] = arr
+        rows[1] = x
+    scratch = np.empty_like(x)
     for k in range(2, max_degree + 1):
-        out[k] = ((2 * k + dim - 4) * arr * out[k - 1] - (k - 1) * out[k - 2]) / (
-            k + dim - 3
-        )
+        row = rows[k]
+        # float coefficients and a positional out: the cheapest ufunc calls
+        # on the few points of a polynomial's candidates
+        np.multiply(x, float(2 * k + dim - 4), row)
+        row *= rows[k - 1]
+        np.multiply(rows[k - 2], float(k - 1), scratch)
+        row -= scratch
+        row /= float(k + dim - 3)
     return out
 
 
@@ -98,7 +109,7 @@ def monomial_table(dim: int, max_degree: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GegenbauerPoly:
     """A polynomial stored by its coefficients in the Gegenbauer basis.
 

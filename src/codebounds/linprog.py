@@ -24,6 +24,11 @@ simplex multipliers and checked against every original row, each within
 a tolerance relative to its own scale: a result outside it comes back as
 ``numerical_failure``, not as optimal and not re-solved another way.
 Because cost and x are both nonnegative the LP is never unbounded.
+
+Cost model: ``solve_lp`` checks the LP and the caller's basis once. Each
+row-generation pass then costs one refactorization of its tableau from
+the data, with nothing checked again, and each pivot one price matvec and
+one rank-1 update in place, with no array allocated.
 """
 
 from __future__ import annotations
@@ -119,36 +124,54 @@ def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, maxiter: int):
     ``basis[i]`` is the column that is basic in row i of ``T``; both are
     updated in place. Returns the status ("optimal", "unbounded" or
     "stalled") and the number of pivots.
+
+    Cost per pivot: one price matvec and one rank-1 update, each written
+    into a buffer allocated once per call, the update then subtracted from
+    ``T`` in place; the ratio test runs over the entering column and the
+    right-hand side as Python floats. No array is allocated per pivot.
     """
-    m = T.shape[0]
+    columns = T[:, :-1]
+    reduced = np.empty(columns.shape[1])
+    improving = np.empty(columns.shape[1], dtype=bool)
+    basic_cost = cost[basis]
+    factors = np.empty((len(T), 1))
+    update = np.empty_like(T)
     degenerate_streak = 0
     for iteration in range(maxiter):
-        reduced = cost - cost[basis] @ T[:, :-1]
+        np.matmul(basic_cost, columns, out=reduced)
+        np.subtract(cost, reduced, out=reduced)
         reduced[basis] = np.inf
         if degenerate_streak >= DEGENERATE_STREAK_LIMIT:
-            candidates = np.where(reduced < -OPT_TOL)[0]
-            if len(candidates) == 0:
+            np.less(reduced, -OPT_TOL, out=improving)
+            enter = int(improving.argmax())  # Bland: lowest index
+            if not improving[enter]:
                 return "optimal", iteration
-            enter = int(candidates[0])  # Bland: lowest index
         else:
-            enter = int(np.argmin(reduced))
+            enter = int(reduced.argmin())
             if reduced[enter] >= -OPT_TOL:
                 return "optimal", iteration
-        col = T[:, enter]
-        positive = col > PIVOT_TOL
-        if not positive.any():
+        column, rhs = T[:, enter].tolist(), T[:, -1].tolist()
+        ratios = [
+            (rhs[row] / entry, row)
+            for row, entry in enumerate(column)
+            if entry > PIVOT_TOL
+        ]
+        if not ratios:
             return "unbounded", iteration
-        ratios = np.full(m, np.inf)
-        ratios[positive] = T[positive, -1] / col[positive]
-        best = float(ratios.min())
-        ties = np.where(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-        leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
+        best = min(ratios)[0]
+        limit = best + 1e-12 * (1.0 + abs(best))
+        # Bland tie-break: the tied row whose basic column has the lowest index
+        ties = (row for ratio, row in ratios if ratio <= limit)
+        leave = min(ties, key=basis.__getitem__)
         degenerate_streak = degenerate_streak + 1 if best <= 1e-10 else 0
-        T[leave] /= T[leave, enter]
-        factors = T[:, enter].copy()
+        pivot_row = T[leave]
+        pivot_row /= pivot_row[enter]
+        factors[:, 0] = T[:, enter]
         factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
+        np.multiply(factors, pivot_row, out=update)
+        T -= update
         basis[leave] = enter
+        basic_cost[leave] = cost[enter]
     return "stalled", maxiter
 
 
@@ -184,8 +207,9 @@ def _refine_primal(lp, x, y):
     return x
 
 
-def _tableau_columns(basis, m: int, n: int) -> np.ndarray:
-    """Map an ``LPSolution.basis`` onto the dual tableau's columns."""
+def _checked_basis(basis, m: int, n: int) -> np.ndarray:
+    """``basis`` as an array, checked to be an ``LPSolution.basis`` of an
+    LP with m rows and n variables."""
     basis = np.asarray(basis)
     if (
         basis.shape != (n,)
@@ -198,7 +222,7 @@ def _tableau_columns(basis, m: int, n: int) -> np.ndarray:
             f"basis must name {n} distinct columns out of the {n + m} "
             "variables and row slacks"
         )
-    return np.where(basis < n, basis + m, basis - n)
+    return basis
 
 
 def _solve_dual(lp: LinearProgram, basis=None):
@@ -207,16 +231,21 @@ def _solve_dual(lp: LinearProgram, basis=None):
     The dual tableau has the columns y_0..y_{m-1}, s_0..s_{n-1}; the
     optimal primal x is the negated vector of simplex multipliers. With
     c >= 0 the all-slack basis (y = 0) is feasible, so an unbounded dual
-    means an infeasible primal. The solve starts from ``basis`` (default:
-    all slack) with the tableau refactorized from the data as
+    means an infeasible primal. The solve starts from ``basis``, an
+    ``LPSolution.basis`` that the caller has checked (default: all
+    slack), with the tableau refactorized from the data as
     B^-1 [-A^T | I | c], and ends as ``numerical_failure`` when that
     basis is singular, not feasible, or the pivots stall. Returns the
     status, x, the dual solution y, the pivot count and the optimal basis.
     """
     m, n = lp.A.shape
-    basic = np.arange(m, m + n) if basis is None else _tableau_columns(basis, m, n)
+    basic = (
+        np.arange(m, m + n) if basis is None else np.where(basis < n, basis + m, basis - n)
+    )
     data = np.hstack([-lp.A.T, np.eye(n), lp.objective[:, None]])
     try:
+        # solved even for the all-slack B = I, whose solve turns some -0.0
+        # of the data into +0.0: a sign that can reach a certificate's bytes
         T = np.linalg.solve(data[:, basic], data)
     except np.linalg.LinAlgError:
         return "numerical_failure", None, None, 0, None
@@ -255,7 +284,8 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     or not feasible once refactorized: a failure after 0 pivots), that
     pass is solved again from the all-slack basis, which is feasible
     because c >= 0, and counted in ``restarts``. ``iterations`` counts
-    the pivots of all passes. An optimal
+    the pivots of all passes. ``lp`` and ``basis`` are checked here once;
+    the passes trust the working LPs and bases they build. An optimal
     solution is re-checked against every original row: a result that
     violates one beyond its tolerance (``_within_tolerance``) is
     downgraded to ``numerical_failure`` rather than reported as optimal.
@@ -265,8 +295,7 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     first = np.linspace(0, m - 1, min(m, ROWS_PER_VARIABLE * n))
     selected[first.round().astype(int)] = True
     if basis is not None:
-        _tableau_columns(basis, m, n)  # rejects a malformed basis
-        basis = np.asarray(basis)
+        basis = _checked_basis(basis, m, n)
         named = basis >= n
         selected[basis[named] - n] = True
     rows = np.flatnonzero(selected)
@@ -275,7 +304,9 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         basis = np.where(named, n + np.searchsorted(rows, basis - n), basis)
     iterations = restarts = 0
     while True:
-        working = LinearProgram(lp.objective, lp.A[rows], lp.b[rows])
+        # rows of the checked lp, so built without __post_init__'s checks
+        working = object.__new__(LinearProgram)
+        working.objective, working.A, working.b = lp.objective, lp.A[rows], lp.b[rows]
         result = _solve_dual(working, basis)
         if result[0] == "numerical_failure" and result[3] == 0 and basis is not None:
             restarts += 1

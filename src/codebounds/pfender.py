@@ -62,7 +62,7 @@ __all__ = [
 _BASES = ("gegenbauer", "monomial", "table")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiSpec(codes._Rebuilt):
     """A function on [-1, 1] given in one of three representations.
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds import jsonutil
+from codebounds import codes, jsonutil
 from codebounds.codes import (
     FAMILIES,
     FunctionalCode,
@@ -32,6 +32,8 @@ from codebounds.codes import (
     random_functional_code,
     verify,
 )
+from codebounds.gegenbauer import GegenbauerPoly
+from codebounds.pfender import PhiSpec
 
 
 class TestVerifySpherical:
@@ -517,6 +519,29 @@ class TestImmutableCodes:
             back = code_from_json_dict(json.loads(jsonutil.dumps(data)))
             assert code_to_json_dict(back) == data
             assert verify(back) == verify(code)
+
+
+def _array_holders():
+    spherical, functional, metric = _one_code_of_each_kind()
+    return [
+        spherical,
+        functional,
+        metric.space,
+        metric,
+        codes._axiom_facts(spherical),
+        PhiSpec("gegenbauer", [0.0, 1.0], dim=3),
+        GegenbauerPoly(3, [1.0, 2.0]),
+    ]
+
+
+@pytest.mark.parametrize("one", _array_holders(), ids=lambda one: type(one).__name__)
+def test_frozen_types_holding_arrays_compare_and_hash_by_identity(one):
+    # the generated value __eq__ would compare arrays and raise ValueError,
+    # and the generated __hash__ would raise TypeError on them
+    twin = copy.deepcopy(one)
+    assert one == one and one != twin
+    assert hash(one) == hash(one)
+    assert one in {one} and twin not in {one}
 
 
 class TestAxiomFactsKeptOnTheCode:

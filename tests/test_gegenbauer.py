@@ -104,6 +104,41 @@ class TestEval:
             assert gap <= 4.0 * gamma * magnitude
 
 
+def reference_basis_values(dim, max_degree, r):
+    """The recursion as one expression per degree, with fresh temporaries:
+    the oracle that the in-place ``basis_values`` must match bit for bit."""
+    arr = np.asarray(r, dtype=float)
+    out = np.empty((max_degree + 1,) + arr.shape)
+    out[0] = 1.0
+    if max_degree >= 1:
+        out[1] = arr
+    for k in range(2, max_degree + 1):
+        out[k] = ((2 * k + dim - 4) * arr * out[k - 1] - (k - 1) * out[k - 2]) / (
+            k + dim - 3
+        )
+    return out
+
+
+_POINTS = np.random.default_rng(11).uniform(-1.0, 1.0, 60)
+POINT_SETS = {
+    "scalar": -0.3,
+    "0-d": np.array(0.7),
+    "empty": np.empty(0),
+    "1-d": np.concatenate([[-1.0, -0.0, 0.0, 1.0], _POINTS[:20]]),
+    "2-d": _POINTS[20:].reshape(8, 5).T,  # a non-contiguous view
+}
+
+
+@pytest.mark.parametrize("points", POINT_SETS.values(), ids=POINT_SETS.keys())
+def test_recursion_matches_the_reference_bit_for_bit(points):
+    for dim in range(2, 49):
+        for degree in range(41):
+            values = basis_values(dim, degree, points)
+            expected = reference_basis_values(dim, degree, points)
+            assert values.shape == expected.shape
+            assert values.tobytes() == expected.tobytes(), (dim, degree)
+
+
 class TestBasisTables:
     def test_table_shapes_and_leading_coeff(self):
         # column k holds G_k's coefficients: degree exactly k

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codebounds import dgs_bound, linprog
+from codebounds.errors import NoCertificateError
 from codebounds.gegenbauer import basis_values
 from codebounds.linprog import (
     FEAS_TOL,
@@ -321,6 +322,129 @@ class TestBlandsRule:
         assert bland.status == default.status == "optimal"
         assert bland.objective_value == default.objective_value
         assert bland.iterations > default.iterations
+
+
+def reference_simplex(T, basis, cost, maxiter):
+    """The pivot kernel before it wrote into buffers allocated once per
+    call (a fresh reduced-cost vector, mask ratio test and np.outer per
+    pivot): the oracle that ``linprog._simplex`` must match bit for bit."""
+    m = T.shape[0]
+    degenerate_streak = 0
+    for iteration in range(maxiter):
+        reduced = cost - cost[basis] @ T[:, :-1]
+        reduced[basis] = np.inf
+        if degenerate_streak >= linprog.DEGENERATE_STREAK_LIMIT:
+            candidates = np.where(reduced < -linprog.OPT_TOL)[0]
+            if len(candidates) == 0:
+                return "optimal", iteration
+            enter = int(candidates[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -linprog.OPT_TOL:
+                return "optimal", iteration
+        col = T[:, enter]
+        positive = col > linprog.PIVOT_TOL
+        if not positive.any():
+            return "unbounded", iteration
+        ratios = np.full(m, np.inf)
+        ratios[positive] = T[positive, -1] / col[positive]
+        best = float(ratios.min())
+        ties = np.where(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
+        leave = int(ties[np.argmin(basis[ties])])
+        degenerate_streak = degenerate_streak + 1 if best <= 1e-10 else 0
+        T[leave] /= T[leave, enter]
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        T -= np.outer(factors, T[leave])
+        basis[leave] = enter
+    return "stalled", maxiter
+
+
+def bit_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def compare_with_reference(monkeypatch):
+    """Run every ``_simplex`` call also through ``reference_simplex`` on
+    copies of its inputs; each entry is (status and pivots, the
+    reference's, T bit-equal, basis bit-equal)."""
+    calls = []
+    kernel = linprog._simplex
+
+    def both(T, basis, cost, maxiter):
+        reference_T, reference_basis = T.copy(), basis.copy()
+        expected = reference_simplex(reference_T, reference_basis, cost.copy(), maxiter)
+        result = kernel(T, basis, cost, maxiter)
+        calls.append(
+            (result, expected, bit_equal(T, reference_T), bit_equal(basis, reference_basis))
+        )
+        return result
+
+    monkeypatch.setattr(linprog, "_simplex", both)
+    return calls
+
+
+def assert_all_agree(calls):
+    assert calls
+    for result, expected, same_T, same_basis in calls:
+        assert result == expected
+        assert same_T and same_basis
+
+
+# the benchmark's lp_stress cases; (24, .7, 12) is LP-infeasible
+STRESS_CASES = [(24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30), (24, 0.7, 12)]
+
+
+class TestPivotKernelMatchesTheReference:
+    @pytest.mark.parametrize("case", KISSING_CASES + STRESS_CASES, ids=str)
+    def test_every_call_of_a_benchmark_bound(self, monkeypatch, case):
+        calls = compare_with_reference(monkeypatch)
+        try:
+            dgs_bound.lp_bound(*case)
+        except NoCertificateError:
+            assert case == (24, 0.7, 12)
+            assert calls[-1][0][0] == "unbounded"
+        assert_all_agree(calls)
+
+    @pytest.mark.parametrize("case", [(8, 0.5, 6), (24, 0.5, 10), (16, 0.7, 16)], ids=str)
+    def test_blands_rule_from_the_first_pivot(self, monkeypatch, case):
+        monkeypatch.setattr(linprog, "DEGENERATE_STREAK_LIMIT", 0)
+        calls = compare_with_reference(monkeypatch)
+        assert solve_lp(grid_lp(*case)).status == "optimal"
+        assert_all_agree(calls)
+
+    def test_unbounded_column(self, monkeypatch, rng):
+        calls = compare_with_reference(monkeypatch)
+        c, A, b = tall_lp(rng, 300, n=3)
+        A = np.vstack([A, np.ones(3)])
+        b = np.append(b, -1.0)  # impossible with x >= 0: the dual is unbounded
+        assert solve_lp(LinearProgram(np.ones(3), A, b)).status == "infeasible"
+        assert calls[-1][0][0] == "unbounded"
+        assert_all_agree(calls)
+
+    def test_degenerate_ratio_ties(self, monkeypatch):
+        # zero costs make the dual's right-hand side 0 in those rows, so many
+        # ratios tie at 0 and the tie-break by basic column decides
+        calls = compare_with_reference(monkeypatch)
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            c, A, b = tall_lp(rng, 60, n=6)
+            c[:4] = 0.0
+            assert solve_lp(LinearProgram(c, A, b)).status == "optimal"
+        assert_all_agree(calls)
+
+    @pytest.mark.parametrize("maxiter", [1, 5, 40])
+    def test_pivot_cap_stall(self, maxiter):
+        lp = grid_lp(24, 0.5, 20)
+        m, n = lp.A.shape
+        T = np.hstack([-lp.A.T, np.eye(n), lp.objective[:, None]])
+        cost = np.concatenate([lp.b, np.zeros(n)])
+        basis = np.arange(m, m + n)
+        reference_T, reference_basis = T.copy(), basis.copy()
+        expected = reference_simplex(reference_T, reference_basis, cost, maxiter)
+        assert expected == ("stalled", maxiter)
+        assert linprog._simplex(T, basis, cost, maxiter) == expected
+        assert bit_equal(T, reference_T) and bit_equal(basis, reference_basis)
 
 
 class TestRowScaledTolerance:
