@@ -6,7 +6,8 @@ cos_theta = round(U(-1, --max-cos), 4) and degree uniform in 1..40, runs
 lp_bound on each and prints how many ended in each outcome (a
 certificate, NoCertificateError by its cause, or a named error), every
 input that ended in an error, and the slowest input. Every input should
-end quickly in one of these outcomes.
+end quickly in one of these outcomes. Only the ``slowest:`` line holds a
+time, so two runs of the same code print the same other lines.
 """
 
 import argparse
@@ -62,7 +63,7 @@ def main() -> int:
         elapsed = time.perf_counter() - start
         counts[result] += 1
         if result not in ("certificate", "NoCertificateError (LP infeasible)"):
-            print(f"{case}: {result} after {elapsed:.2f} s")
+            print(f"{case}: {result}")
         slowest = max(slowest, (elapsed, case, result))
     for result, count in sorted(counts.items()):
         print(f"{count:>5}  {result}")

@@ -25,7 +25,7 @@ from . import jsonutil, pfender
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, basis_values
 from .linprog import LinearProgram, solve_lp
-from .scanning import chebyshev_points, polynomial_maximum
+from .scanning import chebyshev_points, critical_points
 
 MAX_ROUNDS = 10
 # Chebyshev points of the first round's LP
@@ -139,10 +139,14 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     fill the grid gap around each critical point where P > 0: the point
     itself and GAP_ROWS evenly spaced points (``_gap_rows``), so a round
     divides the violation by about 64 where the point alone divided it by
-    4. The rounds end when the shift's inflation of the bound is below
-    INFLATION_TARGET, when a round leaves a violation below 1 within a
-    factor 2 of the previous one (the cuts no longer bite), or after
-    MAX_ROUNDS. Every returned certificate has passed
+    4. Each round finds the critical points from P's values at the
+    degree + 1 Chebyshev-Lobatto points of the interval, one matvec with
+    the G_k there (tabulated once per call), and evaluates P once, at -1,
+    cos_theta and those points: the maximum is the round's violation, and
+    the critical points where P > 0 get the cuts. The rounds end when the
+    shift's inflation of the bound is below INFLATION_TARGET, when a round
+    leaves a violation below 1 within a factor 2 of the previous one (the
+    cuts no longer bite), or after MAX_ROUNDS. Every returned certificate has passed
     ``verify_certificate``, the Pfender checks of (P - a_0, a_0).
     """
     _validate_inputs(d, cos_theta, degree)
@@ -154,6 +158,11 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     cos_theta = float(cos_theta)
     points = chebyshev_points(-1.0, cos_theta, GRID_POINTS)
     rows = basis_values(d, degree, points)[1:].T
+    # G_0..G_degree at the degree + 1 Chebyshev-Lobatto points of the
+    # interval: each round samples P there as one matvec
+    sample_basis = basis_values(
+        d, degree, chebyshev_points(-1.0, cos_theta, degree + 1)
+    )
     basis = None
     failed_round = ""
     previous_violation = math.inf
@@ -170,7 +179,10 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         coeffs = np.concatenate(([1.0], solution.x))
         poly = GegenbauerPoly(d, coeffs)
         p_at_1 = poly.at_one()
-        violation, _, critical = polynomial_maximum(poly, degree, -1.0, cos_theta)
+        critical = critical_points(coeffs @ sample_basis, -1.0, cos_theta)
+        # P's maximum is at -1, cos_theta or a critical point
+        values = poly(np.concatenate(([-1.0, cos_theta], critical)))
+        violation = float(values.max())
         # shifting out a violation v inflates the bound by v (P(1) - 1) / (1 - v);
         # no shift absorbs v >= 1, so the cutting planes go on there
         converged = violation <= 0.0 or (
@@ -185,7 +197,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         if converged or stalled or round_index == MAX_ROUNDS - 1:
             break
         previous_violation = violation
-        new_points = _gap_rows(np.sort(points), critical[poly(critical) > 0.0])
+        new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
         if not new_points.size:
             break
         # appended after the old rows, so the row numbers in ``basis`` hold

@@ -28,7 +28,10 @@ Because cost and x are both nonnegative the LP is never unbounded.
 Cost model: ``solve_lp`` checks the LP and the caller's basis once. Each
 row-generation pass then costs one refactorization of its tableau from
 the data, with nothing checked again, and each pivot one price matvec and
-one rank-1 update in place, with no array allocated.
+one rank-1 update in place, with no array allocated. The residual A x - b
+of the last pass's x, computed to find violated rows, is reused by the
+final tolerance check and ``max_constraint_violation`` when
+``_refine_primal`` keeps that x.
 """
 
 from __future__ import annotations
@@ -102,20 +105,28 @@ class LPSolution:
     basis: np.ndarray | None = None
 
 
-def _violation(lp: LinearProgram, x: np.ndarray) -> float:
-    residual = float(np.max(lp.A @ x - lp.b, initial=0.0))
-    return max(residual, float(np.max(-x)))
+def _residual(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    """A x - b, one entry per row; positive where x violates the row."""
+    return lp.A @ x - lp.b
 
 
-def _within_tolerance(lp: LinearProgram, x: np.ndarray) -> bool:
+def _violation(lp: LinearProgram, x: np.ndarray, residual=None) -> float:
+    if residual is None:
+        residual = _residual(lp, x)
+    return max(float(np.max(residual, initial=0.0)), float(np.max(-x)))
+
+
+def _within_tolerance(lp: LinearProgram, x: np.ndarray, residual=None) -> bool:
     """Whether x >= 0 satisfies every row up to roundoff of that row's size.
 
     Row i may exceed b_i by FEAS_TOL (1 + |b_i| + (|A| x)_i): a grid row's
     terms reach 1e8 when P(1) does, so an absolute tolerance would reject
     pure rounding.
     """
+    if residual is None:
+        residual = _residual(lp, x)
     allowance = FEAS_TOL * (1.0 + np.abs(lp.b) + np.abs(lp.A) @ x)
-    return bool(np.all(lp.A @ x - lp.b <= allowance))
+    return bool(np.all(residual <= allowance))
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, maxiter: int):
@@ -315,7 +326,8 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         iterations += pivots
         if status != "optimal":
             return LPSolution(status=status, iterations=iterations, restarts=restarts)
-        violated = np.flatnonzero(~selected & (lp.A @ x > lp.b))
+        residual = _residual(lp, x)
+        violated = np.flatnonzero(~selected & (residual > 0.0))
         if not violated.size:
             break
         rows = np.concatenate([rows, violated])
@@ -324,14 +336,16 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     y[rows] = working_y
     named = basis >= n
     basis[named] = n + rows[basis[named] - n]
-    x = _refine_primal(lp, x, y)
-    if not _within_tolerance(lp, x):
+    refined = _refine_primal(lp, x, y)
+    if refined is not x:
+        x, residual = refined, _residual(lp, refined)
+    if not _within_tolerance(lp, x, residual):
         return LPSolution("numerical_failure", iterations=iterations, restarts=restarts)
     return LPSolution(
         status="optimal",
         x=x,
         objective_value=float(lp.objective @ x),
-        max_constraint_violation=_violation(lp, x),
+        max_constraint_violation=_violation(lp, x, residual),
         iterations=iterations,
         restarts=restarts,
         basis=basis,

@@ -36,7 +36,7 @@ import numpy as np
 from . import codes, jsonutil
 from .errors import TheoremViolationError
 from .gegenbauer import basis_values
-from .scanning import polynomial_maximum
+from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
 COEFF_TOL = 1e-12
@@ -124,10 +124,12 @@ def _polynomial_values(basis, coeffs, dim, arr):
 
 def _critical_points(phi: PhiSpec) -> np.ndarray:
     """The real roots of a polynomial phi' in [-1, 1], found on the first
-    call and kept on phi: they depend on neither c nor cos_theta."""
+    call from phi at its m + 1 Chebyshev-Lobatto points and kept on phi:
+    they depend on neither c nor cos_theta."""
     roots = getattr(phi, "_critical_points", None)
     if roots is None:
-        roots = polynomial_maximum(phi, len(phi.coeffs) - 1, -1.0, 1.0)[2]
+        samples = phi(chebyshev_points(-1.0, 1.0, len(phi.coeffs)))
+        roots = critical_points(samples, -1.0, 1.0)
         object.__setattr__(phi, "_critical_points", codes._read_only(roots))
     return roots
 

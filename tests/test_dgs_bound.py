@@ -326,10 +326,10 @@ class TestWarmStartedRounds:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ((3, 0.5, 10), "f913ae5681460bfe57e61eb97ff734685dbb36a8c4f1258c165277147e0d438d"),
-            ((4, 0.5, 10), "300f082c8ab22a9e87331cf143e53de834a0e43d54a20d55790ea6bfd9a70b5b"),
-            ((8, 0.5, 6), "40ec2abd3ddff1c7c59d67b3bcaa164d381cf45868936905c5178964ddec53ec"),
-            ((24, 0.5, 10), "7c0cfec2c9f50ad1ac795b142283956e44bbe8f804397dab2b3483177d49bdc2"),
+            ((3, 0.5, 10), "f351e5c4cc00948dc9211bb3616570c0c4e18cf5240bd36838f63368a8dc8296"),
+            ((4, 0.5, 10), "88e7f5ae58a65523895fc317787e305d3ee86d29f3aeab65ed171ae52ecb32c8"),
+            ((8, 0.5, 6), "4e61bbe3479c0a4636ee64a84e16fb81106eea1b3ab1fd7523b6e36a78e06159"),
+            ((24, 0.5, 10), "832577c3e88d69a4e73d312444ac1f31321ad695c32f28de675f9b3c869b021d"),
         ],
     )
     def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
@@ -341,6 +341,23 @@ class TestWarmStartedRounds:
         path = tmp_path / "cert.json"
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", [(3, 0.5, 10), (24, 0.5, 10), (24, 0.765, 29)])
+    def test_each_round_evaluates_p_once(self, monkeypatch, case):
+        # the round's samples are one matvec; P itself is evaluated once, at
+        # -1, cos_theta and the critical points
+        sizes = []
+        real_call = GegenbauerPoly.__call__
+
+        def spy(self, r):
+            sizes.append(np.size(r))
+            return real_call(self, r)
+
+        monkeypatch.setattr(GegenbauerPoly, "__call__", spy)
+        cert = lp_bound(*case)
+        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert len(sizes) == int(rounds[1])
+        assert all(2 <= size <= case[2] + 1 for size in sizes)
 
     @pytest.mark.parametrize("case", [(44, 0.625, 33), (63, 0.4643, 23)])
     def test_rejected_warm_start_restarts_cold(self, monkeypatch, case):
@@ -467,9 +484,9 @@ class TestVerification:
             monkeypatch.setattr(pfender, name, wrapped)
 
         spy("pfender_bound", pfender.pfender_bound)
-        spy("polynomial_maximum", pfender.polynomial_maximum)
+        spy("critical_points", pfender.critical_points)
         assert verify_certificate(cert_d8).passed
-        assert calls == ["pfender_bound", "polynomial_maximum"]
+        assert calls == ["pfender_bound", "critical_points"]
 
 
 class TestPfenderForm:

@@ -27,7 +27,7 @@ from codebounds.pfender import (
     phi_from_json_dict,
     phi_to_json_dict,
 )
-from codebounds.scanning import polynomial_maximum
+from codebounds.scanning import chebyshev_points, critical_points
 
 
 HARNESS = Path(__file__).resolve().parent.parent / "scripts" / "consistency_harness.py"
@@ -346,7 +346,13 @@ def scan_margin(phi, c, cos_theta):
     coeffs = np.array(phi.coeffs)
     coeffs[0] += c
     shifted = PhiSpec(phi.basis, coeffs, phi.dim)
-    return polynomial_maximum(shifted, len(coeffs) - 1, -1.0, cos_theta)[:2]
+    samples = shifted(chebyshev_points(-1.0, cos_theta, len(coeffs)))
+    candidates = np.concatenate(
+        ([-1.0, cos_theta], critical_points(samples, -1.0, cos_theta))
+    )
+    values = shifted(candidates)
+    best = int(np.argmax(values))
+    return float(values[best]), float(candidates[best])
 
 
 def assert_margins_agree(phi, c, cos_theta):
@@ -373,13 +379,13 @@ class TestCriticalPointsKeptOnPhi:
     def test_roots_are_found_once_for_many_codes(self, monkeypatch, degree_10_certificate):
         phi, c = degree_10_certificate
         calls = []
-        real_maximum = pfender.polynomial_maximum
+        real_critical_points = pfender.critical_points
 
-        def spy(fn, degree, lo, hi):
-            calls.append((degree, lo, hi))
-            return real_maximum(fn, degree, lo, hi)
+        def spy(samples, lo, hi):
+            calls.append((len(samples) - 1, lo, hi))
+            return real_critical_points(samples, lo, hi)
 
-        monkeypatch.setattr(pfender, "polynomial_maximum", spy)
+        monkeypatch.setattr(pfender, "critical_points", spy)
         results = [
             functional_pfender_check(codes.SphericalCode(3, np.eye(3), ct), phi, c)
             for ct in np.linspace(0.0, 0.5, 20)
@@ -387,6 +393,22 @@ class TestCriticalPointsKeptOnPhi:
         assert calls == [(10, -1.0, 1.0)]
         assert all(result.applicable for result in results)
         assert len({result.certificate.cos_theta for result in results}) == 20
+
+    def test_phi_is_evaluated_once_at_its_samples(self, monkeypatch, degree_10_certificate):
+        phi, _ = degree_10_certificate
+        fresh = PhiSpec(phi.basis, phi.coeffs, phi.dim)
+        sizes = []
+        real_call = PhiSpec.__call__
+
+        def spy(self, r):
+            sizes.append(np.size(r))
+            return real_call(self, r)
+
+        monkeypatch.setattr(PhiSpec, "__call__", spy)
+        roots = pfender._critical_points(fresh)
+        assert pfender._critical_points(fresh) is roots
+        # the 11 Chebyshev-Lobatto samples of a degree-10 phi, and no more
+        assert sizes == [11]
 
     def test_coeffs_are_a_read_only_copy(self):
         source = np.array([0.0, 0.5, 0.25])

@@ -1,13 +1,17 @@
 """Polynomial maxima from the critical points of P': soundness against a
-dense sample, degenerate degrees, and exact table maxima."""
+dense sample, degenerate degrees, exact table maxima, and the closed-form
+derivative against numpy's least-squares fit."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from codebounds.dgs_bound import lp_bound
 from codebounds.pfender import PhiSpec, interval_margin
-from codebounds.scanning import chebyshev_points, polynomial_maximum
+from codebounds.scanning import chebyshev_points, critical_points, derivative_matrix
+
+cheb = np.polynomial.chebyshev
 
 DENSE_POINTS = 200_000
 
@@ -30,8 +34,21 @@ polynomial_phis = st.one_of(
 )
 
 
+def scan_maximum(fn, degree, lo, hi):
+    """(value, location, critical points) of the maximum on [lo, hi] of
+    ``fn``, a vectorized polynomial of degree at most ``degree``: fn at
+    lo, hi and the critical points from its degree + 1 samples, the first
+    maximum winning, as lp_bound and interval_margin take it."""
+    samples = np.asarray(fn(chebyshev_points(lo, hi, degree + 1)), dtype=float)
+    critical = critical_points(samples, lo, hi)
+    candidates = np.concatenate(([lo, hi], critical))
+    values = np.asarray(fn(candidates), dtype=float)
+    best = int(np.argmax(values))
+    return float(values[best]), float(candidates[best]), critical
+
+
 def _maximum(phi, lo, hi):
-    return polynomial_maximum(phi, len(phi.coeffs) - 1, lo, hi)
+    return scan_maximum(phi, len(phi.coeffs) - 1, lo, hi)
 
 
 @given(phi=polynomial_phis, interval=intervals)
@@ -106,10 +123,10 @@ def test_flat_maximum_of_a_triple_critical_point():
 
 
 def test_degenerate_and_empty_intervals():
-    value, location, critical = polynomial_maximum(lambda r: r * 2.0, 3, 0.25, 0.25)
+    value, location, critical = scan_maximum(lambda r: r * 2.0, 3, 0.25, 0.25)
     assert (value, location, critical.tolist()) == (0.5, 0.25, [])
     with pytest.raises(ValueError):
-        polynomial_maximum(lambda r: r, 3, 0.5, 0.25)
+        critical_points(np.zeros(4), 0.5, 0.25)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 2000, 20000])
@@ -128,6 +145,50 @@ def test_scan_evaluates_the_right_endpoint_itself():
         seen.append(r)
         return r
 
-    value, location, _ = polynomial_maximum(fn, 5, -1.0, 0.9)
+    value, location, _ = scan_maximum(fn, 5, -1.0, 0.9)
     assert value == 0.9 and location == 0.9
     assert 0.9 in seen[-1]
+
+
+def _lobatto(m):
+    # the points of chebyshev_points(-1, 1, m + 1), as chebfit's abscissae
+    return -np.cos(np.pi * np.arange(m + 1) / m)
+
+
+def _assert_matches_least_squares(samples):
+    m = len(samples) - 1
+    reference = cheb.chebder(cheb.chebfit(_lobatto(m), samples, m))
+    derivative = derivative_matrix(m) @ samples
+    assert np.max(np.abs(derivative - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_derivative_matches_least_squares_on_random_series(m, rng):
+    for scale in (1.0, 1e5, 1e11):
+        coeffs = scale * rng.standard_normal(m + 1)
+        _assert_matches_least_squares(cheb.chebval(_lobatto(m), coeffs))
+
+
+@pytest.mark.parametrize(
+    "case", [(3, 0.5, 10), (24, 0.5, 20), (24, 0.7, 30), (60, 0.5, 36)], ids=str
+)
+def test_derivative_matches_least_squares_on_lp_bound_polynomials(case):
+    # P(1) runs from 13 to 5.1e10 over these cases
+    _, cos_theta, degree = case
+    poly = lp_bound(*case).poly
+    _assert_matches_least_squares(poly(chebyshev_points(-1.0, cos_theta, degree + 1)))
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_critical_points_of_t_m_are_its_extrema(m):
+    samples = cheb.chebval(chebyshev_points(-1.0, 1.0, m + 1), np.eye(m + 1)[m])
+    expected = np.sort(np.cos(np.pi * np.arange(1, m) / m))
+    assert critical_points(samples, -1.0, 1.0) == pytest.approx(expected, abs=1e-12)
+
+
+def test_derivative_matrix_is_cached_and_read_only():
+    matrix = derivative_matrix(7)
+    assert derivative_matrix(7) is matrix
+    assert matrix.shape == (7, 8)
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 1.0
