@@ -3,35 +3,38 @@
 Solves one shape of LP: minimize ``objective @ x`` subject to
 ``A x <= b`` and ``x >= 0``, with a nonnegative cost. That is the
 grid-discretized bound LP: thousands of rows, at most 40 variables. The
-solver works on the dual, min b@y s.t. -A^T y + s = c, y, s >= 0, whose
-tableau has one row per variable, with Dantzig pricing and a switch to
-Bland's rule after a streak of degenerate pivots. The dual has no phase
-1: with a nonnegative cost its all-slack basis is feasible, and so is
-any optimal basis of the same LP with fewer rows. A solve starts from
-the basis it is given (all-slack by default), refactorized from the
-original data, so a cutting-plane loop can hand each round's optimal
-basis to the next.
+solver is a revised simplex on the dual, min b@y s.t. -A^T y + s = c,
+y, s >= 0, whose basis has one column per variable. Its whole state is
+that basis and the n x n inverse B^-1 of its columns, next to B^-1 c.
+Pricing is Dantzig's rule, with a switch to Bland's rule after a streak
+of degenerate pivots. The dual has no phase 1: with a nonnegative cost
+its all-slack basis is feasible, and so is any optimal basis of the same
+LP with fewer rows. A solve starts from the basis it is given (all-slack
+by default), so a cutting-plane loop can hand each round's optimal basis
+to the next.
 
-An optimum has at most n tight rows, so every LP is solved by row
-generation: the dual simplex runs on a working set of rows (about 8n
-evenly spaced ones plus those the starting basis names, or all rows of a
-shorter LP), every row the working optimum violates is added, and the
-working LP is re-solved from its own optimal basis until no row outside
-it is violated. The rows left out have dual 0, so the last working
-optimum is the full LP's optimum, and an infeasible working LP proves
-the full LP infeasible. The primal solution is recovered from the
-simplex multipliers and checked against every original row, each within
-a tolerance relative to its own scale: a result outside it comes back as
-``numerical_failure``, not as optimal and not re-solved another way.
-Because cost and x are both nonnegative the LP is never unbounded.
+At the simplex multipliers -x, the reduced cost of row i's dual variable
+is b_i - A_i x and that of x_j's slack is x_j. An optimum has at most n
+tight rows, so only a candidate set of rows is priced. When no candidate
+prices out, the full residual A x - b is computed once and every
+violated row joins the candidates; the same B^-1 carries on. The rows
+never priced have dual 0, so the candidates' optimum is the full LP's
+optimum, and a dual ray over the candidates proves the full LP
+infeasible. The primal solution x is checked against every original
+row, each within a tolerance relative to its own scale: a result outside
+it comes back as ``numerical_failure``, not as optimal and not re-solved
+another way. Because cost and x are both nonnegative the LP is never
+unbounded.
 
-Cost model: ``solve_lp`` checks the LP and the caller's basis once. Each
-row-generation pass then costs one refactorization of its tableau from
-the data, with nothing checked again, and each pivot one price matvec and
-one rank-1 update in place, with no array allocated. The residual A x - b
-of the last pass's x, computed to find violated rows, is reused by the
-final tolerance check and ``max_constraint_violation`` when
-``_refine_primal`` keeps that x.
+Cost model: ``solve_lp`` checks the LP and the caller's basis once, and
+factorizes that basis once. Each pivot costs one matvec over the
+candidate rows (pricing), two n x n matvecs (the multipliers and the
+entering column) and one n x (n + 1) rank-1 update. B^-1 is refactorized
+from the data every REFACTOR_INTERVAL pivots, and once more to confirm
+the final optimum when it carries updates. Each time the candidates
+price out, one full-LP matvec finds the violated rows; the last of these
+residuals is reused by the polish, the final tolerance check and
+``max_constraint_violation`` when ``_refine_primal`` keeps that x.
 """
 
 from __future__ import annotations
@@ -44,8 +47,15 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
 DEGENERATE_STREAK_LIMIT = 20
-# row generation starts from this many evenly spaced rows per variable
+# the candidate rows start as this many evenly spaced rows per variable
 ROWS_PER_VARIABLE = 8
+# a solve's pivot cap: this many per priced dual column, plus the base; an
+# optimum takes a few per column, a stall on rounding noise takes the cap
+PIVOT_CAP_PER_COLUMN = 10
+PIVOT_CAP_BASE = 2000
+# B^-1 carries at most this many rank-1 updates (O(n^2) each) before it is
+# refactorized from the data (O(n^3)): about equal costs at n = 20
+REFACTOR_INTERVAL = 20
 
 __all__ = ["LinearProgram", "LPSolution", "solve_lp"]
 
@@ -96,8 +106,8 @@ class LPSolution:
     x: np.ndarray | None = None
     objective_value: float = float("nan")
     max_constraint_violation: float = float("nan")
-    iterations: int = 0  # pivots of this solve, over all row-generation passes
-    restarts: int = 0  # passes re-solved from all-slack after a rejected warm start
+    iterations: int = 0  # pivots of this solve
+    restarts: int = 0  # 1 when the warm-start basis was rejected for all-slack
     # The n primal columns that are nonbasic at the optimum, numbered
     # x_0..x_{n-1} and then the slack of each row. The numbering keeps
     # its meaning when rows are appended, so this can warm-start
@@ -129,71 +139,15 @@ def _within_tolerance(lp: LinearProgram, x: np.ndarray, residual=None) -> bool:
     return bool(np.all(residual <= allowance))
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, maxiter: int):
-    """Tableau simplex for min cost @ z, z >= 0, on T = B^-1 [columns | rhs].
-
-    ``basis[i]`` is the column that is basic in row i of ``T``; both are
-    updated in place. Returns the status ("optimal", "unbounded" or
-    "stalled") and the number of pivots.
-
-    Cost per pivot: one price matvec and one rank-1 update, each written
-    into a buffer allocated once per call, the update then subtracted from
-    ``T`` in place; the ratio test runs over the entering column and the
-    right-hand side as Python floats. No array is allocated per pivot.
-    """
-    columns = T[:, :-1]
-    reduced = np.empty(columns.shape[1])
-    improving = np.empty(columns.shape[1], dtype=bool)
-    basic_cost = cost[basis]
-    factors = np.empty((len(T), 1))
-    update = np.empty_like(T)
-    degenerate_streak = 0
-    for iteration in range(maxiter):
-        np.matmul(basic_cost, columns, out=reduced)
-        np.subtract(cost, reduced, out=reduced)
-        reduced[basis] = np.inf
-        if degenerate_streak >= DEGENERATE_STREAK_LIMIT:
-            np.less(reduced, -OPT_TOL, out=improving)
-            enter = int(improving.argmax())  # Bland: lowest index
-            if not improving[enter]:
-                return "optimal", iteration
-        else:
-            enter = int(reduced.argmin())
-            if reduced[enter] >= -OPT_TOL:
-                return "optimal", iteration
-        column, rhs = T[:, enter].tolist(), T[:, -1].tolist()
-        ratios = [
-            (rhs[row] / entry, row)
-            for row, entry in enumerate(column)
-            if entry > PIVOT_TOL
-        ]
-        if not ratios:
-            return "unbounded", iteration
-        best = min(ratios)[0]
-        limit = best + 1e-12 * (1.0 + abs(best))
-        # Bland tie-break: the tied row whose basic column has the lowest index
-        ties = (row for ratio, row in ratios if ratio <= limit)
-        leave = min(ties, key=basis.__getitem__)
-        degenerate_streak = degenerate_streak + 1 if best <= 1e-10 else 0
-        pivot_row = T[leave]
-        pivot_row /= pivot_row[enter]
-        factors[:, 0] = T[:, enter]
-        factors[leave] = 0.0
-        np.multiply(factors, pivot_row, out=update)
-        T -= update
-        basis[leave] = enter
-        basic_cost[leave] = cost[enter]
-    return "stalled", maxiter
-
-
-def _refine_primal(lp, x, y):
+def _refine_primal(lp, x, y, residual):
     """Active-set least-squares polish of a multiplier-recovered solution.
 
     Late cutting-plane rounds can cluster nearly identical tight rows;
-    the accumulated tableau then amplifies roundoff in the multipliers.
+    the updated inverse then amplifies roundoff in the multipliers.
     Complementary slackness identifies the tight rows (positive duals)
     and the support of x, and re-solving that small system against the
     original data typically cuts the residual by orders of magnitude.
+    ``residual`` is A x - b, which the caller has already computed.
     """
     if y.size == 0:
         return x
@@ -213,7 +167,7 @@ def _refine_primal(lp, x, y):
     objective_gap = abs(float(lp.objective @ (candidate - x)))
     if objective_gap > 1e-7 * (1.0 + abs(float(lp.objective @ x))):
         return x
-    if _violation(lp, candidate) < _violation(lp, x):
+    if _violation(lp, candidate) < _violation(lp, x, residual):
         return candidate
     return x
 
@@ -236,111 +190,150 @@ def _checked_basis(basis, m: int, n: int) -> np.ndarray:
     return basis
 
 
-def _solve_dual(lp: LinearProgram, basis=None):
-    """Solve the LP through its dual (few rows, many columns).
-
-    The dual tableau has the columns y_0..y_{m-1}, s_0..s_{n-1}; the
-    optimal primal x is the negated vector of simplex multipliers. With
-    c >= 0 the all-slack basis (y = 0) is feasible, so an unbounded dual
-    means an infeasible primal. The solve starts from ``basis``, an
-    ``LPSolution.basis`` that the caller has checked (default: all
-    slack), with the tableau refactorized from the data as
-    B^-1 [-A^T | I | c], and ends as ``numerical_failure`` when that
-    basis is singular, not feasible, or the pivots stall. Returns the
-    status, x, the dual solution y, the pivot count and the optimal basis.
-    """
-    m, n = lp.A.shape
-    basic = (
-        np.arange(m, m + n) if basis is None else np.where(basis < n, basis + m, basis - n)
-    )
-    data = np.hstack([-lp.A.T, np.eye(n), lp.objective[:, None]])
+def _factorized(basic_columns, objective, check_feasible: bool):
+    """[B^-1 | B^-1 c] for the dual basis whose columns are the rows of
+    ``basic_columns``, from the data. None when B is singular, or when
+    ``check_feasible`` and B^-1 c is below 0 by more than roundoff; the
+    rest is clipped to 0."""
+    n = len(basic_columns)
+    T = np.empty((n, n + 1))
     try:
-        # solved even for the all-slack B = I, whose solve turns some -0.0
-        # of the data into +0.0: a sign that can reach a certificate's bytes
-        T = np.linalg.solve(data[:, basic], data)
+        T[:, :n] = np.linalg.inv(basic_columns.T)
     except np.linalg.LinAlgError:
-        return "numerical_failure", None, None, 0, None
-    rhs = T[:, -1]
-    if not np.all(np.isfinite(T)) or rhs.min() < -FEAS_TOL * (1.0 + np.abs(rhs).max()):
-        return "numerical_failure", None, None, 0, None
-    np.clip(rhs, 0.0, None, out=rhs)
-    cost = np.concatenate([lp.b, np.zeros(n)])
-    status, iterations = _simplex(T, basic, cost, 50 * (m + n) + 2000)
-    if status == "unbounded":
-        return "infeasible", None, None, iterations, None
-    if status != "optimal":
-        return "numerical_failure", None, None, iterations, None
-    # simplex multipliers through the slack columns, which hold B^-1
-    x = -(cost[basic] @ T[:, m:-1])
-    np.clip(x, 0.0, None, out=x)
-    y = np.zeros(m)
-    dual_rows = basic < m
-    y[basic[dual_rows]] = T[dual_rows, -1]
-    return "optimal", x, y, iterations, np.where(dual_rows, basic + n, basic - m)
+        return None
+    values = T[:, n]
+    np.matmul(T[:, :n], objective, out=values)
+    if not np.all(np.isfinite(T)):
+        return None
+    if check_feasible and values.min() < -FEAS_TOL * (1.0 + np.abs(values).max()):
+        return None
+    np.clip(values, 0.0, None, out=values)
+    return T
+
+
+def _priced(T, basic_cost, columns, cost, positions):
+    """x = -(c_B B^-1), with B^-1 in the first n columns of ``T``, and the
+    reduced cost c_j + (dual column j) @ x of each priced column; the basic
+    ones, at ``positions``, price at inf."""
+    x = -(basic_cost @ T[:, : len(basic_cost)])
+    reduced = columns @ x
+    reduced += cost
+    reduced[positions] = np.inf
+    return x, reduced
 
 
 def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     """Solve the LP; deterministic for a fixed input and ``basis``.
 
     ``basis``, an ``LPSolution.basis`` of the same LP or of one with the
-    same variables and fewer (leading) rows, warm-starts the solve. Every
-    LP is solved by row generation (see the module docstring): the
-    working set starts as ROWS_PER_VARIABLE * n evenly spaced rows (all
-    of them in a shorter LP) plus the rows named in ``basis``. Each pass
-    runs ``_solve_dual`` on it, appends every row outside it that the
-    working optimum violates, and warm-starts from the pass's optimal
-    basis, whose numbering appended rows leave valid. An LP of at most
-    ROWS_PER_VARIABLE rows per variable thus takes one pass on all its
-    rows. When ``_solve_dual`` rejects a pass's starting basis (singular,
-    or not feasible once refactorized: a failure after 0 pivots), that
-    pass is solved again from the all-slack basis, which is feasible
-    because c >= 0, and counted in ``restarts``. ``iterations`` counts
-    the pivots of all passes. ``lp`` and ``basis`` are checked here once;
-    the passes trust the working LPs and bases they build. An optimal
-    solution is re-checked against every original row: a result that
-    violates one beyond its tolerance (``_within_tolerance``) is
-    downgraded to ``numerical_failure`` rather than reported as optimal.
+    same variables and fewer (leading) rows, warm-starts the solve. It is
+    checked and factorized once: when B is singular or B^-1 c is not
+    feasible, the solve starts from the all-slack basis instead, which is
+    feasible because c >= 0, and counts one restart. The candidate rows
+    start as ROWS_PER_VARIABLE * n evenly spaced rows (all of them in a
+    shorter LP) plus the rows named in ``basis``. An optimum reached
+    through updates of B^-1 is priced once more on a fresh factorization,
+    and the pivots go on from it if a column still prices out there. A
+    solve that reaches its pivot cap, or whose basis turns singular when
+    refactorized, is a ``numerical_failure``, and so is an optimum that
+    violates an original row beyond its tolerance (``_within_tolerance``).
     """
     m, n = lp.A.shape
-    selected = np.zeros(m, dtype=bool)
+    # the priced dual columns, numbered as in LPSolution.basis: x_j's slack
+    # (j < n, always priced) and the candidate rows (n + i)
+    priced = np.zeros(n + m, dtype=bool)
+    priced[:n] = True
     first = np.linspace(0, m - 1, min(m, ROWS_PER_VARIABLE * n))
-    selected[first.round().astype(int)] = True
-    if basis is not None:
-        basis = _checked_basis(basis, m, n)
-        named = basis >= n
-        selected[basis[named] - n] = True
-    rows = np.flatnonzero(selected)
-    if basis is not None:
-        # the working LP numbers a row by its place in ``rows``
-        basis = np.where(named, n + np.searchsorted(rows, basis - n), basis)
-    iterations = restarts = 0
+    priced[n + first.round().astype(int)] = True
+    if basis is None:
+        basis = np.arange(n)
+    else:
+        basis = _checked_basis(basis, m, n).copy()
+        priced[basis] = True
+    ids = None
+    T, restarts = None, 0
+    iterations = degenerate_streak = 0
+    confirmed = False
+
+    def ended(status):
+        return LPSolution(status, iterations=iterations, restarts=restarts)
+
     while True:
-        # rows of the checked lp, so built without __post_init__'s checks
-        working = object.__new__(LinearProgram)
-        working.objective, working.A, working.b = lp.objective, lp.A[rows], lp.b[rows]
-        result = _solve_dual(working, basis)
-        if result[0] == "numerical_failure" and result[3] == 0 and basis is not None:
-            restarts += 1
-            result = _solve_dual(working)
-        status, x, working_y, pivots, basis = result
-        iterations += pivots
-        if status != "optimal":
-            return LPSolution(status=status, iterations=iterations, restarts=restarts)
-        residual = _residual(lp, x)
-        violated = np.flatnonzero(~selected & (residual > 0.0))
-        if not violated.size:
-            break
-        rows = np.concatenate([rows, violated])
-        selected[violated] = True
+        if ids is None:
+            ids = np.flatnonzero(priced)
+            rows = ids[n:] - n
+            # one row per dual column: e_j for a slack, -A_i for row i
+            columns = np.vstack([np.eye(n), -lp.A[rows]])
+            cost = np.concatenate([np.zeros(n), lp.b[rows]])
+            positions = np.searchsorted(ids, basis)
+            basic_cost = cost[positions]
+        if T is None:
+            # the basis is checked and factorized once
+            T = _factorized(columns[positions], lp.objective, True)
+            if T is None:
+                restarts = 1
+                basis[:], positions[:], basic_cost[:] = range(n), range(n), 0.0
+                T = np.hstack([np.eye(n), lp.objective[:, None]])
+        x, reduced = _priced(T, basic_cost, columns, cost, positions)
+        if degenerate_streak >= DEGENERATE_STREAK_LIMIT:
+            improving = reduced < -OPT_TOL
+            enter = int(improving.argmax())  # Bland: lowest index
+            optimal = not improving[enter]
+        else:
+            enter = int(reduced.argmin())
+            optimal = reduced[enter] >= -OPT_TOL
+        if optimal:
+            np.clip(x, 0.0, None, out=x)
+            residual = _residual(lp, x)
+            violated = np.flatnonzero(~priced[n:] & (residual > 0.0))
+            if violated.size:
+                priced[n + violated] = True
+                ids = None
+                continue
+            if confirmed or iterations % REFACTOR_INTERVAL == 0:
+                break
+            # B^-1 carries updates: the optimum is confirmed once on a fresh
+            # factorization, and x keeps its bits when it holds there
+            confirmed = True
+            fresh = _factorized(columns[positions], lp.objective, False)
+            if fresh is None:
+                return ended("numerical_failure")
+            _, reduced = _priced(fresh, basic_cost, columns, cost, positions)
+            if reduced.min() >= -OPT_TOL:
+                break
+            T = fresh
+            continue
+        if iterations >= PIVOT_CAP_PER_COLUMN * len(ids) + PIVOT_CAP_BASE:
+            return ended("numerical_failure")
+        entering = T[:, :n] @ columns[enter]
+        eligible = (entering > PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
+            return ended("infeasible")
+        ratios = T[eligible, n] / entering[eligible]
+        best = float(ratios.min())
+        limit = best + 1e-12 * (1.0 + abs(best))
+        # Bland tie-break: the tied row whose basic column has the lowest index
+        ties = eligible[ratios <= limit]
+        leave = int(ties[basis[ties].argmin()])
+        degenerate_streak = degenerate_streak + 1 if best <= 1e-10 else 0
+        T[leave] /= entering[leave]
+        entering[leave] = 0.0
+        T -= entering[:, None] * T[leave]
+        basis[leave], positions[leave] = ids[enter], enter
+        basic_cost[leave] = cost[enter]
+        iterations += 1
+        if iterations % REFACTOR_INTERVAL == 0:
+            T = _factorized(columns[positions], lp.objective, False)
+            if T is None:
+                return ended("numerical_failure")
     y = np.zeros(m)
-    y[rows] = working_y
-    named = basis >= n
-    basis[named] = n + rows[basis[named] - n]
-    refined = _refine_primal(lp, x, y)
+    tight = basis >= n
+    y[basis[tight] - n] = T[tight, n]
+    refined = _refine_primal(lp, x, y, residual)
     if refined is not x:
         x, residual = refined, _residual(lp, refined)
     if not _within_tolerance(lp, x, residual):
-        return LPSolution("numerical_failure", iterations=iterations, restarts=restarts)
+        return ended("numerical_failure")
     return LPSolution(
         status="optimal",
         x=x,

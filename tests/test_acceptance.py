@@ -315,7 +315,7 @@ def test_criterion_8_orthonormal_finite_set():
 
 
 def test_criterion_9_lp_oracle_and_mutations():
-    from test_linprog import enumerate_vertices, random_covering_lp
+    from lp_helpers import enumerate_vertices, random_covering_lp
 
     from codebounds.linprog import solve_lp
 

@@ -2,78 +2,21 @@
 
 import gc
 import weakref
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from lp_helpers import enumerate_vertices, grid_lp, random_covering_lp, tall_lp
 
-from codebounds import dgs_bound, linprog
-from codebounds.errors import NoCertificateError
-from codebounds.gegenbauer import basis_values
+from codebounds import linprog
 from codebounds.linprog import (
     FEAS_TOL,
     LinearProgram,
-    _solve_dual,
     _violation,
     _within_tolerance,
     solve_lp,
 )
-from codebounds.scanning import chebyshev_points
-
-
-def enumerate_vertices(objective, rows, rhs, upper):
-    """Brute-force oracle: best objective over all basic feasible points.
-
-    Constraints are rows @ x <= rhs together with 0 <= x <= upper; every
-    n-subset of the combined halfplane set is intersected and checked.
-    """
-    n = len(objective)
-    all_rows = [np.asarray(r, dtype=float) for r in rows]
-    all_rhs = [float(b) for b in rhs]
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        all_rows.append(e)
-        all_rhs.append(float(upper[j]))
-        all_rows.append(-e)
-        all_rhs.append(0.0)
-    best = None
-    for subset in combinations(range(len(all_rows)), n):
-        A = np.array([all_rows[i] for i in subset])
-        b = np.array([all_rhs[i] for i in subset])
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        feasible = all(
-            float(row @ x) <= bb + 1e-9 for row, bb in zip(all_rows, all_rhs)
-        )
-        if feasible:
-            value = float(np.dot(objective, x))
-            if best is None or value < best:
-                best = value
-    return best
-
-
-def random_covering_lp(rng, n=None, m=None):
-    """A feasible LP of the solver's shape, and the oracle's inputs.
-
-    Cost c in [0, 1)^n; the box 0 <= x <= upper is written as "<=" rows
-    after A; b = A @ interior + slack, so rows can cut x = 0 off and the
-    optimum is often above 0. n and m are drawn (2..4 and 2..10) unless
-    given. Returns the LP and (c, A, b, upper).
-    """
-    n = int(rng.integers(2, 5)) if n is None else n
-    m = int(rng.integers(2, 11)) if m is None else m
-    A = rng.normal(size=(m, n))
-    interior = rng.uniform(0.1, 2.0, n)
-    b = A @ interior + rng.uniform(0.05, 1.0, m)
-    c = rng.uniform(0.0, 1.0, n)
-    upper = rng.uniform(2.5, 6.0, n)
-    lp = LinearProgram(c, np.vstack([A, np.eye(n)]), np.concatenate([b, upper]))
-    return lp, (c, A, b, upper)
 
 
 class TestExamples:
@@ -181,14 +124,6 @@ class TestInvariants:
         assert np.array_equal(first.x, second.x)
 
 
-def tall_lp(rng, m, n=4):
-    """A feasible tall LP: A x <= b, x >= 0, c > 0."""
-    A = rng.normal(size=(m, n))
-    b = A @ rng.uniform(0.2, 1.0, n) + rng.uniform(0.01, 0.5, m)
-    c = rng.uniform(0.1, 1.0, n)
-    return c, A, b
-
-
 class TestDualFastPath:
     def test_tall_lp_matches_highs(self, rng):
         # imported here only: scipy.optimize costs the package's cold start
@@ -226,84 +161,75 @@ KISSING_CASES = [
     (32, 0.5, 20),
     (16, 0.7, 16),
 ]
+# the benchmark's lp_stress cases; (24, .7, 12) is LP-infeasible
+STRESS_CASES = [(24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30), (24, 0.7, 12)]
 
 
-def grid_lp(d, cos_theta, degree):
-    """lp_bound's first-round LP: sum_k a_k G_k(r_i) <= -1 on a Chebyshev grid."""
-    points = chebyshev_points(-1.0, cos_theta, dgs_bound.GRID_POINTS)
-    rows = basis_values(d, degree, points)[1:].T
-    return LinearProgram(np.ones(degree), rows, np.full(len(rows), -1.0))
-
-
-def working_set_sizes(monkeypatch):
-    """Spy on solve_lp's dual simplex runs; records the rows of each."""
-    sizes = []
-    real = linprog._solve_dual
-
-    def solve(lp, basis=None):
-        sizes.append(len(lp.b))
-        return real(lp, basis)
-
-    monkeypatch.setattr(linprog, "_solve_dual", solve)
-    return sizes
+def first_candidates(m, n):
+    """The rows that solve_lp prices first when no basis is given."""
+    count = min(m, linprog.ROWS_PER_VARIABLE * n)
+    return set(np.linspace(0, m - 1, count).round().astype(int).tolist())
 
 
 class TestRowGeneration:
-    def test_a_short_lp_is_one_pass_over_every_row(self, monkeypatch, rng):
-        # with at most ROWS_PER_VARIABLE rows per variable the first working
-        # set is the whole LP, in order: one _solve_dual run on the LP itself
-        sizes = working_set_sizes(monkeypatch)
-        for _ in range(20):
-            lp, _ = random_covering_lp(rng)
-            assert len(lp.b) <= linprog.ROWS_PER_VARIABLE * len(lp.objective)
-            status, _, _, pivots, basis = _solve_dual(lp)
-            sizes.clear()
-            sol = solve_lp(lp)
-            assert sizes == [len(lp.b)]
-            assert sol.status == status == "optimal"
-            assert sol.iterations == pivots
-            assert np.array_equal(sol.basis, basis)
+    @pytest.mark.parametrize("case", KISSING_CASES + STRESS_CASES, ids=str)
+    def test_grid_lp_matches_highs(self, case):
+        # imported here only, as in TestDualFastPath
+        from scipy.optimize import linprog as highs
 
-    @pytest.mark.parametrize("case", KISSING_CASES, ids=str)
-    def test_grid_lp_matches_one_full_tableau_solve(self, monkeypatch, case):
         lp = grid_lp(*case)
-        status, x, *_ = _solve_dual(lp)
-        sizes = working_set_sizes(monkeypatch)
         sol = solve_lp(lp)
-        assert sol.status == status == "optimal"
-        assert sizes[0] < len(lp.b)
-        assert sol.objective_value == pytest.approx(lp.objective @ x, rel=1e-9)
+        ref = highs(lp.objective, A_ub=lp.A, b_ub=lp.b, bounds=(0, None), method="highs")
+        if case == (24, 0.7, 12):
+            assert sol.status == "infeasible" and ref.status == 2
+            return
+        assert sol.status == "optimal" and ref.status == 0
+        assert _within_tolerance(lp, sol.x)
+        # on the ill-conditioned stress LPs HiGHS stops high (923333176
+        # against 895465708 at d = 48), so there it is only an upper bound
+        assert sol.objective_value <= ref.fun * (1.0 + 1e-9)
+        if case in KISSING_CASES:
+            assert sol.objective_value == pytest.approx(ref.fun, rel=1e-9)
 
-    def test_tall_covering_lps_match_the_vertex_oracle(self, monkeypatch, rng):
-        sizes = working_set_sizes(monkeypatch)
+    @pytest.mark.parametrize("case", KISSING_CASES + STRESS_CASES[:3], ids=str)
+    def test_grid_lp_own_basis_takes_no_pivots(self, case):
+        # the warm start refactorizes a basis of condition up to about 1e13
+        # from the data and must still find it feasible and optimal
+        lp = grid_lp(*case)
+        cold = solve_lp(lp)
+        again = solve_lp(lp, cold.basis)
+        assert again.status == "optimal"
+        assert (again.iterations, again.restarts) == (0, 0)
+        assert again.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+
+    def test_tall_covering_lps_match_the_vertex_oracle(self, rng):
         nonzero = 0
         for _ in range(10):
             lp, oracle_inputs = random_covering_lp(rng, n=2, m=int(rng.integers(40, 60)))
-            sizes.clear()
+            # more rows than the first candidates hold
+            assert len(lp.b) > len(first_candidates(*lp.A.shape))
             sol = solve_lp(lp)
             assert sol.status == "optimal"
-            assert sizes[0] < len(lp.b)
             oracle = enumerate_vertices(*oracle_inputs)
             assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
             nonzero += oracle > 1e-9
         assert nonzero >= 5
 
-    def test_infeasible_rows_outside_the_working_set(self, monkeypatch, rng):
+    def test_infeasible_rows_outside_the_working_set(self, rng):
         c, A, b = tall_lp(rng, 200, n=2)
-        # x_0 >= 2 and x_0 <= 1, at rows that the first working set leaves out
+        # x_0 >= 2 and x_0 <= 1, at rows that the first candidates leave out
         A[5], b[5] = [-1.0, 0.0], -2.0
         A[6], b[6] = [1.0, 0.0], 1.0
-        sizes = working_set_sizes(monkeypatch)
+        assert not {5, 6} & first_candidates(200, 2)
         assert solve_lp(LinearProgram(c, A, b)).status == "infeasible"
-        assert len(sizes) >= 2 and sizes[0] < 200
 
     def test_basis_naming_rows_outside_the_first_working_set(self, rng):
         n, m = 4, 300
         c, A, b = tall_lp(rng, m, n)
         lp = LinearProgram(c, A, b)
         cold = solve_lp(lp)
-        first = np.linspace(0, m - 1, linprog.ROWS_PER_VARIABLE * n).round() + n
-        assert np.setdiff1d(cold.basis[cold.basis >= n], first).size
+        named = set((cold.basis[cold.basis >= n] - n).tolist())
+        assert named - first_candidates(m, n)
         again = solve_lp(lp, cold.basis)
         assert again.status == "optimal" and again.iterations == 0
         assert np.array_equal(again.basis, cold.basis)
@@ -320,131 +246,37 @@ class TestBlandsRule:
         monkeypatch.setattr(linprog, "DEGENERATE_STREAK_LIMIT", 0)
         bland = solve_lp(lp)
         assert bland.status == default.status == "optimal"
-        assert bland.objective_value == default.objective_value
+        # the same vertex; x itself comes from each path's updated inverse
+        assert set(bland.basis.tolist()) == set(default.basis.tolist())
+        assert bland.objective_value == pytest.approx(default.objective_value, rel=1e-12)
         assert bland.iterations > default.iterations
 
-
-def reference_simplex(T, basis, cost, maxiter):
-    """The pivot kernel before it wrote into buffers allocated once per
-    call (a fresh reduced-cost vector, mask ratio test and np.outer per
-    pivot): the oracle that ``linprog._simplex`` must match bit for bit."""
-    m = T.shape[0]
-    degenerate_streak = 0
-    for iteration in range(maxiter):
-        reduced = cost - cost[basis] @ T[:, :-1]
-        reduced[basis] = np.inf
-        if degenerate_streak >= linprog.DEGENERATE_STREAK_LIMIT:
-            candidates = np.where(reduced < -linprog.OPT_TOL)[0]
-            if len(candidates) == 0:
-                return "optimal", iteration
-            enter = int(candidates[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -linprog.OPT_TOL:
-                return "optimal", iteration
-        col = T[:, enter]
-        positive = col > linprog.PIVOT_TOL
-        if not positive.any():
-            return "unbounded", iteration
-        ratios = np.full(m, np.inf)
-        ratios[positive] = T[positive, -1] / col[positive]
-        best = float(ratios.min())
-        ties = np.where(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-        leave = int(ties[np.argmin(basis[ties])])
-        degenerate_streak = degenerate_streak + 1 if best <= 1e-10 else 0
-        T[leave] /= T[leave, enter]
-        factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
-        basis[leave] = enter
-    return "stalled", maxiter
-
-
-def bit_equal(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def compare_with_reference(monkeypatch):
-    """Run every ``_simplex`` call also through ``reference_simplex`` on
-    copies of its inputs; each entry is (status and pivots, the
-    reference's, T bit-equal, basis bit-equal)."""
-    calls = []
-    kernel = linprog._simplex
-
-    def both(T, basis, cost, maxiter):
-        reference_T, reference_basis = T.copy(), basis.copy()
-        expected = reference_simplex(reference_T, reference_basis, cost.copy(), maxiter)
-        result = kernel(T, basis, cost, maxiter)
-        calls.append(
-            (result, expected, bit_equal(T, reference_T), bit_equal(basis, reference_basis))
-        )
-        return result
-
-    monkeypatch.setattr(linprog, "_simplex", both)
-    return calls
-
-
-def assert_all_agree(calls):
-    assert calls
-    for result, expected, same_T, same_basis in calls:
-        assert result == expected
-        assert same_T and same_basis
-
-
-# the benchmark's lp_stress cases; (24, .7, 12) is LP-infeasible
-STRESS_CASES = [(24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30), (24, 0.7, 12)]
-
-
-class TestPivotKernelMatchesTheReference:
-    @pytest.mark.parametrize("case", KISSING_CASES + STRESS_CASES, ids=str)
-    def test_every_call_of_a_benchmark_bound(self, monkeypatch, case):
-        calls = compare_with_reference(monkeypatch)
-        try:
-            dgs_bound.lp_bound(*case)
-        except NoCertificateError:
-            assert case == (24, 0.7, 12)
-            assert calls[-1][0][0] == "unbounded"
-        assert_all_agree(calls)
-
-    @pytest.mark.parametrize("case", [(8, 0.5, 6), (24, 0.5, 10), (16, 0.7, 16)], ids=str)
-    def test_blands_rule_from_the_first_pivot(self, monkeypatch, case):
-        monkeypatch.setattr(linprog, "DEGENERATE_STREAK_LIMIT", 0)
-        calls = compare_with_reference(monkeypatch)
-        assert solve_lp(grid_lp(*case)).status == "optimal"
-        assert_all_agree(calls)
-
-    def test_unbounded_column(self, monkeypatch, rng):
-        calls = compare_with_reference(monkeypatch)
-        c, A, b = tall_lp(rng, 300, n=3)
-        A = np.vstack([A, np.ones(3)])
-        b = np.append(b, -1.0)  # impossible with x >= 0: the dual is unbounded
-        assert solve_lp(LinearProgram(np.ones(3), A, b)).status == "infeasible"
-        assert calls[-1][0][0] == "unbounded"
-        assert_all_agree(calls)
-
-    def test_degenerate_ratio_ties(self, monkeypatch):
-        # zero costs make the dual's right-hand side 0 in those rows, so many
+    @pytest.mark.parametrize("zero_costs", [1, 2, 3])
+    def test_zero_cost_degenerate_lps_match_the_vertex_oracle(
+        self, monkeypatch, rng, zero_costs
+    ):
+        # zero costs make the dual's B^-1 c zero in those rows, so many
         # ratios tie at 0 and the tie-break by basic column decides
-        calls = compare_with_reference(monkeypatch)
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            c, A, b = tall_lp(rng, 60, n=6)
-            c[:4] = 0.0
-            assert solve_lp(LinearProgram(c, A, b)).status == "optimal"
-        assert_all_agree(calls)
+        monkeypatch.setattr(linprog, "DEGENERATE_STREAK_LIMIT", 0)
+        for _ in range(15):
+            lp, (c, A, b, upper) = random_covering_lp(rng, n=4)
+            c[:zero_costs] = 0.0
+            sol = solve_lp(LinearProgram(c, lp.A, lp.b))
+            assert sol.status == "optimal"
+            oracle = enumerate_vertices(c, A, b, upper)
+            assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
 
-    @pytest.mark.parametrize("maxiter", [1, 5, 40])
-    def test_pivot_cap_stall(self, maxiter):
+
+class TestPivotCap:
+    @pytest.mark.parametrize("cap", [1, 5, 40])
+    def test_pivot_cap_is_a_numerical_failure(self, monkeypatch, cap):
         lp = grid_lp(24, 0.5, 20)
-        m, n = lp.A.shape
-        T = np.hstack([-lp.A.T, np.eye(n), lp.objective[:, None]])
-        cost = np.concatenate([lp.b, np.zeros(n)])
-        basis = np.arange(m, m + n)
-        reference_T, reference_basis = T.copy(), basis.copy()
-        expected = reference_simplex(reference_T, reference_basis, cost, maxiter)
-        assert expected == ("stalled", maxiter)
-        assert linprog._simplex(T, basis, cost, maxiter) == expected
-        assert bit_equal(T, reference_T) and bit_equal(basis, reference_basis)
+        assert solve_lp(lp).iterations > cap
+        monkeypatch.setattr(linprog, "PIVOT_CAP_PER_COLUMN", 0)
+        monkeypatch.setattr(linprog, "PIVOT_CAP_BASE", cap)
+        sol = solve_lp(lp)
+        assert sol.status == "numerical_failure"
+        assert sol.iterations == cap and sol.x is None
 
 
 class TestRowScaledTolerance:
@@ -466,7 +298,9 @@ class TestRowScaledTolerance:
         assert solve_lp(lp).status == "optimal"
         real = linprog._refine_primal
         monkeypatch.setattr(
-            linprog, "_refine_primal", lambda lp, x, y: scale * real(lp, x, y)
+            linprog,
+            "_refine_primal",
+            lambda lp, x, y, residual: scale * real(lp, x, y, residual),
         )
         assert solve_lp(lp).status == "numerical_failure"
 
