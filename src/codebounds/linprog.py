@@ -30,11 +30,14 @@ Cost model: ``solve_lp`` checks the LP and the caller's basis once, and
 factorizes that basis once. Each pivot costs one matvec over the
 candidate rows (pricing), two n x n matvecs (the multipliers and the
 entering column) and one n x (n + 1) rank-1 update. B^-1 is refactorized
-from the data every REFACTOR_INTERVAL pivots, and once more to confirm
-the final optimum when it carries updates. Each time the candidates
-price out, one full-LP matvec finds the violated rows; the last of these
-residuals is reused by the polish, the final tolerance check and
-``max_constraint_violation`` when ``_refine_primal`` keeps that x.
+from the data at every REFACTOR_INTERVAL-th pivot of the solve, and once
+more to confirm the first optimum reached through updates. Each time the
+candidates price out, one full-LP matvec finds the violated rows; the
+last of these residuals is reused by the polish, the final tolerance
+check and ``max_constraint_violation`` when ``_refine_primal`` keeps x.
+A periodic refactorization clips B^-1 c at 0 even where the updates
+have drifted it below 0 by more than roundoff. That shifts the cost the
+pivots see: x still passes the row check, but need not be optimal.
 """
 
 from __future__ import annotations
@@ -50,11 +53,11 @@ DEGENERATE_STREAK_LIMIT = 20
 # the candidate rows start as this many evenly spaced rows per variable
 ROWS_PER_VARIABLE = 8
 # a solve's pivot cap: this many per priced dual column, plus the base; an
-# optimum takes a few per column, a stall on rounding noise takes the cap
-PIVOT_CAP_PER_COLUMN = 10
+# optimum takes a few per column
+PIVOT_CAP_PER_COLUMN = 50
 PIVOT_CAP_BASE = 2000
-# B^-1 carries at most this many rank-1 updates (O(n^2) each) before it is
-# refactorized from the data (O(n^3)): about equal costs at n = 20
+# B^-1 is refactorized from the data (O(n^3)) at every this-many-th pivot of
+# a solve (O(n^2) each): about equal costs at n = 20
 REFACTOR_INTERVAL = 20
 
 __all__ = ["LinearProgram", "LPSolution", "solve_lp"]
@@ -193,8 +196,8 @@ def _checked_basis(basis, m: int, n: int) -> np.ndarray:
 def _factorized(basic_columns, objective, check_feasible: bool):
     """[B^-1 | B^-1 c] for the dual basis whose columns are the rows of
     ``basic_columns``, from the data. None when B is singular, or when
-    ``check_feasible`` and B^-1 c is below 0 by more than roundoff; the
-    rest is clipped to 0."""
+    ``check_feasible`` and B^-1 c is below 0 by more than roundoff; without
+    the check, B^-1 c is clipped to 0 however far below it lies."""
     n = len(basic_columns)
     T = np.empty((n, n + 1))
     try:
@@ -231,9 +234,10 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     feasible, the solve starts from the all-slack basis instead, which is
     feasible because c >= 0, and counts one restart. The candidate rows
     start as ROWS_PER_VARIABLE * n evenly spaced rows (all of them in a
-    shorter LP) plus the rows named in ``basis``. An optimum reached
-    through updates of B^-1 is priced once more on a fresh factorization,
-    and the pivots go on from it if a column still prices out there. A
+    shorter LP) plus the rows named in ``basis``. The first optimum that
+    no other row violates is, when B^-1 carries updates, priced once more
+    on a fresh factorization. If a column still prices out there, the
+    pivots go on from it and their optimum is final, confirmed or not. A
     solve that reaches its pivot cap, or whose basis turns singular when
     refactorized, is a ``numerical_failure``, and so is an optimum that
     violates an original row beyond its tolerance (``_within_tolerance``).
@@ -292,8 +296,8 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
                 continue
             if confirmed or iterations % REFACTOR_INTERVAL == 0:
                 break
-            # B^-1 carries updates: the optimum is confirmed once on a fresh
-            # factorization, and x keeps its bits when it holds there
+            # B^-1 carries updates: the optimum is confirmed once per solve on a
+            # fresh factorization, and x keeps its bits when it holds there
             confirmed = True
             fresh = _factorized(columns[positions], lp.objective, False)
             if fresh is None:
@@ -309,7 +313,9 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         eligible = (entering > PIVOT_TOL).nonzero()[0]
         if not eligible.size:
             return ended("infeasible")
-        ratios = T[eligible, n] / entering[eligible]
+        # updates can leave B^-1 c below 0: such a row ties at ratio 0,
+        # where a negative ratio would step backwards
+        ratios = np.maximum(T[eligible, n], 0.0) / entering[eligible]
         best = float(ratios.min())
         limit = best + 1e-12 * (1.0 + abs(best))
         # Bland tie-break: the tied row whose basic column has the lowest index
