@@ -462,27 +462,23 @@ def _icosahedron_vectors() -> np.ndarray:
     return np.array(vecs) * scale
 
 
-def _d4_root_vectors() -> np.ndarray:
+def _dn_root_vectors(dim: int) -> np.ndarray:
+    """The roots +-e_i +-e_j of D_dim, scaled to unit length."""
     vecs = []
-    for i, j in combinations(range(4), 2):
+    for i, j in combinations(range(dim), 2):
         for si, sj in product((1.0, -1.0), repeat=2):
-            v = np.zeros(4)
+            v = np.zeros(dim)
             v[i], v[j] = si, sj
             vecs.append(v)
     return np.array(vecs) / math.sqrt(2.0)
 
 
 def _e8_root_vectors() -> np.ndarray:
-    vecs = []
-    for i, j in combinations(range(8), 2):
-        for si, sj in product((1.0, -1.0), repeat=2):
-            v = np.zeros(8)
-            v[i], v[j] = si, sj
-            vecs.append(v)
-    for signs in product((0.5, -0.5), repeat=8):
-        if sum(1 for s in signs if s < 0) % 2 == 0:
-            vecs.append(np.array(signs))
-    return np.array(vecs) / math.sqrt(2.0)
+    """D_8's roots, then the half-integer roots with an even number of -1/2."""
+    halves = [
+        signs for signs in product((0.5, -0.5), repeat=8) if signs.count(-0.5) % 2 == 0
+    ]
+    return np.vstack([_dn_root_vectors(8), np.array(halves) / math.sqrt(2.0)])
 
 
 def generate(family: str, dim: int | None = None) -> SphericalCode:
@@ -506,7 +502,7 @@ def generate(family: str, dim: int | None = None) -> SphericalCode:
     if family == "icosahedron":
         return SphericalCode(3, _icosahedron_vectors(), 1.0 / math.sqrt(5.0))
     if family == "d4_roots":
-        return SphericalCode(4, _d4_root_vectors(), 0.5)
+        return SphericalCode(4, _dn_root_vectors(4), 0.5)
     if family == "e8_roots":
         return SphericalCode(8, _e8_root_vectors(), 0.5)
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -520,13 +516,8 @@ def random_functional_code(
     for j in range(n_points):
         pts[j] /= lp_norm(pts[j], p)
     fns = np.array([norming_functional(v, p) for v in pts])
-    matrix = fns @ pts.T
-    if n_points >= 2:
-        off = matrix.copy()
-        np.fill_diagonal(off, -np.inf)
-        ct = float(np.max(off))
-    else:
-        ct = 0.0
+    max_offdiag, _ = _offdiag_report(fns @ pts.T)
+    ct = 0.0 if max_offdiag is None else max_offdiag
     return FunctionalCode(LpSpace(p, dim), pts, fns, ct)
 
 

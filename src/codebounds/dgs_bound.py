@@ -77,6 +77,8 @@ def _validate_inputs(d: int, cos_theta: float, degree: int):
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not (-1.0 <= cos_theta < 1.0):
         raise ValueError(f"cos_theta must lie in [-1, 1), got {cos_theta}")
+    if not isinstance(degree, (int, np.integer)):
+        raise ValueError(f"degree must be an integer, got {degree!r}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if degree > MAX_TABLE_DEGREE:

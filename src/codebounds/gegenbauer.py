@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import _read_only, _Rebuilt
+
 MAX_TABLE_DEGREE = 40
 
 __all__ = [
@@ -110,10 +112,12 @@ def monomial_table(dim: int, max_degree: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GegenbauerPoly:
+class GegenbauerPoly(_Rebuilt):
     """A polynomial stored by its coefficients in the Gegenbauer basis.
 
-    Represents sum_k coeffs[k] * G_k^{(dim)}(r).
+    Represents sum_k coeffs[k] * G_k^{(dim)}(r). ``coeffs`` is a read-only
+    copy, in copies and pickles too, so a certificate's polynomial cannot
+    change under its report.
     """
 
     dim: int
@@ -121,12 +125,12 @@ class GegenbauerPoly:
 
     def __post_init__(self):
         _check_dim(self.dim)
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        arr = np.atleast_1d(np.array(self.coeffs, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d vector")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _read_only(arr))
 
     @property
     def degree(self) -> int:

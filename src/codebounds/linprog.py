@@ -15,23 +15,27 @@ to the next.
 
 At the simplex multipliers -x, the reduced cost of row i's dual variable
 is b_i - A_i x and that of x_j's slack is x_j. An optimum has at most n
-tight rows, so only a candidate set of rows is priced. When no candidate
-prices out, the full residual A x - b is computed once and every
-violated row joins the candidates; the same B^-1 carries on. The rows
-never priced have dual 0, so the candidates' optimum is the full LP's
-optimum, and a dual ray over the candidates proves the full LP
-infeasible. The primal solution x is checked against every original
-row, each within a tolerance relative to its own scale: a result outside
-it comes back as ``numerical_failure``, not as optimal and not re-solved
-another way. Because cost and x are both nonnegative the LP is never
-unbounded.
+tight rows, so only a candidate set of rows is priced. The column q that
+the pricing rule picks enters only if its reduced cost d_q lies below
+-(OPT_TOL + (n + 1) eps (|c_q| + |column_q| @ |x|)), beyond the rounding
+of the dot product that computes it (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 2002, section 3.1); at x ~ 1e9 that
+rounding far exceeds OPT_TOL. When no candidate prices out, the full
+residual A x - b is computed once and every violated row joins the
+candidates; the same B^-1 carries on. The rows never priced have dual 0,
+so the candidates' optimum is the full LP's optimum, and a dual ray over
+the candidates proves the full LP infeasible. The primal solution x is
+checked against every original row, each within a tolerance relative to
+its own scale: a result outside it comes back as ``numerical_failure``,
+not as optimal and not re-solved another way. Because cost and x are
+both nonnegative the LP is never unbounded.
 
 Cost model: ``solve_lp`` checks the LP and the caller's basis once, and
 factorizes that basis once. Each pivot costs one matvec over the
 candidate rows (pricing), two n x n matvecs (the multipliers and the
-entering column) and one n x (n + 1) rank-1 update. B^-1 is refactorized
-from the data at every REFACTOR_INTERVAL-th pivot of the solve, and once
-more to confirm the first optimum reached through updates. Each time the
+entering column), the entering column's rounding bound (one n-term dot
+product) and one n x (n + 1) rank-1 update. B^-1 is refactorized from
+the data at every REFACTOR_INTERVAL-th pivot of the solve. Each time the
 candidates price out, one full-LP matvec finds the violated rows; the
 last of these residuals is reused by the polish, the final tolerance
 check and ``max_constraint_violation`` when ``_refine_primal`` keeps x.
@@ -214,17 +218,6 @@ def _factorized(basic_columns, objective, check_feasible: bool):
     return T
 
 
-def _priced(T, basic_cost, columns, cost, positions):
-    """x = -(c_B B^-1), with B^-1 in the first n columns of ``T``, and the
-    reduced cost c_j + (dual column j) @ x of each priced column; the basic
-    ones, at ``positions``, price at inf."""
-    x = -(basic_cost @ T[:, : len(basic_cost)])
-    reduced = columns @ x
-    reduced += cost
-    reduced[positions] = np.inf
-    return x, reduced
-
-
 def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     """Solve the LP; deterministic for a fixed input and ``basis``.
 
@@ -234,15 +227,17 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     feasible, the solve starts from the all-slack basis instead, which is
     feasible because c >= 0, and counts one restart. The candidate rows
     start as ROWS_PER_VARIABLE * n evenly spaced rows (all of them in a
-    shorter LP) plus the rows named in ``basis``. The first optimum that
-    no other row violates is, when B^-1 carries updates, priced once more
-    on a fresh factorization. If a column still prices out there, the
-    pivots go on from it and their optimum is final, confirmed or not. A
-    solve that reaches its pivot cap, or whose basis turns singular when
+    shorter LP) plus the rows named in ``basis``. The solve ends at the
+    first optimum of the candidates that no other row violates; a reduced
+    cost within its own rounding bound counts as optimal there. A solve
+    that reaches its pivot cap, or whose basis turns singular when
     refactorized, is a ``numerical_failure``, and so is an optimum that
     violates an original row beyond its tolerance (``_within_tolerance``).
     """
     m, n = lp.A.shape
+    # a reduced cost, an (n + 1)-term dot product, is rounded by at most gamma
+    # times the same sum in absolute values
+    gamma = (n + 1) * np.finfo(float).eps
     # the priced dual columns, numbered as in LPSolution.basis: x_j's slack
     # (j < n, always priced) and the candidate rows (n + i)
     priced = np.zeros(n + m, dtype=bool)
@@ -257,7 +252,6 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     ids = None
     T, restarts = None, 0
     iterations = degenerate_streak = 0
-    confirmed = False
 
     def ended(status):
         return LPSolution(status, iterations=iterations, restarts=restarts)
@@ -268,6 +262,7 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
             rows = ids[n:] - n
             # one row per dual column: e_j for a slack, -A_i for row i
             columns = np.vstack([np.eye(n), -lp.A[rows]])
+            magnitudes = np.abs(columns)
             cost = np.concatenate([np.zeros(n), lp.b[rows]])
             positions = np.searchsorted(ids, basis)
             basic_cost = cost[positions]
@@ -278,34 +273,26 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
                 restarts = 1
                 basis[:], positions[:], basic_cost[:] = range(n), range(n), 0.0
                 T = np.hstack([np.eye(n), lp.objective[:, None]])
-        x, reduced = _priced(T, basic_cost, columns, cost, positions)
+        # the simplex multipliers are -x; each priced column's reduced cost is
+        # c_j + (dual column j) @ x, and the basic ones price at inf
+        x = -(basic_cost @ T[:, :n])
+        reduced = columns @ x
+        reduced += cost
+        reduced[positions] = np.inf
         if degenerate_streak >= DEGENERATE_STREAK_LIMIT:
-            improving = reduced < -OPT_TOL
-            enter = int(improving.argmax())  # Bland: lowest index
-            optimal = not improving[enter]
+            enter = int((reduced < -OPT_TOL).argmax())  # Bland: lowest index
         else:
             enter = int(reduced.argmin())
-            optimal = reduced[enter] >= -OPT_TOL
-        if optimal:
+        # a reduced cost inside its own rounding does not price out
+        rounding = gamma * (abs(cost[enter]) + magnitudes[enter] @ np.abs(x))
+        if reduced[enter] >= -(OPT_TOL + rounding):
             np.clip(x, 0.0, None, out=x)
             residual = _residual(lp, x)
             violated = np.flatnonzero(~priced[n:] & (residual > 0.0))
-            if violated.size:
-                priced[n + violated] = True
-                ids = None
-                continue
-            if confirmed or iterations % REFACTOR_INTERVAL == 0:
+            if not violated.size:
                 break
-            # B^-1 carries updates: the optimum is confirmed once per solve on a
-            # fresh factorization, and x keeps its bits when it holds there
-            confirmed = True
-            fresh = _factorized(columns[positions], lp.objective, False)
-            if fresh is None:
-                return ended("numerical_failure")
-            _, reduced = _priced(fresh, basic_cost, columns, cost, positions)
-            if reduced.min() >= -OPT_TOL:
-                break
-            T = fresh
+            priced[n + violated] = True
+            ids = None
             continue
         if iterations >= PIVOT_CAP_PER_COLUMN * len(ids) + PIVOT_CAP_BASE:
             return ended("numerical_failure")

@@ -81,6 +81,11 @@ class TestLPBound:
             lp_bound(3, 0.5, -2)
         with pytest.raises(NoCertificateError):
             lp_bound(3, 0.5, 0)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            lp_bound(8, 0.5, 6.0)
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            lp_bound(8.0, 0.5, 6)
+        assert lp_bound(8, 0.5, np.int64(6)).bound_int == 240
 
 
 class TestFailedLPRound:
@@ -316,6 +321,21 @@ class TestWarmStartedRounds:
         pivots = [solution.iterations for _, _, solution in calls]
         assert 2 <= len(pivots) < dgs_bound.MAX_ROUNDS
         assert sum(pivots) <= 2 * pivots[0]
+
+    def test_late_rounds_take_no_noise_pivots(self, monkeypatch):
+        # a reduced cost inside its own rounding used to price out, and rounds
+        # 6, 7, 9 and 10 took 2879, 2398, 2591 and 1934 pivots
+        calls = self._record(monkeypatch)
+        lp_bound(24, 0.765, 29)
+        assert len(calls) >= 2
+        assert all(solution.iterations < 1000 for _, _, solution in calls[1:])
+
+    def test_every_round_of_a_noisy_input_is_optimal(self, monkeypatch):
+        # noise pivots used to run round 6 into the pivot cap
+        calls = self._record(monkeypatch)
+        cert = lp_bound(39, 0.7469, 37)
+        assert all(solution.status == "optimal" for _, _, solution in calls)
+        assert "LP status" not in cert.verification.messages[-1]
 
     @pytest.mark.parametrize(
         "case, digest",

@@ -1,6 +1,8 @@
 """Gegenbauer family: recursion, tables, quadrature, expansion."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +83,19 @@ class TestEval:
         assert values.shape == (3, 4)
         assert values.tolist() == poly(grid.ravel()).reshape(3, 4).tolist()
         assert poly(grid[1, 2]) == values[1, 2]
+
+    def test_poly_coeffs_are_a_read_only_copy(self):
+        source = np.array([1.0, 2.0, 3.0])
+        poly = GegenbauerPoly(3, source)
+        with pytest.raises(ValueError, match="read-only"):
+            poly.coeffs[1] = -5.0
+        assert source.flags.writeable
+        source[1] = -5.0
+        assert poly.coeffs.tolist() == [1.0, 2.0, 3.0]
+        twins = (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly)))
+        for twin in twins:
+            assert twin.coeffs.tolist() == [1.0, 2.0, 3.0]
+            assert not twin.coeffs.flags.writeable
 
     def test_normalization_sweep(self):
         for dim in range(2, 33):

@@ -42,3 +42,13 @@ def test_domain_sweep_reruns_differ_only_in_the_slowest_line():
     assert runs[0] == runs[1]
     # an input line, the kind that once carried its own time
     assert any(line.startswith("(") for line in runs[0])
+
+
+def test_consistency_harness_finds_zero_violations():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "consistency_harness.py"), "--n-random", "20"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "zero violations" in proc.stdout.splitlines()
