@@ -44,49 +44,43 @@ def cmd_gegenbauer(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    cos_theta = _cos_theta_from_args(args)
     if args.kind == "lp":
-        cos_theta = _cos_theta_from_args(args)
         try:
             cert = dgs_bound.lp_bound(args.dim, cos_theta, args.degree)
         except NoCertificateError as exc:
             print(f"no certificate: {exc}", file=sys.stderr)
             return 1
-        verified = cert.verification is not None and cert.verification.passed
-        if args.out:
-            jsonutil.dump_path(args.out, dgs_bound.certificate_to_json_dict(cert))
-        print(
-            f"bound_real={format_float(cert.bound_real)} bound_int={cert.bound_int} "
-            f"verified={'yes' if verified else 'no'}"
-        )
-        return 0 if verified else 1
-
-    # pfender
-    cos_theta = _cos_theta_from_args(args)
-    if args.finite_set and not args.code:
-        raise ValueError("--finite-set needs --code: the finite evaluation set "
-                         "comes from a concrete code")
-    phi = pfender.phi_from_json_dict(jsonutil.load_path(args.phi))
-    variant = "finite_set" if args.finite_set else "interval"
-    if args.code:
-        code = codes.code_from_json_dict(jsonutil.load_path(args.code))
-        result = pfender.functional_pfender_check(
-            code, phi, args.c, variant=variant, cos_theta=cos_theta
-        )
-        cert = result.certificate
-        verified = result.applicable
-        if not verified:
-            print(result.reason, file=sys.stderr)
+        # lp_bound raises rather than return a certificate that fails verification
+        verified = True
+        to_json = dgs_bound.certificate_to_json_dict
     else:
-        cert = pfender.pfender_bound(phi, args.c, cos_theta)
-        verified = cert.verification.passed
-        if not verified:
-            print(
-                f"unverified: {cert.verification.condition_i_evidence}; "
-                + "; ".join(cert.verification.messages),
-                file=sys.stderr,
+        if args.finite_set and not args.code:
+            raise ValueError("--finite-set needs --code: the finite evaluation set "
+                             "comes from a concrete code")
+        phi = pfender.phi_from_json_dict(jsonutil.load_path(args.phi))
+        variant = "finite_set" if args.finite_set else "interval"
+        if args.code:
+            code = codes.code_from_json_dict(jsonutil.load_path(args.code))
+            result = pfender.functional_pfender_check(
+                code, phi, args.c, variant=variant, cos_theta=cos_theta
             )
+            cert = result.certificate
+            verified = result.applicable
+            if not verified:
+                print(result.reason, file=sys.stderr)
+        else:
+            cert = pfender.pfender_bound(phi, args.c, cos_theta)
+            verified = cert.verification.passed
+            if not verified:
+                print(
+                    f"unverified: {cert.verification.condition_i_evidence}; "
+                    + "; ".join(cert.verification.messages),
+                    file=sys.stderr,
+                )
+        to_json = pfender.certificate_to_json_dict
     if args.out:
-        jsonutil.dump_path(args.out, pfender.certificate_to_json_dict(cert))
+        jsonutil.dump_path(args.out, to_json(cert))
     print(
         f"bound_real={format_float(cert.bound_real)} bound_int={cert.bound_int} "
         f"verified={'yes' if verified else 'no'}"
@@ -199,13 +193,10 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TheoremViolationError as exc:
         print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
         return 1
-    except CodeBoundsError as exc:
+    except (ValueError, TypeError, OSError, CodeBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

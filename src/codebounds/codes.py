@@ -170,18 +170,19 @@ class FunctionalCode(_Rebuilt):
 
 @dataclass(frozen=True, eq=False)
 class PointedMetricSpace(_Rebuilt):
-    """Finite metric space given by a distance matrix; point 0 is the base."""
+    """Finite metric space given by a distance matrix; point 0 is the base.
+
+    The base is not stored: metric code files carry it as ``"base": 0``,
+    and ``code_from_json_dict`` rejects any other value.
+    """
 
     distance: np.ndarray
-    base: int = 0
 
     def __post_init__(self):
         d = np.array(self.distance, dtype=float)
         _check_finite(d, "distance matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
-        if self.base != 0:
-            raise ValueError("base point index must be 0")
         object.__setattr__(self, "distance", _read_only(d))
 
     @property
@@ -289,7 +290,7 @@ def _check_axioms(code) -> _AxiomFacts:
         norms = np.linalg.norm(code.vectors, axis=1)
         for j, v in enumerate(norms):
             if abs(v - 1.0) > TOL_EQ:
-                failures.append(f"axiom (ii): vector {j} has norm {v!r}, not 1")
+                failures.append(f"axiom (ii): vector {j} has norm {float(v)!r}, not 1")
     elif isinstance(code, FunctionalCode):
         p = code.space.p
         q = dual_exponent(p)
@@ -297,14 +298,9 @@ def _check_axioms(code) -> _AxiomFacts:
         functional_norms = _row_norms(code.functionals, q)
         # row-by-row dot products, as f_j @ tau_j
         pairings = (code.functionals[:, None, :] @ code.points[:, :, None]).ravel()
-        off = (
-            (np.abs(point_norms - 1.0) > TOL_EQ)
-            | (np.abs(functional_norms - 1.0) > TOL_EQ)
-            | (np.abs(pairings - 1.0) > TOL_EQ)
-        )
-        for j in np.flatnonzero(off):
-            np_, nf = float(point_norms[j]), float(functional_norms[j])
-            fjj = float(pairings[j])
+        for j, (np_, nf, fjj) in enumerate(
+            zip(point_norms.tolist(), functional_norms.tolist(), pairings.tolist())
+        ):
             if abs(np_ - 1.0) > TOL_EQ:
                 failures.append(f"axiom (ii): point {j} has l_{p} norm {np_!r}")
             if abs(nf - 1.0) > TOL_EQ:
@@ -331,21 +327,22 @@ def _check_axioms(code) -> _AxiomFacts:
         np.fill_diagonal(off, np.inf)
         if off.size and np.min(off) <= TOL_EQ:
             warnings.append("duplicate space points (zero off-diagonal distance)")
-        base = code.space.base
+        # the base is point 0
         for j in range(code.n):
             tau = int(code.point_indices[j])
             f = code.functions[j]
-            if abs(f[base]) > TOL_EQ:
-                failures.append(f"axiom: f_{j}(base) = {f[base]!r}, not 0")
+            at_base, at_tau, distance = float(f[0]), float(f[tau]), float(d[tau, 0])
+            if abs(at_base) > TOL_EQ:
+                failures.append(f"axiom: f_{j}(base) = {at_base!r}, not 0")
             lip = lipschitz_norm(d, f)
             if abs(lip - 1.0) > TOL_LIP:
                 failures.append(f"axiom (i): f_{j} has Lipschitz norm {lip!r}")
-            if abs(d[tau, base] - 1.0) > TOL_EQ:
+            if abs(distance - 1.0) > TOL_EQ:
                 failures.append(
-                    f"axiom (ii): point {j} lies at distance {d[tau, base]!r} from base"
+                    f"axiom (ii): point {j} lies at distance {distance!r} from base"
                 )
-            if abs(f[tau] - 1.0) > TOL_EQ:
-                failures.append(f"axiom (iii): f_{j}(tau_{j}) = {f[tau]!r}, not 1")
+            if abs(at_tau - 1.0) > TOL_EQ:
+                failures.append(f"axiom (iii): f_{j}(tau_{j}) = {at_tau!r}, not 1")
         if len(np.unique(code.point_indices)) < code.n:
             warnings.append("duplicate selected points tau_j")
     else:
@@ -487,17 +484,15 @@ def generate(family: str, dim: int | None = None) -> SphericalCode:
     Families: simplex(d), orthonormal(d), cross_polytope(d), icosahedron,
     d4_roots, e8_roots.
     """
+    if family in ("simplex", "orthonormal", "cross_polytope") and (
+        dim is None or dim < 1
+    ):
+        raise ValueError(f"{family} requires a dimension >= 1")
     if family == "simplex":
-        if dim is None or dim < 1:
-            raise ValueError("simplex requires a dimension >= 1")
         return SphericalCode(dim, _simplex_vectors(dim), -1.0 / dim)
     if family == "orthonormal":
-        if dim is None or dim < 1:
-            raise ValueError("orthonormal requires a dimension >= 1")
         return SphericalCode(dim, np.eye(dim), 0.0)
     if family == "cross_polytope":
-        if dim is None or dim < 1:
-            raise ValueError("cross_polytope requires a dimension >= 1")
         return SphericalCode(dim, np.vstack([np.eye(dim), -np.eye(dim)]), 0.0)
     if family == "icosahedron":
         return SphericalCode(3, _icosahedron_vectors(), 1.0 / math.sqrt(5.0))
@@ -546,7 +541,7 @@ def code_to_json_dict(code) -> dict:
         return {
             "kind": "metric",
             "distance": [[float(v) for v in row] for row in code.space.distance],
-            "base": int(code.space.base),
+            "base": 0,
             "point_indices": [int(i) for i in code.point_indices],
             "functions": [[float(v) for v in row] for row in code.functions],
             "cos_theta": float(code.cos_theta),
@@ -572,11 +567,10 @@ def code_from_json_dict(data: dict):
             cos_theta=float(data["cos_theta"]),
         )
     if kind == "metric":
+        if jsonutil.json_int(data.get("base", 0), "base") != 0:
+            raise ValueError("base point index must be 0")
         return MetricCode(
-            space=PointedMetricSpace(
-                np.array(data["distance"], dtype=float),
-                jsonutil.json_int(data.get("base", 0), "base"),
-            ),
+            space=PointedMetricSpace(np.array(data["distance"], dtype=float)),
             point_indices=np.array(
                 [jsonutil.json_int(i, "point_indices") for i in data["point_indices"]],
                 dtype=int,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jsonutil, pfender
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
-from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, basis_values
+from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, _check_degree, basis_values
 from .linprog import LinearProgram, solve_lp
 from .scanning import chebyshev_points, critical_points
 
@@ -77,30 +77,10 @@ def _validate_inputs(d: int, cos_theta: float, degree: int):
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not (-1.0 <= cos_theta < 1.0):
         raise ValueError(f"cos_theta must lie in [-1, 1), got {cos_theta}")
-    if not isinstance(degree, (int, np.integer)):
-        raise ValueError(f"degree must be an integer, got {degree!r}")
-    if degree < 0:
+    if _check_degree(degree) < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if degree > MAX_TABLE_DEGREE:
         raise ValueError(f"degree is capped at {MAX_TABLE_DEGREE}")
-
-
-def _solve_grid_lp(
-    degree: int, rows: np.ndarray, cos_theta: float, basis: np.ndarray | None
-):
-    """min sum(a) s.t. sum_k a_k G_k(r_i) <= -1, a >= 0 (a_0 = 1 moved to rhs).
-
-    ``rows`` holds G_1..G_degree at each grid point. Returns the LP
-    solution; an infeasible LP raises NoCertificateError.
-    """
-    lp = LinearProgram(objective=np.ones(degree), A=rows, b=np.full(len(rows), -1.0))
-    solution = solve_lp(lp, basis)
-    if solution.status == "infeasible":
-        raise NoCertificateError(
-            f"no certificate at this degree: the degree-{degree} LP at "
-            f"cos_theta={cos_theta!r} is infeasible"
-        )
-    return solution
 
 
 def _gap_rows(grid: np.ndarray, peaks: np.ndarray) -> np.ndarray:
@@ -169,7 +149,14 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     failed_round = ""
     previous_violation = math.inf
     for round_index in range(MAX_ROUNDS):
-        solution = _solve_grid_lp(degree, rows, cos_theta, basis)
+        # min sum(a) s.t. sum_k a_k G_k(r_i) <= -1, a >= 0 (a_0 = 1 moved to rhs)
+        lp = LinearProgram(np.ones(degree), rows, np.full(len(rows), -1.0))
+        solution = solve_lp(lp, basis)
+        if solution.status == "infeasible":
+            raise NoCertificateError(
+                f"no certificate at this degree: the degree-{degree} LP at "
+                f"cos_theta={cos_theta!r} is infeasible"
+            )
         if solution.status != "optimal":
             if round_index == 0:
                 raise LPFailureError(f"LP solver returned status {solution.status!r}")

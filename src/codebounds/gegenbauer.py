@@ -41,6 +41,15 @@ def _check_dim(dim: int) -> int:
     return int(dim)
 
 
+def _check_degree(degree, name: str = "degree") -> int:
+    """``degree`` as an int. A bool or a non-integer (2.0, say) raises
+    ValueError naming ``name``, as ``jsonutil.json_int`` does, instead of
+    passing True as degree 1 or failing later in an unnamed TypeError."""
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {degree!r}")
+    return int(degree)
+
+
 def _check_r(r):
     arr = np.asarray(r, dtype=float)
     # one min/max pass; NaN fails both comparisons
@@ -59,7 +68,7 @@ def basis_values(dim: int, max_degree: int, r) -> np.ndarray:
     operation order of ((2k + dim - 4) r G_{k-1} - (k - 1) G_{k-2}) / (k + dim - 3).
     """
     dim = _check_dim(dim)
-    if max_degree < 0:
+    if _check_degree(max_degree, "max_degree") < 0:
         raise ValueError("max_degree must be >= 0")
     arr = _check_r(r)
     out = np.empty((max_degree + 1,) + arr.shape)
@@ -84,7 +93,7 @@ def basis_values(dim: int, max_degree: int, r) -> np.ndarray:
 
 def gegenbauer_eval(dim: int, k: int, r):
     """G_k for dimension ``dim`` at ``r`` (scalar or array) by recursion."""
-    if k < 0:
+    if _check_degree(k) < 0:
         raise ValueError("degree must be >= 0")
     values = basis_values(dim, k, r)[k]
     if np.isscalar(r) or np.asarray(r).shape == ():
@@ -96,7 +105,7 @@ def monomial_table(dim: int, max_degree: int) -> np.ndarray:
     """Upper-triangular (m+1) x (m+1) matrix whose column k holds G_k's
     ascending monomial coefficients, built by the same recursion."""
     dim = _check_dim(dim)
-    if max_degree < 0:
+    if _check_degree(max_degree, "max_degree") < 0:
         raise ValueError("max_degree must be >= 0")
     if max_degree > MAX_TABLE_DEGREE:
         raise ValueError(f"monomial tables are capped at degree {MAX_TABLE_DEGREE}")
@@ -159,7 +168,7 @@ def quadrature_rule(dim: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     endpoint singularity that this handles natively (nodes stay interior).
     """
     dim = _check_dim(dim)
-    if n_nodes < 1:
+    if _check_degree(n_nodes, "n_nodes") < 1:
         raise ValueError("need at least one quadrature node")
     lam = (dim - 2) / 2.0
     k = np.arange(1.0, n_nodes)

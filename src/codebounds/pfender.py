@@ -304,8 +304,9 @@ def _phi_of_entries(phi: PhiSpec, M: np.ndarray) -> np.ndarray:
     outside = np.abs(M) > 1.0 + 1e-12
     if outside.any():
         j, k = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
+        value = float(M[j, k])
         raise ValueError(
-            f"evaluation value {M[j, k]!r} at (j={j}, k={k}) lies outside [-1, 1]"
+            f"evaluation value {value!r} at (j={j}, k={k}) lies outside [-1, 1]"
         )
     return phi(np.clip(M, -1.0, 1.0).ravel())
 

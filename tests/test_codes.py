@@ -33,7 +33,7 @@ from codebounds.codes import (
     verify,
 )
 from codebounds.gegenbauer import GegenbauerPoly
-from codebounds.pfender import PhiSpec
+from codebounds.pfender import PhiSpec, double_sum
 
 
 class TestVerifySpherical:
@@ -258,6 +258,41 @@ class TestMetricVerification:
         assert not report.valid
         assert any("Lipschitz norm inf" in f for f in report.axiom_failures)
 
+    @pytest.mark.parametrize(
+        "array, cells, value, message",
+        [
+            ("distance", [(1, 1)], 0.25, "metric: nonzero diagonal in the distance matrix"),
+            ("distance", [(2, 3), (3, 2)], -0.25, "metric: negative distance"),
+            ("distance", [(2, 3)], 2.0, "metric: distance matrix not symmetric"),
+            ("functions", [(0, 0)], 0.25, "axiom: f_0(base) = 0.25, not 0"),
+            (
+                "distance",
+                [(0, 1), (1, 0)],
+                1.25,
+                "axiom (ii): point 0 lies at distance 1.25 from base",
+            ),
+        ],
+        ids=["diagonal", "negative", "asymmetric", "f_at_base", "tau_off_unit"],
+    )
+    def test_each_metric_axiom_failure_is_reported(self, array, cells, value, message):
+        # simplex(2) over {0} + its 3 vectors, with one axiom broken
+        code = embed_as_metric_code(generate("simplex", dim=2))
+        arrays = {
+            "distance": code.space.distance.copy(),
+            "functions": code.functions.copy(),
+        }
+        for cell in cells:
+            arrays[array][cell] = value
+        bad = MetricCode(
+            PointedMetricSpace(arrays["distance"]),
+            code.point_indices,
+            arrays["functions"],
+            code.cos_theta,
+        )
+        report = verify(bad)
+        assert not report.valid
+        assert message in report.axiom_failures
+
     def test_duplicate_tau_warns_not_fails(self):
         code = self._tiny_metric_code()
         dup = MetricCode(
@@ -423,6 +458,12 @@ class TestSerialization:
         assert np.array_equal(back.space.distance, code.space.distance)
         assert np.array_equal(back.functions, code.functions)
         assert verify(back).valid
+
+    def test_metric_file_base_must_be_zero(self):
+        data = code_to_json_dict(embed_as_metric_code(generate("simplex", dim=2)))
+        data["base"] = 1
+        with pytest.raises(ValueError, match="^base point index must be 0$"):
+            code_from_json_dict(data)
 
     def test_infinity_p_round_trip(self):
         code = FunctionalCode(
@@ -591,3 +632,30 @@ def test_riesz_norming_property(d, seed):
     x = rng.normal(size=d)
     x /= np.linalg.norm(x)
     assert np.max(np.abs(norming_functional(x, 2.0) - x)) <= 1e-12
+
+
+def test_failure_messages_print_plain_floats():
+    # numpy 2 writes a numpy scalar's repr as np.float64(...)
+    spherical = SphericalCode(2, np.array([[1.0, 0.5], [0.0, 1.0]]), 0.5)
+    metric = embed_as_metric_code(generate("simplex", dim=2))
+    # distances doubled and functions raised by 1/2: f_j(base) = 0.5,
+    # tau_j at distance 2 from the base, f_j(tau_j) = 1.5
+    shifted = MetricCode(
+        PointedMetricSpace(2.0 * metric.space.distance),
+        metric.point_indices,
+        metric.functions + 0.5,
+        metric.cos_theta,
+    )
+    messages = verify(spherical).axiom_failures + verify(shifted).axiom_failures
+    with pytest.raises(ValueError) as outside:
+        double_sum(PhiSpec("gegenbauer", [0.0, 1.0], dim=2), np.array([[1.0, 1.5]]))
+    messages.append(str(outside.value))
+    for expected in (
+        "axiom (ii): vector 0 has norm 1.118033988749895, not 1",
+        "axiom: f_0(base) = 0.5, not 0",
+        "axiom (ii): point 0 lies at distance 2.0 from base",
+        "axiom (iii): f_0(tau_0) = 1.5, not 1",
+        "evaluation value 1.5 at (j=0, k=1) lies outside [-1, 1]",
+    ):
+        assert expected in messages
+    assert not [m for m in messages if "np." in m]

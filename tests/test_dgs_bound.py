@@ -83,6 +83,8 @@ class TestLPBound:
             lp_bound(3, 0.5, 0)
         with pytest.raises(ValueError, match="degree must be an integer"):
             lp_bound(8, 0.5, 6.0)
+        with pytest.raises(ValueError, match="degree must be an integer, got True"):
+            lp_bound(8, 0.5, True)
         with pytest.raises(ValueError, match="dimension must be an integer"):
             lp_bound(8.0, 0.5, 6)
         assert lp_bound(8, 0.5, np.int64(6)).bound_int == 240

@@ -57,6 +57,19 @@ class TestEval:
             gegenbauer_eval(3, 2, 1.5)
         with pytest.raises(ValueError):
             gegenbauer_eval(3, -1, 0.5)
+        # a float or a bool degree is named, not an unnamed TypeError or degree 1
+        for call, name, degree in [
+            (lambda k: basis_values(3, k, 0.5), "max_degree", 2.0),
+            (lambda k: basis_values(3, k, 0.5), "max_degree", True),
+            (lambda k: monomial_table(3, k), "max_degree", 2.0),
+            (lambda k: monomial_table(3, k), "max_degree", True),
+            (lambda k: gegenbauer_eval(3, k, 0.5), "degree", 2.0),
+            (lambda k: quadrature_rule(3, k), "n_nodes", 2.0),
+        ]:
+            message = f"^{name} must be an integer, got {degree!r}$"
+            with pytest.raises(ValueError, match=message):
+                call(degree)
+        assert basis_values(3, np.int64(2), 0.5).tolist() == [1.0, 0.5, -0.125]
 
     @pytest.mark.parametrize(
         "points, message",

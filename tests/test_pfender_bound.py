@@ -203,12 +203,18 @@ class TestFunctionalCheck:
             assert result.certificate.bound_real == pytest.approx(d + 1, abs=1e-9)
             assert abs(result.slack) <= 1e-9
 
-    def test_single_point_code(self):
+    @pytest.mark.parametrize("variant", ["interval", "finite_set"])
+    def test_single_point_code(self, variant):
         code = codes.SphericalCode(3, np.array([[1.0, 0.0, 0.0]]), cos_theta=-0.5)
-        result = functional_pfender_check(code, g1(3), 0.5, variant="interval")
+        result = functional_pfender_check(code, g1(3), 0.5, variant=variant)
         assert result.applicable
         assert result.n == 1
         assert result.certificate.bound_real >= 1.0
+        if variant == "finite_set":
+            # no off-diagonal values: condition (ii) holds on the empty set
+            checked = result.certificate.verification
+            assert checked.condition_ii_margin == -math.inf
+            assert checked.condition_ii_location is None
 
     def test_spherical_code_accepted_directly(self):
         code = codes.generate("d4_roots")
