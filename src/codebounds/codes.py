@@ -98,7 +98,8 @@ def dual_exponent(p: float) -> float:
 class _Rebuilt:
     """Copies and pickles are rebuilt through the constructor, so their
     arrays are read-only copies too and they carry none of the facts kept
-    on the original (a code's axiom facts, a phi's critical points)."""
+    on the original (a code's axiom facts and its checked evaluation
+    entries, a phi's critical points)."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -315,8 +316,11 @@ def _check_axioms(code) -> _AxiomFacts:
             failures.append("metric: negative distance")
         if np.max(np.abs(d - d.T)) > TOL_EQ:
             failures.append("metric: distance matrix not symmetric")
+        # slack = d - (d[:, k] + d[k, :]), in one buffer for every k
+        slack = np.empty_like(d)
         for k in range(code.space.n_points):
-            slack = d - (d[:, k][:, None] + d[k, :][None, :])
+            np.add(d[:, k][:, None], d[k, :][None, :], out=slack)
+            np.subtract(d, slack, out=slack)
             if np.max(slack) > TOL_EQ:
                 i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
                 failures.append(

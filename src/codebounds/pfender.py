@@ -24,6 +24,13 @@ read-only copy. The same phi is typically checked against many codes,
 each with its own cos_theta, so a polynomial phi finds the real roots of
 phi' on [-1, 1] once, on its first interval check, and keeps them; each
 check then evaluates phi + c at -1, cos_theta and the roots in between.
+
+A per-code check does the work that depends on the code alone once per
+code: its axioms (``codes.verify``) and its evaluation matrix, checked
+to lie in [-1, 1] and clipped, are kept on the code. Each (code, phi)
+pair then costs one phi evaluation over the n^2 kept values and their
+sum, and a margin: phi + c at a few candidates on the interval, or the
+largest of the off-diagonal values already evaluated.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from . import codes, jsonutil
 from .errors import TheoremViolationError
-from .gegenbauer import basis_values
+from .gegenbauer import _check_dim, basis_values
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
@@ -86,8 +93,7 @@ class PhiSpec(codes._Rebuilt):
         if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
             raise ValueError("phi coefficients must be a finite 1-d vector")
         if self.basis == "gegenbauer":
-            if self.dim is None or self.dim < 2:
-                raise ValueError("gegenbauer phi requires an ambient dimension >= 2")
+            _check_dim(self.dim)
         if self.basis == "table" and arr.size < 2:
             raise ValueError("table phi needs at least two nodes")
         object.__setattr__(self, "coeffs", codes._read_only(arr))
@@ -292,8 +298,8 @@ def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificat
     return _certify(phi, c, cos_theta, "interval", *condition_i(phi))
 
 
-def _phi_of_entries(phi: PhiSpec, M: np.ndarray) -> np.ndarray:
-    """phi of every entry of M, clipped to [-1, 1], in row-major order.
+def _clipped_entries(M: np.ndarray) -> np.ndarray:
+    """Every entry of M, clipped to [-1, 1], in row-major order.
 
     Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
     this); anything further out raises, naming the offending cell.
@@ -308,7 +314,22 @@ def _phi_of_entries(phi: PhiSpec, M: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"evaluation value {value!r} at (j={j}, k={k}) lies outside [-1, 1]"
         )
-    return phi(np.clip(M, -1.0, 1.0).ravel())
+    return np.clip(M, -1.0, 1.0).ravel()
+
+
+def _code_entries(code) -> tuple[np.ndarray, np.ndarray]:
+    """The code's evaluation matrix checked and clipped by
+    ``_clipped_entries``, and the mask of its off-diagonal entries, both
+    row-major. They depend on the code alone, so they are made on the
+    first call and kept on the code next to its axiom facts; a matrix that
+    fails the check keeps nothing and raises again on every call."""
+    entries = getattr(code, "_evaluation_entries", None)
+    if entries is None:
+        clipped = _clipped_entries(codes._axiom_facts(code).matrix)
+        off = ~np.eye(code.n, dtype=bool).ravel()
+        entries = (codes._read_only(clipped), codes._read_only(off))
+        object.__setattr__(code, "_evaluation_entries", entries)
+    return entries
 
 
 def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
@@ -317,7 +338,7 @@ def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
     Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
     this); anything further out raises, naming the offending cell.
     """
-    return float(np.sum(_phi_of_entries(phi, M)))
+    return float(np.sum(phi(_clipped_entries(M))))
 
 
 def functional_pfender_check(
@@ -348,12 +369,12 @@ def functional_pfender_check(
     # phi is evaluated once per pair: its sum over all n^2 values is the
     # double sum (exactly as double_sum adds it up), and its off-diagonal
     # entries are the finite set of the finite-set variant
-    M = codes._axiom_facts(code).matrix
-    phi_values = _phi_of_entries(phi, M)
+    entries, off = _code_entries(code)
+    phi_values = phi(entries)
     total = float(np.sum(phi_values))
     finite_set = None
     if variant == "finite_set":
-        off = ~np.eye(n, dtype=bool).ravel()
+        M = codes._axiom_facts(code).matrix
         finite_set = (M.ravel()[off], phi_values[off])
     certificate = _certify(
         phi,

@@ -1,6 +1,7 @@
 """Pfender-style bounds: arithmetic, conditions, per-code checks."""
 
 import copy
+import hashlib
 import importlib.util
 import json
 import math
@@ -77,6 +78,16 @@ class TestPhiSpec:
             PhiSpec("fourier", [1.0])
         with pytest.raises(ValueError):
             PhiSpec("table", [1.0])  # single node
+
+    @pytest.mark.parametrize("dim", [3.5, np.float64(3.0), True, None, 1])
+    def test_gegenbauer_dim_is_an_integer_from_2(self, dim):
+        # checked when phi is made, not at its first evaluation
+        with pytest.raises(ValueError, match=r"dimension must be an integer >= 2"):
+            PhiSpec("gegenbauer", [0.0, 1.0], dim=dim)
+
+    def test_numpy_integer_dim_is_accepted(self):
+        phi = PhiSpec("gegenbauer", [0.0, 1.0], dim=np.int64(3))
+        assert phi(0.25) == g1(3)(0.25)
 
 
 class TestStructuralBound:
@@ -274,6 +285,18 @@ class TestFunctionalCheck:
                 assert checked.condition_ii_margin == float(shifted[best])
                 assert checked.condition_ii_location == float(off[best])
 
+    def test_finite_set_location_is_the_unclipped_value(self):
+        # v . v rounds to 1 + 2^-52, so f_0(tau_1) = -1.0000000000000002:
+        # phi sees it clipped to -1, and the report names the value itself
+        v = np.array([0.9926871591714211, 0.12071538433925337])
+        code = codes.SphericalCode(2, np.array([v, -v]), -1.0)
+        result = functional_pfender_check(code, shifted_square(2), 0.5, variant="finite_set")
+        checked = result.certificate.verification
+        assert (checked.condition_ii_margin, checked.condition_ii_location) == (
+            1.0, -1.0000000000000002
+        )
+        assert not result.applicable
+
     def test_range_check_survives_the_single_evaluation(self):
         # f_0(tau_1) = -1 - 1e-10 passes verify (f_0's Lipschitz norm
         # 1 + 1e-10 is within TOL_LIP) but lies outside [-1, 1] by more than
@@ -284,30 +307,66 @@ class TestFunctionalCheck:
             codes.PointedMetricSpace(d), np.array([1, 2]), functions, -0.5
         )
         assert codes.verify(code).valid
-        for variant in ("interval", "finite_set"):
-            with pytest.raises(ValueError, match=r"\(j=0, k=1\) lies outside \[-1, 1\]"):
-                functional_pfender_check(code, g1(3), 0.5, variant=variant)
+        # a failed check keeps nothing on the code, so it raises every time
+        for _ in range(3):
+            for variant in ("interval", "finite_set"):
+                with pytest.raises(ValueError, match=r"\(j=0, k=1\) lies outside \[-1, 1\]"):
+                    functional_pfender_check(code, g1(3), 0.5, variant=variant)
 
     def test_code_axioms_are_checked_once_per_code(self, monkeypatch):
-        # the Lipschitz and triangle checks depend on the code alone: one
-        # metric code checked against every certificate of the harness runs
-        # them once, one Lipschitz norm per function
+        # the Lipschitz and triangle checks and the range check and clipping
+        # of the evaluation matrix depend on the code alone: one metric code
+        # checked against every certificate of the harness runs them once,
+        # one Lipschitz norm per function and one check of the matrix
         code = codes.embed_as_metric_code(codes.generate("icosahedron"))
         catalog = harness_catalog()
-        calls = []
+        calls, checked = [], []
         real_lipschitz_norm = codes.lipschitz_norm
+        real_clipped_entries = pfender._clipped_entries
 
         def lipschitz_norm(distance, values):
             calls.append(values)
             return real_lipschitz_norm(distance, values)
 
+        def clipped_entries(M):
+            checked.append(M)
+            return real_clipped_entries(M)
+
         monkeypatch.setattr(codes, "lipschitz_norm", lipschitz_norm)
+        monkeypatch.setattr(pfender, "_clipped_entries", clipped_entries)
         applicable = [
             functional_pfender_check(code, phi, c, variant=variant).applicable
             for _, phi, c, variant in catalog
         ]
-        assert (len(catalog), len(calls)) == (27, code.n)
+        assert (len(catalog), len(calls), len(checked)) == (27, code.n, 1)
         assert any(applicable)
+        # double_sum checks the matrix it is given on every call
+        M = codes.evaluation_matrix(code)
+        double_sum(g1(3), M)
+        double_sum(g1(3), M)
+        assert len(checked) == 3 and checked[-1] is M
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda code: pickle.loads(pickle.dumps(code))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_of_a_checked_code_keep_nothing(self, clone):
+        code = codes.euclidean_to_functional(codes.generate("icosahedron"))
+        catalog = harness_catalog()
+
+        def reports(one):
+            return [
+                report_line(functional_pfender_check(one, phi, c, variant=variant))
+                for _, phi, c, variant in catalog
+            ]
+
+        expected = reports(code)
+        assert hasattr(code, "_evaluation_entries")
+        twin = clone(code)
+        assert not hasattr(twin, "_evaluation_entries")
+        assert not hasattr(twin, "_axiom_facts")
+        assert reports(twin) == expected
 
     def test_phi_at_1_is_evaluated_once_per_check(self, monkeypatch):
         # phi(1) depends on phi alone. The bound takes phi(1) + c as the sum
@@ -336,6 +395,54 @@ class TestFunctionalCheck:
         assert (len(evaluations), len(bounds)) == (1, 2)
         pfender_bound(g1(4), 0.25, -0.25)
         assert (len(evaluations), len(bounds)) == (1, 3)
+
+
+def report_line(result):
+    """Every field of a check's report, floats by repr."""
+    checked = result.certificate.verification
+    return repr((
+        result.applicable,
+        result.reason,
+        checked.condition_i_evidence,
+        checked.condition_ii_margin,
+        checked.condition_ii_location,
+        result.slack,
+        result.certificate.bound_real,
+    ))
+
+
+# the catalog codes of the consistency harness
+CATALOG_CODES = (
+    ("simplex", 3), ("simplex", 5), ("simplex", 8),
+    ("orthonormal", 4), ("orthonormal", 9), ("orthonormal", 16),
+    ("cross_polytope", 3), ("cross_polytope", 8),
+    ("icosahedron", None), ("d4_roots", None), ("e8_roots", None),
+)
+
+
+def test_every_report_keeps_its_bits():
+    # every certificate of the harness in both variants, on the catalog as
+    # l_2 codes and on seeded random l_p codes: the digest pins the bits of
+    # every report, so per-pair work may move but not change a result
+    rng = np.random.default_rng(20240803)
+    pool = [
+        codes.euclidean_to_functional(codes.generate(family, dim=dim))
+        for family, dim in CATALOG_CODES
+    ]
+    for i in range(30):
+        pool.append(codes.random_functional_code(
+            rng, (1.5, 2.0, 3.0)[i % 3], int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        ))
+    catalog = harness_catalog()
+    lines = [
+        report_line(functional_pfender_check(code, phi, c, variant=variant))
+        for code in pool
+        for _, phi, c, _ in catalog
+        for variant in ("interval", "finite_set")
+    ]
+    assert len(lines) == 41 * 27 * 2
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b761858f6c202d5570c48fed06230898139101cf0a0eb8fe3eaf549aaea9cbaf"
 
 
 # the certificate cases of the kissing_lp and lp_stress benchmark workloads
