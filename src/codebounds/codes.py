@@ -8,17 +8,18 @@ value). A fixed generator catalog provides the classical extremal
 configurations used to anchor the bound modules.
 
 Codes are immutable values: each constructor copies its arrays and marks
-the copies read-only. So the axiom work that does not depend on the
-angle (axioms (i)-(iii), the metric axioms, the evaluation matrix and
-its largest off-diagonal value) is done once, on a code's first
-``verify``, and kept on the code; only the comparison with cos_theta
-(axiom (iv)) runs on every call.
+the copies read-only. So what a code derives from them alone is a cached
+property of the code (``_Code``), made on first use: the axiom work that
+does not depend on the angle, and the evaluation values a per-code
+Pfender check reads. Only the comparison with cos_theta (axiom (iv))
+runs on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -64,6 +65,15 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _check_dim(dim, name: str = "dimension") -> int:
+    """``dim`` as an int if it is an integer >= 1; a bool or a non-integer
+    (2.5, say) raises ValueError naming ``name``. (``gegenbauer._check_dim``
+    asks for dim >= 2, and gegenbauer imports this module.)"""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {dim!r}")
+    return int(dim)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -97,12 +107,30 @@ def dual_exponent(p: float) -> float:
 
 class _Rebuilt:
     """Copies and pickles are rebuilt through the constructor, so their
-    arrays are read-only copies too and they carry none of the facts kept
-    on the original (a code's axiom facts and its checked evaluation
-    entries, a phi's critical points)."""
+    arrays are read-only copies too and they carry none of the
+    ``cached_property`` facts of the original, which live in its
+    ``__dict__``."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+class _Code(_Rebuilt):
+    """A code's facts, each a ``functools.cached_property``: made on first
+    use and kept in the code's own ``__dict__``, where no other module
+    writes. One that raises keeps nothing, so it raises again next time."""
+
+    @cached_property
+    def _axiom_facts(self) -> _AxiomFacts:
+        return _check_axioms(self)
+
+    @cached_property
+    def _evaluation_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The evaluation matrix checked and clipped by ``_clipped_entries``,
+        and the mask of its off-diagonal entries, both row-major."""
+        clipped = _clipped_entries(self._axiom_facts.matrix)
+        off = ~np.eye(self.n, dtype=bool).ravel()
+        return _read_only(clipped), _read_only(off)
 
 
 @dataclass(frozen=True)
@@ -115,12 +143,11 @@ class LpSpace:
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise ValueError("p must satisfy p >= 1")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dim(self.dim)
 
 
 @dataclass(frozen=True, eq=False)
-class SphericalCode(_Rebuilt):
+class SphericalCode(_Code):
     """Unit vectors in R^dim with declared pairwise inner-product ceiling."""
 
     dim: int
@@ -130,6 +157,7 @@ class SphericalCode(_Rebuilt):
     kind = "spherical"
 
     def __post_init__(self):
+        _check_dim(self.dim)
         arr = np.atleast_2d(np.array(self.vectors, dtype=float))
         _check_finite(arr, "vectors")
         if arr.shape[1] != self.dim:
@@ -143,7 +171,7 @@ class SphericalCode(_Rebuilt):
 
 
 @dataclass(frozen=True, eq=False)
-class FunctionalCode(_Rebuilt):
+class FunctionalCode(_Code):
     """Points and dual functionals in an l_p space, paired by evaluation."""
 
     space: LpSpace
@@ -192,7 +220,7 @@ class PointedMetricSpace(_Rebuilt):
 
 
 @dataclass(frozen=True, eq=False)
-class MetricCode(_Rebuilt):
+class MetricCode(_Code):
     """Lipschitz code: value tables f_j over a pointed metric space."""
 
     space: PointedMetricSpace
@@ -239,6 +267,25 @@ def evaluation_matrix(code) -> np.ndarray:
     raise TypeError(f"not a code: {type(code).__name__}")
 
 
+def _clipped_entries(M: np.ndarray) -> np.ndarray:
+    """Every entry of M, clipped to [-1, 1], in row-major order.
+
+    Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
+    this); anything further out raises, naming the offending cell.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if not np.all(np.isfinite(M)):
+        raise ValueError("evaluation matrix contains NaN or infinite entries")
+    outside = np.abs(M) > 1.0 + 1e-12
+    if outside.any():
+        j, k = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
+        value = float(M[j, k])
+        raise ValueError(
+            f"evaluation value {value!r} at (j={j}, k={k}) lies outside [-1, 1]"
+        )
+    return np.clip(M, -1.0, 1.0).ravel()
+
+
 def lipschitz_norm(distance: np.ndarray, values: np.ndarray) -> float:
     """Exact Lipschitz norm of a value table: sup over point pairs.
 
@@ -273,16 +320,6 @@ class _AxiomFacts:
     worst_pair: tuple[int, int] | None
 
 
-def _axiom_facts(code) -> _AxiomFacts:
-    """The code's axiom facts, computed on the first call and kept on the
-    code. A code's arrays are read-only, so the facts cannot go stale."""
-    facts = getattr(code, "_axiom_facts", None)
-    if facts is None:
-        facts = _check_axioms(code)
-        object.__setattr__(code, "_axiom_facts", facts)
-    return facts
-
-
 def _check_axioms(code) -> _AxiomFacts:
     failures: list[str] = []
     warnings: list[str] = []
@@ -308,7 +345,7 @@ def _check_axioms(code) -> _AxiomFacts:
                 failures.append(f"axiom (i): functional {j} has l_{q} norm {nf!r}")
             if abs(fjj - 1.0) > TOL_EQ:
                 failures.append(f"axiom (iii): f_{j}(tau_{j}) = {fjj!r}, not 1")
-    elif isinstance(code, MetricCode):
+    else:
         d = code.space.distance
         if np.any(np.abs(np.diagonal(d)) > TOL_EQ):
             failures.append("metric: nonzero diagonal in the distance matrix")
@@ -349,8 +386,6 @@ def _check_axioms(code) -> _AxiomFacts:
                 failures.append(f"axiom (iii): f_{j}(tau_{j}) = {at_tau!r}, not 1")
         if len(np.unique(code.point_indices)) < code.n:
             warnings.append("duplicate selected points tau_j")
-    else:
-        raise TypeError(f"not a code: {type(code).__name__}")
 
     matrix = _read_only(evaluation_matrix(code))
     max_offdiag, worst_pair = _offdiag_report(matrix)
@@ -373,7 +408,7 @@ def verify(code, cos_theta: float | None = None) -> VerifyReport:
     ct = code.cos_theta if cos_theta is None else float(cos_theta)
     if not math.isfinite(ct):
         raise ValueError(f"cos_theta must be finite, got {ct!r}")
-    facts = _axiom_facts(code)
+    facts = code._axiom_facts
     failures = list(facts.failures)
     if facts.max_offdiag is not None and facts.max_offdiag > ct + TOL_EQ:
         j, k = facts.worst_pair
@@ -440,15 +475,20 @@ def embed_as_metric_code(code: SphericalCode) -> MetricCode:
 
 
 def _simplex_vectors(d: int) -> np.ndarray:
-    """d+1 unit vectors in R^d with pairwise inner products -1/d."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    sub = _simplex_vectors(d - 1)
-    scale = math.sqrt(1.0 - 1.0 / d**2)
+    """d+1 unit vectors in R^d with pairwise inner products -1/d.
+
+    The simplex in R^k is e_1 and the points (-1/k, sqrt(1 - 1/k^2) v)
+    for v in the simplex in R^(k-1). It is built in place from k = 1 up,
+    in the bottom-right corner out[d-k:, d-k:], so each entry is scaled
+    in the same order as by the recursion.
+    """
     out = np.zeros((d + 1, d))
-    out[0, 0] = 1.0
-    out[1:, 0] = -1.0 / d
-    out[1:, 1:] = scale * sub
+    out[d - 1:, d - 1] = (1.0, -1.0)
+    for k in range(2, d + 1):
+        top = d - k
+        out[top + 1:, top + 1:] *= math.sqrt(1.0 - 1.0 / k**2)
+        out[top, top] = 1.0
+        out[top + 1:, top] = -1.0 / k
     return out
 
 
@@ -488,10 +528,8 @@ def generate(family: str, dim: int | None = None) -> SphericalCode:
     Families: simplex(d), orthonormal(d), cross_polytope(d), icosahedron,
     d4_roots, e8_roots.
     """
-    if family in ("simplex", "orthonormal", "cross_polytope") and (
-        dim is None or dim < 1
-    ):
-        raise ValueError(f"{family} requires a dimension >= 1")
+    if family in ("simplex", "orthonormal", "cross_polytope"):
+        dim = _check_dim(dim, f"{family} dimension")
     if family == "simplex":
         return SphericalCode(dim, _simplex_vectors(dim), -1.0 / dim)
     if family == "orthonormal":
@@ -555,31 +593,35 @@ def code_to_json_dict(code) -> dict:
 
 def code_from_json_dict(data: dict):
     kind = jsonutil.json_object(data, "code").get("kind")
+
+    def reals(name):
+        return jsonutil.json_reals(data[name], name)
+
     if kind == "spherical":
         return SphericalCode(
             dim=jsonutil.json_int(data["dim"], "dim"),
-            vectors=np.array(data["vectors"], dtype=float),
-            cos_theta=float(data["cos_theta"]),
+            vectors=reals("vectors"),
+            cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         )
     if kind == "functional":
         space = jsonutil.json_object(data["space"], "space")
-        p = math.inf if space["p"] == "inf" else float(space["p"])
+        p = math.inf if space["p"] == "inf" else jsonutil.json_real(space["p"], "p")
         return FunctionalCode(
             space=LpSpace(p, jsonutil.json_int(space["dim"], "space dim")),
-            points=np.array(data["points"], dtype=float),
-            functionals=np.array(data["functionals"], dtype=float),
-            cos_theta=float(data["cos_theta"]),
+            points=reals("points"),
+            functionals=reals("functionals"),
+            cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         )
     if kind == "metric":
         if jsonutil.json_int(data.get("base", 0), "base") != 0:
             raise ValueError("base point index must be 0")
         return MetricCode(
-            space=PointedMetricSpace(np.array(data["distance"], dtype=float)),
+            space=PointedMetricSpace(reals("distance")),
             point_indices=np.array(
                 [jsonutil.json_int(i, "point_indices") for i in data["point_indices"]],
                 dtype=int,
             ),
-            functions=np.array(data["functions"], dtype=float),
-            cos_theta=float(data["cos_theta"]),
+            functions=reals("functions"),
+            cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         )
     raise ValueError(f"unknown code kind {kind!r}")

@@ -316,7 +316,7 @@ def certificate_to_json_dict(cert: DGSCertificate) -> dict:
 def certificate_from_json_dict(data: dict) -> DGSCertificate:
     if jsonutil.json_object(data, "dgs certificate").get("kind") != "dgs":
         raise ValueError("not a dgs certificate")
-    coeffs = np.array(data["gegenbauer_coeffs"], dtype=float)
+    coeffs = jsonutil.json_reals(data["gegenbauer_coeffs"], "gegenbauer_coeffs")
     verification = None
     raw = data.get("verification")
     if raw is not None:
@@ -330,9 +330,9 @@ def certificate_from_json_dict(data: dict) -> DGSCertificate:
             messages=list(raw.get("messages", [])),
         )
     return DGSCertificate(
-        cos_theta=float(data["cos_theta"]),
+        cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         poly=GegenbauerPoly(jsonutil.json_int(data["dim"], "dim"), coeffs),
-        bound_real=float(data["bound_real"]),
+        bound_real=jsonutil.json_real(data["bound_real"], "bound_real"),
         bound_int=jsonutil.json_int(data["bound_int"], "bound_int"),
         verification=verification,
     )

@@ -68,6 +68,29 @@ def json_int(value: Any, name: str) -> int:
     return value
 
 
+def json_real(value: Any, name: str) -> float:
+    """``value`` as a float if it is a JSON number. float(...) would parse
+    a string such as "0.5" and take a bool as 0.0 or 1.0, so anything else
+    raises ValueError naming the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def json_reals(value: Any, name: str) -> list:
+    """``value`` if it is a JSON array whose entries, or the entries of
+    its nested arrays, all pass ``json_real``; anything else raises
+    ValueError naming the field ``name``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be an array of real numbers, got {value!r}")
+    for item in value:
+        if isinstance(item, list):
+            json_reals(item, name)
+        else:
+            json_real(item, name)
+    return value
+
+
 def json_object(value: Any, name: str) -> dict:
     """``value`` if it is a JSON object; anything else (a top-level array,
     say) raises ValueError saying that ``name`` must be an object."""

@@ -22,21 +22,23 @@ structural certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
 A ``PhiSpec`` is immutable, like a code: its coefficients are a
 read-only copy. The same phi is typically checked against many codes,
 each with its own cos_theta, so a polynomial phi finds the real roots of
-phi' on [-1, 1] once, on its first interval check, and keeps them; each
-check then evaluates phi + c at -1, cos_theta and the roots in between.
+phi' on [-1, 1] once, on its first interval check, and keeps them (the
+cached property ``PhiSpec._critical_points``); each check then evaluates
+phi + c at -1, cos_theta and the roots in between.
 
-A per-code check does the work that depends on the code alone once per
-code: its axioms (``codes.verify``) and its evaluation matrix, checked
-to lie in [-1, 1] and clipped, are kept on the code. Each (code, phi)
-pair then costs one phi evaluation over the n^2 kept values and their
-sum, and a margin: phi + c at a few candidates on the interval, or the
-largest of the off-diagonal values already evaluated.
+A per-code check reads what depends on the code alone from the code's
+own cached facts (``codes._Code``): its axioms and its evaluation values,
+checked to lie in [-1, 1] and clipped; this module stores nothing on a
+code. Each (code, phi) pair then costs one phi evaluation over the n^2
+values and their sum, and a margin: phi + c at a few candidates on the
+interval, or the largest of the off-diagonal values already evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +121,14 @@ class PhiSpec(codes._Rebuilt):
             return None
         return 2.0 / (len(self.coeffs) - 1)
 
+    @cached_property
+    def _critical_points(self) -> np.ndarray:
+        """The real roots of a polynomial phi' in [-1, 1], from phi at its
+        m + 1 Chebyshev-Lobatto points: they depend on neither c nor
+        cos_theta."""
+        samples = self(chebyshev_points(-1.0, 1.0, len(self.coeffs)))
+        return codes._read_only(critical_points(samples, -1.0, 1.0))
+
 
 def _polynomial_values(basis, coeffs, dim, arr):
     """The polynomial with ``coeffs`` in ``basis`` at every entry of ``arr``."""
@@ -126,18 +136,6 @@ def _polynomial_values(basis, coeffs, dim, arr):
         return np.polynomial.polynomial.polyval(arr, coeffs)
     values = basis_values(dim, len(coeffs) - 1, arr.reshape(-1))
     return (coeffs @ values).reshape(arr.shape)
-
-
-def _critical_points(phi: PhiSpec) -> np.ndarray:
-    """The real roots of a polynomial phi' in [-1, 1], found on the first
-    call from phi at its m + 1 Chebyshev-Lobatto points and kept on phi:
-    they depend on neither c nor cos_theta."""
-    roots = getattr(phi, "_critical_points", None)
-    if roots is None:
-        samples = phi(chebyshev_points(-1.0, 1.0, len(phi.coeffs)))
-        roots = critical_points(samples, -1.0, 1.0)
-        object.__setattr__(phi, "_critical_points", codes._read_only(roots))
-    return roots
 
 
 @dataclass
@@ -198,17 +196,17 @@ def interval_margin(phi: PhiSpec, c: float, cos_theta: float):
     rounding: a polynomial peaks at an endpoint or a critical point, and a
     table at an endpoint or a node. The candidates are -1, cos_theta and
     the critical points (or nodes) between them, in that order, and the
-    first maximum wins. A polynomial's critical points on [-1, 1] are found
-    once per phi (``_critical_points``), so checking one phi against many
-    codes costs one evaluation per pair; c goes into the constant
-    coefficient, so (P - a_0, a_0) is evaluated exactly as P is."""
+    first maximum wins. A polynomial's critical points on [-1, 1] are
+    found once per phi (``PhiSpec._critical_points``), so checking one phi
+    against many codes costs one evaluation per pair; c goes into the
+    constant coefficient, so (P - a_0, a_0) is evaluated exactly as P is."""
     cos_theta = float(cos_theta)
     if not -1.0 <= cos_theta <= 1.0:
         raise ValueError("cos_theta must lie in [-1, 1]")
     if phi.basis == "table":
         inside = np.linspace(-1.0, 1.0, len(phi.coeffs))
     else:
-        inside = _critical_points(phi)
+        inside = phi._critical_points
     inside = inside[(inside > -1.0) & (inside < cos_theta)]
     points = np.concatenate(([-1.0, cos_theta], inside))
     if phi.basis == "table":
@@ -298,47 +296,13 @@ def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificat
     return _certify(phi, c, cos_theta, "interval", *condition_i(phi))
 
 
-def _clipped_entries(M: np.ndarray) -> np.ndarray:
-    """Every entry of M, clipped to [-1, 1], in row-major order.
-
-    Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
-    this); anything further out raises, naming the offending cell.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if not np.all(np.isfinite(M)):
-        raise ValueError("evaluation matrix contains NaN or infinite entries")
-    outside = np.abs(M) > 1.0 + 1e-12
-    if outside.any():
-        j, k = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
-        value = float(M[j, k])
-        raise ValueError(
-            f"evaluation value {value!r} at (j={j}, k={k}) lies outside [-1, 1]"
-        )
-    return np.clip(M, -1.0, 1.0).ravel()
-
-
-def _code_entries(code) -> tuple[np.ndarray, np.ndarray]:
-    """The code's evaluation matrix checked and clipped by
-    ``_clipped_entries``, and the mask of its off-diagonal entries, both
-    row-major. They depend on the code alone, so they are made on the
-    first call and kept on the code next to its axiom facts; a matrix that
-    fails the check keeps nothing and raises again on every call."""
-    entries = getattr(code, "_evaluation_entries", None)
-    if entries is None:
-        clipped = _clipped_entries(codes._axiom_facts(code).matrix)
-        off = ~np.eye(code.n, dtype=bool).ravel()
-        entries = (codes._read_only(clipped), codes._read_only(off))
-        object.__setattr__(code, "_evaluation_entries", entries)
-    return entries
-
-
 def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
     """sum_{j,k} phi(M[j,k]) including diagonal terms.
 
     Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
     this); anything further out raises, naming the offending cell.
     """
-    return float(np.sum(phi(_clipped_entries(M))))
+    return float(np.sum(phi(codes._clipped_entries(M))))
 
 
 def functional_pfender_check(
@@ -369,12 +333,12 @@ def functional_pfender_check(
     # phi is evaluated once per pair: its sum over all n^2 values is the
     # double sum (exactly as double_sum adds it up), and its off-diagonal
     # entries are the finite set of the finite-set variant
-    entries, off = _code_entries(code)
+    entries, off = code._evaluation_entries
     phi_values = phi(entries)
     total = float(np.sum(phi_values))
     finite_set = None
     if variant == "finite_set":
-        M = codes._axiom_facts(code).matrix
+        M = code._axiom_facts.matrix
         finite_set = (M.ravel()[off], phi_values[off])
     certificate = _certify(
         phi,
@@ -419,7 +383,7 @@ def phi_from_json_dict(data: dict) -> PhiSpec:
     dim = jsonutil.json_object(data, "phi").get("dim")
     return PhiSpec(
         basis=data["basis"],
-        coeffs=np.array(data["coeffs"], dtype=float),
+        coeffs=jsonutil.json_reals(data["coeffs"], "coeffs"),
         dim=None if dim is None else jsonutil.json_int(dim, "dim"),
     )
 
@@ -445,9 +409,9 @@ def certificate_from_json_dict(data: dict) -> PfenderCertificate:
         raise ValueError(f"unknown certificate variant {variant!r}")
     return PfenderCertificate(
         phi=phi,
-        c=float(data["c"]),
-        cos_theta=float(data["cos_theta"]),
+        c=jsonutil.json_real(data["c"], "c"),
+        cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         variant=variant,
-        bound_real=float(data["bound_real"]),
+        bound_real=jsonutil.json_real(data["bound_real"], "bound_real"),
         bound_int=jsonutil.json_int(data["bound_int"], "bound_int"),
     )

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from codebounds import cli, codes, jsonutil, pfender
@@ -448,3 +449,95 @@ class TestCode:
         code, out, _ = run_cli("code", "verify", "--file", str(path))
         assert code == 0
         assert "valid=yes" in out
+
+
+def _files_with_reals():
+    """One valid file of each kind whose reals the readers check."""
+    phi = pfender.PhiSpec("gegenbauer", [0.0, 1.0], dim=3)
+    rng = np.random.default_rng(5)
+    return {
+        "spherical": codes.code_to_json_dict(codes.generate("orthonormal", dim=3)),
+        "functional": codes.code_to_json_dict(
+            codes.random_functional_code(rng, 3.0, 2, 3)
+        ),
+        "metric": codes.code_to_json_dict(
+            codes.embed_as_metric_code(codes.generate("simplex", dim=2))
+        ),
+        "phi": pfender.phi_to_json_dict(phi),
+        "cert": pfender.certificate_to_json_dict(pfender.pfender_bound(phi, 0.5, -0.5)),
+    }
+
+
+class TestJsonReals:
+    """Every real a check or a bound reads must be a JSON number: a string
+    or a bool there, at a scalar or at any array leaf, exits 2 naming the
+    field."""
+
+    @pytest.mark.parametrize(
+        "kind, where, bad",
+        [
+            ("spherical", ("cos_theta",), "0.5"),
+            ("spherical", ("cos_theta",), True),
+            ("spherical", ("vectors", 0, 0), "1"),
+            ("functional", ("space", "p"), "3"),
+            ("functional", ("points", 1, 0), False),
+            ("functional", ("functionals", 2, 1), "0.5"),
+            ("functional", ("cos_theta",), None),
+            ("metric", ("distance", 0, 1), "1"),
+            ("metric", ("functions", 1, 2), True),
+            ("metric", ("cos_theta",), [0.5]),
+            ("phi", ("coeffs", 0), "0"),
+            ("phi", ("coeffs", 1), True),
+            ("cert", ("c",), "0.5"),
+            ("cert", ("cos_theta",), False),
+            ("cert", ("bound_real",), "4"),
+            ("cert", ("phi", "coeffs", 1), "1"),
+        ],
+        ids=str,
+    )
+    def test_a_non_number_exits_2_naming_the_field(
+        self, kind, where, bad, tmp_path, capsys
+    ):
+        files = _files_with_reals()
+        data = files[kind]
+        *path, last = where
+        for key in path:
+            data = data[key]
+        data[last] = bad
+        ortho = tmp_path / "ortho.json"
+        target = tmp_path / "target.json"
+        jsonutil.dump_path(str(ortho), files["spherical"])
+        jsonutil.dump_path(str(target), files[kind])
+        if kind == "phi":
+            argv = ["bound", "pfender", "--phi", str(target), "--c", "0.5",
+                    "--cos-theta", "-0.5"]
+        elif kind == "cert":
+            argv = ["code", "check-theorem", "--file", str(ortho),
+                    "--cert", str(target)]
+        else:
+            argv = ["code", "verify", "--file", str(target)]
+        assert cli.main(argv) == 2
+        field = [key for key in where if isinstance(key, str)][-1]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {field} must be a real number, got {bad!r}\n"
+
+    def test_an_array_field_needs_an_array(self, tmp_path, capsys):
+        path = tmp_path / "phi.json"
+        path.write_text('{"basis": "gegenbauer", "dim": 3, "coeffs": 1.5}')
+        argv = ["bound", "pfender", "--phi", str(path), "--c", "0.5",
+                "--cos-theta", "-0.5"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: coeffs must be an array of real numbers, got 1.5\n"
+
+    def test_p_may_be_inf(self, tmp_path, capsys):
+        # the sup norm's unit vectors e_j and their l_1 dual functionals
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        code = codes.FunctionalCode(codes.LpSpace(float("inf"), 2), eye, eye, 0.0)
+        path = tmp_path / "linf.json"
+        jsonutil.dump_path(str(path), codes.code_to_json_dict(code))
+        assert json.loads(path.read_text())["space"]["p"] == "inf"
+        assert cli.main(["code", "verify", "--file", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("valid=yes")

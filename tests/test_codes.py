@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import pickle
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -372,6 +374,41 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown family"):
             generate("leech")
 
+    def test_simplex_dimension_past_the_recursion_limit(self):
+        # the simplex is built by a loop, so its dimension is not bounded by
+        # the interpreter's recursion limit
+        script = (
+            "import sys\n"
+            "from codebounds import codes\n"
+            "sys.setrecursionlimit(100)\n"
+            "code = codes.generate('simplex', 150)\n"
+            "print(code.n, code.dim, codes.verify(code).valid)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "151 150 True\n", "")
+
+    @pytest.mark.parametrize("family", ["simplex", "orthonormal", "cross_polytope"])
+    @pytest.mark.parametrize("dim", [2.5, 3.0, True, 0, -1, None, "3"], ids=repr)
+    def test_dimension_is_an_integer_from_1(self, family, dim):
+        with pytest.raises(
+            ValueError, match=rf"{family} dimension must be an integer >= 1, got"
+        ):
+            generate(family, dim)
+
+    def test_numpy_integer_dimension_is_accepted(self):
+        code = generate("simplex", np.int64(3))
+        assert type(code.dim) is int and code.dim == 3
+        assert code_to_json_dict(code) == code_to_json_dict(generate("simplex", 3))
+
+    @pytest.mark.parametrize("dim", [2.5, True, 0])
+    def test_space_and_code_dimensions_are_integers_from_1(self, dim):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            LpSpace(2.0, dim)
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            codes.SphericalCode(dim, [[1.0]], 0.0)
+
     def test_canonical_angles(self):
         assert generate("simplex", dim=4).cos_theta == pytest.approx(-0.25)
         assert generate("orthonormal", dim=4).cos_theta == 0.0
@@ -569,7 +606,7 @@ def _array_holders():
         functional,
         metric.space,
         metric,
-        codes._axiom_facts(spherical),
+        spherical._axiom_facts,
         PhiSpec("gegenbauer", [0.0, 1.0], dim=3),
         GegenbauerPoly(3, [1.0, 2.0]),
     ]

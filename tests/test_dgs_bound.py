@@ -640,6 +640,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             certificate_from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cos_theta", "0.5"), ("bound_real", True), ("gegenbauer_coeffs", "1")],
+    )
+    def test_real_fields_take_json_numbers_only(self, cert_d8, field, value):
+        # float(...) parsed the string and took True as 1.0
+        data = certificate_to_json_dict(cert_d8)
+        if field == "gegenbauer_coeffs":
+            data[field][2] = value
+        else:
+            data[field] = value
+        message = f"^{field} must be a real number, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json_dict(data)
+
     def test_certificate_and_report_must_be_objects(self, cert_d8):
         message = "^dgs certificate must be a JSON object, got list$"
         with pytest.raises(ValueError, match=message):

@@ -312,6 +312,8 @@ class TestFunctionalCheck:
             for variant in ("interval", "finite_set"):
                 with pytest.raises(ValueError, match=r"\(j=0, k=1\) lies outside \[-1, 1\]"):
                     functional_pfender_check(code, g1(3), 0.5, variant=variant)
+                assert "_axiom_facts" in vars(code)
+                assert "_evaluation_entries" not in vars(code)
 
     def test_code_axioms_are_checked_once_per_code(self, monkeypatch):
         # the Lipschitz and triangle checks and the range check and clipping
@@ -322,7 +324,7 @@ class TestFunctionalCheck:
         catalog = harness_catalog()
         calls, checked = [], []
         real_lipschitz_norm = codes.lipschitz_norm
-        real_clipped_entries = pfender._clipped_entries
+        real_clipped_entries = codes._clipped_entries
 
         def lipschitz_norm(distance, values):
             calls.append(values)
@@ -333,7 +335,7 @@ class TestFunctionalCheck:
             return real_clipped_entries(M)
 
         monkeypatch.setattr(codes, "lipschitz_norm", lipschitz_norm)
-        monkeypatch.setattr(pfender, "_clipped_entries", clipped_entries)
+        monkeypatch.setattr(codes, "_clipped_entries", clipped_entries)
         applicable = [
             functional_pfender_check(code, phi, c, variant=variant).applicable
             for _, phi, c, variant in catalog
@@ -346,10 +348,55 @@ class TestFunctionalCheck:
         double_sum(g1(3), M)
         assert len(checked) == 3 and checked[-1] is M
 
+    def test_each_code_and_phi_computes_its_facts_once(self, monkeypatch):
+        # codes of each kind, each checked against every certificate of the
+        # harness: each code checks its axioms and its evaluation matrix
+        # once, and each polynomial phi with an interval check finds its
+        # critical points once
+        pool = [
+            codes.generate("cross_polytope", dim=3),
+            codes.euclidean_to_functional(codes.generate("simplex", dim=4)),
+            codes.embed_as_metric_code(codes.generate("icosahedron")),
+        ]
+        catalog = harness_catalog()
+        axioms, matrices, roots = [], [], []
+        real_check_axioms = codes._check_axioms
+        real_clipped_entries = codes._clipped_entries
+        real_critical_points = pfender.critical_points
+
+        def check_axioms(code):
+            axioms.append(code)
+            return real_check_axioms(code)
+
+        def clipped_entries(M):
+            matrices.append(M)
+            return real_clipped_entries(M)
+
+        def critical(samples, lo, hi):
+            roots.append(samples)
+            return real_critical_points(samples, lo, hi)
+
+        monkeypatch.setattr(codes, "_check_axioms", check_axioms)
+        monkeypatch.setattr(codes, "_clipped_entries", clipped_entries)
+        monkeypatch.setattr(pfender, "critical_points", critical)
+        for _ in range(2):
+            for code in pool:
+                for _, phi, c, variant in catalog:
+                    functional_pfender_check(code, phi, c, variant=variant)
+        assert [id(code) for code in axioms] == [id(code) for code in pool]
+        assert all(M is code._axiom_facts.matrix for M, code in zip(matrices, pool))
+        assert len(matrices) == len(pool)
+        searched = [
+            phi for _, phi, _, variant in catalog
+            if variant == "interval" and phi.basis != "table"
+        ]
+        assert len(roots) == len(searched) > 0
+        assert all("_critical_points" in vars(phi) for phi in searched)
+
     @pytest.mark.parametrize(
         "clone",
-        [copy.deepcopy, lambda code: pickle.loads(pickle.dumps(code))],
-        ids=["deepcopy", "pickle"],
+        [copy.copy, copy.deepcopy, lambda code: pickle.loads(pickle.dumps(code))],
+        ids=["copy", "deepcopy", "pickle"],
     )
     def test_copies_of_a_checked_code_keep_nothing(self, clone):
         code = codes.euclidean_to_functional(codes.generate("icosahedron"))
@@ -362,10 +409,10 @@ class TestFunctionalCheck:
             ]
 
         expected = reports(code)
-        assert hasattr(code, "_evaluation_entries")
+        assert {"_axiom_facts", "_evaluation_entries"} <= vars(code).keys()
         twin = clone(code)
-        assert not hasattr(twin, "_evaluation_entries")
-        assert not hasattr(twin, "_axiom_facts")
+        assert "_evaluation_entries" not in vars(twin)
+        assert "_axiom_facts" not in vars(twin)
         assert reports(twin) == expected
 
     def test_phi_at_1_is_evaluated_once_per_check(self, monkeypatch):
@@ -518,8 +565,8 @@ class TestCriticalPointsKeptOnPhi:
             return real_call(self, r)
 
         monkeypatch.setattr(PhiSpec, "__call__", spy)
-        roots = pfender._critical_points(fresh)
-        assert pfender._critical_points(fresh) is roots
+        roots = fresh._critical_points
+        assert fresh._critical_points is roots
         # the 11 Chebyshev-Lobatto samples of a degree-10 phi, and no more
         assert sizes == [11]
 
@@ -544,7 +591,9 @@ class TestCriticalPointsKeptOnPhi:
         phi, c = degree_10_certificate
         angles = np.linspace(-1.0, 1.0, 9)
         margins = [interval_margin(phi, c, ct) for ct in angles]
+        assert "_critical_points" in vars(phi)
         twin = clone(phi)
+        assert "_critical_points" not in vars(twin)
         assert twin.coeffs is not phi.coeffs
         assert not twin.coeffs.flags.writeable
         assert np.array_equal(twin.coeffs, phi.coeffs)
