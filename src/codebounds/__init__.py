@@ -6,78 +6,64 @@ programming bound with certificate verification, Pfender-style bounds
 classical code constructions to check everything against. numpy is the
 only runtime dependency; scipy is used by the test suite alone, as an
 independent oracle for the quadrature and the LP solver.
+
+Every public name is importable from the package itself, and each is
+resolved on first access (PEP 562), so ``import codebounds`` loads none
+of the modules and a command-line run loads only those its command uses.
 """
 
-from .codes import (
-    FunctionalCode,
-    LpSpace,
-    MetricCode,
-    PointedMetricSpace,
-    SphericalCode,
-    embed_as_metric_code,
-    euclidean_to_functional,
-    evaluation_matrix,
-    generate,
-    norming_functional,
-    random_functional_code,
-    verify,
-)
-from .dgs_bound import DGSCertificate, bound_table, lp_bound, verify_certificate
-from .errors import (
-    CodeBoundsError,
-    LPFailureError,
-    NoCertificateError,
-    TheoremViolationError,
-)
-from .gegenbauer import (
-    GegenbauerPoly,
-    expand_in_basis,
-    gegenbauer_eval,
-    weighted_inner_product,
-)
-from .linprog import LinearProgram, LPSolution, solve_lp
-from .pfender import (
-    PfenderCertificate,
-    PhiSpec,
-    double_sum,
-    functional_pfender_check,
-    pfender_bound,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "CodeBoundsError",
-    "NoCertificateError",
-    "LPFailureError",
-    "TheoremViolationError",
-    "GegenbauerPoly",
-    "gegenbauer_eval",
-    "weighted_inner_product",
-    "expand_in_basis",
-    "LinearProgram",
-    "LPSolution",
-    "solve_lp",
-    "DGSCertificate",
-    "lp_bound",
-    "verify_certificate",
-    "bound_table",
-    "PhiSpec",
-    "PfenderCertificate",
-    "pfender_bound",
-    "double_sum",
-    "functional_pfender_check",
-    "LpSpace",
-    "SphericalCode",
-    "FunctionalCode",
-    "PointedMetricSpace",
-    "MetricCode",
-    "verify",
-    "evaluation_matrix",
-    "norming_functional",
-    "euclidean_to_functional",
-    "embed_as_metric_code",
-    "generate",
-    "random_functional_code",
-]
+# home module -> the public names it provides, in the order of __all__
+_HOMES = {
+    "errors": (
+        "CodeBoundsError",
+        "NoCertificateError",
+        "LPFailureError",
+        "TheoremViolationError",
+    ),
+    "gegenbauer": (
+        "GegenbauerPoly",
+        "gegenbauer_eval",
+        "weighted_inner_product",
+        "expand_in_basis",
+    ),
+    "linprog": ("LinearProgram", "LPSolution", "solve_lp"),
+    "dgs_bound": ("DGSCertificate", "lp_bound", "verify_certificate", "bound_table"),
+    "pfender": (
+        "PhiSpec",
+        "PfenderCertificate",
+        "pfender_bound",
+        "double_sum",
+        "functional_pfender_check",
+    ),
+    "codes": (
+        "LpSpace",
+        "SphericalCode",
+        "FunctionalCode",
+        "PointedMetricSpace",
+        "MetricCode",
+        "verify",
+        "evaluation_matrix",
+        "norming_functional",
+        "euclidean_to_functional",
+        "embed_as_metric_code",
+        "generate",
+        "random_functional_code",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

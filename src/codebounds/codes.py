@@ -18,13 +18,14 @@ runs on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
 
 from . import jsonutil
+from ._immutable import Rebuilt, read_only
 
 TOL_EQ = 1e-12
 TOL_LIP = 1e-9
@@ -68,15 +69,10 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 def _check_dim(dim, name: str = "dimension") -> int:
     """``dim`` as an int if it is an integer >= 1; a bool or a non-integer
     (2.5, say) raises ValueError naming ``name``. (``gegenbauer._check_dim``
-    asks for dim >= 2, and gegenbauer imports this module.)"""
+    asks for dim >= 2.)"""
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {dim!r}")
     return int(dim)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:
@@ -105,17 +101,7 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-class _Rebuilt:
-    """Copies and pickles are rebuilt through the constructor, so their
-    arrays are read-only copies too and they carry none of the
-    ``cached_property`` facts of the original, which live in its
-    ``__dict__``."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
-class _Code(_Rebuilt):
+class _Code(Rebuilt):
     """A code's facts, each a ``functools.cached_property``: made on first
     use and kept in the code's own ``__dict__``, where no other module
     writes. One that raises keeps nothing, so it raises again next time."""
@@ -130,7 +116,7 @@ class _Code(_Rebuilt):
         and the mask of its off-diagonal entries, both row-major."""
         clipped = _clipped_entries(self._axiom_facts.matrix)
         off = ~np.eye(self.n, dtype=bool).ravel()
-        return _read_only(clipped), _read_only(off)
+        return read_only(clipped), read_only(off)
 
 
 @dataclass(frozen=True)
@@ -162,7 +148,7 @@ class SphericalCode(_Code):
         _check_finite(arr, "vectors")
         if arr.shape[1] != self.dim:
             raise ValueError(f"vectors have dimension {arr.shape[1]}, declared {self.dim}")
-        object.__setattr__(self, "vectors", _read_only(arr))
+        object.__setattr__(self, "vectors", read_only(arr))
         object.__setattr__(self, "cos_theta", float(self.cos_theta))
 
     @property
@@ -188,8 +174,8 @@ class FunctionalCode(_Code):
         _check_finite(fns, "functionals")
         if pts.shape != fns.shape or pts.shape[1] != self.space.dim:
             raise ValueError("points/functionals shape mismatch")
-        object.__setattr__(self, "points", _read_only(pts))
-        object.__setattr__(self, "functionals", _read_only(fns))
+        object.__setattr__(self, "points", read_only(pts))
+        object.__setattr__(self, "functionals", read_only(fns))
         object.__setattr__(self, "cos_theta", float(self.cos_theta))
 
     @property
@@ -198,7 +184,7 @@ class FunctionalCode(_Code):
 
 
 @dataclass(frozen=True, eq=False)
-class PointedMetricSpace(_Rebuilt):
+class PointedMetricSpace(Rebuilt):
     """Finite metric space given by a distance matrix; point 0 is the base.
 
     The base is not stored: metric code files carry it as ``"base": 0``,
@@ -212,7 +198,7 @@ class PointedMetricSpace(_Rebuilt):
         _check_finite(d, "distance matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
-        object.__setattr__(self, "distance", _read_only(d))
+        object.__setattr__(self, "distance", read_only(d))
 
     @property
     def n_points(self) -> int:
@@ -238,8 +224,8 @@ class MetricCode(_Code):
             raise ValueError("function tables must cover every space point")
         if np.any(idx < 0) or np.any(idx >= self.space.n_points):
             raise ValueError("point index out of range")
-        object.__setattr__(self, "point_indices", _read_only(idx))
-        object.__setattr__(self, "functions", _read_only(fns))
+        object.__setattr__(self, "point_indices", read_only(idx))
+        object.__setattr__(self, "functions", read_only(fns))
         object.__setattr__(self, "cos_theta", float(self.cos_theta))
 
     @property
@@ -387,7 +373,7 @@ def _check_axioms(code) -> _AxiomFacts:
         if len(np.unique(code.point_indices)) < code.n:
             warnings.append("duplicate selected points tau_j")
 
-    matrix = _read_only(evaluation_matrix(code))
+    matrix = read_only(evaluation_matrix(code))
     max_offdiag, worst_pair = _offdiag_report(matrix)
     if isinstance(code, SphericalCode) and code.n >= 2 and max_offdiag >= 1.0 - TOL_EQ:
         warnings.append("duplicate vectors (off-diagonal inner product 1)")

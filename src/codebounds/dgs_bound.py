@@ -260,7 +260,8 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
     messages += checked.messages
     ratio, floor = structural.bound_real, structural.bound_int
     bound_error = abs(ratio - cert.bound_real)
-    if bound_error > 1e-9 * max(1.0, abs(ratio)):
+    # written so that a NaN bound_real fails
+    if not bound_error <= 1e-9 * max(1.0, abs(ratio)):
         messages.append(
             f"bound arithmetic: stored {cert.bound_real!r} vs P(1)/a_0 = {ratio!r}"
         )
@@ -320,14 +321,18 @@ def certificate_from_json_dict(data: dict) -> DGSCertificate:
     verification = None
     raw = data.get("verification")
     if raw is not None:
+        # read as strictly as the certificate: bool("false") is True
         jsonutil.json_object(raw, "verification")
+        passed, messages = raw["passed"], raw.get("messages", [])
+        if not isinstance(passed, bool):
+            raise ValueError(f"passed must be true or false, got {passed!r}")
+        if not isinstance(messages, list) or not all(
+            isinstance(m, str) for m in messages
+        ):
+            raise ValueError(f"messages must be an array of strings, got {messages!r}")
+        reals = ("max_sign_violation", "violation_location", "min_coeff", "bound_error")
         verification = DGSVerification(
-            passed=bool(raw["passed"]),
-            max_sign_violation=float(raw["max_sign_violation"]),
-            violation_location=float(raw["violation_location"]),
-            min_coeff=float(raw["min_coeff"]),
-            bound_error=float(raw["bound_error"]),
-            messages=list(raw.get("messages", [])),
+            passed, *(jsonutil.json_real(raw[name], name) for name in reals), messages
         )
     return DGSCertificate(
         cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),

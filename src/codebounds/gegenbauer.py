@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import _read_only, _Rebuilt
+from ._immutable import Rebuilt, read_only
 
 MAX_TABLE_DEGREE = 40
 
@@ -121,7 +121,7 @@ def monomial_table(dim: int, max_degree: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GegenbauerPoly(_Rebuilt):
+class GegenbauerPoly(Rebuilt):
     """A polynomial stored by its coefficients in the Gegenbauer basis.
 
     Represents sum_k coeffs[k] * G_k^{(dim)}(r). ``coeffs`` is a read-only
@@ -139,7 +139,7 @@ class GegenbauerPoly(_Rebuilt):
             raise ValueError("coeffs must be a non-empty 1-d vector")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", _read_only(arr))
+        object.__setattr__(self, "coeffs", read_only(arr))
 
     @property
     def degree(self) -> int:

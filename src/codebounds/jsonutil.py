@@ -69,11 +69,15 @@ def json_int(value: Any, name: str) -> int:
 
 
 def json_real(value: Any, name: str) -> float:
-    """``value`` as a float if it is a JSON number. float(...) would parse
-    a string such as "0.5" and take a bool as 0.0 or 1.0, so anything else
-    raises ValueError naming the field ``name``."""
+    """``value`` as a float if it is a finite JSON number. float(...) would
+    parse a string such as "0.5" and take a bool as 0.0 or 1.0, and
+    json.load reads the tokens NaN and Infinity, which ``format_float``
+    never writes; anything else raises ValueError naming the field
+    ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

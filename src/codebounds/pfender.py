@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import codes, jsonutil
+from ._immutable import Rebuilt, read_only
 from .errors import TheoremViolationError
 from .gegenbauer import _check_dim, basis_values
 from .scanning import chebyshev_points, critical_points
@@ -72,7 +73,7 @@ _BASES = ("gegenbauer", "monomial", "table")
 
 
 @dataclass(frozen=True, eq=False)
-class PhiSpec(codes._Rebuilt):
+class PhiSpec(Rebuilt):
     """A function on [-1, 1] given in one of three representations.
 
     gegenbauer: coeffs are Gegenbauer coefficients for dimension ``dim``;
@@ -98,7 +99,7 @@ class PhiSpec(codes._Rebuilt):
             _check_dim(self.dim)
         if self.basis == "table" and arr.size < 2:
             raise ValueError("table phi needs at least two nodes")
-        object.__setattr__(self, "coeffs", codes._read_only(arr))
+        object.__setattr__(self, "coeffs", read_only(arr))
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)
@@ -127,7 +128,7 @@ class PhiSpec(codes._Rebuilt):
         m + 1 Chebyshev-Lobatto points: they depend on neither c nor
         cos_theta."""
         samples = self(chebyshev_points(-1.0, 1.0, len(self.coeffs)))
-        return codes._read_only(critical_points(samples, -1.0, 1.0))
+        return read_only(critical_points(samples, -1.0, 1.0))
 
 
 def _polynomial_values(basis, coeffs, dim, arr):

@@ -1,6 +1,7 @@
 """CLI surface: outputs, exit codes, deterministic files."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -435,10 +436,13 @@ class TestCode:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_family_exits_2(self, tmp_path):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             "code", "gen", "--family", "leech", "--out", str(tmp_path / "x.json")
         )
         assert code == 2
+        assert err == (
+            f"error: unknown family 'leech'; choose from {codes.FAMILIES}\n"
+        )
 
     def test_verify_metric_code_file(self, tmp_path):
         from codebounds import codes as codes_mod
@@ -469,9 +473,9 @@ def _files_with_reals():
 
 
 class TestJsonReals:
-    """Every real a check or a bound reads must be a JSON number: a string
-    or a bool there, at a scalar or at any array leaf, exits 2 naming the
-    field."""
+    """Every real a check or a bound reads must be a finite JSON number: a
+    string, a bool, NaN or Infinity there, at a scalar or at any array
+    leaf, exits 2 naming the field."""
 
     @pytest.mark.parametrize(
         "kind, where, bad",
@@ -492,6 +496,10 @@ class TestJsonReals:
             ("cert", ("cos_theta",), False),
             ("cert", ("bound_real",), "4"),
             ("cert", ("phi", "coeffs", 1), "1"),
+            ("functional", ("cos_theta",), math.nan),
+            ("metric", ("distance", 0, 1), math.inf),
+            ("phi", ("coeffs", 1), -math.inf),
+            ("cert", ("bound_real",), math.nan),
         ],
         ids=str,
     )
@@ -507,7 +515,8 @@ class TestJsonReals:
         ortho = tmp_path / "ortho.json"
         target = tmp_path / "target.json"
         jsonutil.dump_path(str(ortho), files["spherical"])
-        jsonutil.dump_path(str(target), files[kind])
+        # json.dumps writes NaN and Infinity as the tokens json.load reads
+        target.write_text(json.dumps(files[kind]))
         if kind == "phi":
             argv = ["bound", "pfender", "--phi", str(target), "--c", "0.5",
                     "--cos-theta", "-0.5"]
@@ -520,7 +529,8 @@ class TestJsonReals:
         field = [key for key in where if isinstance(key, str)][-1]
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: {field} must be a real number, got {bad!r}\n"
+        want = "finite" if isinstance(bad, float) else "a real number"
+        assert err == f"error: {field} must be {want}, got {bad!r}\n"
 
     def test_an_array_field_needs_an_array(self, tmp_path, capsys):
         path = tmp_path / "phi.json"

@@ -447,6 +447,15 @@ class TestVerification:
         assert not report.passed
         assert any("bound arithmetic" in m for m in report.messages)
 
+    def test_nan_bound_real_fails(self, cert_d8):
+        # NaN > tol is False, so a NaN stored bound once passed
+        bad = copy.deepcopy(cert_d8)
+        bad.bound_real = math.nan
+        report = verify_certificate(bad)
+        assert not report.passed
+        assert math.isnan(report.bound_error)
+        assert any("bound arithmetic: stored nan" in m for m in report.messages)
+
     def test_scale_invariance_of_ratio(self, cert_d8):
         # multiplying every coefficient by lambda > 0 leaves P(1)/a_0 alone
         for lam in (0.25, 3.0, 117.0):
@@ -654,6 +663,63 @@ class TestSerialization:
         message = f"^{field} must be a real number, got {value!r}$"
         with pytest.raises(ValueError, match=message):
             certificate_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("bound_real",), math.nan),
+            (("cos_theta",), math.inf),
+            (("gegenbauer_coeffs", 1), -math.inf),
+            (("verification", "bound_error"), math.nan),
+        ],
+        ids=str,
+    )
+    def test_non_finite_reals_are_rejected(self, cert_d8, where, value):
+        # json.loads reads the tokens NaN and Infinity, which the writer
+        # never emits: a file with "bound_real": NaN once loaded and verified
+        data = certificate_to_json_dict(cert_d8)
+        *path, last = where
+        target = data
+        for key in path:
+            target = target[key]
+        target[last] = value
+        text = json.dumps(data)
+        assert "NaN" in text or "Infinity" in text
+        field = [key for key in where if isinstance(key, str)][-1]
+        message = f"^{field} must be finite, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json_dict(json.loads(text))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_writer_never_emits_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+            jsonutil.dumps({"bound_real": value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("passed", "false", "passed must be true or false, got 'false'"),
+            ("passed", 0, "passed must be true or false, got 0"),
+            ("min_coeff", "0.5", "min_coeff must be a real number, got '0.5'"),
+            ("max_sign_violation", None,
+             "max_sign_violation must be a real number, got None"),
+            ("messages", "ok", "messages must be an array of strings, got 'ok'"),
+            ("messages", [1], r"messages must be an array of strings, got \[1\]"),
+        ],
+        ids=["passed-string", "passed-int", "real-string", "real-null",
+             "messages-string", "messages-int"],
+    )
+    def test_stored_report_is_read_strictly(self, cert_d8, field, value, message):
+        # bool("false") is True: the verdict was flipped and written back out
+        data = certificate_to_json_dict(cert_d8)
+        data["verification"][field] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            certificate_from_json_dict(data)
+
+    def test_stored_report_round_trips(self, cert_d8):
+        data = certificate_to_json_dict(cert_d8)
+        back = certificate_from_json_dict(json.loads(jsonutil.dumps(data)))
+        assert back.verification == cert_d8.verification
 
     def test_certificate_and_report_must_be_objects(self, cert_d8):
         message = "^dgs certificate must be a JSON object, got list$"
