@@ -8,7 +8,8 @@ Subcommands:
                               Pfender certificate against a concrete code
 
 Exit codes: 0 success/verified, 1 unverified certificate or invalid code
-or inapplicable certificate, 2 usage or structural error. All commands
+or inapplicable certificate (or, for check-theorem, a stored bound that
+the certificate does not give), 2 usage or structural error. All commands
 are deterministic; rerunning writes byte-identical files.
 
 Each command imports the modules it runs when it runs, so a cold start
@@ -127,8 +128,16 @@ def cmd_code(args) -> int:
     if not result.applicable:
         print(result.reason, file=sys.stderr)
         return 1
+    checked = result.certificate
+    mismatches = pfender.stored_bound_mismatches(
+        cert, checked.bound_real, checked.bound_int
+    )
+    for name, message in mismatches.items():
+        print(f"stored {name} rejected: {message}", file=sys.stderr)
+    if mismatches:
+        return 1
     print(
-        f"n={result.n} bound={format_float(result.certificate.bound_real)} "
+        f"n={result.n} bound={format_float(checked.bound_real)} "
         f"slack={format_float(result.slack)}"
     )
     return 0

@@ -113,11 +113,12 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     planes grow. Raises NoCertificateError when no polynomial of this
     degree can meet the sign condition (degree 0, or an infeasible LP),
     and LPFailureError when the first cutting-plane round's LP fails
-    (solver stall or a solution outside the residual tolerance). When a
-    later round's LP fails, the previous round's polynomial is shifted and
-    certified instead, and the verification message names the failed
-    round. Each round appends its cutting-plane points as new LP rows and
-    warm-starts the LP from the previous round's optimal basis. The rows
+    (the solver reaches its pivot cap, or its basis turns singular when
+    refactorized). When a later round's LP fails, the previous round's
+    polynomial is shifted and certified instead, and the verification
+    message names the failed round. Each round appends its cutting-plane
+    points as new LP rows and warm-starts the LP from the previous round's
+    optimal basis. The rows
     fill the grid gap around each critical point where P > 0: the point
     itself and GAP_ROWS evenly spaced points (``_gap_rows``), so a round
     divides the violation by about 64 where the point alone divided it by
@@ -242,9 +243,10 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
     """Independently re-check a certificate by one ``pfender.pfender_bound``
     call on ``pfender_form(cert.poly)`` (coefficient signs, P <= COND_TOL
     on [-1, cos_theta], the bound P(1)/a_0 and its floor), then compare the
-    stored bounds; all failures are collected. An a_0 <= 0 or a P(1)/a_0
-    past the float range fails with pfender_bound's message alone; a
-    cos_theta outside [-1, 1] raises ValueError.
+    stored bounds (``pfender.stored_bound_mismatches``); all failures are
+    collected. An a_0 <= 0 or a P(1)/a_0 past the float range fails with
+    pfender_bound's message alone; a cos_theta outside [-1, 1] raises
+    ValueError.
     """
     phi, a0 = pfender_form(cert.poly)
     min_coeff = float(np.min(cert.poly.coeffs))
@@ -259,20 +261,13 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
     messages = [] if checked.condition_i_ok else [checked.condition_i_evidence]
     messages += checked.messages
     ratio, floor = structural.bound_real, structural.bound_int
-    bound_error = abs(ratio - cert.bound_real)
-    # written so that a NaN bound_real fails
-    if not bound_error <= 1e-9 * max(1.0, abs(ratio)):
-        messages.append(
-            f"bound arithmetic: stored {cert.bound_real!r} vs P(1)/a_0 = {ratio!r}"
-        )
-    if cert.bound_int != floor:
-        messages.append(f"bound_int {cert.bound_int} is not floor(P(1)/a_0) = {floor}")
+    messages += pfender.stored_bound_mismatches(cert, ratio, floor, "P(1)/a_0").values()
     return DGSVerification(
         passed=not messages,
         max_sign_violation=checked.condition_ii_margin,
         violation_location=checked.condition_ii_location,
         min_coeff=min_coeff,
-        bound_error=bound_error,
+        bound_error=abs(ratio - cert.bound_real),
         messages=messages,
     )
 

@@ -15,7 +15,8 @@ class NoCertificateError(CodeBoundsError):
 
 
 class LPFailureError(CodeBoundsError):
-    """The LP solver stalled or returned a numerically unusable result."""
+    """The LP solver reached its pivot cap, or its basis turned singular
+    when refactorized."""
 
 
 class TheoremViolationError(CodeBoundsError):

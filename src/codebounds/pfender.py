@@ -14,8 +14,9 @@ or only on the finite set of observed off-diagonal values.
 
 The trusted checks live here once: ``condition_i`` (a nonnegative
 Gegenbauer combination), ``interval_margin`` (the maximum of phi + c on
-[-1, cos_theta]) and ``bound_values`` (the bound, its floor and the
-phi(1) + c <= 1 clause), with the tolerances COND_TOL and COEFF_TOL. A
+[-1, cos_theta]), ``bound_values`` (the bound, its floor and the
+phi(1) + c <= 1 clause) and ``stored_bound_mismatches`` (a file's stored
+bounds against those), with the tolerances COND_TOL and COEFF_TOL. A
 Delsarte polynomial P is verified by one ``pfender_bound`` call on the
 structural certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
 
@@ -60,6 +61,7 @@ __all__ = [
     "condition_i",
     "interval_margin",
     "bound_values",
+    "stored_bound_mismatches",
     "pfender_bound",
     "double_sum",
     "functional_pfender_check",
@@ -236,6 +238,28 @@ def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
             f"{top!r} / {c!r} is past the float range"
         )
     return bound_real, math.floor(bound_real + 1e-9), top <= 1.0 + COEFF_TOL
+
+
+def stored_bound_mismatches(
+    stored, bound_real: float, bound_int: int, formula: str = "(phi(1) + c)/c"
+) -> dict[str, str]:
+    """The stored bounds of ``stored`` (a certificate) that disagree with
+    the bound and floor that ``bound_values`` computed, each field name
+    mapped to its message: ``bound_real`` must lie within 1e-9 relative
+    of the bound, and ``bound_int`` must equal the floor. ``formula``
+    names the bound in the messages."""
+    mismatches = {}
+    # written so that a NaN stored bound fails
+    if not abs(bound_real - stored.bound_real) <= 1e-9 * max(1.0, abs(bound_real)):
+        mismatches["bound_real"] = (
+            f"bound arithmetic: stored {stored.bound_real!r} vs {formula} = "
+            f"{bound_real!r}"
+        )
+    if stored.bound_int != bound_int:
+        mismatches["bound_int"] = (
+            f"bound_int {stored.bound_int} is not floor({formula}) = {bound_int}"
+        )
+    return mismatches
 
 
 def _certify(phi, c, cos_theta, variant, ok_i, evidence, finite_set=None):

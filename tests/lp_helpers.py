@@ -6,7 +6,7 @@ import numpy as np
 
 from codebounds import dgs_bound
 from codebounds.gegenbauer import basis_values
-from codebounds.linprog import LinearProgram
+from codebounds.linprog import FEAS_TOL, LinearProgram
 from codebounds.scanning import chebyshev_points
 
 
@@ -42,6 +42,23 @@ def enumerate_vertices(objective, rows, rhs, upper):
             if best is None or value < best:
                 best = value
     return best
+
+
+def violation(lp, x):
+    """Largest excess of x over the LP's constraints: a row's A_i x - b_i or
+    a coordinate's -x_j, and 0 when x satisfies them all."""
+    return max(float(np.max(lp.A @ x - lp.b, initial=0.0)), float(np.max(-x)))
+
+
+def within_row_tolerance(lp, x):
+    """Whether x >= 0 satisfies every row up to roundoff of that row's size.
+
+    Row i may exceed b_i by FEAS_TOL (1 + |b_i| + (|A| x)_i): a grid row's
+    terms reach 1e8 when P(1) does, so an absolute tolerance would reject
+    pure rounding.
+    """
+    allowance = FEAS_TOL * (1.0 + np.abs(lp.b) + np.abs(lp.A) @ x)
+    return bool(np.all(x >= 0.0) and np.all(lp.A @ x - lp.b <= allowance))
 
 
 def random_covering_lp(rng, n=None, m=None):

@@ -374,6 +374,36 @@ class TestCode:
         assert code == 0
         assert out.strip() == "n=5 bound=5 slack=0"
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [({}, None), ({"bound_int": 3}, "bound_int"), ({"bound_real": 3.5}, "bound_real")],
+    )
+    def test_check_theorem_compares_the_stored_bound(self, tmp_path, capsys, edit, field):
+        # the finite-set certificate (t^2 - 1/4, 1/4) bounds the orthonormal
+        # d = 4 code by exactly its size, 4
+        ortho, phi, cert = (tmp_path / name for name in ("o.json", "p.json", "c.json"))
+        assert cli.main(["code", "gen", "--family", "orthonormal", "--dim", "4",
+                         "--out", str(ortho)]) == 0
+        jsonutil.dump_path(
+            str(phi), {"basis": "monomial", "dim": None, "coeffs": [-0.25, 0.0, 1.0]}
+        )
+        assert cli.main(["bound", "pfender", "--phi", str(phi), "--c", "0.25",
+                         "--cos-theta", "0", "--finite-set", "--code", str(ortho),
+                         "--out", str(cert)]) == 0
+        capsys.readouterr()
+        data = jsonutil.load_path(str(cert))
+        assert (data["bound_real"], data["bound_int"]) == (4.0, 4)
+        jsonutil.dump_path(str(cert), {**data, **edit})
+        argv = ["code", "check-theorem", "--file", str(ortho), "--cert", str(cert)]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if field is None:
+            assert (code, out, err) == (0, "n=4 bound=4 slack=0\n", "")
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith(f"stored {field} rejected: ")
+            assert err.count("\n") == 1
+
     def test_check_theorem_inapplicable_exits_1(self, tmp_path):
         d4 = tmp_path / "d4.json"
         phi = tmp_path / "phi.json"

@@ -1,11 +1,15 @@
 """Scripts run end to end and write what the library computes."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from codebounds import jsonutil
 from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
+from codebounds.errors import LPFailureError, NoCertificateError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -42,6 +46,25 @@ def test_domain_sweep_reruns_differ_only_in_the_slowest_line():
     assert runs[0] == runs[1]
     # an input line, the kind that once carried its own time
     assert any(line.startswith("(") for line in runs[0])
+
+
+@pytest.mark.parametrize(
+    "error, code", [(NoCertificateError("none"), 0), (LPFailureError("stall"), 1)]
+)
+def test_domain_sweep_exits_1_on_an_error_other_than_no_certificate(
+    monkeypatch, capsys, error, code
+):
+    spec = importlib.util.spec_from_file_location("sweep", SCRIPTS / "domain_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+
+    def ends_in_error(*case):
+        raise error
+
+    monkeypatch.setattr(sweep, "lp_bound", ends_in_error)
+    monkeypatch.setattr(sys, "argv", ["domain_sweep.py", "--n", "3"])
+    assert sweep.main() == code
+    assert "    3  " in capsys.readouterr().out
 
 
 def test_consistency_harness_finds_zero_violations():
