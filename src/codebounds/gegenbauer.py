@@ -63,18 +63,25 @@ def _check_r(r):
 def basis_values(dim: int, max_degree: int, r) -> np.ndarray:
     """Evaluate G_0..G_max_degree at ``r`` via the recursion.
 
-    Returns an array of shape (max_degree + 1,) + shape(r). Each G_k is
-    computed in place in its output row, with one scratch row, in the
-    operation order of ((2k + dim - 4) r G_{k-1} - (k - 1) G_{k-2}) / (k + dim - 3).
+    Returns an array of shape (max_degree + 1,) + shape(r). It checks its
+    arguments, then runs ``_recursion`` over r's points in row-major order.
     """
     dim = _check_dim(dim)
     if _check_degree(max_degree, "max_degree") < 0:
         raise ValueError("max_degree must be >= 0")
     arr = _check_r(r)
-    out = np.empty((max_degree + 1,) + arr.shape)
-    # flat rows, so that even a 0-d r gets row views to write into
-    rows = out.reshape(max_degree + 1, arr.size)
-    x = arr.reshape(-1)
+    return _recursion(dim, max_degree, arr.reshape(-1)).reshape(
+        (max_degree + 1,) + arr.shape
+    )
+
+
+def _recursion(dim: int, max_degree: int, x: np.ndarray) -> np.ndarray:
+    """G_0..G_max_degree at the points of the 1-d float array ``x``, one
+    row each, for arguments already checked as ``basis_values`` checks
+    them. Each G_k is computed in place in its row, with one scratch row,
+    in the operation order of
+    ((2k + dim - 4) r G_{k-1} - (k - 1) G_{k-2}) / (k + dim - 3)."""
+    rows = np.empty((max_degree + 1, x.size))
     rows[0] = 1.0
     if max_degree >= 1:
         rows[1] = x
@@ -88,7 +95,21 @@ def basis_values(dim: int, max_degree: int, r) -> np.ndarray:
         np.multiply(rows[k - 2], float(k - 1), scratch)
         row -= scratch
         row /= float(k + dim - 3)
-    return out
+    return rows
+
+
+def _point_values(dim: int, max_degree: int, x: float) -> list[float]:
+    """G_0..G_max_degree at the one float ``x``, which the caller has
+    checked as ``basis_values`` would, in Python floats. Each step is the
+    same IEEE operation, in the same order, as in ``_recursion``, so the
+    values are the same bits, without numpy's cost per call."""
+    values = [1.0, x]
+    for k in range(2, max_degree + 1):
+        values.append(
+            (x * float(2 * k + dim - 4) * values[k - 1] - values[k - 2] * float(k - 1))
+            / float(k + dim - 3)
+        )
+    return values[: max_degree + 1]
 
 
 def gegenbauer_eval(dim: int, k: int, r):

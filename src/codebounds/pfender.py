@@ -22,17 +22,25 @@ structural certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
 
 A ``PhiSpec`` is immutable, like a code: its coefficients are a
 read-only copy. The same phi is typically checked against many codes,
-each with its own cos_theta, so a polynomial phi finds the real roots of
+each with its own cos_theta. So a polynomial phi finds the real roots of
 phi' on [-1, 1] once, on its first interval check, and keeps them (the
-cached property ``PhiSpec._critical_points``); each check then evaluates
-phi + c at -1, cos_theta and the roots in between.
+cached property ``PhiSpec._critical_points``), and a Gegenbauer phi
+also keeps G_0..G_m at -1 and at those roots
+(``PhiSpec._candidate_table``). Both depend on phi alone. Each interval
+check then takes phi + c at -1, cos_theta and the roots in between; for
+a Gegenbauer phi it computes only the column at cos_theta, in Python
+floats (``gegenbauer._point_values``).
 
 A per-code check reads what depends on the code alone from the code's
-own cached facts (``codes._Code``): its axioms and its evaluation values,
-checked to lie in [-1, 1] and clipped; this module stores nothing on a
-code. Each (code, phi) pair then costs one phi evaluation over the n^2
-values and their sum, and a margin: phi + c at a few candidates on the
-interval, or the largest of the off-diagonal values already evaluated.
+own cached facts (``codes._Code``): its axioms and its evaluation
+values, checked to lie in [-1, 1] and clipped. This module stores
+nothing on a code, and a phi keeps nothing that depends on a code or a
+cos_theta. Each (code, phi) pair then costs one evaluation of phi over
+the n^2 values, already checked (for a Gegenbauer phi, one run of the
+recursion), their sum, and a margin: one product of the shifted
+coefficients with the candidates' table on the interval, or the largest
+of the off-diagonal values already evaluated. Every check refuses a
+cos_theta outside [-1, 1].
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import numpy as np
 from . import codes, jsonutil
 from ._immutable import Rebuilt, read_only
 from .errors import TheoremViolationError
-from .gegenbauer import _check_dim, basis_values
+from .gegenbauer import _check_dim, _check_r, _point_values, _recursion, basis_values
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
@@ -105,14 +113,22 @@ class PhiSpec(Rebuilt):
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)
-        if self.basis == "table":
-            nodes = np.linspace(-1.0, 1.0, len(self.coeffs))
-            out = np.interp(arr, nodes, self.coeffs)
-        else:
-            out = _polynomial_values(self.basis, self.coeffs, self.dim, arr)
+        if self.basis == "gegenbauer":
+            _check_r(arr)
+        out = self._values(arr.reshape(-1)).reshape(arr.shape)
         if arr.shape == ():
             return float(out)
         return out
+
+    def _values(self, x: np.ndarray) -> np.ndarray:
+        """phi at the points of the 1-d float array ``x``, which the caller
+        has checked to lie in [-1, 1]."""
+        if self.basis == "table":
+            nodes = np.linspace(-1.0, 1.0, len(self.coeffs))
+            return np.interp(x, nodes, self.coeffs)
+        if self.basis == "monomial":
+            return np.polynomial.polynomial.polyval(x, self.coeffs)
+        return self.coeffs @ _recursion(self.dim, len(self.coeffs) - 1, x)
 
     @property
     def phi_at_1(self) -> float:
@@ -132,13 +148,12 @@ class PhiSpec(Rebuilt):
         samples = self(chebyshev_points(-1.0, 1.0, len(self.coeffs)))
         return read_only(critical_points(samples, -1.0, 1.0))
 
-
-def _polynomial_values(basis, coeffs, dim, arr):
-    """The polynomial with ``coeffs`` in ``basis`` at every entry of ``arr``."""
-    if basis == "monomial":
-        return np.polynomial.polynomial.polyval(arr, coeffs)
-    values = basis_values(dim, len(coeffs) - 1, arr.reshape(-1))
-    return (coeffs @ values).reshape(arr.shape)
+    @cached_property
+    def _candidate_table(self) -> np.ndarray:
+        """G_0..G_m of a Gegenbauer phi at -1 and at each critical point,
+        one column each: every interval check's columns but cos_theta's."""
+        points = np.concatenate(([-1.0], self._critical_points))
+        return read_only(basis_values(self.dim, len(self.coeffs) - 1, points))
 
 
 @dataclass
@@ -194,32 +209,53 @@ def condition_i(phi: PhiSpec) -> tuple[bool, str]:
     )
 
 
+def _checked_cos_theta(cos_theta) -> float:
+    cos_theta = float(cos_theta)
+    if not -1.0 <= cos_theta <= 1.0:
+        raise ValueError("cos_theta must lie in [-1, 1]")
+    return cos_theta
+
+
 def interval_margin(phi: PhiSpec, c: float, cos_theta: float):
     """(max, argmax) of phi(r) + c on [-1, cos_theta], both exact up to
     rounding: a polynomial peaks at an endpoint or a critical point, and a
     table at an endpoint or a node. The candidates are -1, cos_theta and
     the critical points (or nodes) between them, in that order, and the
-    first maximum wins. A polynomial's critical points on [-1, 1] are
-    found once per phi (``PhiSpec._critical_points``), so checking one phi
-    against many codes costs one evaluation per pair; c goes into the
-    constant coefficient, so (P - a_0, a_0) is evaluated exactly as P is."""
-    cos_theta = float(cos_theta)
-    if not -1.0 <= cos_theta <= 1.0:
-        raise ValueError("cos_theta must lie in [-1, 1]")
+    first maximum wins; c goes into the constant coefficient, so
+    (P - a_0, a_0) is evaluated exactly as P is. A Gegenbauer phi keeps
+    its basis values at every candidate but cos_theta, so a check
+    computes one column, in Python floats, and one product of the
+    shifted coefficients with the candidates' table, the same bits as a
+    ``basis_values`` call over the candidates would give."""
+    cos_theta = _checked_cos_theta(cos_theta)
     if phi.basis == "table":
-        inside = np.linspace(-1.0, 1.0, len(phi.coeffs))
+        candidates = np.linspace(-1.0, 1.0, len(phi.coeffs))
     else:
-        inside = phi._critical_points
-    inside = inside[(inside > -1.0) & (inside < cos_theta)]
-    points = np.concatenate(([-1.0, cos_theta], inside))
-    if phi.basis == "table":
-        values = phi(points) + c
+        candidates = phi._critical_points
+    # both are sorted, so those in (-1, cos_theta) are a run
+    lo = int(candidates.searchsorted(-1.0, "right"))
+    hi = max(lo, int(candidates.searchsorted(cos_theta)))
+    coeffs = phi.coeffs.copy()
+    coeffs[0] += c
+    if phi.basis == "gegenbauer":
+        # the table that one basis_values call over the candidates gives,
+        # so that the product has the same operands, bit for bit
+        m = len(coeffs) - 1
+        known = phi._candidate_table
+        table = np.empty((m + 1, 2 + hi - lo))
+        table[:, 0] = known[:, 0]
+        table[:, 1] = _point_values(phi.dim, m, cos_theta)
+        table[:, 2:] = known[:, 1 + lo : 1 + hi]
+        values = coeffs @ table
     else:
-        coeffs = phi.coeffs.copy()
-        coeffs[0] += c
-        values = _polynomial_values(phi.basis, coeffs, phi.dim, points)
-    best = int(np.argmax(values))
-    return float(values[best]), float(points[best])
+        points = np.concatenate(([-1.0, cos_theta], candidates[lo:hi]))
+        if phi.basis == "table":
+            values = phi._values(points) + c
+        else:
+            values = np.polynomial.polynomial.polyval(points, coeffs)
+    best = int(values.argmax())
+    location = (-1.0, cos_theta)[best] if best < 2 else float(candidates[lo + best - 2])
+    return float(values[best]), location
 
 
 def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
@@ -264,18 +300,23 @@ def stored_bound_mismatches(
 
 def _certify(phi, c, cos_theta, variant, ok_i, evidence, finite_set=None):
     """The certificate (phi, c) with its report, given condition (i)'s
-    verdict; condition (ii) is checked on [-1, cos_theta], or only on a
-    finite set of values r when ``finite_set`` = (r, phi(clipped r)) is
-    given."""
+    verdict; condition (ii) is checked on [-1, cos_theta], or only on
+    the off-diagonal values r of an evaluation matrix M, in row-major
+    order, when ``finite_set`` = (M, phi(clipped r)) is given. A c that
+    is not positive and finite, or a cos_theta outside [-1, 1], raises
+    ValueError."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be strictly positive and finite, got {c!r}")
+    cos_theta = _checked_cos_theta(cos_theta)
     if finite_set is None:
         margin, location = interval_margin(phi, c, cos_theta)
-    elif finite_set[0].size:
-        values, phi_values = finite_set
+    elif finite_set[1].size:
+        M, phi_values = finite_set
         shifted = phi_values + c
-        best = int(np.argmax(shifted))
-        margin, location = float(shifted[best]), float(values[best])
+        best = int(shifted.argmax())
+        # the best-th off-diagonal entry of M, row-major and unclipped
+        j, k = divmod(best, len(M) - 1)
+        margin, location = float(shifted[best]), float(M[j, k + (k >= j)])
     else:
         margin, location = -math.inf, None
     ok_ii = margin <= COND_TOL
@@ -300,7 +341,7 @@ def _certify(phi, c, cos_theta, variant, ok_i, evidence, finite_set=None):
     return PfenderCertificate(
         phi=phi,
         c=float(c),
-        cos_theta=float(cos_theta),
+        cos_theta=cos_theta,
         variant=variant,
         bound_real=bound_real,
         bound_int=bound_int,
@@ -327,7 +368,7 @@ def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
     Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
     this); anything further out raises, naming the offending cell.
     """
-    return float(np.sum(phi(codes._clipped_entries(M))))
+    return float(phi._values(codes._clipped_entries(M)).sum())
 
 
 def functional_pfender_check(
@@ -344,6 +385,7 @@ def functional_pfender_check(
     off-diagonal values f_j(tau_k). When both conditions hold the bound
     must cover the code; a violation raises TheoremViolationError (it
     would disprove the bound) instead of being folded into the report.
+    A cos_theta outside [-1, 1] raises ValueError in either variant.
     """
     if variant not in ("interval", "finite_set"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -359,12 +401,11 @@ def functional_pfender_check(
     # double sum (exactly as double_sum adds it up), and its off-diagonal
     # entries are the finite set of the finite-set variant
     entries, off = code._evaluation_entries
-    phi_values = phi(entries)
-    total = float(np.sum(phi_values))
+    phi_values = phi._values(entries)
+    total = float(phi_values.sum())
     finite_set = None
     if variant == "finite_set":
-        M = code._axiom_facts.matrix
-        finite_set = (M.ravel()[off], phi_values[off])
+        finite_set = (code._axiom_facts.matrix, phi_values[off])
     certificate = _certify(
         phi,
         c,

@@ -248,6 +248,22 @@ class TestBoundPfender:
         assert out == ""
         assert err == "error: cos_theta must be finite, got nan\n"
 
+    def test_finite_set_angle_above_one_exits_2(self, phi_file, tmp_path):
+        simplex = tmp_path / "s3.json"
+        jsonutil.dump_path(
+            str(simplex), codes.code_to_json_dict(codes.generate("simplex", dim=3))
+        )
+        out_file = tmp_path / "cert.json"
+        code, out, err = run_cli(
+            "bound", "pfender", "--phi", str(phi_file), "--c", "0.25",
+            "--finite-set", "--code", str(simplex), "--cos-theta", "2.0",
+            "--out", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cos_theta must lie in [-1, 1]\n"
+        assert not out_file.exists()
+
     def test_non_object_phi_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "phi.json"
         path.write_text("[1, 2]")

@@ -6,11 +6,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from codebounds.gegenbauer import (
     GegenbauerPoly,
+    _point_values,
     basis_values,
     expand_in_basis,
     gegenbauer_eval,
@@ -165,6 +166,26 @@ def test_recursion_matches_the_reference_bit_for_bit(points):
             expected = reference_basis_values(dim, degree, points)
             assert values.shape == expected.shape
             assert values.tobytes() == expected.tobytes(), (dim, degree)
+
+
+SPECIAL_POINTS = (-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0)
+
+
+@given(
+    dim=st.integers(2, 10**4),
+    degree=st.integers(0, 40),
+    x=st.one_of(st.sampled_from(SPECIAL_POINTS), st.floats(-1.0, 1.0)),
+)
+@example(dim=2, degree=40, x=-1.0)
+@example(dim=10**4, degree=40, x=1.0)
+@example(dim=3, degree=40, x=0.0)
+@example(dim=2, degree=40, x=-5e-324)
+@example(dim=10**4, degree=40, x=5e-324)
+@example(dim=5, degree=0, x=0.5)
+def test_point_values_match_basis_values_bit_for_bit(dim, degree, x):
+    values = _point_values(dim, degree, x)
+    assert len(values) == degree + 1
+    assert np.array(values).tobytes() == basis_values(dim, degree, x).tobytes()
 
 
 class TestBasisTables:

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codebounds import codes, jsonutil, pfender
+from codebounds import codes, gegenbauer, jsonutil, pfender
 from codebounds.dgs_bound import lp_bound, pfender_form
 from codebounds.errors import TheoremViolationError
+from codebounds.gegenbauer import basis_values
 from codebounds.pfender import (
     COND_TOL,
     PhiSpec,
@@ -226,6 +227,17 @@ class TestFunctionalCheck:
             checked = result.certificate.verification
             assert checked.condition_ii_margin == -math.inf
             assert checked.condition_ii_location is None
+
+    @pytest.mark.parametrize("variant", ["interval", "finite_set"])
+    @pytest.mark.parametrize("cos_theta", [1.0000001, 2.0])
+    def test_angle_above_one_raises_in_both_variants(self, variant, cos_theta):
+        # the code is valid at any angle above its largest value, so the
+        # angle itself must be refused, as the interval check refuses it
+        code = codes.euclidean_to_functional(codes.generate("simplex", dim=3))
+        with pytest.raises(ValueError, match=r"^cos_theta must lie in \[-1, 1\]$"):
+            functional_pfender_check(
+                code, shifted_square(3), 1.0 / 3.0, variant=variant, cos_theta=cos_theta
+            )
 
     def test_spherical_code_accepted_directly(self):
         code = codes.generate("d4_roots")
@@ -525,6 +537,24 @@ def assert_margins_agree(phi, c, cos_theta):
     assert -1.0 <= location <= cos_theta
 
 
+def reference_margin(phi, c, cos_theta):
+    """The margin of a Gegenbauer phi by direct evaluation: phi + c at -1,
+    cos_theta and the critical points in (-1, cos_theta), in that order,
+    one basis_values call over all of them, and the first maximum."""
+    crit = phi._critical_points
+    points = np.concatenate(([-1.0, cos_theta], crit[(crit > -1.0) & (crit < cos_theta)]))
+    coeffs = phi.coeffs.copy()
+    coeffs[0] += c
+    values = coeffs @ basis_values(phi.dim, len(coeffs) - 1, points)
+    best = int(np.argmax(values))
+    return float(values[best]), float(points[best])
+
+
+def assert_margin_bits(phi, c, angles):
+    for ct in angles:
+        assert repr(interval_margin(phi, c, ct)) == repr(reference_margin(phi, c, ct)), ct
+
+
 @pytest.fixture(scope="module")
 def degree_10_certificate():
     """(phi, c) = (P - a_0, a_0) of the degree-10 certificate at (3, .5)."""
@@ -553,6 +583,42 @@ class TestCriticalPointsKeptOnPhi:
         assert calls == [(10, -1.0, 1.0)]
         assert all(result.applicable for result in results)
         assert len({result.certificate.cos_theta for result in results}) == 20
+
+    def test_one_recursion_per_pair(self, monkeypatch, degree_10_certificate):
+        # a fresh phi checked against 50 codes of 3 points: the critical
+        # points are found once, the recursion runs once over the code's
+        # 9 values per pair, and once each over the 11 samples and the
+        # candidate table; the column at cos_theta is one-point arithmetic
+        phi, c = degree_10_certificate
+        fresh = PhiSpec(phi.basis, phi.coeffs, phi.dim)
+        roots, sizes, points = [], [], []
+        real_critical_points = pfender.critical_points
+        real_recursion = gegenbauer._recursion
+        real_point_values = pfender._point_values
+
+        def critical(samples, lo, hi):
+            roots.append(len(samples))
+            return real_critical_points(samples, lo, hi)
+
+        def recursion(dim, max_degree, x):
+            sizes.append(x.size)
+            return real_recursion(dim, max_degree, x)
+
+        def point_values(dim, max_degree, x):
+            points.append(x)
+            return real_point_values(dim, max_degree, x)
+
+        monkeypatch.setattr(pfender, "critical_points", critical)
+        monkeypatch.setattr(pfender, "_recursion", recursion)
+        monkeypatch.setattr(gegenbauer, "_recursion", recursion)
+        monkeypatch.setattr(pfender, "_point_values", point_values)
+        angles = np.linspace(0.0, 0.5, 50).tolist()
+        for ct in angles:
+            functional_pfender_check(codes.SphericalCode(3, np.eye(3), ct), fresh, c)
+        crit = fresh._critical_points
+        assert roots == [11]
+        assert sizes == [9, 11, 1 + len(crit)] + [9] * 49
+        assert points == angles
 
     def test_phi_is_evaluated_once_at_its_samples(self, monkeypatch, degree_10_certificate):
         phi, _ = degree_10_certificate
@@ -624,6 +690,27 @@ class TestCriticalPointsKeptOnPhi:
             dim = int(rng.integers(2, 33))
             assert_margins_agree(PhiSpec("gegenbauer", coeffs, dim=dim), c, cos_theta)
             assert_margins_agree(PhiSpec("monomial", coeffs[:12]), c, cos_theta)
+
+    def test_low_degrees_match_direct_evaluation_bit_for_bit(self):
+        angles = [-1.0, -0.5, -0.0, 0.0, 1.0 / 3.0, 1.0]
+        for dim in (2, 3, 8, 24, 1000):
+            for coeffs in ([0.0], [-0.3], [0.0, 1.0], [0.2, -0.7]):
+                assert_margin_bits(PhiSpec("gegenbauer", coeffs, dim=dim), 0.25, angles)
+
+    def test_angles_at_critical_points_match_direct_evaluation_bit_for_bit(
+        self, degree_10_certificate
+    ):
+        phi, c = degree_10_certificate
+        crit = phi._critical_points.tolist()
+        assert len(crit) > 0
+        assert_margin_bits(phi, c, [-1.0, 0.5, 1.0, *crit])
+
+    def test_random_phis_match_direct_evaluation_bit_for_bit(self, rng):
+        for _ in range(200):
+            coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 26)))
+            phi = PhiSpec("gegenbauer", coeffs, dim=int(rng.integers(2, 33)))
+            angles = [-1.0, 1.0, *rng.uniform(-1.0, 1.0, 3), *phi._critical_points]
+            assert_margin_bits(phi, float(rng.uniform(0.0, 1.0)), angles)
 
     @pytest.mark.parametrize("cos_theta", [-1.0000001, 1.0000001, math.nan])
     def test_angle_outside_the_interval_raises(self, cos_theta):
