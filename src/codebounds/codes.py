@@ -111,12 +111,10 @@ class _Code(Rebuilt):
         return _check_axioms(self)
 
     @cached_property
-    def _evaluation_entries(self) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluation_entries(self) -> np.ndarray:
         """The evaluation matrix checked and clipped by ``_clipped_entries``,
-        and the mask of its off-diagonal entries, both row-major."""
-        clipped = _clipped_entries(self._axiom_facts.matrix)
-        off = ~np.eye(self.n, dtype=bool).ravel()
-        return read_only(clipped), read_only(off)
+        row-major."""
+        return read_only(_clipped_entries(self._axiom_facts.matrix))
 
 
 @dataclass(frozen=True)
@@ -380,6 +378,23 @@ def _check_axioms(code) -> _AxiomFacts:
     return _AxiomFacts(tuple(failures), tuple(warnings), matrix, max_offdiag, worst_pair)
 
 
+def _failures(code, ct: float) -> list[str]:
+    """``verify``'s axiom failures at the angle ``ct``, read from the
+    code's facts: the stored ones, then axiom (iv) at ct. A ct that is not
+    finite raises. A per-code Pfender check needs only this list, not a
+    report."""
+    if not math.isfinite(ct):
+        raise ValueError(f"cos_theta must be finite, got {ct!r}")
+    facts = code._axiom_facts
+    failures = list(facts.failures)
+    if facts.max_offdiag is not None and facts.max_offdiag > ct + TOL_EQ:
+        j, k = facts.worst_pair
+        failures.append(
+            f"axiom (iv): f_{j}(tau_{k}) = {facts.max_offdiag!r} exceeds cos_theta = {ct!r}"
+        )
+    return failures
+
+
 def verify(code, cos_theta: float | None = None) -> VerifyReport:
     """Check every axiom of the code's definition.
 
@@ -392,15 +407,8 @@ def verify(code, cos_theta: float | None = None) -> VerifyReport:
     each call returns fresh lists.
     """
     ct = code.cos_theta if cos_theta is None else float(cos_theta)
-    if not math.isfinite(ct):
-        raise ValueError(f"cos_theta must be finite, got {ct!r}")
+    failures = _failures(code, ct)
     facts = code._axiom_facts
-    failures = list(facts.failures)
-    if facts.max_offdiag is not None and facts.max_offdiag > ct + TOL_EQ:
-        j, k = facts.worst_pair
-        failures.append(
-            f"axiom (iv): f_{j}(tau_{k}) = {facts.max_offdiag!r} exceeds cos_theta = {ct!r}"
-        )
     return VerifyReport(
         valid=not failures,
         max_offdiag=facts.max_offdiag,

@@ -112,6 +112,20 @@ def _point_values(dim: int, max_degree: int, x: float) -> list[float]:
     return values[: max_degree + 1]
 
 
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k at the points of the float array ``x``, by
+    Horner's rule in the operations and order of numpy's ``polyval``
+    (c[-1] + x * 0, then c_k + c0 * x for each lower k), so the values are
+    its bits, without importing ``numpy.polynomial`` or paying its
+    per-call argument handling."""
+    out = x * 0.0
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
 def gegenbauer_eval(dim: int, k: int, r):
     """G_k for dimension ``dim`` at ``r`` (scalar or array) by recursion."""
     if _check_degree(k) < 0:
@@ -218,7 +232,7 @@ def _as_poly_eval(p, dim: int):
     coeffs = np.atleast_1d(np.asarray(p, dtype=float))
     if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
         raise ValueError("monomial coefficients must be a finite 1-d vector")
-    return (lambda r: np.polynomial.polynomial.polyval(r, coeffs)), len(coeffs) - 1
+    return (lambda r: _horner(coeffs, r)), len(coeffs) - 1
 
 
 def weighted_inner_product(p, q, dim: int) -> float:

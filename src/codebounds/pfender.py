@@ -22,29 +22,37 @@ structural certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
 
 A ``PhiSpec`` is immutable, like a code: its coefficients are a
 read-only copy. The same phi is typically checked against many codes,
-each with its own cos_theta. So a polynomial phi finds the real roots of
-phi' on [-1, 1] once, on its first interval check, and keeps them (the
-cached property ``PhiSpec._critical_points``), and a Gegenbauer phi
-also keeps G_0..G_m at -1 and at those roots
-(``PhiSpec._candidate_table``). Both depend on phi alone. Each interval
-check then takes phi + c at -1, cos_theta and the roots in between; for
-a Gegenbauer phi it computes only the column at cos_theta, in Python
-floats (``gegenbauer._point_values``).
+each with its own cos_theta. So a phi keeps, as cached properties, what
+depends on it alone: its coefficients as Python floats, which are also
+the terms of phi(1) (``PhiSpec._terms``); for a polynomial phi the real
+roots of phi' on [-1, 1], found on its first interval check
+(``PhiSpec._critical_points``); the sorted points above -1 where phi + c
+may peak inside an interval (``PhiSpec._candidates``: those roots, or a
+table's nodes); and for a Gegenbauer phi G_0..G_m at -1 and at those
+points (``PhiSpec._candidate_table``). Each interval check then takes
+phi + c at -1, cos_theta and the candidates in between, found by
+bisection; for a Gegenbauer phi it computes only the column at
+cos_theta, in Python floats (``gegenbauer._point_values``).
 
 A per-code check reads what depends on the code alone from the code's
-own cached facts (``codes._Code``): its axioms and its evaluation
-values, checked to lie in [-1, 1] and clipped. This module stores
-nothing on a code, and a phi keeps nothing that depends on a code or a
-cos_theta. Each (code, phi) pair then costs one evaluation of phi over
-the n^2 values, already checked (for a Gegenbauer phi, one run of the
-recursion), their sum, and a margin: one product of the shifted
-coefficients with the candidates' table on the interval, or the largest
-of the off-diagonal values already evaluated. Every check refuses a
-cos_theta outside [-1, 1].
+own cached facts (``codes._Code``): its axiom failures, to which only
+axiom (iv) at the pair's cos_theta is added (``codes._failures``, with
+no ``VerifyReport``), and its evaluation values, checked to lie in
+[-1, 1] and clipped. This module stores nothing on a code, and a phi
+keeps nothing that depends on a code or a cos_theta. Each (code, phi)
+pair then costs one evaluation of phi over the n^2 values, already
+checked (for a Gegenbauer phi, one run of the recursion; for a monomial
+phi, Horner's rule in numpy's ``polyval`` order, ``gegenbauer._horner``),
+their sum, a margin, and the bound from phi's kept terms. The margin on
+the interval is one product of the shifted coefficients with a copy of
+the first columns of the candidates' table; on the finite set it is the
+largest of the off-diagonal values already evaluated. Every check
+refuses a cos_theta outside [-1, 1].
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -54,7 +62,14 @@ import numpy as np
 from . import codes, jsonutil
 from ._immutable import Rebuilt, read_only
 from .errors import TheoremViolationError
-from .gegenbauer import _check_dim, _check_r, _point_values, _recursion, basis_values
+from .gegenbauer import (
+    _check_dim,
+    _check_r,
+    _horner,
+    _point_values,
+    _recursion,
+    basis_values,
+)
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
@@ -80,6 +95,7 @@ __all__ = [
 ]
 
 _BASES = ("gegenbauer", "monomial", "table")
+_NOT_A_CERTIFICATE = "not a certificate: "
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +143,7 @@ class PhiSpec(Rebuilt):
             nodes = np.linspace(-1.0, 1.0, len(self.coeffs))
             return np.interp(x, nodes, self.coeffs)
         if self.basis == "monomial":
-            return np.polynomial.polynomial.polyval(x, self.coeffs)
+            return _horner(self._terms, x)
         return self.coeffs @ _recursion(self.dim, len(self.coeffs) - 1, x)
 
     @property
@@ -141,6 +157,13 @@ class PhiSpec(Rebuilt):
         return 2.0 / (len(self.coeffs) - 1)
 
     @cached_property
+    def _terms(self) -> list[float]:
+        """The coefficients (or nodal values) as Python floats, read once:
+        a table's last value and a polynomial's coefficients are the terms
+        of phi(1), since every G_k(1) and power of 1 is 1."""
+        return self.coeffs.tolist()
+
+    @cached_property
     def _critical_points(self) -> np.ndarray:
         """The real roots of a polynomial phi' in [-1, 1], from phi at its
         m + 1 Chebyshev-Lobatto points: they depend on neither c nor
@@ -149,11 +172,26 @@ class PhiSpec(Rebuilt):
         return read_only(critical_points(samples, -1.0, 1.0))
 
     @cached_property
+    def _candidates(self) -> list[float]:
+        """Where phi + c may peak inside an interval [-1, cos_theta], sorted:
+        the critical points of a polynomial phi, or a table's nodes, that
+        lie above -1 (an interval check takes -1 itself as its first
+        candidate)."""
+        if self.basis == "table":
+            points = np.linspace(-1.0, 1.0, len(self.coeffs))
+        else:
+            points = self._critical_points
+        return points[points > -1.0].tolist()
+
+    @cached_property
     def _candidate_table(self) -> np.ndarray:
-        """G_0..G_m of a Gegenbauer phi at -1 and at each critical point,
-        one column each: every interval check's columns but cos_theta's."""
-        points = np.concatenate(([-1.0], self._critical_points))
-        return read_only(basis_values(self.dim, len(self.coeffs) - 1, points))
+        """G_0..G_m of a Gegenbauer phi at -1, then zeros, then at each
+        candidate, one column each: an interval check's table, whose first
+        2 + h columns it copies before it writes the column at cos_theta
+        over the zeros."""
+        points = np.array([-1.0, *self._candidates])
+        known = basis_values(self.dim, len(self.coeffs) - 1, points)
+        return read_only(np.insert(known, 1, 0.0, axis=1))
 
 
 @dataclass
@@ -228,33 +266,24 @@ def interval_margin(phi: PhiSpec, c: float, cos_theta: float):
     shifted coefficients with the candidates' table, the same bits as a
     ``basis_values`` call over the candidates would give."""
     cos_theta = _checked_cos_theta(cos_theta)
-    if phi.basis == "table":
-        candidates = np.linspace(-1.0, 1.0, len(phi.coeffs))
-    else:
-        candidates = phi._critical_points
-    # both are sorted, so those in (-1, cos_theta) are a run
-    lo = int(candidates.searchsorted(-1.0, "right"))
-    hi = max(lo, int(candidates.searchsorted(cos_theta)))
+    candidates = phi._candidates
+    hi = bisect.bisect_left(candidates, cos_theta)
     coeffs = phi.coeffs.copy()
     coeffs[0] += c
     if phi.basis == "gegenbauer":
         # the table that one basis_values call over the candidates gives,
-        # so that the product has the same operands, bit for bit
-        m = len(coeffs) - 1
-        known = phi._candidate_table
-        table = np.empty((m + 1, 2 + hi - lo))
-        table[:, 0] = known[:, 0]
-        table[:, 1] = _point_values(phi.dim, m, cos_theta)
-        table[:, 2:] = known[:, 1 + lo : 1 + hi]
+        # contiguous, so that the product has the same operands, bit for bit
+        table = phi._candidate_table[:, : 2 + hi].copy()
+        table[:, 1] = _point_values(phi.dim, len(coeffs) - 1, cos_theta)
         values = coeffs @ table
     else:
-        points = np.concatenate(([-1.0, cos_theta], candidates[lo:hi]))
+        points = np.array([-1.0, cos_theta, *candidates[:hi]])
         if phi.basis == "table":
             values = phi._values(points) + c
         else:
-            values = np.polynomial.polynomial.polyval(points, coeffs)
+            values = _horner(coeffs, points)
     best = int(values.argmax())
-    location = (-1.0, cos_theta)[best] if best < 2 else float(candidates[lo + best - 2])
+    location = (-1.0, cos_theta)[best] if best < 2 else candidates[best - 2]
     return float(values[best]), location
 
 
@@ -265,7 +294,7 @@ def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
     coefficients and c, or of a table's last value and c: for (P - a_0,
     a_0) it is P(1) bit for bit. A bound past the float range raises
     ValueError, naming c."""
-    terms = [phi.coeffs[-1]] if phi.basis == "table" else phi.coeffs.tolist()
+    terms = phi._terms[-1:] if phi.basis == "table" else phi._terms
     top = math.fsum([*terms, c])
     bound_real = top / c
     if math.isinf(bound_real):
@@ -301,29 +330,36 @@ def stored_bound_mismatches(
 def _certify(phi, c, cos_theta, variant, ok_i, evidence, finite_set=None):
     """The certificate (phi, c) with its report, given condition (i)'s
     verdict; condition (ii) is checked on [-1, cos_theta], or only on
-    the off-diagonal values r of an evaluation matrix M, in row-major
-    order, when ``finite_set`` = (M, phi(clipped r)) is given. A c that
-    is not positive and finite, or a cos_theta outside [-1, 1], raises
-    ValueError."""
+    the off-diagonal values r of an evaluation matrix M when
+    ``finite_set`` = (M, phi at every clipped entry of M, row-major) is
+    given. A c that is not positive and finite, or a cos_theta outside
+    [-1, 1], raises ValueError.
+
+    Condition (ii) passes with a margin up to COND_TOL. A per-code
+    verdict on condition (i) and the finite set's values are floats
+    computed from a code, so those two keep their float tolerances even
+    where a certificate's stored coefficients are checked exactly."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be strictly positive and finite, got {c!r}")
     cos_theta = _checked_cos_theta(cos_theta)
     if finite_set is None:
         margin, location = interval_margin(phi, c, cos_theta)
-    elif finite_set[1].size:
+    elif len(finite_set[0]) > 1:
         M, phi_values = finite_set
         shifted = phi_values + c
+        # the diagonal is not in the set: the first maximum is then the
+        # first among the off-diagonal values, row-major
+        shifted[:: len(M) + 1] = -math.inf
         best = int(shifted.argmax())
-        # the best-th off-diagonal entry of M, row-major and unclipped
-        j, k = divmod(best, len(M) - 1)
-        margin, location = float(shifted[best]), float(M[j, k + (k >= j)])
+        # the entry of M itself, unclipped
+        margin, location = float(shifted[best]), M.item(best)
     else:
         margin, location = -math.inf, None
     ok_ii = margin <= COND_TOL
     messages = []
     if not ok_ii:
         messages.append(
-            f"not a certificate: phi(r) + c = {margin!r} at r = {location!r}"
+            f"{_NOT_A_CERTIFICATE}phi(r) + c = {margin!r} at r = {location!r}"
         )
     if phi.node_spacing is not None:
         messages.append(f"table phi with node spacing {phi.node_spacing!r}")
@@ -385,27 +421,33 @@ def functional_pfender_check(
     off-diagonal values f_j(tau_k). When both conditions hold the bound
     must cover the code; a violation raises TheoremViolationError (it
     would disprove the bound) instead of being folded into the report.
-    A cos_theta outside [-1, 1] raises ValueError in either variant.
+    A cos_theta outside [-1, 1] raises ValueError in either variant, and
+    a code that fails its own axioms at cos_theta raises ValueError with
+    the failures ``codes.verify`` reports.
+
+    Condition (i) is the double sum of phi over the code's evaluation
+    values, accepted down to -COND_TOL * n^2, and the finite-set variant
+    compares phi + c at those values with COND_TOL. Their inputs are
+    floats computed from the code, so both keep these float tolerances,
+    even where a certificate's stored coefficients are checked exactly.
     """
     if variant not in ("interval", "finite_set"):
         raise ValueError(f"unknown variant {variant!r}")
     ct = float(code.cos_theta if cos_theta is None else cos_theta)
-    report = codes.verify(code, cos_theta=ct)
-    if not report.valid:
+    failures = codes._failures(code, ct)
+    if failures:
         raise ValueError(
-            f"code fails its own verification at cos_theta={ct!r}: "
-            f"{report.axiom_failures}"
+            f"code fails its own verification at cos_theta={ct!r}: {failures}"
         )
     n = code.n
     # phi is evaluated once per pair: its sum over all n^2 values is the
     # double sum (exactly as double_sum adds it up), and its off-diagonal
     # entries are the finite set of the finite-set variant
-    entries, off = code._evaluation_entries
-    phi_values = phi._values(entries)
+    phi_values = phi._values(code._evaluation_entries)
     total = float(phi_values.sum())
     finite_set = None
     if variant == "finite_set":
-        finite_set = (code._axiom_facts.matrix, phi_values[off])
+        finite_set = (code._axiom_facts.matrix, phi_values)
     certificate = _certify(
         phi,
         c,
@@ -422,10 +464,11 @@ def functional_pfender_check(
         if not checked.condition_i_ok:
             parts.append(f"condition (i) fails: {checked.condition_i_evidence}")
         if not checked.condition_ii_ok:
+            # the report's first message names the margin and its location
+            # already: float reprs are a large share of a pair's cost
             parts.append(
-                "condition (ii) fails: phi(r) + c = "
-                f"{checked.condition_ii_margin!r} at r = "
-                f"{checked.condition_ii_location!r}"
+                "condition (ii) fails: "
+                + checked.messages[0].removeprefix(_NOT_A_CERTIFICATE)
             )
         reason = "certificate not applicable to this code: " + "; ".join(parts)
         return PfenderCheckResult(certificate, False, reason, n, None)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from codebounds.gegenbauer import (
     GegenbauerPoly,
+    _horner,
     _point_values,
     basis_values,
     expand_in_basis,
@@ -186,6 +187,30 @@ def test_point_values_match_basis_values_bit_for_bit(dim, degree, x):
     values = _point_values(dim, degree, x)
     assert len(values) == degree + 1
     assert np.array(values).tobytes() == basis_values(dim, degree, x).tobytes()
+
+
+@given(
+    coeffs=st.lists(
+        st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e6, 1e6)),
+        min_size=1,
+        max_size=41,
+    ),
+    x=st.lists(
+        st.one_of(st.sampled_from(SPECIAL_POINTS), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=16,
+    ),
+)
+@example(coeffs=[-0.0], x=[-1.0, -0.0, 0.0, 1.0])
+@example(coeffs=[0.0, -0.0, -0.0], x=[-5e-324, -0.0, 5e-324])
+@example(coeffs=[-0.0] + [1e6] * 40, x=[-1.0, 1.0, -2.2250738585072014e-308])
+def test_horner_gives_the_bits_of_polyval(coeffs, x):
+    # degrees 0..40, signed zeros and subnormals: the same operations in
+    # the same order, so the same bits, signs of zero included
+    points = np.array(x)
+    expected = np.polynomial.polynomial.polyval(points, np.array(coeffs))
+    for given_coeffs in (coeffs, np.array(coeffs)):
+        assert _horner(given_coeffs, points).tobytes() == expected.tobytes()
 
 
 class TestBasisTables:

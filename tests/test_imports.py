@@ -15,10 +15,13 @@ from codebounds import codes, jsonutil, pfender
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def loaded_after(script, cwd):
-    """The ``codebounds.*`` modules in sys.modules once ``script`` has run
-    in a fresh interpreter."""
-    script += "\nprint(json.dumps([m for m in sys.modules if m[:11] == 'codebounds.']))"
+def loaded_after(script, cwd, package="codebounds"):
+    """The ``package.*`` modules in sys.modules once ``script`` has run in
+    a fresh interpreter, each without the ``package.`` prefix."""
+    prefix = package + "."
+    script += (
+        f"\nprint(json.dumps([m for m in sys.modules if m.startswith({prefix!r})]))"
+    )
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys\n" + script], capture_output=True,
@@ -55,6 +58,23 @@ def test_a_command_imports_only_what_it_runs(tmp_path, argv, unused):
     loaded = loaded_after(script, tmp_path)
     assert "cli" in loaded
     assert not loaded & unused, sorted(loaded & unused)
+
+
+def test_a_finite_set_check_loads_no_numpy_polynomial(tmp_path):
+    # a monomial phi is evaluated by Horner's rule in pfender itself, so a
+    # finite-set check, which never searches for critical points, needs
+    # nothing from numpy.polynomial
+    code = codes.euclidean_to_functional(codes.generate("orthonormal", dim=3))
+    phi = pfender.PhiSpec("monomial", [-1.0 / 3.0, 0.0, 1.0])
+    result = pfender.functional_pfender_check(code, phi, 1.0 / 3.0, variant="finite_set")
+    assert result.applicable
+    jsonutil.dump_path(str(tmp_path / "code.json"), codes.code_to_json_dict(code))
+    jsonutil.dump_path(
+        str(tmp_path / "cert.json"), pfender.certificate_to_json_dict(result.certificate)
+    )
+    argv = ["code", "check-theorem", "--file", "code.json", "--cert", "cert.json"]
+    script = f"from codebounds import cli\nassert cli.main({argv!r}) == 0"
+    assert "polynomial" not in loaded_after(script, tmp_path, "numpy")
 
 
 @pytest.mark.parametrize("name", [n for n in codebounds.__all__ if n != "__version__"])

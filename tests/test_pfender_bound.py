@@ -260,6 +260,37 @@ class TestFunctionalCheck:
         with pytest.raises(ValueError, match="verification"):
             functional_pfender_check(bad, g1(2), 0.5)
 
+    @pytest.mark.parametrize("case", ["bad_norm", "triangle", "angle"])
+    def test_invalid_code_raises_what_verify_reports(self, case):
+        # a functional code with a point of l_2 norm 1.5, a metric code
+        # whose distances break the triangle inequality, and the icosahedron
+        # checked at an angle below its coherence 1/sqrt(5) (axiom (iv))
+        if case == "bad_norm":
+            code = codes.FunctionalCode(
+                codes.LpSpace(2.0, 2), [[1.0, 0.0], [0.0, 1.5]],
+                [[1.0, 0.0], [0.0, 1.0 / 1.5]], 0.0,
+            )
+            cos_theta = None
+        elif case == "triangle":
+            d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
+            code = codes.MetricCode(
+                codes.PointedMetricSpace(d), [1, 2],
+                [[0.0, 1.0, -1.0], [0.0, -1.0, 1.0]], -1.0,
+            )
+            cos_theta = None
+        else:
+            code, cos_theta = codes.generate("icosahedron"), 0.3
+        failures = codes.verify(code, cos_theta).axiom_failures
+        assert len(failures) >= 1
+        ct = code.cos_theta if cos_theta is None else cos_theta
+        expected = f"code fails its own verification at cos_theta={ct!r}: {failures}"
+        for variant in ("interval", "finite_set"):
+            with pytest.raises(ValueError) as raised:
+                functional_pfender_check(
+                    code, g1(3), 0.5, variant=variant, cos_theta=cos_theta
+                )
+            assert str(raised.value) == expected
+
     def test_honest_certificates_never_alarm(self):
         # with exact conditions the bound always covers the code, so the
         # alarm is unreachable through correct inputs
