@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Randomized theorem-consistency sweep: codes x certificates.
 
-Builds the fixed catalog codes plus --n-random random l_p functional
-codes, applies a catalog of Pfender certificates to every one of them,
+Builds the fixed catalog codes, as l_2 functional codes and embedded as
+metric codes, plus --n-random random l_p functional codes, applies a catalog of Pfender certificates to every one of them,
 and reports how many pairs were applicable, the worst n - bound margin
 and the throughput in pairs per second. Any genuine violation raises
 TheoremViolationError and exits nonzero; with a correct implementation
@@ -50,7 +50,9 @@ def main() -> int:
         ("cross_polytope", 3), ("cross_polytope", 8),
         ("icosahedron", None), ("d4_roots", None), ("e8_roots", None),
     ):
-        pool.append((family, codes.euclidean_to_functional(codes.generate(family, dim=dim))))
+        spherical = codes.generate(family, dim=dim)
+        pool.append((family, codes.euclidean_to_functional(spherical)))
+        pool.append((f"{family}_metric", codes.embed_as_metric_code(spherical)))
     for i in range(args.n_random):
         p = (1.5, 2.0, 3.0)[i % 3]
         code = codes.random_functional_code(

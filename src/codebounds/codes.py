@@ -13,6 +13,15 @@ property of the code (``_Code``), made on first use: the axiom work that
 does not depend on the angle, and the evaluation values a per-code
 Pfender check reads. Only the comparison with cos_theta (axiom (iv))
 runs on every call.
+
+A metric code's check is exact and visits only the work that can change
+its answer. The triangle inequality runs its per-point slack only on the
+pairs that row and column minima of the distances cannot clear (IEEE
+rounding is monotone), which no catalog embedding has, so it costs
+O(N^2) over N space points. The Lipschitz norms of all n functions are
+one pass over the point pairs, each unordered pair once when the matrix
+is exactly symmetric (|x - y| has the same bits both ways), about
+n N^2 / 2 divisions.
 """
 
 from __future__ import annotations
@@ -73,6 +82,16 @@ def _check_dim(dim, name: str = "dimension") -> int:
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {dim!r}")
     return int(dim)
+
+
+def _check_indices(indices) -> np.ndarray:
+    """``indices`` as a 1-d int array if every entry is an integer; a bool
+    or a non-integer (1.7, say) raises ValueError naming ``point_indices``,
+    where ``np.array(..., dtype=int)`` would truncate it."""
+    for value in np.asarray(indices, dtype=object).ravel().tolist():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"point_indices must be integers, got {value!r}")
+    return np.atleast_1d(np.array(indices, dtype=int))
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:
@@ -215,7 +234,7 @@ class MetricCode(_Code):
     kind = "metric"
 
     def __post_init__(self):
-        idx = np.atleast_1d(np.array(self.point_indices, dtype=int))
+        idx = _check_indices(self.point_indices)
         fns = np.atleast_2d(np.array(self.functions, dtype=float))
         _check_finite(fns, "function tables")
         if fns.shape != (len(idx), self.space.n_points):
@@ -270,17 +289,48 @@ def _clipped_entries(M: np.ndarray) -> np.ndarray:
     return np.clip(M, -1.0, 1.0).ravel()
 
 
-def lipschitz_norm(distance: np.ndarray, values: np.ndarray) -> float:
+def lipschitz_norm(distance: np.ndarray, values: np.ndarray) -> float | np.ndarray:
     """Exact Lipschitz norm of a value table: sup over point pairs.
 
-    Two points at distance 0 with different values make it infinite.
+    ``values`` is one table (a float comes back) or one table per row (an
+    array of norms comes back). Two points at distance 0 with different
+    values make a norm infinite.
+
+    The pairs are visited point by point: for each a, the ratios
+    |f(b) - f(a)| / d(a, b) of every table at once, folded with ``fmax``
+    from 0.0. When the distance matrix is exactly symmetric, each unordered
+    pair is visited once, as (a, b) with b > a: |x - y| has the same bits
+    as |y - x|, so the ratio of (b, a) is the same float, and the maximum
+    keeps its bits. This costs about n N^2 / 2 divisions for n tables over
+    N points (n N^2 otherwise), with no n x N^2 temporary.
     """
+    # + 0.0 turns a -0.0 distance into +0.0, so a jump across it is +inf
+    dist = np.asarray(distance, dtype=float) + 0.0
+    table = np.asarray(values, dtype=float)
+    columns = np.ascontiguousarray(np.atleast_2d(table).T)  # row b: every f(b)
+    symmetric = np.array_equal(dist, dist.T)
+    norms = np.zeros(columns.shape[1])
+    buffer = np.empty_like(columns)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # + 0.0 turns a -0.0 distance into +0.0, so a jump across it is +inf
-        ratios = np.abs(values[None, :] - values[:, None]) / (distance + 0.0)
-    # NaN is 0 / 0 (a point with itself, or equal values at distance 0) and
-    # is skipped; a negative distance gives a ratio <= 0, which never counts
-    return float(np.fmax.reduce(ratios, axis=None, initial=0.0))
+        for a in range(len(dist)):
+            start = a + 1 if symmetric else 0
+            ratios = buffer[start:]
+            np.subtract(columns[start:], columns[a], out=ratios)
+            np.abs(ratios, out=ratios)
+            np.divide(ratios, dist[a, start:, None], out=ratios)
+            # NaN is 0 / 0 (a point with itself, or equal values at distance
+            # 0) and is skipped; a negative distance gives a ratio <= 0, which
+            # never counts
+            np.fmax(norms, np.fmax.reduce(ratios, axis=0, initial=0.0), out=norms)
+        if np.any(dist < 0):
+            # a -0.0 ratio (equal values across a negative distance) can make
+            # a zero norm -0.0, as numpy's whole-matrix reduction orders it;
+            # such a norm is recomputed over the whole matrix
+            for j in np.flatnonzero(norms == 0.0).tolist():
+                f = columns[:, j]
+                ratios = np.abs(f[None, :] - f[:, None]) / dist
+                norms[j] = np.fmax.reduce(ratios, axis=None, initial=0.0)
+    return float(norms[0]) if table.ndim == 1 else norms
 
 
 def _offdiag_report(matrix: np.ndarray):
@@ -291,6 +341,39 @@ def _offdiag_report(matrix: np.ndarray):
     np.fill_diagonal(off, -np.inf)
     j, k = np.unravel_index(int(np.argmax(off)), off.shape)
     return float(off[j, k]), (int(j), int(k))
+
+
+def _triangle_failure(d: np.ndarray, off: np.ndarray) -> str | None:
+    """The triangle failure of the loop "for each k, the first maximal
+    slack d[i, j] - (d[i, k] + d[k, j]) over all (i, j) in row-major order,
+    if it exceeds TOL_EQ", run only on the pairs that can fail.
+
+    ``off`` is d with +inf on the diagonal. Its row minima r_i and column
+    minima c_j bound d[i, k] and d[k, j] for every k outside {i, j}, and
+    IEEE rounding is monotone, so the pair (i, j) can fail there only if
+    d[i, j] - (r_i + c_j) exceeds TOL_EQ. At k = i or k = j it can fail
+    only if d[k, k] < 0, so row k and column k join the candidates of such
+    a k. Any failing slack lies above TOL_EQ and every other pair's lies
+    at or below it, so the first maximal candidate is the loop's own pair.
+    A metric has no candidates, and the check costs O(N^2); the worst case
+    is the loop's O(N^3).
+    """
+    n = len(d)
+    bound = d - (np.min(off, axis=1)[:, None] + np.min(off, axis=0)[None, :])
+    pairs = np.flatnonzero(bound > TOL_EQ)  # row-major flat indices
+    negative = np.diagonal(d) < 0
+    for k in range(n) if pairs.size else np.flatnonzero(negative).tolist():
+        cells = pairs
+        if negative[k]:
+            line = np.arange(n)
+            cells = np.concatenate([pairs, k * n + line, line * n + k])
+        i, j = np.divmod(cells, n)
+        slack = d[i, j] - (d[i, k] + d[k, j])
+        worst = np.max(slack)
+        if worst > TOL_EQ:
+            i, j = divmod(int(np.min(cells[slack == worst])), n)
+            return f"metric: triangle inequality fails for ({i},{j}) via {k}"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,21 +420,14 @@ def _check_axioms(code) -> _AxiomFacts:
             failures.append("metric: negative distance")
         if np.max(np.abs(d - d.T)) > TOL_EQ:
             failures.append("metric: distance matrix not symmetric")
-        # slack = d - (d[:, k] + d[k, :]), in one buffer for every k
-        slack = np.empty_like(d)
-        for k in range(code.space.n_points):
-            np.add(d[:, k][:, None], d[k, :][None, :], out=slack)
-            np.subtract(d, slack, out=slack)
-            if np.max(slack) > TOL_EQ:
-                i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-                failures.append(
-                    f"metric: triangle inequality fails for ({i},{j}) via {k}"
-                )
-                break
         off = d.copy()
         np.fill_diagonal(off, np.inf)
         if off.size and np.min(off) <= TOL_EQ:
             warnings.append("duplicate space points (zero off-diagonal distance)")
+        triangle = _triangle_failure(d, off)
+        if triangle is not None:
+            failures.append(triangle)
+        lips = lipschitz_norm(d, code.functions).tolist()
         # the base is point 0
         for j in range(code.n):
             tau = int(code.point_indices[j])
@@ -359,16 +435,16 @@ def _check_axioms(code) -> _AxiomFacts:
             at_base, at_tau, distance = float(f[0]), float(f[tau]), float(d[tau, 0])
             if abs(at_base) > TOL_EQ:
                 failures.append(f"axiom: f_{j}(base) = {at_base!r}, not 0")
-            lip = lipschitz_norm(d, f)
-            if abs(lip - 1.0) > TOL_LIP:
-                failures.append(f"axiom (i): f_{j} has Lipschitz norm {lip!r}")
+            if abs(lips[j] - 1.0) > TOL_LIP:
+                failures.append(f"axiom (i): f_{j} has Lipschitz norm {lips[j]!r}")
             if abs(distance - 1.0) > TOL_EQ:
                 failures.append(
                     f"axiom (ii): point {j} lies at distance {distance!r} from base"
                 )
             if abs(at_tau - 1.0) > TOL_EQ:
                 failures.append(f"axiom (iii): f_{j}(tau_{j}) = {at_tau!r}, not 1")
-        if len(np.unique(code.point_indices)) < code.n:
+        # a set rather than np.unique, whose first call imports numpy.ma
+        if len(set(code.point_indices.tolist())) < code.n:
             warnings.append("duplicate selected points tau_j")
 
     matrix = read_only(evaluation_matrix(code))
@@ -611,10 +687,7 @@ def code_from_json_dict(data: dict):
             raise ValueError("base point index must be 0")
         return MetricCode(
             space=PointedMetricSpace(reals("distance")),
-            point_indices=np.array(
-                [jsonutil.json_int(i, "point_indices") for i in data["point_indices"]],
-                dtype=int,
-            ),
+            point_indices=jsonutil.json_ints(data["point_indices"], "point_indices"),
             functions=reals("functions"),
             cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         )

@@ -68,6 +68,17 @@ def json_int(value: Any, name: str) -> int:
     return value
 
 
+def json_ints(value: Any, name: str) -> list:
+    """``value`` if it is a JSON array whose entries all pass ``json_int``;
+    anything else (a number, null or a string, whose characters a loop
+    would walk) raises ValueError naming the field ``name``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be an array of integers, got {value!r}")
+    for item in value:
+        json_int(item, name)
+    return value
+
+
 def json_real(value: Any, name: str) -> float:
     """``value`` as a float if it is a finite JSON number. float(...) would
     parse a string such as "0.5" and take a bool as 0.0 or 1.0, and

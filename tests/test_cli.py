@@ -500,6 +500,18 @@ class TestCode:
         assert code == 0
         assert "valid=yes" in out
 
+    @pytest.mark.parametrize("value", [5, None, "1234"], ids=str)
+    def test_point_indices_not_an_array_exits_2(self, value, tmp_path, capsys):
+        metric = codes.embed_as_metric_code(codes.generate("simplex", dim=3))
+        data = codes.code_to_json_dict(metric)
+        data["point_indices"] = value
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["code", "verify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: point_indices must be an array of integers, got {value!r}\n"
+
 
 def _files_with_reals():
     """One valid file of each kind whose reals the readers check."""

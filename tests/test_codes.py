@@ -307,6 +307,22 @@ class TestMetricVerification:
         assert report.valid
         assert any("duplicate" in w for w in report.warnings)
 
+    @pytest.mark.parametrize(
+        "indices, bad",
+        [([1.7, 2.2, 3.9, 4.0], "1.7"), (np.array([1.0, 2.0, 3.0, 4.0]), "1.0"),
+         ([True, 2, 3, 4], "True"), ([1, None, 3, 4], "None")],
+        ids=str,
+    )
+    def test_point_indices_must_be_integers(self, indices, bad):
+        # np.array(..., dtype=int) would truncate [1.7, 2.2, 3.9, 4.0] to a
+        # valid [1, 2, 3, 4]
+        code = embed_as_metric_code(generate("simplex", dim=3))
+        with pytest.raises(ValueError, match=rf"^point_indices must be integers, got {bad}$"):
+            MetricCode(code.space, indices, code.functions, code.cos_theta)
+        for good in ([1, 2, 3, 4], np.arange(1, 5, dtype=np.uint8)):
+            same = MetricCode(code.space, good, code.functions, code.cos_theta)
+            assert same.point_indices.tolist() == [1, 2, 3, 4]
+
     def test_brute_force_norm_matches_claim(self):
         metric = embed_as_metric_code(generate("icosahedron"))
         for f in metric.functions:
@@ -331,6 +347,151 @@ class TestMetricVerification:
         for f in metric.functions[:12]:
             d = metric.space.distance
             assert lipschitz_norm(d, f) == loop_reference(d, f)
+
+
+
+def _reference_triangle(d):
+    """The per-k triangle loop over every pair: for the first k at which
+    some slack exceeds TOL_EQ, its first maximal pair in row-major order."""
+    slack = np.empty_like(d)
+    for k in range(len(d)):
+        np.add(d[:, k][:, None], d[k, :][None, :], out=slack)
+        np.subtract(d, slack, out=slack)
+        if np.max(slack) > codes.TOL_EQ:
+            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            return f"metric: triangle inequality fails for ({i},{j}) via {k}"
+    return None
+
+
+def _reference_lipschitz(distance, values):
+    """One table's Lipschitz norm over every ordered pair at once."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.abs(values[None, :] - values[:, None]) / (distance + 0.0)
+    return float(np.fmax.reduce(ratios, axis=None, initial=0.0))
+
+
+def _facts(code):
+    facts = codes._check_axioms(code)
+    return (facts.failures, facts.warnings, facts.matrix.tobytes(),
+            facts.max_offdiag, facts.worst_pair)
+
+
+def _reference_facts(code, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(codes, "_triangle_failure", lambda d, off: _reference_triangle(d))
+        patch.setattr(codes, "lipschitz_norm", lambda d, table: np.array(
+            [_reference_lipschitz(d, f) for f in table]))
+        return _facts(code)
+
+
+def _perturbed(code, kind, rng):
+    """``code`` with one defect of the given kind at seeded cells."""
+    d, functions = code.space.distance.copy(), code.functions.copy()
+    n_points = len(d)
+    i, j = (int(x) for x in rng.choice(n_points, size=2, replace=False))
+    delta = float(rng.choice([1e-13, 1e-11, 0.1, 0.5, 2.0]))
+    if kind == "raised":
+        d[i, j] = d[j, i] = d[i, j] + delta
+    elif kind == "lowered":
+        d[i, j] = d[j, i] = d[i, j] - delta
+    elif kind == "asymmetric":
+        d[i, j] += float(rng.choice([-1.0, 1.0])) * delta
+    elif kind == "negative_diagonal":
+        d[i, i] = -delta
+    elif kind == "nonzero_diagonal":
+        d[i, i] = delta
+    elif kind == "zero_distance":
+        d[i, j] = d[j, i] = 0.0
+    elif kind == "negative_zero_distance":
+        d[i, j], d[i, i] = -0.0, -0.0
+        d[j, i] = float(rng.choice([-0.0, 0.0, d[j, i]]))
+    elif kind == "duplicate_points":
+        d[i], d[:, i] = d[j], d[:, j]
+        d[i, i] = 0.0
+        functions[:, i] = functions[:, j] + float(rng.choice([0.0, delta]))
+    elif kind == "zero_function_across_negative_distance":
+        # every ratio is 0, NaN or -0.0: the norm's sign of zero must match
+        functions[int(rng.integers(len(functions)))] = 0.0
+        d[i, j] = d[j, i] = -delta
+    return MetricCode(PointedMetricSpace(d), code.point_indices, functions,
+                      code.cos_theta)
+
+
+PERTURBATIONS = (
+    "raised", "lowered", "asymmetric", "negative_diagonal", "nonzero_diagonal",
+    "zero_distance", "negative_zero_distance", "duplicate_points",
+    "zero_function_across_negative_distance",
+)
+
+
+class TestAxiomChecksMatchReference:
+    """The candidate-pair triangle check and the pairs-major Lipschitz
+    norms give the facts of the per-k loop and of one norm per function
+    over every ordered pair: the same failures, warnings and floats."""
+
+    @pytest.mark.parametrize(
+        "family, dim",
+        [("simplex", 3), ("simplex", 5), ("simplex", 8), ("orthonormal", 4),
+         ("orthonormal", 9), ("orthonormal", 16), ("cross_polytope", 3),
+         ("cross_polytope", 8), ("icosahedron", None), ("d4_roots", None),
+         ("e8_roots", None)],
+    )
+    def test_catalog_embeddings(self, family, dim, monkeypatch):
+        code = embed_as_metric_code(generate(family, dim=dim))
+        facts = _facts(code)
+        assert facts == _reference_facts(code, monkeypatch)
+        assert facts[:2] == ((), ())
+        norms = lipschitz_norm(code.space.distance, code.functions)
+        reference = [_reference_lipschitz(code.space.distance, f) for f in code.functions]
+        assert norms.tobytes() == np.array(reference).tobytes()
+
+    @pytest.mark.parametrize("kind", PERTURBATIONS)
+    def test_seeded_perturbations(self, kind, monkeypatch):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        failing = 0
+        for family, dim in (("simplex", 3), ("icosahedron", None), ("d4_roots", None)):
+            base = embed_as_metric_code(generate(family, dim=dim))
+            for _ in range(12):
+                code = _perturbed(base, kind, rng)
+                facts = _facts(code)
+                assert facts == _reference_facts(code, monkeypatch), kind
+                failing += bool(facts[0])
+        assert failing
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triangle_ties_and_negative_diagonals(self, seed):
+        # small integer matrices: many tied slacks, signed zeros, negative
+        # entries and diagonals, most of them failing
+        rng = np.random.default_rng(seed)
+        failing = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 8))
+            d = rng.integers(-1, 4, size=(n, n)).astype(float)
+            d[rng.random((n, n)) < 0.2] = -0.0
+            off = d.copy()
+            np.fill_diagonal(off, np.inf)
+            message = codes._triangle_failure(d, off)
+            assert message == _reference_triangle(d)
+            failing += message is not None
+        assert failing
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lipschitz_tables_on_rough_distances(self, seed):
+        # random tables over symmetric and asymmetric matrices with zero,
+        # -0.0 and negative distances; every norm keeps its bits
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n_points = int(rng.integers(1, 9))
+            d = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], size=(n_points, n_points))
+            if rng.random() < 0.5:
+                d = np.triu(d) + np.triu(d, 1).T
+            table = rng.choice([0.0, -0.0, 0.25, 1.0], size=(3, n_points))
+            norms = lipschitz_norm(d, table)
+            reference = np.array([_reference_lipschitz(d, f) for f in table])
+            assert norms.tobytes() == reference.tobytes()
+            one = lipschitz_norm(d, table[0])
+            assert type(one) is float
+            assert np.array([one]).tobytes() == reference[:1].tobytes()
 
 
 class TestGenerate:
@@ -536,6 +697,17 @@ class TestSerialization:
         message = f"^{name} must be an integer, got {value!r}$"
         with pytest.raises(ValueError, match=message):
             code_from_json_dict(data)
+
+    @pytest.mark.parametrize("value", [5, None, "1234", {"0": 1}], ids=str)
+    def test_point_indices_must_be_an_array(self, value):
+        # a loop over the field would fail on 5 and None without naming it,
+        # and would walk a string's characters
+        data = code_to_json_dict(embed_as_metric_code(generate("simplex", dim=3)))
+        data["point_indices"] = value
+        message = f"point_indices must be an array of integers, got {value!r}"
+        with pytest.raises(ValueError) as raised:
+            code_from_json_dict(data)
+        assert str(raised.value) == message
 
     def test_code_and_space_must_be_objects(self):
         with pytest.raises(ValueError, match="^code must be a JSON object, got list$"):

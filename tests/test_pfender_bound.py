@@ -362,7 +362,8 @@ class TestFunctionalCheck:
         # the Lipschitz and triangle checks and the range check and clipping
         # of the evaluation matrix depend on the code alone: one metric code
         # checked against every certificate of the harness runs them once,
-        # one Lipschitz norm per function and one check of the matrix
+        # one Lipschitz norm call for all its functions and one check of the
+        # matrix
         code = codes.embed_as_metric_code(codes.generate("icosahedron"))
         catalog = harness_catalog()
         calls, checked = [], []
@@ -383,7 +384,8 @@ class TestFunctionalCheck:
             functional_pfender_check(code, phi, c, variant=variant).applicable
             for _, phi, c, variant in catalog
         ]
-        assert (len(catalog), len(calls), len(checked)) == (27, code.n, 1)
+        assert (len(catalog), len(calls), len(checked)) == (27, 1, 1)
+        assert calls[0].shape == (code.n, code.space.n_points)
         assert any(applicable)
         # double_sum checks the matrix it is given on every call
         M = codes.evaluation_matrix(code)

@@ -74,4 +74,6 @@ def test_consistency_harness_finds_zero_violations():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    # 11 catalog codes, each as an l_2 and as a metric code, and 20 random
+    assert " over 42 codes x 27 certificates " in proc.stdout
     assert "zero violations" in proc.stdout.splitlines()
