@@ -22,7 +22,8 @@ from codebounds.pfender import PhiSpec, functional_pfender_check
 DEFAULT_SEED = 20240803
 
 
-def certificate_catalog():
+def closed_form_catalog():
+    """The (name, phi, c, variant) certificates given by a formula."""
     catalog = []
     for d in range(2, 11):
         catalog.append((f"g1_d{d}", PhiSpec("gegenbauer", [0.0, 1.0], dim=d),
@@ -30,10 +31,20 @@ def certificate_catalog():
     for d in range(2, 17):
         catalog.append((f"sq_d{d}", PhiSpec("monomial", [-1.0 / d, 0.0, 1.0]),
                         1.0 / d, "finite_set"))
+    return catalog
+
+
+def lp_catalog():
+    """The certificates (P - a_0, a_0) of three Delsarte polynomials."""
+    catalog = []
     for d, degree in ((3, 10), (4, 10), (8, 6)):
         phi, c = pfender_form(lp_bound(d, 0.5, degree).poly)
         catalog.append((f"lp_d{d}_m{degree}", phi, c, "interval"))
     return catalog
+
+
+def certificate_catalog():
+    return closed_form_catalog() + lp_catalog()
 
 
 def main() -> int:

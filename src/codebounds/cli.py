@@ -13,7 +13,10 @@ the certificate does not give), 2 usage or structural error. All commands
 are deterministic; rerunning writes byte-identical files.
 
 Each command imports the modules it runs when it runs, so a cold start
-of ``gegenbauer eval``, say, never loads the LP solver or the codes.
+of ``bound lp``, say, never loads the codes. Arguments are checked, and
+``gegenbauer eval``'s one value is computed, by ``_scalar`` in plain
+Python, so that command and any ``bound lp`` argument error load no
+numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import math
 import sys
 
-from . import jsonutil
+from . import _scalar, jsonutil
 from .errors import CodeBoundsError, NoCertificateError, TheoremViolationError
 from .jsonutil import format_float
 
@@ -35,12 +38,15 @@ def _cos_theta_from_args(args) -> float:
 
 
 def cmd_gegenbauer(args) -> int:
-    from .gegenbauer import expand_in_basis, gegenbauer_eval
-
     if args.action == "eval":
-        value = gegenbauer_eval(args.dim, args.degree, args.at)
-        print(format_float(value))
+        # gegenbauer_eval's checks, in its order, and its bits at one point
+        degree = _scalar._check_nonnegative_degree(args.degree)
+        dim = _scalar._check_dim(args.dim)
+        at = _scalar._check_point(args.at)
+        print(format_float(_scalar._point_values(dim, degree, at)[degree]))
         return 0
+    from .gegenbauer import expand_in_basis
+
     mono = [float(v) for v in args.expand.split(",")]
     poly = expand_in_basis(mono, args.dim)
     for k, a in enumerate(poly.coeffs):
@@ -51,6 +57,8 @@ def cmd_gegenbauer(args) -> int:
 def cmd_bound(args) -> int:
     cos_theta = _cos_theta_from_args(args)
     if args.kind == "lp":
+        # a bad argument exits before numpy is imported
+        _scalar._validate_inputs(args.dim, cos_theta, args.degree)
         from . import dgs_bound
 
         try:
@@ -62,14 +70,16 @@ def cmd_bound(args) -> int:
         verified = True
         to_json = dgs_bound.certificate_to_json_dict
     else:
-        from . import codes, pfender
-
         if args.finite_set and not args.code:
             raise ValueError("--finite-set needs --code: the finite evaluation set "
                              "comes from a concrete code")
+        from . import pfender
+
         phi = pfender.phi_from_json_dict(jsonutil.load_path(args.phi))
         variant = "finite_set" if args.finite_set else "interval"
         if args.code:
+            from . import codes
+
             code = codes.code_from_json_dict(jsonutil.load_path(args.code))
             result = pfender.functional_pfender_check(
                 code, phi, args.c, variant=variant, cos_theta=cos_theta

@@ -77,7 +77,7 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 def _check_dim(dim, name: str = "dimension") -> int:
     """``dim`` as an int if it is an integer >= 1; a bool or a non-integer
-    (2.5, say) raises ValueError naming ``name``. (``gegenbauer._check_dim``
+    (2.5, say) raises ValueError naming ``name``. (``_scalar._check_dim``
     asks for dim >= 2.)"""
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {dim!r}")
@@ -123,7 +123,8 @@ def dual_exponent(p: float) -> float:
 class _Code(Rebuilt):
     """A code's facts, each a ``functools.cached_property``: made on first
     use and kept in the code's own ``__dict__``, where no other module
-    writes. One that raises keeps nothing, so it raises again next time."""
+    writes. One that raises keeps nothing, so it raises again next time.
+    ``_failures`` reads them at an angle."""
 
     @cached_property
     def _axiom_facts(self) -> _AxiomFacts:
@@ -134,6 +135,23 @@ class _Code(Rebuilt):
         """The evaluation matrix checked and clipped by ``_clipped_entries``,
         row-major."""
         return read_only(_clipped_entries(self._axiom_facts.matrix))
+
+    def _failures(self, ct: float) -> list[str]:
+        """``verify``'s axiom failures at the angle ``ct``, read from the
+        code's facts: the stored ones, then axiom (iv) at ct. A ct that is
+        not finite raises. A per-code Pfender check needs only this list,
+        not a report, and reaches it through the code it is given."""
+        if not math.isfinite(ct):
+            raise ValueError(f"cos_theta must be finite, got {ct!r}")
+        facts = self._axiom_facts
+        failures = list(facts.failures)
+        if facts.max_offdiag is not None and facts.max_offdiag > ct + TOL_EQ:
+            j, k = facts.worst_pair
+            failures.append(
+                f"axiom (iv): f_{j}(tau_{k}) = {facts.max_offdiag!r} exceeds "
+                f"cos_theta = {ct!r}"
+            )
+        return failures
 
 
 @dataclass(frozen=True)
@@ -215,6 +233,10 @@ class PointedMetricSpace(Rebuilt):
         _check_finite(d, "distance matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
+        if not d.size:
+            raise ValueError(
+                "distance matrix is empty: a pointed space needs its base point 0"
+            )
         object.__setattr__(self, "distance", read_only(d))
 
     @property
@@ -454,23 +476,6 @@ def _check_axioms(code) -> _AxiomFacts:
     return _AxiomFacts(tuple(failures), tuple(warnings), matrix, max_offdiag, worst_pair)
 
 
-def _failures(code, ct: float) -> list[str]:
-    """``verify``'s axiom failures at the angle ``ct``, read from the
-    code's facts: the stored ones, then axiom (iv) at ct. A ct that is not
-    finite raises. A per-code Pfender check needs only this list, not a
-    report."""
-    if not math.isfinite(ct):
-        raise ValueError(f"cos_theta must be finite, got {ct!r}")
-    facts = code._axiom_facts
-    failures = list(facts.failures)
-    if facts.max_offdiag is not None and facts.max_offdiag > ct + TOL_EQ:
-        j, k = facts.worst_pair
-        failures.append(
-            f"axiom (iv): f_{j}(tau_{k}) = {facts.max_offdiag!r} exceeds cos_theta = {ct!r}"
-        )
-    return failures
-
-
 def verify(code, cos_theta: float | None = None) -> VerifyReport:
     """Check every axiom of the code's definition.
 
@@ -483,7 +488,7 @@ def verify(code, cos_theta: float | None = None) -> VerifyReport:
     each call returns fresh lists.
     """
     ct = code.cos_theta if cos_theta is None else float(cos_theta)
-    failures = _failures(code, ct)
+    failures = code._failures(ct)
     facts = code._axiom_facts
     return VerifyReport(
         valid=not failures,

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonutil, pfender
+from ._scalar import _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
-from .gegenbauer import MAX_TABLE_DEGREE, GegenbauerPoly, _check_degree, basis_values
+from .gegenbauer import GegenbauerPoly, basis_values
 from .linprog import LinearProgram, solve_lp
 from .scanning import chebyshev_points, critical_points
 
@@ -70,17 +71,6 @@ class DGSCertificate:
 class BoundTableRow:
     degree: int
     certificate: DGSCertificate | None  # None: no certificate at this degree
-
-
-def _validate_inputs(d: int, cos_theta: float, degree: int):
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if not (-1.0 <= cos_theta < 1.0):
-        raise ValueError(f"cos_theta must lie in [-1, 1), got {cos_theta}")
-    if _check_degree(degree) < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if degree > MAX_TABLE_DEGREE:
-        raise ValueError(f"degree is capped at {MAX_TABLE_DEGREE}")
 
 
 def _gap_rows(grid: np.ndarray, peaks: np.ndarray) -> np.ndarray:

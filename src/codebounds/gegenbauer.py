@@ -20,8 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._immutable import Rebuilt, read_only
-
-MAX_TABLE_DEGREE = 40
+from ._scalar import (
+    MAX_TABLE_DEGREE,
+    _check_degree,
+    _check_dim,
+    _check_nonnegative_degree,
+    _point_error,
+)
 
 __all__ = [
     "MAX_TABLE_DEGREE",
@@ -35,28 +40,11 @@ __all__ = [
 ]
 
 
-def _check_dim(dim: int) -> int:
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
-    return int(dim)
-
-
-def _check_degree(degree, name: str = "degree") -> int:
-    """``degree`` as an int. A bool or a non-integer (2.0, say) raises
-    ValueError naming ``name``, as ``jsonutil.json_int`` does, instead of
-    passing True as degree 1 or failing later in an unnamed TypeError."""
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {degree!r}")
-    return int(degree)
-
-
 def _check_r(r):
     arr = np.asarray(r, dtype=float)
     # one min/max pass; NaN fails both comparisons
     if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("evaluation points must be finite")
-        raise ValueError("evaluation points must lie in [-1, 1]")
+        raise _point_error(bool(np.all(np.isfinite(arr))))
     return arr
 
 
@@ -67,8 +55,7 @@ def basis_values(dim: int, max_degree: int, r) -> np.ndarray:
     arguments, then runs ``_recursion`` over r's points in row-major order.
     """
     dim = _check_dim(dim)
-    if _check_degree(max_degree, "max_degree") < 0:
-        raise ValueError("max_degree must be >= 0")
+    _check_nonnegative_degree(max_degree, "max_degree")
     arr = _check_r(r)
     return _recursion(dim, max_degree, arr.reshape(-1)).reshape(
         (max_degree + 1,) + arr.shape
@@ -98,20 +85,6 @@ def _recursion(dim: int, max_degree: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _point_values(dim: int, max_degree: int, x: float) -> list[float]:
-    """G_0..G_max_degree at the one float ``x``, which the caller has
-    checked as ``basis_values`` would, in Python floats. Each step is the
-    same IEEE operation, in the same order, as in ``_recursion``, so the
-    values are the same bits, without numpy's cost per call."""
-    values = [1.0, x]
-    for k in range(2, max_degree + 1):
-        values.append(
-            (x * float(2 * k + dim - 4) * values[k - 1] - values[k - 2] * float(k - 1))
-            / float(k + dim - 3)
-        )
-    return values[: max_degree + 1]
-
-
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x^k at the points of the float array ``x``, by
     Horner's rule in the operations and order of numpy's ``polyval``
@@ -128,8 +101,7 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
 
 def gegenbauer_eval(dim: int, k: int, r):
     """G_k for dimension ``dim`` at ``r`` (scalar or array) by recursion."""
-    if _check_degree(k) < 0:
-        raise ValueError("degree must be >= 0")
+    _check_nonnegative_degree(k)
     values = basis_values(dim, k, r)[k]
     if np.isscalar(r) or np.asarray(r).shape == ():
         return float(values)
@@ -140,9 +112,7 @@ def monomial_table(dim: int, max_degree: int) -> np.ndarray:
     """Upper-triangular (m+1) x (m+1) matrix whose column k holds G_k's
     ascending monomial coefficients, built by the same recursion."""
     dim = _check_dim(dim)
-    if _check_degree(max_degree, "max_degree") < 0:
-        raise ValueError("max_degree must be >= 0")
-    if max_degree > MAX_TABLE_DEGREE:
+    if _check_nonnegative_degree(max_degree, "max_degree") > MAX_TABLE_DEGREE:
         raise ValueError(f"monomial tables are capped at degree {MAX_TABLE_DEGREE}")
     table = np.zeros((max_degree + 1, max_degree + 1))
     table[0, 0] = 1.0

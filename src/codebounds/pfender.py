@@ -32,18 +32,21 @@ table's nodes); and for a Gegenbauer phi G_0..G_m at -1 and at those
 points (``PhiSpec._candidate_table``). Each interval check then takes
 phi + c at -1, cos_theta and the candidates in between, found by
 bisection; for a Gegenbauer phi it computes only the column at
-cos_theta, in Python floats (``gegenbauer._point_values``).
+cos_theta, in Python floats (``_scalar._point_values``).
 
 A per-code check reads what depends on the code alone from the code's
 own cached facts (``codes._Code``): its axiom failures, to which only
-axiom (iv) at the pair's cos_theta is added (``codes._failures``, with
-no ``VerifyReport``), and its evaluation values, checked to lie in
-[-1, 1] and clipped. This module stores nothing on a code, and a phi
-keeps nothing that depends on a code or a cos_theta. Each (code, phi)
-pair then costs one evaluation of phi over the n^2 values, already
-checked (for a Gegenbauer phi, one run of the recursion; for a monomial
-phi, Horner's rule in numpy's ``polyval`` order, ``gegenbauer._horner``),
-their sum, a margin, and the bound from phi's kept terms. The margin on
+axiom (iv) at the pair's cos_theta is added (``code._failures(ct)``,
+with no ``VerifyReport``), and its evaluation values, checked to lie in
+[-1, 1] and clipped. It reaches them through the code it is given, so
+this module does not import ``codes`` (``double_sum`` does, when it
+runs), and a command that reads no code never loads it. This module
+stores nothing on a code, and a phi keeps nothing that depends on a
+code or a cos_theta. Each (code, phi) pair then costs one evaluation of
+phi over the n^2 values, already checked (for a Gegenbauer phi, one run
+of the recursion; for a monomial phi, Horner's rule in numpy's
+``polyval`` order, ``gegenbauer._horner``), their sum, a margin, and the
+bound from phi's kept terms. The margin on
 the interval is one product of the shifted coefficients with a copy of
 the first columns of the candidates' table; on the finite set it is the
 largest of the off-diagonal values already evaluated. Every check
@@ -59,17 +62,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import codes, jsonutil
+from . import jsonutil
 from ._immutable import Rebuilt, read_only
+from ._scalar import _check_dim, _point_values
 from .errors import TheoremViolationError
-from .gegenbauer import (
-    _check_dim,
-    _check_r,
-    _horner,
-    _point_values,
-    _recursion,
-    basis_values,
-)
+from .gegenbauer import _check_r, _horner, _recursion, basis_values
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
@@ -404,6 +401,8 @@ def double_sum(phi: PhiSpec, M: np.ndarray) -> float:
     Entries must lie in [-1, 1] up to 1e-12 (the code axioms guarantee
     this); anything further out raises, naming the offending cell.
     """
+    from . import codes
+
     return float(phi._values(codes._clipped_entries(M)).sum())
 
 
@@ -434,7 +433,7 @@ def functional_pfender_check(
     if variant not in ("interval", "finite_set"):
         raise ValueError(f"unknown variant {variant!r}")
     ct = float(code.cos_theta if cos_theta is None else cos_theta)
-    failures = codes._failures(code, ct)
+    failures = code._failures(ct)
     if failures:
         raise ValueError(
             f"code fails its own verification at cos_theta={ct!r}: {failures}"

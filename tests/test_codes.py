@@ -323,6 +323,14 @@ class TestMetricVerification:
             same = MetricCode(code.space, good, code.functions, code.cos_theta)
             assert same.point_indices.tolist() == [1, 2, 3, 4]
 
+    def test_a_space_without_its_base_point_is_rejected(self):
+        # a 0 x 0 matrix used to pass, and verify then failed in numpy's
+        # "zero-size array to reduction operation maximum"
+        with pytest.raises(ValueError, match="^distance matrix is empty: a pointed "
+                           "space needs its base point 0$"):
+            PointedMetricSpace(np.zeros((0, 0)))
+        assert PointedMetricSpace(np.zeros((1, 1))).n_points == 1
+
     def test_brute_force_norm_matches_claim(self):
         metric = embed_as_metric_code(generate("icosahedron"))
         for f in metric.functions:

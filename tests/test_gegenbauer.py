@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from codebounds._scalar import _point_values
 from codebounds.gegenbauer import (
     GegenbauerPoly,
     _horner,
-    _point_values,
     basis_values,
     expand_in_basis,
     gegenbauer_eval,
@@ -72,6 +72,8 @@ class TestEval:
             with pytest.raises(ValueError, match=message):
                 call(degree)
         assert basis_values(3, np.int64(2), 0.5).tolist() == [1.0, 0.5, -0.125]
+        # numpy registers its integers as numbers.Integral, which the checks ask for
+        assert basis_values(np.uint8(3), 2, 0.5).tolist() == [1.0, 0.5, -0.125]
 
     @pytest.mark.parametrize(
         "points, message",

@@ -2,6 +2,7 @@
 only the modules it runs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import codebounds
-from codebounds import codes, jsonutil, pfender
+from codebounds import cli, codes, jsonutil, pfender
+from codebounds.gegenbauer import gegenbauer_eval
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,11 +40,13 @@ def test_importing_the_package_loads_no_module(tmp_path):
     "argv, unused",
     [
         (["gegenbauer", "eval", "--dim", "3", "--degree", "2", "--at", "0.5"],
-         {"codes", "pfender", "dgs_bound", "linprog", "scanning"}),
+         {"gegenbauer", "codes", "pfender", "dgs_bound", "linprog", "scanning"}),
         (["code", "verify", "--file", "e8.json", "--cos-theta", "0.5"],
          {"gegenbauer", "pfender", "dgs_bound", "linprog", "scanning"}),
         (["bound", "pfender", "--phi", "g1.json", "--c", "0.5", "--cos-theta", "-0.5"],
-         {"dgs_bound", "linprog"}),
+         {"codes", "dgs_bound", "linprog"}),
+        (["bound", "lp", "--dim", "3", "--cos-theta", "0.5", "--degree", "6"],
+         {"codes"}),
     ],
     ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None,
 )
@@ -58,6 +62,43 @@ def test_a_command_imports_only_what_it_runs(tmp_path, argv, unused):
     loaded = loaded_after(script, tmp_path)
     assert "cli" in loaded
     assert not loaded & unused, sorted(loaded & unused)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stderr",
+    [
+        (["gegenbauer", "eval", "--dim", "3", "--degree", "2", "--at", "0.5"], 0, ""),
+        (["bound", "lp", "--dim", "3", "--cos-theta", "0.5", "--degree", "41"], 2,
+         "error: degree is capped at 40\n"),
+        (["bound", "lp", "--dim", "1", "--cos-theta", "0.5", "--degree", "6"], 2,
+         "error: dimension must be >= 2, got 1\n"),
+        (["bound", "lp", "--dim", "3", "--cos-theta", "1.0", "--degree", "6"], 2,
+         "error: cos_theta must lie in [-1, 1), got 1.0\n"),
+    ],
+    ids=["eval", "lp-degree", "lp-dim", "lp-cos-theta"],
+)
+def test_a_scalar_command_loads_no_numpy(tmp_path, argv, exit_code, stderr):
+    # its arguments are checked, and G_k at one point computed, in plain Python
+    script = (
+        "import contextlib, io\nfrom codebounds import cli\nerr = io.StringIO()\n"
+        f"with contextlib.redirect_stderr(err):\n    code = cli.main({argv!r})\n"
+        f"assert (code, err.getvalue()) == ({exit_code}, {stderr!r}), err.getvalue()"
+    )
+    # a loaded numpy would show as numpy.* submodules
+    assert loaded_after(script, tmp_path, "numpy") == set()
+
+
+@pytest.mark.parametrize(
+    "dim, degree, at",
+    [(3, 2, math.nan), (3, 2, math.inf), (3, 2, 2.0), (3, -1, 0.5), (1, 2, 0.5),
+     (1, -1, math.nan)],
+)
+def test_a_scalar_eval_fails_as_the_library_does(capsys, dim, degree, at):
+    with pytest.raises(ValueError) as raised:
+        gegenbauer_eval(dim, degree, at)
+    argv = ["--dim", str(dim), "--degree", str(degree), "--at", str(at)]
+    assert cli.main(["gegenbauer", "eval", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {raised.value}\n")
 
 
 def test_a_finite_set_check_loads_no_numpy_polynomial(tmp_path):

@@ -33,14 +33,37 @@ from codebounds.scanning import chebyshev_points, critical_points
 
 
 HARNESS = Path(__file__).resolve().parent.parent / "scripts" / "consistency_harness.py"
+# the harness's lp_catalog() as it was when the report digest was pinned:
+# the three phi = P - a_0 and c = a_0 of lp_bound(3, .5, 10), (4, .5, 10)
+# and (8, .5, 6), written by jsonutil (17 digits, so every bit round-trips)
+LP_PHIS = Path(__file__).resolve().parent / "harness_lp_phis.json"
+
+
+def harness():
+    spec = importlib.util.spec_from_file_location("consistency_harness", HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def harness_catalog():
     """The 27 (name, phi, c, variant) certificates of the consistency harness."""
-    spec = importlib.util.spec_from_file_location("consistency_harness", HARNESS)
-    harness = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(harness)
-    return harness.certificate_catalog()
+    return harness().certificate_catalog()
+
+
+def stored_harness_catalog():
+    """The harness catalog with its three LP certificates read from LP_PHIS,
+    so that a change to the LP moves none of its bits."""
+    stored = [
+        (
+            entry["name"],
+            pfender.phi_from_json_dict(entry["phi"]),
+            jsonutil.json_real(entry["c"], "c"),
+            "interval",
+        )
+        for entry in jsonutil.load_path(str(LP_PHIS))
+    ]
+    return harness().closed_form_catalog() + stored
 
 
 def g1(dim):
@@ -515,7 +538,9 @@ CATALOG_CODES = (
 def test_every_report_keeps_its_bits():
     # every certificate of the harness in both variants, on the catalog as
     # l_2 codes and on seeded random l_p codes: the digest pins the bits of
-    # every report, so per-pair work may move but not change a result
+    # every report, so per-pair work may move but not change a result. The
+    # LP certificates come from a file, so the digest pins the checker
+    # alone; test_one_round_certificates_keep_their_bytes pins the LP
     rng = np.random.default_rng(20240803)
     pool = [
         codes.euclidean_to_functional(codes.generate(family, dim=dim))
@@ -525,7 +550,7 @@ def test_every_report_keeps_its_bits():
         pool.append(codes.random_functional_code(
             rng, (1.5, 2.0, 3.0)[i % 3], int(rng.integers(2, 7)), int(rng.integers(2, 9))
         ))
-    catalog = harness_catalog()
+    catalog = stored_harness_catalog()
     lines = [
         report_line(functional_pfender_check(code, phi, c, variant=variant))
         for code in pool
