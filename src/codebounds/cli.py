@@ -14,9 +14,11 @@ are deterministic; rerunning writes byte-identical files.
 
 Each command imports the modules it runs when it runs, so a cold start
 of ``bound lp``, say, never loads the codes. Arguments are checked, and
-``gegenbauer eval``'s one value is computed, by ``_scalar`` in plain
-Python, so that command and any ``bound lp`` argument error load no
-numpy.
+``gegenbauer eval``'s value and ``gegenbauer expand``'s coefficients
+are computed, by ``_scalar`` in plain Python; ``code gen`` builds and
+writes its code with ``_catalog``, also plain Python. So ``gegenbauer
+eval``, ``gegenbauer expand``, ``code gen`` and any ``bound lp``
+argument error load no numpy.
 """
 
 from __future__ import annotations
@@ -45,11 +47,8 @@ def cmd_gegenbauer(args) -> int:
         at = _scalar._check_point(args.at)
         print(format_float(_scalar._point_values(dim, degree, at)[degree]))
         return 0
-    from .gegenbauer import expand_in_basis
-
     mono = [float(v) for v in args.expand.split(",")]
-    poly = expand_in_basis(mono, args.dim)
-    for k, a in enumerate(poly.coeffs):
+    for k, a in enumerate(_scalar.expand_in_basis(mono, args.dim)):
         print(f"a_{k} = {format_float(a)}")
     return 0
 
@@ -108,13 +107,16 @@ def cmd_bound(args) -> int:
 
 
 def cmd_code(args) -> int:
-    from . import codes
-
     if args.action == "gen":
-        code = codes.generate(args.family, dim=args.dim)
-        jsonutil.dump_path(args.out, codes.code_to_json_dict(code))
-        print(f"wrote {args.out}: {code.kind} code, n={code.n}, dim={code.dim}")
+        # codes.generate and code_to_json_dict wrap these lists in arrays
+        from . import _catalog
+
+        dim, vectors, cos_theta = _catalog.generate(args.family, args.dim)
+        data = _catalog.spherical_json_dict(dim, vectors, cos_theta)
+        jsonutil.dump_path(args.out, data)
+        print(f"wrote {args.out}: spherical code, n={len(vectors)}, dim={dim}")
         return 0
+    from . import codes
 
     if args.action == "verify":
         code = codes.code_from_json_dict(jsonutil.load_path(args.file))

@@ -29,24 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
 
 import numpy as np
 
-from . import jsonutil
+from . import _catalog, jsonutil
+from ._catalog import FAMILIES, _check_dim
 from ._immutable import Rebuilt, read_only
 
 TOL_EQ = 1e-12
 TOL_LIP = 1e-9
-
-FAMILIES = (
-    "simplex",
-    "orthonormal",
-    "cross_polytope",
-    "icosahedron",
-    "d4_roots",
-    "e8_roots",
-)
 
 __all__ = [
     "FAMILIES",
@@ -73,15 +64,6 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains NaN or infinite entries")
     return arr
-
-
-def _check_dim(dim, name: str = "dimension") -> int:
-    """``dim`` as an int if it is an integer >= 1; a bool or a non-integer
-    (2.5, say) raises ValueError naming ``name``. (``_scalar._check_dim``
-    asks for dim >= 2.)"""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {dim!r}")
-    return int(dim)
 
 
 def _check_indices(indices) -> np.ndarray:
@@ -549,75 +531,14 @@ def embed_as_metric_code(code: SphericalCode) -> MetricCode:
     )
 
 
-def _simplex_vectors(d: int) -> np.ndarray:
-    """d+1 unit vectors in R^d with pairwise inner products -1/d.
-
-    The simplex in R^k is e_1 and the points (-1/k, sqrt(1 - 1/k^2) v)
-    for v in the simplex in R^(k-1). It is built in place from k = 1 up,
-    in the bottom-right corner out[d-k:, d-k:], so each entry is scaled
-    in the same order as by the recursion.
-    """
-    out = np.zeros((d + 1, d))
-    out[d - 1:, d - 1] = (1.0, -1.0)
-    for k in range(2, d + 1):
-        top = d - k
-        out[top + 1:, top + 1:] *= math.sqrt(1.0 - 1.0 / k**2)
-        out[top, top] = 1.0
-        out[top + 1:, top] = -1.0 / k
-    return out
-
-
-def _icosahedron_vectors() -> np.ndarray:
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    scale = 1.0 / math.sqrt(1.0 + phi * phi)
-    vecs = []
-    for a, b in product((1.0, -1.0), repeat=2):
-        vecs.append((0.0, a, b * phi))
-        vecs.append((a, b * phi, 0.0))
-        vecs.append((b * phi, 0.0, a))
-    return np.array(vecs) * scale
-
-
-def _dn_root_vectors(dim: int) -> np.ndarray:
-    """The roots +-e_i +-e_j of D_dim, scaled to unit length."""
-    vecs = []
-    for i, j in combinations(range(dim), 2):
-        for si, sj in product((1.0, -1.0), repeat=2):
-            v = np.zeros(dim)
-            v[i], v[j] = si, sj
-            vecs.append(v)
-    return np.array(vecs) / math.sqrt(2.0)
-
-
-def _e8_root_vectors() -> np.ndarray:
-    """D_8's roots, then the half-integer roots with an even number of -1/2."""
-    halves = [
-        signs for signs in product((0.5, -0.5), repeat=8) if signs.count(-0.5) % 2 == 0
-    ]
-    return np.vstack([_dn_root_vectors(8), np.array(halves) / math.sqrt(2.0)])
-
-
 def generate(family: str, dim: int | None = None) -> SphericalCode:
     """Build a catalog code at its canonical cos_theta.
 
     Families: simplex(d), orthonormal(d), cross_polytope(d), icosahedron,
-    d4_roots, e8_roots.
+    d4_roots, e8_roots. A fixed family takes ``dim`` None or its own
+    dimension. ``_catalog.generate`` builds the vectors.
     """
-    if family in ("simplex", "orthonormal", "cross_polytope"):
-        dim = _check_dim(dim, f"{family} dimension")
-    if family == "simplex":
-        return SphericalCode(dim, _simplex_vectors(dim), -1.0 / dim)
-    if family == "orthonormal":
-        return SphericalCode(dim, np.eye(dim), 0.0)
-    if family == "cross_polytope":
-        return SphericalCode(dim, np.vstack([np.eye(dim), -np.eye(dim)]), 0.0)
-    if family == "icosahedron":
-        return SphericalCode(3, _icosahedron_vectors(), 1.0 / math.sqrt(5.0))
-    if family == "d4_roots":
-        return SphericalCode(4, _dn_root_vectors(4), 0.5)
-    if family == "e8_roots":
-        return SphericalCode(8, _e8_root_vectors(), 0.5)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return SphericalCode(*_catalog.generate(family, dim))
 
 
 def random_functional_code(
@@ -635,12 +556,9 @@ def random_functional_code(
 
 def code_to_json_dict(code) -> dict:
     if isinstance(code, SphericalCode):
-        return {
-            "kind": "spherical",
-            "dim": int(code.dim),
-            "cos_theta": float(code.cos_theta),
-            "vectors": [[float(v) for v in row] for row in code.vectors],
-        }
+        return _catalog.spherical_json_dict(
+            code.dim, code.vectors.tolist(), code.cos_theta
+        )
     if isinstance(code, FunctionalCode):
         p = code.space.p
         return {

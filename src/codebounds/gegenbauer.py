@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scalar
 from ._immutable import Rebuilt, read_only
 from ._scalar import (
     MAX_TABLE_DEGREE,
@@ -110,19 +111,9 @@ def gegenbauer_eval(dim: int, k: int, r):
 
 def monomial_table(dim: int, max_degree: int) -> np.ndarray:
     """Upper-triangular (m+1) x (m+1) matrix whose column k holds G_k's
-    ascending monomial coefficients, built by the same recursion."""
-    dim = _check_dim(dim)
-    if _check_nonnegative_degree(max_degree, "max_degree") > MAX_TABLE_DEGREE:
-        raise ValueError(f"monomial tables are capped at degree {MAX_TABLE_DEGREE}")
-    table = np.zeros((max_degree + 1, max_degree + 1))
-    table[0, 0] = 1.0
-    if max_degree >= 1:
-        table[1, 1] = 1.0
-    for k in range(2, max_degree + 1):
-        table[1:, k] = table[:-1, k - 1] * (2 * k + dim - 4)
-        table[:, k] -= table[:, k - 2] * (k - 1)
-        table[:, k] /= k + dim - 3
-    return table
+    ascending monomial coefficients, built by the same recursion
+    (``_scalar.monomial_table``)."""
+    return np.array(_scalar.monomial_table(dim, max_degree))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,14 +219,12 @@ def expand_in_basis(mono_coeffs, dim: int) -> GegenbauerPoly:
 
     Solves the upper-triangular change-of-basis system, the monomial
     table (degree of G_k is exactly k, with positive leading
-    coefficient). Quadrature projection is the independent cross-check
-    used by the test suite, not by this routine.
+    coefficient), by back-substitution (``_scalar.expand_in_basis``).
+    Quadrature projection is the independent cross-check used by the
+    test suite, not by this routine.
     """
     dim = _check_dim(dim)
     b = np.atleast_1d(np.asarray(mono_coeffs, dtype=float))
-    if b.ndim != 1 or b.size == 0:
+    if b.ndim != 1:
         raise ValueError("mono_coeffs must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("mono_coeffs must be finite")
-    m = len(b) - 1
-    return GegenbauerPoly(dim, np.linalg.solve(monomial_table(dim, m), b))
+    return GegenbauerPoly(dim, _scalar.expand_in_basis(b.tolist(), dim))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codebounds import cli, codes, jsonutil, pfender
+from codebounds import cli, codes, gegenbauer, jsonutil, pfender
 from codebounds.errors import TheoremViolationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,6 +60,19 @@ class TestGegenbauer:
         lines = out.strip().splitlines()
         assert lines[0].startswith("a_0 = 0.333333")
         assert lines[2].startswith("a_2 = 0.666666")
+
+    def test_expand_prints_what_the_library_gives(self, capsys, rng):
+        for degree in (0, 1, 7, 40):
+            dim = int(rng.integers(2, 30))
+            mono = [jsonutil.format_float(v) for v in rng.uniform(-2, 2, degree + 1)]
+            # --expand=..., as a first value "-1.5" would read as an option
+            expand = "--expand=" + ",".join(mono)
+            assert cli.main(["gegenbauer", "expand", "--dim", str(dim), expand]) == 0
+            poly = gegenbauer.expand_in_basis([float(v) for v in mono], dim)
+            assert capsys.readouterr().out == "".join(
+                f"a_{k} = {jsonutil.format_float(a)}\n"
+                for k, a in enumerate(poly.coeffs)
+            )
 
 
 def readme_commands():
@@ -488,6 +501,34 @@ class TestCode:
         assert code == 2
         assert err == (
             f"error: unknown family 'leech'; choose from {codes.FAMILIES}\n"
+        )
+
+    def test_a_fixed_family_rejects_another_dimension(self, tmp_path, capsys):
+        out = tmp_path / "e8.json"
+        argv = ["code", "gen", "--family", "e8_roots", "--dim", "5", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: e8_roots has dimension 8, got dimension 5\n"
+        )
+        assert not out.exists()
+        argv[5] = "8"
+        assert cli.main(argv) == 0
+        assert out.read_text() == jsonutil.dumps(
+            codes.code_to_json_dict(codes.generate("e8_roots"))
+        )
+
+    @pytest.mark.parametrize("family, dim", [
+        ("simplex", 7), ("orthonormal", 2), ("cross_polytope", 5),
+        ("icosahedron", None), ("d4_roots", None), ("e8_roots", None),
+    ])
+    def test_gen_writes_what_the_library_writes(self, tmp_path, capsys, family, dim):
+        out = tmp_path / "gen.json"
+        argv = ["code", "gen", "--family", family, "--out", str(out)]
+        assert cli.main(argv + ([] if dim is None else ["--dim", str(dim)])) == 0
+        code = codes.generate(family, dim)
+        assert out.read_text() == jsonutil.dumps(codes.code_to_json_dict(code))
+        assert capsys.readouterr().out == (
+            f"wrote {out}: spherical code, n={code.n}, dim={code.dim}\n"
         )
 
     def test_verify_metric_code_file(self, tmp_path):

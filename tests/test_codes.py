@@ -1,6 +1,7 @@
 """Code representations, axiom verification, catalog, embeddings."""
 
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -578,6 +579,47 @@ class TestGenerate:
         with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
             codes.SphericalCode(dim, [[1.0]], 0.0)
 
+    @pytest.mark.parametrize("family, fixed", [
+        ("icosahedron", 3), ("d4_roots", 4), ("e8_roots", 8),
+    ])
+    def test_a_fixed_family_takes_only_its_own_dimension(self, family, fixed):
+        expected = code_to_json_dict(generate(family))
+        assert code_to_json_dict(generate(family, fixed)) == expected
+        assert code_to_json_dict(generate(family, np.int64(fixed))) == expected
+        for dim in (fixed - 1, fixed + 1, 24):
+            message = rf"^{family} has dimension {fixed}, got dimension {dim}$"
+            with pytest.raises(ValueError, match=message):
+                generate(family, dim)
+        with pytest.raises(ValueError, match=rf"{family} dimension must be an integer"):
+            generate(family, 2.5)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_catalog_code_keeps_its_bytes(self, family):
+        # sha256 of the files of every dimension 1..16 (or of the one fixed
+        # dimension) concatenated, pinned from the array generators the
+        # plain Python catalog replaced; the digests cover the -0.0 entries
+        # of cross_polytope, which the files write as -0
+        digests = {
+            "simplex":
+                "ef8209ce930d295683b1ae1183aca67883ee3ddbf2426c654cc197c12a045685",
+            "orthonormal":
+                "e94549e3b2b4f6e1777bbf88abcd6d96c2fc8200065b30530c342a980cbfc21b",
+            "cross_polytope":
+                "53998127146f048d2cf7df380782be635dc31e2630264620932a801eaa5786c1",
+            "icosahedron":
+                "31dba8e9ef97387e384fa0e4924350ef0a8c260657de9a535c7bb6a1ee804f54",
+            "d4_roots":
+                "060e1d14280c709b7b28eef629a36b1971fd53aef6c95a2d7e4aaad3b8841185",
+            "e8_roots":
+                "31d6079eb7dfa0378e3ba70ffdb438860be55388a03cae22daf95e407a4b8ee1",
+        }
+        sized = family in ("simplex", "orthonormal", "cross_polytope")
+        text = "".join(
+            jsonutil.dumps(code_to_json_dict(generate(family, dim)))
+            for dim in (range(1, 17) if sized else [None])
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[family]
+
     def test_canonical_angles(self):
         assert generate("simplex", dim=4).cos_theta == pytest.approx(-0.25)
         assert generate("orthonormal", dim=4).cos_theta == 0.0
@@ -617,7 +659,11 @@ class TestRandomFunctionalCodes:
                     failures.append(f"axiom (iii): f_{j}(tau_{j}) = {fjj!r}, not 1")
             return failures
 
-        codes = [euclidean_to_functional(generate(family, dim=6)) for family in FAMILIES]
+        fixed = ("icosahedron", "d4_roots", "e8_roots")
+        codes = [
+            euclidean_to_functional(generate(family, dim=None if family in fixed else 6))
+            for family in FAMILIES
+        ]
         for p in (1.0, 1.5, 2.0, 3.0, 7.5, math.inf):
             for dim, n in ((2, 3), (5, 8), (17, 30)):
                 try:

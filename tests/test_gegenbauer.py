@@ -1,8 +1,10 @@
 """Gegenbauer family: recursion, tables, quadrature, expansion."""
 
 import copy
+import hashlib
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,6 +231,18 @@ class TestBasisTables:
             at_one = monomial_table(dim, 20).sum(axis=0)
             assert at_one == pytest.approx(np.ones(21), abs=1e-10)
 
+    def test_tables_keep_their_bits(self):
+        # sha256 of the degree-40 tables for dim 2..24, C order, pinned
+        # from the array recursion the plain Python table replaced
+        digest = hashlib.sha256()
+        for dim in range(2, 25):
+            table = monomial_table(dim, 40)
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            digest.update(table.tobytes())
+        assert digest.hexdigest() == (
+            "57bb7c12da0e3ccfef66c6fe2b5cae75f06e12a0283573966cf32b61e6262ca3"
+        )
+
     def test_degree_cap(self):
         assert monomial_table(3, 40).shape == (41, 41)
         with pytest.raises(ValueError, match="capped at degree 40"):
@@ -339,6 +353,36 @@ class TestExpansion:
             solved = expand_in_basis(mono, dim).coeffs
             projected = quadrature_projection(mono, dim)
             assert np.max(np.abs(solved - projected)) <= 1e-10
+
+    def test_projection_cross_check_at_high_degree(self, rng):
+        # the oracle's Golub-Welsch weights are accurate only in absolute
+        # terms, so past dim 8 at these degrees the oracle itself drifts
+        # (about 4e-8 at dim 24, degree 40); the exact check below covers
+        # the higher dimensions
+        for degree in range(20, 41):
+            dim = int(rng.integers(2, 9))
+            mono = rng.uniform(-1.0, 1.0, degree + 1)
+            solved = expand_in_basis(mono, dim).coeffs
+            projected = quadrature_projection(mono, dim)
+            scale = np.max(np.abs(projected))
+            assert np.max(np.abs(solved - projected)) <= 1e-10 * scale, (degree, dim)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 24, 100, 200])
+    def test_expansion_matches_exact_rationals(self, rng, dim):
+        # the float table's system, solved in exact rationals
+        for degree in (20, 30, 40):
+            mono = rng.uniform(-1.0, 1.0, degree + 1)
+            table = monomial_table(dim, degree)
+            table = [[Fraction(v) for v in row] for row in table]
+            exact = [Fraction(v) for v in mono.tolist()]
+            for k in range(degree, -1, -1):
+                exact[k] /= table[k][k]
+                for i in range(k):
+                    exact[i] -= exact[k] * table[i][k]
+            exact = np.array([float(v) for v in exact])
+            solved = expand_in_basis(mono, dim).coeffs
+            scale = np.max(np.abs(exact))
+            assert np.max(np.abs(solved - exact)) <= 1e-10 * scale, degree
 
 
 class TestPositiveDefiniteness:

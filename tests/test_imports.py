@@ -12,7 +12,7 @@ import pytest
 
 import codebounds
 from codebounds import cli, codes, jsonutil, pfender
-from codebounds.gegenbauer import gegenbauer_eval
+from codebounds.gegenbauer import expand_in_basis, gegenbauer_eval
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,6 +64,9 @@ def test_a_command_imports_only_what_it_runs(tmp_path, argv, unused):
     assert not loaded & unused, sorted(loaded & unused)
 
 
+GEN_DIMS = {"simplex": 5, "orthonormal": 4, "cross_polytope": 3}
+
+
 @pytest.mark.parametrize(
     "argv, exit_code, stderr",
     [
@@ -74,11 +77,27 @@ def test_a_command_imports_only_what_it_runs(tmp_path, argv, unused):
          "error: dimension must be >= 2, got 1\n"),
         (["bound", "lp", "--dim", "3", "--cos-theta", "1.0", "--degree", "6"], 2,
          "error: cos_theta must lie in [-1, 1), got 1.0\n"),
+        (["gegenbauer", "expand", "--dim", "3", "--expand", "0,0,1"], 0, ""),
+        (["gegenbauer", "expand", "--dim", "1", "--expand", "0,0,1"], 2,
+         "error: dimension must be an integer >= 2, got 1\n"),
+        (["gegenbauer", "expand", "--dim", "3", "--expand", ",".join(["1"] * 42)], 2,
+         "error: monomial tables are capped at degree 40\n"),
+        *[
+            (["code", "gen", "--family", family, "--out", "gen.json"]
+             + (["--dim", str(GEN_DIMS[family])] if family in GEN_DIMS else []), 0, "")
+            for family in codes.FAMILIES
+        ],
+        (["code", "gen", "--family", "leech", "--out", "gen.json"], 2,
+         f"error: unknown family 'leech'; choose from {codes.FAMILIES}\n"),
+        (["code", "gen", "--family", "e8_roots", "--dim", "5", "--out", "gen.json"], 2,
+         "error: e8_roots has dimension 8, got dimension 5\n"),
     ],
-    ids=["eval", "lp-degree", "lp-dim", "lp-cos-theta"],
+    ids=["eval", "lp-degree", "lp-dim", "lp-cos-theta", "expand", "expand-dim",
+         "expand-degree", *[f"gen-{family}" for family in codes.FAMILIES],
+         "gen-leech", "gen-e8-dim"],
 )
 def test_a_scalar_command_loads_no_numpy(tmp_path, argv, exit_code, stderr):
-    # its arguments are checked, and G_k at one point computed, in plain Python
+    # its arguments are checked, and its values computed, in plain Python
     script = (
         "import contextlib, io\nfrom codebounds import cli\nerr = io.StringIO()\n"
         f"with contextlib.redirect_stderr(err):\n    code = cli.main({argv!r})\n"
@@ -98,6 +117,20 @@ def test_a_scalar_eval_fails_as_the_library_does(capsys, dim, degree, at):
         gegenbauer_eval(dim, degree, at)
     argv = ["--dim", str(dim), "--degree", str(degree), "--at", str(at)]
     assert cli.main(["gegenbauer", "eval", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+
+
+@pytest.mark.parametrize(
+    "dim, mono",
+    [(1, "0,0,1"), (3, ",".join(["1"] * 42)), (3, "1,nan"), (3, "1,-inf"),
+     (2, ",".join(["1e308"] * 41))],
+    ids=["dim", "degree", "nan", "inf", "overflow"],
+)
+def test_a_scalar_expand_fails_as_the_library_does(capsys, dim, mono):
+    values = [float(v) for v in mono.split(",")]
+    with pytest.raises(ValueError) as raised:
+        expand_in_basis(values, dim)
+    assert cli.main(["gegenbauer", "expand", "--dim", str(dim), "--expand", mono]) == 2
     assert capsys.readouterr() == ("", f"error: {raised.value}\n")
 
 
