@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product
-from numbers import Integral
+
+from ._scalar import _check_dim
 
 FAMILIES = (
     "simplex",
@@ -24,36 +25,33 @@ FAMILIES = (
     "e8_roots",
 )
 
+# the largest dimension of the families that take one (a cross polytope
+# holds 2 d^2 floats)
+MAX_CATALOG_DIM = 1024
+
 # the families whose dimension is fixed, with it
 _FIXED_DIMS = {"icosahedron": 3, "d4_roots": 4, "e8_roots": 8}
-
-
-def _check_dim(dim, name: str = "dimension") -> int:
-    """``dim`` as an int if it is an integer >= 1; a bool or a non-integer
-    (2.5, say) raises ValueError naming ``name``. (``_scalar._check_dim``
-    asks for dim >= 2.)"""
-    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {dim!r}")
-    return int(dim)
 
 
 def _simplex_vectors(d: int) -> list[list[float]]:
     """d+1 unit vectors in R^d with pairwise inner products -1/d.
 
     The simplex in R^k is e_1 and the points (-1/k, sqrt(1 - 1/k^2) v)
-    for v in the simplex in R^(k-1). It is built in place from k = 1 up,
-    in the bottom-right corner out[d-k:][d-k:], so each entry is scaled
-    in the same order as by the recursion.
+    for v in the simplex in R^(k-1). Built from k = 1 up, column d - j
+    gets 1.0 on the diagonal and -1/j below it at step j, which every
+    later step k scales by sqrt(1 - 1/k^2), and 0.0 above; each value is
+    scaled here in that order, in O(d^2) steps, not O(d^3).
     """
+    scales = {k: math.sqrt(1.0 - 1.0 / k**2) for k in range(2, d + 1)}
     out = [[0.0] * d for _ in range(d + 1)]
-    out[d - 1][d - 1], out[d][d - 1] = 1.0, -1.0
-    for k in range(2, d + 1):
-        top = d - k
-        scale = math.sqrt(1.0 - 1.0 / k**2)
-        for row in out[top + 1:]:
-            row[top + 1:] = [v * scale for v in row[top + 1:]]
-            row[top] = -1.0 / k
-        out[top][top] = 1.0
+    for j in range(1, d + 1):
+        col, diagonal, below = d - j, 1.0, -1.0 / j
+        for k in range(j + 1, d + 1):
+            diagonal *= scales[k]
+            below *= scales[k]
+        out[col][col] = diagonal
+        for row in out[col + 1:]:
+            row[col] = below
     return out
 
 
@@ -97,15 +95,20 @@ def generate(
     """A catalog code at its canonical cos_theta, as (dim, vectors,
     cos_theta) with the vectors a list of rows of Python floats.
 
-    Families: simplex(d), orthonormal(d), cross_polytope(d) need ``dim``;
-    icosahedron (3), d4_roots (4) and e8_roots (8) take ``dim`` None or
-    their own dimension, and any other raises ValueError naming both.
+    Families: simplex(d), orthonormal(d), cross_polytope(d) need ``dim``,
+    at most ``MAX_CATALOG_DIM``; icosahedron (3), d4_roots (4) and
+    e8_roots (8) take ``dim`` None or their own dimension, and any other
+    raises ValueError naming both.
     """
     if family in ("simplex", "orthonormal", "cross_polytope"):
-        dim = _check_dim(dim, f"{family} dimension")
+        dim = _check_dim(dim, 1, f"{family} dimension")
+        if dim > MAX_CATALOG_DIM:
+            raise ValueError(
+                f"{family} dimension is capped at {MAX_CATALOG_DIM}, got {dim}"
+            )
     elif family in _FIXED_DIMS:
         fixed = _FIXED_DIMS[family]
-        if dim is not None and _check_dim(dim, f"{family} dimension") != fixed:
+        if dim is not None and _check_dim(dim, 1, f"{family} dimension") != fixed:
             raise ValueError(
                 f"{family} has dimension {fixed}, got dimension {int(dim)}"
             )

@@ -1,39 +1,47 @@
-"""The argument checks, the one-point Gegenbauer recursion and the
+"""The home of the input checks, which the CLI, the JSON readers and
+the library share, and the one-point Gegenbauer recursion and the
 monomial -> Gegenbauer expansion, in plain Python. ``cli`` runs them
 without importing a module that needs numpy, so ``gegenbauer eval``,
 ``gegenbauer expand`` and a bad ``bound lp`` argument cost no numpy
-import. Each has this one definition, which the library modules import
-too (``gegenbauer.monomial_table`` and ``expand_in_basis`` wrap these
+import (``gegenbauer.monomial_table`` and ``expand_in_basis`` wrap these
 lists in arrays); the integer checks accept numpy integers through
 ``numbers.Integral``, with which numpy registers its integer types."""
 
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral
 
 MAX_TABLE_DEGREE = 40
 
 
-def _check_dim(dim: int) -> int:
-    if not isinstance(dim, Integral) or dim < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
+def _check_int(value, name: str) -> int:
+    """``value`` as an int. A bool or a non-integer (2.0, say) raises
+    ValueError naming ``name``, where int(...) would truncate 8.7 and take
+    True as 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_dim(dim, low: int = 2, name: str = "dimension") -> int:
+    """``dim`` as an int if it is an integer >= ``low`` that a float can
+    hold (the Gegenbauer recursion computes with float(dim)); anything
+    else raises ValueError naming ``name``."""
+    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {dim!r}")
+    if dim > sys.float_info.max:
+        bits = int(dim).bit_length()
+        raise ValueError(f"{name} must be at most {sys.float_info.max!r}, "
+                         f"got an integer of {bits} bits")
     return int(dim)
-
-
-def _check_degree(degree, name: str = "degree") -> int:
-    """``degree`` as an int. A bool or a non-integer (2.0, say) raises
-    ValueError naming ``name``, as ``jsonutil.json_int`` does, instead of
-    passing True as degree 1 or failing later in an unnamed TypeError."""
-    if isinstance(degree, bool) or not isinstance(degree, Integral):
-        raise ValueError(f"{name} must be an integer, got {degree!r}")
-    return int(degree)
 
 
 def _check_nonnegative_degree(degree, name: str = "degree") -> int:
     """``degree`` as an int if it is an integer >= 0, else ValueError
     naming ``name``."""
-    degree = _check_degree(degree, name)
+    degree = _check_int(degree, name)
     if degree < 0:
         raise ValueError(f"{name} must be >= 0")
     return degree
@@ -57,13 +65,10 @@ def _check_point(x: float) -> float:
 
 def _validate_inputs(d: int, cos_theta: float, degree: int):
     """``dgs_bound.lp_bound``'s argument checks."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    _check_dim(d)
     if not (-1.0 <= cos_theta < 1.0):
         raise ValueError(f"cos_theta must lie in [-1, 1), got {cos_theta}")
-    if _check_degree(degree) < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if degree > MAX_TABLE_DEGREE:
+    if _check_nonnegative_degree(degree) > MAX_TABLE_DEGREE:
         raise ValueError(f"degree is capped at {MAX_TABLE_DEGREE}")
 
 

@@ -33,8 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from . import _catalog, jsonutil
-from ._catalog import FAMILIES, _check_dim
+from ._catalog import FAMILIES
 from ._immutable import Rebuilt, read_only
+from ._scalar import _check_dim, _check_int
 
 TOL_EQ = 1e-12
 TOL_LIP = 1e-9
@@ -66,13 +67,15 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _check_indices(indices) -> np.ndarray:
-    """``indices`` as a 1-d int array if every entry is an integer; a bool
-    or a non-integer (1.7, say) raises ValueError naming ``point_indices``,
-    where ``np.array(..., dtype=int)`` would truncate it."""
+def _check_indices(indices, n_points: int) -> np.ndarray:
+    """``indices`` as a 1-d int array if every entry is an integer in
+    [0, n_points), checked before ``np.array(..., dtype=int)``, which would
+    truncate a bool or a non-integer (1.7, say) and overflow past int64."""
     for value in np.asarray(indices, dtype=object).ravel().tolist():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"point_indices must be integers, got {value!r}")
+        if not 0 <= value < n_points:
+            raise ValueError("point index out of range")
     return np.atleast_1d(np.array(indices, dtype=int))
 
 
@@ -146,7 +149,7 @@ class LpSpace:
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise ValueError("p must satisfy p >= 1")
-        _check_dim(self.dim)
+        _check_dim(self.dim, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +163,7 @@ class SphericalCode(_Code):
     kind = "spherical"
 
     def __post_init__(self):
-        _check_dim(self.dim)
+        _check_dim(self.dim, 1)
         arr = np.atleast_2d(np.array(self.vectors, dtype=float))
         _check_finite(arr, "vectors")
         if arr.shape[1] != self.dim:
@@ -238,13 +241,11 @@ class MetricCode(_Code):
     kind = "metric"
 
     def __post_init__(self):
-        idx = _check_indices(self.point_indices)
+        idx = _check_indices(self.point_indices, self.space.n_points)
         fns = np.atleast_2d(np.array(self.functions, dtype=float))
         _check_finite(fns, "function tables")
         if fns.shape != (len(idx), self.space.n_points):
             raise ValueError("function tables must cover every space point")
-        if np.any(idx < 0) or np.any(idx >= self.space.n_points):
-            raise ValueError("point index out of range")
         object.__setattr__(self, "point_indices", read_only(idx))
         object.__setattr__(self, "functions", read_only(fns))
         object.__setattr__(self, "cos_theta", float(self.cos_theta))
@@ -592,7 +593,7 @@ def code_from_json_dict(data: dict):
 
     if kind == "spherical":
         return SphericalCode(
-            dim=jsonutil.json_int(data["dim"], "dim"),
+            dim=_check_int(data["dim"], "dim"),
             vectors=reals("vectors"),
             cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         )
@@ -600,13 +601,13 @@ def code_from_json_dict(data: dict):
         space = jsonutil.json_object(data["space"], "space")
         p = math.inf if space["p"] == "inf" else jsonutil.json_real(space["p"], "p")
         return FunctionalCode(
-            space=LpSpace(p, jsonutil.json_int(space["dim"], "space dim")),
+            space=LpSpace(p, _check_int(space["dim"], "space dim")),
             points=reals("points"),
             functionals=reals("functionals"),
             cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         )
     if kind == "metric":
-        if jsonutil.json_int(data.get("base", 0), "base") != 0:
+        if _check_int(data.get("base", 0), "base") != 0:
             raise ValueError("base point index must be 0")
         return MetricCode(
             space=PointedMetricSpace(reals("distance")),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonutil, pfender
-from ._scalar import _validate_inputs
+from ._scalar import _check_int, _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import GegenbauerPoly, basis_values
 from .linprog import LinearProgram, solve_lp
@@ -238,14 +238,13 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
     pfender_bound's message alone; a cos_theta outside [-1, 1] raises
     ValueError.
     """
+    cos_theta = pfender._checked_cos_theta(cert.cos_theta)
     phi, a0 = pfender_form(cert.poly)
     min_coeff = float(np.min(cert.poly.coeffs))
     try:
-        structural = pfender.pfender_bound(phi, a0, cert.cos_theta)
+        structural = pfender.pfender_bound(phi, a0, cos_theta)
     except ValueError as exc:
-        if not -1.0 <= cert.cos_theta <= 1.0:
-            raise
-        margin = pfender.interval_margin(phi, a0, cert.cos_theta)
+        margin = pfender.interval_margin(phi, a0, cos_theta)
         return DGSVerification(False, *margin, min_coeff, math.inf, [str(exc)])
     checked = structural.verification
     messages = [] if checked.condition_i_ok else [checked.condition_i_evidence]
@@ -321,8 +320,8 @@ def certificate_from_json_dict(data: dict) -> DGSCertificate:
         )
     return DGSCertificate(
         cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
-        poly=GegenbauerPoly(jsonutil.json_int(data["dim"], "dim"), coeffs),
+        poly=GegenbauerPoly(_check_int(data["dim"], "dim"), coeffs),
         bound_real=jsonutil.json_real(data["bound_real"], "bound_real"),
-        bound_int=jsonutil.json_int(data["bound_int"], "bound_int"),
+        bound_int=_check_int(data["bound_int"], "bound_int"),
         verification=verification,
     )

@@ -23,8 +23,8 @@ from . import _scalar
 from ._immutable import Rebuilt, read_only
 from ._scalar import (
     MAX_TABLE_DEGREE,
-    _check_degree,
     _check_dim,
+    _check_int,
     _check_nonnegative_degree,
     _point_error,
 )
@@ -164,7 +164,7 @@ def quadrature_rule(dim: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     endpoint singularity that this handles natively (nodes stay interior).
     """
     dim = _check_dim(dim)
-    if _check_degree(n_nodes, "n_nodes") < 1:
+    if _check_int(n_nodes, "n_nodes") < 1:
         raise ValueError("need at least one quadrature node")
     lam = (dim - 2) / 2.0
     k = np.arange(1.0, n_nodes)

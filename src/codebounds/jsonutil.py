@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any
+
+from ._scalar import _check_int
 
 
 def format_float(x: float) -> str:
@@ -59,23 +62,14 @@ def dump_path(path: str, obj: Any) -> None:
         fh.write(dumps(obj))
 
 
-def json_int(value: Any, name: str) -> int:
-    """``value`` if it is a JSON integer. int(...) would truncate a float
-    such as 8.7 and take a bool as 0 or 1, so anything else raises
-    ValueError naming the field ``name``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def json_ints(value: Any, name: str) -> list:
-    """``value`` if it is a JSON array whose entries all pass ``json_int``;
+    """``value`` if it is a JSON array whose entries all pass ``_check_int``;
     anything else (a number, null or a string, whose characters a loop
     would walk) raises ValueError naming the field ``name``."""
     if not isinstance(value, list):
         raise ValueError(f"{name} must be an array of integers, got {value!r}")
     for item in value:
-        json_int(item, name)
+        _check_int(item, name)
     return value
 
 
@@ -83,11 +77,12 @@ def json_real(value: Any, name: str) -> float:
     """``value`` as a float if it is a finite JSON number. float(...) would
     parse a string such as "0.5" and take a bool as 0.0 or 1.0, and
     json.load reads the tokens NaN and Infinity, which ``format_float``
-    never writes; anything else raises ValueError naming the field
-    ``name``."""
+    never writes, and integers past the float range; anything else raises
+    ValueError naming the field ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    # an exact comparison: NaN fails it, and a huge int is not converted
+    if not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import jsonutil
 from ._immutable import Rebuilt, read_only
-from ._scalar import _check_dim, _point_values
+from ._scalar import _check_dim, _check_int, _point_values
 from .errors import TheoremViolationError
 from .gegenbauer import _check_r, _horner, _recursion, basis_values
 from .scanning import chebyshev_points, critical_points
@@ -492,7 +492,7 @@ def phi_from_json_dict(data: dict) -> PhiSpec:
     return PhiSpec(
         basis=data["basis"],
         coeffs=jsonutil.json_reals(data["coeffs"], "coeffs"),
-        dim=None if dim is None else jsonutil.json_int(dim, "dim"),
+        dim=None if dim is None else _check_int(dim, "dim"),
     )
 
 
@@ -521,5 +521,5 @@ def certificate_from_json_dict(data: dict) -> PfenderCertificate:
         cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         variant=variant,
         bound_real=jsonutil.json_real(data["bound_real"], "bound_real"),
-        bound_int=jsonutil.json_int(data["bound_int"], "bound_int"),
+        bound_int=_check_int(data["bound_int"], "bound_int"),
     )

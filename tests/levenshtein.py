@@ -56,8 +56,10 @@ def levenshtein_degree(dim, s):
     return None
 
 
-def levenshtein(dim, s):
-    """(m(s), L_m(dim, s)), or None when m(s) > MAX_TABLE_DEGREE."""
+def levenshtein_polynomial(dim, s):
+    """(m(s), eps, zeros): f_m(t) = (t - s) (t + 1)^eps prod_z (t - z)^2
+    over the k - 1 float ``zeros`` of K_{k-1}(., s), or None when
+    m(s) > MAX_TABLE_DEGREE."""
     m = levenshtein_degree(dim, s)
     if m is None:
         return None
@@ -70,7 +72,15 @@ def levenshtein(dim, s):
         delta = np.linalg.solve(head, jacobi[-2, -1] ** 2 * np.eye(k - 1)[-1])
         jacobi[-1, -1] = s + delta[-1]
     nodes = np.linalg.eigvalsh(jacobi)
-    nodes = np.delete(nodes, np.abs(nodes - s).argmin())
+    return m, eps, np.delete(nodes, np.abs(nodes - s).argmin())
+
+
+def levenshtein(dim, s):
+    """(m(s), L_m(dim, s)), or None when m(s) > MAX_TABLE_DEGREE."""
+    found = levenshtein_polynomial(dim, s)
+    if found is None:
+        return None
+    m, eps, nodes = found
 
     def f(t):
         t = np.asarray(t, dtype=float)

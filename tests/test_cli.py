@@ -650,3 +650,101 @@ class TestJsonReals:
         assert json.loads(path.read_text())["space"]["p"] == "inf"
         assert cli.main(["code", "verify", "--file", str(path)]) == 0
         assert capsys.readouterr().out.startswith("valid=yes")
+
+
+HUGE = 10**400
+
+
+def _huge_cases(path):
+    """Per entry point: the JSON data it reads from ``path`` (or None), its
+    argv and the library call that reads the same input."""
+    phi_dim = {"basis": "gegenbauer", "dim": HUGE, "coeffs": [0.0, 0.0, 1.0]}
+    phi_coeff = {"basis": "gegenbauer", "dim": 3, "coeffs": [0.0, HUGE]}
+    sphere = codes.code_to_json_dict(codes.generate("orthonormal", dim=3))
+    sphere["vectors"][1][2] = HUGE
+    metric = codes.code_to_json_dict(
+        codes.embed_as_metric_code(codes.generate("simplex", dim=2))
+    )
+    metric["point_indices"][0] = HUGE
+    pfender_argv = ["bound", "pfender", "--phi", path, "--c", "0.5",
+                    "--cos-theta", "-0.5"]
+    return {
+        "eval-dim": (
+            None,
+            ["gegenbauer", "eval", "--dim", str(HUGE), "--degree", "2", "--at", "0.5"],
+            lambda: gegenbauer.gegenbauer_eval(HUGE, 2, 0.5),
+        ),
+        "expand-dim": (
+            None,
+            ["gegenbauer", "expand", "--dim", str(HUGE), "--expand", "0,0,1"],
+            lambda: gegenbauer.expand_in_basis([0.0, 0.0, 1.0], HUGE),
+        ),
+        "phi-dim": (phi_dim, pfender_argv, lambda: pfender.phi_from_json_dict(phi_dim)),
+        "phi-coeff": (
+            phi_coeff, pfender_argv, lambda: pfender.phi_from_json_dict(phi_coeff)
+        ),
+        "vector": (
+            sphere, ["code", "verify", "--file", path],
+            lambda: codes.code_from_json_dict(sphere),
+        ),
+        "point-index": (
+            metric, ["code", "verify", "--file", path],
+            lambda: codes.code_from_json_dict(metric),
+        ),
+        "gen-simplex": (
+            None,
+            ["code", "gen", "--family", "simplex", "--dim", str(HUGE), "--out", path],
+            lambda: codes.generate("simplex", HUGE),
+        ),
+    }
+
+
+class TestIntegersPastTheFloatRange:
+    """An integer that no float holds, as a dimension, a point index or a
+    real, exits 2 with the library's named ValueError, where it used to end
+    in an unnamed OverflowError and exit 1. (``bound lp``'s case is in
+    test_imports, which also checks that it loads no numpy.)"""
+
+    @pytest.mark.parametrize("case", list(_huge_cases("x.json")))
+    def test_exits_2_as_the_library_fails(self, case, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        data, argv, call = _huge_cases(str(path))[case]
+        if data is not None:
+            path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+        assert case != "gen-simplex" or not path.exists()
+
+    @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
+    def test_a_real_past_the_float_range_is_not_finite(self, value):
+        with pytest.raises(ValueError, match=r"^coeffs must be finite, got -?10{400}$"):
+            jsonutil.json_real(value, "coeffs")
+        # an integer that a float holds is read as that float
+        assert jsonutil.json_real(10**308, "coeffs") == 1e308
+
+    def test_a_huge_point_index_is_out_of_range(self):
+        metric = codes.embed_as_metric_code(codes.generate("simplex", dim=2))
+        for index in (HUGE, -HUGE, 2**63):
+            with pytest.raises(ValueError, match="^point index out of range$"):
+                codes.MetricCode(
+                    metric.space, [index, 2, 3], metric.functions, metric.cos_theta
+                )
+
+
+@pytest.mark.parametrize("family", ["simplex", "orthonormal", "cross_polytope"])
+def test_a_catalog_dimension_past_the_maximum_exits_2(family, tmp_path, capsys):
+    # checked before a row is built; a dimension of 10**4 would take
+    # gigabytes, and 10**400 would run until memory runs out
+    from codebounds import _catalog
+
+    dim = _catalog.MAX_CATALOG_DIM + 1
+    with pytest.raises(ValueError) as raised:
+        codes.generate(family, dim)
+    assert str(raised.value) == f"{family} dimension is capped at 1024, got 1025"
+    out = tmp_path / "gen.json"
+    argv = ["code", "gen", "--family", family, "--dim", str(dim), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+    assert not out.exists()

@@ -620,6 +620,21 @@ class TestGenerate:
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digests[family]
 
+    @pytest.mark.parametrize("dim", [17, 40, 99])
+    def test_simplex_keeps_the_recursions_bits(self, dim):
+        # the recursion itself, rescaling the bottom-right corner at each
+        # step in O(d^3), is the reference for the per-column scaling
+        out = [[0.0] * dim for _ in range(dim + 1)]
+        out[dim - 1][dim - 1], out[dim][dim - 1] = 1.0, -1.0
+        for k in range(2, dim + 1):
+            top = dim - k
+            scale = math.sqrt(1.0 - 1.0 / k**2)
+            for row in out[top + 1:]:
+                row[top + 1:] = [v * scale for v in row[top + 1:]]
+                row[top] = -1.0 / k
+            out[top][top] = 1.0
+        assert generate("simplex", dim).vectors.tobytes() == np.array(out).tobytes()
+
     def test_canonical_angles(self):
         assert generate("simplex", dim=4).cos_theta == pytest.approx(-0.25)
         assert generate("orthonormal", dim=4).cos_theta == 0.0

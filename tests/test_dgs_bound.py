@@ -87,6 +87,9 @@ class TestLPBound:
             lp_bound(8, 0.5, True)
         with pytest.raises(ValueError, match="dimension must be an integer"):
             lp_bound(8.0, 0.5, 6)
+        # the float recursion would overflow on float(dim)
+        with pytest.raises(ValueError, match="^dimension must be at most "):
+            lp_bound(10**400, 0.5, 3)
         assert lp_bound(8, 0.5, np.int64(6)).bound_int == 240
 
 

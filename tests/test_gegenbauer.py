@@ -355,10 +355,13 @@ class TestExpansion:
             assert np.max(np.abs(solved - projected)) <= 1e-10
 
     def test_projection_cross_check_at_high_degree(self, rng):
-        # the oracle's Golub-Welsch weights are accurate only in absolute
-        # terms, so past dim 8 at these degrees the oracle itself drifts
-        # (about 4e-8 at dim 24, degree 40); the exact check below covers
-        # the higher dimensions
+        # past dim 8 at these degrees the oracle itself drifts (about 4e-8
+        # of max|a| at dim 24, degree 40): a_k = <p, G_k> / <G_k, G_k> sums
+        # terms of p's size into a value of size a_k |G_k|^2, so rounding
+        # error near eps |p| / |G_k| reaches a_k, and |G_40| is 4e-9 at dim
+        # 24 and 2e-13 at dim 50. Its weights are not the cause: scipy's
+        # roots_jacobi weights give errors of the same size. The exact
+        # check below covers the higher dimensions
         for degree in range(20, 41):
             dim = int(rng.integers(2, 9))
             mono = rng.uniform(-1.0, 1.0, degree + 1)

@@ -74,7 +74,10 @@ GEN_DIMS = {"simplex": 5, "orthonormal": 4, "cross_polytope": 3}
         (["bound", "lp", "--dim", "3", "--cos-theta", "0.5", "--degree", "41"], 2,
          "error: degree is capped at 40\n"),
         (["bound", "lp", "--dim", "1", "--cos-theta", "0.5", "--degree", "6"], 2,
-         "error: dimension must be >= 2, got 1\n"),
+         "error: dimension must be an integer >= 2, got 1\n"),
+        (["bound", "lp", "--dim", str(10**400), "--cos-theta", "0.5", "--degree", "3"],
+         2, "error: dimension must be at most 1.7976931348623157e+308, got an integer "
+         "of 1329 bits\n"),
         (["bound", "lp", "--dim", "3", "--cos-theta", "1.0", "--degree", "6"], 2,
          "error: cos_theta must lie in [-1, 1), got 1.0\n"),
         (["gegenbauer", "expand", "--dim", "3", "--expand", "0,0,1"], 0, ""),
@@ -92,7 +95,7 @@ GEN_DIMS = {"simplex": 5, "orthonormal": 4, "cross_polytope": 3}
         (["code", "gen", "--family", "e8_roots", "--dim", "5", "--out", "gen.json"], 2,
          "error: e8_roots has dimension 8, got dimension 5\n"),
     ],
-    ids=["eval", "lp-degree", "lp-dim", "lp-cos-theta", "expand", "expand-dim",
+    ids=["eval", "lp-degree", "lp-dim", "lp-huge-dim", "lp-cos-theta", "expand", "expand-dim",
          "expand-degree", *[f"gen-{family}" for family in codes.FAMILIES],
          "gen-leech", "gen-e8-dim"],
 )
