@@ -1,5 +1,6 @@
-"""What makes the package's value types immutable: read-only arrays, and
-copies and pickles that go back through the constructor. ``codes``,
+"""What makes the package's value types immutable: read-only arrays, float
+arrays that name an overflowing input, and copies and pickles that go
+back through the constructor. ``codes``,
 ``gegenbauer`` and ``pfender`` share it, so none of them imports another
 for it."""
 
@@ -13,6 +14,18 @@ import numpy as np
 def read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def float_array(values, what: str) -> np.ndarray:
+    """``np.array(values, dtype=float)``, where a Python integer past the
+    float range raises a ValueError naming ``what`` instead of numpy's
+    unnamed OverflowError."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(
+            f"{what} must be finite, got an integer past the float range"
+        ) from None
 
 
 class Rebuilt:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _catalog, jsonutil
 from ._catalog import FAMILIES
-from ._immutable import Rebuilt, read_only
+from ._immutable import Rebuilt, float_array, read_only
 from ._scalar import _check_dim, _check_int
 
 TOL_EQ = 1e-12
@@ -164,7 +164,7 @@ class SphericalCode(_Code):
 
     def __post_init__(self):
         _check_dim(self.dim, 1)
-        arr = np.atleast_2d(np.array(self.vectors, dtype=float))
+        arr = np.atleast_2d(float_array(self.vectors, "vectors"))
         _check_finite(arr, "vectors")
         if arr.shape[1] != self.dim:
             raise ValueError(f"vectors have dimension {arr.shape[1]}, declared {self.dim}")
@@ -188,8 +188,8 @@ class FunctionalCode(_Code):
     kind = "functional"
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.array(self.points, dtype=float))
-        fns = np.atleast_2d(np.array(self.functionals, dtype=float))
+        pts = np.atleast_2d(float_array(self.points, "points"))
+        fns = np.atleast_2d(float_array(self.functionals, "functionals"))
         _check_finite(pts, "points")
         _check_finite(fns, "functionals")
         if pts.shape != fns.shape or pts.shape[1] != self.space.dim:
@@ -214,7 +214,7 @@ class PointedMetricSpace(Rebuilt):
     distance: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.distance, dtype=float)
+        d = float_array(self.distance, "distance matrix")
         _check_finite(d, "distance matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
@@ -242,7 +242,7 @@ class MetricCode(_Code):
 
     def __post_init__(self):
         idx = _check_indices(self.point_indices, self.space.n_points)
-        fns = np.atleast_2d(np.array(self.functions, dtype=float))
+        fns = np.atleast_2d(float_array(self.functions, "function tables"))
         _check_finite(fns, "function tables")
         if fns.shape != (len(idx), self.space.n_points):
             raise ValueError("function tables must cover every space point")

@@ -7,9 +7,15 @@ normalized to 1 the best such bound at a fixed degree is a linear
 program over the remaining coefficients; the sign condition is enforced
 on a Chebyshev grid, and the grid is grown with cutting planes that fill
 the grid gap around each critical point of P (a root of P') where P > 0,
-until the residual violation is negligible or stops falling. The final polynomial is shifted and rescaled so
-it is genuinely nonpositive on the interval, which turns the LP output
-into a certificate that stands on its own. P is the structural Pfender
+until the residual violation is negligible or stops falling. Once the LP's
+active set keeps its shape, a Newton polish on that set (double roots,
+touching endpoints, positive coefficients) can end the rounds early: the
+grid LP's optimum is a lower bound on every certificate of the degree
+(each is <= 0 on the grid), so a polished P that is <= 0 on the interval
+up to evaluation noise, with P(1) within that noise of the optimum, gives
+up no bound. The final polynomial is shifted and rescaled so it is
+genuinely nonpositive on the interval, which turns the LP output into a
+certificate that stands on its own. P is the structural Pfender
 certificate (P - a_0, a_0), and ``verify_certificate`` is one call of
 ``pfender.pfender_bound`` on it.
 """
@@ -24,7 +30,7 @@ import numpy as np
 from . import jsonutil, pfender
 from ._scalar import _check_int, _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
-from .gegenbauer import GegenbauerPoly, basis_values
+from .gegenbauer import GegenbauerPoly, _derivative_recursion, basis_values
 from .linprog import LinearProgram, solve_lp
 from .scanning import chebyshev_points, critical_points
 
@@ -34,6 +40,13 @@ GRID_POINTS = 2000
 INFLATION_TARGET = 1e-4
 # rows spread evenly over the grid gap around each positive maximum
 GAP_ROWS = 7
+# Newton steps of a polish, each from the LP answer's active set
+NEWTON_STEPS = 3
+# a polish is tried only when the round raised the LP optimum by at most
+# this many times noise * P(1): a round cuts the gap to the optimum on the
+# interval about (GAP_ROWS + 1)^2-fold, so a larger rise leaves a gap that
+# no polish closes
+POLISH_RISE = 2 * (GAP_ROWS + 1) ** 2
 
 __all__ = [
     "DGSVerification",
@@ -95,6 +108,98 @@ def _gap_rows(grid: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
+def _noise(p_at_1: float) -> float:
+    """The evaluation noise of a P whose value at 1 is ``p_at_1``: what the
+    final shift adds on top of P's maximum."""
+    return 1e-10 + 3e-15 * abs(p_at_1)
+
+
+def _maximum(poly: GegenbauerPoly, sample_basis, cos_theta: float):
+    """P's values at -1, cos_theta and its critical points, where its
+    maximum on [-1, cos_theta] lies, and those critical points: one matvec
+    with the G_k at the Chebyshev-Lobatto points, and one evaluation."""
+    critical = critical_points(poly.coeffs @ sample_basis, -1.0, cos_theta)
+    return poly(np.concatenate(([-1.0, cos_theta], critical))), critical
+
+
+def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
+    """A round's LP answer polished on its active set by a KKT Newton
+    iteration (Hettich & Kortanek, SIAM Rev. 35, 1993).
+
+    The unknowns are the positive a_k (k in K); one double root t_j per
+    cluster of tight interior rows (those with the same nearest critical
+    point of P, where t_j starts); and a multiplier y for each t_j and
+    each tight endpoint e, started from the row duals (a cluster's sum).
+    The equations, as many as the unknowns: P(t_j) = 0, P(e) = 0,
+    P'(t_j) = 0, and 1 + sum y G_k = 0 over the active points for each k
+    in K. Each of the NEWTON_STEPS steps takes G, G' and G'' at the t_j
+    from one fused recursion. Returns the polished coefficients and the sorted active
+    points, or None: when P has no critical point, when 2 J + E != |K|,
+    when the system is singular, when a step takes a t_j out of
+    (-1, cos_theta) or an a_k or a y below 0, or when the polished P(1)
+    exceeds the LP optimum ``p_at_1`` by more than noise * P(1).
+    """
+    if not critical.size:
+        return None
+    x = solution.x
+    degree = len(x)
+    free = np.flatnonzero(x > 0.0)  # k - 1 for each k in K
+    tight = solution.basis[solution.basis >= degree] - degree
+    where = points[tight]
+    at_end = (where == -1.0) | (where == cos_theta)
+    nearest = np.abs(where[~at_end][:, None] - critical).argmin(axis=1)
+    clusters = sorted(set(nearest.tolist()))
+    n_free, n_roots = len(free), len(clusters)
+    n_active = n_roots + int(at_end.sum())
+    if n_roots + n_active != n_free:
+        return None
+    a, t = x[free], critical[clusters]
+    duals = solution.y[tight]
+    inner_duals = duals[~at_end]
+    y = np.array(
+        [inner_duals[nearest == c].sum() for c in clusters] + duals[at_end].tolist()
+    )
+    ends = rows[tight[at_end]][:, free].T  # G_k(e), one column per tight end
+    # unknowns (a, t, y); equations (P at the active points, P'(t), sum y G_k)
+    jacobian = np.zeros((2 * n_free, 2 * n_free))
+    roots = np.arange(n_roots)
+    # a diverging step can overflow; the checks after each step reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            g = _derivative_recursion(d, degree, t)[free + 1]
+            values = np.hstack([g[:, 0], ends])  # G_k at the active points
+            slope, curve = a @ g[:, 1], a @ g[:, 2]
+            residual = np.concatenate([1.0 + a @ values, slope, 1.0 + values @ y])
+            jacobian[:n_active, :n_free] = values.T
+            jacobian[n_active:n_free, :n_free] = g[:, 1].T
+            jacobian[roots, n_free + roots] = slope
+            jacobian[n_active + roots, n_free + roots] = curve
+            jacobian[n_free:, n_free : n_free + n_roots] = g[:, 1] * y[:n_roots]
+            jacobian[n_free:, n_free + n_roots :] = values
+            try:
+                step = np.linalg.solve(jacobian, residual)
+            except np.linalg.LinAlgError:
+                return None
+            a -= step[:n_free]
+            t -= step[n_free : n_free + n_roots]
+            y -= step[n_free + n_roots :]
+            # NaN fails every comparison
+            if not (
+                np.all((-1.0 < t) & (t < cos_theta))
+                and a.min(initial=0.0) >= 0.0
+                and y.min(initial=0.0) >= 0.0
+                and np.all(np.isfinite(step))
+            ):
+                return None
+    coeffs = np.zeros(degree + 1)
+    coeffs[0] = 1.0
+    coeffs[free + 1] = a
+    p_polished = math.fsum(coeffs.tolist())
+    if p_polished - p_at_1 > _noise(p_polished) * p_polished:
+        return None
+    return coeffs, np.sort(np.concatenate([t, where[at_end]]))
+
+
 def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
@@ -119,8 +224,24 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     the critical points where P > 0 get the cuts. The rounds end when the
     shift's inflation of the bound is below INFLATION_TARGET, when a round
     leaves a violation below 1 within a factor 2 of the previous one (the
-    cuts no longer bite), or after MAX_ROUNDS. Every returned certificate has passed
-    ``verify_certificate``, the Pfender checks of (P - a_0, a_0).
+    cuts no longer bite), or after MAX_ROUNDS.
+
+    A round that ends none of these ways, whose active set has the shape
+    of the previous round's (as many positive a_k and tight rows), and
+    whose LP optimum rose by at most POLISH_RISE * noise * P(1), polishes
+    its LP answer (``_polish``). The rounds stop at the polished P when
+    its maximum, measured as a round measures it, is at most the noise
+    term 1e-10 + 3e-15 P(1), and its P(1) exceeds the round's grid LP
+    optimum by at most noise * P(1); otherwise the polished P is dropped
+    and the rounds go on as if it had not been tried. A polished P touches
+    0 by construction, so it is always shifted by max(v, 0) + noise, never
+    skipped as an unpolished P's shift is when v + noise <= COND_TOL. Its
+    report gains a message, before the rounds message, that names the
+    Newton steps, the active points, the grid LP optimum and the gap
+    bound_real / optimum - 1.
+
+    Every returned certificate has passed ``verify_certificate``, the
+    Pfender checks of (P - a_0, a_0).
     """
     _validate_inputs(d, cos_theta, degree)
     if degree < 1:
@@ -137,6 +258,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         d, degree, chebyshev_points(-1.0, cos_theta, degree + 1)
     )
     basis = None
+    polish = previous_shape = previous_p_at_1 = None
     failed_round = ""
     previous_violation = math.inf
     for round_index in range(MAX_ROUNDS):
@@ -159,9 +281,8 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         coeffs = np.concatenate(([1.0], solution.x))
         poly = GegenbauerPoly(d, coeffs)
         p_at_1 = poly.at_one()
-        critical = critical_points(coeffs @ sample_basis, -1.0, cos_theta)
         # P's maximum is at -1, cos_theta or a critical point
-        values = poly(np.concatenate(([-1.0, cos_theta], critical)))
+        values, critical = _maximum(poly, sample_basis, cos_theta)
         violation = float(values.max())
         # shifting out a violation v inflates the bound by v (P(1) - 1) / (1 - v);
         # no shift absorbs v >= 1, so the cutting planes go on there
@@ -176,6 +297,21 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         )
         if converged or stalled or round_index == MAX_ROUNDS - 1:
             break
+        # the active set's shape: the positive a_k and the tight rows
+        shape = (np.count_nonzero(solution.x), np.count_nonzero(basis >= degree))
+        if (
+            shape == previous_shape
+            and p_at_1 - previous_p_at_1 <= POLISH_RISE * _noise(p_at_1) * p_at_1
+        ):
+            found = _polish(d, cos_theta, solution, points, rows, critical, p_at_1)
+            if found is not None:
+                candidate = GegenbauerPoly(d, found[0])
+                top = float(_maximum(candidate, sample_basis, cos_theta)[0].max())
+                if top <= _noise(candidate.at_one()):
+                    polish = (p_at_1, found[1])
+                    coeffs, p_at_1, violation = found[0], candidate.at_one(), top
+                    break
+        previous_shape, previous_p_at_1 = shape, p_at_1
         previous_violation = violation
         new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
         if not new_points.size:
@@ -188,10 +324,12 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     # whole interval: P_hat = (P - v) / (1 - v) keeps a_0 = 1 and all the
     # other coefficients nonnegative, at the cost of a slightly larger
     # bound (recorded in the report). Skipped when the residual violation
-    # plus evaluation noise already sits inside the verifier tolerance.
-    # ``violation`` and ``p_at_1`` are the last round's maximum of ``coeffs``.
-    noise = 1e-10 + 3e-15 * abs(p_at_1)
-    inside = violation + noise <= pfender.COND_TOL
+    # plus evaluation noise already sits inside the verifier tolerance, but
+    # never for a polished P: it touches 0 by construction. ``violation``
+    # and ``p_at_1`` are the maximum and P(1) of ``coeffs``, the last
+    # round's LP answer or the polished one.
+    noise = _noise(p_at_1)
+    inside = polish is None and violation + noise <= pfender.COND_TOL
     shift = 0.0 if inside else max(violation, 0.0) + noise
     if shift >= 1.0:
         raise NoCertificateError(
@@ -206,8 +344,16 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     bound_real, bound_int, _ = pfender.bound_values(*pfender_form(final_poly))
     certificate = DGSCertificate(cos_theta, final_poly, bound_real, bound_int)
     report = verify_certificate(certificate)
+    grid_bound = p_at_1
+    if polish is not None:
+        grid_bound, active = polish
+        report.messages.append(
+            f"Newton-polished in {NEWTON_STEPS} steps on the active points "
+            f"[{', '.join(f'{t:.6g}' for t in active)}]: grid LP optimum "
+            f"{grid_bound!r}, gap {bound_real / grid_bound - 1.0!r}"
+        )
     report.messages.append(
-        f"grid LP bound {p_at_1!r} inflated by shift {shift!r} over "
+        f"grid LP bound {grid_bound!r} inflated by shift {shift!r} over "
         f"{rounds_used} cutting-plane rounds{failed_round}"
     )
     certificate.verification = report

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scalar
-from ._immutable import Rebuilt, read_only
+from ._immutable import Rebuilt, float_array, read_only
 from ._scalar import (
     MAX_TABLE_DEGREE,
     _check_dim,
@@ -86,6 +86,34 @@ def _recursion(dim: int, max_degree: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _derivative_recursion(dim: int, max_degree: int, x: np.ndarray) -> np.ndarray:
+    """G_k, G_k' and G_k'' for k = 0..max_degree at the points of the 1-d
+    float array ``x``, shape (max_degree + 1, 3, x.size), for arguments
+    already checked. One fused recursion, the three-term one differentiated
+    j = 0, 1, 2 times:
+
+        G_k^(j) = ((2k + dim - 4) (r G_{k-1}^(j) + j G_{k-1}^(j-1))
+                   - (k - 1) G_{k-2}^(j)) / (k + dim - 3)
+
+    The G_k are ``_recursion``'s bits: the same operations in its order."""
+    out = np.zeros((max_degree + 1, 3, x.size))
+    out[0, 0] = 1.0
+    if max_degree >= 1:
+        out[1, 0] = x
+        out[1, 1] = 1.0
+    up = np.array([float(2 * k + dim - 4) for k in range(max_degree + 1)])
+    scaled_x = np.multiply.outer(up, x)
+    # the j G_{k-1}^(j-1) terms of the derivatives, times 2k + dim - 4
+    carries = up[:, None, None] * np.array([[1.0], [2.0]])
+    for k in range(2, max_degree + 1):
+        row, previous = out[k], out[k - 1]
+        np.multiply(scaled_x[k], previous, row)
+        row[1:] += carries[k] * previous[:-1]
+        row -= out[k - 2] * float(k - 1)
+        row /= float(k + dim - 3)
+    return out
+
+
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x^k at the points of the float array ``x``, by
     Horner's rule in the operations and order of numpy's ``polyval``
@@ -130,7 +158,7 @@ class GegenbauerPoly(Rebuilt):
 
     def __post_init__(self):
         _check_dim(self.dim)
-        arr = np.atleast_1d(np.array(self.coeffs, dtype=float))
+        arr = np.atleast_1d(float_array(self.coeffs, "coeffs"))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d vector")
         if not np.all(np.isfinite(arr)):

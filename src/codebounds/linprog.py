@@ -116,6 +116,8 @@ class LPSolution:
     # its meaning when rows are appended, so this can warm-start
     # ``solve_lp`` on a grown LP.
     basis: np.ndarray | None = None
+    # the row duals at the optimum, one per row, 0 for rows off the basis
+    y: np.ndarray | None = None
 
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
@@ -304,4 +306,5 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         iterations=iterations,
         restarts=restarts,
         basis=basis,
+        y=y,
     )

@@ -63,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonutil
-from ._immutable import Rebuilt, read_only
+from ._immutable import Rebuilt, float_array, read_only
 from ._scalar import _check_dim, _check_int, _point_values
 from .errors import TheoremViolationError
 from .gegenbauer import _check_r, _horner, _recursion, basis_values
@@ -115,7 +115,7 @@ class PhiSpec(Rebuilt):
     def __post_init__(self):
         if self.basis not in _BASES:
             raise ValueError(f"unknown phi basis {self.basis!r}")
-        arr = np.atleast_1d(np.array(self.coeffs, dtype=float))
+        arr = np.atleast_1d(float_array(self.coeffs, "phi coefficients"))
         if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
             raise ValueError("phi coefficients must be a finite 1-d vector")
         if self.basis == "gegenbauer":
@@ -338,6 +338,7 @@ def _certify(phi, c, cos_theta, variant, ok_i, evidence, finite_set=None):
     where a certificate's stored coefficients are checked exactly."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be strictly positive and finite, got {c!r}")
+    c = float(float_array(c, "c"))
     cos_theta = _checked_cos_theta(cos_theta)
     if finite_set is None:
         margin, location = interval_margin(phi, c, cos_theta)

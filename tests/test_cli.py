@@ -724,6 +724,42 @@ class TestIntegersPastTheFloatRange:
         # an integer that a float holds is read as that float
         assert jsonutil.json_real(10**308, "coeffs") == 1e308
 
+    @pytest.mark.parametrize(
+        "what, build",
+        [
+            ("phi coefficients", lambda: pfender.PhiSpec("gegenbauer", [0.0, HUGE], dim=3)),
+            ("coeffs", lambda: gegenbauer.GegenbauerPoly(3, [1.0, HUGE])),
+            ("vectors", lambda: codes.SphericalCode(2, [[1.0, HUGE]], 0.5)),
+            (
+                "functionals",
+                lambda: codes.FunctionalCode(
+                    codes.LpSpace(2.0, 2), [[1.0, 0.0]], [[HUGE, 0.0]], 0.5
+                ),
+            ),
+            (
+                "function tables",
+                lambda: codes.MetricCode(
+                    codes.PointedMetricSpace([[0.0, 1.0], [1.0, 0.0]]),
+                    [1], [[0.0, -HUGE]], 0.5,
+                ),
+            ),
+            ("distance matrix", lambda: codes.PointedMetricSpace([[0.0, HUGE], [1.0, 0.0]])),
+            (
+                "c",
+                lambda: pfender.pfender_bound(
+                    pfender.PhiSpec("gegenbauer", [0.0, 1.0], dim=3), HUGE, 0.5
+                ),
+            ),
+        ],
+        ids=["PhiSpec", "GegenbauerPoly", "SphericalCode", "FunctionalCode",
+             "MetricCode", "PointedMetricSpace", "pfender_bound"],
+    )
+    def test_a_library_float_input_past_the_float_range_is_named(self, what, build):
+        # numpy's conversion raises an unnamed OverflowError here
+        message = f"^{what} must be finite, got an integer past the float range$"
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_a_huge_point_index_is_out_of_range(self):
         metric = codes.embed_as_metric_code(codes.generate("simplex", dim=2))
         for index in (HUGE, -HUGE, 2**63):

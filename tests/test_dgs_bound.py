@@ -348,15 +348,17 @@ class TestWarmStartedRounds:
             ((3, 0.5, 10), "f351e5c4cc00948dc9211bb3616570c0c4e18cf5240bd36838f63368a8dc8296"),
             ((4, 0.5, 10), "88e7f5ae58a65523895fc317787e305d3ee86d29f3aeab65ed171ae52ecb32c8"),
             ((8, 0.5, 6), "4e61bbe3479c0a4636ee64a84e16fb81106eea1b3ab1fd7523b6e36a78e06159"),
-            ((24, 0.5, 10), "832577c3e88d69a4e73d312444ac1f31321ad695c32f28de675f9b3c869b021d"),
+            # polished after round 4: 196560.000221 (5 rounds) -> 196560.000136
+            ((24, 0.5, 10), "f9642d5f46f2eb2cccb84e3254f14e889e8aaabd45887d47a25ca522f0e32229"),
         ],
     )
     def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
         # the first two run one round, a single cold LP, so their files pin the
         # LP, the shift and the verification report (maxima from the roots of
-        # P'); the last two run 2 and 5 rounds and also pin the cutting planes
-        # (_gap_rows) and the warm-started, row-generated LPs; the report's
-        # maximum is taken over the critical points of P' on [-1, 1]
+        # P'); the last two run 2 and 4 rounds and also pin the cutting planes
+        # (_gap_rows) and the warm-started, row-generated LPs, and the last
+        # one the Newton polish; the report's maximum is taken over the
+        # critical points of P' on [-1, 1]
         path = tmp_path / "cert.json"
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -364,18 +366,24 @@ class TestWarmStartedRounds:
     @pytest.mark.parametrize("case", [(3, 0.5, 10), (24, 0.5, 10), (24, 0.765, 29)])
     def test_each_round_evaluates_p_once(self, monkeypatch, case):
         # the round's samples are one matvec; P itself is evaluated once, at
-        # -1, cos_theta and the critical points
-        sizes = []
-        real_call = GegenbauerPoly.__call__
+        # -1, cos_theta and the critical points, and so is each polished P
+        sizes, polished = [], []
+        real_call, real_polish = GegenbauerPoly.__call__, dgs_bound._polish
 
         def spy(self, r):
             sizes.append(np.size(r))
             return real_call(self, r)
 
+        def polish(*args):
+            found = real_polish(*args)
+            polished.append(found is not None)
+            return found
+
         monkeypatch.setattr(GegenbauerPoly, "__call__", spy)
+        monkeypatch.setattr(dgs_bound, "_polish", polish)
         cert = lp_bound(*case)
         rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-        assert len(sizes) == int(rounds[1])
+        assert len(sizes) == int(rounds[1]) + sum(polished)
         assert all(2 <= size <= case[2] + 1 for size in sizes)
 
     @pytest.mark.parametrize("case", [(44, 0.625, 33), (63, 0.4643, 23)])
@@ -406,6 +414,69 @@ class TestWarmStartedRounds:
             "no certificate at this degree: the degree-12 LP at cos_theta=0.7 "
             "is infeasible"
         )
+
+
+# the kissing_lp and lp_stress certificates of perfbench/workloads.py, each
+# with the sha256 of its file when every polish fails
+UNPOLISHED_DIGESTS = {
+    (3, 0.5, 10): "f351e5c4cc00948dc9211bb3616570c0c4e18cf5240bd36838f63368a8dc8296",
+    (4, 0.5, 10): "88e7f5ae58a65523895fc317787e305d3ee86d29f3aeab65ed171ae52ecb32c8",
+    (8, 0.5, 6): "4e61bbe3479c0a4636ee64a84e16fb81106eea1b3ab1fd7523b6e36a78e06159",
+    (24, 0.5, 10): "832577c3e88d69a4e73d312444ac1f31321ad695c32f28de675f9b3c869b021d",
+    (24, 0.5, 20): "3731343fc6a6c9c4e20cb94038fb35939e2880d70c0d026ef40c075fb17733d8",
+    (32, 0.5, 20): "e80ba2d07a9ad5b0e100749ffb4644a0106bba817716db81fd0d0444cac1b1e6",
+    (16, 0.7, 16): "f787dc110b8b2e004653248221347fd13d937b342ebc3b9563c94dacdd67665b",
+    (24, 0.7, 30): "8fedc7490168da686745a8f98f8b3da399f3f1c8cde0e56e54033d9430fdb7e3",
+    (48, 0.5, 30): "043af441463d3221011aec7a91bee781b23aded29c5540538c37837ab47b7784",
+    (32, 0.5, 30): "697306b77fb6326304bfa6356d72e958f1175db8dcb762b45d1ff75138e6757e",
+}
+# inputs whose loop ends with a polished certificate: four kissing_lp and two
+# lp_stress cases, and three from the domain sweep, the last at P(1) ~ 2.4e14
+POLISHED_CASES = [
+    (24, 0.5, 10), (24, 0.5, 20), (32, 0.5, 20), (16, 0.7, 16), (24, 0.7, 30),
+    (32, 0.5, 30), (63, 0.4643, 23), (36, 0.7024, 28), (114, 0.4156, 39),
+]
+POLISH_MESSAGE = re.compile(
+    r"Newton-polished in (\d+) steps on the active points \[(.+)\]: grid LP "
+    r"optimum (\S+), gap (\S+)"
+)
+SHIFT_MESSAGE = re.compile(r"grid LP bound (\S+) inflated by shift (\S+) over .*")
+
+
+class TestNewtonPolish:
+    def test_a_failing_polish_leaves_the_unpolished_bytes(self, monkeypatch):
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
+        for case, digest in UNPOLISHED_DIGESTS.items():
+            text = jsonutil.dumps(certificate_to_json_dict(lp_bound(*case)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, case
+
+    @pytest.mark.parametrize("case", POLISHED_CASES, ids=str)
+    def test_a_polished_certificate_is_shifted_by_at_least_its_noise(self, case):
+        cert = lp_bound(*case)
+        polish, rounds = cert.verification.messages[-2:]
+        polish, shift = POLISH_MESSAGE.fullmatch(polish), SHIFT_MESSAGE.fullmatch(rounds)
+        assert polish and shift and ROUNDS_MESSAGE.fullmatch(rounds)
+        assert int(polish[1]) == dgs_bound.NEWTON_STEPS
+        optimum, gap = float(polish[3]), float(polish[4])
+        assert float(shift[1]) == optimum
+        assert gap == cert.bound_real / optimum - 1.0
+        # P_hat = (P - s) / (1 - s): P(1) before the shift, and its noise term
+        s = float(shift[2])
+        p_at_1 = cert.bound_real * (1.0 - s) + s
+        assert s >= (1e-10 + 3e-15 * p_at_1) * (1.0 - 1e-9)
+        assert cert.verification.max_sign_violation < 0.0
+        # the stop rule: P(1) is within noise * P(1) of the grid LP optimum,
+        # a lower bound on every certificate of this degree
+        assert p_at_1 - optimum <= s * p_at_1 * (1.0 + 1e-9)
+        points = [float(t) for t in polish[2].split(", ")]
+        assert points == sorted(points)
+        assert -1.0 <= points[0] and points[-1] <= case[1]
+
+    def test_a_lone_tight_row_is_not_polished(self):
+        # (48, .5, 30) keeps one tight row apart from any other, so
+        # 2 J + E != |K| in every round and no polish is tried
+        cert = lp_bound(48, 0.5, 30)
+        assert len(cert.verification.messages) == 1
 
 
 class TestVerification:

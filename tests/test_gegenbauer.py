@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from codebounds._scalar import _point_values
 from codebounds.gegenbauer import (
     GegenbauerPoly,
+    _derivative_recursion,
     _horner,
+    _recursion,
     basis_values,
     expand_in_basis,
     gegenbauer_eval,
@@ -171,6 +173,25 @@ def test_recursion_matches_the_reference_bit_for_bit(points):
             expected = reference_basis_values(dim, degree, points)
             assert values.shape == expected.shape
             assert values.tobytes() == expected.tobytes(), (dim, degree)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 24, 199])
+def test_derivative_recursion_matches_the_shifted_dimensions(dim):
+    # G_k' = k (k + d - 2) / (d - 1) G_{k-1}^(d+2), applied twice for G_k'';
+    # the values are the recursion's own bits
+    m = 40
+    x = np.linspace(-1.0, 1.0, 17)
+    fused = _derivative_recursion(dim, m, x)
+    assert fused.shape == (m + 1, 3, x.size)
+    assert fused[:, 0].tobytes() == _recursion(dim, m, x).tobytes()
+    k = np.arange(m + 1.0)[:, None]
+    first = k * (k + dim - 2) / (dim - 1)
+    second = first * (k - 1) * (k + dim - 1) / (dim + 1)
+    for order, shifted in ((1, first[1:] * _recursion(dim + 2, m - 1, x)),
+                           (2, second[2:] * _recursion(dim + 4, m - 2, x))):
+        assert not fused[:order, order].any()
+        scale = np.abs(shifted).max()
+        assert np.abs(fused[order:, order] - shifted).max() <= 1e-13 * scale
 
 
 SPECIAL_POINTS = (-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0)

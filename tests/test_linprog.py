@@ -190,6 +190,23 @@ class TestRowGeneration:
         if case in KISSING_CASES:
             assert sol.objective_value == pytest.approx(ref.fun, rel=1e-9)
 
+    @pytest.mark.parametrize("case", KISSING_CASES, ids=str)
+    def test_row_duals_certify_the_optimum(self, case):
+        # y is 0 off the basis, and 1 + sum_i y_i G_k(r_i) = 0 for each
+        # positive a_k, where the cost is 1; the dual objective -b @ y is
+        # then the primal's
+        lp = grid_lp(*case)
+        sol = solve_lp(lp)
+        assert sol.y.shape == lp.b.shape
+        m, n = lp.A.shape
+        off = np.ones(m, dtype=bool)
+        off[sol.basis[sol.basis >= n] - n] = False
+        assert not sol.y[off].any()
+        assert sol.y.min() >= -1e-9 * sol.y.max()
+        reduced = lp.objective + lp.A.T @ sol.y
+        assert np.abs(reduced[sol.x > 0.0]).max() <= 1e-9 * sol.y.sum()
+        assert -lp.b @ sol.y == pytest.approx(sol.objective_value, rel=1e-9)
+
     @pytest.mark.parametrize("case", KISSING_CASES + STRESS_CASES[:3], ids=str)
     def test_grid_lp_own_basis_takes_no_pivots(self, case):
         # the warm start refactorizes a basis of condition up to about 1e13
