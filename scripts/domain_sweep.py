@@ -4,8 +4,9 @@
 Draws --n inputs (d, cos_theta, degree) with d uniform in 2..--max-dim,
 cos_theta = round(U(-1, --max-cos), 4) and degree uniform in 1..40, runs
 lp_bound on each and prints how many ended in each outcome (a
-certificate, NoCertificateError by its cause, or a named error), every
-input that ended in an error, and the slowest input. Every input should
+certificate, NoCertificateError by its cause, or a named error), how many
+certificates ended at a Newton-polished polynomial, every input that
+ended in an error, and the slowest input. Every input should
 end quickly in a certificate or a NoCertificateError: the script exits 1
 when any input ends in another error. Only the ``slowest:`` line holds a
 time, so two runs of the same code print the same other lines.
@@ -39,16 +40,18 @@ def sweep_inputs(seed: int, n: int, max_dim: int, max_cos: float):
     ]
 
 
-def outcome(case) -> str:
+def outcome(case) -> tuple[str, bool]:
+    """The input's outcome, and whether it is a polished certificate."""
     try:
-        lp_bound(*case)
+        cert = lp_bound(*case)
     except NoCertificateError as exc:
         if str(exc).endswith("is infeasible"):
-            return "NoCertificateError (LP infeasible)"
-        return "NoCertificateError (cannot be absorbed)"
+            return "NoCertificateError (LP infeasible)", False
+        return "NoCertificateError (cannot be absorbed)", False
     except CodeBoundsError as exc:
-        return type(exc).__name__
-    return "certificate"
+        return type(exc).__name__, False
+    messages = cert.verification.messages
+    return "certificate", any(m.startswith("Newton-polished") for m in messages)
 
 
 def main() -> int:
@@ -61,18 +64,20 @@ def main() -> int:
     if args.max_dim < 2 or not -1.0 < args.max_cos < 1.0:
         parser.error("--max-dim must be >= 2 and --max-cos in (-1, 1)")
 
-    counts = Counter()
+    counts, polished = Counter(), 0
     slowest = (-1.0, None, None)
     for case in sweep_inputs(args.seed, args.n, args.max_dim, args.max_cos):
         start = time.perf_counter()
-        result = outcome(case)
+        result, ended_polished = outcome(case)
         elapsed = time.perf_counter() - start
         counts[result] += 1
+        polished += ended_polished
         if result not in ("certificate", "NoCertificateError (LP infeasible)"):
             print(f"{case}: {result}")
         slowest = max(slowest, (elapsed, case, result))
     for result, count in sorted(counts.items()):
         print(f"{count:>5}  {result}")
+    print(f"polished: {polished} of {counts['certificate']} certificates")
     elapsed, case, result = slowest
     print(f"slowest: {case} took {elapsed:.2f} s ({result})")
     ended = ("certificate", "NoCertificateError")

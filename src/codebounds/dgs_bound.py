@@ -6,16 +6,17 @@ P = sum a_k G_k^{(d)} with a_0 > 0, a_k >= 0, and P <= 0 on
 normalized to 1 the best such bound at a fixed degree is a linear
 program over the remaining coefficients; the sign condition is enforced
 on a Chebyshev grid, and the grid is grown with cutting planes that fill
-the grid gap around each critical point of P (a root of P') where P > 0,
-until the residual violation is negligible or stops falling. Once the LP's
-active set keeps its shape, a Newton polish on that set (double roots,
-touching endpoints, positive coefficients) can end the rounds early: the
-grid LP's optimum is a lower bound on every certificate of the degree
-(each is <= 0 on the grid), so a polished P that is <= 0 on the interval
-up to evaluation noise, with P(1) within that noise of the optimum, gives
-up no bound. The final polynomial is shifted and rescaled so it is
-genuinely nonpositive on the interval, which turns the LP output into a
-certificate that stands on its own. P is the structural Pfender
+the grid gap around each critical point of P (a root of P') where P > 0.
+The round with the lowest P(1) plus shift inflation is certified; the
+rounds end when that inflation is negligible or two rounds in a row miss
+it. Once the LP's active set keeps its shape, a Newton polish on that set
+(double roots, touching endpoints, positive coefficients) can end the
+rounds early: the grid LP's optimum is a lower bound on every certificate
+of the degree (each is <= 0 on the grid), so a polished P that is <= 0 on
+the interval up to evaluation noise, with P(1) within that noise of the
+optimum, gives up no bound. The final polynomial is shifted and rescaled
+so it is genuinely nonpositive on the interval, which turns the LP output
+into a certificate that stands on its own. P is the structural Pfender
 certificate (P - a_0, a_0), and ``verify_certificate`` is one call of
 ``pfender.pfender_bound`` on it.
 """
@@ -209,36 +210,38 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     degree can meet the sign condition (degree 0, or an infeasible LP),
     and LPFailureError when the first cutting-plane round's LP fails
     (the solver reaches its pivot cap, or its basis turns singular when
-    refactorized). When a later round's LP fails, the previous round's
-    polynomial is shifted and certified instead, and the verification
-    message names the failed round. Each round appends its cutting-plane
-    points as new LP rows and warm-starts the LP from the previous round's
-    optimal basis. The rows
-    fill the grid gap around each critical point where P > 0: the point
-    itself and GAP_ROWS evenly spaced points (``_gap_rows``), so a round
-    divides the violation by about 64 where the point alone divided it by
-    4. Each round finds the critical points from P's values at the
-    degree + 1 Chebyshev-Lobatto points of the interval, one matvec with
-    the G_k there (tabulated once per call), and evaluates P once, at -1,
-    cos_theta and those points: the maximum is the round's violation, and
-    the critical points where P > 0 get the cuts. The rounds end when the
-    shift's inflation of the bound is below INFLATION_TARGET, when a round
-    leaves a violation below 1 within a factor 2 of the previous one (the
-    cuts no longer bite), or after MAX_ROUNDS.
+    refactorized). Each round appends its cutting-plane points as new LP
+    rows and warm-starts the LP from the previous round's optimal basis.
+    The rows fill the grid gap around each critical point where P > 0:
+    the point itself and GAP_ROWS evenly spaced points (``_gap_rows``),
+    so a round divides the violation by about 64 where the point alone
+    divided it by 4. Each round finds the critical points from P's values
+    at the degree + 1 Chebyshev-Lobatto points of the interval, one matvec
+    with the G_k there (tabulated once per call), and evaluates P once, at
+    -1, cos_theta and those points: the maximum is the round's violation,
+    and the critical points where P > 0 get the cuts.
 
-    A round that ends none of these ways, whose active set has the shape
-    of the previous round's (as many positive a_k and tight rows), and
-    whose LP optimum rose by at most POLISH_RISE * noise * P(1), polishes
-    its LP answer (``_polish``). The rounds stop at the polished P when
-    its maximum, measured as a round measures it, is at most the noise
-    term 1e-10 + 3e-15 P(1), and its P(1) exceeds the round's grid LP
-    optimum by at most noise * P(1); otherwise the polished P is dropped
-    and the rounds go on as if it had not been tried. A polished P touches
-    0 by construction, so it is always shifted by max(v, 0) + noise, never
-    skipped as an unpolished P's shift is when v + noise <= COND_TOL. Its
-    report gains a message, before the rounds message, that names the
-    Newton steps, the active points, the grid LP optimum and the gap
-    bound_real / optimum - 1.
+    One rule picks the certified round and ends the rounds. A round scores
+    P(1) + v (P(1) - 1) / (1 - v), the bound its shift would give, where
+    v = max(violation, 0) (infinite at v >= 1). A round that scores at or
+    below the best so far becomes the best; one below v = 1 that does not
+    is idle. The rounds end at a shift inflation <= INFLATION_TARGET, a
+    polished P, two idle rounds in a row, MAX_ROUNDS, no new cuts, or a
+    later round's failed LP, which the rounds message names; the best round
+    is certified, and named (", from round k") if it is not the last.
+
+    A round that ends none of the other ways, whose active set has the
+    shape of the previous round's (as many positive a_k and tight rows),
+    and whose LP optimum rose by at most POLISH_RISE * noise * P(1),
+    polishes its LP answer (``_polish``). The rounds stop at the polished
+    P, which becomes the best, when its maximum, measured as a round
+    measures it, is at most the noise term 1e-10 + 3e-15 P(1), and its
+    P(1) exceeds the round's grid LP optimum by at most noise * P(1). A
+    polished P touches 0 by construction, so it is always shifted by
+    max(v, 0) + noise, never skipped as an unpolished P's shift is when
+    v + noise <= COND_TOL. Its report gains a message, before the rounds
+    message, that names the Newton steps, the active points, the grid LP
+    optimum and the gap bound_real / optimum - 1.
 
     Every returned certificate has passed ``verify_certificate``, the
     Pfender checks of (P - a_0, a_0).
@@ -259,8 +262,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     )
     basis = None
     polish = previous_shape = previous_p_at_1 = None
-    failed_round = ""
-    previous_violation = math.inf
+    failed_round, best_score, idle = "", math.inf, 0
     for round_index in range(MAX_ROUNDS):
         # min sum(a) s.t. sum_k a_k G_k(r_i) <= -1, a >= 0 (a_0 = 1 moved to rhs)
         lp = LinearProgram(np.ones(degree), rows, np.full(len(rows), -1.0))
@@ -273,7 +275,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         if solution.status != "optimal":
             if round_index == 0:
                 raise LPFailureError(f"LP solver returned status {solution.status!r}")
-            # the LP is only a search step: keep the last checked polynomial
+            # the LP is only a search step: certify the best round so far
             failed_round = f"; round {round_index + 1} LP status {solution.status!r}"
             break
         rounds_used = round_index + 1
@@ -284,18 +286,16 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         # P's maximum is at -1, cos_theta or a critical point
         values, critical = _maximum(poly, sample_basis, cos_theta)
         violation = float(values.max())
-        # shifting out a violation v inflates the bound by v (P(1) - 1) / (1 - v);
-        # no shift absorbs v >= 1, so the cutting planes go on there
-        converged = violation <= 0.0 or (
-            violation < 1.0
-            and violation * (p_at_1 - 1.0) / (1.0 - violation) <= INFLATION_TARGET
-        )
-        # below 1, a round that moves the violation by less than 2x either way
-        # has stalled; a larger rise means the optimum moved to new peaks
-        stalled = 0.0 < violation < 1.0 and (
-            previous_violation / 2.0 < violation < 2.0 * previous_violation
-        )
-        if converged or stalled or round_index == MAX_ROUNDS - 1:
+        # the inflation of shifting out v; no shift absorbs v >= 1
+        v = max(violation, 0.0)
+        inflation = v * (p_at_1 - 1.0) / (1.0 - v) if v < 1.0 else math.inf
+        # the lowest score is the best round, the later one on a tie
+        if p_at_1 + inflation <= best_score:
+            best_score, idle = p_at_1 + inflation, 0
+            best = (rounds_used, coeffs, p_at_1, violation)
+        else:
+            idle = idle + 1 if v < 1.0 else 0
+        if inflation <= INFLATION_TARGET or idle == 2 or round_index == MAX_ROUNDS - 1:
             break
         # the active set's shape: the positive a_k and the tight rows
         shape = (np.count_nonzero(solution.x), np.count_nonzero(basis >= degree))
@@ -309,10 +309,9 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
                 top = float(_maximum(candidate, sample_basis, cos_theta)[0].max())
                 if top <= _noise(candidate.at_one()):
                     polish = (p_at_1, found[1])
-                    coeffs, p_at_1, violation = found[0], candidate.at_one(), top
+                    best = (rounds_used, found[0], candidate.at_one(), top)
                     break
         previous_shape, previous_p_at_1 = shape, p_at_1
-        previous_violation = violation
         new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
         if not new_points.size:
             break
@@ -325,9 +324,8 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     # other coefficients nonnegative, at the cost of a slightly larger
     # bound (recorded in the report). Skipped when the residual violation
     # plus evaluation noise already sits inside the verifier tolerance, but
-    # never for a polished P: it touches 0 by construction. ``violation``
-    # and ``p_at_1`` are the maximum and P(1) of ``coeffs``, the last
-    # round's LP answer or the polished one.
+    # never for a polished P: it touches 0 by construction.
+    best_round, coeffs, p_at_1, violation = best
     noise = _noise(p_at_1)
     inside = polish is None and violation + noise <= pfender.COND_TOL
     shift = 0.0 if inside else max(violation, 0.0) + noise
@@ -352,9 +350,10 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             f"[{', '.join(f'{t:.6g}' for t in active)}]: grid LP optimum "
             f"{grid_bound!r}, gap {bound_real / grid_bound - 1.0!r}"
         )
+    from_round = f", from round {best_round}" if best_round < rounds_used else ""
     report.messages.append(
         f"grid LP bound {grid_bound!r} inflated by shift {shift!r} over "
-        f"{rounds_used} cutting-plane rounds{failed_round}"
+        f"{rounds_used} cutting-plane rounds{from_round}{failed_round}"
     )
     certificate.verification = report
     if not report.passed:

@@ -28,9 +28,11 @@ from codebounds.linprog import LPSolution, solve_lp
 from codebounds.scanning import chebyshev_points
 
 
-# the last verification message of a certificate from lp_bound
+# the last verification message of a certificate from lp_bound; the second
+# group is the certified round when it is not the last
 ROUNDS_MESSAGE = re.compile(
     r"grid LP bound \S+ inflated by shift \S+ over (\d+) cutting-plane rounds"
+    r"(?:, from round (\d+))?"
 )
 
 
@@ -137,6 +139,49 @@ class TestFailedLPRound:
         rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
         assert rounds and int(rounds[1]) < dgs_bound.MAX_ROUNDS
         assert cert.bound_real <= 895755214.43  # round 5's certificate before
+
+
+class TestBestRound:
+    # unpolished, (48, .5, 30) runs 6 rounds; round 4 leaves a violation of
+    # 1.3e-8 and round 6 one of 1.0e-7
+    @staticmethod
+    def _round_four(monkeypatch):
+        """The unpolished (48, .5, 30) certificate of a run that ends at round 4."""
+        with monkeypatch.context() as patch:
+            patch.setattr(dgs_bound, "MAX_ROUNDS", 4)
+            return lp_bound(48, 0.5, 30)
+
+    def test_the_lowest_scoring_round_is_certified_not_the_last(self, monkeypatch):
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
+        expected = self._round_four(monkeypatch)
+        scores, real_maximum = [], dgs_bound._maximum
+
+        def maximum(poly, sample_basis, cos_theta):
+            values, critical = real_maximum(poly, sample_basis, cos_theta)
+            v, p_at_1 = max(float(values.max()), 0.0), poly.at_one()
+            scores.append(p_at_1 + v * (p_at_1 - 1.0) / (1.0 - v))
+            return values, critical
+
+        monkeypatch.setattr(dgs_bound, "_maximum", maximum)
+        cert = lp_bound(48, 0.5, 30)
+        assert len(scores) == 6 and min(scores) == scores[3] < scores[-1]
+        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert rounds and rounds.groups() == ("6", "4")
+        assert np.array_equal(cert.poly.coeffs, expected.poly.coeffs)
+        assert cert.bound_real == expected.bound_real < 895496488.4546359  # round 6
+
+    def test_a_later_round_failure_certifies_the_best_earlier_round(self, monkeypatch):
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
+        expected = self._round_four(monkeypatch)
+        calls = TestFailedLPRound._fail_from_round(monkeypatch, 6)
+        cert = lp_bound(48, 0.5, 30)
+        assert len(calls) == 6
+        assert cert.verification.messages[-1].endswith(
+            "over 5 cutting-plane rounds, from round 4; "
+            "round 6 LP status 'numerical_failure'"
+        )
+        assert np.array_equal(cert.poly.coeffs, expected.poly.coeffs)
+        assert verify_certificate(cert).passed
 
 
 class TestGapRows:
@@ -422,13 +467,13 @@ UNPOLISHED_DIGESTS = {
     (3, 0.5, 10): "f351e5c4cc00948dc9211bb3616570c0c4e18cf5240bd36838f63368a8dc8296",
     (4, 0.5, 10): "88e7f5ae58a65523895fc317787e305d3ee86d29f3aeab65ed171ae52ecb32c8",
     (8, 0.5, 6): "4e61bbe3479c0a4636ee64a84e16fb81106eea1b3ab1fd7523b6e36a78e06159",
-    (24, 0.5, 10): "832577c3e88d69a4e73d312444ac1f31321ad695c32f28de675f9b3c869b021d",
-    (24, 0.5, 20): "3731343fc6a6c9c4e20cb94038fb35939e2880d70c0d026ef40c075fb17733d8",
-    (32, 0.5, 20): "e80ba2d07a9ad5b0e100749ffb4644a0106bba817716db81fd0d0444cac1b1e6",
-    (16, 0.7, 16): "f787dc110b8b2e004653248221347fd13d937b342ebc3b9563c94dacdd67665b",
-    (24, 0.7, 30): "8fedc7490168da686745a8f98f8b3da399f3f1c8cde0e56e54033d9430fdb7e3",
-    (48, 0.5, 30): "043af441463d3221011aec7a91bee781b23aded29c5540538c37837ab47b7784",
-    (32, 0.5, 30): "697306b77fb6326304bfa6356d72e958f1175db8dcb762b45d1ff75138e6757e",
+    (24, 0.5, 10): "c1e268dc72053bc43bbb120719611c56be0fc62bdf40273a5790629ac52eaa4c",
+    (24, 0.5, 20): "ea3c6635b7cb09e0e849dc7862c33e7544b07129c3a80db4ef27bd2ec5e384f1",
+    (32, 0.5, 20): "1f5e0e7568c4b168bda2d61af56fed9dc5f09f47420998f9ce493a3844cda756",
+    (16, 0.7, 16): "26a402c70ba7f0a14c2273b5b678ccd07104a024eba809ff6ee1bf9dd0841b8c",
+    (24, 0.7, 30): "8bce8e4afdc68800ac36116173b1695d34cda3026a780bff33eae0f04f0204ca",
+    (48, 0.5, 30): "28843aba12ceed63fe5cd7bf33f880655a5661d4d6a5e71511c468920dc38413",
+    (32, 0.5, 30): "d2ac729f8d055d5ce80c58445241bd30cb15afea9095cc6afcf14d28b3d00384",
 }
 # inputs whose loop ends with a polished certificate: four kissing_lp and two
 # lp_stress cases, and three from the domain sweep, the last at P(1) ~ 2.4e14

@@ -101,18 +101,20 @@ ORACLE_CASES = [
     (55, 0.403, 29),
     (23, 0.3843, 25),
     (44, 0.3829, 32),
+    (96, 0.2794, 35),
+    (38, 0.4607, 35),
+    # 15 strict xfails: 1 SHIFT, 7 NOISE, 2 FLOAT64, 2 FALSE_INFEASIBLE_F11
+    # and 3 with their own cause
     miss((2, 0.5, 40), SHIFT, AssertionError),
-    miss((96, 0.2794, 35), SHIFT, AssertionError),
-    miss((197, 0.2559, 30), SHIFT, AssertionError),
-    miss((88, 0.4013, 37), SHIFT, AssertionError),
-    miss((38, 0.4607, 35), SHIFT, AssertionError),
-    miss((114, 0.33, 17), SHIFT, AssertionError),
+    miss((197, 0.2559, 30), NOISE, AssertionError),
+    miss((88, 0.4013, 37), NOISE, AssertionError),
+    miss((114, 0.33, 17), NOISE, AssertionError),
     miss((36, 0.7024, 28), NOISE, AssertionError),
     miss((177, 0.2468, 39), NOISE, AssertionError),
     miss((50, 0.5458, 19), NOISE, AssertionError),
     miss((87, 0.3194, 20), NOISE, AssertionError),
-    miss((50, 0.6738, 30), "P(1) ~ 1e14: a round hits the pivot cap, and the "
-         "shift of the round before is 0.36", AssertionError),
+    miss((50, 0.6738, 30), "P(1) ~ 1.2e14: the noise term's shift of 0.35 "
+         "inflates a polished P(1) within 1e-12 of L 1.5-fold", AssertionError),
     miss((63, 0.6472, 37), FLOAT64, NoCertificateError),
     miss((114, 0.4156, 39), "P(1) ~ 2.4e14: the noise term's shift of 0.72 "
          "inflates a polished P(1) within 1.3e-4 of L 3.5-fold", AssertionError),

@@ -1,6 +1,7 @@
 """Scripts run end to end and write what the library computes."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,7 @@ def test_domain_sweep_reruns_differ_only_in_the_slowest_line():
         assert lines[-1].startswith("slowest: ")
         runs.append(lines[:-1])
     assert runs[0] == runs[1]
+    assert re.fullmatch(r"polished: \d+ of \d+ certificates", runs[0][-1])
     # an input line, the kind that once carried its own time
     assert any(line.startswith("(") for line in runs[0])
 
