@@ -5,8 +5,10 @@ Draws --n inputs (d, cos_theta, degree) with d uniform in 2..--max-dim,
 cos_theta = round(U(-1, --max-cos), 4) and degree uniform in 1..40, runs
 lp_bound on each and prints how many ended in each outcome (a
 certificate, NoCertificateError by its cause, or a named error), how many
-certificates ended at a Newton-polished polynomial, every input that
-ended in an error, and the slowest input. Every input should
+certificates ended at a Newton-polished polynomial and how many came from
+Levenshtein's path, every input that ended in an error, the certificates
+at a degree >= m(s) that are worse than Levenshtein's bound L (above
+L (1 + 1e-6)), each with its bound and L, and the slowest input. Every input should
 end quickly in a certificate or a NoCertificateError: the script exits 1
 when any input ends in another error. Only the ``slowest:`` line holds a
 time, so two runs of the same code print the same other lines.
@@ -26,6 +28,13 @@ import numpy as np
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import CodeBoundsError, NoCertificateError
 from codebounds.gegenbauer import MAX_TABLE_DEGREE
+from codebounds.levenshtein import levenshtein, levenshtein_degree
+
+# a certificate at a degree >= m(s) above L by more than this is worse
+# than Levenshtein
+WORSE = 1e-6
+# the paths a certificate can end on, by the start of their message
+PATHS = {"polished": "Newton-polished", "levenshtein": "Levenshtein's"}
 
 
 def sweep_inputs(seed: int, n: int, max_dim: int, max_cos: float):
@@ -40,18 +49,17 @@ def sweep_inputs(seed: int, n: int, max_dim: int, max_cos: float):
     ]
 
 
-def outcome(case) -> tuple[str, bool]:
-    """The input's outcome, and whether it is a polished certificate."""
+def outcome(case):
+    """The input's outcome, and its certificate (None without one)."""
     try:
         cert = lp_bound(*case)
     except NoCertificateError as exc:
         if str(exc).endswith("is infeasible"):
-            return "NoCertificateError (LP infeasible)", False
-        return "NoCertificateError (cannot be absorbed)", False
+            return "NoCertificateError (LP infeasible)", None
+        return "NoCertificateError (cannot be absorbed)", None
     except CodeBoundsError as exc:
-        return type(exc).__name__, False
-    messages = cert.verification.messages
-    return "certificate", any(m.startswith("Newton-polished") for m in messages)
+        return type(exc).__name__, None
+    return "certificate", cert
 
 
 def main() -> int:
@@ -64,20 +72,38 @@ def main() -> int:
     if args.max_dim < 2 or not -1.0 < args.max_cos < 1.0:
         parser.error("--max-dim must be >= 2 and --max-cos in (-1, 1)")
 
-    counts, polished = Counter(), 0
+    counts, paths = Counter(), Counter()
+    above_m, worse = 0, []
     slowest = (-1.0, None, None)
     for case in sweep_inputs(args.seed, args.n, args.max_dim, args.max_cos):
         start = time.perf_counter()
-        result, ended_polished = outcome(case)
+        result, cert = outcome(case)
         elapsed = time.perf_counter() - start
         counts[result] += 1
-        polished += ended_polished
         if result not in ("certificate", "NoCertificateError (LP infeasible)"):
             print(f"{case}: {result}")
         slowest = max(slowest, (elapsed, case, result))
+        if cert is None:
+            continue
+        for path, prefix in PATHS.items():
+            paths[path] += any(m.startswith(prefix) for m in cert.verification.messages)
+        d, cos_theta, degree = case
+        if levenshtein_degree(d, cos_theta, degree) is not None:
+            above_m += 1
+            bound = levenshtein(d, cos_theta)[1]
+            if cert.bound_real > bound * (1.0 + WORSE):
+                worse.append(
+                    f"{case}: {cert.bound_real!r} against L {bound!r} "
+                    f"(x {cert.bound_real / bound:.9g})"
+                )
     for result, count in sorted(counts.items()):
         print(f"{count:>5}  {result}")
-    print(f"polished: {polished} of {counts['certificate']} certificates")
+    for path in PATHS:
+        print(f"{path}: {paths[path]} of {counts['certificate']} certificates")
+    print(f"worse than Levenshtein: {len(worse)} of {above_m} certificates "
+          f"at a degree >= m(s)")
+    for line in worse:
+        print(line)
     elapsed, case, result = slowest
     print(f"slowest: {case} took {elapsed:.2f} s ({result})")
     ended = ("certificate", "NoCertificateError")

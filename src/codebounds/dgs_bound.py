@@ -4,7 +4,11 @@ For a dimension d and angle ceiling cos_theta, any polynomial
 P = sum a_k G_k^{(d)} with a_0 > 0, a_k >= 0, and P <= 0 on
 [-1, cos_theta] bounds every such code by P(1) / a_0. With a_0
 normalized to 1 the best such bound at a fixed degree is a linear
-program over the remaining coefficients; the sign condition is enforced
+program over the remaining coefficients. Where cos_theta = s lies in
+Levenshtein's interval I_m at m <= degree, and the Boyvalenkov-Danev-Bumova
+test functions show that no higher degree up to ``degree`` does better,
+Levenshtein's f_m is that optimum (``levenshtein``), and it is certified
+without an LP. Otherwise the sign condition is enforced
 on a Chebyshev grid, and the grid is grown with cutting planes that fill
 the grid gap around each critical point of P (a root of P') where P > 0.
 The round with the lowest P(1) plus shift inflation is certified; the
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsonutil, pfender
+from . import jsonutil, levenshtein, pfender
 from ._scalar import _check_int, _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import GegenbauerPoly, _derivative_recursion, basis_values
@@ -201,8 +205,71 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     return coeffs, np.sort(np.concatenate([t, where[at_end]]))
 
 
+def _shifted(d, cos_theta, coeffs, shift) -> DGSCertificate:
+    """The certificate P_hat = (P - shift) / (1 - shift) of the a_0 = 1
+    coefficients ``coeffs``, with its ``verify_certificate`` report. The
+    shift keeps a_0 = 1 and the other coefficients nonnegative, at the
+    cost of a slightly larger bound."""
+    final_coeffs = coeffs.copy()
+    final_coeffs[0] = 1.0 - shift
+    final_coeffs /= 1.0 - shift
+    final_poly = GegenbauerPoly(d, final_coeffs)
+    bound_real, bound_int, _ = pfender.bound_values(*pfender_form(final_poly))
+    certificate = DGSCertificate(cos_theta, final_poly, bound_real, bound_int)
+    certificate.verification = verify_certificate(certificate)
+    return certificate
+
+
+def _levenshtein_path(d, cos_theta, degree):
+    """Levenshtein's f_m as the degree-``degree`` certificate, or None.
+
+    ``levenshtein.bdb_test`` decides from (d, cos_theta, degree) alone
+    whether f_m at m(s) <= degree is provably the degree's LP optimum L.
+    If it is, f_m's Gegenbauer coefficients (a_0 = 1) are scored as a
+    polished P is: its maximum on [-1, cos_theta], measured as a round
+    measures it, must be at most the noise term, and the inflation of
+    shifting out v = max(maximum, 0) at most INFLATION_TARGET. It is then
+    shifted by v + noise, and returned if it passes ``verify_certificate``,
+    with one message that names the path, m(s), the least BDB test value
+    Q_j L over m(s) < j <= degree, L and the shift. Every other outcome
+    returns None, and the cutting-plane rounds run as before.
+    """
+    found = levenshtein.bdb_test(d, cos_theta, degree)
+    if found is None:
+        return None
+    m, eps, zeros, least = found
+    coeffs = levenshtein.gegenbauer_coefficients(d, cos_theta, eps, zeros)
+    poly = GegenbauerPoly(d, coeffs)
+    sample_basis = basis_values(d, m, chebyshev_points(-1.0, cos_theta, m + 1))
+    top = float(_maximum(poly, sample_basis, cos_theta)[0].max())
+    p_at_1 = poly.at_one()
+    noise = _noise(p_at_1)
+    v = max(top, 0.0)
+    shift = v + noise
+    if (
+        top > noise
+        or shift >= 1.0
+        or v * (p_at_1 - 1.0) / (1.0 - v) > INFLATION_TARGET
+    ):
+        return None
+    certificate = _shifted(d, cos_theta, coeffs, shift)
+    if not certificate.verification.passed:
+        return None
+    least = repr(least) if degree > m else "none (degree = m(s))"
+    certificate.verification.messages.append(
+        f"Levenshtein's f_{m}, m(s) = {m}: BDB test min Q_j L over "
+        f"m(s) < j <= {degree} is {least}; L = {p_at_1!r} inflated by shift {shift!r}"
+    )
+    return certificate
+
+
 def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
+
+    First, Levenshtein's path (``_levenshtein_path``), chosen from
+    (d, cos_theta, degree) alone: where the BDB test functions show that
+    f_m is the degree's LP optimum, f_m is the certificate and no LP runs.
+    Any other outcome runs the cutting-plane rounds below, unchanged.
 
     The first round's LP enforces the sign condition on a fixed grid of
     GRID_POINTS Chebyshev points of [-1, cos_theta], which the cutting
@@ -225,7 +292,8 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     P(1) + v (P(1) - 1) / (1 - v), the bound its shift would give, where
     v = max(violation, 0) (infinite at v >= 1). A round that scores at or
     below the best so far becomes the best; one below v = 1 that does not
-    is idle. The rounds end at a shift inflation <= INFLATION_TARGET, a
+    is idle, and so is a tie whose LP took no pivot (it repeats the
+    answer). The rounds end at a shift inflation <= INFLATION_TARGET, a
     polished P, two idle rounds in a row, MAX_ROUNDS, no new cuts, or a
     later round's failed LP, which the rounds message names; the best round
     is certified, and named (", from round k") if it is not the last.
@@ -253,6 +321,9 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             "is a positive constant and cannot be <= 0 on the interval"
         )
     cos_theta = float(cos_theta)
+    certificate = _levenshtein_path(d, cos_theta, degree)
+    if certificate is not None:
+        return certificate
     points = chebyshev_points(-1.0, cos_theta, GRID_POINTS)
     rows = basis_values(d, degree, points)[1:].T
     # G_0..G_degree at the degree + 1 Chebyshev-Lobatto points of the
@@ -289,9 +360,12 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         # the inflation of shifting out v; no shift absorbs v >= 1
         v = max(violation, 0.0)
         inflation = v * (p_at_1 - 1.0) / (1.0 - v) if v < 1.0 else math.inf
-        # the lowest score is the best round, the later one on a tie
-        if p_at_1 + inflation <= best_score:
-            best_score, idle = p_at_1 + inflation, 0
+        # the lowest score is the best round, the later one on a tie; a tie
+        # that took no pivot repeats the LP answer, and is idle all the same
+        score = p_at_1 + inflation
+        if score <= best_score:
+            repeat = score == best_score and solution.iterations == 0
+            best_score, idle = score, idle + 1 if repeat else 0
             best = (rounds_used, coeffs, p_at_1, violation)
         else:
             idle = idle + 1 if v < 1.0 else 0
@@ -335,27 +409,21 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             f"cutting-plane rounds on a {GRID_POINTS}-point grid cannot be "
             f"absorbed{failed_round}"
         )
-    final_coeffs = coeffs.copy()
-    final_coeffs[0] = 1.0 - shift
-    final_coeffs /= 1.0 - shift
-    final_poly = GegenbauerPoly(d, final_coeffs)
-    bound_real, bound_int, _ = pfender.bound_values(*pfender_form(final_poly))
-    certificate = DGSCertificate(cos_theta, final_poly, bound_real, bound_int)
-    report = verify_certificate(certificate)
+    certificate = _shifted(d, cos_theta, coeffs, shift)
+    report = certificate.verification
     grid_bound = p_at_1
     if polish is not None:
         grid_bound, active = polish
         report.messages.append(
             f"Newton-polished in {NEWTON_STEPS} steps on the active points "
             f"[{', '.join(f'{t:.6g}' for t in active)}]: grid LP optimum "
-            f"{grid_bound!r}, gap {bound_real / grid_bound - 1.0!r}"
+            f"{grid_bound!r}, gap {certificate.bound_real / grid_bound - 1.0!r}"
         )
     from_round = f", from round {best_round}" if best_round < rounds_used else ""
     report.messages.append(
         f"grid LP bound {grid_bound!r} inflated by shift {shift!r} over "
         f"{rounds_used} cutting-plane rounds{from_round}{failed_round}"
     )
-    certificate.verification = report
     if not report.passed:
         raise CodeBoundsError(
             "internal error: freshly produced certificate failed verification "

@@ -1,0 +1,197 @@
+"""Levenshtein's bound L_m(d, s), the exact Delsarte LP optimum at degree m(s),
+and the Boyvalenkov-Danev-Bumova test of whether a higher degree beats it.
+
+For s in Levenshtein's interval I_m(d) the polynomial
+
+    f_m(t) = (t - s) (t + 1)^eps K_{k-1}(t, s)^2,  m = 2k - 1 + eps,
+
+is the best Delsarte polynomial of degree <= m, so L = f_m(1) / a_0 is
+the LP optimum at degree m(s), caps the optimum at every higher degree
+and lies below every sound certificate at a lower degree. K_{k-1} is the
+Christoffel-Darboux kernel of the weight (1 - t)^(alpha+1) (1 + t)^(alpha+eps),
+alpha = (d - 3) / 2 (Levenshtein, Acta Appl. Math. 29, 1992; Boyvalenkov,
+Dragnev, Hardin, Saff & Stoyanova, Constr. Approx. 44, 2016).
+
+The interval ends are the largest zeros of P_k^(alpha+1, alpha) and
+P_k^(alpha+1, alpha+1). Whether s lies below the largest zero of P_k is
+read from the signs of the monic three-term recurrence at s (Sturm): the
+first P_k that is <= 0 at s is the first with a zero at or above it (the
+intervals are closed), so m(s) costs a few scalar steps and no eigenvalue
+solve. The zeros of
+K_{k-1}(., s) are the nodes of the k-point Gauss-Radau rule with s
+prescribed (Golub, SIAM Rev. 15, 1973).
+
+f_m's zeros alpha_i (s, those of K_{k-1}, and -1 when eps = 1) carry
+Levenshtein's quadrature: with weights rho'_i > 0, 1 + sum_i rho'_i G_j(alpha_i)
+is 0 for j = 1..m, and its value Q_j L at j > m is the BDB test function
+(Boyvalenkov, Danev & Bumova, IEEE Trans. Inf. Theory 42, 1996). The
+rho'_i are an LP-dual point at the nodes with objective 1 + sum rho'_i = L,
+so when no Q_j L with j <= n is negative, no Delsarte polynomial of
+degree n beats L (``bdb_test``).
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import operator
+
+import numpy as np
+
+from ._scalar import MAX_TABLE_DEGREE
+from .gegenbauer import expand_in_basis, quadrature_rule
+from .linprog import OPT_TOL
+
+__all__ = [
+    "levenshtein_degree",
+    "levenshtein_polynomial",
+    "levenshtein",
+    "bdb_test",
+    "gegenbauer_coefficients",
+]
+
+
+def _jacobi_entry(a, b, j):
+    """Row j of the Jacobi matrix of P^(a, b): its diagonal entry and the
+    square of the entry left of it (0 at j = 0). In monic form
+    P_{j+1}(t) = (t - diagonal) P_j(t) - squared P_{j-1}(t)."""
+    total = 2 * j + a + b
+    diagonal = (b * b - a * a) / (total * (total + 2)) if total else (b - a) / (a + b + 2)
+    if not j:
+        return diagonal, 0.0
+    squared = 4 * j * (j + a) * (j + b) * (j + a + b) / (
+        total**2 * (total + 1) * (total - 1)
+    )
+    return diagonal, squared
+
+
+def _search(dim, s, max_degree):
+    """(m(s), the nodes of f_m but -1) or None when m(s) > ``max_degree``.
+
+    For k = 1, 2, ... while 2k - 1 <= max_degree: the monic
+    P_k^(alpha+1, alpha+eps) at s, eps = 0 then 1. The first value <= 0
+    (s at or below the largest zero: the intervals are closed) gives
+    m = 2k - 1 + eps. That family's k x k Jacobi matrix, its last
+    diagonal entry moved to s - squared P_{k-2}(s) / P_{k-1}(s) so that s
+    is an eigenvalue (Golub's Radau rule), has eigenvalues s and the
+    k - 1 zeros of K_{k-1}(., s)."""
+    alpha = (dim - 3) / 2
+    rows = ([], [])
+    values = ([0.0, 1.0], [0.0, 1.0])  # P_{k-2}(s) and P_{k-1}(s)
+    for k in range(1, (max_degree + 1) // 2 + 1):
+        for eps in (0, 1):
+            if 2 * k - 1 + eps > max_degree:
+                return None
+            diagonal, squared = _jacobi_entry(alpha + 1, alpha + eps, k - 1)
+            rows[eps].append((diagonal, squared))
+            before, last = values[eps]
+            value = (s - diagonal) * last - squared * before
+            if value <= 0.0:
+                entries = np.array(rows[eps])
+                off = np.sqrt(entries[1:, 1])
+                matrix = np.diag(entries[:, 0]) + np.diag(off, 1) + np.diag(off, -1)
+                matrix[-1, -1] = s - squared * before / last
+                return 2 * k - 1 + eps, np.linalg.eigvalsh(matrix)
+            values[eps][:] = last, value
+    return None
+
+
+def levenshtein_degree(dim, s, max_degree=MAX_TABLE_DEGREE):
+    """m(s): the least m with s in Levenshtein's interval I_m(dim), or None
+    when m(s) > ``max_degree``."""
+    found = _search(dim, s, max_degree)
+    return None if found is None else found[0]
+
+
+def levenshtein_polynomial(dim, s, max_degree=MAX_TABLE_DEGREE):
+    """(m(s), eps, zeros): f_m(t) = (t - s) (t + 1)^eps prod_z (t - z)^2
+    over the k - 1 float ``zeros`` of K_{k-1}(., s), or None when
+    m(s) > ``max_degree``."""
+    found = _search(dim, s, max_degree)
+    if found is None:
+        return None
+    m, nodes = found
+    return m, (m + 1) % 2, np.delete(nodes, np.abs(nodes - s).argmin())
+
+
+def levenshtein(dim, s):
+    """(m(s), L_m(dim, s)), or None when m(s) > MAX_TABLE_DEGREE."""
+    found = levenshtein_polynomial(dim, s)
+    if found is None:
+        return None
+    m, eps, nodes = found
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return (t - s) * (t + 1) ** eps * np.prod((t[..., None] - nodes) ** 2, axis=-1)
+
+    # a_0 is f's mean under the weight (1 - t^2)^alpha, exact at degree m
+    points, weights = quadrature_rule(dim, m // 2 + 1)
+    a_0 = float(weights @ f(points)) / float(weights.sum())
+    return m, float(f(1.0)) / a_0
+
+
+def _gegenbauer_rows(dim, nodes):
+    """G_1, G_2, ... at the float ``nodes``, one list per degree, by the
+    three-term recursion in ``gegenbauer._recursion``'s operation order."""
+    previous, current = [1.0] * len(nodes), nodes
+    for k in itertools.count(2):
+        yield current
+        up, down, scale = float(2 * k + dim - 4), float(k - 1), float(k + dim - 3)
+        previous, current = current, [
+            (x * up * g1 - g2 * down) / scale
+            for x, g1, g2 in zip(nodes, current, previous)
+        ]
+
+
+def bdb_test(dim, s, degree):
+    """(m(s), eps, zeros, least) when f_m is provably the degree-``degree``
+    LP optimum, where ``least`` is the least BDB test value Q_j L over
+    m(s) < j <= degree (inf when degree = m(s)); else None.
+
+    It declines when m(s) > degree; when the weights' N x N system
+    (G_j for j = 1..N at the N = k + eps nodes) is singular or gives some
+    rho'_i <= 0; and at the first j <= degree whose Q_j L lies below
+    minus its rounding bound OPT_TOL + (N + 1) eps (1 + sum_i |rho'_i G_j|)
+    (the rule that ``linprog.solve_lp`` applies to a reduced cost). No
+    coefficient of f_m is computed here."""
+    found = levenshtein_polynomial(dim, s, degree)
+    if found is None:
+        return None
+    m, eps, zeros = found
+    nodes = [s, *zeros.tolist()] + [-1.0] * eps
+    count = len(nodes)
+    rows = _gegenbauer_rows(dim, nodes)
+    head = [next(rows) for _ in range(count)]
+    try:
+        weights = np.linalg.solve(np.array(head), np.full(count, -1.0))
+    except np.linalg.LinAlgError:
+        return None
+    if not weights.min() > 0.0:
+        return None
+    weights = weights.tolist()
+    gamma = (count + 1) * np.finfo(float).eps
+    least = math.inf
+    for j, row in zip(range(1, degree + 1), itertools.chain(head, rows)):
+        q = 1.0 + sum(map(operator.mul, weights, row))
+        if q < 0.0 and q < -(
+            OPT_TOL + gamma * (1.0 + sum(abs(w * g) for w, g in zip(weights, row)))
+        ):
+            return None
+        if j > m:
+            least = min(least, q)
+    return m, eps, zeros, least
+
+
+def gegenbauer_coefficients(dim, s, eps, zeros):
+    """f_m's Gegenbauer coefficients a_0..a_m, divided by a_0: its
+    ascending monomial coefficients, multiplied out root by root in Python
+    floats, then ``expand_in_basis`` (back-substitution, whose error does
+    not grow with the dimension as the quadrature projection's does)."""
+    roots = [s] + [-1.0] * eps + [float(z) for z in zeros for _ in range(2)]
+    mono = [1.0]
+    for root in roots:
+        # times (t - root)
+        mono = [a - root * b for a, b in zip([0.0, *mono], [*mono, 0.0])]
+    coeffs = expand_in_basis(mono, dim).coeffs
+    return coeffs / coeffs[0]

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ ROUNDS_MESSAGE = re.compile(
     r"grid LP bound \S+ inflated by shift \S+ over (\d+) cutting-plane rounds"
     r"(?:, from round (\d+))?"
 )
+# the one message of a certificate from Levenshtein's path
+LEVENSHTEIN_MESSAGE = re.compile(
+    r"Levenshtein's f_(\d+), m\(s\) = (\d+): BDB test min Q_j L over "
+    r"m\(s\) < j <= (\d+) is (\S+|none \(degree = m\(s\)\)); L = (\S+) "
+    r"inflated by shift (\S+)"
+)
+
+
+@pytest.fixture
+def lp_path(monkeypatch):
+    """Decline Levenshtein's path, so that lp_bound runs its cutting-plane
+    rounds on the inputs where f_m is the degree's optimum."""
+    monkeypatch.setattr(dgs_bound, "_levenshtein_path", lambda *args: None)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +80,7 @@ class TestLPBound:
         with pytest.raises(NoCertificateError):
             lp_bound(3, 0.5, 1)
 
+    @pytest.mark.usefixtures("lp_path")
     def test_simplex_angle_degree_one_exact(self):
         # optimal P = 1 + d r; bound exactly d + 1, no sign violation at all
         for d in (2, 3, 7, 16):
@@ -110,6 +125,7 @@ class TestFailedLPRound:
         monkeypatch.setattr(dgs_bound, "solve_lp", solve)
         return calls
 
+    @pytest.mark.usefixtures("lp_path")
     def test_later_round_failure_certifies_previous_round(self, monkeypatch):
         # (8, 0.5, 6) takes 2 rounds when every LP succeeds
         calls = self._fail_from_round(monkeypatch, 2)
@@ -122,6 +138,7 @@ class TestFailedLPRound:
         )
         assert 240.0 - 1e-6 <= cert.bound_real
 
+    @pytest.mark.usefixtures("lp_path")
     def test_first_round_failure_raises(self, monkeypatch):
         self._fail_from_round(monkeypatch, 1)
         with pytest.raises(LPFailureError, match="numerical_failure"):
@@ -182,6 +199,94 @@ class TestBestRound:
         )
         assert np.array_equal(cert.poly.coeffs, expected.poly.coeffs)
         assert verify_certificate(cert).passed
+
+    @pytest.mark.usefixtures("lp_path")
+    def test_a_repeated_lp_answer_is_idle(self, monkeypatch):
+        # unpolished, rounds 5 on repeat round 4's answer at 0 pivots; a tie
+        # once reset the idle count, and the rounds ran to MAX_ROUNDS
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
+        calls = TestWarmStartedRounds._record(monkeypatch)
+        cert = lp_bound(24, 0.5, 10)
+        assert len(calls) <= 6
+        assert [solution.iterations for _, _, solution in calls[-2:]] == [0, 0]
+        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert rounds and int(rounds[1]) == len(calls)
+        assert cert.bound_real == 196560.00022101324
+
+
+# the inputs where Levenshtein's f_m is provably the degree's optimum: four
+# kissing_lp cases and a small one; (8, .5) and (24, .5) sit on the closed
+# end of I_6 and I_10, where the monic recurrence reads exactly 0
+FAST_PATH_CASES = [(8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20), (16, 0.7, 16), (3, 0.5, 6)]
+# the other kissing_lp cases, where some Q_j L < 0, and the lp_stress cases:
+# Q_j L < 0 at (24, .7, 30), (48, .5, 30) and (32, .5, 30), and m(s) = 19 > 12
+# at (24, .7, 12)
+DECLINED_CASES = [
+    (3, 0.5, 10), (4, 0.5, 10), (32, 0.5, 20),
+    (24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30), (24, 0.7, 12),
+]
+
+
+class TestLevenshteinPath:
+    @pytest.mark.parametrize("case", FAST_PATH_CASES, ids=str)
+    def test_taken_without_an_lp(self, monkeypatch, case):
+        calls = TestWarmStartedRounds._record(monkeypatch)
+        cert = lp_bound(*case)
+        assert not calls
+        assert cert.verification.passed and verify_certificate(cert).passed
+        (message,) = cert.verification.messages
+        found = LEVENSHTEIN_MESSAGE.fullmatch(message)
+        assert found and found[1] == found[2] and int(found[3]) == case[2]
+        m = int(found[2])
+        assert cert.poly.degree == m <= case[2]
+        least = found[4]
+        assert (m == case[2]) == least.startswith("none")
+        if m < case[2]:
+            # the BDB test values sit at or above minus their rounding
+            assert float(least) > -1e-9
+        # P_hat = (P - shift) / (1 - shift) with shift >= the noise term
+        p_at_1, shift = float(found[5]), float(found[6])
+        assert shift >= 1e-10 + 3e-15 * p_at_1
+        assert cert.bound_real == pytest.approx(
+            (p_at_1 - shift) / (1.0 - shift), rel=1e-15
+        )
+        assert cert.verification.max_sign_violation < 0.0
+
+    def test_the_anchors_keep_their_windows(self):
+        assert 240.0 - 1e-6 <= lp_bound(8, 0.5, 6).bound_real <= 240.001
+        for degree in (10, 20):
+            cert = lp_bound(24, 0.5, degree)
+            assert 196560.0 <= cert.bound_real <= 196561.0
+            assert cert.bound_int == 196560
+        assert lp_bound(16, 0.7, 16).bound_real >= 4320.0
+        assert lp_bound(3, 0.5, 6).bound_int == 13
+
+    @pytest.mark.parametrize("case", DECLINED_CASES, ids=str)
+    def test_declined_before_any_coefficient_work(self, monkeypatch, case):
+        expansions = []
+        real = dgs_bound.levenshtein.gegenbauer_coefficients
+
+        def spy(*args):
+            expansions.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dgs_bound.levenshtein, "gegenbauer_coefficients", spy)
+        assert dgs_bound._levenshtein_path(*case) is None
+        assert not expansions
+
+    @pytest.mark.parametrize(
+        "d, s", [(23, -0.3874), (54, -0.4329), (3, -0.5), (8, -0.2), (100, -0.05),
+                 (16, -1.0 / 16), (7, -1.0 / 7)],
+    )
+    def test_a_degree_one_certificate_is_exactly_nonpositive(self, d, s):
+        # P = a_0 + a_1 t is linear, so P <= 0 at -1 and at s, in exact
+        # arithmetic over the stored floats, proves the sign condition
+        cert = lp_bound(d, s, 1)
+        assert LEVENSHTEIN_MESSAGE.fullmatch(cert.verification.messages[-1])
+        a_0, a_1 = (Fraction(float(a)) for a in cert.poly.coeffs)
+        assert a_0 > 0 and a_1 >= 0
+        assert a_0 - a_1 <= 0
+        assert a_0 + a_1 * Fraction(s) < 0
 
 
 class TestGapRows:
@@ -294,8 +399,11 @@ class TestPropertySweep:
             pass
         else:
             assert verify_certificate(cert).passed
-            rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-            assert rounds and int(rounds[1]) < dgs_bound.MAX_ROUNDS
+            last = cert.verification.messages[-1]
+            rounds = ROUNDS_MESSAGE.fullmatch(last)
+            assert LEVENSHTEIN_MESSAGE.fullmatch(last) or (
+                rounds and int(rounds[1]) < dgs_bound.MAX_ROUNDS
+            )
         assert time.perf_counter() - start < 1.0
 
     def test_a_growing_violation_is_cut_not_taken_for_a_stall(self):
@@ -354,6 +462,7 @@ class TestWarmStartedRounds:
         monkeypatch.setattr(dgs_bound, "solve_lp", solve)
         return calls
 
+    @pytest.mark.usefixtures("lp_path")
     @pytest.mark.parametrize("case", [(8, 0.5, 6), (24, 0.5, 20), (16, 0.7, 16)])
     def test_every_round_matches_a_cold_solve(self, monkeypatch, case):
         calls = self._record(monkeypatch)
@@ -365,6 +474,7 @@ class TestWarmStartedRounds:
             assert warm.status == cold.status == "optimal"
             assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
 
+    @pytest.mark.usefixtures("lp_path")
     def test_later_rounds_cost_few_pivots(self, monkeypatch):
         calls = self._record(monkeypatch)
         lp_bound(24, 0.5, 20)
@@ -397,6 +507,7 @@ class TestWarmStartedRounds:
             ((24, 0.5, 10), "f9642d5f46f2eb2cccb84e3254f14e889e8aaabd45887d47a25ca522f0e32229"),
         ],
     )
+    @pytest.mark.usefixtures("lp_path")
     def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
         # the first two run one round, a single cold LP, so their files pin the
         # LP, the shift and the verification report (maxima from the roots of
@@ -408,6 +519,7 @@ class TestWarmStartedRounds:
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.usefixtures("lp_path")
     @pytest.mark.parametrize("case", [(3, 0.5, 10), (24, 0.5, 10), (24, 0.765, 29)])
     def test_each_round_evaluates_p_once(self, monkeypatch, case):
         # the round's samples are one matvec; P itself is evaluated once, at
@@ -462,18 +574,20 @@ class TestWarmStartedRounds:
 
 
 # the kissing_lp and lp_stress certificates of perfbench/workloads.py, each
-# with the sha256 of its file when every polish fails
+# with the sha256 of its file when every polish fails and Levenshtein's path
+# declines; a repeated LP answer is idle, so (24, .5, 10) ends after 6 rounds
+# and (32, .5, 20) and (32, .5, 30) after 7, where they ran to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
     (3, 0.5, 10): "f351e5c4cc00948dc9211bb3616570c0c4e18cf5240bd36838f63368a8dc8296",
     (4, 0.5, 10): "88e7f5ae58a65523895fc317787e305d3ee86d29f3aeab65ed171ae52ecb32c8",
     (8, 0.5, 6): "4e61bbe3479c0a4636ee64a84e16fb81106eea1b3ab1fd7523b6e36a78e06159",
-    (24, 0.5, 10): "c1e268dc72053bc43bbb120719611c56be0fc62bdf40273a5790629ac52eaa4c",
+    (24, 0.5, 10): "c3115f5a599160cf344e9dbc46e11514ace93d29816ddb2c285afcfff257e8c9",
     (24, 0.5, 20): "ea3c6635b7cb09e0e849dc7862c33e7544b07129c3a80db4ef27bd2ec5e384f1",
-    (32, 0.5, 20): "1f5e0e7568c4b168bda2d61af56fed9dc5f09f47420998f9ce493a3844cda756",
+    (32, 0.5, 20): "62d898739dc5a68587f9e765663b8b5151b8219febe6b4007cdee6a57203d25b",
     (16, 0.7, 16): "26a402c70ba7f0a14c2273b5b678ccd07104a024eba809ff6ee1bf9dd0841b8c",
     (24, 0.7, 30): "8bce8e4afdc68800ac36116173b1695d34cda3026a780bff33eae0f04f0204ca",
     (48, 0.5, 30): "28843aba12ceed63fe5cd7bf33f880655a5661d4d6a5e71511c468920dc38413",
-    (32, 0.5, 30): "d2ac729f8d055d5ce80c58445241bd30cb15afea9095cc6afcf14d28b3d00384",
+    (32, 0.5, 30): "f40a5ce115dc2a8033d02f8e1c2b2c9373ae3c8fd531b18a296149dc1ea7e428",
 }
 # inputs whose loop ends with a polished certificate: four kissing_lp and two
 # lp_stress cases, and three from the domain sweep, the last at P(1) ~ 2.4e14
@@ -488,6 +602,7 @@ POLISH_MESSAGE = re.compile(
 SHIFT_MESSAGE = re.compile(r"grid LP bound (\S+) inflated by shift (\S+) over .*")
 
 
+@pytest.mark.usefixtures("lp_path")
 class TestNewtonPolish:
     def test_a_failing_polish_leaves_the_unpolished_bytes(self, monkeypatch):
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)

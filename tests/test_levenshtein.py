@@ -8,11 +8,18 @@ to miss, each with its cause; removing the mark is how a fix shows.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from levenshtein import levenshtein, levenshtein_polynomial
 
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import NoCertificateError
+from codebounds.gegenbauer import MAX_TABLE_DEGREE, basis_values
+from codebounds.levenshtein import (
+    bdb_test,
+    levenshtein,
+    levenshtein_degree,
+    levenshtein_polynomial,
+)
 
 
 ANCHORS = [
@@ -60,6 +67,57 @@ def test_quadrature_agrees_with_exact_moments(dim, s):
     assert abs(Fraction(value) / exact - 1) <= Fraction(1, 10**12)
 
 
+def jacobi_matrix(a, b, size):
+    """The symmetric Jacobi matrix of the orthonormal P_j^(a, b), j < size."""
+    j = np.arange(size, dtype=float)
+    total = 2 * j + a + b
+    diagonal = np.divide(
+        b * b - a * a,
+        total * (total + 2),
+        out=np.full(size, (b - a) / (a + b + 2)),
+        where=total != 0,
+    )
+    j, total = j[1:], total[1:]
+    off = np.sqrt(
+        4 * j * (j + a) * (j + b) * (j + a + b)
+        / (total**2 * (total + 1) * (total - 1))
+    )
+    return np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def eigenvalue_degree(dim, s):
+    """m(s) from the interval ends themselves: the largest zeros of
+    P_k^(alpha+1, alpha) and P_k^(alpha+1, alpha+1), as eigenvalues of their
+    Jacobi matrices; None past MAX_TABLE_DEGREE."""
+    alpha = (dim - 3) / 2
+    for k in range(1, MAX_TABLE_DEGREE // 2 + 1):
+        for eps in (0, 1):
+            end = np.linalg.eigvalsh(jacobi_matrix(alpha + 1, alpha + eps, k))[-1]
+            if s < end:
+                return 2 * k - 1 + eps
+    return None
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 24, 57, 200])
+def test_the_sign_count_finds_the_eigenvalue_degree(dim):
+    # off the interval ends, where the two can only differ by rounding
+    for s in np.linspace(-0.9871, 0.9913, 61).tolist():
+        assert levenshtein_degree(dim, s) == eigenvalue_degree(dim, s), s
+        for cap in (1, 6, 17):
+            expected = eigenvalue_degree(dim, s)
+            expected = expected if expected is not None and expected <= cap else None
+            assert levenshtein_degree(dim, s, cap) == expected
+
+
+def test_closed_interval_ends_take_the_lower_degree():
+    # s = 1/2 ends I_6 at d = 8 and I_10 at d = 24, and the monic recurrence
+    # reads exactly 0 there: E8's and the Leech lattice's polynomials
+    assert levenshtein_degree(8, 0.5) == 6
+    assert levenshtein_degree(24, 0.5) == 10
+    assert levenshtein(8, 0.5) == (6, pytest.approx(240.0, rel=1e-12))
+    assert levenshtein(24, 0.5) == (10, pytest.approx(196560.0, rel=1e-12))
+
+
 def test_simplex_and_cap():
     # I_1 ends at s = -1/d, and L_1 = 1 - 1/s: the regular simplex
     assert levenshtein(5, -0.2 - 1e-9) == (1, pytest.approx(6.0, rel=1e-8))
@@ -67,8 +125,6 @@ def test_simplex_and_cap():
     assert levenshtein(3, 0.999) is None  # m(s) > 40
 
 
-# Above L: the rounds stop with a violation that the final shift pays for.
-SHIFT = "the rounds end with a violation, and the final shift pays for it"
 # Above L by the shift's noise term 3e-15 P(1), not by any violation.
 NOISE = "the final shift is the noise term 3e-15 P(1)"
 # No certificate, although f_m is one: at P(1) >= 1e14 float64 coefficients
@@ -103,9 +159,11 @@ ORACLE_CASES = [
     (44, 0.3829, 32),
     (96, 0.2794, 35),
     (38, 0.4607, 35),
-    # 15 strict xfails: 1 SHIFT, 7 NOISE, 2 FLOAT64, 2 FALSE_INFEASIBLE_F11
-    # and 3 with their own cause
-    miss((2, 0.5, 40), SHIFT, AssertionError),
+    # Levenshtein's path: 6.0000000005 at L = 6, where the rounds' shift
+    # paid for a violation
+    (2, 0.5, 40),
+    # 14 strict xfails: 7 NOISE, 2 FLOAT64, 2 FALSE_INFEASIBLE_F11 and 3
+    # with their own cause
     miss((197, 0.2559, 30), NOISE, AssertionError),
     miss((88, 0.4013, 37), NOISE, AssertionError),
     miss((114, 0.33, 17), NOISE, AssertionError),
@@ -136,3 +194,34 @@ def test_lp_bound_against_levenshtein(dim, s, degree):
         assert bound >= value * (1.0 - 1e-12)
     if degree >= m:
         assert bound <= value * (1.0 + 1e-6)
+
+
+def bdb_values(dim, s, degree):
+    """(m(s), Q_j L for j = 1..degree) by numpy: the nodes of f_m, the
+    weights rho'_i from sum_i rho'_i G_j(alpha_i) = -1 for j = 1..N, and
+    1 + sum_i rho'_i G_j(alpha_i)."""
+    m, eps, zeros = levenshtein_polynomial(dim, s)
+    nodes = np.concatenate(([s], zeros, [-1.0] * eps))
+    values = basis_values(dim, degree, nodes)[1:]
+    weights = np.linalg.solve(values[: len(nodes)], np.full(len(nodes), -1.0))
+    assert weights.min() > 0.0
+    return m, 1.0 + values @ weights
+
+
+def test_a_negative_test_function_leaves_room_below_l():
+    # BDB against the LP: on a seeded sample of the sweep's domain, each
+    # input at a degree >= m(s) that Levenshtein's path declines because some
+    # Q_j L with j > m(s) is clearly negative certifies below L
+    rng = np.random.default_rng(5)
+    declined = []
+    for _ in range(150):
+        dim = int(rng.integers(2, 65))
+        s = round(float(rng.uniform(-1.0, 0.9)), 4)
+        degree = int(rng.integers(1, 41))
+        if levenshtein_degree(dim, s, degree) is None or bdb_test(dim, s, degree):
+            continue
+        m, q = bdb_values(dim, s, degree)
+        if degree > m and q[m:].min() < -1e-3:
+            declined.append((dim, s, degree))
+            assert lp_bound(dim, s, degree).bound_real < levenshtein(dim, s)[1]
+    assert len(declined) >= 10

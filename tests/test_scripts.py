@@ -46,7 +46,20 @@ def test_domain_sweep_reruns_differ_only_in_the_slowest_line():
         assert lines[-1].startswith("slowest: ")
         runs.append(lines[:-1])
     assert runs[0] == runs[1]
-    assert re.fullmatch(r"polished: \d+ of \d+ certificates", runs[0][-1])
+    lines = runs[0]
+    start = next(i for i, line in enumerate(lines) if line.startswith("polished: "))
+    assert re.fullmatch(r"polished: \d+ of (\d+) certificates", lines[start])
+    assert re.fullmatch(r"levenshtein: \d+ of \d+ certificates", lines[start + 1])
+    worse = re.fullmatch(
+        r"worse than Levenshtein: (\d+) of \d+ certificates at a degree >= m\(s\)",
+        lines[start + 2],
+    )
+    # each worse input on a line of its own, and nothing after them
+    listed = lines[start + 3 :]
+    assert worse and len(listed) == int(worse[1])
+    assert all(
+        re.fullmatch(r"\(.+\): \S+ against L \S+ \(x \S+\)", line) for line in listed
+    )
     # an input line, the kind that once carried its own time
     assert any(line.startswith("(") for line in runs[0])
 
