@@ -5,13 +5,15 @@ Draws --n inputs (d, cos_theta, degree) with d uniform in 2..--max-dim,
 cos_theta = round(U(-1, --max-cos), 4) and degree uniform in 1..40, runs
 lp_bound on each and prints how many ended in each outcome (a
 certificate, NoCertificateError by its cause, or a named error), how many
-certificates ended at a Newton-polished polynomial and how many came from
-Levenshtein's path, every input that ended in an error, the certificates
-at a degree >= m(s) that are worse than Levenshtein's bound L (above
-L (1 + 1e-6)), each with its bound and L, and the slowest input. Every input should
-end quickly in a certificate or a NoCertificateError: the script exits 1
-when any input ends in another error. Only the ``slowest:`` line holds a
-time, so two runs of the same code print the same other lines.
+certificates were left unshifted because their float maximum plus noise
+sat inside COND_TOL, how many ended at a Newton-polished polynomial and
+how many came from Levenshtein's path, every input that ended in an
+error, the certificates at a degree >= m(s) that are worse than
+Levenshtein's bound L (above L (1 + 1e-6)), each with its bound and L,
+and the slowest input. Every input should end quickly in a certificate
+or a NoCertificateError: the script exits 1 when any input ends in
+another error. Only the ``slowest:`` line holds a time, so two runs of
+the same code print the same other lines.
 
 The two pools that CI runs:
 
@@ -35,6 +37,8 @@ from codebounds.levenshtein import levenshtein, levenshtein_degree
 WORSE = 1e-6
 # the paths a certificate can end on, by the start of their message
 PATHS = {"polished": "Newton-polished", "levenshtein": "Levenshtein's"}
+# the rounds message of a certificate that lp_bound left unshifted
+UNSHIFTED = " inflated by shift 0.0 over "
 
 
 def sweep_inputs(seed: int, n: int, max_dim: int, max_cos: float):
@@ -73,6 +77,7 @@ def main() -> int:
         parser.error("--max-dim must be >= 2 and --max-cos in (-1, 1)")
 
     counts, paths = Counter(), Counter()
+    unshifted = 0
     above_m, worse = 0, []
     slowest = (-1.0, None, None)
     for case in sweep_inputs(args.seed, args.n, args.max_dim, args.max_cos):
@@ -85,8 +90,10 @@ def main() -> int:
         slowest = max(slowest, (elapsed, case, result))
         if cert is None:
             continue
+        messages = cert.verification.messages
+        unshifted += any(UNSHIFTED in m for m in messages)
         for path, prefix in PATHS.items():
-            paths[path] += any(m.startswith(prefix) for m in cert.verification.messages)
+            paths[path] += any(m.startswith(prefix) for m in messages)
         d, cos_theta, degree = case
         if levenshtein_degree(d, cos_theta, degree) is not None:
             above_m += 1
@@ -98,6 +105,7 @@ def main() -> int:
                 )
     for result, count in sorted(counts.items()):
         print(f"{count:>5}  {result}")
+    print(f"unshifted: {unshifted} of {counts['certificate']} certificates")
     for path in PATHS:
         print(f"{path}: {paths[path]} of {counts['certificate']} certificates")
     print(f"worse than Levenshtein: {len(worse)} of {above_m} certificates "

@@ -4,23 +4,12 @@ For a dimension d and angle ceiling cos_theta, any polynomial
 P = sum a_k G_k^{(d)} with a_0 > 0, a_k >= 0, and P <= 0 on
 [-1, cos_theta] bounds every such code by P(1) / a_0. With a_0
 normalized to 1 the best such bound at a fixed degree is a linear
-program over the remaining coefficients. Where cos_theta = s lies in
-Levenshtein's interval I_m at m <= degree, and the Boyvalenkov-Danev-Bumova
-test functions show that no higher degree up to ``degree`` does better,
-Levenshtein's f_m is that optimum (``levenshtein``), and it is certified
-without an LP. Otherwise the sign condition is enforced
-on a Chebyshev grid, and the grid is grown with cutting planes that fill
-the grid gap around each critical point of P (a root of P') where P > 0.
-The round with the lowest P(1) plus shift inflation is certified; the
-rounds end when that inflation is negligible or two rounds in a row miss
-it. Once the LP's active set keeps its shape, a Newton polish on that set
-(double roots, touching endpoints, positive coefficients) can end the
-rounds early: the grid LP's optimum is a lower bound on every certificate
-of the degree (each is <= 0 on the grid), so a polished P that is <= 0 on
-the interval up to evaluation noise, with P(1) within that noise of the
-optimum, gives up no bound. The final polynomial is shifted and rescaled
-so it is genuinely nonpositive on the interval, which turns the LP output
-into a certificate that stands on its own. P is the structural Pfender
+program over the remaining coefficients. ``lp_bound`` takes
+Levenshtein's f_m where the Boyvalenkov-Danev-Bumova test shows it is that
+optimum (``levenshtein``), and otherwise solves the LP on a Chebyshev grid
+grown by cutting planes, with a Newton polish on its active set. One rule
+(``_certified``) turns f_m, a polished P or the best round into a
+certificate that stands on its own. P is the structural Pfender
 certificate (P - a_0, a_0), and ``verify_certificate`` is one call of
 ``pfender.pfender_bound`` on it.
 """
@@ -119,6 +108,13 @@ def _noise(p_at_1: float) -> float:
     return 1e-10 + 3e-15 * abs(p_at_1)
 
 
+def _inflation(violation: float, p_at_1: float) -> float:
+    """The rise of the bound P(1) from shifting out v = max(violation, 0);
+    no shift absorbs v >= 1."""
+    v = max(violation, 0.0)
+    return v * (p_at_1 - 1.0) / (1.0 - v) if v < 1.0 else math.inf
+
+
 def _maximum(poly: GegenbauerPoly, sample_basis, cos_theta: float):
     """P's values at -1, cos_theta and its critical points, where its
     maximum on [-1, cos_theta] lies, and those critical points: one matvec
@@ -205,60 +201,64 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     return coeffs, np.sort(np.concatenate([t, where[at_end]]))
 
 
-def _shifted(d, cos_theta, coeffs, shift) -> DGSCertificate:
+def _touching(d, coeffs, sample_basis, cos_theta):
+    """(v, P(1)) for the a_0 = 1 ``coeffs`` of a P that touches 0 by
+    construction (f_m or a polished P), v its maximum as a round measures
+    it (``_maximum``); None when v exceeds the noise term."""
+    poly = GegenbauerPoly(d, coeffs)
+    violation = float(_maximum(poly, sample_basis, cos_theta)[0].max())
+    p_at_1 = poly.at_one()
+    return (violation, p_at_1) if violation <= _noise(p_at_1) else None
+
+
+def _certified(d, cos_theta, coeffs, violation, p_at_1, touching):
     """The certificate P_hat = (P - shift) / (1 - shift) of the a_0 = 1
-    coefficients ``coeffs``, with its ``verify_certificate`` report. The
-    shift keeps a_0 = 1 and the other coefficients nonnegative, at the
-    cost of a slightly larger bound."""
-    final_coeffs = coeffs.copy()
-    final_coeffs[0] = 1.0 - shift
-    final_coeffs /= 1.0 - shift
-    final_poly = GegenbauerPoly(d, final_coeffs)
-    bound_real, bound_int, _ = pfender.bound_values(*pfender_form(final_poly))
-    certificate = DGSCertificate(cos_theta, final_poly, bound_real, bound_int)
+    ``coeffs``, with its ``verify_certificate`` report, and the shift; None
+    at shift >= 1. shift = max(violation, 0) + noise, for P's maximum
+    ``violation`` on [-1, cos_theta], makes P_hat nonpositive there, keeps
+    a_0 = 1 and every a_k >= 0, and costs a slightly larger bound. It is 0
+    when violation + noise already sits inside the verifier tolerance
+    COND_TOL, unless P is ``touching`` 0 by construction."""
+    noise = _noise(p_at_1)
+    inside = not touching and violation + noise <= pfender.COND_TOL
+    shift = 0.0 if inside else max(violation, 0.0) + noise
+    if shift >= 1.0:
+        return None
+    poly = GegenbauerPoly(d, np.append(1.0 - shift, coeffs[1:]) / (1.0 - shift))
+    bound_real, bound_int, _ = pfender.bound_values(*pfender_form(poly))
+    certificate = DGSCertificate(cos_theta, poly, bound_real, bound_int)
     certificate.verification = verify_certificate(certificate)
-    return certificate
+    return certificate, shift
 
 
 def _levenshtein_path(d, cos_theta, degree):
     """Levenshtein's f_m as the degree-``degree`` certificate, or None.
 
-    ``levenshtein.bdb_test`` decides from (d, cos_theta, degree) alone
-    whether f_m at m(s) <= degree is provably the degree's LP optimum L.
-    If it is, f_m's Gegenbauer coefficients (a_0 = 1) are scored as a
-    polished P is: its maximum on [-1, cos_theta], measured as a round
-    measures it, must be at most the noise term, and the inflation of
-    shifting out v = max(maximum, 0) at most INFLATION_TARGET. It is then
-    shifted by v + noise, and returned if it passes ``verify_certificate``,
-    with one message that names the path, m(s), the least BDB test value
-    Q_j L over m(s) < j <= degree, L and the shift. Every other outcome
-    returns None, and the cutting-plane rounds run as before.
+    Where ``levenshtein.bdb_test`` shows from (d, cos_theta, degree) alone
+    that f_m at m(s) <= degree is the degree's LP optimum L, f_m (a_0 = 1)
+    is measured as a polished P is (``_touching``), must end the rounds
+    (``_inflation`` <= INFLATION_TARGET) and must pass ``_certified``. Its
+    one message names the path, m(s), the least BDB test value Q_j L over
+    m(s) < j <= degree, L and the shift.
     """
     found = levenshtein.bdb_test(d, cos_theta, degree)
     if found is None:
         return None
     m, eps, zeros, least = found
     coeffs = levenshtein.gegenbauer_coefficients(d, cos_theta, eps, zeros)
-    poly = GegenbauerPoly(d, coeffs)
     sample_basis = basis_values(d, m, chebyshev_points(-1.0, cos_theta, m + 1))
-    top = float(_maximum(poly, sample_basis, cos_theta)[0].max())
-    p_at_1 = poly.at_one()
-    noise = _noise(p_at_1)
-    v = max(top, 0.0)
-    shift = v + noise
-    if (
-        top > noise
-        or shift >= 1.0
-        or v * (p_at_1 - 1.0) / (1.0 - v) > INFLATION_TARGET
-    ):
+    measured = _touching(d, coeffs, sample_basis, cos_theta)
+    if measured is None or _inflation(*measured) > INFLATION_TARGET:
         return None
-    certificate = _shifted(d, cos_theta, coeffs, shift)
-    if not certificate.verification.passed:
+    certified = _certified(d, cos_theta, coeffs, *measured, touching=True)
+    if certified is None or not certified[0].verification.passed:
         return None
+    certificate, shift = certified
     least = repr(least) if degree > m else "none (degree = m(s))"
     certificate.verification.messages.append(
         f"Levenshtein's f_{m}, m(s) = {m}: BDB test min Q_j L over "
-        f"m(s) < j <= {degree} is {least}; L = {p_at_1!r} inflated by shift {shift!r}"
+        f"m(s) < j <= {degree} is {least}; L = {measured[1]!r} inflated by "
+        f"shift {shift!r}"
     )
     return certificate
 
@@ -266,10 +266,8 @@ def _levenshtein_path(d, cos_theta, degree):
 def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
-    First, Levenshtein's path (``_levenshtein_path``), chosen from
-    (d, cos_theta, degree) alone: where the BDB test functions show that
-    f_m is the degree's LP optimum, f_m is the certificate and no LP runs.
-    Any other outcome runs the cutting-plane rounds below, unchanged.
+    First, Levenshtein's path (``_levenshtein_path``): where f_m is provably
+    the degree's LP optimum, it is the certificate and no LP runs.
 
     The first round's LP enforces the sign condition on a fixed grid of
     GRID_POINTS Chebyshev points of [-1, cos_theta], which the cutting
@@ -282,37 +280,33 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     The rows fill the grid gap around each critical point where P > 0:
     the point itself and GAP_ROWS evenly spaced points (``_gap_rows``),
     so a round divides the violation by about 64 where the point alone
-    divided it by 4. Each round finds the critical points from P's values
-    at the degree + 1 Chebyshev-Lobatto points of the interval, one matvec
-    with the G_k there (tabulated once per call), and evaluates P once, at
-    -1, cos_theta and those points: the maximum is the round's violation,
-    and the critical points where P > 0 get the cuts.
+    divided it by 4. A round's violation is P's maximum as ``_maximum``
+    measures it, and the critical points where P > 0 get the cuts.
 
     One rule picks the certified round and ends the rounds. A round scores
-    P(1) + v (P(1) - 1) / (1 - v), the bound its shift would give, where
-    v = max(violation, 0) (infinite at v >= 1). A round that scores at or
-    below the best so far becomes the best; one below v = 1 that does not
-    is idle, and so is a tie whose LP took no pivot (it repeats the
-    answer). The rounds end at a shift inflation <= INFLATION_TARGET, a
-    polished P, two idle rounds in a row, MAX_ROUNDS, no new cuts, or a
-    later round's failed LP, which the rounds message names; the best round
-    is certified, and named (", from round k") if it is not the last.
+    P(1) + ``_inflation``, the bound its shift would give. One that scores
+    at or below the best so far becomes the best; one with a violation
+    below 1 that does not is idle, and so is a tie whose LP took no pivot
+    (it repeats the answer). The rounds end at an ``_inflation`` <=
+    INFLATION_TARGET, a polished P, two idle rounds in a row, MAX_ROUNDS,
+    no new cuts, or a later round's failed LP, which the rounds message
+    names; the best round is certified, and named (", from round k") if it
+    is not the last.
 
     A round that ends none of the other ways, whose active set has the
     shape of the previous round's (as many positive a_k and tight rows),
     and whose LP optimum rose by at most POLISH_RISE * noise * P(1),
     polishes its LP answer (``_polish``). The rounds stop at the polished
-    P, which becomes the best, when its maximum, measured as a round
-    measures it, is at most the noise term 1e-10 + 3e-15 P(1), and its
-    P(1) exceeds the round's grid LP optimum by at most noise * P(1). A
-    polished P touches 0 by construction, so it is always shifted by
-    max(v, 0) + noise, never skipped as an unpolished P's shift is when
-    v + noise <= COND_TOL. Its report gains a message, before the rounds
+    P, which becomes the best, when its maximum is at most the noise term
+    (``_touching``), and its P(1) exceeds the round's grid LP optimum by
+    at most noise * P(1): that optimum is a lower bound on every
+    certificate of the degree (each is <= 0 on the grid), so the polished
+    P gives up no bound. Its report gains a message, before the rounds
     message, that names the Newton steps, the active points, the grid LP
     optimum and the gap bound_real / optimum - 1.
 
-    Every returned certificate has passed ``verify_certificate``, the
-    Pfender checks of (P - a_0, a_0).
+    The best round is certified by ``_certified`` (NoCertificateError when
+    no shift absorbs it), and has passed ``verify_certificate``.
     """
     _validate_inputs(d, cos_theta, degree)
     if degree < 1:
@@ -357,18 +351,16 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         # P's maximum is at -1, cos_theta or a critical point
         values, critical = _maximum(poly, sample_basis, cos_theta)
         violation = float(values.max())
-        # the inflation of shifting out v; no shift absorbs v >= 1
-        v = max(violation, 0.0)
-        inflation = v * (p_at_1 - 1.0) / (1.0 - v) if v < 1.0 else math.inf
+        inflation = _inflation(violation, p_at_1)
         # the lowest score is the best round, the later one on a tie; a tie
         # that took no pivot repeats the LP answer, and is idle all the same
         score = p_at_1 + inflation
         if score <= best_score:
             repeat = score == best_score and solution.iterations == 0
             best_score, idle = score, idle + 1 if repeat else 0
-            best = (rounds_used, coeffs, p_at_1, violation)
+            best = (rounds_used, coeffs, violation, p_at_1)
         else:
-            idle = idle + 1 if v < 1.0 else 0
+            idle = idle + 1 if violation < 1.0 else 0
         if inflation <= INFLATION_TARGET or idle == 2 or round_index == MAX_ROUNDS - 1:
             break
         # the active set's shape: the positive a_k and the tight rows
@@ -378,13 +370,11 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             and p_at_1 - previous_p_at_1 <= POLISH_RISE * _noise(p_at_1) * p_at_1
         ):
             found = _polish(d, cos_theta, solution, points, rows, critical, p_at_1)
-            if found is not None:
-                candidate = GegenbauerPoly(d, found[0])
-                top = float(_maximum(candidate, sample_basis, cos_theta)[0].max())
-                if top <= _noise(candidate.at_one()):
-                    polish = (p_at_1, found[1])
-                    best = (rounds_used, found[0], candidate.at_one(), top)
-                    break
+            measured = found and _touching(d, found[0], sample_basis, cos_theta)
+            if measured:
+                polish = (p_at_1, found[1])
+                best = (rounds_used, found[0], *measured)
+                break
         previous_shape, previous_p_at_1 = shape, p_at_1
         new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
         if not new_points.size:
@@ -393,23 +383,15 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         points = np.concatenate([points, new_points])
         rows = np.vstack([rows, basis_values(d, degree, new_points)[1:].T])
 
-    # Shift and rescale so the emitted polynomial is nonpositive on the
-    # whole interval: P_hat = (P - v) / (1 - v) keeps a_0 = 1 and all the
-    # other coefficients nonnegative, at the cost of a slightly larger
-    # bound (recorded in the report). Skipped when the residual violation
-    # plus evaluation noise already sits inside the verifier tolerance, but
-    # never for a polished P: it touches 0 by construction.
-    best_round, coeffs, p_at_1, violation = best
-    noise = _noise(p_at_1)
-    inside = polish is None and violation + noise <= pfender.COND_TOL
-    shift = 0.0 if inside else max(violation, 0.0) + noise
-    if shift >= 1.0:
+    best_round, coeffs, violation, p_at_1 = best
+    certified = _certified(d, cos_theta, coeffs, violation, p_at_1, polish is not None)
+    if certified is None:
         raise NoCertificateError(
             f"residual sign violation {violation!r} after {rounds_used} "
             f"cutting-plane rounds on a {GRID_POINTS}-point grid cannot be "
             f"absorbed{failed_round}"
         )
-    certificate = _shifted(d, cos_theta, coeffs, shift)
+    certificate, shift = certified
     report = certificate.verification
     grid_bound = p_at_1
     if polish is not None:

@@ -1,0 +1,142 @@
+"""The exact sign oracle (``exact_sign``) on lp_bound's certificates.
+
+The float verifier accepts a maximum of P up to COND_TOL = 1e-9 on
+[-1, cos_theta]. The oracle decides the sign of P for the float64
+coefficients that a certificate file stores, in exact arithmetic. A strict
+xfail marks a certificate that the oracle refutes: it passes once that
+certificate is exactly nonpositive.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from exact_sign import (
+    Refuted,
+    UndecidedError,
+    gegenbauer_table,
+    integer_polynomial,
+    prove_nonpositive,
+)
+
+from codebounds import jsonutil, pfender
+from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
+from codebounds.gegenbauer import basis_values
+from codebounds.scanning import chebyshev_points, critical_points
+
+# the kissing_lp and lp_stress certificates of perfbench/workloads.py
+BENCHMARK_CASES = [
+    (3, 0.5, 10), (4, 0.5, 10), (8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20),
+    (32, 0.5, 20), (16, 0.7, 16), (24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30),
+]
+# pool certificates of scripts/domain_sweep.py that are exactly positive
+# somewhere on the interval, each with its largest exact value at P's float
+# critical points; every one was left unshifted, because its float maximum
+# plus noise sat inside COND_TOL
+REFUTED = {
+    (19, 0.4844, 8): "+6.6e-10 at t ~ 0.1779",
+    (22, 0.4927, 34): "+6.0e-10 at t ~ -0.5111",
+    (15, 0.5745, 35): "+8.2e-10 at t ~ 0.0164",
+}
+
+
+def exact_value(d, coeffs, t):
+    """P(t) for a rational t, by the three-term recursion in Fractions."""
+    g = [Fraction(1), t]
+    for k in range(2, len(coeffs)):
+        g.append(((2 * k + d - 4) * t * g[k - 1] - (k - 1) * g[k - 2]) / (k + d - 3))
+    return sum(Fraction(float(a)) * g_k for a, g_k in zip(coeffs, g))
+
+
+def stored(case):
+    """(d, cos_theta, coeffs) of lp_bound(*case) as its file stores them."""
+    data = json.loads(jsonutil.dumps(certificate_to_json_dict(lp_bound(*case))))
+    return data["dim"], data["cos_theta"], data["gegenbauer_coeffs"]
+
+
+def verdict(d, cos_theta, coeffs):
+    """The oracle on [-1, cos_theta], split at P's float critical points."""
+    m = len(coeffs) - 1
+    samples = np.array(coeffs) @ basis_values(
+        d, m, chebyshev_points(-1.0, cos_theta, m + 1)
+    )
+    splits = critical_points(samples, -1.0, cos_theta).tolist()
+    return prove_nonpositive(d, coeffs, -1.0, cos_theta, splits)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("d", [2, 3, 8, 24, 199])
+    def test_the_integer_table_is_the_gegenbauer_family(self, d):
+        T, D = gegenbauer_table(d, 40)
+        t = Fraction(-3, 7)
+        for k in range(41):
+            assert sum(T[k]) == D[k]  # G_k(1) = 1
+            value = sum(c * t**j for j, c in enumerate(T[k])) / D[k]
+            assert value == exact_value(d, [0.0] * k + [1.0], t)
+
+    def test_the_integer_polynomial_is_p_exactly(self, rng):
+        scales = 10.0 ** rng.integers(-30, 5, 13)
+        coeffs = (rng.uniform(-2.0, 2.0, 13) * scales).tolist()
+        q, scale = integer_polynomial(17, coeffs)
+        assert scale > 0
+        for t in (Fraction(-1), Fraction(1, 3), Fraction(5, 1024)):
+            assert scale * sum(c * t**j for j, c in enumerate(q)) == exact_value(
+                17, coeffs, t
+            )
+
+    def test_a_touching_square_is_proven(self):
+        # -t^2 in dimension 3 is -(2 G_2 + G_0) / 3
+        coeffs = [-1.0 / 3.0, 0.0, -2.0 / 3.0]
+        assert exact_value(3, coeffs, Fraction(0)) == 0  # the floats cancel
+        assert prove_nonpositive(3, coeffs, -1.0, 0.5, [0.0]) is None
+        assert prove_nonpositive(3, [0.0, 0.0, 0.0], -1.0, 0.5) is None
+
+    def test_a_bump_between_the_splits_is_refuted_by_bisection(self):
+        # 1e-6 - t^2: the ends are negative and only the midpoint 0 is not
+        coeffs = [1e-6 - 1.0 / 3.0, 0.0, -2.0 / 3.0]
+        found = prove_nonpositive(3, coeffs, -1.0, 1.0)
+        assert isinstance(found, Refuted) and found.t == 0
+        assert found.value == exact_value(3, coeffs, found.t) > 0
+        with pytest.raises(UndecidedError, match="after 0 bisections"):
+            prove_nonpositive(3, coeffs, -1.0, 1.0, max_depth=0)
+
+    def test_a_mutant_inside_cond_tol_is_refuted(self):
+        # (8, .5, 6) with a_0 raised by 1e-9: the float margin still passes
+        d, cos_theta, coeffs = stored((8, 0.5, 6))
+        coeffs[0] += 1e-9
+        phi, c = pfender.PhiSpec("gegenbauer", [0.0, *coeffs[1:]], dim=d), coeffs[0]
+        assert pfender.interval_margin(phi, c, cos_theta)[0] <= pfender.COND_TOL
+        found = verdict(d, cos_theta, coeffs)
+        assert isinstance(found, Refuted) and found.value > 0
+        assert found.value == exact_value(d, coeffs, found.t)
+
+
+@pytest.mark.parametrize("case", BENCHMARK_CASES, ids=str)
+def test_every_benchmark_certificate_is_proven(case):
+    assert verdict(*stored(case)) is None
+
+
+def test_a_certificate_that_is_exactly_0_at_an_end_is_proven():
+    # its P(-1) is exactly 0, and 0 is not a violation
+    assert verdict(*stored((9, 0.0733, 2))) is None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(
+            case,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason=f"P is exactly {maximum} but inside COND_TOL in float64",
+            ),
+        )
+        for case, maximum in REFUTED.items()
+    ],
+    ids=str,
+)
+def test_a_refuted_pool_certificate(case):
+    found = verdict(*stored(case))
+    assert found is None, f"P({float(found.t)!r}) = {float(found.value)!r} > 0"

@@ -16,8 +16,10 @@ from lp_helpers import (
     within_row_tolerance,
 )
 
-from codebounds import linprog
+from codebounds import dgs_bound, linprog
+from codebounds.levenshtein import levenshtein_polynomial
 from codebounds.linprog import LinearProgram, _residual, solve_lp
+from codebounds.scanning import chebyshev_points
 
 
 class TestExamples:
@@ -378,6 +380,31 @@ class TestWarmStart:
         assert cold.status == warm.status == "optimal"
         assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.x, [0.0])
         assert (cold.restarts, warm.restarts) == (0, 1)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the warm-start check scales its tolerance by the largest B^-1 c "
+        "entry (9.98e10 here), so it takes dual slacks of -1.88, -1.69 and -0.04 "
+        "for roundoff, clips them to 0 and stops after 0 pivots at 4.063e11, "
+        "18.9 % above the cold optimum 3.416e11",
+    )
+    def test_a_basis_that_is_not_dual_feasible_does_not_end_the_solve(self):
+        # lp_bound(60, .5305, 38)'s first-round LP, warm-started from the
+        # basis of Levenshtein's f_20 (eps = 1): a_21..a_38 = 0, the rows at
+        # -1 and at cos_theta, and the two grid rows around each double root
+        d, cos_theta, degree = 60, 0.5305, 38
+        lp = grid_lp(d, cos_theta, degree)
+        m, eps, zeros = levenshtein_polynomial(d, cos_theta)
+        assert (m, eps, len(zeros)) == (20, 1, 9)
+        right = np.searchsorted(
+            chebyshev_points(-1.0, cos_theta, dgs_bound.GRID_POINTS), zeros
+        )
+        rows = np.concatenate([[0, len(lp.b) - 1], right - 1, right])
+        basis = np.concatenate([np.arange(m, degree), degree + rows])
+        cold, warm = solve_lp(lp), solve_lp(lp, basis)
+        assert cold.status == warm.status == "optimal"
+        assert warm.objective_value <= cold.objective_value * (1.0 + 1e-9)
 
     @pytest.mark.parametrize(
         "basis", [[0, 1, 2], [0, 0, 1, 2], [0, 1, 2, 5 + 300], [0.0, 1.0, 2.0, 3.0]]
