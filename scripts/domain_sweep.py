@@ -6,7 +6,8 @@ cos_theta = round(U(-1, --max-cos), 4) and degree uniform in 1..40, runs
 lp_bound on each and prints how many ended in each outcome (a
 certificate, NoCertificateError by its cause, or a named error), how many
 certificates were left unshifted because their float maximum plus noise
-sat inside COND_TOL, how many ended at a Newton-polished polynomial and
+sat inside COND_TOL, a sha256 digest of the outputs (``outputs:``), how
+many ended at a Newton-polished polynomial and
 how many came from Levenshtein's path, every input that ended in an
 error, the certificates at a degree >= m(s) that are worse than
 Levenshtein's bound L (above L (1 + 1e-6)), each with its bound and L,
@@ -15,6 +16,14 @@ or a NoCertificateError: the script exits 1 when any input ends in
 another error. Only the ``slowest:`` line holds a time, so two runs of
 the same code print the same other lines.
 
+The digest hashes, in input order, each certificate file's text
+(``jsonutil.dumps`` of ``certificate_to_json_dict``) or the error's class
+name and message. It compares two commits on one machine only: a
+certificate's bytes depend on the BLAS kernel that computed it, so
+another CPU can print another digest for the same code. To compare the
+outputs of two source trees, run the script once with each on
+PYTHONPATH.
+
 The two pools that CI runs:
 
     domain_sweep.py --seed 2 --n 300 --max-dim 64 --max-cos 0.9
@@ -22,12 +31,14 @@ The two pools that CI runs:
 """
 
 import argparse
+import hashlib
 import time
 from collections import Counter
 
 import numpy as np
 
-from codebounds.dgs_bound import lp_bound
+from codebounds import jsonutil
+from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
 from codebounds.errors import CodeBoundsError, NoCertificateError
 from codebounds.gegenbauer import MAX_TABLE_DEGREE
 from codebounds.levenshtein import levenshtein, levenshtein_degree
@@ -54,16 +65,19 @@ def sweep_inputs(seed: int, n: int, max_dim: int, max_cos: float):
 
 
 def outcome(case):
-    """The input's outcome, and its certificate (None without one)."""
+    """The input's outcome, its certificate (None without one), and its
+    output: the certificate file's text, or the error's class name and
+    message."""
     try:
         cert = lp_bound(*case)
-    except NoCertificateError as exc:
-        if str(exc).endswith("is infeasible"):
-            return "NoCertificateError (LP infeasible)", None
-        return "NoCertificateError (cannot be absorbed)", None
     except CodeBoundsError as exc:
-        return type(exc).__name__, None
-    return "certificate", cert
+        output = f"{type(exc).__name__}: {exc}\n"
+        if not isinstance(exc, NoCertificateError):
+            return type(exc).__name__, None, output
+        if str(exc).endswith("is infeasible"):
+            return "NoCertificateError (LP infeasible)", None, output
+        return "NoCertificateError (cannot be absorbed)", None, output
+    return "certificate", cert, jsonutil.dumps(certificate_to_json_dict(cert))
 
 
 def main() -> int:
@@ -77,14 +91,15 @@ def main() -> int:
         parser.error("--max-dim must be >= 2 and --max-cos in (-1, 1)")
 
     counts, paths = Counter(), Counter()
-    unshifted = 0
+    unshifted, outputs = 0, hashlib.sha256()
     above_m, worse = 0, []
     slowest = (-1.0, None, None)
     for case in sweep_inputs(args.seed, args.n, args.max_dim, args.max_cos):
         start = time.perf_counter()
-        result, cert = outcome(case)
+        result, cert, output = outcome(case)
         elapsed = time.perf_counter() - start
         counts[result] += 1
+        outputs.update(output.encode())
         if result not in ("certificate", "NoCertificateError (LP infeasible)"):
             print(f"{case}: {result}")
         slowest = max(slowest, (elapsed, case, result))
@@ -106,6 +121,7 @@ def main() -> int:
     for result, count in sorted(counts.items()):
         print(f"{count:>5}  {result}")
     print(f"unshifted: {unshifted} of {counts['certificate']} certificates")
+    print(f"outputs: {outputs.hexdigest()}")
     for path in PATHS:
         print(f"{path}: {paths[path]} of {counts['certificate']} certificates")
     print(f"worse than Levenshtein: {len(worse)} of {above_m} certificates "

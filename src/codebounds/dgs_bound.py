@@ -134,11 +134,13 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     The equations, as many as the unknowns: P(t_j) = 0, P(e) = 0,
     P'(t_j) = 0, and 1 + sum y G_k = 0 over the active points for each k
     in K. Each of the NEWTON_STEPS steps takes G, G' and G'' at the t_j
-    from one fused recursion. Returns the polished coefficients and the sorted active
-    points, or None: when P has no critical point, when 2 J + E != |K|,
-    when the system is singular, when a step takes a t_j out of
-    (-1, cos_theta) or an a_k or a y below 0, or when the polished P(1)
-    exceeds the LP optimum ``p_at_1`` by more than noise * P(1).
+    from one fused recursion. Returns the polished coefficients and the
+    sorted active points, or None: when P has no critical point, when
+    2 J + E != |K|, when the system is singular, when a step is not finite
+    or takes an a_k below 0, or when the polished P(1) exceeds the LP
+    optimum ``p_at_1`` by more than noise * P(1). Where the t_j and the y
+    end up is not checked: ``_touching`` and ``verify_certificate`` decide
+    whether the polished P is a certificate.
     """
     if not critical.size:
         return None
@@ -185,12 +187,7 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
             t -= step[n_free : n_free + n_roots]
             y -= step[n_free + n_roots :]
             # NaN fails every comparison
-            if not (
-                np.all((-1.0 < t) & (t < cos_theta))
-                and a.min(initial=0.0) >= 0.0
-                and y.min(initial=0.0) >= 0.0
-                and np.all(np.isfinite(step))
-            ):
+            if not (a.min(initial=0.0) >= 0.0 and np.all(np.isfinite(step))):
                 return None
     coeffs = np.zeros(degree + 1)
     coeffs[0] = 1.0
@@ -285,13 +282,13 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
 
     One rule picks the certified round and ends the rounds. A round scores
     P(1) + ``_inflation``, the bound its shift would give. One that scores
-    at or below the best so far becomes the best; one with a violation
-    below 1 that does not is idle, and so is a tie whose LP took no pivot
-    (it repeats the answer). The rounds end at an ``_inflation`` <=
-    INFLATION_TARGET, a polished P, two idle rounds in a row, MAX_ROUNDS,
-    no new cuts, or a later round's failed LP, which the rounds message
-    names; the best round is certified, and named (", from round k") if it
-    is not the last.
+    at or below the best so far becomes the best; one that does not is
+    idle, and so is a tie whose LP took no pivot (it repeats the answer,
+    as a round with no new cuts does). The rounds end at an
+    ``_inflation`` <= INFLATION_TARGET, a polished P, two idle rounds in a
+    row, MAX_ROUNDS, or a later round's failed LP, which the rounds
+    message names; the best round is certified, and named
+    (", from round k") if it is not the last.
 
     A round that ends none of the other ways, whose active set has the
     shape of the previous round's (as many positive a_k and tight rows),
@@ -360,7 +357,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             best_score, idle = score, idle + 1 if repeat else 0
             best = (rounds_used, coeffs, violation, p_at_1)
         else:
-            idle = idle + 1 if violation < 1.0 else 0
+            idle += 1
         if inflation <= INFLATION_TARGET or idle == 2 or round_index == MAX_ROUNDS - 1:
             break
         # the active set's shape: the positive a_k and the tight rows
@@ -377,8 +374,6 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
                 break
         previous_shape, previous_p_at_1 = shape, p_at_1
         new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
-        if not new_points.size:
-            break
         # appended after the old rows, so the row numbers in ``basis`` hold
         points = np.concatenate([points, new_points])
         rows = np.vstack([rows, basis_values(d, degree, new_points)[1:].T])
@@ -457,7 +452,8 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
 
 
 def bound_table(d: int, cos_theta: float, degrees) -> list[BoundTableRow]:
-    """One lp_bound row per degree, each from the same GRID_POINTS grid."""
+    """One lp_bound row per degree (None where it raises
+    NoCertificateError); the degrees must be ascending."""
     degrees = list(degrees)
     if degrees != sorted(degrees):
         raise ValueError("degrees must be ascending")

@@ -32,15 +32,14 @@ degree n beats L (``bdb_test``).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
 import numpy as np
 
-from ._scalar import MAX_TABLE_DEGREE
+from ._scalar import MAX_TABLE_DEGREE, _point_values
 from .gegenbauer import expand_in_basis, quadrature_rule
-from .linprog import OPT_TOL
+from .linprog import within_rounding
 
 __all__ = [
     "levenshtein_degree",
@@ -131,52 +130,37 @@ def levenshtein(dim, s):
     return m, float(f(1.0)) / a_0
 
 
-def _gegenbauer_rows(dim, nodes):
-    """G_1, G_2, ... at the float ``nodes``, one list per degree, by the
-    three-term recursion in ``gegenbauer._recursion``'s operation order."""
-    previous, current = [1.0] * len(nodes), nodes
-    for k in itertools.count(2):
-        yield current
-        up, down, scale = float(2 * k + dim - 4), float(k - 1), float(k + dim - 3)
-        previous, current = current, [
-            (x * up * g1 - g2 * down) / scale
-            for x, g1, g2 in zip(nodes, current, previous)
-        ]
-
-
 def bdb_test(dim, s, degree):
     """(m(s), eps, zeros, least) when f_m is provably the degree-``degree``
     LP optimum, where ``least`` is the least BDB test value Q_j L over
     m(s) < j <= degree (inf when degree = m(s)); else None.
 
     It declines when m(s) > degree; when the weights' N x N system
-    (G_j for j = 1..N at the N = k + eps nodes) is singular or gives some
-    rho'_i <= 0; and at the first j <= degree whose Q_j L lies below
-    minus its rounding bound OPT_TOL + (N + 1) eps (1 + sum_i |rho'_i G_j|)
-    (the rule that ``linprog.solve_lp`` applies to a reduced cost). No
-    coefficient of f_m is computed here."""
+    (G_j for j = 1..N at the N = k + eps nodes, by
+    ``_scalar._point_values``) is singular or gives some rho'_i <= 0; and
+    at the first j <= degree whose Q_j L, an (N + 1)-term sum, is not
+    ``linprog.within_rounding``, the test that ``linprog.solve_lp``
+    applies to a reduced cost. No coefficient of f_m is computed here."""
     found = levenshtein_polynomial(dim, s, degree)
     if found is None:
         return None
     m, eps, zeros = found
     nodes = [s, *zeros.tolist()] + [-1.0] * eps
     count = len(nodes)
-    rows = _gegenbauer_rows(dim, nodes)
-    head = [next(rows) for _ in range(count)]
+    # G_1..G_degree, one tuple of node values per degree
+    rows = list(zip(*(_point_values(dim, degree, x) for x in nodes)))[1:]
     try:
-        weights = np.linalg.solve(np.array(head), np.full(count, -1.0))
+        weights = np.linalg.solve(np.array(rows[:count]), np.full(count, -1.0))
     except np.linalg.LinAlgError:
         return None
     if not weights.min() > 0.0:
         return None
     weights = weights.tolist()
-    gamma = (count + 1) * np.finfo(float).eps
     least = math.inf
-    for j, row in zip(range(1, degree + 1), itertools.chain(head, rows)):
+    for j, row in enumerate(rows, 1):
         q = 1.0 + sum(map(operator.mul, weights, row))
-        if q < 0.0 and q < -(
-            OPT_TOL + gamma * (1.0 + sum(abs(w * g) for w, g in zip(weights, row)))
-        ):
+        magnitude = 1.0 + sum(abs(w * g) for w, g in zip(weights, row))
+        if not within_rounding(q, count + 1, magnitude):
             return None
         if j > m:
             least = min(least, q)

@@ -18,9 +18,8 @@ is b_i - A_i x and that of x_j's slack is x_j. An optimum has at most n
 tight rows, so only a candidate set of rows is priced. The column q that
 the pricing rule picks enters only if its reduced cost d_q lies below
 -(OPT_TOL + (n + 1) eps (|c_q| + |column_q| @ |x|)), beyond the rounding
-of the dot product that computes it (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., 2002, section 3.1); at x ~ 1e9 that
-rounding far exceeds OPT_TOL. When no candidate prices out, the full
+of the dot product that computes it (``within_rounding``); at x ~ 1e9
+that rounding far exceeds OPT_TOL. When no candidate prices out, the full
 residual A x - b is computed once and every violated row joins the
 candidates; the same B^-1 carries on. The rows never priced have dual 0,
 so the candidates' optimum is the full LP's optimum, and a dual ray over
@@ -36,7 +35,7 @@ entering column), the entering column's rounding bound (one n-term dot
 product) and one n x (n + 1) rank-1 update. B^-1 is refactorized from
 the data at every REFACTOR_INTERVAL-th pivot of the solve. Each time the
 candidates price out, one full-LP matvec finds the violated rows; the
-last of these residuals is reused by the polish. A periodic
+last of these residuals is reused by ``_refine_primal``. A periodic
 refactorization clips B^-1 c at 0 even where the updates have drifted it
 below 0 by more than roundoff. That shifts the cost the pivots see: x
 then need not be optimal.
@@ -61,7 +60,7 @@ PIVOT_CAP_BASE = 2000
 # a solve (O(n^2) each): about equal costs at n = 20
 REFACTOR_INTERVAL = 20
 
-__all__ = ["LinearProgram", "LPSolution", "solve_lp"]
+__all__ = ["LinearProgram", "LPSolution", "solve_lp", "within_rounding"]
 
 
 @dataclass
@@ -120,13 +119,22 @@ class LPSolution:
     y: np.ndarray | None = None
 
 
+def within_rounding(value, terms: int, magnitude) -> bool:
+    """Whether ``value``, a sum of ``terms`` terms whose absolute values
+    sum to ``magnitude``, is at least -OPT_TOL up to its own rounding,
+    which is at most terms * eps * magnitude (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1). A
+    reduced cost within it does not price out."""
+    return value >= -(OPT_TOL + terms * np.finfo(float).eps * magnitude)
+
+
 def _residual(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     """A x - b, one entry per row; positive where x violates the row."""
     return lp.A @ x - lp.b
 
 
 def _refine_primal(lp, x, y, residual):
-    """Active-set least-squares polish of a multiplier-recovered solution.
+    """Active-set least-squares refinement of a multiplier-recovered solution.
 
     Late cutting-plane rounds can cluster nearly identical tight rows;
     the updated inverse then amplifies roundoff in the multipliers.
@@ -151,9 +159,6 @@ def _refine_primal(lp, x, y, residual):
     candidate = np.zeros_like(x)
     candidate[support] = solution
     np.clip(candidate, 0.0, None, out=candidate)
-    objective_gap = abs(float(lp.objective @ (candidate - x)))
-    if objective_gap > 1e-7 * (1.0 + abs(float(lp.objective @ x))):
-        return x
     excess = _residual(lp, candidate).max(initial=0.0)
     if excess < residual.max(initial=0.0):
         return candidate
@@ -215,9 +220,6 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     refactorized, is a ``numerical_failure``; nothing else is.
     """
     m, n = lp.A.shape
-    # a reduced cost, an (n + 1)-term dot product, is rounded by at most gamma
-    # times the same sum in absolute values
-    gamma = (n + 1) * np.finfo(float).eps
     # the priced dual columns, numbered as in LPSolution.basis: x_j's slack
     # (j < n, always priced) and the candidate rows (n + i)
     priced = np.zeros(n + m, dtype=bool)
@@ -260,9 +262,9 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         reduced += cost
         reduced[positions] = np.inf
         enter = int(reduced.argmin())
-        # a reduced cost inside its own rounding does not price out
-        rounding = gamma * (abs(cost[enter]) + magnitudes[enter] @ np.abs(x))
-        if reduced[enter] >= -(OPT_TOL + rounding):
+        # a reduced cost is an (n + 1)-term dot product
+        magnitude = abs(cost[enter]) + magnitudes[enter] @ np.abs(x)
+        if within_rounding(reduced[enter], n + 1, magnitude):
             np.clip(x, 0.0, None, out=x)
             residual = _residual(lp, x)
             violated = np.flatnonzero(~priced[n:] & (residual > 0.0))
@@ -280,10 +282,8 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         # updates can leave B^-1 c below 0: such a row ties at ratio 0,
         # where a negative ratio would step backwards
         ratios = np.maximum(T[eligible, n], 0.0) / entering[eligible]
-        best = float(ratios.min())
-        limit = best + 1e-12 * (1.0 + abs(best))
         # tie-break: the tied row whose basic column has the lowest index
-        ties = eligible[ratios <= limit]
+        ties = eligible[ratios == ratios.min()]
         leave = int(ties[basis[ties].argmin()])
         T[leave] /= entering[leave]
         entering[leave] = 0.0

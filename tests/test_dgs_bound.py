@@ -213,6 +213,23 @@ class TestBestRound:
         assert rounds and int(rounds[1]) == len(calls)
         assert cert.bound_real == 196560.00022101324
 
+    @pytest.mark.parametrize("case", [(32, 0.5, 20), (48, 0.5, 30)])
+    def test_a_round_with_no_new_cuts_repeats_the_lp_and_goes_idle(
+        self, monkeypatch, case
+    ):
+        # with no cuts each round re-solves the first round's LP, so the idle
+        # rule ends the rounds; a warm re-solve may move the last bits of the
+        # answer, so only the bound is compared
+        monkeypatch.setattr(dgs_bound, "_gap_rows", lambda grid, peaks: peaks[:0])
+        with monkeypatch.context() as patch:
+            patch.setattr(dgs_bound, "MAX_ROUNDS", 1)
+            one_round = lp_bound(*case)
+        cert = lp_bound(*case)
+        assert cert.verification.passed and verify_certificate(cert).passed
+        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert rounds and int(rounds[1]) <= 3
+        assert cert.bound_real == pytest.approx(one_round.bound_real, rel=1e-12)
+
 
 # the inputs where Levenshtein's f_m is provably the degree's optimum: four
 # kissing_lp cases and a small one; (8, .5) and (24, .5) sit on the closed
