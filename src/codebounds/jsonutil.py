@@ -1,10 +1,10 @@
-"""Deterministic JSON emission with 17-significant-digit floats.
+"""Certificate and code files as JSON, and the float text of stdout.
 
-The stdlib encoder writes shortest round-trip representations, which are
-lossless but not fixed-width. Certificate and code files must be
-byte-identical across reruns, so floats are emitted with an explicit
-``%.17g`` format (17 significant digits round-trip float64 exactly).
-Reading back uses plain ``json.loads``.
+Files are written by ``json.dumps`` with a 2-space indent, keys in
+insertion order: reals as Python's shortest round-trip repr, which reloads
+every float64 bit for bit (-0.0 included) and is the same text on every
+run. NaN and infinities are refused. Reading back uses plain ``json.load``,
+and the readers below take finite JSON numbers only.
 """
 
 from __future__ import annotations
@@ -18,43 +18,18 @@ from ._scalar import _check_int
 
 
 def format_float(x: float) -> str:
+    """``x`` with 17 significant digits, for stdout only. 17 digits name
+    every float64, and the numbers the CLI prints (``gegenbauer eval``,
+    ``gegenbauer expand``, the bounds) keep this form, which the README's
+    examples and the benchmark's stdout checks pin; files use ``dumps``."""
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return format(float(x), ".17g")
 
 
-def _emit(obj: Any, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [_emit(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(pad + s for s in items) + "\n" + closepad + "]"
-    if isinstance(obj, dict):
-        if len(obj) == 0:
-            return "{}"
-        items = [
-            json.dumps(str(k)) + ": " + _emit(v, indent, level + 1)
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(pad + s for s in items) + "\n" + closepad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj: Any, indent: int = 2) -> str:
     """Serialize ``obj`` deterministically (dict order preserved)."""
-    return _emit(obj, indent, 0) + "\n"
+    return json.dumps(obj, indent=indent, allow_nan=False) + "\n"
 
 
 def dump_path(path: str, obj: Any) -> None:
@@ -76,8 +51,8 @@ def json_ints(value: Any, name: str) -> list:
 def json_real(value: Any, name: str) -> float:
     """``value`` as a float if it is a finite JSON number. float(...) would
     parse a string such as "0.5" and take a bool as 0.0 or 1.0, and
-    json.load reads the tokens NaN and Infinity, which ``format_float``
-    never writes, and integers past the float range; anything else raises
+    json.load reads the tokens NaN and Infinity, which ``dumps`` never
+    writes, and integers past the float range; anything else raises
     ValueError naming the field ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a real number, got {value!r}")

