@@ -4,7 +4,9 @@
 Draws --n inputs (d, cos_theta, degree) with d uniform in 2..--max-dim,
 cos_theta = round(U(-1, --max-cos), 4) and degree uniform in 1..40, runs
 lp_bound on each and prints how many ended in each outcome (a
-certificate, NoCertificateError by its cause, or a named error), how many
+certificate, NoCertificateError by its cause, or a named error), the
+simplex pivots of all its LP solves (``pivots:``, a work count that does
+not depend on the machine's speed), how many
 certificates were left unshifted because their float maximum plus noise
 sat inside COND_TOL, a sha256 digest of the outputs (``outputs:``), how
 many ended at a Newton-polished polynomial and
@@ -34,14 +36,16 @@ import argparse
 import hashlib
 import time
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 
-from codebounds import jsonutil
+from codebounds import dgs_bound, jsonutil
 from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
 from codebounds.errors import CodeBoundsError, NoCertificateError
 from codebounds.gegenbauer import MAX_TABLE_DEGREE
 from codebounds.levenshtein import levenshtein, levenshtein_degree
+from codebounds.linprog import solve_lp
 
 # a certificate at a degree >= m(s) above L by more than this is worse
 # than Levenshtein
@@ -94,9 +98,18 @@ def main() -> int:
     unshifted, outputs = 0, hashlib.sha256()
     above_m, worse = 0, []
     slowest = (-1.0, None, None)
+    work = Counter()
+
+    def counted(lp, basis=None):
+        solution = solve_lp(lp, basis)
+        work["pivots"] += solution.iterations
+        work["solves"] += 1
+        return solution
+
     for case in sweep_inputs(args.seed, args.n, args.max_dim, args.max_cos):
         start = time.perf_counter()
-        result, cert, output = outcome(case)
+        with patch.object(dgs_bound, "solve_lp", counted):
+            result, cert, output = outcome(case)
         elapsed = time.perf_counter() - start
         counts[result] += 1
         outputs.update(output.encode())
@@ -120,6 +133,7 @@ def main() -> int:
                 )
     for result, count in sorted(counts.items()):
         print(f"{count:>5}  {result}")
+    print(f"pivots: {work['pivots']} in {work['solves']} LP solves")
     print(f"unshifted: {unshifted} of {counts['certificate']} certificates")
     print(f"outputs: {outputs.hexdigest()}")
     for path in PATHS:

@@ -228,20 +228,23 @@ def _certified(d, cos_theta, coeffs, violation, p_at_1, touching):
     return certificate, shift
 
 
-def _levenshtein_path(d, cos_theta, degree):
+def _levenshtein_path(d, cos_theta, degree, polynomial):
     """Levenshtein's f_m as the degree-``degree`` certificate, or None.
 
-    Where ``levenshtein.bdb_test`` shows from (d, cos_theta, degree) alone
-    that f_m at m(s) <= degree is the degree's LP optimum L, f_m (a_0 = 1)
-    is measured as a polished P is (``_touching``), must end the rounds
+    ``polynomial`` is ``levenshtein.levenshtein_polynomial(d, cos_theta,
+    degree)``, None when m(s) > degree. Where ``levenshtein.bdb_test`` shows
+    from it alone that f_m is the degree's LP optimum L, f_m (a_0 = 1) is
+    measured as a polished P is (``_touching``), must end the rounds
     (``_inflation`` <= INFLATION_TARGET) and must pass ``_certified``. Its
     one message names the path, m(s), the least BDB test value Q_j L over
     m(s) < j <= degree, L and the shift.
     """
-    found = levenshtein.bdb_test(d, cos_theta, degree)
-    if found is None:
+    if polynomial is None:
         return None
-    m, eps, zeros, least = found
+    least = levenshtein.bdb_test(d, cos_theta, degree, polynomial)
+    if least is None:
+        return None
+    m, eps, zeros = polynomial
     coeffs = levenshtein.gegenbauer_coefficients(d, cos_theta, eps, zeros)
     sample_basis = basis_values(d, m, chebyshev_points(-1.0, cos_theta, m + 1))
     measured = _touching(d, coeffs, sample_basis, cos_theta)
@@ -260,6 +263,26 @@ def _levenshtein_path(d, cos_theta, degree):
     return certificate
 
 
+def _levenshtein_basis(points, degree, polynomial):
+    """f_m's basis of the first round's LP on the sorted grid ``points``, as
+    an ``LPSolution.basis``: the x-slacks of a_{m+1}..a_degree, the row at
+    cos_theta, the row at -1 when eps = 1, and the two grid rows around
+    each zero of K_{k-1}. None when ``polynomial`` (as for
+    ``_levenshtein_path``) is None, and where two of those rows coincide,
+    as when zeros of K_{k-1} share a grid gap at d ~ 1e12. Its point is
+    the degree-m P that is 0 on those rows, f_m with each double root
+    split across its grid gap, so it is <= 0 on the whole grid; only its
+    B^-1 c, the row duals, may need ``solve_lp``'s repair."""
+    if polynomial is None:
+        return None
+    m, eps, zeros = polynomial
+    right = np.clip(np.searchsorted(points, zeros), 1, len(points) - 1)
+    rows = np.concatenate([[len(points) - 1], [0] * eps, right - 1, right])
+    if len(set(rows.tolist())) < len(rows):
+        return None
+    return np.concatenate([np.arange(m, degree), degree + rows.astype(int)])
+
+
 def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
@@ -268,7 +291,10 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
 
     The first round's LP enforces the sign condition on a fixed grid of
     GRID_POINTS Chebyshev points of [-1, cos_theta], which the cutting
-    planes grow. Raises NoCertificateError when no polynomial of this
+    planes grow. Where m(s) <= degree it starts from f_m's basis on that
+    grid (``_levenshtein_basis``), which ``solve_lp`` repairs by dual
+    simplex pivots, and otherwise from the all-slack basis. Raises
+    NoCertificateError when no polynomial of this
     degree can meet the sign condition (degree 0, or an infeasible LP),
     and LPFailureError when the first cutting-plane round's LP fails
     (the solver reaches its pivot cap, or its basis turns singular when
@@ -312,7 +338,8 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             "is a positive constant and cannot be <= 0 on the interval"
         )
     cos_theta = float(cos_theta)
-    certificate = _levenshtein_path(d, cos_theta, degree)
+    polynomial = levenshtein.levenshtein_polynomial(d, cos_theta, degree)
+    certificate = _levenshtein_path(d, cos_theta, degree, polynomial)
     if certificate is not None:
         return certificate
     points = chebyshev_points(-1.0, cos_theta, GRID_POINTS)
@@ -322,7 +349,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     sample_basis = basis_values(
         d, degree, chebyshev_points(-1.0, cos_theta, degree + 1)
     )
-    basis = None
+    basis = _levenshtein_basis(points, degree, polynomial)
     polish = previous_shape = previous_p_at_1 = None
     failed_round, best_score, idle = "", math.inf, 0
     for round_index in range(MAX_ROUNDS):

@@ -130,21 +130,19 @@ def levenshtein(dim, s):
     return m, float(f(1.0)) / a_0
 
 
-def bdb_test(dim, s, degree):
-    """(m(s), eps, zeros, least) when f_m is provably the degree-``degree``
-    LP optimum, where ``least`` is the least BDB test value Q_j L over
-    m(s) < j <= degree (inf when degree = m(s)); else None.
+def bdb_test(dim, s, degree, polynomial):
+    """The least BDB test value Q_j L over m(s) < j <= degree (inf when
+    degree = m(s)) when f_m is provably the degree-``degree`` LP optimum;
+    else None. ``polynomial`` is f_m as ``levenshtein_polynomial(dim, s,
+    degree)`` gives it, so m(s) <= degree.
 
-    It declines when m(s) > degree; when the weights' N x N system
-    (G_j for j = 1..N at the N = k + eps nodes, by
-    ``_scalar._point_values``) is singular or gives some rho'_i <= 0; and
-    at the first j <= degree whose Q_j L, an (N + 1)-term sum, is not
-    ``linprog.within_rounding``, the test that ``linprog.solve_lp``
-    applies to a reduced cost. No coefficient of f_m is computed here."""
-    found = levenshtein_polynomial(dim, s, degree)
-    if found is None:
-        return None
-    m, eps, zeros = found
+    It declines when the weights' N x N system (G_j for j = 1..N at the
+    N = k + eps nodes, by ``_scalar._point_values``) is singular or gives
+    some rho'_i <= 0, and at the first j <= degree whose Q_j L, an
+    (N + 1)-term sum, is not ``linprog.within_rounding``, the test that
+    ``linprog.solve_lp`` applies to a reduced cost. No coefficient of f_m
+    is computed here."""
+    m, eps, zeros = polynomial
     nodes = [s, *zeros.tolist()] + [-1.0] * eps
     count = len(nodes)
     # G_1..G_degree, one tuple of node values per degree
@@ -164,7 +162,7 @@ def bdb_test(dim, s, degree):
             return None
         if j > m:
             least = min(least, q)
-    return m, eps, zeros, least
+    return least
 
 
 def gegenbauer_coefficients(dim, s, eps, zeros):

@@ -12,6 +12,12 @@ stall. The dual has no phase 1: with a nonnegative cost its all-slack
 basis is feasible, and so is any optimal basis of the same LP with fewer
 rows. A solve starts from the basis it is given (all-slack by default),
 so a cutting-plane loop can hand each round's optimal basis to the next.
+A given basis whose B^-1 c has an entry below 0 beyond that entry's own
+rounding bound (``_short``) but whose point x is feasible, such as the
+basis of a known good polynomial, is repaired by dual simplex pivots,
+which keep x feasible and drive B^-1 c up to 0 (Maros, Computational
+Techniques of the Simplex Method, 2003, ch. 10). Any other basis gives
+way to the all-slack one.
 
 At the simplex multipliers -x, the reduced cost of row i's dual variable
 is b_i - A_i x and that of x_j's slack is x_j. An optimum has at most n
@@ -29,16 +35,22 @@ against the rows here: the LP is a search step, and the certificate
 built from it is verified on its own.
 
 Cost model: ``solve_lp`` checks the LP and the caller's basis once, and
-factorizes that basis once. Each pivot costs one matvec over the
+factorizes that basis once; a basis that is short is priced once more, to
+see whether its point is feasible. Each pivot costs one matvec over the
 candidate rows (pricing), two n x n matvecs (the multipliers and the
 entering column), the entering column's rounding bound (one n-term dot
-product) and one n x (n + 1) rank-1 update. B^-1 is refactorized from
+product) and one n x (n + 1) rank-1 update. A repair pivot prices the same
+way, and also takes B^-1 c's rounding bounds (one n x n matvec), the
+norms of B^-1's rows, and the leaving row's entry in every candidate
+column (one more matvec over the candidates). B^-1 is refactorized from
 the data at every REFACTOR_INTERVAL-th pivot of the solve. Each time the
 candidates price out, one full-LP matvec finds the violated rows; the
-last of these residuals is reused by ``_refine_primal``. A periodic
-refactorization clips B^-1 c at 0 even where the updates have drifted it
-below 0 by more than roundoff. That shifts the cost the pivots see: x
-then need not be optimal.
+last of these residuals is reused by ``_refine_primal``. Outside a
+repair, a periodic refactorization clips B^-1 c at 0 even where the
+updates have drifted it below 0 by more than roundoff. That shifts the
+cost the pivots see, so when a solve has clipped an entry that was
+short, its optimum is refactorized once more and repaired before the
+solve ends.
 """
 
 from __future__ import annotations
@@ -59,6 +71,8 @@ PIVOT_CAP_BASE = 2000
 # B^-1 is refactorized from the data (O(n^3)) at every this-many-th pivot of
 # a solve (O(n^2) each): about equal costs at n = 20
 REFACTOR_INTERVAL = 20
+# float64's machine epsilon, read once: the rounding bounds take it per entry
+EPS = float(np.finfo(float).eps)
 
 __all__ = ["LinearProgram", "LPSolution", "solve_lp", "within_rounding"]
 
@@ -124,8 +138,8 @@ def within_rounding(value, terms: int, magnitude) -> bool:
     sum to ``magnitude``, is at least -OPT_TOL up to its own rounding,
     which is at most terms * eps * magnitude (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1). A
-    reduced cost within it does not price out."""
-    return value >= -(OPT_TOL + terms * np.finfo(float).eps * magnitude)
+    reduced cost within it does not price out. Elementwise on arrays."""
+    return value >= -(OPT_TOL + terms * EPS * magnitude)
 
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
@@ -183,41 +197,54 @@ def _checked_basis(basis, m: int, n: int) -> np.ndarray:
     return basis
 
 
-def _factorized(basic_columns, objective, check_feasible: bool):
+def _factorized(basic_columns, objective):
     """[B^-1 | B^-1 c] for the dual basis whose columns are the rows of
-    ``basic_columns``, from the data. None when B is singular, or when
-    ``check_feasible`` and B^-1 c is below 0 by more than roundoff; without
-    the check, B^-1 c is clipped to 0 however far below it lies."""
+    ``basic_columns``, from the data, with B^-1 c as computed; None when B
+    is singular or an entry is not finite."""
     n = len(basic_columns)
     T = np.empty((n, n + 1))
     try:
         T[:, :n] = np.linalg.inv(basic_columns.T)
     except np.linalg.LinAlgError:
         return None
-    values = T[:, n]
-    np.matmul(T[:, :n], objective, out=values)
-    if not np.all(np.isfinite(T)):
-        return None
-    if check_feasible and values.min() < -FEAS_TOL * (1.0 + np.abs(values).max()):
-        return None
-    np.clip(values, 0.0, None, out=values)
-    return T
+    np.matmul(T[:, :n], objective, out=T[:, n])
+    return T if np.all(np.isfinite(T)) else None
+
+
+def _short(T, objective):
+    """Which entries of B^-1 c lie below 0 beyond their own rounding bound,
+    FEAS_TOL + (n + 1) eps (|B^-1| c)_r (``objective`` is c >= 0)."""
+    n = len(objective)
+    bound = FEAS_TOL + (n + 1) * EPS * (np.abs(T[:, :n]) @ objective)
+    return T[:, n] < -bound
 
 
 def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     """Solve the LP; deterministic for a fixed input and ``basis``.
 
-    ``basis``, an ``LPSolution.basis`` of the same LP or of one with the
-    same variables and fewer (leading) rows, warm-starts the solve. It is
-    checked and factorized once: when B is singular or B^-1 c is not
-    feasible, the solve starts from the all-slack basis instead, which is
-    feasible because c >= 0, and counts one restart. The candidate rows
-    start as ROWS_PER_VARIABLE * n evenly spaced rows (all of them in a
-    shorter LP) plus the rows named in ``basis``. The solve ends at the
-    first optimum of the candidates that no other row violates; a reduced
-    cost within its own rounding bound counts as optimal there. A solve
-    that reaches its pivot cap, or whose basis turns singular when
-    refactorized, is a ``numerical_failure``; nothing else is.
+    ``basis`` warm-starts the solve: n distinct columns, numbered as in
+    ``LPSolution.basis``, such as the optimal basis of the same LP or of one
+    with the same variables and fewer (leading) rows. It is checked and
+    factorized once. When no entry of B^-1 c lies below 0 beyond its own
+    rounding bound (``_short``), the solve goes on from it. When some entry
+    does but the basis's point x is feasible on the candidates (every
+    reduced cost ``within_rounding``), dual simplex pivots repair B^-1 c
+    first (Maros, Computational Techniques of the Simplex Method, 2003,
+    ch. 10): the leaving row has the most negative entry per unit of its
+    B^-1 row norm, and the entering column the least ratio of reduced cost
+    to -alpha, where alpha is its entry in that row. Any other basis, and a
+    singular B, gives way to the all-slack basis, which is feasible because
+    c >= 0, and counts one restart; so does a repair that finds no entering
+    column. The candidate rows start as ROWS_PER_VARIABLE * n evenly spaced
+    rows (all of them in a shorter LP) plus the rows named in ``basis``.
+    The solve ends at the first optimum of the candidates that no other row
+    violates; a reduced cost within its own rounding bound counts as
+    optimal there, unless a periodic refactorization clipped a short entry
+    of B^-1 c on the way: then the optimum's B^-1 c is refactorized and
+    repaired the same way, and the solve goes on. Repair pivots count in
+    ``iterations`` and toward the pivot cap. A solve that reaches its pivot
+    cap, or whose basis turns singular when refactorized, is a
+    ``numerical_failure``; nothing else is.
     """
     m, n = lp.A.shape
     # the priced dual columns, numbered as in LPSolution.basis: x_j's slack
@@ -232,11 +259,26 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         basis = _checked_basis(basis, m, n).copy()
         priced[basis] = True
     ids = None
-    T, restarts = None, 0
+    T, restarts, repairing, drifted = None, 0, False, False
     iterations = 0
 
     def ended(status):
         return LPSolution(status, iterations=iterations, restarts=restarts)
+
+    def restart():
+        nonlocal restarts
+        restarts = 1
+        basis[:], positions[:], basic_cost[:] = range(n), range(n), 0.0
+        return np.hstack([np.eye(n), lp.objective[:, None]])
+
+    def pricing():
+        # the simplex multipliers are -x; each priced column's reduced cost
+        # is c_j + (dual column j) @ x, and the basic ones price at inf
+        x = -(basic_cost @ T[:, :n])
+        reduced = columns @ x
+        reduced += cost
+        reduced[positions] = np.inf
+        return x, reduced
 
     while True:
         if ids is None:
@@ -249,42 +291,74 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
             positions = np.searchsorted(ids, basis)
             basic_cost = cost[positions]
         if T is None:
-            # the basis is checked and factorized once
-            T = _factorized(columns[positions], lp.objective, True)
+            # the basis is checked and factorized once; a repair needs its
+            # point x feasible on the candidates
+            T = _factorized(columns[positions], lp.objective)
+            if T is not None and _short(T, lp.objective).any():
+                x, reduced = pricing()
+                magnitude = np.abs(cost) + magnitudes @ np.abs(x)
+                if not np.all(within_rounding(reduced, n + 1, magnitude)):
+                    T = None
+            repairing = T is not None
             if T is None:
-                restarts = 1
-                basis[:], positions[:], basic_cost[:] = range(n), range(n), 0.0
-                T = np.hstack([np.eye(n), lp.objective[:, None]])
-        # the simplex multipliers are -x; each priced column's reduced cost is
-        # c_j + (dual column j) @ x, and the basic ones price at inf
-        x = -(basic_cost @ T[:, :n])
-        reduced = columns @ x
-        reduced += cost
-        reduced[positions] = np.inf
-        enter = int(reduced.argmin())
-        # a reduced cost is an (n + 1)-term dot product
-        magnitude = abs(cost[enter]) + magnitudes[enter] @ np.abs(x)
-        if within_rounding(reduced[enter], n + 1, magnitude):
-            np.clip(x, 0.0, None, out=x)
-            residual = _residual(lp, x)
-            violated = np.flatnonzero(~priced[n:] & (residual > 0.0))
-            if not violated.size:
-                break
-            priced[n + violated] = True
-            ids = None
-            continue
+                T = restart()
+        x, reduced = pricing()
+        # repairing: B^-1 c is not yet known to be feasible
+        if repairing:
+            short = _short(T, lp.objective)
+            if not short.any():
+                repairing = False
+                np.clip(T[:, n], 0.0, None, out=T[:, n])
+        if not repairing:
+            enter = int(reduced.argmin())
+            # a reduced cost is an (n + 1)-term dot product
+            magnitude = abs(cost[enter]) + magnitudes[enter] @ np.abs(x)
+            if within_rounding(reduced[enter], n + 1, magnitude):
+                np.clip(x, 0.0, None, out=x)
+                residual = _residual(lp, x)
+                violated = np.flatnonzero(~priced[n:] & (residual > 0.0))
+                if not violated.size:
+                    if not drifted:
+                        break
+                    # a periodic refactorization clipped B^-1 c: repair the
+                    # optimum's true B^-1 c, whose reduced costs are feasible
+                    drifted, repairing = False, True
+                    T = _factorized(columns[positions], lp.objective)
+                    if T is None:
+                        return ended("numerical_failure")
+                    continue
+                priced[n + violated] = True
+                ids = None
+                continue
         if iterations >= PIVOT_CAP_PER_COLUMN * len(ids) + PIVOT_CAP_BASE:
             return ended("numerical_failure")
-        entering = T[:, :n] @ columns[enter]
-        eligible = (entering > PIVOT_TOL).nonzero()[0]
-        if not eligible.size:
-            return ended("infeasible")
-        # updates can leave B^-1 c below 0: such a row ties at ratio 0,
-        # where a negative ratio would step backwards
-        ratios = np.maximum(T[eligible, n], 0.0) / entering[eligible]
-        # tie-break: the tied row whose basic column has the lowest index
-        ties = eligible[ratios == ratios.min()]
-        leave = int(ties[basis[ties].argmin()])
+        if repairing:
+            # the short row most negative per unit of its B^-1 row norm
+            below = short.nonzero()[0]
+            weights = T[below, :n]
+            scaled = T[below, n] / np.sqrt((weights * weights).sum(axis=1))
+            leave = int(below[scaled.argmin()])
+            alpha = columns @ T[leave, :n]
+            alpha[positions] = 0.0
+            eligible = (alpha < -PIVOT_TOL).nonzero()[0]
+            if not eligible.size:
+                T, repairing = restart(), False
+                continue
+            # the reduced costs are feasible up to rounding: floor them at 0
+            ratios = np.maximum(reduced[eligible], 0.0) / -alpha[eligible]
+            enter = int(eligible[ratios.argmin()])
+            entering = T[:, :n] @ columns[enter]
+        else:
+            entering = T[:, :n] @ columns[enter]
+            eligible = (entering > PIVOT_TOL).nonzero()[0]
+            if not eligible.size:
+                return ended("infeasible")
+            # updates can leave B^-1 c below 0: such a row ties at ratio 0,
+            # where a negative ratio would step backwards
+            ratios = np.maximum(T[eligible, n], 0.0) / entering[eligible]
+            # tie-break: the tied row whose basic column has the lowest index
+            ties = eligible[ratios == ratios.min()]
+            leave = int(ties[basis[ties].argmin()])
         T[leave] /= entering[leave]
         entering[leave] = 0.0
         T -= entering[:, None] * T[leave]
@@ -292,9 +366,12 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         basic_cost[leave] = cost[enter]
         iterations += 1
         if iterations % REFACTOR_INTERVAL == 0:
-            T = _factorized(columns[positions], lp.objective, False)
+            T = _factorized(columns[positions], lp.objective)
             if T is None:
                 return ended("numerical_failure")
+            if not repairing:
+                drifted |= _short(T, lp.objective).any()
+                np.clip(T[:, n], 0.0, None, out=T[:, n])
     y = np.zeros(m)
     tight = basis >= n
     y[basis[tight] - n] = T[tight, n]

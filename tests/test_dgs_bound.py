@@ -159,18 +159,18 @@ class TestFailedLPRound:
 
 
 class TestBestRound:
-    # unpolished, (48, .5, 30) runs 6 rounds; round 4 leaves a violation of
-    # 1.3e-8 and round 6 one of 1.0e-7
+    # unpolished, (48, .5, 30) runs 8 rounds; round 6 leaves a violation of
+    # 2.7e-9 and round 8 one of 3.8e-9
     @staticmethod
-    def _round_four(monkeypatch):
-        """The unpolished (48, .5, 30) certificate of a run that ends at round 4."""
+    def _round_six(monkeypatch):
+        """The unpolished (48, .5, 30) certificate of a run that ends at round 6."""
         with monkeypatch.context() as patch:
-            patch.setattr(dgs_bound, "MAX_ROUNDS", 4)
+            patch.setattr(dgs_bound, "MAX_ROUNDS", 6)
             return lp_bound(48, 0.5, 30)
 
     def test_the_lowest_scoring_round_is_certified_not_the_last(self, monkeypatch):
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
-        expected = self._round_four(monkeypatch)
+        expected = self._round_six(monkeypatch)
         scores, real_maximum = [], dgs_bound._maximum
 
         def maximum(poly, sample_basis, cos_theta):
@@ -181,37 +181,37 @@ class TestBestRound:
 
         monkeypatch.setattr(dgs_bound, "_maximum", maximum)
         cert = lp_bound(48, 0.5, 30)
-        assert len(scores) == 6 and min(scores) == scores[3] < scores[-1]
+        assert len(scores) == 8 and min(scores) == scores[5] < scores[-1]
         rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-        assert rounds and rounds.groups() == ("6", "4")
+        assert rounds and rounds.groups() == ("8", "6")
         assert np.array_equal(cert.poly.coeffs, expected.poly.coeffs)
-        assert cert.bound_real == expected.bound_real < 895496488.4546359  # round 6
+        assert cert.bound_real == expected.bound_real < 895496402.0909586  # round 8
 
     def test_a_later_round_failure_certifies_the_best_earlier_round(self, monkeypatch):
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
-        expected = self._round_four(monkeypatch)
-        calls = TestFailedLPRound._fail_from_round(monkeypatch, 6)
+        expected = self._round_six(monkeypatch)
+        calls = TestFailedLPRound._fail_from_round(monkeypatch, 8)
         cert = lp_bound(48, 0.5, 30)
-        assert len(calls) == 6
+        assert len(calls) == 8
         assert cert.verification.messages[-1].endswith(
-            "over 5 cutting-plane rounds, from round 4; "
-            "round 6 LP status 'numerical_failure'"
+            "over 7 cutting-plane rounds, from round 6; "
+            "round 8 LP status 'numerical_failure'"
         )
         assert np.array_equal(cert.poly.coeffs, expected.poly.coeffs)
         assert verify_certificate(cert).passed
 
     @pytest.mark.usefixtures("lp_path")
     def test_a_repeated_lp_answer_is_idle(self, monkeypatch):
-        # unpolished, rounds 5 on repeat round 4's answer at 0 pivots; a tie
-        # once reset the idle count, and the rounds ran to MAX_ROUNDS
+        # unpolished, rounds 5 and 6 repeat round 4's answer at 0 pivots; a
+        # tie once reset the idle count, and the rounds ran to MAX_ROUNDS
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = TestWarmStartedRounds._record(monkeypatch)
-        cert = lp_bound(24, 0.5, 10)
+        cert = lp_bound(24, 0.5, 20)
         assert len(calls) <= 6
         assert [solution.iterations for _, _, solution in calls[-2:]] == [0, 0]
         rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
         assert rounds and int(rounds[1]) == len(calls)
-        assert cert.bound_real == 196560.00022101324
+        assert cert.bound_real == 196560.0001903044
 
     @pytest.mark.parametrize("case", [(32, 0.5, 20), (48, 0.5, 30)])
     def test_a_round_with_no_new_cuts_repeats_the_lp_and_goes_idle(
@@ -288,7 +288,8 @@ class TestLevenshteinPath:
             return real(*args)
 
         monkeypatch.setattr(dgs_bound.levenshtein, "gegenbauer_coefficients", spy)
-        assert dgs_bound._levenshtein_path(*case) is None
+        polynomial = dgs_bound.levenshtein.levenshtein_polynomial(*case)
+        assert dgs_bound._levenshtein_path(*case, polynomial) is None
         assert not expansions
 
     @pytest.mark.parametrize(
@@ -479,25 +480,83 @@ class TestWarmStartedRounds:
         monkeypatch.setattr(dgs_bound, "solve_lp", solve)
         return calls
 
+    @staticmethod
+    def _seed(case):
+        """f_m's basis of the first round's LP (``_levenshtein_basis``)."""
+        d, cos_theta, degree = case
+        points = chebyshev_points(-1.0, cos_theta, dgs_bound.GRID_POINTS)
+        polynomial = dgs_bound.levenshtein.levenshtein_polynomial(*case)
+        return dgs_bound._levenshtein_basis(points, degree, polynomial)
+
     @pytest.mark.usefixtures("lp_path")
-    @pytest.mark.parametrize("case", [(8, 0.5, 6), (24, 0.5, 20), (16, 0.7, 16)])
+    @pytest.mark.parametrize(
+        "case",
+        [(8, 0.5, 6), (24, 0.5, 20), (16, 0.7, 16), (3, 0.5, 10), (32, 0.5, 20),
+         (48, 0.5, 30), (24, 0.7, 30)],
+    )
     def test_every_round_matches_a_cold_solve(self, monkeypatch, case):
+        # round 1 starts from f_m's basis, each later round from the one before
         calls = self._record(monkeypatch)
         lp_bound(*case)
-        assert len(calls) >= 2
+        assert len(calls) >= 1 + (case != (3, 0.5, 10))
+        assert np.array_equal(calls[0][1], self._seed(case))
         for index, (lp, basis, warm) in enumerate(calls):
-            assert (basis is None) == (index == 0)
+            if index:
+                assert np.array_equal(basis, calls[index - 1][2].basis)
             cold = solve_lp(lp)
             assert warm.status == cold.status == "optimal"
             assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
 
     @pytest.mark.usefixtures("lp_path")
+    @pytest.mark.parametrize("case", [(32, 0.5, 20), (48, 0.5, 30), (24, 0.7, 30)])
+    def test_the_first_round_from_f_m_takes_under_half_the_cold_pivots(
+        self, monkeypatch, case
+    ):
+        calls = self._record(monkeypatch)
+        lp_bound(*case)
+        lp, _, warm = calls[0]
+        assert 2 * warm.iterations < solve_lp(lp).iterations
+
+    @pytest.mark.parametrize("case", [(63, 0.6472, 37), (39, 0.7469, 37)])
+    def test_a_clipped_solve_hands_on_a_basis_that_needs_no_restart(
+        self, monkeypatch, case
+    ):
+        # periodic refactorizations clip short entries of B^-1 c in these
+        # rounds; each solve repairs its optimum before it ends, so no later
+        # round's warm start falls back to the all-slack basis
+        calls = self._record(monkeypatch)
+        try:
+            lp_bound(*case)
+        except NoCertificateError:
+            pass
+        assert len(calls) >= 5
+        assert all(solution.restarts == 0 for _, _, solution in calls)
+
+    def test_f_m_rows_that_share_a_grid_gap_leave_round_1_cold(self, monkeypatch):
+        # at d = 1e12 the zeros of K_10(., 5e-6) lie closer together than
+        # the grid's rows, so two of f_21's rows coincide and round 1 starts
+        # from the all-slack basis
+        case = (10**12, 5e-06, 21)
+        points = chebyshev_points(-1.0, case[1], dgs_bound.GRID_POINTS)
+        polynomial = dgs_bound.levenshtein.levenshtein_polynomial(*case)
+        assert polynomial[0] == 21
+        assert dgs_bound._levenshtein_basis(points, case[2], polynomial) is None
+        calls = self._record(monkeypatch)
+        with pytest.raises(NoCertificateError, match="is infeasible"):
+            lp_bound(*case)
+        assert calls[0][1] is None
+
+    @pytest.mark.usefixtures("lp_path")
     def test_later_rounds_cost_few_pivots(self, monkeypatch):
+        # f_10 is the degree-20 optimum, so its basis is the first round's:
+        # round 1 takes no pivot, and the later rounds together take fewer
+        # than a cold solve of round 1
         calls = self._record(monkeypatch)
         lp_bound(24, 0.5, 20)
         pivots = [solution.iterations for _, _, solution in calls]
         assert 2 <= len(pivots) < dgs_bound.MAX_ROUNDS
-        assert sum(pivots) <= 2 * pivots[0]
+        assert pivots[0] == 0
+        assert sum(pivots) < solve_lp(calls[0][0]).iterations
 
     def test_late_rounds_take_no_noise_pivots(self, monkeypatch):
         # a reduced cost inside its own rounding used to price out, and rounds
@@ -518,10 +577,10 @@ class TestWarmStartedRounds:
         "case, digest",
         [
             ((3, 0.5, 10), "c4214d5a66d152c4cc911413f638fc968406afa38687a5bce2d3ca7a13e4f385"),
-            ((4, 0.5, 10), "cd47b51906072f08b4c569ddf4054c59a5207ae18e6e1dfe0aded87c9aa1196b"),
+            ((4, 0.5, 10), "7927e92b1e42ab86bd44d12384e791ba2e64b64e367903dfa2765275e99dce1f"),
             ((8, 0.5, 6), "51573d171e91ff2eaafa0363607d716e6f6fbd5e7196743630479b37acd4e2e7"),
             # polished after round 4: 196560.000221 (5 rounds) -> 196560.000136
-            ((24, 0.5, 10), "07d4c7ed785c0ab6f8b03e0fb4a9c47638b04a49ba87e459aa715e579db8b17c"),
+            ((24, 0.5, 10), "880b4ea91e62e25bd97cd4b0c12281108390026719af21bd97202a9ed3cf6e4a"),
         ],
     )
     @pytest.mark.usefixtures("lp_path")
@@ -592,19 +651,19 @@ class TestWarmStartedRounds:
 
 # the kissing_lp and lp_stress certificates of perfbench/workloads.py, each
 # with the sha256 of its file when every polish fails and Levenshtein's path
-# declines; a repeated LP answer is idle, so (24, .5, 10) ends after 6 rounds
-# and (32, .5, 20) and (32, .5, 30) after 7, where they ran to MAX_ROUNDS
+# declines; a repeated LP answer is idle, so (24, .5, 20) ends after 6 rounds
+# and (32, .5, 20) after 7, where they would run to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
     (3, 0.5, 10): "c4214d5a66d152c4cc911413f638fc968406afa38687a5bce2d3ca7a13e4f385",
-    (4, 0.5, 10): "cd47b51906072f08b4c569ddf4054c59a5207ae18e6e1dfe0aded87c9aa1196b",
+    (4, 0.5, 10): "7927e92b1e42ab86bd44d12384e791ba2e64b64e367903dfa2765275e99dce1f",
     (8, 0.5, 6): "51573d171e91ff2eaafa0363607d716e6f6fbd5e7196743630479b37acd4e2e7",
-    (24, 0.5, 10): "8e63bcba71e8e3b4474fef2720233200f47d8850b78d0aee9c3e00f6a3fa68fd",
-    (24, 0.5, 20): "2c1beafa47690c48cf2ea05946e1c42330a5f80e9cb7a4d720cc5400083022d1",
-    (32, 0.5, 20): "0929a8419cc07611f940b0df0dedd928a894b2f8d6dbe404ccfd03ff5fdf8aba",
-    (16, 0.7, 16): "f77c43c42e4389582c696f68be829f4ed4ea7cfe4dee2a71ce981917ba386fe4",
-    (24, 0.7, 30): "da1ab0bb33f22db7a7bd1e3709b92544b871092dbac92ab7c561affc63efba24",
-    (48, 0.5, 30): "b415b6005ac6622aad191476c02886f5f109014af83f75fef8888eb66ab8e00e",
-    (32, 0.5, 30): "9421a4cb51f51b3707ad0909313c0fad33cf7a5ef3fae85ee6c6653d67e94bb6",
+    (24, 0.5, 10): "559ce5cac46e12898ca336268037f327344dadfc989ac628d4c52fcb045d7fe3",
+    (24, 0.5, 20): "b9df1782563c6d234248e4dd077baf0396309d614427babc427e6ead6d32809a",
+    (32, 0.5, 20): "ebeee2f65b9d4a603dbb41c86c6374b6632ef244a8343bf3adfa17901257c674",
+    (16, 0.7, 16): "ca52592a9b50a21c588bc86b748b295780d85c40ec8b017d53a2e9b75a73a22e",
+    (24, 0.7, 30): "8bdbe4ee40d4c85f526ddb196c28eb42f48870c2fa8a309acc0ad30b6b06a795",
+    (48, 0.5, 30): "2629868e1e74d70393bdea43ba769ec96e713bbe6641726983106fdf6f7e4a94",
+    (32, 0.5, 30): "a1eb13395e9d59a04c1818cf07e964e736c62032dcf56e973added306be2a0bc",
 }
 # inputs whose loop ends with a polished certificate: four kissing_lp and two
 # lp_stress cases, and three from the domain sweep, the last at P(1) ~ 2.4e14

@@ -36,9 +36,12 @@ BENCHMARK_CASES = [
 # plus noise sat inside COND_TOL
 REFUTED = {
     (19, 0.4844, 8): "+6.6e-10 at t ~ 0.1779",
-    (22, 0.4927, 34): "+6.0e-10 at t ~ -0.5111",
     (15, 0.5745, 35): "+8.2e-10 at t ~ 0.0164",
 }
+# pool certificates that the oracle once refuted and now proves:
+# (22, .4927, 34) was exactly +6.0e-10 at t ~ -0.5111 while its first LP
+# started from the all-slack basis
+PROVEN = [(22, 0.4927, 34)]
 
 
 def exact_value(d, coeffs, t):
@@ -120,6 +123,11 @@ def test_every_benchmark_certificate_is_proven(case):
 def test_a_certificate_that_is_exactly_0_at_an_end_is_proven():
     # its P(-1) is exactly 0, and 0 is not a violation
     assert verdict(*stored((9, 0.0733, 2))) is None
+
+
+@pytest.mark.parametrize("case", PROVEN, ids=str)
+def test_a_formerly_refuted_pool_certificate_is_proven(case):
+    assert verdict(*stored(case)) is None
 
 
 @pytest.mark.parametrize(

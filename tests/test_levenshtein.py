@@ -130,9 +130,11 @@ NOISE = "the final shift is the noise term 3e-15 P(1)"
 # No certificate, although f_m is one: at P(1) >= 1e14 float64 coefficients
 # cannot carry one, and the violation plus the noise term needs a shift >= 1.
 FLOAT64 = "P(1) >= 1e14: the violation plus the noise term needs a shift >= 1"
-# A claim that nothing re-checks: the dual simplex's ray test (ROADMAP item
-# 3, LP-dual witnesses) calls the LP infeasible within milliseconds.
-FALSE_INFEASIBLE_F11 = "a false 'LP infeasible': the degree-11 f_m is a certificate"
+# L = 2.5994e14, and every Gegenbauer coefficient of f_11 is positive in
+# exact arithmetic over the float monomial table. The polish reaches f_11,
+# and the noise term's shift alone costs the factor.
+F11 = ("P(1) ~ 2.6e14: the noise term's shift of 0.78 inflates a polished "
+       "P(1) within 1.2e-10 of L 4.54-fold")
 
 
 def miss(case, reason, raises):
@@ -162,8 +164,8 @@ ORACLE_CASES = [
     # Levenshtein's path: 6.0000000005 at L = 6, where the rounds' shift
     # paid for a violation
     (2, 0.5, 40),
-    # 14 strict xfails: 7 NOISE, 2 FLOAT64, 2 FALSE_INFEASIBLE_F11 and 3
-    # with their own cause
+    # 14 strict xfails: 7 NOISE, 3 FLOAT64, 2 F11 and 2 with their own
+    # cause
     miss((197, 0.2559, 30), NOISE, AssertionError),
     miss((88, 0.4013, 37), NOISE, AssertionError),
     miss((114, 0.33, 17), NOISE, AssertionError),
@@ -177,12 +179,10 @@ ORACLE_CASES = [
     miss((114, 0.4156, 39), "P(1) ~ 2.4e14: the noise term's shift of 0.72 "
          "inflates a polished P(1) within 1.3e-4 of L 3.5-fold", AssertionError),
     miss((148, 0.3941, 24), FLOAT64, NoCertificateError),
-    miss((167, 0.3664, 36), "a false 'LP infeasible': the degree-21 f_m is a "
-         "certificate", NoCertificateError),
-    # L = 2.5994e14; every Gegenbauer coefficient of f_11 is positive in
-    # exact arithmetic over the float monomial table
-    miss((1000, 0.1, 11), FALSE_INFEASIBLE_F11, NoCertificateError),
-    miss((1000, 0.1, 40), FALSE_INFEASIBLE_F11, NoCertificateError),
+    # L = 5.0e16: the noise term alone needs a shift >= 1
+    miss((167, 0.3664, 36), FLOAT64, NoCertificateError),
+    miss((1000, 0.1, 11), F11, AssertionError),
+    miss((1000, 0.1, 40), F11, AssertionError),
 ]
 
 
@@ -218,7 +218,8 @@ def test_a_negative_test_function_leaves_room_below_l():
         dim = int(rng.integers(2, 65))
         s = round(float(rng.uniform(-1.0, 0.9)), 4)
         degree = int(rng.integers(1, 41))
-        if levenshtein_degree(dim, s, degree) is None or bdb_test(dim, s, degree):
+        polynomial = levenshtein_polynomial(dim, s, degree)
+        if polynomial is None or bdb_test(dim, s, degree, polynomial) is not None:
             continue
         m, q = bdb_values(dim, s, degree)
         if degree > m and q[m:].min() < -1e-3:

@@ -370,40 +370,51 @@ class TestWarmStart:
         assert warm.x == pytest.approx(cold.x, rel=1e-12, abs=1e-12)
         assert (cold.restarts, warm.restarts) == (0, 1)
 
-    def test_infeasible_basis_restarts_cold(self):
-        # min x s.t. x <= 5 (64 times): x = 0 leaves every row slack, and a
-        # basis that makes a row tight prices x at -1, not dual-feasible
+    def test_a_feasible_point_with_a_negative_dual_is_repaired(self):
+        # min x s.t. x <= 5 (64 times): the basis that makes row 3 tight has
+        # the point x = 5, feasible, but row 3's dual -1 < 0; one dual
+        # simplex pivot moves x_0's slack in, to the optimum x = 0
         m = 64
         lp = LinearProgram(objective=[1.0], A=np.ones((m, 1)), b=np.full(m, 5.0))
         cold = solve_lp(lp)
         warm = solve_lp(lp, np.array([1 + 3]))
         assert cold.status == warm.status == "optimal"
         assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.x, [0.0])
-        assert (cold.restarts, warm.restarts) == (0, 1)
+        assert (warm.iterations, warm.restarts) == (1, 0)
+        assert np.array_equal(warm.basis, [0])
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the warm-start check scales its tolerance by the largest B^-1 c "
-        "entry (9.98e10 here), so it takes dual slacks of -1.88, -1.69 and -0.04 "
-        "for roundoff, clips them to 0 and stops after 0 pivots at 4.063e11, "
-        "18.9 % above the cold optimum 3.416e11",
-    )
+    def test_a_basis_neither_feasible_nor_dual_feasible_restarts_cold(self):
+        # as above, with a last row x <= 3 among the first candidates: the
+        # basis's point x = 5 violates it and row 3's dual is -1, so neither
+        # the primal nor the dual simplex can start from it
+        m = 64
+        b = np.full(m, 5.0)
+        b[-1] = 3.0
+        lp = LinearProgram(objective=[1.0], A=np.ones((m, 1)), b=b)
+        warm = solve_lp(lp, np.array([1 + 3]))
+        assert warm.status == "optimal" and np.array_equal(warm.x, [0.0])
+        assert warm.restarts == 1
+
     def test_a_basis_that_is_not_dual_feasible_does_not_end_the_solve(self):
         # lp_bound(60, .5305, 38)'s first-round LP, warm-started from the
         # basis of Levenshtein's f_20 (eps = 1): a_21..a_38 = 0, the rows at
-        # -1 and at cos_theta, and the two grid rows around each double root
+        # -1 and at cos_theta, and the two grid rows around each double root.
+        # Its point is feasible and some of its duals are below 0 (down to
+        # -1.88 against entries up to 9.98e10), so dual simplex pivots
+        # repair it
         d, cos_theta, degree = 60, 0.5305, 38
         lp = grid_lp(d, cos_theta, degree)
         m, eps, zeros = levenshtein_polynomial(d, cos_theta)
         assert (m, eps, len(zeros)) == (20, 1, 9)
-        right = np.searchsorted(
-            chebyshev_points(-1.0, cos_theta, dgs_bound.GRID_POINTS), zeros
-        )
+        points = chebyshev_points(-1.0, cos_theta, dgs_bound.GRID_POINTS)
+        right = np.searchsorted(points, zeros)
         rows = np.concatenate([[0, len(lp.b) - 1], right - 1, right])
         basis = np.concatenate([np.arange(m, degree), degree + rows])
+        seed = dgs_bound._levenshtein_basis(points, degree, (m, eps, zeros))
+        assert np.array_equal(np.sort(seed), np.sort(basis))
         cold, warm = solve_lp(lp), solve_lp(lp, basis)
         assert cold.status == warm.status == "optimal"
+        assert warm.restarts == 0 and 0 < warm.iterations < cold.iterations
         assert warm.objective_value <= cold.objective_value * (1.0 + 1e-9)
 
     @pytest.mark.parametrize(
@@ -413,6 +424,21 @@ class TestWarmStart:
         c, A, b = tall_lp(rng, 300)
         with pytest.raises(ValueError, match="basis must name 4 distinct columns"):
             solve_lp(leading_rows(c, A, b, 300), np.array(basis))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_repaired_warm_start_matches_the_oracle(seed):
+    # the optimal basis of the same rows under another cost has a feasible
+    # point, and often a dual below 0 under this cost: it is repaired, never
+    # dropped
+    rng = np.random.default_rng(seed)
+    lp, oracle_inputs = random_covering_lp(rng)
+    other = solve_lp(LinearProgram(rng.uniform(0.0, 1.0, len(lp.objective)), lp.A, lp.b))
+    assert other.status == "optimal"
+    sol = solve_lp(lp, other.basis)
+    assert sol.status == "optimal" and sol.restarts == 0
+    oracle = enumerate_vertices(*oracle_inputs)
+    assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

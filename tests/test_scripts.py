@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from codebounds import jsonutil
+from codebounds import dgs_bound, jsonutil
 from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
 from codebounds.errors import LPFailureError, NoCertificateError
+from codebounds.linprog import solve_lp
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -48,6 +49,7 @@ def test_domain_sweep_reruns_differ_only_in_the_slowest_line():
     assert runs[0] == runs[1]
     lines = runs[0]
     start = next(i for i, line in enumerate(lines) if line.startswith("polished: "))
+    assert re.fullmatch(r"pivots: \d+ in \d+ LP solves", lines[start - 3])
     assert re.fullmatch(r"unshifted: \d+ of \d+ certificates", lines[start - 2])
     assert re.fullmatch(r"outputs: [0-9a-f]{64}", lines[start - 1])
     assert re.fullmatch(r"polished: \d+ of (\d+) certificates", lines[start])
@@ -66,15 +68,20 @@ def test_domain_sweep_reruns_differ_only_in_the_slowest_line():
     assert any(line.startswith("(") for line in runs[0])
 
 
+def load_sweep():
+    spec = importlib.util.spec_from_file_location("sweep", SCRIPTS / "domain_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
 @pytest.mark.parametrize(
     "error, code", [(NoCertificateError("none"), 0), (LPFailureError("stall"), 1)]
 )
 def test_domain_sweep_exits_1_on_an_error_other_than_no_certificate(
     monkeypatch, capsys, error, code
 ):
-    spec = importlib.util.spec_from_file_location("sweep", SCRIPTS / "domain_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_sweep()
 
     def ends_in_error(*case):
         raise error
@@ -83,6 +90,28 @@ def test_domain_sweep_exits_1_on_an_error_other_than_no_certificate(
     monkeypatch.setattr(sys, "argv", ["domain_sweep.py", "--n", "3"])
     assert sweep.main() == code
     assert "    3  " in capsys.readouterr().out
+
+
+def test_domain_sweep_counts_the_pivots_of_every_lp_solve(monkeypatch, capsys):
+    # the first 20 seed-3 inputs, some of which run the grid LP
+    sweep, iterations = load_sweep(), []
+
+    def solve(lp, basis=None):
+        solution = solve_lp(lp, basis)
+        iterations.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(sweep, "solve_lp", solve)
+    monkeypatch.setattr(sys, "argv", [
+        "domain_sweep.py", "--seed", "3", "--n", "20", "--max-dim", "199",
+        "--max-cos", "0.999",
+    ])
+    assert sweep.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(iterations) > 0
+    assert f"pivots: {sum(iterations)} in {len(iterations)} LP solves" in lines
+    # the count wraps lp_bound's solver only while the sweep runs
+    assert dgs_bound.solve_lp is solve_lp
 
 
 def test_consistency_harness_finds_zero_violations():
