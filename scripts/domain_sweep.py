@@ -6,7 +6,8 @@ cos_theta = round(U(-1, --max-cos), 4) and degree uniform in 1..40, runs
 lp_bound on each and prints how many ended in each outcome (a
 certificate, NoCertificateError by its cause, or a named error), the
 simplex pivots of all its LP solves (``pivots:``, a work count that does
-not depend on the machine's speed), how many
+not depend on the machine's speed), how many of those solves went back
+to the all-slack basis (``restarts:``), how many
 certificates were left unshifted because their float maximum plus noise
 sat inside COND_TOL, a sha256 digest of the outputs (``outputs:``), how
 many ended at a Newton-polished polynomial and
@@ -103,6 +104,7 @@ def main() -> int:
     def counted(lp, basis=None):
         solution = solve_lp(lp, basis)
         work["pivots"] += solution.iterations
+        work["restarts"] += solution.restarts
         work["solves"] += 1
         return solution
 
@@ -134,6 +136,7 @@ def main() -> int:
     for result, count in sorted(counts.items()):
         print(f"{count:>5}  {result}")
     print(f"pivots: {work['pivots']} in {work['solves']} LP solves")
+    print(f"restarts: {work['restarts']}")
     print(f"unshifted: {unshifted} of {counts['certificate']} certificates")
     print(f"outputs: {outputs.hexdigest()}")
     for path in PATHS:

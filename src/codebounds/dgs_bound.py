@@ -479,11 +479,8 @@ def verify_certificate(cert: DGSCertificate) -> DGSVerification:
 
 
 def bound_table(d: int, cos_theta: float, degrees) -> list[BoundTableRow]:
-    """One lp_bound row per degree (None where it raises
-    NoCertificateError); the degrees must be ascending."""
-    degrees = list(degrees)
-    if degrees != sorted(degrees):
-        raise ValueError("degrees must be ascending")
+    """One lp_bound row per degree, in the given order (None where it
+    raises NoCertificateError)."""
     rows = []
     for m in degrees:
         try:

@@ -16,27 +16,30 @@ A given basis whose B^-1 c has an entry below 0 beyond that entry's own
 rounding bound (``_short``) but whose point x is feasible, such as the
 basis of a known good polynomial, is repaired by dual simplex pivots,
 which keep x feasible and drive B^-1 c up to 0 (Maros, Computational
-Techniques of the Simplex Method, 2003, ch. 10). Any other basis gives
-way to the all-slack one.
+Techniques of the Simplex Method, 2003, ch. 10). Any other basis, and a
+repair that finds no entering column, start over from the all-slack
+basis, whose B^-1 = I and B^-1 c = c >= 0 need no repair.
 
 At the simplex multipliers -x, the reduced cost of row i's dual variable
 is b_i - A_i x and that of x_j's slack is x_j. An optimum has at most n
 tight rows, so only a candidate set of rows is priced. The column q that
 the pricing rule picks enters only if its reduced cost d_q lies below
--(OPT_TOL + (n + 1) eps (|c_q| + |column_q| @ |x|)), beyond the rounding
+-(FEAS_TOL + (n + 1) eps (|c_q| + |column_q| @ |x|)), beyond the rounding
 of the dot product that computes it (``within_rounding``); at x ~ 1e9
-that rounding far exceeds OPT_TOL. When no candidate prices out, the full
-residual A x - b is computed once and every violated row joins the
-candidates; the same B^-1 carries on. The rows never priced have dual 0,
-so the candidates' optimum is the full LP's optimum, and a dual ray over
-the candidates proves the full LP infeasible. Because cost and x are
-both nonnegative the LP is never unbounded. The answer x is not checked
-against the rows here: the LP is a search step, and the certificate
-built from it is verified on its own.
+that rounding far exceeds FEAS_TOL; ``_short`` applies the same rule to
+B^-1 c. When no candidate prices out, the full residual A x - b is
+computed once and every violated row joins the candidates; the same B^-1
+carries on. The rows never priced have dual 0, so the candidates'
+optimum is the full LP's optimum, and a dual ray over the candidates
+proves the full LP infeasible. Because cost and x are both nonnegative
+the LP is never unbounded. The answer x is not checked against the rows
+here: the LP is a search step, and the certificate built from it is
+verified on its own.
 
 Cost model: ``solve_lp`` checks the LP and the caller's basis once, and
 factorizes that basis once; a basis that is short is priced once more, to
-see whether its point is feasible. Each pivot costs one matvec over the
+see whether its point is feasible; a restart rebuilds the candidates'
+columns and factorizes B = I. Each pivot costs one matvec over the
 candidate rows (pricing), two n x n matvecs (the multipliers and the
 entering column), the entering column's rounding bound (one n-term dot
 product) and one n x (n + 1) rank-1 update. A repair pivot prices the same
@@ -60,7 +63,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEAS_TOL = 1e-9
-OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
 # the candidate rows start as this many evenly spaced rows per variable
 ROWS_PER_VARIABLE = 8
@@ -123,7 +125,7 @@ class LPSolution:
     x: np.ndarray | None = None
     objective_value: float = float("nan")
     iterations: int = 0  # pivots of this solve
-    restarts: int = 0  # 1 when the warm-start basis was rejected for all-slack
+    restarts: int = 0  # 1 when a warm start or a repair fell back to all-slack
     # The n primal columns that are nonbasic at the optimum, numbered
     # x_0..x_{n-1} and then the slack of each row. The numbering keeps
     # its meaning when rows are appended, so this can warm-start
@@ -135,11 +137,11 @@ class LPSolution:
 
 def within_rounding(value, terms: int, magnitude) -> bool:
     """Whether ``value``, a sum of ``terms`` terms whose absolute values
-    sum to ``magnitude``, is at least -OPT_TOL up to its own rounding,
+    sum to ``magnitude``, is at least -FEAS_TOL up to its own rounding,
     which is at most terms * eps * magnitude (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1). A
     reduced cost within it does not price out. Elementwise on arrays."""
-    return value >= -(OPT_TOL + terms * EPS * magnitude)
+    return value >= -(FEAS_TOL + terms * EPS * magnitude)
 
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
@@ -158,9 +160,7 @@ def _refine_primal(lp, x, y, residual):
     ``residual`` is A x - b, which the caller has already computed; the
     candidate replaces x when its largest row excess is smaller.
     """
-    if y.size == 0:
-        return x
-    tight = np.where(y > 1e-11 * max(1.0, float(np.max(y))))[0]
+    tight = np.where(y > 1e-11 * max(1.0, float(np.max(y, initial=0.0))))[0]
     support = np.where(x > 1e-11 * max(1.0, float(np.max(x))))[0]
     if len(tight) == 0 or len(support) == 0:
         return x
@@ -212,11 +212,10 @@ def _factorized(basic_columns, objective):
 
 
 def _short(T, objective):
-    """Which entries of B^-1 c lie below 0 beyond their own rounding bound,
-    FEAS_TOL + (n + 1) eps (|B^-1| c)_r (``objective`` is c >= 0)."""
+    """Which entries of B^-1 c are not ``within_rounding``: each is a sum
+    of magnitude (|B^-1| c)_r, as the ``objective`` c is >= 0."""
     n = len(objective)
-    bound = FEAS_TOL + (n + 1) * EPS * (np.abs(T[:, :n]) @ objective)
-    return T[:, n] < -bound
+    return ~within_rounding(T[:, n], n + 1, np.abs(T[:, :n]) @ objective)
 
 
 def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
@@ -232,19 +231,19 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     first (Maros, Computational Techniques of the Simplex Method, 2003,
     ch. 10): the leaving row has the most negative entry per unit of its
     B^-1 row norm, and the entering column the least ratio of reduced cost
-    to -alpha, where alpha is its entry in that row. Any other basis, and a
-    singular B, gives way to the all-slack basis, which is feasible because
-    c >= 0, and counts one restart; so does a repair that finds no entering
-    column. The candidate rows start as ROWS_PER_VARIABLE * n evenly spaced
-    rows (all of them in a shorter LP) plus the rows named in ``basis``.
-    The solve ends at the first optimum of the candidates that no other row
-    violates; a reduced cost within its own rounding bound counts as
-    optimal there, unless a periodic refactorization clipped a short entry
-    of B^-1 c on the way: then the optimum's B^-1 c is refactorized and
-    repaired the same way, and the solve goes on. Repair pivots count in
-    ``iterations`` and toward the pivot cap. A solve that reaches its pivot
-    cap, or whose basis turns singular when refactorized, is a
-    ``numerical_failure``; nothing else is.
+    to -alpha, where alpha is its entry in that row. Any other basis, a
+    singular B, and a repair that finds no entering column go back to the
+    start with the all-slack basis, which needs no repair as c >= 0; that
+    counts one restart. The candidate rows start as ROWS_PER_VARIABLE * n
+    evenly spaced rows (all of them in a shorter LP) plus the rows named in
+    ``basis``. The solve ends at the first optimum of the candidates that
+    no other row violates; a reduced cost within its own rounding bound
+    counts as optimal there, unless a periodic refactorization clipped a
+    short entry of B^-1 c on the way: then the optimum's B^-1 c is
+    refactorized and repaired the same way, and the solve goes on. Repair
+    pivots count in ``iterations`` and toward the pivot cap. A solve that
+    reaches its pivot cap, or whose basis turns singular when refactorized,
+    is a ``numerical_failure``; nothing else is.
     """
     m, n = lp.A.shape
     # the priced dual columns, numbered as in LPSolution.basis: x_j's slack
@@ -258,18 +257,11 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     else:
         basis = _checked_basis(basis, m, n).copy()
         priced[basis] = True
-    ids = None
-    T, restarts, repairing, drifted = None, 0, False, False
-    iterations = 0
+    ids = T = None
+    restarts, drifted, iterations = 0, False, 0
 
     def ended(status):
         return LPSolution(status, iterations=iterations, restarts=restarts)
-
-    def restart():
-        nonlocal restarts
-        restarts = 1
-        basis[:], positions[:], basic_cost[:] = range(n), range(n), 0.0
-        return np.hstack([np.eye(n), lp.objective[:, None]])
 
     def pricing():
         # the simplex multipliers are -x; each priced column's reduced cost
@@ -291,24 +283,23 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
             positions = np.searchsorted(ids, basis)
             basic_cost = cost[positions]
         if T is None:
-            # the basis is checked and factorized once; a repair needs its
-            # point x feasible on the candidates
+            # the basis is factorized once; a repair needs its point x
+            # feasible on the candidates, or the all-slack basis starts over
             T = _factorized(columns[positions], lp.objective)
-            if T is not None and _short(T, lp.objective).any():
+            repairing = T is not None and _short(T, lp.objective).any()
+            if repairing:
                 x, reduced = pricing()
                 magnitude = np.abs(cost) + magnitudes @ np.abs(x)
                 if not np.all(within_rounding(reduced, n + 1, magnitude)):
                     T = None
-            repairing = T is not None
             if T is None:
-                T = restart()
+                basis[:], restarts, ids = range(n), 1, None
+                continue
         x, reduced = pricing()
         # repairing: B^-1 c is not yet known to be feasible
         if repairing:
             short = _short(T, lp.objective)
-            if not short.any():
-                repairing = False
-                np.clip(T[:, n], 0.0, None, out=T[:, n])
+            repairing = short.any()
         if not repairing:
             enter = int(reduced.argmin())
             # a reduced cost is an (n + 1)-term dot product
@@ -342,7 +333,7 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
             alpha[positions] = 0.0
             eligible = (alpha < -PIVOT_TOL).nonzero()[0]
             if not eligible.size:
-                T, repairing = restart(), False
+                basis[:], restarts, ids, T = range(n), 1, None, None
                 continue
             # the reduced costs are feasible up to rounding: floor them at 0
             ratios = np.maximum(reduced[eligible], 0.0) / -alpha[eligible]

@@ -881,8 +881,8 @@ class TestBoundTable:
     def test_monotone_in_degree(self):
         rows = bound_table(3, 0.5, [6, 10])
         low, high = (row.certificate for row in rows)
-        # nested feasible sets at a fixed grid; refinement adds at most the
-        # reported inflation, absorbed by the cushion
+        # a degree-6 certificate is also a degree-10 one; each degree's own
+        # cutting planes and reported inflation are absorbed by the cushion
         assert high.bound_real <= low.bound_real + 1e-3
 
     def test_d4_expected_value(self):
@@ -890,9 +890,15 @@ class TestBoundTable:
         assert rows[0].certificate.bound_real >= 24.0
         assert rows[0].certificate.bound_real == pytest.approx(25.558, abs=2e-3)
 
-    def test_requires_ascending(self):
-        with pytest.raises(ValueError):
-            bound_table(3, 0.5, [10, 6])
+    def test_unsorted_degrees_get_the_sorted_certificates(self):
+        # each degree is its own lp_bound call, so the order is free
+        def files(degrees):
+            return [
+                (row.degree, jsonutil.dumps(certificate_to_json_dict(row.certificate)))
+                for row in bound_table(3, 0.5, degrees)
+            ]
+
+        assert files([10, 6])[::-1] == files([6, 10])
 
 
 class TestSoundnessFloor:

@@ -41,6 +41,13 @@ class TestExamples:
         assert sol.objective_value == pytest.approx(4.0 / 3.0, abs=1e-9)
         assert sol.x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-8)
 
+    def test_zero_rows(self):
+        # no rows: x = 0 is optimal, with no row duals
+        lp = LinearProgram([1.0, 2.0], np.empty((0, 2)), np.empty(0))
+        sol = solve_lp(lp)
+        assert sol.status == "optimal" and sol.objective_value == 0.0
+        assert np.array_equal(sol.x, [0.0, 0.0]) and sol.y.shape == (0,)
+
     def test_infeasible(self):
         # x >= 1 and x <= 0
         lp = LinearProgram(objective=[1.0], A=[[-1.0], [1.0]], b=[-1.0, 0.0])
@@ -394,6 +401,18 @@ class TestWarmStart:
         warm = solve_lp(lp, np.array([1 + 3]))
         assert warm.status == "optimal" and np.array_equal(warm.x, [0.0])
         assert warm.restarts == 1
+
+    def test_a_repair_with_no_entering_column_restarts_cold(self, monkeypatch):
+        # as in the repair above, where x_0's slack enters at alpha = -1;
+        # with PIVOT_TOL = 1 no column is eligible, so the solve starts over
+        # from the all-slack basis, which is optimal
+        monkeypatch.setattr(linprog, "PIVOT_TOL", 1.0)
+        m = 64
+        lp = LinearProgram(objective=[1.0], A=np.ones((m, 1)), b=np.full(m, 5.0))
+        warm = solve_lp(lp, np.array([1 + 3]))
+        assert warm.status == "optimal" and np.array_equal(warm.x, [0.0])
+        assert (warm.iterations, warm.restarts) == (0, 1)
+        assert np.array_equal(warm.basis, [0])
 
     def test_a_basis_that_is_not_dual_feasible_does_not_end_the_solve(self):
         # lp_bound(60, .5305, 38)'s first-round LP, warm-started from the

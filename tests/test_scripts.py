@@ -49,7 +49,8 @@ def test_domain_sweep_reruns_differ_only_in_the_slowest_line():
     assert runs[0] == runs[1]
     lines = runs[0]
     start = next(i for i, line in enumerate(lines) if line.startswith("polished: "))
-    assert re.fullmatch(r"pivots: \d+ in \d+ LP solves", lines[start - 3])
+    assert re.fullmatch(r"pivots: \d+ in \d+ LP solves", lines[start - 4])
+    assert re.fullmatch(r"restarts: \d+", lines[start - 3])
     assert re.fullmatch(r"unshifted: \d+ of \d+ certificates", lines[start - 2])
     assert re.fullmatch(r"outputs: [0-9a-f]{64}", lines[start - 1])
     assert re.fullmatch(r"polished: \d+ of (\d+) certificates", lines[start])
@@ -98,6 +99,8 @@ def test_domain_sweep_counts_the_pivots_of_every_lp_solve(monkeypatch, capsys):
 
     def solve(lp, basis=None):
         solution = solve_lp(lp, basis)
+        # the pools restart nowhere: mark the first solve as a restart
+        solution.restarts = int(not iterations)
         iterations.append(solution.iterations)
         return solution
 
@@ -110,6 +113,7 @@ def test_domain_sweep_counts_the_pivots_of_every_lp_solve(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert sum(iterations) > 0
     assert f"pivots: {sum(iterations)} in {len(iterations)} LP solves" in lines
+    assert "restarts: 1" in lines
     # the count wraps lp_bound's solver only while the sweep runs
     assert dgs_bound.solve_lp is solve_lp
 
