@@ -448,12 +448,12 @@ def pfender_form(poly: GegenbauerPoly) -> tuple[pfender.PhiSpec, float]:
 
 def verify_certificate(cert: DGSCertificate) -> DGSVerification:
     """Independently re-check a certificate by one ``pfender.pfender_bound``
-    call on ``pfender_form(cert.poly)`` (coefficient signs, P <= COND_TOL
-    on [-1, cos_theta], the bound P(1)/a_0 and its floor), then compare the
-    stored bounds (``pfender.stored_bound_mismatches``); all failures are
-    collected. An a_0 <= 0 or a P(1)/a_0 past the float range fails with
-    pfender_bound's message alone; a cos_theta outside [-1, 1] raises
-    ValueError.
+    call on ``pfender_form(cert.poly)`` (every a_k >= 0 exactly, P <=
+    COND_TOL on [-1, cos_theta], the bound P(1)/a_0 and its floor), then
+    compare the stored bounds (``pfender.stored_bound_mismatches``); all
+    failures are collected. An a_0 <= 0 or a P(1)/a_0 past the float range
+    fails with pfender_bound's message alone; a cos_theta outside [-1, 1]
+    raises ValueError.
     """
     cos_theta = pfender._checked_cos_theta(cert.cos_theta)
     phi, a0 = pfender_form(cert.poly)

@@ -27,9 +27,9 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     """Serialize ``obj`` deterministically (dict order preserved)."""
-    return json.dumps(obj, indent=indent, allow_nan=False) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def dump_path(path: str, obj: Any) -> None:

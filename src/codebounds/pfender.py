@@ -16,22 +16,22 @@ The trusted checks live here once: ``condition_i`` (a nonnegative
 Gegenbauer combination), ``interval_margin`` (the maximum of phi + c on
 [-1, cos_theta]), ``bound_values`` (the bound, its floor and the
 phi(1) + c <= 1 clause) and ``stored_bound_mismatches`` (a file's stored
-bounds against those), with the tolerances COND_TOL and COEFF_TOL. A
-Delsarte polynomial P is verified by one ``pfender_bound`` call on the
-structural certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
+bounds against those). Only the margin has a tolerance, COND_TOL: a
+coefficient must be >= 0, and phi(1) + c <= 1, exactly. A Delsarte
+polynomial P is verified by one ``pfender_bound`` call on the structural
+certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
 
 A ``PhiSpec`` is immutable, like a code: its coefficients are a
 read-only copy. The same phi is typically checked against many codes,
 each with its own cos_theta. So a phi keeps, as cached properties, what
 depends on it alone: its coefficients as Python floats, which are also
-the terms of phi(1) (``PhiSpec._terms``); for a polynomial phi the real
-roots of phi' on [-1, 1], found on its first interval check
-(``PhiSpec._critical_points``); the sorted points above -1 where phi + c
-may peak inside an interval (``PhiSpec._candidates``: those roots, or a
-table's nodes); and for a Gegenbauer phi G_0..G_m at -1 and at those
-points (``PhiSpec._candidate_table``). Each interval check then takes
-phi + c at -1, cos_theta and the candidates in between, found by
-bisection; for a Gegenbauer phi it computes only the column at
+the terms of phi(1) (``PhiSpec._terms``); the sorted points above -1
+where phi + c may peak inside an interval, found on its first interval
+check (``PhiSpec._candidates``: a polynomial's critical points on
+[-1, 1], or a table's nodes); and for a Gegenbauer phi G_0..G_m at -1
+and at those points (``PhiSpec._candidate_table``). Each interval check
+then takes phi + c at -1, cos_theta and the candidates in between, found
+by bisection; for a Gegenbauer phi it computes only the column at
 cos_theta, in Python floats (``_scalar._point_values``).
 
 A per-code check reads what depends on the code alone from the code's
@@ -70,8 +70,6 @@ from .gegenbauer import _check_r, _horner, _recursion, basis_values
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
-COEFF_TOL = 1e-12
-BOUND_SLACK = 1e-9
 
 __all__ = [
     "PhiSpec",
@@ -104,8 +102,8 @@ class PhiSpec(Rebuilt):
     spaced nodes over [-1, 1] (piecewise-linear interpolation between
     nodes, spacing is the certificate author's responsibility).
 
-    ``coeffs`` is a read-only copy, so the critical points a polynomial
-    phi keeps after its first interval check cannot go stale.
+    ``coeffs`` is a read-only copy, so the candidates a phi keeps after
+    its first interval check cannot go stale.
     """
 
     basis: str
@@ -161,23 +159,17 @@ class PhiSpec(Rebuilt):
         return self.coeffs.tolist()
 
     @cached_property
-    def _critical_points(self) -> np.ndarray:
-        """The real roots of a polynomial phi' in [-1, 1], from phi at its
-        m + 1 Chebyshev-Lobatto points: they depend on neither c nor
-        cos_theta."""
-        samples = self(chebyshev_points(-1.0, 1.0, len(self.coeffs)))
-        return read_only(critical_points(samples, -1.0, 1.0))
-
-    @cached_property
     def _candidates(self) -> list[float]:
         """Where phi + c may peak inside an interval [-1, cos_theta], sorted:
-        the critical points of a polynomial phi, or a table's nodes, that
-        lie above -1 (an interval check takes -1 itself as its first
-        candidate)."""
+        a table's nodes, or the real roots of a polynomial phi' on [-1, 1],
+        from phi at its m + 1 Chebyshev-Lobatto points, that lie above -1
+        (an interval check takes -1 itself as its first candidate). They
+        depend on neither c nor cos_theta."""
         if self.basis == "table":
             points = np.linspace(-1.0, 1.0, len(self.coeffs))
         else:
-            points = self._critical_points
+            samples = self(chebyshev_points(-1.0, 1.0, len(self.coeffs)))
+            points = critical_points(samples, -1.0, 1.0)
         return points[points > -1.0].tolist()
 
     @cached_property
@@ -225,15 +217,15 @@ class PfenderCheckResult:
 
 def condition_i(phi: PhiSpec) -> tuple[bool, str]:
     """Condition (i) for every code of phi's dimension at once: phi is a
-    nonnegative combination of the G_k, each positive definite on the
-    sphere. Returns the verdict and its evidence."""
+    combination of the G_k, each positive definite on the sphere, whose
+    coefficients are all >= 0 exactly. Returns the verdict and evidence."""
     if phi.basis != "gegenbauer":
         return False, (
             "condition (i) not established: structural mode requires a "
             "Gegenbauer representation"
         )
     min_coeff = float(np.min(phi.coeffs))
-    if min_coeff < -COEFF_TOL:
+    if min_coeff < 0.0:
         return False, (
             "condition (i) not established: negative Gegenbauer coefficient "
             f"{min_coeff!r}"
@@ -289,8 +281,8 @@ def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
     (then the bound is also at most 1/c). Every G_k(1) and power of 1 is
     1, so phi(1) + c is the exactly rounded sum of a polynomial's
     coefficients and c, or of a table's last value and c: for (P - a_0,
-    a_0) it is P(1) bit for bit. A bound past the float range raises
-    ValueError, naming c."""
+    a_0) it is P(1) bit for bit, compared with 1 exactly. A bound past the
+    float range raises ValueError, naming c."""
     terms = phi._terms[-1:] if phi.basis == "table" else phi._terms
     top = math.fsum([*terms, c])
     bound_real = top / c
@@ -299,7 +291,7 @@ def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
             f"c = {c!r} is too small: the bound (phi(1) + c) / c = "
             f"{top!r} / {c!r} is past the float range"
         )
-    return bound_real, math.floor(bound_real + 1e-9), top <= 1.0 + COEFF_TOL
+    return bound_real, math.floor(bound_real + 1e-9), top <= 1.0
 
 
 def stored_bound_mismatches(
@@ -418,11 +410,11 @@ def functional_pfender_check(
 
     ``variant`` "interval" checks phi(r) + c <= 0 on all of
     [-1, cos_theta]; "finite_set" checks it only on the observed
-    off-diagonal values f_j(tau_k). When both conditions hold the bound
-    must cover the code; a violation raises TheoremViolationError (it
-    would disprove the bound) instead of being folded into the report.
-    A cos_theta outside [-1, 1] raises ValueError in either variant, and
-    a code that fails its own axioms at cos_theta raises ValueError with
+    off-diagonal values f_j(tau_k). When both conditions hold, n must be
+    at most bound_int; a violation raises TheoremViolationError (it would
+    disprove the bound) instead of being folded into the report. A
+    cos_theta outside [-1, 1] raises ValueError in either variant, and a
+    code that fails its own axioms at cos_theta raises ValueError with
     the failures ``codes.verify`` reports.
 
     Condition (i) is the double sum of phi over the code's evaluation
@@ -472,7 +464,7 @@ def functional_pfender_check(
             )
         reason = "certificate not applicable to this code: " + "; ".join(parts)
         return PfenderCheckResult(certificate, False, reason, n, None)
-    if n > bound_real + BOUND_SLACK:
+    if n > certificate.bound_int:
         raise TheoremViolationError(
             f"code with n = {n} exceeds certified bound {bound_real!r} "
             f"(phi(1) = {phi.phi_at_1!r}, c = {c!r})"

@@ -730,6 +730,21 @@ class TestVerification:
         assert not report.passed
         assert any("negative Gegenbauer coefficient" in m for m in report.messages)
 
+    def test_a_stored_coefficient_just_below_zero_is_rejected(self, cert_d3, tmp_path):
+        # a_6 of the (3, .5, 10) certificate is 0.0; a file may not hold
+        # it at -1e-13, however small
+        data = certificate_to_json_dict(cert_d3)
+        assert data["gegenbauer_coeffs"][6] == 0.0
+        data["gegenbauer_coeffs"][6] = -1e-13
+        path = str(tmp_path / "cert.json")
+        jsonutil.dump_path(path, data)
+        report = verify_certificate(certificate_from_json_dict(jsonutil.load_path(path)))
+        assert not report.passed
+        assert report.min_coeff == -1e-13
+        assert report.messages == [
+            "condition (i) not established: negative Gegenbauer coefficient -1e-13"
+        ]
+
     def test_constructed_sign_violation_located(self):
         # concave bump peaking at cos_theta - 0.01 with value 0.05
         cos_theta = 0.5

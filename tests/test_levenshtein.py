@@ -20,6 +20,7 @@ from codebounds.levenshtein import (
     levenshtein_degree,
     levenshtein_polynomial,
 )
+from exact_sign import gegenbauer_table
 
 
 ANCHORS = [
@@ -38,11 +39,9 @@ def test_anchors(dim, s, bound):
     assert value == pytest.approx(bound, rel=1e-9 if bound < 1e6 else 1e-8)
 
 
-def exact_levenshtein(dim, s):
-    """f_m(1) / a_0 in exact arithmetic from levenshtein's own float zeros:
-    f_m's monomial coefficients c_j as Fractions, and a_0 = sum_j c_j E[t^j]
-    from the weight's exact moments E[t^(2j)] = prod_{i<j} (2i+1)/(d+2i)
-    (the odd ones vanish)."""
+def exact_f_m(dim, s):
+    """f_m's ascending monomial coefficients as Fractions, multiplied out
+    exactly from levenshtein's own float zeros."""
     _, eps, zeros = levenshtein_polynomial(dim, s)
     roots = [Fraction(s)] + [Fraction(-1)] * eps
     roots += [Fraction(float(z)) for z in zeros for _ in range(2)]
@@ -50,6 +49,15 @@ def exact_levenshtein(dim, s):
     for root in roots:
         # times (t - root)
         coeffs = [a - root * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+def exact_levenshtein(dim, s):
+    """f_m(1) / a_0 in exact arithmetic from levenshtein's own float zeros:
+    f_m's monomial coefficients c_j (``exact_f_m``), and a_0 = sum_j c_j
+    E[t^j] from the weight's exact moments E[t^(2j)] = prod_{i<j}
+    (2i+1)/(d+2i) (the odd ones vanish)."""
+    coeffs = exact_f_m(dim, s)
     a_0, moment = Fraction(0), Fraction(1)
     for j in range(0, len(coeffs), 2):
         a_0 += coeffs[j] * moment
@@ -58,7 +66,9 @@ def exact_levenshtein(dim, s):
 
 
 @pytest.mark.parametrize(
-    "dim, s", [(dim, s) for dim, s, _ in ANCHORS] + [(1000, 0.1)]
+    "dim, s",
+    [(dim, s) for dim, s, _ in ANCHORS]
+    + [(1000, 0.1), (121, 0.579), (171, 0.4871), (41, 0.781), (49, 0.7447)],
 )
 def test_quadrature_agrees_with_exact_moments(dim, s):
     # the same zeros, so this checks the quadrature's a_0 and the float f(1)
@@ -135,6 +145,14 @@ FLOAT64 = "P(1) >= 1e14: the violation plus the noise term needs a shift >= 1"
 # and the noise term's shift alone costs the factor.
 F11 = ("P(1) ~ 2.6e14: the noise term's shift of 0.78 inflates a polished "
        "P(1) within 1.2e-10 of L 4.54-fold")
+# No certificate: the LP at degree m(s) is called infeasible, and it is not,
+# since f_m is a certificate (its exact expansion is tested below).
+# Levenshtein's path declines: bdb_test finds some Q_j L with j <= m(s)
+# outside its rounding bound, and the float expansion gegenbauer_coefficients
+# would put f_m's P(1)/a_0 off L by 6.5e-5 and 5.8e-6, where levenshtein()'s
+# quadrature is within 3e-13.
+FALSE_INFEASIBLE = ("P(1) >= 8e23: the LP is called infeasible, but f_m from "
+                    "its own float zeros is a certificate")
 
 
 def miss(case, reason, raises):
@@ -164,8 +182,8 @@ ORACLE_CASES = [
     # Levenshtein's path: 6.0000000005 at L = 6, where the rounds' shift
     # paid for a violation
     (2, 0.5, 40),
-    # 14 strict xfails: 7 NOISE, 3 FLOAT64, 2 F11 and 2 with their own
-    # cause
+    # 18 strict xfails: 7 NOISE, 5 FLOAT64, 2 F11, 2 FALSE_INFEASIBLE and
+    # 2 with their own cause
     miss((197, 0.2559, 30), NOISE, AssertionError),
     miss((88, 0.4013, 37), NOISE, AssertionError),
     miss((114, 0.33, 17), NOISE, AssertionError),
@@ -183,6 +201,12 @@ ORACLE_CASES = [
     miss((167, 0.3664, 36), FLOAT64, NoCertificateError),
     miss((1000, 0.1, 11), F11, AssertionError),
     miss((1000, 0.1, 40), F11, AssertionError),
+    # at m(s), where bdb_test declines f_m: L = 8.7757e23 and 1.1284e25,
+    # then 2.9e15 and 3.1e16
+    miss((121, 0.579, 39), FALSE_INFEASIBLE, NoCertificateError),
+    miss((171, 0.4871, 36), FALSE_INFEASIBLE, NoCertificateError),
+    miss((41, 0.781, 39), FLOAT64, NoCertificateError),
+    miss((49, 0.7447, 37), FLOAT64, NoCertificateError),
 ]
 
 
@@ -194,6 +218,32 @@ def test_lp_bound_against_levenshtein(dim, s, degree):
         assert bound >= value * (1.0 - 1e-12)
     if degree >= m:
         assert bound <= value * (1.0 + 1e-6)
+
+
+def exact_gegenbauer_coefficients(dim, monomial):
+    """a_0..a_m of the polynomial with ascending Fraction ``monomial``
+    coefficients, by back-substitution over exact_sign's integer table
+    G_k = T_k / D_k, whose leading coefficient T_k[k] / D_k is G_k's."""
+    rest = list(monomial)
+    m = len(rest) - 1
+    T, D = gegenbauer_table(dim, m)
+    coeffs = [Fraction(0)] * (m + 1)
+    for k in range(m, -1, -1):
+        coeffs[k] = rest[k] * D[k] / T[k][k]
+        for j, t in enumerate(T[k]):
+            rest[j] -= coeffs[k] * Fraction(t, D[k])
+    assert not any(rest)
+    return coeffs
+
+
+@pytest.mark.parametrize("dim, s", [(121, 0.579), (171, 0.4871)])
+def test_f_m_is_a_certificate_where_the_lp_is_called_infeasible(dim, s):
+    # f_m = (t - s) (t + 1)^eps prod_z (t - z)^2 is <= 0 on [-1, s] by its
+    # product form, for any float zeros z; its exact coefficients are all
+    # >= a_0 > 0, so the degree-m(s) LP has a feasible point
+    coeffs = exact_gegenbauer_coefficients(dim, exact_f_m(dim, s))
+    assert len(coeffs) == levenshtein_degree(dim, s) + 1
+    assert min(coeffs) == coeffs[0] > 0
 
 
 def bdb_values(dim, s, degree):

@@ -287,6 +287,52 @@ class TestPivotCap:
         assert sol.iterations == cap and sol.x is None
 
 
+class TestSingularRefactorization:
+    """A basis that turns singular when B^-1 is refactorized from the data
+    ends the solve as a numerical_failure. The cold solve of the degree-10
+    grid LP at (3, .5) factorizes the all-slack start once, takes 32
+    pivots, and refactorizes once in between, at pivot REFACTOR_INTERVAL."""
+
+    def fail_at(self, monkeypatch, singular, drift=False):
+        """Make the ``singular``-th factorization find B singular and every
+        other one run; with ``drift``, the one before it returns a B^-1 c
+        whose first entry is short, as drifted updates leave it."""
+        real = linprog._factorized
+        calls = []
+
+        def factorized(basic_columns, objective):
+            calls.append(len(basic_columns))
+            if len(calls) == singular:
+                return None
+            T = real(basic_columns, objective)
+            if drift and len(calls) == singular - 1:
+                T[0, -1] = -1.0
+            return T
+
+        monkeypatch.setattr(linprog, "_factorized", factorized)
+        return calls
+
+    def test_at_a_periodic_refactorization(self, monkeypatch):
+        lp = grid_lp(3, 0.5, 10)
+        assert solve_lp(lp).iterations > linprog.REFACTOR_INTERVAL
+        calls = self.fail_at(monkeypatch, 2)
+        sol = solve_lp(lp)
+        assert sol.status == "numerical_failure" and sol.x is None
+        assert sol.iterations == linprog.REFACTOR_INTERVAL
+        assert len(calls) == 2
+
+    def test_before_the_end_of_solve_repair(self, monkeypatch):
+        # the periodic refactorization clips the short entry, so at the
+        # optimum the solve refactorizes once more to repair it: off the
+        # periodic schedule, and that basis is singular
+        lp = grid_lp(3, 0.5, 10)
+        calls = self.fail_at(monkeypatch, 3, drift=True)
+        sol = solve_lp(lp)
+        assert sol.status == "numerical_failure" and sol.x is None
+        assert linprog.REFACTOR_INTERVAL < sol.iterations < 2 * linprog.REFACTOR_INTERVAL
+        assert len(calls) == 3
+
+
 class TestStackedRows:
     @pytest.mark.parametrize(
         "arrays, message",

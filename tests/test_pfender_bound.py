@@ -154,6 +154,17 @@ class TestStructuralBound:
         assert not cert.verification.passed
         assert "condition (i) not established" in cert.verification.condition_i_evidence
 
+    def test_coefficient_check_has_no_tolerance(self):
+        # r + 1/3 <= 0 on [-1, -1/3]: only the coefficient -1e-13 fails
+        phi = PhiSpec("gegenbauer", [0.0, 1.0, -1e-13], dim=3)
+        cert = pfender_bound(phi, 1.0 / 3.0, -1.0 / 3.0)
+        assert cert.verification.condition_ii_ok
+        assert not cert.verification.condition_i_ok
+        assert not cert.verification.passed
+        assert cert.verification.condition_i_evidence.endswith(
+            "negative Gegenbauer coefficient -1e-13"
+        )
+
     def test_non_gegenbauer_not_structural(self):
         cert = pfender_bound(shifted_square(3), 1.0 / 3.0, 0.0)
         assert not cert.verification.condition_i_ok
@@ -459,7 +470,7 @@ class TestFunctionalCheck:
             if variant == "interval" and phi.basis != "table"
         ]
         assert len(roots) == len(searched) > 0
-        assert all("_critical_points" in vars(phi) for phi in searched)
+        assert all("_candidates" in vars(phi) for phi in searched)
 
     @pytest.mark.parametrize(
         "clone",
@@ -599,8 +610,8 @@ def reference_margin(phi, c, cos_theta):
     """The margin of a Gegenbauer phi by direct evaluation: phi + c at -1,
     cos_theta and the critical points in (-1, cos_theta), in that order,
     one basis_values call over all of them, and the first maximum."""
-    crit = phi._critical_points
-    points = np.concatenate(([-1.0, cos_theta], crit[(crit > -1.0) & (crit < cos_theta)]))
+    crit = np.array(phi._candidates)
+    points = np.concatenate(([-1.0, cos_theta], crit[crit < cos_theta]))
     coeffs = phi.coeffs.copy()
     coeffs[0] += c
     values = coeffs @ basis_values(phi.dim, len(coeffs) - 1, points)
@@ -673,7 +684,7 @@ class TestCriticalPointsKeptOnPhi:
         angles = np.linspace(0.0, 0.5, 50).tolist()
         for ct in angles:
             functional_pfender_check(codes.SphericalCode(3, np.eye(3), ct), fresh, c)
-        crit = fresh._critical_points
+        crit = fresh._candidates
         assert roots == [11]
         assert sizes == [9, 11, 1 + len(crit)] + [9] * 49
         assert points == angles
@@ -689,8 +700,8 @@ class TestCriticalPointsKeptOnPhi:
             return real_call(self, r)
 
         monkeypatch.setattr(PhiSpec, "__call__", spy)
-        roots = fresh._critical_points
-        assert fresh._critical_points is roots
+        roots = fresh._candidates
+        assert fresh._candidates is roots
         # the 11 Chebyshev-Lobatto samples of a degree-10 phi, and no more
         assert sizes == [11]
 
@@ -715,9 +726,9 @@ class TestCriticalPointsKeptOnPhi:
         phi, c = degree_10_certificate
         angles = np.linspace(-1.0, 1.0, 9)
         margins = [interval_margin(phi, c, ct) for ct in angles]
-        assert "_critical_points" in vars(phi)
+        assert "_candidates" in vars(phi)
         twin = clone(phi)
-        assert "_critical_points" not in vars(twin)
+        assert "_candidates" not in vars(twin)
         assert twin.coeffs is not phi.coeffs
         assert not twin.coeffs.flags.writeable
         assert np.array_equal(twin.coeffs, phi.coeffs)
@@ -759,7 +770,7 @@ class TestCriticalPointsKeptOnPhi:
         self, degree_10_certificate
     ):
         phi, c = degree_10_certificate
-        crit = phi._critical_points.tolist()
+        crit = phi._candidates
         assert len(crit) > 0
         assert_margin_bits(phi, c, [-1.0, 0.5, 1.0, *crit])
 
@@ -767,7 +778,7 @@ class TestCriticalPointsKeptOnPhi:
         for _ in range(200):
             coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 26)))
             phi = PhiSpec("gegenbauer", coeffs, dim=int(rng.integers(2, 33)))
-            angles = [-1.0, 1.0, *rng.uniform(-1.0, 1.0, 3), *phi._critical_points]
+            angles = [-1.0, 1.0, *rng.uniform(-1.0, 1.0, 3), *phi._candidates]
             assert_margin_bits(phi, float(rng.uniform(0.0, 1.0)), angles)
 
     @pytest.mark.parametrize("cos_theta", [-1.0000001, 1.0000001, math.nan])
