@@ -129,18 +129,19 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
 
     The unknowns are the positive a_k (k in K); one double root t_j per
     cluster of tight interior rows (those with the same nearest critical
-    point of P, where t_j starts); and a multiplier y for each t_j and
-    each tight endpoint e, started from the row duals (a cluster's sum).
-    The equations, as many as the unknowns: P(t_j) = 0, P(e) = 0,
-    P'(t_j) = 0, and 1 + sum y G_k = 0 over the active points for each k
-    in K. Each of the NEWTON_STEPS steps takes G, G' and G'' at the t_j
-    from one fused recursion. Returns the polished coefficients and the
-    sorted active points, or None: when P has no critical point, when
-    2 J + E != |K|, when the system is singular, when a step is not finite
-    or takes an a_k below 0, or when the polished P(1) exceeds the LP
-    optimum ``p_at_1`` by more than noise * P(1). Where the t_j and the y
-    end up is not checked: ``_touching`` and ``verify_certificate`` decide
-    whether the polished P is a certificate.
+    point of P, where t_j starts), even a lone one; and a multiplier y for
+    each t_j and each tight endpoint e, started from the row duals (a
+    cluster's sum). The equations are P(t_j) = 0, P(e) = 0, P'(t_j) = 0,
+    and 1 + sum y G_k = 0 over the active points for each k in K: for J
+    roots and E tight ends, |K| + 2 J + E equations in as many unknowns.
+    Each of the NEWTON_STEPS steps takes G, G' and G'' at the t_j from one
+    fused recursion. Returns the polished coefficients and the sorted
+    active points, or None: when P has no critical point, when the system
+    is singular, when a step is not finite or takes an a_k below 0, or
+    when the polished P(1) exceeds the LP optimum ``p_at_1`` by more than
+    noise * P(1). Where the t_j and the y end up is not checked:
+    ``_touching`` and ``verify_certificate`` decide whether the polished P
+    is a certificate.
     """
     if not critical.size:
         return None
@@ -154,8 +155,7 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     clusters = sorted(set(nearest.tolist()))
     n_free, n_roots = len(free), len(clusters)
     n_active = n_roots + int(at_end.sum())
-    if n_roots + n_active != n_free:
-        return None
+    n_equal = n_active + n_roots  # the rows P = 0 and P' = 0
     a, t = x[free], critical[clusters]
     duals = solution.y[tight]
     inner_duals = duals[~at_end]
@@ -164,7 +164,7 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     )
     ends = rows[tight[at_end]][:, free].T  # G_k(e), one column per tight end
     # unknowns (a, t, y); equations (P at the active points, P'(t), sum y G_k)
-    jacobian = np.zeros((2 * n_free, 2 * n_free))
+    jacobian = np.zeros((n_free + n_equal, n_free + n_equal))
     roots = np.arange(n_roots)
     # a diverging step can overflow; the checks after each step reject it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -174,11 +174,11 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
             slope, curve = a @ g[:, 1], a @ g[:, 2]
             residual = np.concatenate([1.0 + a @ values, slope, 1.0 + values @ y])
             jacobian[:n_active, :n_free] = values.T
-            jacobian[n_active:n_free, :n_free] = g[:, 1].T
+            jacobian[n_active:n_equal, :n_free] = g[:, 1].T
             jacobian[roots, n_free + roots] = slope
             jacobian[n_active + roots, n_free + roots] = curve
-            jacobian[n_free:, n_free : n_free + n_roots] = g[:, 1] * y[:n_roots]
-            jacobian[n_free:, n_free + n_roots :] = values
+            jacobian[n_equal:, n_free : n_free + n_roots] = g[:, 1] * y[:n_roots]
+            jacobian[n_equal:, n_free + n_roots :] = values
             try:
                 step = np.linalg.solve(jacobian, residual)
             except np.linalg.LinAlgError:

@@ -424,11 +424,16 @@ class TestPropertySweep:
             )
         assert time.perf_counter() - start < 1.0
 
-    def test_a_growing_violation_is_cut_not_taken_for_a_stall(self):
-        # round 4 moves the optimum to new peaks and the violation grows from
-        # 0.066 to 0.57: stopping there would shift by 0.57, a bound of 3.5e9
+    def test_a_growing_violation_is_cut_not_taken_for_a_stall(self, monkeypatch):
+        # a round that moves the optimum to new peaks can raise the violation,
+        # and stopping there would shift by it; unpolished (polished, the
+        # rounds end at round 3), round 8's grows from 1.9e-6 to 3.9e-6 and
+        # the rounds go on to round 9
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         cert = lp_bound(24, 0.765, 29)
         assert verify_certificate(cert).passed
+        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert rounds and int(rounds[1]) > 4
         assert cert.bound_real < 1.493e9
 
 
@@ -523,7 +528,10 @@ class TestWarmStartedRounds:
     ):
         # periodic refactorizations clip short entries of B^-1 c in these
         # rounds; each solve repairs its optimum before it ends, so no later
-        # round's warm start falls back to the all-slack basis
+        # round's warm start falls back to the all-slack basis. Unpolished,
+        # so that (39, .7469, 37) reaches those rounds: polished, it ends at
+        # round 2
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._record(monkeypatch)
         try:
             lp_bound(*case)
@@ -560,16 +568,21 @@ class TestWarmStartedRounds:
 
     def test_late_rounds_take_no_noise_pivots(self, monkeypatch):
         # a reduced cost inside its own rounding used to price out, and rounds
-        # 6, 7, 9 and 10 took 2879, 2398, 2591 and 1934 pivots
+        # 6, 7, 9 and 10 took 2879, 2398, 2591 and 1934 pivots; unpolished, so
+        # that the rounds run past round 6 (polished, they end at round 3)
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._record(monkeypatch)
         lp_bound(24, 0.765, 29)
-        assert len(calls) >= 2
+        assert len(calls) >= 7
         assert all(solution.iterations < 1000 for _, _, solution in calls[1:])
 
     def test_every_round_of_a_noisy_input_is_optimal(self, monkeypatch):
-        # noise pivots used to run round 6 into the pivot cap
+        # noise pivots used to run round 6 into the pivot cap; unpolished, so
+        # that the rounds reach round 6 (polished, they end at round 2)
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._record(monkeypatch)
         cert = lp_bound(39, 0.7469, 37)
+        assert len(calls) >= 6
         assert all(solution.status == "optimal" for _, _, solution in calls)
         assert "LP status" not in cert.verification.messages[-1]
 
@@ -665,11 +678,14 @@ UNPOLISHED_DIGESTS = {
     (48, 0.5, 30): "2629868e1e74d70393bdea43ba769ec96e713bbe6641726983106fdf6f7e4a94",
     (32, 0.5, 30): "a1eb13395e9d59a04c1818cf07e964e736c62032dcf56e973added306be2a0bc",
 }
-# inputs whose loop ends with a polished certificate: four kissing_lp and two
-# lp_stress cases, and three from the domain sweep, the last at P(1) ~ 2.4e14
+# inputs whose loop ends with a polished certificate: four kissing_lp and
+# three lp_stress cases, (24, .765, 29), and four from the domain sweep, the
+# last two at P(1) ~ 2.7e13 and 2.4e14; (48, .5, 30), (24, .765, 29) and
+# (39, .7469, 37) keep a lone tight row, a double root of its own
 POLISHED_CASES = [
     (24, 0.5, 10), (24, 0.5, 20), (32, 0.5, 20), (16, 0.7, 16), (24, 0.7, 30),
-    (32, 0.5, 30), (63, 0.4643, 23), (36, 0.7024, 28), (114, 0.4156, 39),
+    (32, 0.5, 30), (48, 0.5, 30), (24, 0.765, 29), (63, 0.4643, 23),
+    (36, 0.7024, 28), (39, 0.7469, 37), (114, 0.4156, 39),
 ]
 POLISH_MESSAGE = re.compile(
     r"Newton-polished in (\d+) steps on the active points \[(.+)\]: grid LP "
@@ -708,11 +724,15 @@ class TestNewtonPolish:
         assert points == sorted(points)
         assert -1.0 <= points[0] and points[-1] <= case[1]
 
-    def test_a_lone_tight_row_is_not_polished(self):
-        # (48, .5, 30) keeps one tight row apart from any other, so
-        # 2 J + E != |K| in every round and no polish is tried
+    def test_a_lone_tight_row_is_polished(self, monkeypatch):
+        # (48, .5, 30) keeps one tight row apart from any other, so 2 J + E
+        # != |K|; the lone row is a double root of its own, and the Newton
+        # system has as many equations as unknowns all the same
         cert = lp_bound(48, 0.5, 30)
-        assert len(cert.verification.messages) == 1
+        assert POLISH_MESSAGE.fullmatch(cert.verification.messages[-2])
+        assert verify_certificate(cert).passed
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
+        assert cert.bound_real < lp_bound(48, 0.5, 30).bound_real
 
 
 class TestVerification:

@@ -42,6 +42,12 @@ REFUTED = {
 # (22, .4927, 34) was exactly +6.0e-10 at t ~ -0.5111 while its first LP
 # started from the all-slack basis
 PROVEN = [(22, 0.4927, 34)]
+# pool certificates, and (24, .765, 29), whose LP answer keeps a lone tight
+# row, which the Newton polish takes as a double root of its own
+NEWLY_POLISHED = [
+    (39, 0.7469, 37), (49, 0.5658, 34), (34, 0.6097, 27), (56, 0.4635, 29),
+    (45, 0.4736, 36), (34, 0.6135, 28), (32, 0.4907, 38), (24, 0.765, 29),
+]
 
 
 def exact_value(d, coeffs, t):
@@ -127,6 +133,11 @@ def test_a_certificate_that_is_exactly_0_at_an_end_is_proven():
 
 @pytest.mark.parametrize("case", PROVEN, ids=str)
 def test_a_formerly_refuted_pool_certificate_is_proven(case):
+    assert verdict(*stored(case)) is None
+
+
+@pytest.mark.parametrize("case", NEWLY_POLISHED, ids=str)
+def test_a_newly_polished_pool_certificate_is_proven(case):
     assert verdict(*stored(case)) is None
 
 
