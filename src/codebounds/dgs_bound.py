@@ -25,7 +25,7 @@ from . import jsonutil, levenshtein, pfender
 from ._scalar import _check_int, _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import GegenbauerPoly, _derivative_recursion, basis_values
-from .linprog import LinearProgram, solve_lp
+from .linprog import LinearProgram, solve_lp, within_rounding
 from .scanning import chebyshev_points, critical_points
 
 MAX_ROUNDS = 10
@@ -36,11 +36,6 @@ INFLATION_TARGET = 1e-4
 GAP_ROWS = 7
 # Newton steps of a polish, each from the LP answer's active set
 NEWTON_STEPS = 3
-# a polish is tried only when the round raised the LP optimum by at most
-# this many times noise * P(1): a round cuts the gap to the optimum on the
-# interval about (GAP_ROWS + 1)^2-fold, so a larger rise leaves a gap that
-# no polish closes
-POLISH_RISE = 2 * (GAP_ROWS + 1) ** 2
 
 __all__ = [
     "DGSVerification",
@@ -123,9 +118,22 @@ def _maximum(poly: GegenbauerPoly, sample_basis, cos_theta: float):
     return poly(np.concatenate(([-1.0, cos_theta], critical))), critical
 
 
+def _dual_bound(cos_theta, values, y, t):
+    """L_dual = 1 + sum y, a lower bound on P(1) of every certificate of the
+    degree by LP duality (Delsarte, Goethals & Seidel, Geom. Dedicata 6,
+    1977), for multipliers y >= 0 at the roots t in [-1, cos_theta] and the
+    tight ends, with 1 + sum y G_k ``within_rounding`` of >= 0 for each
+    k = 1..degree (``values``: G_1..G_degree at those points, one column
+    each); -inf, no bound, where any of that fails."""
+    usable = y.min(initial=0.0) >= 0.0 and np.all((-1.0 <= t) & (t <= cos_theta))
+    magnitude = 1.0 + np.abs(values) @ np.abs(y)
+    usable = usable and np.all(within_rounding(1.0 + values @ y, len(y) + 1, magnitude))
+    return 1.0 + math.fsum(y.tolist()) if usable else -math.inf
+
+
 def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     """A round's LP answer polished on its active set by a KKT Newton
-    iteration (Hettich & Kortanek, SIAM Rev. 35, 1993).
+    iteration (Hettich & Kortanek, SIAM Rev. 35, 1993), and its dual bound.
 
     The unknowns are the positive a_k (k in K); one double root t_j per
     cluster of tight interior rows (those with the same nearest critical
@@ -135,13 +143,13 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     and 1 + sum y G_k = 0 over the active points for each k in K: for J
     roots and E tight ends, |K| + 2 J + E equations in as many unknowns.
     Each of the NEWTON_STEPS steps takes G, G' and G'' at the t_j from one
-    fused recursion. Returns the polished coefficients and the sorted
-    active points, or None: when P has no critical point, when the system
-    is singular, when a step is not finite or takes an a_k below 0, or
-    when the polished P(1) exceeds the LP optimum ``p_at_1`` by more than
-    noise * P(1). Where the t_j and the y end up is not checked:
-    ``_touching`` and ``verify_certificate`` decide whether the polished P
-    is a certificate.
+    fused recursion. Returns the polished coefficients, the sorted active
+    points and ``_dual_bound``'s L_dual, or None: when P has no critical
+    point, when the system is singular, when a step is not finite or takes
+    an a_k below 0, or when the polished P(1) exceeds both L_dual and the
+    grid LP optimum ``p_at_1``, another lower bound, by more than noise *
+    P(1). ``_touching`` and ``verify_certificate`` decide whether the
+    polished P is a certificate.
     """
     if not critical.size:
         return None
@@ -189,13 +197,15 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
             # NaN fails every comparison
             if not (a.min(initial=0.0) >= 0.0 and np.all(np.isfinite(step))):
                 return None
+    values = np.hstack([basis_values(d, degree, t)[1:], rows[tight[at_end]].T])
+    dual = _dual_bound(cos_theta, values, y, t)
     coeffs = np.zeros(degree + 1)
     coeffs[0] = 1.0
     coeffs[free + 1] = a
     p_polished = math.fsum(coeffs.tolist())
-    if p_polished - p_at_1 > _noise(p_polished) * p_polished:
+    if p_polished - max(p_at_1, dual) > _noise(p_polished) * p_polished:
         return None
-    return coeffs, np.sort(np.concatenate([t, where[at_end]]))
+    return coeffs, np.sort(np.concatenate([t, where[at_end]])), dual
 
 
 def _touching(d, coeffs, sample_basis, cos_theta):
@@ -316,17 +326,14 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     message names; the best round is certified, and named
     (", from round k") if it is not the last.
 
-    A round that ends none of the other ways, whose active set has the
-    shape of the previous round's (as many positive a_k and tight rows),
-    and whose LP optimum rose by at most POLISH_RISE * noise * P(1),
-    polishes its LP answer (``_polish``). The rounds stop at the polished
-    P, which becomes the best, when its maximum is at most the noise term
-    (``_touching``), and its P(1) exceeds the round's grid LP optimum by
-    at most noise * P(1): that optimum is a lower bound on every
-    certificate of the degree (each is <= 0 on the grid), so the polished
-    P gives up no bound. Its report gains a message, before the rounds
-    message, that names the Newton steps, the active points, the grid LP
-    optimum and the gap bound_real / optimum - 1.
+    Every round that ends none of the other ways polishes its LP answer
+    (``_polish``). The rounds stop at the polished P, which becomes the
+    best, when its maximum is at most the noise term (``_touching``): its
+    P(1) is then within noise * P(1) of a lower bound on every certificate
+    of the degree, so it gives up no bound. Its report gains a message,
+    before the rounds message, that names the Newton steps, the active
+    points, L_dual (-inf where ``_dual_bound`` rejects it), the grid LP
+    optimum and the gap bound_real / max(L_dual, optimum) - 1.
 
     The best round is certified by ``_certified`` (NoCertificateError when
     no shift absorbs it), and has passed ``verify_certificate``.
@@ -350,8 +357,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         d, degree, chebyshev_points(-1.0, cos_theta, degree + 1)
     )
     basis = _levenshtein_basis(points, degree, polynomial)
-    polish = previous_shape = previous_p_at_1 = None
-    failed_round, best_score, idle = "", math.inf, 0
+    polish, failed_round, best_score, idle = None, "", math.inf, 0
     for round_index in range(MAX_ROUNDS):
         # min sum(a) s.t. sum_k a_k G_k(r_i) <= -1, a >= 0 (a_0 = 1 moved to rhs)
         lp = LinearProgram(np.ones(degree), rows, np.full(len(rows), -1.0))
@@ -387,19 +393,12 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             idle += 1
         if inflation <= INFLATION_TARGET or idle == 2 or round_index == MAX_ROUNDS - 1:
             break
-        # the active set's shape: the positive a_k and the tight rows
-        shape = (np.count_nonzero(solution.x), np.count_nonzero(basis >= degree))
-        if (
-            shape == previous_shape
-            and p_at_1 - previous_p_at_1 <= POLISH_RISE * _noise(p_at_1) * p_at_1
-        ):
-            found = _polish(d, cos_theta, solution, points, rows, critical, p_at_1)
-            measured = found and _touching(d, found[0], sample_basis, cos_theta)
-            if measured:
-                polish = (p_at_1, found[1])
-                best = (rounds_used, found[0], *measured)
-                break
-        previous_shape, previous_p_at_1 = shape, p_at_1
+        found = _polish(d, cos_theta, solution, points, rows, critical, p_at_1)
+        measured = found and _touching(d, found[0], sample_basis, cos_theta)
+        if measured:
+            polish = (p_at_1, *found[1:])
+            best = (rounds_used, found[0], *measured)
+            break
         new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
         # appended after the old rows, so the row numbers in ``basis`` hold
         points = np.concatenate([points, new_points])
@@ -417,11 +416,12 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     report = certificate.verification
     grid_bound = p_at_1
     if polish is not None:
-        grid_bound, active = polish
+        grid_bound, active, dual = polish
+        gap = certificate.bound_real / max(grid_bound, dual) - 1.0
         report.messages.append(
             f"Newton-polished in {NEWTON_STEPS} steps on the active points "
-            f"[{', '.join(f'{t:.6g}' for t in active)}]: grid LP optimum "
-            f"{grid_bound!r}, gap {certificate.bound_real / grid_bound - 1.0!r}"
+            f"[{', '.join(f'{t:.6g}' for t in active)}]: dual bound {dual!r}, "
+            f"grid LP optimum {grid_bound!r}, gap {gap!r}"
         )
     from_round = f", from round {best_round}" if best_round < rounds_used else ""
     report.messages.append(

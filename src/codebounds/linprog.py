@@ -37,8 +37,8 @@ here: the LP is a search step, and the certificate built from it is
 verified on its own.
 
 Cost model: ``solve_lp`` checks the LP and the caller's basis once, and
-factorizes that basis once; a basis that is short is priced once more, to
-see whether its point is feasible; a restart rebuilds the candidates'
+factorizes that basis once; a short basis's first pricing also checks that
+its point is feasible (one more matvec); a restart rebuilds the candidates'
 columns and factorizes B = I. Each pivot costs one matvec over the
 candidate rows (pricing), two n x n matvecs (the multipliers and the
 entering column), the entering column's rounding bound (one n-term dot
@@ -282,24 +282,24 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
             cost = np.concatenate([np.zeros(n), lp.b[rows]])
             positions = np.searchsorted(ids, basis)
             basic_cost = cost[positions]
-        if T is None:
-            # the basis is factorized once; a repair needs its point x
-            # feasible on the candidates, or the all-slack basis starts over
+        fresh = T is None
+        if fresh:
+            # the basis is factorized once
             T = _factorized(columns[positions], lp.objective)
-            repairing = T is not None and _short(T, lp.objective).any()
-            if repairing:
-                x, reduced = pricing()
-                magnitude = np.abs(cost) + magnitudes @ np.abs(x)
-                if not np.all(within_rounding(reduced, n + 1, magnitude)):
-                    T = None
             if T is None:
                 basis[:], restarts, ids = range(n), 1, None
                 continue
         x, reduced = pricing()
         # repairing: B^-1 c is not yet known to be feasible
-        if repairing:
+        if fresh or repairing:
             short = _short(T, lp.objective)
             repairing = short.any()
+        # a repair needs its point x feasible, or the all-slack basis starts over
+        if fresh and repairing:
+            magnitude = np.abs(cost) + magnitudes @ np.abs(x)
+            if not np.all(within_rounding(reduced, n + 1, magnitude)):
+                basis[:], restarts, ids, T = range(n), 1, None, None
+                continue
         if not repairing:
             enter = int(reduced.argmin())
             # a reduced cost is an (n + 1)-term dot product

@@ -127,7 +127,9 @@ class TestFailedLPRound:
 
     @pytest.mark.usefixtures("lp_path")
     def test_later_round_failure_certifies_previous_round(self, monkeypatch):
-        # (8, 0.5, 6) takes 2 rounds when every LP succeeds
+        # unpolished, (8, 0.5, 6) takes 2 rounds when every LP succeeds
+        # (polished, it ends at round 1)
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._fail_from_round(monkeypatch, 2)
         cert = lp_bound(8, 0.5, 6)
         assert len(calls) == 2
@@ -219,7 +221,9 @@ class TestBestRound:
     ):
         # with no cuts each round re-solves the first round's LP, so the idle
         # rule ends the rounds; a warm re-solve may move the last bits of the
-        # answer, so only the bound is compared
+        # answer, so only the bound is compared. Unpolished, so that the
+        # rounds go on past round 1 (polished, both end there)
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         monkeypatch.setattr(dgs_bound, "_gap_rows", lambda grid, peaks: peaks[:0])
         with monkeypatch.context() as patch:
             patch.setattr(dgs_bound, "MAX_ROUNDS", 1)
@@ -427,7 +431,7 @@ class TestPropertySweep:
     def test_a_growing_violation_is_cut_not_taken_for_a_stall(self, monkeypatch):
         # a round that moves the optimum to new peaks can raise the violation,
         # and stopping there would shift by it; unpolished (polished, the
-        # rounds end at round 3), round 8's grows from 1.9e-6 to 3.9e-6 and
+        # rounds end at round 2), round 8's grows from 1.9e-6 to 3.9e-6 and
         # the rounds go on to round 9
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         cert = lp_bound(24, 0.765, 29)
@@ -500,7 +504,16 @@ class TestWarmStartedRounds:
          (48, 0.5, 30), (24, 0.7, 30)],
     )
     def test_every_round_matches_a_cold_solve(self, monkeypatch, case):
-        # round 1 starts from f_m's basis, each later round from the one before
+        # round 1 starts from f_m's basis, each later round from the one
+        # before. Round 1's polish is declined, so that every case but
+        # (3, .5, 10) warm-starts at least a second round, where the polish
+        # ends it (polished at round 1, each ends there)
+        real_polish = dgs_bound._polish
+
+        def polish(*args):
+            return real_polish(*args) if len(calls) > 1 else None
+
+        monkeypatch.setattr(dgs_bound, "_polish", polish)
         calls = self._record(monkeypatch)
         lp_bound(*case)
         assert len(calls) >= 1 + (case != (3, 0.5, 10))
@@ -530,7 +543,7 @@ class TestWarmStartedRounds:
         # rounds; each solve repairs its optimum before it ends, so no later
         # round's warm start falls back to the all-slack basis. Unpolished,
         # so that (39, .7469, 37) reaches those rounds: polished, it ends at
-        # round 2
+        # round 1
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._record(monkeypatch)
         try:
@@ -558,7 +571,9 @@ class TestWarmStartedRounds:
     def test_later_rounds_cost_few_pivots(self, monkeypatch):
         # f_10 is the degree-20 optimum, so its basis is the first round's:
         # round 1 takes no pivot, and the later rounds together take fewer
-        # than a cold solve of round 1
+        # than a cold solve of round 1; unpolished, so that later rounds run
+        # (polished, the rounds end at round 1)
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._record(monkeypatch)
         lp_bound(24, 0.5, 20)
         pivots = [solution.iterations for _, _, solution in calls]
@@ -569,7 +584,7 @@ class TestWarmStartedRounds:
     def test_late_rounds_take_no_noise_pivots(self, monkeypatch):
         # a reduced cost inside its own rounding used to price out, and rounds
         # 6, 7, 9 and 10 took 2879, 2398, 2591 and 1934 pivots; unpolished, so
-        # that the rounds run past round 6 (polished, they end at round 3)
+        # that the rounds run past round 6 (polished, they end at round 2)
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._record(monkeypatch)
         lp_bound(24, 0.765, 29)
@@ -578,7 +593,7 @@ class TestWarmStartedRounds:
 
     def test_every_round_of_a_noisy_input_is_optimal(self, monkeypatch):
         # noise pivots used to run round 6 into the pivot cap; unpolished, so
-        # that the rounds reach round 6 (polished, they end at round 2)
+        # that the rounds reach round 6 (polished, they end at round 1)
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._record(monkeypatch)
         cert = lp_bound(39, 0.7469, 37)
@@ -591,19 +606,21 @@ class TestWarmStartedRounds:
         [
             ((3, 0.5, 10), "c4214d5a66d152c4cc911413f638fc968406afa38687a5bce2d3ca7a13e4f385"),
             ((4, 0.5, 10), "7927e92b1e42ab86bd44d12384e791ba2e64b64e367903dfa2765275e99dce1f"),
-            ((8, 0.5, 6), "51573d171e91ff2eaafa0363607d716e6f6fbd5e7196743630479b37acd4e2e7"),
-            # polished after round 4: 196560.000221 (5 rounds) -> 196560.000136
-            ((24, 0.5, 10), "880b4ea91e62e25bd97cd4b0c12281108390026719af21bd97202a9ed3cf6e4a"),
+            # polished at round 1: 240.0000115669 (2 rounds, unpolished) ->
+            # 240.0000000241
+            ((8, 0.5, 6), "b6d0b43115e1444ed1ae0a26ad67b7a06da76786cae89522a512e7b9ea96c3c6"),
+            # polished at round 1: 196560.00013627874 (4 rounds) -> 196560.00013556413
+            ((24, 0.5, 10), "bd816bba5e8c3df5004d97bae0e08c01d455eccb08bc169de09a0ee0c2437ce0"),
         ],
     )
     @pytest.mark.usefixtures("lp_path")
     def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
-        # the first two run one round, a single cold LP, so their files pin the
-        # LP, the shift and the verification report (maxima from the roots of
-        # P'); the last two run 2 and 4 rounds and also pin the cutting planes
-        # (_gap_rows) and the warm-started, row-generated LPs, and the last
-        # one the Newton polish; the report's maximum is taken over the
-        # critical points of P' on [-1, 1]
+        # each runs one round, a single LP, so its file pins the LP, the shift
+        # and the verification report (maxima from the roots of P'); the last
+        # two also pin the Newton polish and its dual bound, and
+        # UNPOLISHED_DIGESTS pins their cutting planes (_gap_rows) and the
+        # warm-started, row-generated LPs; the report's maximum is taken over
+        # the critical points of P' on [-1, 1]
         path = tmp_path / "cert.json"
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -688,9 +705,13 @@ POLISHED_CASES = [
     (36, 0.7024, 28), (39, 0.7469, 37), (114, 0.4156, 39),
 ]
 POLISH_MESSAGE = re.compile(
-    r"Newton-polished in (\d+) steps on the active points \[(.+)\]: grid LP "
-    r"optimum (\S+), gap (\S+)"
+    r"Newton-polished in (\d+) steps on the active points \[(.+)\]: dual bound "
+    r"(\S+), grid LP optimum (\S+), gap (\S+)"
 )
+# the certifying lp_stress inputs and kissing_lp's (32, .5, 20): round 1's
+# polished P(1) meets its own dual bound, 1.1e-5 to 3.4e-5 above the round's
+# grid LP optimum
+ROUND_ONE_CASES = [(24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30), (32, 0.5, 20)]
 SHIFT_MESSAGE = re.compile(r"grid LP bound (\S+) inflated by shift (\S+) over .*")
 
 
@@ -709,20 +730,71 @@ class TestNewtonPolish:
         polish, shift = POLISH_MESSAGE.fullmatch(polish), SHIFT_MESSAGE.fullmatch(rounds)
         assert polish and shift and ROUNDS_MESSAGE.fullmatch(rounds)
         assert int(polish[1]) == dgs_bound.NEWTON_STEPS
-        optimum, gap = float(polish[3]), float(polish[4])
+        dual, optimum, gap = (float(polish[i]) for i in (3, 4, 5))
         assert float(shift[1]) == optimum
-        assert gap == cert.bound_real / optimum - 1.0
+        # the lower bound the message names: the larger of the dual bound
+        # (-inf where it does not hold) and the grid LP optimum
+        lower = max(dual, optimum)
+        assert gap == cert.bound_real / lower - 1.0
         # P_hat = (P - s) / (1 - s): P(1) before the shift, and its noise term
         s = float(shift[2])
         p_at_1 = cert.bound_real * (1.0 - s) + s
         assert s >= (1e-10 + 3e-15 * p_at_1) * (1.0 - 1e-9)
         assert cert.verification.max_sign_violation < 0.0
-        # the stop rule: P(1) is within noise * P(1) of the grid LP optimum,
-        # a lower bound on every certificate of this degree
-        assert p_at_1 - optimum <= s * p_at_1 * (1.0 + 1e-9)
+        # the stop rule: P(1) is within noise * P(1) of that lower bound on
+        # every certificate of this degree
+        assert p_at_1 - lower <= s * p_at_1 * (1.0 + 1e-9)
         points = [float(t) for t in polish[2].split(", ")]
         assert points == sorted(points)
         assert -1.0 <= points[0] and points[-1] <= case[1]
+
+    @pytest.mark.parametrize("case", ROUND_ONE_CASES, ids=str)
+    def test_ends_polished_after_one_lp(self, monkeypatch, case):
+        calls = TestWarmStartedRounds._record(monkeypatch)
+        cert = lp_bound(*case)
+        assert len(calls) == 1
+        polish = POLISH_MESSAGE.fullmatch(cert.verification.messages[-2])
+        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert polish and rounds and rounds.groups() == ("1", None)
+        dual, optimum = float(polish[3]), float(polish[4])
+        assert optimum * (1.0 + 1e-5) < dual <= cert.bound_real
+        assert verify_certificate(cert).passed
+
+    @pytest.mark.parametrize("case", ROUND_ONE_CASES, ids=str)
+    @pytest.mark.parametrize("broken", ["a negative multiplier", "a root past cos_theta"])
+    def test_a_broken_dual_is_no_lower_bound(self, monkeypatch, case, broken):
+        # each polish's dual, with one y_i negated or one root t_j moved just
+        # past cos_theta, is not a lower bound, so round 1's polished P(1)
+        # is judged against the grid LP optimum alone and rejected
+        real_dual_bound, bounds = dgs_bound._dual_bound, []
+
+        def dual_bound(cos_theta, values, y, t):
+            y, t = y.copy(), t.copy()
+            if broken == "a negative multiplier":
+                y[y.argmax()] *= -1.0
+            else:
+                t[t.argmax()] = np.nextafter(cos_theta, 1.0)
+            bounds.append(real_dual_bound(cos_theta, values, y, t))
+            return bounds[-1]
+
+        monkeypatch.setattr(dgs_bound, "_dual_bound", dual_bound)
+        calls = TestWarmStartedRounds._record(monkeypatch)
+        cert = lp_bound(*case)
+        assert bounds and all(bound == -math.inf for bound in bounds)
+        assert len(calls) > 1
+        assert verify_certificate(cert).passed
+
+    def test_the_dual_bound_checks_each_condition(self):
+        # G_1 = t at a root 0.25 and at the end -1: 1 + sum y G_1 >= 0 holds
+        # for each y below, and L_dual = 1 + sum y only where y >= 0 and the
+        # root lies in [-1, cos_theta]
+        dual_bound, values = dgs_bound._dual_bound, np.array([[0.25, -1.0]])
+        root, past = np.array([0.25]), np.array([np.nextafter(0.25, 1.0)])
+        assert dual_bound(0.5, values, np.array([2.0, 1.5]), root) == 4.5
+        assert dual_bound(0.5, values, np.array([4.0, -1.0]), root) == -math.inf
+        assert dual_bound(0.25, values, np.array([2.0, 1.5]), past) == -math.inf
+        # 1 + sum y G_1 = -1 < 0: y is no dual
+        assert dual_bound(0.5, values, np.array([0.0, 2.0]), root) == -math.inf
 
     def test_a_lone_tight_row_is_polished(self, monkeypatch):
         # (48, .5, 30) keeps one tight row apart from any other, so 2 J + E

@@ -2,9 +2,7 @@
 
 The float verifier accepts a maximum of P up to COND_TOL = 1e-9 on
 [-1, cos_theta]. The oracle decides the sign of P for the float64
-coefficients that a certificate file stores, in exact arithmetic. A strict
-xfail marks a certificate that the oracle refutes: it passes once that
-certificate is exactly nonpositive.
+coefficients that a certificate file stores, in exact arithmetic.
 """
 
 import json
@@ -30,18 +28,14 @@ BENCHMARK_CASES = [
     (3, 0.5, 10), (4, 0.5, 10), (8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20),
     (32, 0.5, 20), (16, 0.7, 16), (24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30),
 ]
-# pool certificates of scripts/domain_sweep.py that are exactly positive
-# somewhere on the interval, each with its largest exact value at P's float
-# critical points; every one was left unshifted, because its float maximum
-# plus noise sat inside COND_TOL
-REFUTED = {
-    (19, 0.4844, 8): "+6.6e-10 at t ~ 0.1779",
-    (15, 0.5745, 35): "+8.2e-10 at t ~ 0.0164",
-}
 # pool certificates that the oracle once refuted and now proves:
 # (22, .4927, 34) was exactly +6.0e-10 at t ~ -0.5111 while its first LP
-# started from the all-slack basis
-PROVEN = [(22, 0.4927, 34)]
+# started from the all-slack basis. (19, .4844, 8) was +6.6e-10 at
+# t ~ 0.1779 and (15, .5745, 35) +8.2e-10 at t ~ 0.0164, unpolished LP
+# answers left unshifted because their float maximum plus noise sat inside
+# COND_TOL; each is now polished at round 1, its bound 5.9e-10 and 6.4e-10
+# higher
+PROVEN = [(22, 0.4927, 34), (19, 0.4844, 8), (15, 0.5745, 35)]
 # pool certificates, and (24, .765, 29), whose LP answer keeps a lone tight
 # row, which the Newton polish takes as a double root of its own
 NEWLY_POLISHED = [
@@ -139,23 +133,3 @@ def test_a_formerly_refuted_pool_certificate_is_proven(case):
 @pytest.mark.parametrize("case", NEWLY_POLISHED, ids=str)
 def test_a_newly_polished_pool_certificate_is_proven(case):
     assert verdict(*stored(case)) is None
-
-
-@pytest.mark.parametrize(
-    "case",
-    [
-        pytest.param(
-            case,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason=f"P is exactly {maximum} but inside COND_TOL in float64",
-            ),
-        )
-        for case, maximum in REFUTED.items()
-    ],
-    ids=str,
-)
-def test_a_refuted_pool_certificate(case):
-    found = verdict(*stored(case))
-    assert found is None, f"P({float(found.t)!r}) = {float(found.value)!r} > 0"
