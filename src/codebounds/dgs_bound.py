@@ -304,36 +304,36 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     planes grow. Where m(s) <= degree it starts from f_m's basis on that
     grid (``_levenshtein_basis``), which ``solve_lp`` repairs by dual
     simplex pivots, and otherwise from the all-slack basis. Raises
-    NoCertificateError when no polynomial of this
-    degree can meet the sign condition (degree 0, or an infeasible LP),
-    and LPFailureError when the first cutting-plane round's LP fails
-    (the solver reaches its pivot cap, or its basis turns singular when
-    refactorized). Each round appends its cutting-plane points as new LP
-    rows and warm-starts the LP from the previous round's optimal basis.
-    The rows fill the grid gap around each critical point where P > 0:
-    the point itself and GAP_ROWS evenly spaced points (``_gap_rows``),
-    so a round divides the violation by about 64 where the point alone
-    divided it by 4. A round's violation is P's maximum as ``_maximum``
-    measures it, and the critical points where P > 0 get the cuts.
+    NoCertificateError when no polynomial of this degree can meet the sign
+    condition (degree 0, or an infeasible LP), and LPFailureError when the
+    first cutting-plane round's LP fails (the solver reaches its pivot
+    cap, or its basis turns singular when refactorized). Each round
+    appends its cutting-plane points as new LP rows and warm-starts the LP
+    from the previous round's optimal basis. The rows fill the grid gap
+    around each critical point where P > 0: the point itself and GAP_ROWS
+    evenly spaced points (``_gap_rows``), so a round divides the violation
+    by about 64 where the point alone divided it by 4. A round's violation
+    is P's maximum as ``_maximum`` measures it, and the critical points
+    where P > 0 get the cuts.
 
-    One rule picks the certified round and ends the rounds. A round scores
-    P(1) + ``_inflation``, the bound its shift would give. One that scores
-    at or below the best so far becomes the best; one that does not is
-    idle, and so is a tie whose LP took no pivot (it repeats the answer,
-    as a round with no new cuts does). The rounds end at an
-    ``_inflation`` <= INFLATION_TARGET, a polished P, two idle rounds in a
-    row, MAX_ROUNDS, or a later round's failed LP, which the rounds
-    message names; the best round is certified, and named
-    (", from round k") if it is not the last.
+    Each round first polishes its LP answer (``_polish``), and stops at
+    the polished P, which becomes the best, when its maximum is at most the
+    noise term (``_touching``): its P(1) is then within noise * P(1) of a
+    lower bound on every certificate of the degree. Its report gains a
+    message, before the rounds message, that names the Newton steps, the
+    active points, L_dual (-inf where ``_dual_bound`` rejects it), the grid
+    LP optimum and the gap bound_real / max(L_dual, optimum) - 1.
 
-    Every round that ends none of the other ways polishes its LP answer
-    (``_polish``). The rounds stop at the polished P, which becomes the
-    best, when its maximum is at most the noise term (``_touching``): its
-    P(1) is then within noise * P(1) of a lower bound on every certificate
-    of the degree, so it gives up no bound. Its report gains a message,
-    before the rounds message, that names the Newton steps, the active
-    points, L_dual (-inf where ``_dual_bound`` rejects it), the grid LP
-    optimum and the gap bound_real / max(L_dual, optimum) - 1.
+    Only an unpolished round goes on to the fallback stops. It scores
+    P(1) + ``_inflation``, the bound its shift would give; one that scores
+    at or below the best so far becomes the best, and one that does not is
+    idle, as is a tie whose LP took no pivot (it repeats the answer, as a
+    round with no new cuts does). The rounds end at an ``_inflation`` <=
+    INFLATION_TARGET, two idle rounds in a row, MAX_ROUNDS, or a later
+    round's failed LP, which the rounds message names; the best round is
+    certified, and named (", from round k") if it is not the last. Only a
+    degree-1 P (no critical point), or rounds whose every polish fails,
+    end in an unpolished LP answer, the only kind that may be left unshifted.
 
     The best round is certified by ``_certified`` (NoCertificateError when
     no shift absorbs it), and has passed ``verify_certificate``.
@@ -381,6 +381,12 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         # P's maximum is at -1, cos_theta or a critical point
         values, critical = _maximum(poly, sample_basis, cos_theta)
         violation = float(values.max())
+        found = _polish(d, cos_theta, solution, points, rows, critical, p_at_1)
+        measured = found and _touching(d, found[0], sample_basis, cos_theta)
+        if measured:
+            polish = (p_at_1, *found[1:])
+            best = (rounds_used, found[0], *measured)
+            break
         inflation = _inflation(violation, p_at_1)
         # the lowest score is the best round, the later one on a tie; a tie
         # that took no pivot repeats the LP answer, and is idle all the same
@@ -392,12 +398,6 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         else:
             idle += 1
         if inflation <= INFLATION_TARGET or idle == 2 or round_index == MAX_ROUNDS - 1:
-            break
-        found = _polish(d, cos_theta, solution, points, rows, critical, p_at_1)
-        measured = found and _touching(d, found[0], sample_basis, cos_theta)
-        if measured:
-            polish = (p_at_1, *found[1:])
-            best = (rounds_used, found[0], *measured)
             break
         new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
         # appended after the old rows, so the row numbers in ``basis`` hold

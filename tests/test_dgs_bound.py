@@ -604,8 +604,12 @@ class TestWarmStartedRounds:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ((3, 0.5, 10), "c4214d5a66d152c4cc911413f638fc968406afa38687a5bce2d3ca7a13e4f385"),
-            ((4, 0.5, 10), "7927e92b1e42ab86bd44d12384e791ba2e64b64e367903dfa2765275e99dce1f"),
+            # polished at round 1: 13.158330866783311 (1 round, unpolished)
+            # -> 13.158329766062526
+            ((3, 0.5, 10), "94ee1bfa44a2041f438004776821737ea78e40a7ac386804b8fba27a3fadfc09"),
+            # polished at round 1: 25.558461854548923 (1 round, unpolished)
+            # -> 25.558429100027986
+            ((4, 0.5, 10), "9ccce33b633d7c0af062e1d0d58ad47ddee0c6e78940de5aba3b2f2214441534"),
             # polished at round 1: 240.0000115669 (2 rounds, unpolished) ->
             # 240.0000000241
             ((8, 0.5, 6), "b6d0b43115e1444ed1ae0a26ad67b7a06da76786cae89522a512e7b9ea96c3c6"),
@@ -615,12 +619,12 @@ class TestWarmStartedRounds:
     )
     @pytest.mark.usefixtures("lp_path")
     def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
-        # each runs one round, a single LP, so its file pins the LP, the shift
-        # and the verification report (maxima from the roots of P'); the last
-        # two also pin the Newton polish and its dual bound, and
-        # UNPOLISHED_DIGESTS pins their cutting planes (_gap_rows) and the
-        # warm-started, row-generated LPs; the report's maximum is taken over
-        # the critical points of P' on [-1, 1]
+        # each runs one round, a single LP, so its file pins the LP, the
+        # Newton polish, its dual bound, the shift and the verification report
+        # (maxima from the roots of P'); UNPOLISHED_DIGESTS pins the unpolished
+        # path: their raw LP answers, and for the last two the cutting planes
+        # (_gap_rows) and the warm-started, row-generated LPs; the report's
+        # maximum is taken over the critical points of P' on [-1, 1]
         path = tmp_path / "cert.json"
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -695,14 +699,14 @@ UNPOLISHED_DIGESTS = {
     (48, 0.5, 30): "2629868e1e74d70393bdea43ba769ec96e713bbe6641726983106fdf6f7e4a94",
     (32, 0.5, 30): "a1eb13395e9d59a04c1818cf07e964e736c62032dcf56e973added306be2a0bc",
 }
-# inputs whose loop ends with a polished certificate: four kissing_lp and
+# inputs whose loop ends with a polished certificate: six kissing_lp and
 # three lp_stress cases, (24, .765, 29), and four from the domain sweep, the
 # last two at P(1) ~ 2.7e13 and 2.4e14; (48, .5, 30), (24, .765, 29) and
 # (39, .7469, 37) keep a lone tight row, a double root of its own
 POLISHED_CASES = [
-    (24, 0.5, 10), (24, 0.5, 20), (32, 0.5, 20), (16, 0.7, 16), (24, 0.7, 30),
-    (32, 0.5, 30), (48, 0.5, 30), (24, 0.765, 29), (63, 0.4643, 23),
-    (36, 0.7024, 28), (39, 0.7469, 37), (114, 0.4156, 39),
+    (3, 0.5, 10), (4, 0.5, 10), (24, 0.5, 10), (24, 0.5, 20), (32, 0.5, 20),
+    (16, 0.7, 16), (24, 0.7, 30), (32, 0.5, 30), (48, 0.5, 30), (24, 0.765, 29),
+    (63, 0.4643, 23), (36, 0.7024, 28), (39, 0.7469, 37), (114, 0.4156, 39),
 ]
 POLISH_MESSAGE = re.compile(
     r"Newton-polished in (\d+) steps on the active points \[(.+)\]: dual bound "
@@ -759,6 +763,28 @@ class TestNewtonPolish:
         dual, optimum = float(polish[3]), float(polish[4])
         assert optimum * (1.0 + 1e-5) < dual <= cert.bound_real
         assert verify_certificate(cert).passed
+
+    def test_a_round_that_meets_the_inflation_target_is_polished(self, monkeypatch):
+        # (3, .5, 10)'s round-1 LP answer already meets INFLATION_TARGET, a
+        # stop of its own; the polish runs before that stop, and the rounds
+        # end at the polished P
+        real_polish, polished, inflations = dgs_bound._polish, [], []
+
+        def polish(d, cos_theta, solution, points, rows, critical, p_at_1):
+            poly = GegenbauerPoly(d, np.concatenate(([1.0], solution.x)))
+            violation = float(poly(np.concatenate(([-1.0, cos_theta], critical))).max())
+            inflations.append(dgs_bound._inflation(violation, p_at_1))
+            polished.append(len(calls))
+            return real_polish(d, cos_theta, solution, points, rows, critical, p_at_1)
+
+        monkeypatch.setattr(dgs_bound, "_polish", polish)
+        calls = TestWarmStartedRounds._record(monkeypatch)
+        cert = lp_bound(3, 0.5, 10)
+        assert polished == [1]
+        assert inflations[0] <= dgs_bound.INFLATION_TARGET
+        assert POLISH_MESSAGE.fullmatch(cert.verification.messages[-2])
+        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert rounds and rounds.groups() == ("1", None)
 
     @pytest.mark.parametrize("case", ROUND_ONE_CASES, ids=str)
     @pytest.mark.parametrize("broken", ["a negative multiplier", "a root past cos_theta"])
