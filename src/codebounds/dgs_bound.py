@@ -8,7 +8,7 @@ program over the remaining coefficients. ``lp_bound`` takes
 Levenshtein's f_m where the Boyvalenkov-Danev-Bumova test shows it is that
 optimum (``levenshtein``), and otherwise solves the LP on a Chebyshev grid
 grown by cutting planes, with a Newton polish on its active set. One rule
-(``_certified``) turns f_m, a polished P or the best round into a
+(``_certified``) turns f_m, a polished P or the last round into a
 certificate that stands on its own. P is the structural Pfender
 certificate (P - a_0, a_0), and ``verify_certificate`` is one call of
 ``pfender.pfender_bound`` on it.
@@ -317,26 +317,23 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     where P > 0 get the cuts.
 
     Each round first polishes its LP answer (``_polish``), and stops at
-    the polished P, which becomes the best, when its maximum is at most the
-    noise term (``_touching``): its P(1) is then within noise * P(1) of a
-    lower bound on every certificate of the degree. Its report gains a
-    message, before the rounds message, that names the Newton steps, the
-    active points, L_dual (-inf where ``_dual_bound`` rejects it), the grid
-    LP optimum and the gap bound_real / max(L_dual, optimum) - 1.
+    the polished P when its maximum is at most the noise term
+    (``_touching``): its P(1) is then within noise * P(1) of a lower bound
+    on every certificate of the degree. Its report gains a message, before
+    the rounds message, that names the Newton steps, the active points,
+    L_dual (-inf where ``_dual_bound`` rejects it), the grid LP optimum
+    and the gap bound_real / max(L_dual, optimum) - 1.
 
-    Only an unpolished round goes on to the fallback stops. It scores
-    P(1) + ``_inflation``, the bound its shift would give; one that scores
-    at or below the best so far becomes the best, and one that does not is
-    idle, as is a tie whose LP took no pivot (it repeats the answer, as a
-    round with no new cuts does). The rounds end at an ``_inflation`` <=
-    INFLATION_TARGET, two idle rounds in a row, MAX_ROUNDS, or a later
-    round's failed LP, which the rounds message names; the best round is
-    certified, and named (", from round k") if it is not the last. Only a
-    degree-1 P (no critical point), or rounds whose every polish fails,
-    end in an unpolished LP answer, the only kind that may be left unshifted.
+    An unpolished round ends the rounds at an ``_inflation`` <=
+    INFLATION_TARGET or at MAX_ROUNDS. A later round's LP that fails, which
+    the rounds message names, or that takes no pivot, which repeats the
+    round before it (as after a round with no new cuts), ends them without
+    being taken. Only a degree-1 P (no critical point), or rounds whose
+    every polish fails, end in an unpolished LP answer, the only kind that
+    may be left unshifted.
 
-    The best round is certified by ``_certified`` (NoCertificateError when
-    no shift absorbs it), and has passed ``verify_certificate``.
+    The last round taken is certified by ``_certified`` (NoCertificateError
+    when no shift absorbs it), and has passed ``verify_certificate``.
     """
     _validate_inputs(d, cos_theta, degree)
     if degree < 1:
@@ -357,7 +354,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         d, degree, chebyshev_points(-1.0, cos_theta, degree + 1)
     )
     basis = _levenshtein_basis(points, degree, polynomial)
-    polish, failed_round, best_score, idle = None, "", math.inf, 0
+    polish, failed_round = None, ""
     for round_index in range(MAX_ROUNDS):
         # min sum(a) s.t. sum_k a_k G_k(r_i) <= -1, a >= 0 (a_0 = 1 moved to rhs)
         lp = LinearProgram(np.ones(degree), rows, np.full(len(rows), -1.0))
@@ -370,8 +367,11 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         if solution.status != "optimal":
             if round_index == 0:
                 raise LPFailureError(f"LP solver returned status {solution.status!r}")
-            # the LP is only a search step: certify the best round so far
+            # the LP is only a search step: certify the round before it
             failed_round = f"; round {round_index + 1} LP status {solution.status!r}"
+            break
+        # a later LP that took no pivot repeats the previous round's basis
+        if round_index and solution.iterations == 0:
             break
         rounds_used = round_index + 1
         basis = solution.basis
@@ -385,26 +385,15 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         measured = found and _touching(d, found[0], sample_basis, cos_theta)
         if measured:
             polish = (p_at_1, *found[1:])
-            best = (rounds_used, found[0], *measured)
+            coeffs, (violation, p_at_1) = found[0], measured
             break
-        inflation = _inflation(violation, p_at_1)
-        # the lowest score is the best round, the later one on a tie; a tie
-        # that took no pivot repeats the LP answer, and is idle all the same
-        score = p_at_1 + inflation
-        if score <= best_score:
-            repeat = score == best_score and solution.iterations == 0
-            best_score, idle = score, idle + 1 if repeat else 0
-            best = (rounds_used, coeffs, violation, p_at_1)
-        else:
-            idle += 1
-        if inflation <= INFLATION_TARGET or idle == 2 or round_index == MAX_ROUNDS - 1:
+        if _inflation(violation, p_at_1) <= INFLATION_TARGET or rounds_used == MAX_ROUNDS:
             break
         new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
         # appended after the old rows, so the row numbers in ``basis`` hold
         points = np.concatenate([points, new_points])
         rows = np.vstack([rows, basis_values(d, degree, new_points)[1:].T])
 
-    best_round, coeffs, violation, p_at_1 = best
     certified = _certified(d, cos_theta, coeffs, violation, p_at_1, polish is not None)
     if certified is None:
         raise NoCertificateError(
@@ -423,10 +412,9 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             f"[{', '.join(f'{t:.6g}' for t in active)}]: dual bound {dual!r}, "
             f"grid LP optimum {grid_bound!r}, gap {gap!r}"
         )
-    from_round = f", from round {best_round}" if best_round < rounds_used else ""
     report.messages.append(
         f"grid LP bound {grid_bound!r} inflated by shift {shift!r} over "
-        f"{rounds_used} cutting-plane rounds{from_round}{failed_round}"
+        f"{rounds_used} cutting-plane rounds{failed_round}"
     )
     if not report.passed:
         raise CodeBoundsError(

@@ -29,11 +29,9 @@ from codebounds.linprog import LPSolution, solve_lp
 from codebounds.scanning import chebyshev_points
 
 
-# the last verification message of a certificate from lp_bound; the second
-# group is the certified round when it is not the last
+# the last verification message of a certificate from lp_bound
 ROUNDS_MESSAGE = re.compile(
     r"grid LP bound \S+ inflated by shift \S+ over (\d+) cutting-plane rounds"
-    r"(?:, from round (\d+))?"
 )
 # the one message of a certificate from Levenshtein's path
 LEVENSHTEIN_MESSAGE = re.compile(
@@ -160,67 +158,59 @@ class TestFailedLPRound:
         assert cert.bound_real <= 895755214.43  # round 5's certificate before
 
 
-class TestBestRound:
-    # unpolished, (48, .5, 30) runs 8 rounds; round 6 leaves a violation of
-    # 2.7e-9 and round 8 one of 3.8e-9
-    @staticmethod
-    def _round_six(monkeypatch):
-        """The unpolished (48, .5, 30) certificate of a run that ends at round 6."""
-        with monkeypatch.context() as patch:
-            patch.setattr(dgs_bound, "MAX_ROUNDS", 6)
-            return lp_bound(48, 0.5, 30)
-
-    def test_the_lowest_scoring_round_is_certified_not_the_last(self, monkeypatch):
+class TestRoundStops:
+    @pytest.mark.usefixtures("lp_path")
+    def test_the_round_cap_certifies_the_last_round(self, monkeypatch):
+        # unpolished, (48, .5, 30) runs to MAX_ROUNDS, and round 10's LP
+        # answer is certified, although round 6's would give a lower bound
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
-        expected = self._round_six(monkeypatch)
-        scores, real_maximum = [], dgs_bound._maximum
-
-        def maximum(poly, sample_basis, cos_theta):
-            values, critical = real_maximum(poly, sample_basis, cos_theta)
-            v, p_at_1 = max(float(values.max()), 0.0), poly.at_one()
-            scores.append(p_at_1 + v * (p_at_1 - 1.0) / (1.0 - v))
-            return values, critical
-
-        monkeypatch.setattr(dgs_bound, "_maximum", maximum)
+        calls = TestWarmStartedRounds._record(monkeypatch)
         cert = lp_bound(48, 0.5, 30)
-        assert len(scores) == 8 and min(scores) == scores[5] < scores[-1]
-        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-        assert rounds and rounds.groups() == ("8", "6")
-        assert np.array_equal(cert.poly.coeffs, expected.poly.coeffs)
-        assert cert.bound_real == expected.bound_real < 895496402.0909586  # round 8
+        assert len(calls) == dgs_bound.MAX_ROUNDS
+        last = GegenbauerPoly(48, np.concatenate(([1.0], calls[-1][2].x)))
+        rounds = SHIFT_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert rounds and float(rounds[1]) == last.at_one()
+        assert cert.verification.messages[-1].endswith("over 10 cutting-plane rounds")
+        assert cert.bound_real == 895496407.0625218
+        assert verify_certificate(cert).passed
 
-    def test_a_later_round_failure_certifies_the_best_earlier_round(self, monkeypatch):
+    @pytest.mark.usefixtures("lp_path")
+    def test_a_later_round_failure_certifies_the_round_before_it(self, monkeypatch):
+        # unpolished, round 8's LP fails, and round 7 is certified: the same
+        # certificate as a run capped at 7 rounds
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
-        expected = self._round_six(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(dgs_bound, "MAX_ROUNDS", 7)
+            expected = lp_bound(48, 0.5, 30)
         calls = TestFailedLPRound._fail_from_round(monkeypatch, 8)
         cert = lp_bound(48, 0.5, 30)
         assert len(calls) == 8
         assert cert.verification.messages[-1].endswith(
-            "over 7 cutting-plane rounds, from round 6; "
-            "round 8 LP status 'numerical_failure'"
+            "over 7 cutting-plane rounds; round 8 LP status 'numerical_failure'"
         )
         assert np.array_equal(cert.poly.coeffs, expected.poly.coeffs)
+        assert cert.bound_real == expected.bound_real
         assert verify_certificate(cert).passed
 
     @pytest.mark.usefixtures("lp_path")
-    def test_a_repeated_lp_answer_is_idle(self, monkeypatch):
-        # unpolished, rounds 5 and 6 repeat round 4's answer at 0 pivots; a
-        # tie once reset the idle count, and the rounds ran to MAX_ROUNDS
+    def test_a_repeated_lp_answer_ends_the_rounds(self, monkeypatch):
+        # unpolished, round 5's LP takes no pivot: it repeats round 4's basis,
+        # so the rounds end without it, and round 4 is certified
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = TestWarmStartedRounds._record(monkeypatch)
         cert = lp_bound(24, 0.5, 20)
-        assert len(calls) <= 6
-        assert [solution.iterations for _, _, solution in calls[-2:]] == [0, 0]
-        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-        assert rounds and int(rounds[1]) == len(calls)
+        assert len(calls) == 5
+        assert calls[-1][2].iterations == 0 < calls[-2][2].iterations
+        assert cert.verification.messages[-1].endswith("over 4 cutting-plane rounds")
         assert cert.bound_real == 196560.0001903044
 
     @pytest.mark.parametrize("case", [(32, 0.5, 20), (48, 0.5, 30)])
-    def test_a_round_with_no_new_cuts_repeats_the_lp_and_goes_idle(
+    def test_a_round_with_no_new_cuts_repeats_the_lp_and_ends_the_rounds(
         self, monkeypatch, case
     ):
-        # with no cuts each round re-solves the first round's LP, so the idle
-        # rule ends the rounds; a warm re-solve may move the last bits of the
+        # with no cuts the next round re-solves the round before it, warm
+        # started from its optimal basis, at no pivot, and the rounds end; a
+        # warm re-solve that takes a pivot may move the last bits of the
         # answer, so only the bound is compared. Unpolished, so that the
         # rounds go on past round 1 (polished, both end there)
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
@@ -685,19 +675,20 @@ class TestWarmStartedRounds:
 
 # the kissing_lp and lp_stress certificates of perfbench/workloads.py, each
 # with the sha256 of its file when every polish fails and Levenshtein's path
-# declines; a repeated LP answer is idle, so (24, .5, 20) ends after 6 rounds
-# and (32, .5, 20) after 7, where they would run to MAX_ROUNDS
+# declines; an LP that takes no pivot repeats the round before it and ends
+# the rounds, so (24, .5, 20) ends after 4 rounds and (32, .5, 20) after 5,
+# where they would run to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
     (3, 0.5, 10): "c4214d5a66d152c4cc911413f638fc968406afa38687a5bce2d3ca7a13e4f385",
     (4, 0.5, 10): "7927e92b1e42ab86bd44d12384e791ba2e64b64e367903dfa2765275e99dce1f",
     (8, 0.5, 6): "51573d171e91ff2eaafa0363607d716e6f6fbd5e7196743630479b37acd4e2e7",
-    (24, 0.5, 10): "559ce5cac46e12898ca336268037f327344dadfc989ac628d4c52fcb045d7fe3",
-    (24, 0.5, 20): "b9df1782563c6d234248e4dd077baf0396309d614427babc427e6ead6d32809a",
-    (32, 0.5, 20): "ebeee2f65b9d4a603dbb41c86c6374b6632ef244a8343bf3adfa17901257c674",
-    (16, 0.7, 16): "ca52592a9b50a21c588bc86b748b295780d85c40ec8b017d53a2e9b75a73a22e",
-    (24, 0.7, 30): "8bdbe4ee40d4c85f526ddb196c28eb42f48870c2fa8a309acc0ad30b6b06a795",
-    (48, 0.5, 30): "2629868e1e74d70393bdea43ba769ec96e713bbe6641726983106fdf6f7e4a94",
-    (32, 0.5, 30): "a1eb13395e9d59a04c1818cf07e964e736c62032dcf56e973added306be2a0bc",
+    (24, 0.5, 10): "b4a238cbdbb56e433e72cf9e4df209ab0a8f092de9fbcbf0eb6a49783ff656e7",
+    (24, 0.5, 20): "59642895eaf4c5d8f37572343846b3ae08045c065efd92c70d83106a96b8eafb",
+    (32, 0.5, 20): "5624d4befa9a7bb5261c9d87e7f0c862feae70666f818ad0ffb01eb61304673d",
+    (16, 0.7, 16): "c8bee47eed9ad25a3673e9793e0625f73caac62f6abba97a2b875cbd5f2460c5",
+    (24, 0.7, 30): "3d841b7ade03ee9dd1f77cdde689ec905e8284234afe8b36ecfb6cd195aecc58",
+    (48, 0.5, 30): "3c7248cab2f6ad1c0c98197ed80a911d66db033f2555a4dd3e9db53d788e4c24",
+    (32, 0.5, 30): "63110b9389d89a757919c6f17759740f1151a84b5c824598934de9212b18d7c3",
 }
 # inputs whose loop ends with a polished certificate: six kissing_lp and
 # three lp_stress cases, (24, .765, 29), and four from the domain sweep, the
@@ -759,7 +750,7 @@ class TestNewtonPolish:
         assert len(calls) == 1
         polish = POLISH_MESSAGE.fullmatch(cert.verification.messages[-2])
         rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-        assert polish and rounds and rounds.groups() == ("1", None)
+        assert polish and rounds and rounds[1] == "1"
         dual, optimum = float(polish[3]), float(polish[4])
         assert optimum * (1.0 + 1e-5) < dual <= cert.bound_real
         assert verify_certificate(cert).passed
@@ -784,7 +775,7 @@ class TestNewtonPolish:
         assert inflations[0] <= dgs_bound.INFLATION_TARGET
         assert POLISH_MESSAGE.fullmatch(cert.verification.messages[-2])
         rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-        assert rounds and rounds.groups() == ("1", None)
+        assert rounds and rounds[1] == "1"
 
     @pytest.mark.parametrize("case", ROUND_ONE_CASES, ids=str)
     @pytest.mark.parametrize("broken", ["a negative multiplier", "a root past cos_theta"])
