@@ -25,7 +25,7 @@ from . import jsonutil, levenshtein, pfender
 from ._scalar import _check_int, _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import GegenbauerPoly, _derivative_recursion, basis_values
-from .linprog import LinearProgram, solve_lp, within_rounding
+from .linprog import LinearProgram, solve_lp
 from .scanning import chebyshev_points, critical_points
 
 MAX_ROUNDS = 10
@@ -121,13 +121,12 @@ def _maximum(poly: GegenbauerPoly, sample_basis, cos_theta: float):
 def _dual_bound(cos_theta, values, y, t):
     """L_dual = 1 + sum y, a lower bound on P(1) of every certificate of the
     degree by LP duality (Delsarte, Goethals & Seidel, Geom. Dedicata 6,
-    1977), for multipliers y >= 0 at the roots t in [-1, cos_theta] and the
-    tight ends, with 1 + sum y G_k ``within_rounding`` of >= 0 for each
-    k = 1..degree (``values``: G_1..G_degree at those points, one column
-    each); -inf, no bound, where any of that fails."""
-    usable = y.min(initial=0.0) >= 0.0 and np.all((-1.0 <= t) & (t <= cos_theta))
-    magnitude = 1.0 + np.abs(values) @ np.abs(y)
-    usable = usable and np.all(within_rounding(1.0 + values @ y, len(y) + 1, magnitude))
+    1977), for multipliers y at the roots t in [-1, cos_theta] and the tight
+    ends that pass ``levenshtein.dual_values``, as f_m's weights must
+    (``values``: G_1..G_degree at those points, one column each); -inf, no
+    bound, otherwise."""
+    usable = np.all((-1.0 <= t) & (t <= cos_theta))
+    usable = usable and levenshtein.dual_values(values.tolist(), y.tolist()) is not None
     return 1.0 + math.fsum(y.tolist()) if usable else -math.inf
 
 
@@ -225,7 +224,8 @@ def _certified(d, cos_theta, coeffs, violation, p_at_1, touching):
     ``violation`` on [-1, cos_theta], makes P_hat nonpositive there, keeps
     a_0 = 1 and every a_k >= 0, and costs a slightly larger bound. It is 0
     when violation + noise already sits inside the verifier tolerance
-    COND_TOL, unless P is ``touching`` 0 by construction."""
+    COND_TOL, unless P is ``touching`` 0 by construction. A P_hat that
+    fails ``verify_certificate`` raises CodeBoundsError (internal error)."""
     noise = _noise(p_at_1)
     inside = not touching and violation + noise <= pfender.COND_TOL
     shift = 0.0 if inside else max(violation, 0.0) + noise
@@ -234,7 +234,12 @@ def _certified(d, cos_theta, coeffs, violation, p_at_1, touching):
     poly = GegenbauerPoly(d, np.append(1.0 - shift, coeffs[1:]) / (1.0 - shift))
     bound_real, bound_int, _ = pfender.bound_values(*pfender_form(poly))
     certificate = DGSCertificate(cos_theta, poly, bound_real, bound_int)
-    certificate.verification = verify_certificate(certificate)
+    report = certificate.verification = verify_certificate(certificate)
+    if not report.passed:
+        raise CodeBoundsError(
+            "internal error: freshly produced certificate failed verification "
+            f"(max sign violation {report.max_sign_violation!r})"
+        )
     return certificate, shift
 
 
@@ -242,26 +247,20 @@ def _levenshtein_path(d, cos_theta, degree, polynomial):
     """Levenshtein's f_m as the degree-``degree`` certificate, or None.
 
     ``polynomial`` is ``levenshtein.levenshtein_polynomial(d, cos_theta,
-    degree)``, None when m(s) > degree. Where ``levenshtein.bdb_test`` shows
-    from it alone that f_m is the degree's LP optimum L, f_m (a_0 = 1) is
-    measured as a polished P is (``_touching``), must end the rounds
-    (``_inflation`` <= INFLATION_TARGET) and must pass ``_certified``. Its
-    one message names the path, m(s), the least BDB test value Q_j L over
-    m(s) < j <= degree, L and the shift.
+    degree)``, None when m(s) > degree. f_m (a_0 = 1) passes a polished P's
+    rule: ``levenshtein.bdb_test`` (its dual weights prove it the LP optimum
+    L), ``_touching`` and ``_certified``. Its one message names the path,
+    m(s), the least BDB test value over m(s) < j <= degree, L and the shift.
     """
-    if polynomial is None:
-        return None
-    least = levenshtein.bdb_test(d, cos_theta, degree, polynomial)
+    least = polynomial and levenshtein.bdb_test(d, cos_theta, degree, polynomial)
     if least is None:
         return None
     m, eps, zeros = polynomial
     coeffs = levenshtein.gegenbauer_coefficients(d, cos_theta, eps, zeros)
     sample_basis = basis_values(d, m, chebyshev_points(-1.0, cos_theta, m + 1))
     measured = _touching(d, coeffs, sample_basis, cos_theta)
-    if measured is None or _inflation(*measured) > INFLATION_TARGET:
-        return None
-    certified = _certified(d, cos_theta, coeffs, *measured, touching=True)
-    if certified is None or not certified[0].verification.passed:
+    certified = measured and _certified(d, cos_theta, coeffs, *measured, touching=True)
+    if not certified:
         return None
     certificate, shift = certified
     least = repr(least) if degree > m else "none (degree = m(s))"
@@ -296,8 +295,8 @@ def _levenshtein_basis(points, degree, polynomial):
 def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
-    First, Levenshtein's path (``_levenshtein_path``): where f_m is provably
-    the degree's LP optimum, it is the certificate and no LP runs.
+    First, Levenshtein's path (``_levenshtein_path``): where f_m passes a
+    polished P's rule, it is the certificate and no LP runs.
 
     The first round's LP enforces the sign condition on a fixed grid of
     GRID_POINTS Chebyshev points of [-1, cos_theta], which the cutting
@@ -324,16 +323,16 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     L_dual (-inf where ``_dual_bound`` rejects it), the grid LP optimum
     and the gap bound_real / max(L_dual, optimum) - 1.
 
-    An unpolished round ends the rounds at an ``_inflation`` <=
-    INFLATION_TARGET or at MAX_ROUNDS. A later round's LP that fails, which
-    the rounds message names, or that takes no pivot, which repeats the
-    round before it (as after a round with no new cuts), ends them without
-    being taken. Only a degree-1 P (no critical point), or rounds whose
-    every polish fails, end in an unpolished LP answer, the only kind that
-    may be left unshifted.
+    Only an unpolished round ends the rounds at an ``_inflation`` <=
+    INFLATION_TARGET, and any at MAX_ROUNDS. A later round's LP that fails,
+    which the rounds message names, or that takes no pivot, which repeats
+    the round before it (as after a round with no new cuts), ends them
+    without being taken. Only a degree-1 P (no critical point), or rounds
+    whose every polish fails, end in an unpolished LP answer, the only kind
+    that may be left unshifted.
 
     The last round taken is certified by ``_certified`` (NoCertificateError
-    when no shift absorbs it), and has passed ``verify_certificate``.
+    when no shift absorbs it), which verifies every path's certificate.
     """
     _validate_inputs(d, cos_theta, degree)
     if degree < 1:
@@ -387,6 +386,7 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             polish = (p_at_1, *found[1:])
             coeffs, (violation, p_at_1) = found[0], measured
             break
+        # without it, unpolished (8, .5, 6) ends unshifted in COND_TOL at bound_int 239
         if _inflation(violation, p_at_1) <= INFLATION_TARGET or rounds_used == MAX_ROUNDS:
             break
         new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
@@ -416,11 +416,6 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         f"grid LP bound {grid_bound!r} inflated by shift {shift!r} over "
         f"{rounds_used} cutting-plane rounds{failed_round}"
     )
-    if not report.passed:
-        raise CodeBoundsError(
-            "internal error: freshly produced certificate failed verification "
-            f"(max sign violation {report.max_sign_violation!r})"
-        )
     return certificate
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "levenshtein_polynomial",
     "levenshtein",
     "bdb_test",
+    "dual_values",
     "gegenbauer_coefficients",
 ]
 
@@ -130,18 +131,32 @@ def levenshtein(dim, s):
     return m, float(f(1.0)) / a_0
 
 
+def dual_values(rows, weights):
+    """1 + sum_i w_i G_j(x_i) per row (G_j at the nodes x_i), or None unless
+    every w_i >= 0 and every value is ``linprog.within_rounding`` of >= 0,
+    as ``linprog.solve_lp`` tests a reduced cost (NaN fails both checks)."""
+    if not all(w >= 0.0 for w in weights):
+        return None
+    values = []
+    for row in rows:
+        terms = list(map(operator.mul, weights, row))
+        q = 1.0 + sum(terms)
+        if not within_rounding(q, len(terms) + 1, 1.0 + sum(map(abs, terms))):
+            return None
+        values.append(q)
+    return values
+
+
 def bdb_test(dim, s, degree, polynomial):
     """The least BDB test value Q_j L over m(s) < j <= degree (inf when
     degree = m(s)) when f_m is provably the degree-``degree`` LP optimum;
     else None. ``polynomial`` is f_m as ``levenshtein_polynomial(dim, s,
     degree)`` gives it, so m(s) <= degree.
 
-    It declines when the weights' N x N system (G_j for j = 1..N at the
-    N = k + eps nodes, by ``_scalar._point_values``) is singular or gives
-    some rho'_i <= 0, and at the first j <= degree whose Q_j L, an
-    (N + 1)-term sum, is not ``linprog.within_rounding``, the test that
-    ``linprog.solve_lp`` applies to a reduced cost. No coefficient of f_m
-    is computed here."""
+    The weights rho'_i solve the N x N system of G_j for j = 1..N at the
+    N = k + eps nodes (by ``_scalar._point_values``). It declines when that
+    system is singular, and when ``dual_values`` rejects the weights for
+    j = 1..degree. No coefficient of f_m is computed here."""
     m, eps, zeros = polynomial
     nodes = [s, *zeros.tolist()] + [-1.0] * eps
     count = len(nodes)
@@ -151,18 +166,8 @@ def bdb_test(dim, s, degree, polynomial):
         weights = np.linalg.solve(np.array(rows[:count]), np.full(count, -1.0))
     except np.linalg.LinAlgError:
         return None
-    if not weights.min() > 0.0:
-        return None
-    weights = weights.tolist()
-    least = math.inf
-    for j, row in enumerate(rows, 1):
-        q = 1.0 + sum(map(operator.mul, weights, row))
-        magnitude = 1.0 + sum(abs(w * g) for w, g in zip(weights, row))
-        if not within_rounding(q, count + 1, magnitude):
-            return None
-        if j > m:
-            least = min(least, q)
-    return least
+    values = dual_values(rows, weights.tolist())
+    return None if values is None else min(values[m:], default=math.inf)
 
 
 def gegenbauer_coefficients(dim, s, eps, zeros):

@@ -227,8 +227,13 @@ class TestRoundStops:
 
 # the inputs where Levenshtein's f_m is provably the degree's optimum: four
 # kissing_lp cases and a small one; (8, .5) and (24, .5) sit on the closed
-# end of I_6 and I_10, where the monic recurrence reads exactly 0
-FAST_PATH_CASES = [(8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20), (16, 0.7, 16), (3, 0.5, 6)]
+# end of I_6 and I_10, where the monic recurrence reads exactly 0. In the
+# last three f_m's shift inflates L past INFLATION_TARGET (0.78 at
+# (1000, .1, 11)), which declines a path no more than it declines a polish
+FAST_PATH_CASES = [
+    (8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20), (16, 0.7, 16), (3, 0.5, 6),
+    (1000, 0.1, 11), (96, 0.2794, 35), (114, 0.33, 17),
+]
 # the other kissing_lp cases, where some Q_j L < 0, and the lp_stress cases:
 # Q_j L < 0 at (24, .7, 30), (48, .5, 30) and (32, .5, 30), and m(s) = 19 > 12
 # at (24, .7, 12)
@@ -812,6 +817,25 @@ class TestNewtonPolish:
         assert dual_bound(0.25, values, np.array([2.0, 1.5]), past) == -math.inf
         # 1 + sum y G_1 = -1 < 0: y is no dual
         assert dual_bound(0.5, values, np.array([0.0, 2.0]), root) == -math.inf
+        # a NaN y, and a y below 0 by the least float, fail the y >= 0 check
+        assert dual_bound(0.5, values, np.array([math.nan, 1.5]), root) == -math.inf
+        assert dual_bound(0.5, values, np.array([2.0, -5e-324]), root) == -math.inf
+
+    @pytest.mark.usefixtures("lp_path")
+    @pytest.mark.xfail(
+        reason="ROADMAP item 16: _certified's COND_TOL skip stores an unpolished "
+        "LP answer unshifted, 2.5e-10 above 0 and below E8's 240 points",
+        raises=AssertionError,
+        strict=True,
+    )
+    def test_unpolished_rounds_run_past_the_inflation_target_keep_e8(self, monkeypatch):
+        # with no polish and INFLATION_TARGET 0, (8, .5, 6) runs 4 rounds and
+        # certifies 239.99999995499283, which the float verifier passes
+        monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
+        monkeypatch.setattr(dgs_bound, "INFLATION_TARGET", 0.0)
+        cert = lp_bound(8, 0.5, 6)
+        assert verify_certificate(cert).passed
+        assert cert.bound_int >= 240
 
     def test_a_lone_tight_row_is_polished(self, monkeypatch):
         # (48, .5, 30) keeps one tight row apart from any other, so 2 J + E

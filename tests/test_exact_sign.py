@@ -46,6 +46,14 @@ NEWLY_POLISHED = [
     (45, 0.4736, 36), (34, 0.6135, 28), (32, 0.4907, 38), (24, 0.765, 29),
     (2, 0.6393, 28), (5, 0.504, 27), (3, 0.7961, 13),
 ]
+# pool certificates from Levenshtein's path whose f_m's shift inflates L past
+# INFLATION_TARGET, which the path, like the polish, does not check
+NEWLY_LEVENSHTEIN = [
+    (51, 0.4552, 24), (55, 0.403, 29), (62, 0.3702, 19), (56, 0.4279, 38),
+    (78, 0.3146, 34), (93, 0.2367, 13), (114, 0.33, 17), (48, 0.3716, 31),
+    (103, 0.2294, 27), (96, 0.2794, 35), (88, 0.4013, 37), (192, 0.1744, 11),
+    (197, 0.2559, 30),
+]
 
 
 def exact_value(d, coeffs, t):
@@ -140,4 +148,9 @@ def test_a_formerly_refuted_pool_certificate_is_proven(case):
 
 @pytest.mark.parametrize("case", NEWLY_POLISHED, ids=str)
 def test_a_newly_polished_pool_certificate_is_proven(case):
+    assert verdict(*stored(case)) is None
+
+
+@pytest.mark.parametrize("case", NEWLY_LEVENSHTEIN, ids=str)
+def test_a_newly_levenshtein_pool_certificate_is_proven(case):
     assert verdict(*stored(case)) is None

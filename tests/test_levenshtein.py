@@ -141,10 +141,10 @@ NOISE = "the final shift is the noise term 3e-15 P(1)"
 # cannot carry one, and the violation plus the noise term needs a shift >= 1.
 FLOAT64 = "P(1) >= 1e14: the violation plus the noise term needs a shift >= 1"
 # L = 2.5994e14, and every Gegenbauer coefficient of f_11 is positive in
-# exact arithmetic over the float monomial table. The polish reaches f_11,
-# and the noise term's shift alone costs the factor.
-F11 = ("P(1) ~ 2.6e14: the noise term's shift of 0.78 inflates a polished "
-       "P(1) within 1.2e-10 of L 4.54-fold")
+# exact arithmetic over the float monomial table. Levenshtein's path
+# certifies f_11 itself, and the noise term's shift alone costs the factor.
+F11 = ("P(1) ~ 2.6e14: the noise term's shift of 0.78 inflates Levenshtein's "
+       "f_11 4.54-fold")
 # No certificate: the LP at degree m(s) is called infeasible, and it is not,
 # since f_m is a certificate (its exact expansion is tested below).
 # Levenshtein's path declines: bdb_test finds some Q_j L with j <= m(s)
@@ -184,6 +184,7 @@ ORACLE_CASES = [
     (2, 0.5, 40),
     # 18 strict xfails: 7 NOISE, 5 FLOAT64, 2 F11, 2 FALSE_INFEASIBLE and
     # 2 with their own cause
+    # these three are Levenshtein's f_m, shifted by the noise term alone
     miss((197, 0.2559, 30), NOISE, AssertionError),
     miss((88, 0.4013, 37), NOISE, AssertionError),
     miss((114, 0.33, 17), NOISE, AssertionError),
