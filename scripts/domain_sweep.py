@@ -7,11 +7,9 @@ lp_bound on each and prints how many ended in each outcome (a
 certificate, NoCertificateError by its cause, or a named error), the
 simplex pivots of all its LP solves (``pivots:``, a work count that does
 not depend on the machine's speed), how many of those solves went back
-to the all-slack basis (``restarts:``), how many
-certificates were left unshifted because their float maximum plus noise
-sat inside COND_TOL, a sha256 digest of the outputs (``outputs:``), how
-many ended at a Newton-polished polynomial and
-how many came from Levenshtein's path, every input that ended in an
+to the all-slack basis (``restarts:``), a sha256 digest of the outputs
+(``outputs:``), how many ended at a Newton-polished polynomial and how
+many came from Levenshtein's path, every input that ended in an
 error, the certificates at a degree >= m(s) that are worse than
 Levenshtein's bound L (above L (1 + 1e-6)), each with its bound and L,
 and the slowest input. Every input should end quickly in a certificate
@@ -53,8 +51,6 @@ from codebounds.linprog import solve_lp
 WORSE = 1e-6
 # the paths a certificate can end on, by the start of their message
 PATHS = {"polished": "Newton-polished", "levenshtein": "Levenshtein's"}
-# the rounds message of a certificate that lp_bound left unshifted
-UNSHIFTED = " inflated by shift 0.0 over "
 
 
 def sweep_inputs(seed: int, n: int, max_dim: int, max_cos: float):
@@ -96,7 +92,7 @@ def main() -> int:
         parser.error("--max-dim must be >= 2 and --max-cos in (-1, 1)")
 
     counts, paths = Counter(), Counter()
-    unshifted, outputs = 0, hashlib.sha256()
+    outputs = hashlib.sha256()
     above_m, worse = 0, []
     slowest = (-1.0, None, None)
     work = Counter()
@@ -121,7 +117,6 @@ def main() -> int:
         if cert is None:
             continue
         messages = cert.verification.messages
-        unshifted += any(UNSHIFTED in m for m in messages)
         for path, prefix in PATHS.items():
             paths[path] += any(m.startswith(prefix) for m in messages)
         d, cos_theta, degree = case
@@ -137,7 +132,6 @@ def main() -> int:
         print(f"{count:>5}  {result}")
     print(f"pivots: {work['pivots']} in {work['solves']} LP solves")
     print(f"restarts: {work['restarts']}")
-    print(f"unshifted: {unshifted} of {counts['certificate']} certificates")
     print(f"outputs: {outputs.hexdigest()}")
     for path in PATHS:
         print(f"{path}: {paths[path]} of {counts['certificate']} certificates")

@@ -31,7 +31,6 @@ from .scanning import chebyshev_points, critical_points
 MAX_ROUNDS = 10
 # Chebyshev points of the first round's LP
 GRID_POINTS = 2000
-INFLATION_TARGET = 1e-4
 # rows spread evenly over the grid gap around each positive maximum
 GAP_ROWS = 7
 # Newton steps of a polish, each from the LP answer's active set
@@ -101,13 +100,6 @@ def _noise(p_at_1: float) -> float:
     """The evaluation noise of a P whose value at 1 is ``p_at_1``: what the
     final shift adds on top of P's maximum."""
     return 1e-10 + 3e-15 * abs(p_at_1)
-
-
-def _inflation(violation: float, p_at_1: float) -> float:
-    """The rise of the bound P(1) from shifting out v = max(violation, 0);
-    no shift absorbs v >= 1."""
-    v = max(violation, 0.0)
-    return v * (p_at_1 - 1.0) / (1.0 - v) if v < 1.0 else math.inf
 
 
 def _maximum(poly: GegenbauerPoly, sample_basis, cos_theta: float):
@@ -217,18 +209,15 @@ def _touching(d, coeffs, sample_basis, cos_theta):
     return (violation, p_at_1) if violation <= _noise(p_at_1) else None
 
 
-def _certified(d, cos_theta, coeffs, violation, p_at_1, touching):
+def _certified(d, cos_theta, coeffs, violation, p_at_1):
     """The certificate P_hat = (P - shift) / (1 - shift) of the a_0 = 1
     ``coeffs``, with its ``verify_certificate`` report, and the shift; None
-    at shift >= 1. shift = max(violation, 0) + noise, for P's maximum
-    ``violation`` on [-1, cos_theta], makes P_hat nonpositive there, keeps
-    a_0 = 1 and every a_k >= 0, and costs a slightly larger bound. It is 0
-    when violation + noise already sits inside the verifier tolerance
-    COND_TOL, unless P is ``touching`` 0 by construction. A P_hat that
-    fails ``verify_certificate`` raises CodeBoundsError (internal error)."""
-    noise = _noise(p_at_1)
-    inside = not touching and violation + noise <= pfender.COND_TOL
-    shift = 0.0 if inside else max(violation, 0.0) + noise
+    at shift >= 1. One rule for f_m, a polished P and an LP answer: shift
+    = max(violation, 0) + noise, for P's maximum ``violation`` on [-1,
+    cos_theta], makes P_hat nonpositive there, keeps a_0 = 1 and every
+    a_k >= 0, and costs a slightly larger bound. A P_hat that fails
+    ``verify_certificate`` raises CodeBoundsError (internal error)."""
+    shift = max(violation, 0.0) + _noise(p_at_1)
     if shift >= 1.0:
         return None
     poly = GegenbauerPoly(d, np.append(1.0 - shift, coeffs[1:]) / (1.0 - shift))
@@ -259,7 +248,7 @@ def _levenshtein_path(d, cos_theta, degree, polynomial):
     coeffs = levenshtein.gegenbauer_coefficients(d, cos_theta, eps, zeros)
     sample_basis = basis_values(d, m, chebyshev_points(-1.0, cos_theta, m + 1))
     measured = _touching(d, coeffs, sample_basis, cos_theta)
-    certified = measured and _certified(d, cos_theta, coeffs, *measured, touching=True)
+    certified = measured and _certified(d, cos_theta, coeffs, *measured)
     if not certified:
         return None
     certificate, shift = certified
@@ -323,13 +312,12 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     L_dual (-inf where ``_dual_bound`` rejects it), the grid LP optimum
     and the gap bound_real / max(L_dual, optimum) - 1.
 
-    Only an unpolished round ends the rounds at an ``_inflation`` <=
-    INFLATION_TARGET, and any at MAX_ROUNDS. A later round's LP that fails,
-    which the rounds message names, or that takes no pivot, which repeats
-    the round before it (as after a round with no new cuts), ends them
-    without being taken. Only a degree-1 P (no critical point), or rounds
-    whose every polish fails, end in an unpolished LP answer, the only kind
-    that may be left unshifted.
+    An unpolished round whose P has no critical point above 0 adds no
+    cuts and ends the rounds, as does MAX_ROUNDS. A later round's LP that
+    fails, which the rounds message names, or that takes no pivot, which
+    repeats the round before it, ends them without being taken. Only a
+    degree-1 P (no critical point), or rounds whose every polish fails,
+    end in an unpolished LP answer, shifted by the same rule as the rest.
 
     The last round taken is certified by ``_certified`` (NoCertificateError
     when no shift absorbs it), which verifies every path's certificate.
@@ -386,15 +374,15 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
             polish = (p_at_1, *found[1:])
             coeffs, (violation, p_at_1) = found[0], measured
             break
-        # without it, unpolished (8, .5, 6) ends unshifted in COND_TOL at bound_int 239
-        if _inflation(violation, p_at_1) <= INFLATION_TARGET or rounds_used == MAX_ROUNDS:
+        peaks = critical[values[2:] > 0.0]
+        if not peaks.size or rounds_used == MAX_ROUNDS:
             break
-        new_points = _gap_rows(np.sort(points), critical[values[2:] > 0.0])
+        new_points = _gap_rows(np.sort(points), peaks)
         # appended after the old rows, so the row numbers in ``basis`` hold
         points = np.concatenate([points, new_points])
         rows = np.vstack([rows, basis_values(d, degree, new_points)[1:].T])
 
-    certified = _certified(d, cos_theta, coeffs, violation, p_at_1, polish is not None)
+    certified = _certified(d, cos_theta, coeffs, violation, p_at_1)
     if certified is None:
         raise NoCertificateError(
             f"residual sign violation {violation!r} after {rounds_used} "

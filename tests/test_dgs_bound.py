@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_sign import prove_nonpositive
 
 from codebounds import dgs_bound, jsonutil, pfender
 from codebounds.dgs_bound import (
@@ -78,12 +79,19 @@ class TestLPBound:
         with pytest.raises(NoCertificateError):
             lp_bound(3, 0.5, 1)
 
-    @pytest.mark.usefixtures("lp_path")
-    def test_simplex_angle_degree_one_exact(self):
-        # optimal P = 1 + d r; bound exactly d + 1, no sign violation at all
-        for d in (2, 3, 7, 16):
+    def test_simplex_angle_degree_one_exact(self, monkeypatch):
+        # the optimum P = 1 + d t is f_1 and the LP answer [1, d] alike, and
+        # one shift rule certifies both: the same bits on either path, proven
+        # exactly (unshifted, the LP answer was refuted at d = 3 and d = 7)
+        cases = {d: lp_bound(d, -1.0 / d, 1) for d in (2, 3, 7, 16)}
+        monkeypatch.setattr(dgs_bound, "_levenshtein_path", lambda *args: None)
+        for d, f_1 in cases.items():
             cert = lp_bound(d, -1.0 / d, 1)
-            assert cert.bound_real == pytest.approx(d + 1, abs=1e-9)
+            assert LEVENSHTEIN_MESSAGE.fullmatch(f_1.verification.messages[-1])
+            assert ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+            assert cert.poly.coeffs.tobytes() == f_1.poly.coeffs.tobytes()
+            assert cert.bound_real == f_1.bound_real >= d + 1
+            assert prove_nonpositive(d, cert.poly.coeffs.tolist(), -1.0, -1.0 / d) is None
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -228,8 +236,8 @@ class TestRoundStops:
 # the inputs where Levenshtein's f_m is provably the degree's optimum: four
 # kissing_lp cases and a small one; (8, .5) and (24, .5) sit on the closed
 # end of I_6 and I_10, where the monic recurrence reads exactly 0. In the
-# last three f_m's shift inflates L past INFLATION_TARGET (0.78 at
-# (1000, .1, 11)), which declines a path no more than it declines a polish
+# last three f_m's shift is large (0.78 at (1000, .1, 11)), and any shift
+# below 1 is taken, on this path as on the LP's
 FAST_PATH_CASES = [
     (8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20), (16, 0.7, 16), (3, 0.5, 6),
     (1000, 0.1, 11), (96, 0.2794, 35), (114, 0.33, 17),
@@ -684,9 +692,9 @@ class TestWarmStartedRounds:
 # the rounds, so (24, .5, 20) ends after 4 rounds and (32, .5, 20) after 5,
 # where they would run to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
-    (3, 0.5, 10): "c4214d5a66d152c4cc911413f638fc968406afa38687a5bce2d3ca7a13e4f385",
-    (4, 0.5, 10): "7927e92b1e42ab86bd44d12384e791ba2e64b64e367903dfa2765275e99dce1f",
-    (8, 0.5, 6): "51573d171e91ff2eaafa0363607d716e6f6fbd5e7196743630479b37acd4e2e7",
+    (3, 0.5, 10): "dd1ab224879acf6c185c3afae916d0c344716d7ee5aa91f9d5a573cefd93bbf7",
+    (4, 0.5, 10): "1bcb3a90bd85e0033aa6b8762e8f656a333572b0a3ca2f732f32fc54b1d91bd3",
+    (8, 0.5, 6): "647cd0a8105e7ee642fd5ed179120bb9326bc0deb84f4cc944d03e14899d98e1",
     (24, 0.5, 10): "b4a238cbdbb56e433e72cf9e4df209ab0a8f092de9fbcbf0eb6a49783ff656e7",
     (24, 0.5, 20): "59642895eaf4c5d8f37572343846b3ae08045c065efd92c70d83106a96b8eafb",
     (32, 0.5, 20): "5624d4befa9a7bb5261c9d87e7f0c862feae70666f818ad0ffb01eb61304673d",
@@ -760,24 +768,19 @@ class TestNewtonPolish:
         assert optimum * (1.0 + 1e-5) < dual <= cert.bound_real
         assert verify_certificate(cert).passed
 
-    def test_a_round_that_meets_the_inflation_target_is_polished(self, monkeypatch):
-        # (3, .5, 10)'s round-1 LP answer already meets INFLATION_TARGET, a
-        # stop of its own; the polish runs before that stop, and the rounds
-        # end at the polished P
-        real_polish, polished, inflations = dgs_bound._polish, [], []
+    def test_a_round_one_polish_ends_the_rounds(self, monkeypatch):
+        # (3, .5, 10)'s round-1 LP answer is polished, and the rounds end at
+        # the polished P
+        real_polish, polished = dgs_bound._polish, []
 
-        def polish(d, cos_theta, solution, points, rows, critical, p_at_1):
-            poly = GegenbauerPoly(d, np.concatenate(([1.0], solution.x)))
-            violation = float(poly(np.concatenate(([-1.0, cos_theta], critical))).max())
-            inflations.append(dgs_bound._inflation(violation, p_at_1))
+        def polish(*args):
             polished.append(len(calls))
-            return real_polish(d, cos_theta, solution, points, rows, critical, p_at_1)
+            return real_polish(*args)
 
         monkeypatch.setattr(dgs_bound, "_polish", polish)
         calls = TestWarmStartedRounds._record(monkeypatch)
         cert = lp_bound(3, 0.5, 10)
         assert polished == [1]
-        assert inflations[0] <= dgs_bound.INFLATION_TARGET
         assert POLISH_MESSAGE.fullmatch(cert.verification.messages[-2])
         rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
         assert rounds and rounds[1] == "1"
@@ -822,20 +825,18 @@ class TestNewtonPolish:
         assert dual_bound(0.5, values, np.array([2.0, -5e-324]), root) == -math.inf
 
     @pytest.mark.usefixtures("lp_path")
-    @pytest.mark.xfail(
-        reason="ROADMAP item 16: _certified's COND_TOL skip stores an unpolished "
-        "LP answer unshifted, 2.5e-10 above 0 and below E8's 240 points",
-        raises=AssertionError,
-        strict=True,
-    )
-    def test_unpolished_rounds_run_past_the_inflation_target_keep_e8(self, monkeypatch):
-        # with no polish and INFLATION_TARGET 0, (8, .5, 6) runs 4 rounds and
-        # certifies 239.99999995499283, which the float verifier passes
+    def test_unpolished_rounds_keep_e8(self, monkeypatch):
+        # with no polish, (8, .5, 6) runs 4 rounds; its last LP answer, 2.5e-10
+        # above 0 (239.99999995499283 unshifted), is shifted like any other
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
-        monkeypatch.setattr(dgs_bound, "INFLATION_TARGET", 0.0)
         cert = lp_bound(8, 0.5, 6)
+        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
+        assert rounds and rounds[1] == "4"
         assert verify_certificate(cert).passed
-        assert cert.bound_int >= 240
+        # the last bits depend on the BLAS kernel (ROADMAP item 13)
+        assert cert.bound_real == pytest.approx(240.00000003913144, rel=1e-12)
+        assert cert.bound_int == 240
+        assert prove_nonpositive(8, cert.poly.coeffs.tolist(), -1.0, 0.5) is None
 
     def test_a_lone_tight_row_is_polished(self, monkeypatch):
         # (48, .5, 30) keeps one tight row apart from any other, so 2 J + E

@@ -18,7 +18,7 @@ from exact_sign import (
     prove_nonpositive,
 )
 
-from codebounds import dgs_bound, jsonutil, pfender
+from codebounds import jsonutil, pfender
 from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
 from codebounds.gegenbauer import basis_values
 from codebounds.scanning import chebyshev_points, critical_points
@@ -33,21 +33,22 @@ BENCHMARK_CASES = [
 # started from the all-slack basis. (19, .4844, 8) was +6.6e-10 at
 # t ~ 0.1779 and (15, .5745, 35) +8.2e-10 at t ~ 0.0164, unpolished LP
 # answers left unshifted because their float maximum plus noise sat inside
-# COND_TOL; each is now polished at round 1, its bound 5.9e-10 and 6.4e-10
-# higher
+# COND_TOL (a skip since removed); each is now polished at round 1, its
+# bound 5.9e-10 and 6.4e-10 higher
 PROVEN = [(22, 0.4927, 34), (19, 0.4844, 8), (15, 0.5745, 35)]
 # pool certificates, and (24, .765, 29), whose LP answer keeps a lone tight
 # row, which the Newton polish takes as a double root of its own; the last
-# three have round-1 LP answers that already meet the inflation target, and
-# are polished before that stop, which lowers their bounds by 1.2e-6 to
-# 1.35e-6
+# three have round-1 LP answers that a former stop (an inflation of P(1)
+# below 1e-4) ended unpolished; polished at round 1, their bounds are 1.2e-6
+# to 1.35e-6 lower
 NEWLY_POLISHED = [
     (39, 0.7469, 37), (49, 0.5658, 34), (34, 0.6097, 27), (56, 0.4635, 29),
     (45, 0.4736, 36), (34, 0.6135, 28), (32, 0.4907, 38), (24, 0.765, 29),
     (2, 0.6393, 28), (5, 0.504, 27), (3, 0.7961, 13),
 ]
-# pool certificates from Levenshtein's path whose f_m's shift inflates L past
-# INFLATION_TARGET, which the path, like the polish, does not check
+# pool certificates from Levenshtein's path whose f_m's shift inflates L by
+# more than 1e-4, a gate the path once had; like the polish, it takes any
+# shift below 1
 NEWLY_LEVENSHTEIN = [
     (51, 0.4552, 24), (55, 0.403, 29), (62, 0.3702, 19), (56, 0.4279, 38),
     (78, 0.3146, 34), (93, 0.2367, 13), (114, 0.33, 17), (48, 0.3716, 31),
@@ -132,13 +133,27 @@ def test_every_benchmark_certificate_is_proven(case):
     assert verdict(*stored(case)) is None
 
 
-def test_a_certificate_that_is_exactly_0_at_an_end_is_proven(monkeypatch):
-    # its unpolished LP answer is stored unshifted, and its P(-1) is exactly
-    # 0, which is not a violation; polished, it is shifted below 0
-    monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
-    d, cos_theta, coeffs = stored((9, 0.0733, 2))
+def test_a_certificate_that_is_exactly_0_at_an_end_is_proven():
+    # (9, .0733, 2)'s unpolished LP answer as it was once stored, unshifted:
+    # its P(-1) is exactly 0, which is not a violation
+    d, cos_theta, coeffs = 9, 0.0733, [1.0, 24.508668821627978, 23.508668821627978]
     assert exact_value(d, coeffs, Fraction(-1)) == 0
     assert verdict(d, cos_theta, coeffs) is None
+
+
+# degree-1 LP answers 1 + a_1 t, a_1 the float nearest -1/s: each was once
+# stored unshifted and refuted, its exact P(s) 4.6e-17 to 6.2e-17 above 0; now
+# shifted by its noise term, each keeps its bound_int
+DEGREE_ONE = {
+    (2, -0.21, 1): 5, (3, -0.21, 1): 5, (4, -0.21, 1): 5, (2, -0.2029, 1): 5,
+    (4, -0.0699, 1): 15,
+}
+
+
+@pytest.mark.parametrize("case", DEGREE_ONE, ids=str)
+def test_a_degree_one_certificate_is_proven(case):
+    assert lp_bound(*case).bound_int == DEGREE_ONE[case]
+    assert verdict(*stored(case)) is None
 
 
 @pytest.mark.parametrize("case", PROVEN, ids=str)
