@@ -9,9 +9,9 @@ Levenshtein's f_m where the Boyvalenkov-Danev-Bumova test shows it is that
 optimum (``levenshtein``), and otherwise solves the LP on a Chebyshev grid
 grown by cutting planes, with a Newton polish on its active set. One rule
 (``_certified``) turns f_m, a polished P or the last round into a
-certificate that stands on its own. P is the structural Pfender
-certificate (P - a_0, a_0), and ``verify_certificate`` is one call of
-``pfender.pfender_bound`` on it.
+certificate that stands on its own by lowering its a_0 alone. P is the
+structural Pfender certificate (P - a_0, a_0), and ``verify_certificate``
+is one call of ``pfender.pfender_bound`` on it.
 """
 
 from __future__ import annotations
@@ -210,17 +210,17 @@ def _touching(d, coeffs, sample_basis, cos_theta):
 
 
 def _certified(d, cos_theta, coeffs, violation, p_at_1):
-    """The certificate P_hat = (P - shift) / (1 - shift) of the a_0 = 1
-    ``coeffs``, with its ``verify_certificate`` report, and the shift; None
-    at shift >= 1. One rule for f_m, a polished P and an LP answer: shift
-    = max(violation, 0) + noise, for P's maximum ``violation`` on [-1,
-    cos_theta], makes P_hat nonpositive there, keeps a_0 = 1 and every
-    a_k >= 0, and costs a slightly larger bound. A P_hat that fails
+    """The certificate P_hat = P - shift of the a_0 = 1 ``coeffs``, with
+    its ``verify_certificate`` report, and the shift; None at shift >= 1.
+    One rule for f_m, a polished P and an LP answer: shift = max(violation,
+    0) + noise, for P's maximum ``violation`` on [-1, cos_theta], makes
+    P_hat nonpositive there by lowering a_0 alone, to 1 - shift (c of the
+    Pfender form), at a slightly larger bound. A P_hat that fails
     ``verify_certificate`` raises CodeBoundsError (internal error)."""
     shift = max(violation, 0.0) + _noise(p_at_1)
     if shift >= 1.0:
         return None
-    poly = GegenbauerPoly(d, np.append(1.0 - shift, coeffs[1:]) / (1.0 - shift))
+    poly = GegenbauerPoly(d, np.append(1.0 - shift, coeffs[1:]))
     bound_real, bound_int, _ = pfender.bound_values(*pfender_form(poly))
     certificate = DGSCertificate(cos_theta, poly, bound_real, bound_int)
     report = certificate.verification = verify_certificate(certificate)
@@ -308,9 +308,10 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     the polished P when its maximum is at most the noise term
     (``_touching``): its P(1) is then within noise * P(1) of a lower bound
     on every certificate of the degree. Its report gains a message, before
-    the rounds message, that names the Newton steps, the active points,
-    L_dual (-inf where ``_dual_bound`` rejects it), the grid LP optimum
-    and the gap bound_real / max(L_dual, optimum) - 1.
+    the rounds message (the P(1) shifted, the shift, the rounds), that
+    names the Newton steps, the active points, L_dual (-inf where
+    ``_dual_bound`` rejects it), the grid LP optimum and the gap
+    bound_real / max(L_dual, optimum) - 1.
 
     An unpolished round whose P has no critical point above 0 adds no
     cuts and ends the rounds, as does MAX_ROUNDS. A later round's LP that
@@ -391,17 +392,16 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
         )
     certificate, shift = certified
     report = certificate.verification
-    grid_bound = p_at_1
     if polish is not None:
-        grid_bound, active, dual = polish
-        gap = certificate.bound_real / max(grid_bound, dual) - 1.0
+        optimum, active, dual = polish
+        gap = certificate.bound_real / max(optimum, dual) - 1.0
         report.messages.append(
             f"Newton-polished in {NEWTON_STEPS} steps on the active points "
             f"[{', '.join(f'{t:.6g}' for t in active)}]: dual bound {dual!r}, "
-            f"grid LP optimum {grid_bound!r}, gap {gap!r}"
+            f"grid LP optimum {optimum!r}, gap {gap!r}"
         )
     report.messages.append(
-        f"grid LP bound {grid_bound!r} inflated by shift {shift!r} over "
+        f"P(1) {p_at_1!r} inflated by shift {shift!r} over "
         f"{rounds_used} cutting-plane rounds{failed_round}"
     )
     return certificate

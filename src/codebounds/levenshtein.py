@@ -173,8 +173,10 @@ def bdb_test(dim, s, degree, polynomial):
 def gegenbauer_coefficients(dim, s, eps, zeros):
     """f_m's Gegenbauer coefficients a_0..a_m, divided by a_0: its
     ascending monomial coefficients, multiplied out root by root in Python
-    floats, then ``expand_in_basis`` (back-substitution, whose error does
-    not grow with the dimension as the quadrature projection's does)."""
+    floats, then ``expand_in_basis`` (back-substitution). Both steps lose
+    digits at high degree: the sum misses ``levenshtein``'s L by 6.5e-5
+    relative at (121, .579), and by 3.6e-5 from correctly rounded monomial
+    coefficients, where the quadrature's L is within 1e-12 of exact."""
     roots = [s] + [-1.0] * eps + [float(z) for z in zeros for _ in range(2)]
     mono = [1.0]
     for root in roots:

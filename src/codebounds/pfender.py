@@ -212,7 +212,7 @@ class PfenderCheckResult:
     applicable: bool
     reason: str | None
     n: int
-    slack: float | None  # bound_real - n when applicable
+    slack: int | None  # bound_int - n when applicable (n <= bound_int)
 
 
 def condition_i(phi: PhiSpec) -> tuple[bool, str]:
@@ -450,7 +450,6 @@ def functional_pfender_check(
         finite_set,
     )
     checked = certificate.verification
-    bound_real = certificate.bound_real
     if not checked.passed:
         parts = []
         if not checked.condition_i_ok:
@@ -466,10 +465,10 @@ def functional_pfender_check(
         return PfenderCheckResult(certificate, False, reason, n, None)
     if n > certificate.bound_int:
         raise TheoremViolationError(
-            f"code with n = {n} exceeds certified bound {bound_real!r} "
+            f"code with n = {n} exceeds certified bound {certificate.bound_real!r} "
             f"(phi(1) = {phi.phi_at_1!r}, c = {c!r})"
         )
-    return PfenderCheckResult(certificate, True, None, n, bound_real - n)
+    return PfenderCheckResult(certificate, True, None, n, certificate.bound_int - n)
 
 
 def phi_to_json_dict(phi: PhiSpec) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from codebounds import codes, jsonutil
-from codebounds.dgs_bound import bound_table, lp_bound, verify_certificate
+from codebounds.dgs_bound import bound_table, lp_bound, pfender_form, verify_certificate
 from codebounds.gegenbauer import (
     GegenbauerPoly,
     basis_values,
@@ -215,14 +215,10 @@ def _certificate_catalog():
     nodes = np.linspace(-1.0, 1.0, 41)
     for d in (3, 5):
         catalog.append(("table", PhiSpec("table", nodes.copy()), 1.0 / d, "interval"))
-    # LP-bound polynomials recast as structural certificates: phi = P - 1, c = 1
+    # LP-bound polynomials recast as structural certificates (P - a_0, a_0)
     for d, degree in ((3, 10), (4, 10), (8, 6)):
-        cert = cached_lp_bound(d, 0.5, degree)
-        coeffs = cert.poly.coeffs.copy()
-        coeffs[0] = 0.0
-        catalog.append(
-            ("dgs", PhiSpec("gegenbauer", coeffs, dim=d), 1.0, "interval")
-        )
+        phi, c = pfender_form(cached_lp_bound(d, 0.5, degree).poly)
+        catalog.append(("dgs", phi, c, "interval"))
     return catalog
 
 

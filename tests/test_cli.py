@@ -433,6 +433,24 @@ class TestCode:
             assert err.startswith(f"stored {field} rejected: ")
             assert err.count("\n") == 1
 
+    def test_check_theorem_slack_is_against_the_floor(self, tmp_path, capsys):
+        # the README's g1 certificate at d = 5 bounds the simplex's n = 6 by
+        # bound_real 5.9999999999999991; applicability is n <= bound_int = 6,
+        # so the slack is bound_int - n = 0 (bound_real - n is -8.9e-16)
+        simplex, phi, cert = (tmp_path / name for name in ("s.json", "p.json", "c.json"))
+        assert cli.main(["code", "gen", "--family", "simplex", "--dim", "5",
+                         "--out", str(simplex)]) == 0
+        jsonutil.dump_path(
+            str(phi), {"basis": "gegenbauer", "dim": 5, "coeffs": [0.0, 1.0]}
+        )
+        assert cli.main(["bound", "pfender", "--phi", str(phi), "--c", "0.2",
+                         "--cos-theta", "-0.2", "--out", str(cert)]) == 0
+        capsys.readouterr()
+        argv = ["code", "check-theorem", "--file", str(simplex), "--cert", str(cert)]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (0, "n=6 bound=5.9999999999999991 slack=0\n", "")
+
     def test_check_theorem_inapplicable_exits_1(self, tmp_path):
         d4 = tmp_path / "d4.json"
         phi = tmp_path / "phi.json"

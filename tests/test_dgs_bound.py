@@ -32,7 +32,7 @@ from codebounds.scanning import chebyshev_points
 
 # the last verification message of a certificate from lp_bound
 ROUNDS_MESSAGE = re.compile(
-    r"grid LP bound \S+ inflated by shift \S+ over (\d+) cutting-plane rounds"
+    r"P\(1\) \S+ inflated by shift \S+ over (\d+) cutting-plane rounds"
 )
 # the one message of a certificate from Levenshtein's path
 LEVENSHTEIN_MESSAGE = re.compile(
@@ -268,7 +268,7 @@ class TestLevenshteinPath:
         if m < case[2]:
             # the BDB test values sit at or above minus their rounding
             assert float(least) > -1e-9
-        # P_hat = (P - shift) / (1 - shift) with shift >= the noise term
+        # P_hat = P - shift, a_0 = 1 - shift, with shift >= the noise term
         p_at_1, shift = float(found[5]), float(found[6])
         assert shift >= 1e-10 + 3e-15 * p_at_1
         assert cert.bound_real == pytest.approx(
@@ -609,15 +609,15 @@ class TestWarmStartedRounds:
         [
             # polished at round 1: 13.158330866783311 (1 round, unpolished)
             # -> 13.158329766062526
-            ((3, 0.5, 10), "94ee1bfa44a2041f438004776821737ea78e40a7ac386804b8fba27a3fadfc09"),
+            ((3, 0.5, 10), "d192266bd220d33c59777e8f45e3028a2e706950f5aecdad1d4289aa8ac8b4fd"),
             # polished at round 1: 25.558461854548923 (1 round, unpolished)
             # -> 25.558429100027986
-            ((4, 0.5, 10), "9ccce33b633d7c0af062e1d0d58ad47ddee0c6e78940de5aba3b2f2214441534"),
+            ((4, 0.5, 10), "9625788a5a137aaad378c77f9d070e455c3bf6a36cdb6b71892e9988cba3b5c5"),
             # polished at round 1: 240.0000115669 (2 rounds, unpolished) ->
             # 240.0000000241
-            ((8, 0.5, 6), "b6d0b43115e1444ed1ae0a26ad67b7a06da76786cae89522a512e7b9ea96c3c6"),
+            ((8, 0.5, 6), "cd04cd2fcf75a215a301eea74a7b5628e435f9e9d7140e70ac5aa1aa6210eb2b"),
             # polished at round 1: 196560.00013627874 (4 rounds) -> 196560.00013556413
-            ((24, 0.5, 10), "bd816bba5e8c3df5004d97bae0e08c01d455eccb08bc169de09a0ee0c2437ce0"),
+            ((24, 0.5, 10), "da57543753ff650f2e2aa342bedd9699776b2f0a0f8b271c416a43f31a33a67a"),
         ],
     )
     @pytest.mark.usefixtures("lp_path")
@@ -692,16 +692,16 @@ class TestWarmStartedRounds:
 # the rounds, so (24, .5, 20) ends after 4 rounds and (32, .5, 20) after 5,
 # where they would run to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
-    (3, 0.5, 10): "dd1ab224879acf6c185c3afae916d0c344716d7ee5aa91f9d5a573cefd93bbf7",
-    (4, 0.5, 10): "1bcb3a90bd85e0033aa6b8762e8f656a333572b0a3ca2f732f32fc54b1d91bd3",
-    (8, 0.5, 6): "647cd0a8105e7ee642fd5ed179120bb9326bc0deb84f4cc944d03e14899d98e1",
-    (24, 0.5, 10): "b4a238cbdbb56e433e72cf9e4df209ab0a8f092de9fbcbf0eb6a49783ff656e7",
-    (24, 0.5, 20): "59642895eaf4c5d8f37572343846b3ae08045c065efd92c70d83106a96b8eafb",
-    (32, 0.5, 20): "5624d4befa9a7bb5261c9d87e7f0c862feae70666f818ad0ffb01eb61304673d",
-    (16, 0.7, 16): "c8bee47eed9ad25a3673e9793e0625f73caac62f6abba97a2b875cbd5f2460c5",
-    (24, 0.7, 30): "3d841b7ade03ee9dd1f77cdde689ec905e8284234afe8b36ecfb6cd195aecc58",
-    (48, 0.5, 30): "3c7248cab2f6ad1c0c98197ed80a911d66db033f2555a4dd3e9db53d788e4c24",
-    (32, 0.5, 30): "63110b9389d89a757919c6f17759740f1151a84b5c824598934de9212b18d7c3",
+    (3, 0.5, 10): "13069d5f49e73442f2f513d4c9bdac592a42500d0deefbbb4e7db7d9ab86c4d4",
+    (4, 0.5, 10): "b7088e5636dadfe722ed21e040684575482a6c0d0a2af8c636814ee5d9b92c43",
+    (8, 0.5, 6): "b448feff79df332d49d57b9bdbc6cc5925407c946940f07d2a3dd08d3ebcfd5c",
+    (24, 0.5, 10): "81db634df6e07345aade7f9532bdb4e5a5c62f744fdc712256d3c4f4b32c9671",
+    (24, 0.5, 20): "166572cf6081ef843a3ba62892694aea78862ccc4fa533d3e96524756f77f303",
+    (32, 0.5, 20): "df8464f50c96ea74538489d4e6a3f977959ddc004f269b709033481dc974869a",
+    (16, 0.7, 16): "f15b15365f80a05a2e1a1fd31430bebac9e3e2195d0bf51150c8a54f26c4f86d",
+    (24, 0.7, 30): "670fac6e8f714de47b9e9b993e85583b2b5fb72629b6e5c2709b2751734f473a",
+    (48, 0.5, 30): "688fc2cc204ac82e3c75d32fef106e8a6eaa9decba99d13d120f7db5c946f1ff",
+    (32, 0.5, 30): "323dd3e538888133f60807a3926fac9c8b6c71c26905601d5880bd270bd69ade",
 }
 # inputs whose loop ends with a polished certificate: six kissing_lp and
 # three lp_stress cases, (24, .765, 29), and four from the domain sweep, the
@@ -720,7 +720,7 @@ POLISH_MESSAGE = re.compile(
 # polished P(1) meets its own dual bound, 1.1e-5 to 3.4e-5 above the round's
 # grid LP optimum
 ROUND_ONE_CASES = [(24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30), (32, 0.5, 20)]
-SHIFT_MESSAGE = re.compile(r"grid LP bound (\S+) inflated by shift (\S+) over .*")
+SHIFT_MESSAGE = re.compile(r"P\(1\) (\S+) inflated by shift (\S+) over .*")
 
 
 @pytest.mark.usefixtures("lp_path")
@@ -739,14 +739,17 @@ class TestNewtonPolish:
         assert polish and shift and ROUNDS_MESSAGE.fullmatch(rounds)
         assert int(polish[1]) == dgs_bound.NEWTON_STEPS
         dual, optimum, gap = (float(polish[i]) for i in (3, 4, 5))
-        assert float(shift[1]) == optimum
+        # P_hat = P - s lowers a_0 alone: the P(1) that the message names,
+        # less 1 - a_0, over a_0 is the bound
+        p_at_1, s = float(shift[1]), float(shift[2])
+        a_0 = float(cert.poly.coeffs[0])
+        assert a_0 == 1.0 - s
+        assert (p_at_1 - (1.0 - a_0)) / a_0 == pytest.approx(cert.bound_real, rel=1e-15)
         # the lower bound the message names: the larger of the dual bound
         # (-inf where it does not hold) and the grid LP optimum
         lower = max(dual, optimum)
         assert gap == cert.bound_real / lower - 1.0
-        # P_hat = (P - s) / (1 - s): P(1) before the shift, and its noise term
-        s = float(shift[2])
-        p_at_1 = cert.bound_real * (1.0 - s) + s
+        # P(1)'s noise term
         assert s >= (1e-10 + 3e-15 * p_at_1) * (1.0 - 1e-9)
         assert cert.verification.max_sign_violation < 0.0
         # the stop rule: P(1) is within noise * P(1) of that lower bound on
@@ -1017,6 +1020,39 @@ class TestPfenderForm:
             assert back.bound_real == structural.bound_real
             passed.append(report.passed)
         assert passed == [True, False, False]
+
+
+class TestCertified:
+    @pytest.mark.parametrize(
+        "case, path",
+        [
+            ((8, 0.5, 6), "Levenshtein's f_6"),
+            ((3, 0.5, 10), "Newton-polished"),
+            ((3, -0.21, 1), "P(1)"),
+        ],
+        ids=str,
+    )
+    def test_the_shift_lowers_a_0_alone(self, monkeypatch, case, path):
+        # f_m, a polished P and a degree-1 LP answer: the certificate keeps
+        # the candidate's a_1..a_m bit for bit and lowers a_0 = 1 to
+        # 1 - shift, so that it is the Pfender certificate (P - 1, 1 - shift)
+        # with the search's phi, and it is proven <= 0 exactly
+        real_certified, calls = dgs_bound._certified, []
+
+        def certified(d, cos_theta, coeffs, violation, p_at_1):
+            found = real_certified(d, cos_theta, coeffs, violation, p_at_1)
+            calls.append((coeffs.copy(), found))
+            return found
+
+        monkeypatch.setattr(dgs_bound, "_certified", certified)
+        cert = lp_bound(*case)
+        ((coeffs, (certificate, shift)),) = calls
+        assert certificate is cert
+        assert cert.verification.messages[0].startswith(path)
+        assert coeffs[0] == 1.0
+        assert cert.poly.coeffs[1:].tobytes() == coeffs[1:].tobytes()
+        assert cert.poly.coeffs[0] == 1.0 - shift
+        assert prove_nonpositive(case[0], cert.poly.coeffs.tolist(), -1.0, case[1]) is None
 
 
 class TestBoundTable:

@@ -6,6 +6,7 @@ should too, up to its final shift. The strict xfails are the inputs known
 to miss, each with its cause; removing the mark is how a fix shows.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from codebounds.errors import NoCertificateError
 from codebounds.gegenbauer import MAX_TABLE_DEGREE, basis_values
 from codebounds.levenshtein import (
     bdb_test,
+    gegenbauer_coefficients,
     levenshtein,
     levenshtein_degree,
     levenshtein_polynomial,
@@ -75,6 +77,25 @@ def test_quadrature_agrees_with_exact_moments(dim, s):
     _, value = levenshtein(dim, s)
     exact = exact_levenshtein(dim, s)
     assert abs(Fraction(value) / exact - 1) <= Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize(
+    "dim, s",
+    [(8, 0.5), (24, 0.5), (3, 0.5), (96, 0.2794), (1000, 0.1), (16, 0.7)]
+    + [
+        pytest.param(121, 0.579, marks=pytest.mark.xfail(
+            reason="P(1) ~ 8.8e23: the float expansion misses L by 6.5e-5; "
+            "ROADMAP item 19a (exact f_m)",
+            raises=AssertionError,
+            strict=True,
+        ))
+    ],
+)
+def test_the_float_expansion_keeps_l(dim, s):
+    # gegenbauer_coefficients divides by a_0, so its sum is f_m(1) / a_0 = L
+    _, eps, zeros = levenshtein_polynomial(dim, s)
+    value = math.fsum(gegenbauer_coefficients(dim, s, eps, zeros).tolist())
+    assert value == pytest.approx(levenshtein(dim, s)[1], rel=1e-9)
 
 
 def jacobi_matrix(a, b, size):

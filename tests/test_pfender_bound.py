@@ -237,7 +237,7 @@ class TestFunctionalCheck:
             assert result.applicable
             assert result.certificate.bound_real == pytest.approx(d, abs=1e-9)
             assert result.n == d
-            assert abs(result.slack) <= 1e-9
+            assert result.slack == 0
 
     def test_simplex_interval_zero_slack(self):
         for d in (2, 4, 9):
@@ -247,7 +247,7 @@ class TestFunctionalCheck:
             )
             assert result.applicable
             assert result.certificate.bound_real == pytest.approx(d + 1, abs=1e-9)
-            assert abs(result.slack) <= 1e-9
+            assert result.slack == 0
 
     @pytest.mark.parametrize("variant", ["interval", "finite_set"])
     def test_single_point_code(self, variant):
@@ -570,7 +570,7 @@ def test_every_report_keeps_its_bits():
     ]
     assert len(lines) == 41 * 27 * 2
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "b761858f6c202d5570c48fed06230898139101cf0a0eb8fe3eaf549aaea9cbaf"
+    assert digest == "19fe8346172ee8500c94e807caf8a52a51c1582ae8668061d71964b7754aaa8a"
 
 
 # the certificate cases of the kissing_lp and lp_stress benchmark workloads
