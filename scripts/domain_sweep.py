@@ -40,11 +40,12 @@ from unittest.mock import patch
 import numpy as np
 
 from codebounds import dgs_bound, jsonutil
-from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
+from codebounds.dgs_bound import lp_bound
 from codebounds.errors import CodeBoundsError, NoCertificateError
 from codebounds.gegenbauer import MAX_TABLE_DEGREE
 from codebounds.levenshtein import levenshtein, levenshtein_degree
 from codebounds.linprog import solve_lp
+from codebounds.pfender import certificate_to_json_dict
 
 # a certificate at a degree >= m(s) above L by more than this is worse
 # than Levenshtein

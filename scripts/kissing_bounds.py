@@ -11,8 +11,9 @@ import os
 import time
 
 from codebounds import jsonutil
-from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
+from codebounds.dgs_bound import lp_bound
 from codebounds.errors import NoCertificateError
+from codebounds.pfender import certificate_to_json_dict
 
 DEFAULT_DEGREES = {3: 10, 4: 10, 8: 6, 24: 10}
 

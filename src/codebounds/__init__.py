@@ -31,7 +31,7 @@ _HOMES = {
         "expand_in_basis",
     ),
     "linprog": ("LinearProgram", "LPSolution", "solve_lp"),
-    "dgs_bound": ("DGSCertificate", "lp_bound", "verify_certificate", "bound_table"),
+    "dgs_bound": ("lp_bound", "verify_certificate", "bound_table"),
     "pfender": (
         "PhiSpec",
         "PfenderCertificate",

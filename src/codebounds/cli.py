@@ -5,7 +5,12 @@ Subcommands:
   bound lp|pfender            compute/verify bound certificates, write JSON
   code gen|verify|check-theorem
                               generate catalog codes, verify axioms, check a
-                              Pfender certificate against a concrete code
+                              certificate (bound lp's or bound pfender's)
+                              against a concrete code
+
+Both bound commands write one file format, a Pfender certificate with its
+verification report: bound lp's Delsarte polynomial P is the certificate
+(P - a_0, a_0). check-theorem also reads the "dgs" files of older versions.
 
 Exit codes: 0 success/verified, 1 unverified certificate or invalid code
 or inapplicable certificate (or, for check-theorem, a stored bound that
@@ -67,7 +72,6 @@ def cmd_bound(args) -> int:
             return 1
         # lp_bound raises rather than return a certificate that fails verification
         verified = True
-        to_json = dgs_bound.certificate_to_json_dict
     else:
         if args.finite_set and not args.code:
             raise ValueError("--finite-set needs --code: the finite evaluation set "
@@ -96,9 +100,10 @@ def cmd_bound(args) -> int:
                     + "; ".join(cert.verification.messages),
                     file=sys.stderr,
                 )
-        to_json = pfender.certificate_to_json_dict
     if args.out:
-        jsonutil.dump_path(args.out, to_json(cert))
+        from . import pfender
+
+        jsonutil.dump_path(args.out, pfender.certificate_to_json_dict(cert))
     print(
         f"bound_real={format_float(cert.bound_real)} bound_int={cert.bound_int} "
         f"verified={'yes' if verified else 'no'}"
@@ -203,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     cver.add_argument("--cos-theta", type=float)
     cthm = code_sub.add_parser("check-theorem")
     cthm.add_argument("--file", required=True, help="code JSON file")
-    cthm.add_argument("--cert", required=True, help="pfender certificate JSON file")
+    cthm.add_argument(
+        "--cert", required=True,
+        help="certificate JSON file, from bound lp or bound pfender",
+    )
     return parser
 
 

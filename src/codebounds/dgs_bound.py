@@ -9,20 +9,20 @@ Levenshtein's f_m where the Boyvalenkov-Danev-Bumova test shows it is that
 optimum (``levenshtein``), and otherwise solves the LP on a Chebyshev grid
 grown by cutting planes, with a Newton polish on its active set. One rule
 (``_certified``) turns f_m, a polished P or the last round into a
-certificate that stands on its own by lowering its a_0 alone. P is the
-structural Pfender certificate (P - a_0, a_0), and ``verify_certificate``
-is one call of ``pfender.pfender_bound`` on it.
+certificate that stands on its own by lowering its a_0 alone: the Pfender
+certificate (P - a_0, a_0) (``pfender.pfender_form``), which
+``verify_certificate`` re-checks from a file by one ``pfender_bound`` call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonutil, levenshtein, pfender
-from ._scalar import _check_int, _validate_inputs
+from . import levenshtein, pfender
+from ._scalar import _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import GegenbauerPoly, _derivative_recursion, basis_values
 from .linprog import LinearProgram, solve_lp
@@ -37,41 +37,23 @@ GAP_ROWS = 7
 NEWTON_STEPS = 3
 
 __all__ = [
-    "DGSVerification",
-    "DGSCertificate",
     "BoundTableRow",
     "lp_bound",
-    "pfender_form",
     "verify_certificate",
     "bound_table",
     "certificate_to_json_dict",
     "certificate_from_json_dict",
 ]
 
-
-@dataclass
-class DGSVerification:
-    passed: bool
-    max_sign_violation: float  # max of P over [-1, cos_theta]
-    violation_location: float
-    min_coeff: float
-    bound_error: float  # |bound_real - P(1)/a_0|, inf if pfender_bound rejects a_0
-    messages: list[str] = field(default_factory=list)
-
-
-@dataclass
-class DGSCertificate:
-    cos_theta: float
-    poly: GegenbauerPoly  # dimension and coefficients (a_0, ..., a_m)
-    bound_real: float
-    bound_int: int
-    verification: DGSVerification | None = None
+# a certificate is written and read by pfender's one file format
+certificate_to_json_dict = pfender.certificate_to_json_dict
+certificate_from_json_dict = pfender.certificate_from_json_dict
 
 
 @dataclass
 class BoundTableRow:
     degree: int
-    certificate: DGSCertificate | None  # None: no certificate at this degree
+    certificate: pfender.PfenderCertificate | None  # None: none at this degree
 
 
 def _gap_rows(grid: np.ndarray, peaks: np.ndarray) -> np.ndarray:
@@ -139,8 +121,8 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     point, when the system is singular, when a step is not finite or takes
     an a_k below 0, or when the polished P(1) exceeds both L_dual and the
     grid LP optimum ``p_at_1``, another lower bound, by more than noise *
-    P(1). ``_touching`` and ``verify_certificate`` decide whether the
-    polished P is a certificate.
+    P(1). ``_touching`` and ``_certified`` decide whether the polished P
+    is a certificate.
     """
     if not critical.size:
         return None
@@ -210,24 +192,24 @@ def _touching(d, coeffs, sample_basis, cos_theta):
 
 
 def _certified(d, cos_theta, coeffs, violation, p_at_1):
-    """The certificate P_hat = P - shift of the a_0 = 1 ``coeffs``, with
-    its ``verify_certificate`` report, and the shift; None at shift >= 1.
-    One rule for f_m, a polished P and an LP answer: shift = max(violation,
-    0) + noise, for P's maximum ``violation`` on [-1, cos_theta], makes
-    P_hat nonpositive there by lowering a_0 alone, to 1 - shift (c of the
-    Pfender form), at a slightly larger bound. A P_hat that fails
-    ``verify_certificate`` raises CodeBoundsError (internal error)."""
+    """The interval certificate ``pfender_form`` of P_hat = P - shift, for
+    the a_0 = 1 ``coeffs``, with its ``pfender_bound`` report, and the
+    shift; None at shift >= 1. One rule for f_m, a polished P and an LP
+    answer: shift = max(violation, 0) + noise, for P's maximum
+    ``violation`` on [-1, cos_theta], makes P_hat nonpositive there by
+    lowering a_0 alone, to c = 1 - shift, at a slightly larger bound. A
+    P_hat that fails ``pfender_bound`` raises CodeBoundsError (internal
+    error)."""
     shift = max(violation, 0.0) + _noise(p_at_1)
     if shift >= 1.0:
         return None
     poly = GegenbauerPoly(d, np.append(1.0 - shift, coeffs[1:]))
-    bound_real, bound_int, _ = pfender.bound_values(*pfender_form(poly))
-    certificate = DGSCertificate(cos_theta, poly, bound_real, bound_int)
-    report = certificate.verification = verify_certificate(certificate)
+    certificate = pfender.pfender_bound(*pfender.pfender_form(poly), cos_theta)
+    report = certificate.verification
     if not report.passed:
         raise CodeBoundsError(
             "internal error: freshly produced certificate failed verification "
-            f"(max sign violation {report.max_sign_violation!r})"
+            f"(condition (ii) margin {report.condition_ii_margin!r})"
         )
     return certificate, shift
 
@@ -281,7 +263,7 @@ def _levenshtein_basis(points, degree, polynomial):
     return np.concatenate([np.arange(m, degree), degree + rows.astype(int)])
 
 
-def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
+def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
     First, Levenshtein's path (``_levenshtein_path``): where f_m passes a
@@ -407,46 +389,34 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> DGSCertificate:
     return certificate
 
 
-def pfender_form(poly: GegenbauerPoly) -> tuple[pfender.PhiSpec, float]:
-    """The structural Pfender certificate (phi, c) = (P - a_0, a_0) that a
-    Delsarte polynomial P is: phi + c = P and (phi(1) + c) / c = P(1) / a_0
-    (Pfender, J. Combin. Theory A 114, 2007)."""
-    coeffs = poly.coeffs.copy()
-    c = float(coeffs[0])
-    coeffs[0] = 0.0
-    return pfender.PhiSpec("gegenbauer", coeffs, dim=poly.dim), c
-
-
-def verify_certificate(cert: DGSCertificate) -> DGSVerification:
-    """Independently re-check a certificate by one ``pfender.pfender_bound``
-    call on ``pfender_form(cert.poly)`` (every a_k >= 0 exactly, P <=
-    COND_TOL on [-1, cos_theta], the bound P(1)/a_0 and its floor), then
-    compare the stored bounds (``pfender.stored_bound_mismatches``); all
-    failures are collected. An a_0 <= 0 or a P(1)/a_0 past the float range
-    fails with pfender_bound's message alone; a cos_theta outside [-1, 1]
-    raises ValueError.
+def verify_certificate(cert: pfender.PfenderCertificate) -> pfender.PfenderVerification:
+    """Independently re-check a stored interval certificate by one
+    ``pfender.pfender_bound`` call on (phi, c) (every Gegenbauer
+    coefficient >= 0 exactly, phi + c <= COND_TOL on [-1, cos_theta], the
+    bound (phi(1) + c)/c and its floor), then compare the stored bounds
+    (``pfender.stored_bound_mismatches``); all failures are collected. A
+    c <= 0 or a bound past the float range fails with pfender_bound's
+    message alone; a finite-set certificate, which needs its code, or a
+    cos_theta outside [-1, 1] raises ValueError.
     """
+    if cert.variant != "interval":
+        raise ValueError(f"a {cert.variant} certificate is checked against its code")
     cos_theta = pfender._checked_cos_theta(cert.cos_theta)
-    phi, a0 = pfender_form(cert.poly)
-    min_coeff = float(np.min(cert.poly.coeffs))
     try:
-        structural = pfender.pfender_bound(phi, a0, cos_theta)
+        structural = pfender.pfender_bound(cert.phi, cert.c, cos_theta)
     except ValueError as exc:
-        margin = pfender.interval_margin(phi, a0, cos_theta)
-        return DGSVerification(False, *margin, min_coeff, math.inf, [str(exc)])
-    checked = structural.verification
-    messages = [] if checked.condition_i_ok else [checked.condition_i_evidence]
-    messages += checked.messages
-    ratio, floor = structural.bound_real, structural.bound_int
-    messages += pfender.stored_bound_mismatches(cert, ratio, floor, "P(1)/a_0").values()
-    return DGSVerification(
-        passed=not messages,
-        max_sign_violation=checked.condition_ii_margin,
-        violation_location=checked.condition_ii_location,
-        min_coeff=min_coeff,
-        bound_error=abs(ratio - cert.bound_real),
-        messages=messages,
+        margin, location = pfender.interval_margin(cert.phi, cert.c, cos_theta)
+        ok_i, evidence = pfender.condition_i(cert.phi)
+        return pfender.PfenderVerification(
+            ok_i, evidence, False, margin, location, False, False, [str(exc)]
+        )
+    report = structural.verification
+    mismatches = pfender.stored_bound_mismatches(
+        cert, structural.bound_real, structural.bound_int
     )
+    report.messages += mismatches.values()
+    report.passed = report.passed and not mismatches
+    return report
 
 
 def bound_table(d: int, cos_theta: float, degrees) -> list[BoundTableRow]:
@@ -460,54 +430,3 @@ def bound_table(d: int, cos_theta: float, degrees) -> list[BoundTableRow]:
             cert = None
         rows.append(BoundTableRow(m, cert))
     return rows
-
-
-def certificate_to_json_dict(cert: DGSCertificate) -> dict:
-    verification = cert.verification
-    return {
-        "kind": "dgs",
-        "dim": int(cert.poly.dim),
-        "cos_theta": float(cert.cos_theta),
-        "gegenbauer_coeffs": [float(v) for v in cert.poly.coeffs],
-        "bound_real": float(cert.bound_real),
-        "bound_int": int(cert.bound_int),
-        "verification": {
-            "passed": bool(verification.passed),
-            "max_sign_violation": float(verification.max_sign_violation),
-            "violation_location": float(verification.violation_location),
-            "min_coeff": float(verification.min_coeff),
-            "bound_error": float(verification.bound_error),
-            "messages": list(verification.messages),
-        }
-        if verification is not None
-        else None,
-    }
-
-
-def certificate_from_json_dict(data: dict) -> DGSCertificate:
-    if jsonutil.json_object(data, "dgs certificate").get("kind") != "dgs":
-        raise ValueError("not a dgs certificate")
-    coeffs = jsonutil.json_reals(data["gegenbauer_coeffs"], "gegenbauer_coeffs")
-    verification = None
-    raw = data.get("verification")
-    if raw is not None:
-        # read as strictly as the certificate: bool("false") is True
-        jsonutil.json_object(raw, "verification")
-        passed, messages = raw["passed"], raw.get("messages", [])
-        if not isinstance(passed, bool):
-            raise ValueError(f"passed must be true or false, got {passed!r}")
-        if not isinstance(messages, list) or not all(
-            isinstance(m, str) for m in messages
-        ):
-            raise ValueError(f"messages must be an array of strings, got {messages!r}")
-        reals = ("max_sign_violation", "violation_location", "min_coeff", "bound_error")
-        verification = DGSVerification(
-            passed, *(jsonutil.json_real(raw[name], name) for name in reals), messages
-        )
-    return DGSCertificate(
-        cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
-        poly=GegenbauerPoly(_check_int(data["dim"], "dim"), coeffs),
-        bound_real=jsonutil.json_real(data["bound_real"], "bound_real"),
-        bound_int=_check_int(data["bound_int"], "bound_int"),
-        verification=verification,
-    )

@@ -18,8 +18,9 @@ Gegenbauer combination), ``interval_margin`` (the maximum of phi + c on
 phi(1) + c <= 1 clause) and ``stored_bound_mismatches`` (a file's stored
 bounds against those). Only the margin has a tolerance, COND_TOL: a
 coefficient must be >= 0, and phi(1) + c <= 1, exactly. A Delsarte
-polynomial P is verified by one ``pfender_bound`` call on the structural
-certificate (P - a_0, a_0) (``dgs_bound.pfender_form``).
+polynomial P is the structural certificate (P - a_0, a_0)
+(``pfender_form``; ``PfenderCertificate.poly`` is its inverse), so the
+LP bound's certificates are verified, written and read as these are.
 
 A ``PhiSpec`` is immutable, like a code: its coefficients are a
 read-only copy. The same phi is typically checked against many codes,
@@ -66,7 +67,7 @@ from . import jsonutil
 from ._immutable import Rebuilt, float_array, read_only
 from ._scalar import _check_dim, _check_int, _point_values
 from .errors import TheoremViolationError
-from .gegenbauer import _check_r, _horner, _recursion, basis_values
+from .gegenbauer import GegenbauerPoly, _check_r, _horner, _recursion, basis_values
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
@@ -80,6 +81,7 @@ __all__ = [
     "interval_margin",
     "bound_values",
     "stored_bound_mismatches",
+    "pfender_form",
     "pfender_bound",
     "double_sum",
     "functional_pfender_check",
@@ -205,6 +207,16 @@ class PfenderCertificate:
     bound_int: int
     verification: PfenderVerification | None = None
 
+    @property
+    def poly(self) -> GegenbauerPoly:
+        """phi + c as a Delsarte polynomial P, the inverse of
+        ``pfender_form``; a phi that is not Gegenbauer raises ValueError."""
+        if self.phi.basis != "gegenbauer":
+            raise ValueError(f"a {self.phi.basis} phi is not a Gegenbauer polynomial")
+        coeffs = self.phi.coeffs.copy()
+        coeffs[0] += self.c
+        return GegenbauerPoly(self.phi.dim, coeffs)
+
 
 @dataclass
 class PfenderCheckResult:
@@ -295,23 +307,22 @@ def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
 
 
 def stored_bound_mismatches(
-    stored, bound_real: float, bound_int: int, formula: str = "(phi(1) + c)/c"
+    stored, bound_real: float, bound_int: int
 ) -> dict[str, str]:
     """The stored bounds of ``stored`` (a certificate) that disagree with
     the bound and floor that ``bound_values`` computed, each field name
     mapped to its message: ``bound_real`` must lie within 1e-9 relative
-    of the bound, and ``bound_int`` must equal the floor. ``formula``
-    names the bound in the messages."""
+    of the bound, and ``bound_int`` must equal the floor."""
     mismatches = {}
     # written so that a NaN stored bound fails
     if not abs(bound_real - stored.bound_real) <= 1e-9 * max(1.0, abs(bound_real)):
         mismatches["bound_real"] = (
-            f"bound arithmetic: stored {stored.bound_real!r} vs {formula} = "
+            f"bound arithmetic: stored {stored.bound_real!r} vs (phi(1) + c)/c = "
             f"{bound_real!r}"
         )
     if stored.bound_int != bound_int:
         mismatches["bound_int"] = (
-            f"bound_int {stored.bound_int} is not floor({formula}) = {bound_int}"
+            f"bound_int {stored.bound_int} is not floor((phi(1) + c)/c) = {bound_int}"
         )
     return mismatches
 
@@ -373,6 +384,16 @@ def _certify(phi, c, cos_theta, variant, ok_i, evidence, finite_set=None):
         bound_int=bound_int,
         verification=verification,
     )
+
+
+def pfender_form(poly: GegenbauerPoly) -> tuple[PhiSpec, float]:
+    """The structural Pfender certificate (phi, c) = (P - a_0, a_0) that a
+    Delsarte polynomial P is: phi + c = P and (phi(1) + c) / c = P(1) / a_0
+    (Pfender, J. Combin. Theory A 114, 2007)."""
+    coeffs = poly.coeffs.copy()
+    c = float(coeffs[0])
+    coeffs[0] = 0.0
+    return PhiSpec("gegenbauer", coeffs, dim=poly.dim), c
 
 
 def pfender_bound(phi: PhiSpec, c: float, cos_theta: float) -> PfenderCertificate:
@@ -488,8 +509,30 @@ def phi_from_json_dict(data: dict) -> PhiSpec:
     )
 
 
+def _verification_from_json_dict(data: dict) -> PfenderVerification:
+    """A stored report, read as strictly as the certificate (bool("false")
+    is True); a null margin, with a null location, stands for -inf."""
+    report = PfenderVerification(**jsonutil.json_object(data, "verification"))
+    for name in ("condition_i_ok", "condition_ii_ok", "passed", "special_case_le_one"):
+        if not isinstance(value := getattr(report, name), bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+    evidence, messages = report.condition_i_evidence, data["messages"]
+    if not isinstance(evidence, str):
+        raise ValueError(f"condition_i_evidence must be a string, got {evidence!r}")
+    if not isinstance(messages, list) or not all(isinstance(m, str) for m in messages):
+        raise ValueError(f"messages must be an array of strings, got {messages!r}")
+    if report.condition_ii_location is None and report.condition_ii_margin is None:
+        report.condition_ii_margin = -math.inf
+    else:
+        for name in ("condition_ii_margin", "condition_ii_location"):
+            setattr(report, name, jsonutil.json_real(getattr(report, name), name))
+    return report
+
+
 def certificate_to_json_dict(cert: PfenderCertificate) -> dict:
-    return {
+    """The certificate file, with its report when ``cert.verification`` is
+    set."""
+    data = {
         "kind": "pfender",
         "variant": cert.variant,
         "phi": phi_to_json_dict(cert.phi),
@@ -498,20 +541,42 @@ def certificate_to_json_dict(cert: PfenderCertificate) -> dict:
         "bound_real": float(cert.bound_real),
         "bound_int": int(cert.bound_int),
     }
+    if cert.verification is not None:
+        # the report's fields in their order; asdict would deep-copy them
+        report = data["verification"] = dict(vars(cert.verification))
+        if report["condition_ii_location"] is None:
+            # -inf, a finite set with no off-diagonal value: dumps refuses it
+            report["condition_ii_margin"] = None
+    return data
 
 
 def certificate_from_json_dict(data: dict) -> PfenderCertificate:
-    if jsonutil.json_object(data, "pfender certificate").get("kind") != "pfender":
-        raise ValueError("not a pfender certificate")
-    phi = phi_from_json_dict(data["phi"])
-    variant = data["variant"]
-    if variant not in ("interval", "finite_set"):
-        raise ValueError(f"unknown certificate variant {variant!r}")
+    """A certificate file, with its stored report if it has one. A "dgs"
+    file of older versions, a Delsarte polynomial P, loads as the interval
+    certificate ``pfender_form(P)``, without the report it stores."""
+    kind = jsonutil.json_object(data, "pfender certificate").get("kind")
+    verification = None
+    if kind == "dgs":
+        coeffs = jsonutil.json_reals(data["gegenbauer_coeffs"], "gegenbauer_coeffs")
+        dim = _check_int(data["dim"], "dim")
+        phi, c = pfender_form(GegenbauerPoly(dim, coeffs))
+        variant = "interval"
+    elif kind == "pfender":
+        phi = phi_from_json_dict(data["phi"])
+        c = jsonutil.json_real(data["c"], "c")
+        variant = data["variant"]
+        if variant not in ("interval", "finite_set"):
+            raise ValueError(f"unknown certificate variant {variant!r}")
+        if "verification" in data:
+            verification = _verification_from_json_dict(data["verification"])
+    else:
+        raise ValueError(f"unknown certificate kind {kind!r}")
     return PfenderCertificate(
         phi=phi,
-        c=jsonutil.json_real(data["c"], "c"),
+        c=c,
         cos_theta=jsonutil.json_real(data["cos_theta"], "cos_theta"),
         variant=variant,
         bound_real=jsonutil.json_real(data["bound_real"], "bound_real"),
         bound_int=_check_int(data["bound_int"], "bound_int"),
+        verification=verification,
     )

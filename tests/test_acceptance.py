@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines and timings.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from codebounds import codes, jsonutil
-from codebounds.dgs_bound import bound_table, lp_bound, pfender_form, verify_certificate
+from codebounds.dgs_bound import bound_table, lp_bound, verify_certificate
 from codebounds.gegenbauer import (
     GegenbauerPoly,
     basis_values,
@@ -217,8 +218,8 @@ def _certificate_catalog():
         catalog.append(("table", PhiSpec("table", nodes.copy()), 1.0 / d, "interval"))
     # LP-bound polynomials recast as structural certificates (P - a_0, a_0)
     for d, degree in ((3, 10), (4, 10), (8, 6)):
-        phi, c = pfender_form(cached_lp_bound(d, 0.5, degree).poly)
-        catalog.append(("dgs", phi, c, "interval"))
+        cert = cached_lp_bound(d, 0.5, degree)
+        catalog.append(("dgs", cert.phi, cert.c, "interval"))
     return catalog
 
 
@@ -341,26 +342,17 @@ def test_criterion_9_lp_oracle_and_mutations():
     mutations_rejected = 0
     mutations_total = 0
     for cert in emitted:
-        negated = cert.poly.coeffs.copy()
+        negated = cert.phi.coeffs.copy()
         negated[1] = -abs(negated[1]) - 0.1
-        mutant = type(cert)(
-            cos_theta=cert.cos_theta,
-            poly=GegenbauerPoly(cert.poly.dim, negated),
-            bound_real=cert.bound_real,
-            bound_int=cert.bound_int,
+        mutant = dataclasses.replace(
+            cert, phi=PhiSpec("gegenbauer", negated, dim=cert.phi.dim)
         )
         mutations_total += 1
         if not verify_certificate(mutant).passed:
             mutations_rejected += 1
 
-        shifted = cert.poly.coeffs.copy()
-        shifted[0] += 0.5  # pushes P above zero on the interval
-        mutant = type(cert)(
-            cos_theta=cert.cos_theta,
-            poly=GegenbauerPoly(cert.poly.dim, shifted),
-            bound_real=cert.bound_real,
-            bound_int=cert.bound_int,
-        )
+        # a_0 + 0.5 pushes P = phi + c above zero on the interval
+        mutant = dataclasses.replace(cert, c=cert.c + 0.5)
         mutations_total += 1
         if not verify_certificate(mutant).passed:
             mutations_rejected += 1

@@ -135,7 +135,7 @@ class TestBoundLP:
         assert "bound_int=240" in out
         assert "verified=yes" in out
         data = json.loads(out_file.read_text())
-        assert data["kind"] == "dgs"
+        assert data["kind"] == "pfender" and data["variant"] == "interval"
         assert data["bound_int"] == 240
         assert data["verification"]["passed"] is True
 

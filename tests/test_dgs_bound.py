@@ -1,6 +1,7 @@
 """LP bound pipeline: flagship values, verification, mutations, JSON."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,25 +10,27 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from exact_sign import prove_nonpositive
 
-from codebounds import dgs_bound, jsonutil, pfender
-from codebounds.dgs_bound import (
-    DGSCertificate,
-    bound_table,
-    certificate_from_json_dict,
-    certificate_to_json_dict,
-    lp_bound,
-    pfender_form,
-    verify_certificate,
-)
+from codebounds import cli, dgs_bound, jsonutil, pfender
+from codebounds.dgs_bound import bound_table, lp_bound, verify_certificate
 from codebounds.errors import LPFailureError, NoCertificateError
 from codebounds.gegenbauer import GegenbauerPoly
 from codebounds.linprog import LPSolution, solve_lp
+from codebounds.pfender import (
+    PfenderCertificate,
+    PhiSpec,
+    certificate_from_json_dict,
+    certificate_to_json_dict,
+    pfender_form,
+)
 from codebounds.scanning import chebyshev_points
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # the last verification message of a certificate from lp_bound
@@ -274,7 +277,7 @@ class TestLevenshteinPath:
         assert cert.bound_real == pytest.approx(
             (p_at_1 - shift) / (1.0 - shift), rel=1e-15
         )
-        assert cert.verification.max_sign_violation < 0.0
+        assert cert.verification.condition_ii_margin < 0.0
 
     def test_the_anchors_keep_their_windows(self):
         assert 240.0 - 1e-6 <= lp_bound(8, 0.5, 6).bound_real <= 240.001
@@ -478,6 +481,20 @@ class TestDomainSweep:
         assert time.perf_counter() - start < 2.0
 
 
+# the sha256 of the file of each certificate that the Newton polish ends
+# at round 1; each comment gives its bound unpolished -> polished
+ONE_ROUND_DIGESTS = {
+    # 13.158330866783311 (1 round, unpolished) -> 13.158329766062526
+    (3, 0.5, 10): "57db74f61cbe29c1f49ae6a07dbea3eaca54100f73bc8e17b23311e40be9c95e",
+    # 25.558461854548923 (1 round, unpolished) -> 25.558429100027986
+    (4, 0.5, 10): "f532210920be5fcd0de2fb49a0f8fa5a8d0177f32583c198b576182cc3ca1aec",
+    # 240.0000115669 (2 rounds, unpolished) -> 240.0000000241
+    (8, 0.5, 6): "f26b2859f4f1180ed8fbcf062067ed9ed3cd67a480b4199b4a04e6425fe6808b",
+    # 196560.00013627874 (4 rounds) -> 196560.00013556413
+    (24, 0.5, 10): "2c430ea800a60e23ebfff4c58fa53ac22514b4f6c0d0ec2b2dcf4c020e17e855",
+}
+
+
 class TestWarmStartedRounds:
     @staticmethod
     def _record(monkeypatch):
@@ -604,24 +621,9 @@ class TestWarmStartedRounds:
         assert all(solution.status == "optimal" for _, _, solution in calls)
         assert "LP status" not in cert.verification.messages[-1]
 
-    @pytest.mark.parametrize(
-        "case, digest",
-        [
-            # polished at round 1: 13.158330866783311 (1 round, unpolished)
-            # -> 13.158329766062526
-            ((3, 0.5, 10), "d192266bd220d33c59777e8f45e3028a2e706950f5aecdad1d4289aa8ac8b4fd"),
-            # polished at round 1: 25.558461854548923 (1 round, unpolished)
-            # -> 25.558429100027986
-            ((4, 0.5, 10), "9625788a5a137aaad378c77f9d070e455c3bf6a36cdb6b71892e9988cba3b5c5"),
-            # polished at round 1: 240.0000115669 (2 rounds, unpolished) ->
-            # 240.0000000241
-            ((8, 0.5, 6), "cd04cd2fcf75a215a301eea74a7b5628e435f9e9d7140e70ac5aa1aa6210eb2b"),
-            # polished at round 1: 196560.00013627874 (4 rounds) -> 196560.00013556413
-            ((24, 0.5, 10), "da57543753ff650f2e2aa342bedd9699776b2f0a0f8b271c416a43f31a33a67a"),
-        ],
-    )
+    @pytest.mark.parametrize("case", ONE_ROUND_DIGESTS, ids=str)
     @pytest.mark.usefixtures("lp_path")
-    def test_one_round_certificates_keep_their_bytes(self, tmp_path, case, digest):
+    def test_one_round_certificates_keep_their_bytes(self, tmp_path, case):
         # each runs one round, a single LP, so its file pins the LP, the
         # Newton polish, its dual bound, the shift and the verification report
         # (maxima from the roots of P'); UNPOLISHED_DIGESTS pins the unpolished
@@ -630,7 +632,7 @@ class TestWarmStartedRounds:
         # maximum is taken over the critical points of P' on [-1, 1]
         path = tmp_path / "cert.json"
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ONE_ROUND_DIGESTS[case]
 
     @pytest.mark.usefixtures("lp_path")
     @pytest.mark.parametrize("case", [(3, 0.5, 10), (24, 0.5, 10), (24, 0.765, 29)])
@@ -692,16 +694,16 @@ class TestWarmStartedRounds:
 # the rounds, so (24, .5, 20) ends after 4 rounds and (32, .5, 20) after 5,
 # where they would run to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
-    (3, 0.5, 10): "13069d5f49e73442f2f513d4c9bdac592a42500d0deefbbb4e7db7d9ab86c4d4",
-    (4, 0.5, 10): "b7088e5636dadfe722ed21e040684575482a6c0d0a2af8c636814ee5d9b92c43",
-    (8, 0.5, 6): "b448feff79df332d49d57b9bdbc6cc5925407c946940f07d2a3dd08d3ebcfd5c",
-    (24, 0.5, 10): "81db634df6e07345aade7f9532bdb4e5a5c62f744fdc712256d3c4f4b32c9671",
-    (24, 0.5, 20): "166572cf6081ef843a3ba62892694aea78862ccc4fa533d3e96524756f77f303",
-    (32, 0.5, 20): "df8464f50c96ea74538489d4e6a3f977959ddc004f269b709033481dc974869a",
-    (16, 0.7, 16): "f15b15365f80a05a2e1a1fd31430bebac9e3e2195d0bf51150c8a54f26c4f86d",
-    (24, 0.7, 30): "670fac6e8f714de47b9e9b993e85583b2b5fb72629b6e5c2709b2751734f473a",
-    (48, 0.5, 30): "688fc2cc204ac82e3c75d32fef106e8a6eaa9decba99d13d120f7db5c946f1ff",
-    (32, 0.5, 30): "323dd3e538888133f60807a3926fac9c8b6c71c26905601d5880bd270bd69ade",
+    (3, 0.5, 10): "b6ed07701cde525903bb9b0ea851f1f7714f3b9dbb1187cca4082dc26096ecd7",
+    (4, 0.5, 10): "82d951147777954c9a06153bf80996cf922d6eed0b5ade53d75eb45a27df5d50",
+    (8, 0.5, 6): "2161deefe1d30d0cc153a81c3e6a4066abd4f9e4ee8079938214652aabab27c1",
+    (24, 0.5, 10): "01cd1ecf069707a3bda188b1deac6a24fc5ef84012a899c2089777b6d65eb7a1",
+    (24, 0.5, 20): "055b0aeddd1d6c1599d6e9ae290e2b8f518ec3af4b5143720e3a69598d5c814e",
+    (32, 0.5, 20): "219bd78acaf27fe35facabaee96de450c2745266d2d1bf16e9e38e9f7001b248",
+    (16, 0.7, 16): "ad65d509817bec33f027c3220269ea2a8bf2ab6f7ce839c2321ad49496f13ec1",
+    (24, 0.7, 30): "a09aadb2dc10a447d0aab5c8a064c7231460ea4b799b7a0d651e5d08eb557dd2",
+    (48, 0.5, 30): "784e7d5721fcfa007424a070238af8002bc0acba58a6c8a0a624ac78bc123a6d",
+    (32, 0.5, 30): "4c41939d1134715aeceee16030cef38587a12ce9c871c28a7b3b2c801e8c8312",
 }
 # inputs whose loop ends with a polished certificate: six kissing_lp and
 # three lp_stress cases, (24, .765, 29), and four from the domain sweep, the
@@ -751,7 +753,7 @@ class TestNewtonPolish:
         assert gap == cert.bound_real / lower - 1.0
         # P(1)'s noise term
         assert s >= (1e-10 + 3e-15 * p_at_1) * (1.0 - 1e-9)
-        assert cert.verification.max_sign_violation < 0.0
+        assert cert.verification.condition_ii_margin < 0.0
         # the stop rule: P(1) is within noise * P(1) of that lower bound on
         # every certificate of this degree
         assert p_at_1 - lower <= s * p_at_1 * (1.0 + 1e-9)
@@ -852,35 +854,45 @@ class TestNewtonPolish:
         assert cert.bound_real < lp_bound(48, 0.5, 30).bound_real
 
 
+def _with_poly(cert, coeffs):
+    """``cert`` with its P's coefficients replaced: the pair pfender_form
+    gives for them, and no report."""
+    phi, c = pfender_form(GegenbauerPoly(cert.phi.dim, coeffs))
+    return dataclasses.replace(cert, phi=phi, c=c, verification=None)
+
+
+def _reloaded(cert):
+    return certificate_from_json_dict(json.loads(jsonutil.dumps(
+        certificate_to_json_dict(cert)
+    )))
+
+
 class TestVerification:
     def test_pipeline_output_passes(self, cert_d8):
         report = verify_certificate(cert_d8)
         assert report.passed
-        assert report.max_sign_violation <= 1e-9
+        assert report.condition_ii_margin <= 1e-9
 
     def test_negative_coefficient_rejected(self, cert_d8):
-        bad = copy.deepcopy(cert_d8)
-        coeffs = bad.poly.coeffs.copy()
+        coeffs = cert_d8.poly.coeffs.copy()
         coeffs[1] = -0.1
-        bad.poly = GegenbauerPoly(bad.poly.dim, coeffs)
-        report = verify_certificate(bad)
-        assert not report.passed
-        assert any("negative Gegenbauer coefficient" in m for m in report.messages)
+        report = verify_certificate(_with_poly(cert_d8, coeffs))
+        assert not report.passed and not report.condition_i_ok
+        assert "negative Gegenbauer coefficient" in report.condition_i_evidence
 
     def test_a_stored_coefficient_just_below_zero_is_rejected(self, cert_d3, tmp_path):
         # a_6 of the (3, .5, 10) certificate is 0.0; a file may not hold
         # it at -1e-13, however small
         data = certificate_to_json_dict(cert_d3)
-        assert data["gegenbauer_coeffs"][6] == 0.0
-        data["gegenbauer_coeffs"][6] = -1e-13
+        assert data["phi"]["coeffs"][6] == 0.0
+        data["phi"]["coeffs"][6] = -1e-13
         path = str(tmp_path / "cert.json")
         jsonutil.dump_path(path, data)
         report = verify_certificate(certificate_from_json_dict(jsonutil.load_path(path)))
-        assert not report.passed
-        assert report.min_coeff == -1e-13
-        assert report.messages == [
+        assert not report.passed and report.messages == []
+        assert report.condition_i_evidence == (
             "condition (i) not established: negative Gegenbauer coefficient -1e-13"
-        ]
+        )
 
     def test_constructed_sign_violation_located(self):
         # concave bump peaking at cos_theta - 0.01 with value 0.05
@@ -891,16 +903,17 @@ class TestVerification:
         from codebounds.gegenbauer import expand_in_basis
 
         poly = expand_in_basis(mono, 3)
-        cert = DGSCertificate(
+        cert = PfenderCertificate(
+            *pfender_form(poly),
             cos_theta=cos_theta,
-            poly=poly,
+            variant="interval",
             bound_real=poly.at_one() / float(poly.coeffs[0]),
             bound_int=math.floor(poly.at_one() / float(poly.coeffs[0]) + 1e-9),
         )
         report = verify_certificate(cert)
         assert not report.passed
-        assert report.max_sign_violation == pytest.approx(0.05, abs=1e-9)
-        assert report.violation_location == pytest.approx(x0, abs=1e-6)
+        assert report.condition_ii_margin == pytest.approx(0.05, abs=1e-9)
+        assert report.condition_ii_location == pytest.approx(x0, abs=1e-6)
 
     def test_bound_arithmetic_mismatch_detected(self, cert_d8):
         bad = copy.deepcopy(cert_d8)
@@ -915,18 +928,12 @@ class TestVerification:
         bad.bound_real = math.nan
         report = verify_certificate(bad)
         assert not report.passed
-        assert math.isnan(report.bound_error)
         assert any("bound arithmetic: stored nan" in m for m in report.messages)
 
     def test_scale_invariance_of_ratio(self, cert_d8):
         # multiplying every coefficient by lambda > 0 leaves P(1)/a_0 alone
         for lam in (0.25, 3.0, 117.0):
-            scaled = DGSCertificate(
-                cos_theta=cert_d8.cos_theta,
-                poly=GegenbauerPoly(cert_d8.poly.dim, lam * cert_d8.poly.coeffs),
-                bound_real=cert_d8.bound_real,
-                bound_int=cert_d8.bound_int,
-            )
+            scaled = _with_poly(cert_d8, lam * cert_d8.poly.coeffs)
             report = verify_certificate(scaled)
             assert report.passed
             ratio = scaled.poly.at_one() / scaled.poly.coeffs[0]
@@ -941,12 +948,7 @@ class TestVerification:
         # pass for the bound the coefficients cannot give
         coeffs = cert_d8.poly.coeffs.copy()
         coeffs[0] = a0
-        bad = DGSCertificate(
-            cos_theta=cert_d8.cos_theta,
-            poly=GegenbauerPoly(cert_d8.poly.dim, coeffs),
-            bound_real=1.0,
-            bound_int=1,
-        )
+        bad = dataclasses.replace(_with_poly(cert_d8, coeffs), bound_real=1.0, bound_int=1)
         report = verify_certificate(bad)
         assert not report.passed
         assert any(message in m for m in report.messages), report.messages
@@ -957,6 +959,11 @@ class TestVerification:
         bad.cos_theta = cos_theta
         with pytest.raises(ValueError, match=r"cos_theta must lie in \[-1, 1\]"):
             verify_certificate(bad)
+
+    def test_a_finite_set_certificate_raises(self, cert_d8):
+        # its condition (ii) holds on a code's values, not on the interval
+        with pytest.raises(ValueError, match="checked against its code"):
+            verify_certificate(dataclasses.replace(cert_d8, variant="finite_set"))
 
     def test_one_pfender_bound_call_and_one_scan(self, monkeypatch, cert_d8):
         calls = []
@@ -970,7 +977,9 @@ class TestVerification:
 
         spy("pfender_bound", pfender.pfender_bound)
         spy("critical_points", pfender.critical_points)
-        assert verify_certificate(cert_d8).passed
+        # a certificate read from a file, whose phi has found no critical
+        # point yet
+        assert verify_certificate(_reloaded(cert_d8)).passed
         assert calls == ["pfender_bound", "critical_points"]
 
 
@@ -985,13 +994,7 @@ class TestPfenderForm:
         negated[1] = -abs(negated[1]) - 0.1
         shifted = cert.poly.coeffs.copy()
         shifted[0] += 0.5
-        return [
-            cert,
-            DGSCertificate(cert.cos_theta, GegenbauerPoly(cert.poly.dim, negated),
-                           cert.bound_real, cert.bound_int),
-            DGSCertificate(cert.cos_theta, GegenbauerPoly(cert.poly.dim, shifted),
-                           cert.bound_real, cert.bound_int),
-        ]
+        return [cert, _with_poly(cert, negated), _with_poly(cert, shifted)]
 
     @pytest.mark.parametrize(
         "case",
@@ -1002,13 +1005,14 @@ class TestPfenderForm:
         passed = []
         for cert in self._variants(lp_bound(*case)):
             phi, c = pfender_form(cert.poly)
-            assert c == cert.poly.coeffs[0] and phi.coeffs[0] == 0.0
+            assert c == cert.c and phi.coeffs[0] == 0.0
+            assert np.array_equal(phi.coeffs, cert.phi.coeffs)
             report = verify_certificate(cert)
             structural = pfender.pfender_bound(phi, c, cert.cos_theta)
             checked = structural.verification
             assert report.passed == checked.passed
-            assert report.max_sign_violation == checked.condition_ii_margin
-            assert report.violation_location == checked.condition_ii_location
+            assert report.condition_ii_margin == checked.condition_ii_margin
+            assert report.condition_ii_location == checked.condition_ii_location
             # bitwise: P(1) / a_0 is (phi(1) + c) / c
             assert structural.bound_real == cert.poly.at_one() / c
             if report.passed:
@@ -1020,6 +1024,14 @@ class TestPfenderForm:
             assert back.bound_real == structural.bound_real
             passed.append(report.passed)
         assert passed == [True, False, False]
+
+    def test_poly_is_the_inverse_of_pfender_form(self, cert_d3):
+        assert cert_d3.poly.dim == 3
+        assert pfender_form(cert_d3.poly)[1] == cert_d3.c
+        assert cert_d3.poly.coeffs[1:].tobytes() == cert_d3.phi.coeffs[1:].tobytes()
+        table = dataclasses.replace(cert_d3, phi=PhiSpec("table", [0.0, 1.0]))
+        with pytest.raises(ValueError, match="not a Gegenbauer polynomial"):
+            table.poly
 
 
 class TestCertified:
@@ -1106,14 +1118,11 @@ class TestSoundnessFloor:
 
 class TestSerialization:
     def test_round_trip(self, cert_d8):
-        data = certificate_to_json_dict(cert_d8)
-        text = jsonutil.dumps(data)
-        import json
-
-        back = certificate_from_json_dict(json.loads(text))
-        assert back.poly.dim == cert_d8.poly.dim
+        back = _reloaded(cert_d8)
+        assert back.phi.dim == cert_d8.phi.dim
         assert back.cos_theta == cert_d8.cos_theta
-        assert np.array_equal(back.poly.coeffs, cert_d8.poly.coeffs)
+        assert np.array_equal(back.phi.coeffs, cert_d8.phi.coeffs)
+        assert back.c == cert_d8.c
         assert back.bound_real == cert_d8.bound_real
         assert back.bound_int == cert_d8.bound_int
         assert back.verification.passed == cert_d8.verification.passed
@@ -1124,20 +1133,23 @@ class TestSerialization:
         data = certificate_to_json_dict(cert_d8)
         assert list(data.keys()) == [
             "kind",
-            "dim",
+            "variant",
+            "phi",
+            "c",
             "cos_theta",
-            "gegenbauer_coeffs",
             "bound_real",
             "bound_int",
             "verification",
         ]
-        assert data["kind"] == "dgs"
+        assert data["kind"] == "pfender" and data["variant"] == "interval"
         assert list(data["verification"].keys()) == [
+            "condition_i_ok",
+            "condition_i_evidence",
+            "condition_ii_ok",
+            "condition_ii_margin",
+            "condition_ii_location",
             "passed",
-            "max_sign_violation",
-            "violation_location",
-            "min_coeff",
-            "bound_error",
+            "special_case_le_one",
             "messages",
         ]
 
@@ -1145,20 +1157,20 @@ class TestSerialization:
     def test_integer_fields_take_json_integers_only(self, cert_d8, field, value):
         # int(...) truncated these to 8 and 240, and the file then verified
         data = certificate_to_json_dict(cert_d8)
-        data[field] = value
+        (data["phi"] if field == "dim" else data)[field] = value
         message = f"^{field} must be an integer, got {value}$"
         with pytest.raises(ValueError, match=message):
             certificate_from_json_dict(data)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("cos_theta", "0.5"), ("bound_real", True), ("gegenbauer_coeffs", "1")],
+        [("cos_theta", "0.5"), ("bound_real", True), ("coeffs", "1"), ("c", "1")],
     )
     def test_real_fields_take_json_numbers_only(self, cert_d8, field, value):
         # float(...) parsed the string and took True as 1.0
         data = certificate_to_json_dict(cert_d8)
-        if field == "gegenbauer_coeffs":
-            data[field][2] = value
+        if field == "coeffs":
+            data["phi"][field][2] = value
         else:
             data[field] = value
         message = f"^{field} must be a real number, got {value!r}$"
@@ -1170,8 +1182,8 @@ class TestSerialization:
         [
             (("bound_real",), math.nan),
             (("cos_theta",), math.inf),
-            (("gegenbauer_coeffs", 1), -math.inf),
-            (("verification", "bound_error"), math.nan),
+            (("phi", "coeffs", 1), -math.inf),
+            (("verification", "condition_ii_margin"), math.nan),
         ],
         ids=str,
     )
@@ -1203,14 +1215,18 @@ class TestSerialization:
         [
             ("passed", "false", "passed must be true or false, got 'false'"),
             ("passed", 0, "passed must be true or false, got 0"),
-            ("min_coeff", "0.5", "min_coeff must be a real number, got '0.5'"),
-            ("max_sign_violation", None,
-             "max_sign_violation must be a real number, got None"),
+            ("condition_ii_margin", "0.5",
+             "condition_ii_margin must be a real number, got '0.5'"),
+            ("condition_ii_margin", None,
+             "condition_ii_margin must be a real number, got None"),
             ("messages", "ok", "messages must be an array of strings, got 'ok'"),
             ("messages", [1], r"messages must be an array of strings, got \[1\]"),
+            ("condition_i_evidence", 1, "condition_i_evidence must be a string, got 1"),
+            ("condition_ii_location", None,
+             "condition_ii_location must be a real number, got None"),
         ],
         ids=["passed-string", "passed-int", "real-string", "real-null",
-             "messages-string", "messages-int"],
+             "messages-string", "messages-int", "evidence-int", "location-null"],
     )
     def test_stored_report_is_read_strictly(self, cert_d8, field, value, message):
         # bool("false") is True: the verdict was flipped and written back out
@@ -1223,9 +1239,11 @@ class TestSerialization:
         data = certificate_to_json_dict(cert_d8)
         back = certificate_from_json_dict(json.loads(jsonutil.dumps(data)))
         assert back.verification == cert_d8.verification
+        # a reloaded file writes the same bytes
+        assert jsonutil.dumps(certificate_to_json_dict(back)) == jsonutil.dumps(data)
 
     def test_certificate_and_report_must_be_objects(self, cert_d8):
-        message = "^dgs certificate must be a JSON object, got list$"
+        message = "^pfender certificate must be a JSON object, got list$"
         with pytest.raises(ValueError, match=message):
             certificate_from_json_dict([1, 2])
         data = certificate_to_json_dict(cert_d8)
@@ -1233,13 +1251,93 @@ class TestSerialization:
         message = "^verification must be a JSON object, got list$"
         with pytest.raises(ValueError, match=message):
             certificate_from_json_dict(data)
+        # a report missing a field, or with one it does not have
+        full = certificate_to_json_dict(cert_d8)["verification"]
+        for report in ({"passed": True}, {**full, "grid_size": 20000}):
+            data["verification"] = report
+            with pytest.raises(TypeError):
+                certificate_from_json_dict(data)
+        del full["messages"]
+        data["verification"] = full
+        with pytest.raises(KeyError, match="messages"):
+            certificate_from_json_dict(data)
 
-    def test_file_with_old_refinement_depth_still_loads(self, cert_d8):
-        data = certificate_to_json_dict(cert_d8)
-        # files written by older versions also record the scan's grid
+    def test_file_with_old_refinement_depth_still_loads(self):
+        # files written by older versions, of the kind "dgs", also record
+        # the scan's grid; their stored report is not read
+        data = jsonutil.load_path(DATA / "dgs_8_0.5_6.json")
         data["verification"]["grid_size"] = 20000
         data["verification"]["refinement_depth"] = 60
         back = certificate_from_json_dict(json.loads(jsonutil.dumps(data)))
-        assert back.verification.passed
-        assert not hasattr(back.verification, "grid_size")
+        assert back.verification is None
         assert verify_certificate(back).passed
+
+
+# bound lp files written by the version before the Pfender file format
+# (kind "dgs": the polynomial's dimension and coefficients, and its report)
+OLD_FILES = {
+    (3, 0.5, 10): "dgs_3_0.5_10.json",
+    (8, 0.5, 6): "dgs_8_0.5_6.json",
+    (24, 0.5, 10): "dgs_24_0.5_10.json",
+    (1000, 0.1, 11): "dgs_1000_0.1_11.json",
+    (3, -0.21, 1): "dgs_3_-0.21_1.json",
+}
+
+
+class TestOldFiles:
+    @pytest.mark.parametrize("case", OLD_FILES, ids=str)
+    def test_an_old_file_loads_as_its_pfender_pair_and_verifies(self, case):
+        data = jsonutil.load_path(DATA / OLD_FILES[case])
+        assert data["kind"] == "dgs"
+        cert = certificate_from_json_dict(data)
+        assert cert.variant == "interval" and cert.verification is None
+        assert cert.phi.coeffs[0] == 0.0 and cert.c == data["gegenbauer_coeffs"][0]
+        assert cert.phi.coeffs[1:].tolist() == data["gegenbauer_coeffs"][1:]
+        assert verify_certificate(cert).passed
+        # its bounds, bit for bit: as stored, and as the pair gives them
+        derived = pfender.pfender_bound(cert.phi, cert.c, cert.cos_theta)
+        for bound in (cert, derived):
+            assert repr(bound.bound_real) == repr(data["bound_real"])
+            assert bound.bound_int == data["bound_int"]
+
+    @pytest.mark.parametrize("case", OLD_FILES, ids=str)
+    def test_check_theorem_takes_an_old_file(self, tmp_path, capsys, case):
+        # the cross polytope of d = 3 (6 points, inner products -1 and 0)
+        code = str(tmp_path / "cp3.json")
+        assert cli.main(["code", "gen", "--family", "cross_polytope", "--dim", "3",
+                         "--out", code]) == 0
+        capsys.readouterr()
+        path = str(DATA / OLD_FILES[case])
+        status = cli.main(["code", "check-theorem", "--file", code, "--cert", path])
+        captured = capsys.readouterr()
+        if case[1] < 0.0:
+            # the code's inner product 0 lies above this cos_theta
+            assert status == 2 and "axiom (iv)" in captured.err
+        else:
+            slack = jsonutil.load_path(path)["bound_int"] - 6
+            assert status == 0, captured.err
+            assert captured.out.startswith("n=6 ")
+            assert captured.out.endswith(f" slack={slack}\n")
+
+
+class TestFromDiskMutants:
+    def test_a_stored_bound_one_above_fails(self, cert_d3, tmp_path):
+        data = certificate_to_json_dict(cert_d3)
+        data["bound_real"] += 1.0
+        path = str(tmp_path / "mutant.json")
+        jsonutil.dump_path(path, data)
+        report = verify_certificate(certificate_from_json_dict(jsonutil.load_path(path)))
+        assert not report.passed
+        assert report.messages[0].startswith("bound arithmetic: stored 14.15832976")
+
+    def test_a_nan_bound_is_refused_or_fails(self, cert_d3, tmp_path):
+        # the writer refuses to write NaN; a file that holds it does not load
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**certificate_to_json_dict(cert_d3),
+                                    "bound_real": math.nan}))
+        with pytest.raises(ValueError, match="^bound_real must be finite, got nan$"):
+            certificate_from_json_dict(jsonutil.load_path(str(path)))
+        # and a NaN bound set on a reloaded certificate fails verification
+        bad = _reloaded(cert_d3)
+        bad.bound_real = math.nan
+        assert not verify_certificate(bad).passed

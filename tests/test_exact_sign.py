@@ -19,7 +19,7 @@ from exact_sign import (
 )
 
 from codebounds import jsonutil, pfender
-from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
+from codebounds.dgs_bound import lp_bound
 from codebounds.gegenbauer import basis_values
 from codebounds.scanning import chebyshev_points, critical_points
 
@@ -66,9 +66,12 @@ def exact_value(d, coeffs, t):
 
 
 def stored(case):
-    """(d, cos_theta, coeffs) of lp_bound(*case) as its file stores them."""
-    data = json.loads(jsonutil.dumps(certificate_to_json_dict(lp_bound(*case))))
-    return data["dim"], data["cos_theta"], data["gegenbauer_coeffs"]
+    """(d, cos_theta, coeffs) of lp_bound(*case)'s P as its file stores it,
+    the pair (phi, c) with phi's a_0 = 0: P's coefficients are c, then
+    phi's a_1..a_m."""
+    text = jsonutil.dumps(pfender.certificate_to_json_dict(lp_bound(*case)))
+    cert = pfender.certificate_from_json_dict(json.loads(text))
+    return cert.phi.dim, cert.cos_theta, cert.poly.coeffs.tolist()
 
 
 def verdict(d, cos_theta, coeffs):

@@ -7,11 +7,8 @@ import pytest
 
 from codebounds import jsonutil
 from codebounds.codes import FAMILIES, code_from_json_dict, code_to_json_dict, generate
-from codebounds.dgs_bound import (
-    certificate_from_json_dict,
-    certificate_to_json_dict,
-    lp_bound,
-)
+from codebounds.dgs_bound import lp_bound
+from codebounds.pfender import certificate_from_json_dict, certificate_to_json_dict
 
 # the certificates of the kissing_lp and lp_stress benchmark workloads
 BENCHMARK_CASES = [

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codebounds import codes, gegenbauer, jsonutil, pfender
-from codebounds.dgs_bound import lp_bound, pfender_form
+from codebounds.dgs_bound import lp_bound
 from codebounds.errors import TheoremViolationError
 from codebounds.gegenbauer import basis_values
 from codebounds.pfender import (
@@ -26,6 +26,7 @@ from codebounds.pfender import (
     functional_pfender_check,
     interval_margin,
     pfender_bound,
+    pfender_form,
     phi_from_json_dict,
     phi_to_json_dict,
 )
@@ -438,6 +439,12 @@ class TestFunctionalCheck:
             codes.embed_as_metric_code(codes.generate("icosahedron")),
         ]
         catalog = harness_catalog()
+        # the LP certificates' phis found theirs when lp_bound checked them
+        searched = [
+            phi for _, phi, _, variant in catalog
+            if variant == "interval" and phi.basis != "table"
+            and "_candidates" not in vars(phi)
+        ]
         axioms, matrices, roots = [], [], []
         real_check_axioms = codes._check_axioms
         real_clipped_entries = codes._clipped_entries
@@ -465,12 +472,11 @@ class TestFunctionalCheck:
         assert [id(code) for code in axioms] == [id(code) for code in pool]
         assert all(M is code._axiom_facts.matrix for M, code in zip(matrices, pool))
         assert len(matrices) == len(pool)
-        searched = [
-            phi for _, phi, _, variant in catalog
-            if variant == "interval" and phi.basis != "table"
-        ]
         assert len(roots) == len(searched) > 0
-        assert all("_candidates" in vars(phi) for phi in searched)
+        assert all(
+            "_candidates" in vars(phi) for _, phi, _, variant in catalog
+            if variant == "interval" and phi.basis != "table"
+        )
 
     @pytest.mark.parametrize(
         "clone",
@@ -626,7 +632,8 @@ def assert_margin_bits(phi, c, angles):
 
 @pytest.fixture(scope="module")
 def degree_10_certificate():
-    """(phi, c) = (P - a_0, a_0) of the degree-10 certificate at (3, .5)."""
+    """(phi, c) = (P - a_0, a_0) of the degree-10 certificate at (3, .5),
+    with a phi that has not been checked yet."""
     return pfender_form(lp_bound(3, 0.5, 10).poly)
 
 
@@ -736,8 +743,8 @@ class TestCriticalPointsKeptOnPhi:
 
     @pytest.mark.parametrize("case", BENCHMARK_CERTIFICATES, ids=str)
     def test_benchmark_certificates_agree_with_a_full_scan(self, case):
-        phi, c = pfender_form(lp_bound(*case).poly)
-        assert_margins_agree(phi, c, case[1])
+        cert = lp_bound(*case)
+        assert_margins_agree(cert.phi, cert.c, case[1])
 
     def test_catalog_phis_agree_with_a_full_scan(self):
         angles = np.random.default_rng(13).uniform(-1.0, 1.0, 50)
@@ -807,12 +814,17 @@ class TestSerialization:
             "cos_theta",
             "bound_real",
             "bound_int",
+            "verification",
         ]
         back = certificate_from_json_dict(json.loads(jsonutil.dumps(data)))
         assert back.c == cert.c
         assert back.cos_theta == cert.cos_theta
         assert back.bound_real == cert.bound_real
         assert back.variant == "interval"
+        assert back.verification == cert.verification
+        assert jsonutil.dumps(certificate_to_json_dict(back)) == jsonutil.dumps(data)
+        del data["verification"]
+        assert certificate_from_json_dict(data).verification is None
 
     def test_finite_set_variant_round_trip(self):
         code = codes.euclidean_to_functional(codes.generate("orthonormal", dim=3))
@@ -823,6 +835,20 @@ class TestSerialization:
         assert data["variant"] == "finite_set"
         back = certificate_from_json_dict(data)
         assert back.variant == "finite_set"
+        assert back.verification == result.certificate.verification
+
+    def test_a_margin_over_no_value_is_written_as_null(self):
+        # a one-point code has no off-diagonal value: its finite-set margin
+        # is -inf, which JSON cannot hold, at no location
+        code = codes.SphericalCode(3, np.array([[1.0, 0.0, 0.0]]), cos_theta=-0.5)
+        result = functional_pfender_check(code, g1(3), 0.5, variant="finite_set")
+        text = jsonutil.dumps(certificate_to_json_dict(result.certificate))
+        report = json.loads(text)["verification"]
+        assert report["condition_ii_margin"] is None
+        assert report["condition_ii_location"] is None
+        back = certificate_from_json_dict(json.loads(text))
+        assert back.verification.condition_ii_margin == -math.inf
+        assert jsonutil.dumps(certificate_to_json_dict(back)) == text
 
     @pytest.mark.parametrize("value", [3.7, 3.0, "3", False])
     def test_phi_dim_takes_json_integers_only(self, value):

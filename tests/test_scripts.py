@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from codebounds import dgs_bound, jsonutil
-from codebounds.dgs_bound import certificate_to_json_dict, lp_bound
+from codebounds.dgs_bound import lp_bound
+from codebounds.pfender import certificate_to_json_dict
 from codebounds.errors import LPFailureError, NoCertificateError
 from codebounds.linprog import solve_lp
 
