@@ -12,10 +12,18 @@ to the all-slack basis (``restarts:``), a sha256 digest of the outputs
 many came from Levenshtein's path, every input that ended in an
 error, the certificates at a degree >= m(s) that are worse than
 Levenshtein's bound L (above L (1 + 1e-6)), each with its bound and L,
-and the slowest input. Every input should end quickly in a certificate
-or a NoCertificateError: the script exits 1 when any input ends in
-another error. Only the ``slowest:`` line holds a time, so two runs of
-the same code print the same other lines.
+and the slowest input. An "LP infeasible" result at a degree >= m(s) is
+a class of its own: f_m is a certificate there, so the claim is false.
+
+Every certificate is also proven <= 0 on [-1, cos_theta] in exact
+arithmetic (``proven:``), by the standard-library oracle
+tests/exact_sign.py split at P's float critical points, as the test
+suite's session check does; a refuted or undecided certificate is named
+on a line of its own. Every input should end quickly in a proven
+certificate or a NoCertificateError: the script exits 1 when any input
+ends in another error or in a certificate that is not proven. Only the
+``slowest:`` line holds a time, so two runs of the same code print the
+same other lines.
 
 The digest hashes, in input order, each certificate file's text
 (``jsonutil.dumps`` of ``certificate_to_json_dict``) or the error's class
@@ -32,9 +40,12 @@ The two pools that CI runs:
 """
 
 import argparse
+import functools
 import hashlib
+import importlib.util
 import time
 from collections import Counter
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -42,10 +53,13 @@ import numpy as np
 from codebounds import dgs_bound, jsonutil
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import CodeBoundsError, NoCertificateError
-from codebounds.gegenbauer import MAX_TABLE_DEGREE
+from codebounds.gegenbauer import MAX_TABLE_DEGREE, basis_values
 from codebounds.levenshtein import levenshtein, levenshtein_degree
 from codebounds.linprog import solve_lp
 from codebounds.pfender import certificate_to_json_dict
+from codebounds.scanning import chebyshev_points, critical_points
+
+ORACLE = Path(__file__).resolve().parent.parent / "tests" / "exact_sign.py"
 
 # a certificate at a degree >= m(s) above L by more than this is worse
 # than Levenshtein
@@ -76,10 +90,42 @@ def outcome(case):
         output = f"{type(exc).__name__}: {exc}\n"
         if not isinstance(exc, NoCertificateError):
             return type(exc).__name__, None, output
-        if str(exc).endswith("is infeasible"):
-            return "NoCertificateError (LP infeasible)", None, output
-        return "NoCertificateError (cannot be absorbed)", None, output
+        if not str(exc).endswith("is infeasible"):
+            return "NoCertificateError (cannot be absorbed)", None, output
+        if levenshtein_degree(*case) is not None:
+            return "NoCertificateError (LP infeasible at m(s) <= degree)", None, output
+        return "NoCertificateError (LP infeasible)", None, output
     return "certificate", cert, jsonutil.dumps(certificate_to_json_dict(cert))
+
+
+@functools.cache
+def exact_sign():
+    """The exact sign oracle, which imports only the standard library,
+    loaded from ORACLE by path."""
+    spec = importlib.util.spec_from_file_location("exact_sign", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unproven(cert):
+    """Why the certificate is not proven <= 0 on [-1, cos_theta] in exact
+    arithmetic, or None when it is: the oracle, split at P's float
+    critical points on the interval."""
+    poly, cos_theta = cert.poly, cert.cos_theta
+    degree = len(poly.coeffs) - 1
+    samples = poly.coeffs @ basis_values(
+        poly.dim, degree, chebyshev_points(-1.0, cos_theta, degree + 1)
+    )
+    splits = critical_points(samples, -1.0, cos_theta).tolist()
+    coeffs, oracle = poly.coeffs.tolist(), exact_sign()
+    try:
+        found = oracle.prove_nonpositive(poly.dim, coeffs, -1.0, cos_theta, splits)
+    except oracle.UndecidedError as exc:
+        return f"undecided: {exc}"
+    if found is None:
+        return None
+    return f"refuted: P(t) = {float(found.value)!r} > 0 at t = {float(found.t)!r}"
 
 
 def main() -> int:
@@ -94,7 +140,7 @@ def main() -> int:
 
     counts, paths = Counter(), Counter()
     outputs = hashlib.sha256()
-    above_m, worse = 0, []
+    above_m, worse, proven = 0, [], 0
     slowest = (-1.0, None, None)
     work = Counter()
 
@@ -117,6 +163,10 @@ def main() -> int:
         slowest = max(slowest, (elapsed, case, result))
         if cert is None:
             continue
+        why = unproven(cert)
+        proven += why is None
+        if why is not None:
+            print(f"{case}: certificate {why}")
         messages = cert.verification.messages
         for path, prefix in PATHS.items():
             paths[path] += any(m.startswith(prefix) for m in messages)
@@ -136,6 +186,7 @@ def main() -> int:
     print(f"outputs: {outputs.hexdigest()}")
     for path in PATHS:
         print(f"{path}: {paths[path]} of {counts['certificate']} certificates")
+    print(f"proven: {proven} of {counts['certificate']} certificates")
     print(f"worse than Levenshtein: {len(worse)} of {above_m} certificates "
           f"at a degree >= m(s)")
     for line in worse:
@@ -143,7 +194,8 @@ def main() -> int:
     elapsed, case, result = slowest
     print(f"slowest: {case} took {elapsed:.2f} s ({result})")
     ended = ("certificate", "NoCertificateError")
-    return 0 if all(result.startswith(ended) for result in counts) else 1
+    all_ended = all(result.startswith(ended) for result in counts)
+    return 0 if all_ended and proven == counts["certificate"] else 1
 
 
 if __name__ == "__main__":

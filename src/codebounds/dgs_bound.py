@@ -7,10 +7,11 @@ normalized to 1 the best such bound at a fixed degree is a linear
 program over the remaining coefficients. ``lp_bound`` takes
 Levenshtein's f_m where the Boyvalenkov-Danev-Bumova test shows it is that
 optimum (``levenshtein``), and otherwise solves the LP on a Chebyshev grid
-grown by cutting planes, with a Newton polish on its active set. One rule
-(``_certified``) turns f_m, a polished P or the last round into a
-certificate that stands on its own by lowering its a_0 alone: the Pfender
-certificate (P - a_0, a_0) (``pfender.pfender_form``), which
+grown by cutting planes, with a Newton polish on its active set. f_m, a
+polished P or the last round is measured once, by the verifier's
+``pfender.interval_margin`` on its Pfender form phi = P - 1
+(``_measured``), and one rule (``_certified``) lowers its a_0 alone by
+the shift that maximum sets, to the certificate (phi, 1 - shift), which
 ``verify_certificate`` re-checks from a file by one ``pfender_bound`` call.
 """
 
@@ -121,8 +122,8 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     point, when the system is singular, when a step is not finite or takes
     an a_k below 0, or when the polished P(1) exceeds both L_dual and the
     grid LP optimum ``p_at_1``, another lower bound, by more than noise *
-    P(1). ``_touching`` and ``_certified`` decide whether the polished P
-    is a certificate.
+    P(1). ``_measured``'s noise gate and ``_certified`` decide whether the
+    polished P is a certificate.
     """
     if not critical.size:
         return None
@@ -181,30 +182,26 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
     return coeffs, np.sort(np.concatenate([t, where[at_end]])), dual
 
 
-def _touching(d, coeffs, sample_basis, cos_theta):
-    """(v, P(1)) for the a_0 = 1 ``coeffs`` of a P that touches 0 by
-    construction (f_m or a polished P), v its maximum as a round measures
-    it (``_maximum``); None when v exceeds the noise term."""
-    poly = GegenbauerPoly(d, coeffs)
-    violation = float(_maximum(poly, sample_basis, cos_theta)[0].max())
-    p_at_1 = poly.at_one()
-    return (violation, p_at_1) if violation <= _noise(p_at_1) else None
+def _measured(d, coeffs, cos_theta):
+    """(phi, v, P(1)) for the a_0 = 1 ``coeffs`` of P: phi = P - 1, and P's
+    maximum v on [-1, cos_theta] as the verifier measures it
+    (``interval_margin``, whose scan phi keeps for ``_certified``). f_m
+    and a polished P, which touch 0 by construction, need v <= noise."""
+    phi = pfender.PhiSpec("gegenbauer", np.append(0.0, coeffs[1:]), dim=d)
+    violation = pfender.interval_margin(phi, 1.0, cos_theta)[0]
+    return phi, violation, math.fsum(coeffs.tolist())
 
 
-def _certified(d, cos_theta, coeffs, violation, p_at_1):
-    """The interval certificate ``pfender_form`` of P_hat = P - shift, for
-    the a_0 = 1 ``coeffs``, with its ``pfender_bound`` report, and the
-    shift; None at shift >= 1. One rule for f_m, a polished P and an LP
-    answer: shift = max(violation, 0) + noise, for P's maximum
-    ``violation`` on [-1, cos_theta], makes P_hat nonpositive there by
-    lowering a_0 alone, to c = 1 - shift, at a slightly larger bound. A
-    P_hat that fails ``pfender_bound`` raises CodeBoundsError (internal
-    error)."""
+def _certified(phi, cos_theta, violation, p_at_1):
+    """(certificate, shift) for ``_measured``'s (phi, v, P(1)): one rule for
+    f_m, a polished P and an LP answer, shift = max(v, 0) + noise, lowers
+    a_0 alone, to the certificate (phi, 1 - shift) with its ``pfender_bound``
+    report on phi's kept scan (None at shift >= 1). A P_hat = P - shift
+    that fails it raises CodeBoundsError (internal error)."""
     shift = max(violation, 0.0) + _noise(p_at_1)
     if shift >= 1.0:
-        return None
-    poly = GegenbauerPoly(d, np.append(1.0 - shift, coeffs[1:]))
-    certificate = pfender.pfender_bound(*pfender.pfender_form(poly), cos_theta)
+        return None, shift
+    certificate = pfender.pfender_bound(phi, 1.0 - shift, cos_theta)
     report = certificate.verification
     if not report.passed:
         raise CodeBoundsError(
@@ -220,7 +217,7 @@ def _levenshtein_path(d, cos_theta, degree, polynomial):
     ``polynomial`` is ``levenshtein.levenshtein_polynomial(d, cos_theta,
     degree)``, None when m(s) > degree. f_m (a_0 = 1) passes a polished P's
     rule: ``levenshtein.bdb_test`` (its dual weights prove it the LP optimum
-    L), ``_touching`` and ``_certified``. Its one message names the path,
+    L), the noise gate and ``_certified``. Its one message names the path,
     m(s), the least BDB test value over m(s) < j <= degree, L and the shift.
     """
     least = polynomial and levenshtein.bdb_test(d, cos_theta, degree, polynomial)
@@ -228,16 +225,16 @@ def _levenshtein_path(d, cos_theta, degree, polynomial):
         return None
     m, eps, zeros = polynomial
     coeffs = levenshtein.gegenbauer_coefficients(d, cos_theta, eps, zeros)
-    sample_basis = basis_values(d, m, chebyshev_points(-1.0, cos_theta, m + 1))
-    measured = _touching(d, coeffs, sample_basis, cos_theta)
-    certified = measured and _certified(d, cos_theta, coeffs, *measured)
-    if not certified:
+    phi, violation, p_at_1 = _measured(d, coeffs, cos_theta)
+    if not violation <= _noise(p_at_1):
         return None
-    certificate, shift = certified
+    certificate, shift = _certified(phi, cos_theta, violation, p_at_1)
+    if certificate is None:
+        return None
     least = repr(least) if degree > m else "none (degree = m(s))"
     certificate.verification.messages.append(
         f"Levenshtein's f_{m}, m(s) = {m}: BDB test min Q_j L over "
-        f"m(s) < j <= {degree} is {least}; L = {measured[1]!r} inflated by "
+        f"m(s) < j <= {degree} is {least}; L = {p_at_1!r} inflated by "
         f"shift {shift!r}"
     )
     return certificate
@@ -282,15 +279,15 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificat
     from the previous round's optimal basis. The rows fill the grid gap
     around each critical point where P > 0: the point itself and GAP_ROWS
     evenly spaced points (``_gap_rows``), so a round divides the violation
-    by about 64 where the point alone divided it by 4. A round's violation
-    is P's maximum as ``_maximum`` measures it, and the critical points
-    where P > 0 get the cuts.
+    by about 64 where the point alone divided it by 4. A round scans its
+    LP answer once (``_maximum``): the critical points where P > 0 get the
+    cuts, and they cluster the polish's active rows.
 
     Each round first polishes its LP answer (``_polish``), and stops at
-    the polished P when its maximum is at most the noise term
-    (``_touching``): its P(1) is then within noise * P(1) of a lower bound
-    on every certificate of the degree. Its report gains a message, before
-    the rounds message (the P(1) shifted, the shift, the rounds), that
+    the polished P when its maximum (``_measured``) is at most the noise
+    term: its P(1) is then within noise * P(1) of a lower bound on every
+    certificate of the degree. Its report gains a message, before the
+    rounds message (the P(1) shifted, the shift, the rounds), that
     names the Newton steps, the active points, L_dual (-inf where
     ``_dual_bound`` rejects it), the grid LP optimum and the gap
     bound_real / max(L_dual, optimum) - 1.
@@ -302,8 +299,10 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificat
     degree-1 P (no critical point), or rounds whose every polish fails,
     end in an unpolished LP answer, shifted by the same rule as the rest.
 
-    The last round taken is certified by ``_certified`` (NoCertificateError
-    when no shift absorbs it), which verifies every path's certificate.
+    The last round taken is certified by ``_certified``, which verifies
+    every path's certificate; when its shift is >= 1, NoCertificateError
+    names its maximum, the shift and the noise term, which alone reaches 1
+    at P(1) > 3.3e14.
     """
     _validate_inputs(d, cos_theta, degree)
     if degree < 1:
@@ -350,12 +349,10 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificat
         p_at_1 = poly.at_one()
         # P's maximum is at -1, cos_theta or a critical point
         values, critical = _maximum(poly, sample_basis, cos_theta)
-        violation = float(values.max())
         found = _polish(d, cos_theta, solution, points, rows, critical, p_at_1)
-        measured = found and _touching(d, found[0], sample_basis, cos_theta)
-        if measured:
+        measured = found and _measured(d, found[0], cos_theta)
+        if measured and measured[1] <= _noise(measured[2]):
             polish = (p_at_1, *found[1:])
-            coeffs, (violation, p_at_1) = found[0], measured
             break
         peaks = critical[values[2:] > 0.0]
         if not peaks.size or rounds_used == MAX_ROUNDS:
@@ -365,14 +362,16 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificat
         points = np.concatenate([points, new_points])
         rows = np.vstack([rows, basis_values(d, degree, new_points)[1:].T])
 
-    certified = _certified(d, cos_theta, coeffs, violation, p_at_1)
-    if certified is None:
+    if polish is None:
+        measured = _measured(d, coeffs, cos_theta)
+    phi, violation, p_at_1 = measured
+    certificate, shift = _certified(phi, cos_theta, violation, p_at_1)
+    if certificate is None:
         raise NoCertificateError(
             f"residual sign violation {violation!r} after {rounds_used} "
             f"cutting-plane rounds on a {GRID_POINTS}-point grid cannot be "
-            f"absorbed{failed_round}"
+            f"absorbed by shift {shift!r} (noise term {_noise(p_at_1)!r}){failed_round}"
         )
-    certificate, shift = certified
     report = certificate.verification
     if polish is not None:
         optimum, active, dual = polish

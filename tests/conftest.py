@@ -29,11 +29,14 @@ def every_certificate_is_proven():
 
     real, made = dgs_bound._certified, {}
 
-    def recorded(d, cos_theta, *args):
-        found = real(d, cos_theta, *args)
-        if found is not None:
-            poly = found[0].poly
-            made[(d, cos_theta, poly.coeffs.tobytes())] = poly.coeffs.tolist()
+    def recorded(*args):
+        found = real(*args)
+        cert = found[0]
+        if cert is not None:
+            # keyed by the certificate itself, whatever _certified's arguments
+            poly = cert.poly
+            key = (poly.dim, cert.cos_theta, poly.coeffs.tobytes())
+            made[key] = poly.coeffs.tolist()
         return found
 
     dgs_bound._certified = recorded

@@ -182,7 +182,7 @@ class TestRoundStops:
         rounds = SHIFT_MESSAGE.fullmatch(cert.verification.messages[-1])
         assert rounds and float(rounds[1]) == last.at_one()
         assert cert.verification.messages[-1].endswith("over 10 cutting-plane rounds")
-        assert cert.bound_real == 895496407.0625218
+        assert cert.bound_real == 895496406.965602
         assert verify_certificate(cert).passed
 
     @pytest.mark.usefixtures("lp_path")
@@ -213,7 +213,7 @@ class TestRoundStops:
         assert len(calls) == 5
         assert calls[-1][2].iterations == 0 < calls[-2][2].iterations
         assert cert.verification.messages[-1].endswith("over 4 cutting-plane rounds")
-        assert cert.bound_real == 196560.0001903044
+        assert cert.bound_real == 196560.00019030404
 
     @pytest.mark.parametrize("case", [(32, 0.5, 20), (48, 0.5, 30)])
     def test_a_round_with_no_new_cuts_repeats_the_lp_and_ends_the_rounds(
@@ -383,11 +383,13 @@ class TestSmallGrids:
         monkeypatch.setattr(dgs_bound, "GRID_POINTS", 64)
         with pytest.raises(NoCertificateError) as info:
             lp_bound(24, 0.7, 17)
-        assert re.fullmatch(
-            r"residual sign violation \S+ after \d+ cutting-plane rounds on a "
-            r"64-point grid cannot be absorbed",
+        found = re.fullmatch(
+            r"residual sign violation (\S+) after \d+ cutting-plane rounds on a "
+            r"64-point grid cannot be absorbed by shift (\S+) \(noise term (\S+)\)",
             str(info.value),
         )
+        violation, shift, noise = map(float, found.groups())
+        assert shift == max(violation, 0.0) + noise >= 1.0
 
     @pytest.mark.parametrize("grid", [64, 100, 159, 2000])
     def test_d24_degree24_reaches_one_bound_on_every_grid(self, monkeypatch, grid):
@@ -484,14 +486,14 @@ class TestDomainSweep:
 # the sha256 of the file of each certificate that the Newton polish ends
 # at round 1; each comment gives its bound unpolished -> polished
 ONE_ROUND_DIGESTS = {
-    # 13.158330866783311 (1 round, unpolished) -> 13.158329766062526
-    (3, 0.5, 10): "57db74f61cbe29c1f49ae6a07dbea3eaca54100f73bc8e17b23311e40be9c95e",
-    # 25.558461854548923 (1 round, unpolished) -> 25.558429100027986
-    (4, 0.5, 10): "f532210920be5fcd0de2fb49a0f8fa5a8d0177f32583c198b576182cc3ca1aec",
+    # 13.158330866783311 (1 round, unpolished) -> 13.158329766062527
+    (3, 0.5, 10): "f753a0305134059361cb19aee0ef79aff17dba526e6a4b7a7f94337b3f60acfd",
+    # 25.558461854548923 (1 round, unpolished) -> 25.55842910002798
+    (4, 0.5, 10): "f8f201cdf7afd8b2eeb8ee57031842739aa3fdbb89e1f8affed9e2f27bc79c1c",
     # 240.0000115669 (2 rounds, unpolished) -> 240.0000000241
-    (8, 0.5, 6): "f26b2859f4f1180ed8fbcf062067ed9ed3cd67a480b4199b4a04e6425fe6808b",
-    # 196560.00013627874 (4 rounds) -> 196560.00013556413
-    (24, 0.5, 10): "2c430ea800a60e23ebfff4c58fa53ac22514b4f6c0d0ec2b2dcf4c020e17e855",
+    (8, 0.5, 6): "08e9fc753700d35d218637c5e49eb3db20ba2d5704bef793fa282030595a37bb",
+    # 196560.00013627874 (4 rounds) -> 196560.00013556483
+    (24, 0.5, 10): "989f02210e1809de4219d90083fbd7b2d11bcee4a5c29211c72b18819cf74915",
 }
 
 
@@ -634,29 +636,50 @@ class TestWarmStartedRounds:
         jsonutil.dump_path(str(path), certificate_to_json_dict(lp_bound(*case)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ONE_ROUND_DIGESTS[case]
 
-    @pytest.mark.usefixtures("lp_path")
-    @pytest.mark.parametrize("case", [(3, 0.5, 10), (24, 0.5, 10), (24, 0.765, 29)])
-    def test_each_round_evaluates_p_once(self, monkeypatch, case):
-        # the round's samples are one matvec; P itself is evaluated once, at
-        # -1, cos_theta and the critical points, and so is each polished P
-        sizes, polished = [], []
-        real_call, real_polish = GegenbauerPoly.__call__, dgs_bound._polish
+    @pytest.mark.parametrize(
+        "case", [(3, 0.5, 10), (24, 0.5, 10), (24, 0.765, 29), (78, 0.4671, 26),
+                 (8, 0.5, 6), (3, -0.21, 1)],
+        ids=str,
+    )
+    def test_each_round_and_candidate_is_scanned_once(self, monkeypatch, case):
+        # a round scans its LP answer once for its cuts (``_maximum``); each
+        # candidate that reaches the noise gate or is certified (f_m, a
+        # polished P, the last unpolished LP answer) is scanned once by the
+        # verifier's interval_margin, and pfender_bound reuses that scan
+        scans, inside, polished = [], [], []
+        real_scan, real_bound = pfender.critical_points, pfender.pfender_bound
+        real_polish = dgs_bound._polish
 
-        def spy(self, r):
-            sizes.append(np.size(r))
-            return real_call(self, r)
+        def scan(*args):
+            scans.append(bool(inside))
+            return real_scan(*args)
+
+        def bound(*args):
+            inside.append(True)
+            try:
+                return real_bound(*args)
+            finally:
+                inside.pop()
 
         def polish(*args):
             found = real_polish(*args)
             polished.append(found is not None)
             return found
 
-        monkeypatch.setattr(GegenbauerPoly, "__call__", spy)
+        for module in (dgs_bound, pfender):
+            monkeypatch.setattr(module, "critical_points", scan)
+        monkeypatch.setattr(pfender, "pfender_bound", bound)
         monkeypatch.setattr(dgs_bound, "_polish", polish)
         cert = lp_bound(*case)
-        rounds = ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-        assert len(sizes) == int(rounds[1]) + sum(polished)
-        assert all(2 <= size <= case[2] + 1 for size in sizes)
+        messages = cert.verification.messages
+        if LEVENSHTEIN_MESSAGE.fullmatch(messages[-1]):
+            expected = 1  # f_m, with no LP
+        else:
+            rounds = int(ROUNDS_MESSAGE.fullmatch(messages[-1])[1])
+            unpolished = not messages[0].startswith("Newton-polished")
+            expected = rounds + sum(polished) + unpolished
+        assert len(scans) == expected
+        assert not any(scans)
 
     @pytest.mark.parametrize("case", [(44, 0.625, 33), (63, 0.4643, 23)])
     def test_former_warm_start_rejections_certify(self, case):
@@ -694,16 +717,16 @@ class TestWarmStartedRounds:
 # the rounds, so (24, .5, 20) ends after 4 rounds and (32, .5, 20) after 5,
 # where they would run to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
-    (3, 0.5, 10): "b6ed07701cde525903bb9b0ea851f1f7714f3b9dbb1187cca4082dc26096ecd7",
-    (4, 0.5, 10): "82d951147777954c9a06153bf80996cf922d6eed0b5ade53d75eb45a27df5d50",
-    (8, 0.5, 6): "2161deefe1d30d0cc153a81c3e6a4066abd4f9e4ee8079938214652aabab27c1",
-    (24, 0.5, 10): "01cd1ecf069707a3bda188b1deac6a24fc5ef84012a899c2089777b6d65eb7a1",
-    (24, 0.5, 20): "055b0aeddd1d6c1599d6e9ae290e2b8f518ec3af4b5143720e3a69598d5c814e",
-    (32, 0.5, 20): "219bd78acaf27fe35facabaee96de450c2745266d2d1bf16e9e38e9f7001b248",
-    (16, 0.7, 16): "ad65d509817bec33f027c3220269ea2a8bf2ab6f7ce839c2321ad49496f13ec1",
+    (3, 0.5, 10): "bdc3ca9a8c11ccf35e16cb24d2f36b210b9e483542548f99a44d89a5bbf7cf31",
+    (4, 0.5, 10): "7b39896380c1effeefbf486e30c5f25ffb379d45142136422fdcacfb340116d5",
+    (8, 0.5, 6): "3161fe4615e462f8138a544ba6b77d5d9a630c21a732ed4c907d994ca67673ac",
+    (24, 0.5, 10): "44191ff0c33e263de252a5e0b7dbc0417edf51b44bd91ca6b17c59ec3eaf0ceb",
+    (24, 0.5, 20): "ad1a9f11b5a457781f2d88c1174f8e34026febdfe77382bc3080ef526d7ec2cf",
+    (32, 0.5, 20): "69ed5061f9c43550cf502e9ed37e2cc765b779e74cb35981604c388146b60cd7",
+    (16, 0.7, 16): "dc8d7477f5efa0a17d30e7c0a49c4b4ac4c890a5a42dbb492b411a1e4ae669fc",
     (24, 0.7, 30): "a09aadb2dc10a447d0aab5c8a064c7231460ea4b799b7a0d651e5d08eb557dd2",
-    (48, 0.5, 30): "784e7d5721fcfa007424a070238af8002bc0acba58a6c8a0a624ac78bc123a6d",
-    (32, 0.5, 30): "4c41939d1134715aeceee16030cef38587a12ce9c871c28a7b3b2c801e8c8312",
+    (48, 0.5, 30): "d7304f9de4570ed20edae879368d5cc228fab95130393e6e17927ffc2d7a514c",
+    (32, 0.5, 30): "ada65bec7a6132feff122f435fb80a25463a979a9ee3c106a038068901eabef9",
 }
 # inputs whose loop ends with a polished certificate: six kissing_lp and
 # three lp_stress cases, (24, .765, 29), and four from the domain sweep, the
@@ -1040,31 +1063,39 @@ class TestCertified:
         [
             ((8, 0.5, 6), "Levenshtein's f_6"),
             ((3, 0.5, 10), "Newton-polished"),
+            ((78, 0.4671, 26), "Newton-polished"),
             ((3, -0.21, 1), "P(1)"),
         ],
         ids=str,
     )
-    def test_the_shift_lowers_a_0_alone(self, monkeypatch, case, path):
-        # f_m, a polished P and a degree-1 LP answer: the certificate keeps
-        # the candidate's a_1..a_m bit for bit and lowers a_0 = 1 to
-        # 1 - shift, so that it is the Pfender certificate (P - 1, 1 - shift)
-        # with the search's phi, and it is proven <= 0 exactly
-        real_certified, calls = dgs_bound._certified, []
-
-        def certified(d, cos_theta, coeffs, violation, p_at_1):
-            found = real_certified(d, cos_theta, coeffs, violation, p_at_1)
-            calls.append((coeffs.copy(), found))
-            return found
-
-        monkeypatch.setattr(dgs_bound, "_certified", certified)
+    def test_the_shift_is_the_verifiers_maximum_plus_noise(self, case, path):
+        # f_m, a polished P and a degree-1 LP answer: the certificate is
+        # (P - 1, 1 - shift), with shift = max(v, 0) + noise for P's maximum
+        # v as the verifier's interval_margin measures it on the
+        # certificate's own phi, and it is proven <= 0 exactly
+        d, cos_theta, _ = case
         cert = lp_bound(*case)
-        ((coeffs, (certificate, shift)),) = calls
-        assert certificate is cert
-        assert cert.verification.messages[0].startswith(path)
-        assert coeffs[0] == 1.0
-        assert cert.poly.coeffs[1:].tobytes() == coeffs[1:].tobytes()
-        assert cert.poly.coeffs[0] == 1.0 - shift
-        assert prove_nonpositive(case[0], cert.poly.coeffs.tolist(), -1.0, case[1]) is None
+        messages = cert.verification.messages
+        assert messages[0].startswith(path)
+        shift = float(re.search(r"inflated by shift (\S+)", messages[-1])[1])
+        assert cert.phi.coeffs[0] == 0.0 and cert.c == 1.0 - shift
+        violation = pfender.interval_margin(cert.phi, 1.0, cos_theta)[0]
+        p_at_1 = pfender.bound_values(cert.phi, 1.0)[0]
+        assert shift == max(violation, 0.0) + dgs_bound._noise(p_at_1)
+        assert prove_nonpositive(d, cert.poly.coeffs.tolist(), -1.0, cos_theta) is None
+
+    def test_the_noise_term_alone_can_refuse_a_candidate(self):
+        # the last round's P is below 0 on the interval, but its P(1) above
+        # 3.3e14 makes the noise term, and so the shift, at least 1
+        with pytest.raises(NoCertificateError) as info:
+            lp_bound(167, 0.3664, 36)
+        found = re.search(
+            r"residual sign violation (\S+) .* cannot be absorbed by shift (\S+) "
+            r"\(noise term (\S+)\)",
+            str(info.value),
+        )
+        violation, shift, noise = map(float, found.groups())
+        assert violation < 0.0 and shift == noise >= 1.0
 
 
 class TestBoundTable:

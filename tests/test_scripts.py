@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from codebounds import dgs_bound, jsonutil
+from codebounds import dgs_bound, jsonutil, pfender
 from codebounds.dgs_bound import lp_bound
-from codebounds.pfender import certificate_to_json_dict
+from codebounds.pfender import PhiSpec, certificate_to_json_dict
 from codebounds.errors import LPFailureError, NoCertificateError
 from codebounds.linprog import solve_lp
 
@@ -55,12 +55,14 @@ def test_domain_sweep_reruns_differ_only_in_the_slowest_line():
     assert re.fullmatch(r"outputs: [0-9a-f]{64}", lines[start - 1])
     assert re.fullmatch(r"polished: \d+ of (\d+) certificates", lines[start])
     assert re.fullmatch(r"levenshtein: \d+ of \d+ certificates", lines[start + 1])
+    certificates = re.fullmatch(r"polished: \d+ of (\d+) certificates", lines[start])[1]
+    assert lines[start + 2] == f"proven: {certificates} of {certificates} certificates"
     worse = re.fullmatch(
         r"worse than Levenshtein: (\d+) of \d+ certificates at a degree >= m\(s\)",
-        lines[start + 2],
+        lines[start + 3],
     )
     # each worse input on a line of its own, and nothing after them
-    listed = lines[start + 3 :]
+    listed = lines[start + 4 :]
     assert worse and len(listed) == int(worse[1])
     assert all(
         re.fullmatch(r"\(.+\): \S+ against L \S+ \(x \S+\)", line) for line in listed
@@ -91,6 +93,41 @@ def test_domain_sweep_exits_1_on_an_error_other_than_no_certificate(
     monkeypatch.setattr(sys, "argv", ["domain_sweep.py", "--n", "3"])
     assert sweep.main() == code
     assert "    3  " in capsys.readouterr().out
+
+
+def test_domain_sweep_exits_1_on_a_certificate_it_cannot_prove(monkeypatch, capsys):
+    # 1 + G_1 = 1 + t passes no sign condition on [-1, .5]: the exact
+    # oracle refutes it at the interval's end
+    sweep = load_sweep()
+
+    def positive(d, cos_theta, degree):
+        return pfender.pfender_bound(PhiSpec("gegenbauer", [0.0, 1.0], dim=d), 1.0, 0.5)
+
+    monkeypatch.setattr(sweep, "lp_bound", positive)
+    monkeypatch.setattr(sys, "argv", ["domain_sweep.py", "--n", "2"])
+    assert sweep.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "proven: 0 of 2 certificates" in lines
+    refuted = [line for line in lines if "certificate refuted: " in line]
+    assert len(refuted) == 2
+    assert all(line.endswith("> 0 at t = 0.5") for line in refuted)
+
+
+def test_domain_sweep_names_a_false_lp_infeasible_claim(monkeypatch, capsys):
+    # f_39 is a certificate at (121, .579, 39), where m(s) = 39, so the LP's
+    # "infeasible" is false there; at (24, .7, 12), m(s) = 19 > 12, it holds
+    sweep = load_sweep()
+    monkeypatch.setattr(
+        sweep, "sweep_inputs", lambda *args: [(121, 0.579, 39), (24, 0.7, 12)]
+    )
+    monkeypatch.setattr(sys, "argv", ["domain_sweep.py"])
+    assert sweep.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    false_claim = "NoCertificateError (LP infeasible at m(s) <= degree)"
+    assert f"(121, 0.579, 39): {false_claim}" in lines
+    assert f"    1  {false_claim}" in lines
+    assert "    1  NoCertificateError (LP infeasible)" in lines
+    assert not any(line.startswith("(24, 0.7, 12)") for line in lines)
 
 
 def test_domain_sweep_counts_the_pivots_of_every_lp_solve(monkeypatch, capsys):
