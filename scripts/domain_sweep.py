@@ -16,14 +16,14 @@ and the slowest input. An "LP infeasible" result at a degree >= m(s) is
 a class of its own: f_m is a certificate there, so the claim is false.
 
 Every certificate is also proven <= 0 on [-1, cos_theta] in exact
-arithmetic (``proven:``), by the standard-library oracle
-tests/exact_sign.py split at P's float critical points, as the test
-suite's session check does; a refuted or undecided certificate is named
-on a line of its own. Every input should end quickly in a proven
-certificate or a NoCertificateError: the script exits 1 when any input
-ends in another error or in a certificate that is not proven. Only the
-``slowest:`` line holds a time, so two runs of the same code print the
-same other lines.
+arithmetic (``proven:``), by the standard-library kernel
+``codebounds.exact`` split where the certificate's phi may peak (the
+scan that its verification kept), as the test suite's session check
+does; a refuted or undecided certificate is named on a line of its own.
+Every input should end quickly in a proven certificate or a
+NoCertificateError: the script exits 1 when any input ends in another
+error or in a certificate that is not proven. Only the ``slowest:`` line
+holds a time, so two runs of the same code print the same other lines.
 
 The digest hashes, in input order, each certificate file's text
 (``jsonutil.dumps`` of ``certificate_to_json_dict``) or the error's class
@@ -40,12 +40,9 @@ The two pools that CI runs:
 """
 
 import argparse
-import functools
 import hashlib
-import importlib.util
 import time
 from collections import Counter
-from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -53,13 +50,11 @@ import numpy as np
 from codebounds import dgs_bound, jsonutil
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import CodeBoundsError, NoCertificateError
-from codebounds.gegenbauer import MAX_TABLE_DEGREE, basis_values
+from codebounds.exact import UndecidedError, prove_nonpositive
+from codebounds.gegenbauer import MAX_TABLE_DEGREE
 from codebounds.levenshtein import levenshtein, levenshtein_degree
 from codebounds.linprog import solve_lp
 from codebounds.pfender import certificate_to_json_dict
-from codebounds.scanning import chebyshev_points, critical_points
-
-ORACLE = Path(__file__).resolve().parent.parent / "tests" / "exact_sign.py"
 
 # a certificate at a degree >= m(s) above L by more than this is worse
 # than Levenshtein
@@ -98,30 +93,16 @@ def outcome(case):
     return "certificate", cert, jsonutil.dumps(certificate_to_json_dict(cert))
 
 
-@functools.cache
-def exact_sign():
-    """The exact sign oracle, which imports only the standard library,
-    loaded from ORACLE by path."""
-    spec = importlib.util.spec_from_file_location("exact_sign", ORACLE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def unproven(cert):
     """Why the certificate is not proven <= 0 on [-1, cos_theta] in exact
-    arithmetic, or None when it is: the oracle, split at P's float
-    critical points on the interval."""
-    poly, cos_theta = cert.poly, cert.cos_theta
-    degree = len(poly.coeffs) - 1
-    samples = poly.coeffs @ basis_values(
-        poly.dim, degree, chebyshev_points(-1.0, cos_theta, degree + 1)
-    )
-    splits = critical_points(samples, -1.0, cos_theta).tolist()
-    coeffs, oracle = poly.coeffs.tolist(), exact_sign()
+    arithmetic, or None when it is: the kernel, split at the points where
+    its phi may peak."""
+    poly = cert.poly
     try:
-        found = oracle.prove_nonpositive(poly.dim, coeffs, -1.0, cos_theta, splits)
-    except oracle.UndecidedError as exc:
+        found = prove_nonpositive(
+            poly.dim, poly.coeffs.tolist(), -1.0, cert.cos_theta, cert.phi._candidates
+        )
+    except UndecidedError as exc:
         return f"undecided: {exc}"
     if found is None:
         return None

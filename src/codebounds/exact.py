@@ -1,4 +1,4 @@
-"""An exact sign oracle for Gegenbauer polynomials, standard library only.
+"""Exact arithmetic on Gegenbauer polynomials, standard library only.
 
 ``prove_nonpositive(d, coeffs, lo, hi, splits)`` decides whether
 P = sum_k coeffs[k] G_k^(d) is <= 0 on [lo, hi] in exact arithmetic over
@@ -19,13 +19,18 @@ J. Comput. Appl. Math. 162, 2004):
   C(n - j, k - j) s_j are integers with the signs of the b_k.
 - P <= 0 on the piece when every b_k <= 0 (the convex hull property). An
   end value b_0 = P(a) or b_n = P(b) above 0 refutes it. Otherwise the
-  piece is bisected, up to ``max_depth`` times, after which the oracle
-  raises ``UndecidedError``.
+  piece is bisected, up to ``max_depth`` times, after which the kernel
+  raises ``UndecidedError``. A one-point interval lo = hi is the one piece
+  [lo, lo], decided by the sign of P(lo).
 
 The first pieces end at the ``splits``, for instance P's float critical
 points, rounded to SPLIT_BITS bits. They only make the proof short: a
 piece whose maximum lies at one of its ends needs no bisection. The
 verdict never depends on them.
+
+The same table takes exact monomial coefficients, such as those of
+prod_i (t - r_i) (``monomial_from_roots``), to Gegenbauer ones
+(``gegenbauer_from_monomial``). No command imports this module.
 """
 
 from __future__ import annotations
@@ -79,6 +84,31 @@ def integer_polynomial(d: int, coeffs) -> tuple[list[int], Fraction]:
     return q, Fraction(1, D[m] * common)
 
 
+def monomial_from_roots(roots) -> list[Fraction]:
+    """The ascending monomial coefficients of prod_i (t - roots[i]), each
+    root taken exactly (a float as its dyadic rational)."""
+    coeffs = [Fraction(1)]
+    for root in map(Fraction, roots):
+        # times (t - root)
+        coeffs = [a - root * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+def gegenbauer_from_monomial(d: int, monomial) -> list[Fraction]:
+    """a_0..a_m with sum_k a_k G_k^(d) = sum_j monomial[j] t^j, exactly,
+    by back-substitution over the integer table: G_k's leading
+    coefficient is T_k[k] / D_k."""
+    rest = [Fraction(c) for c in monomial]
+    m = len(rest) - 1
+    T, D = gegenbauer_table(d, m)
+    coeffs = [Fraction(0)] * (m + 1)
+    for k in range(m, -1, -1):
+        coeffs[k] = rest[k] * D[k] / T[k][k]
+        for j, t in enumerate(T[k]):
+            rest[j] -= coeffs[k] * Fraction(t, D[k])
+    return coeffs
+
+
 def _bernstein(q: list[int], a: Fraction, b: Fraction) -> list[int]:
     """The scaled Bernstein coefficients C(n, k) b_k of Q on [a, b], times
     the positive 2^(r n) that makes them integers; [0] and [-1] are Q at
@@ -97,11 +127,11 @@ def _bernstein(q: list[int], a: Fraction, b: Fraction) -> list[int]:
 
 def prove_nonpositive(d, coeffs, lo, hi, splits=(), max_depth=40):
     """None when P = sum_k coeffs[k] G_k^(d) is exactly <= 0 on [lo, hi]
-    (lo < hi); else a ``Refuted`` point. Raises ``UndecidedError`` when a
+    (lo <= hi); else a ``Refuted`` point. Raises ``UndecidedError`` when a
     piece is still undecided after ``max_depth`` bisections."""
     lo, hi = Fraction(float(lo)), Fraction(float(hi))
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not lo <= hi:
+        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     q, scale = integer_polynomial(d, coeffs)
     cuts = {lo, hi}
     for x in splits:
@@ -109,7 +139,8 @@ def prove_nonpositive(d, coeffs, lo, hi, splits=(), max_depth=40):
         if lo < x < hi:
             cuts.add(x)
     cuts = sorted(cuts)
-    pieces = [(a, b, 0) for a, b in zip(cuts, cuts[1:])]
+    # [lo, lo] is a piece of its own, every Bernstein coefficient P(lo)'s sign
+    pieces = [(a, b, 0) for a, b in zip(cuts, cuts[1:])] or [(lo, hi, 0)]
     pieces.reverse()
     while pieces:
         a, b, depth = pieces.pop()

@@ -21,11 +21,13 @@ def rng():
 def every_certificate_is_proven():
     """Every certificate that ``dgs_bound._certified`` returns in the
     session, proven <= 0 on [-1, cos_theta] in exact arithmetic at the
-    session's end (``test_exact_sign.verdict``). A refuted or undecided
-    certificate fails the session, named by its dimension, cos_theta and
-    degree. Mutants that tests build by hand never pass through
-    ``_certified``, so the mutant tests keep their meaning."""
+    session's end by ``codebounds.exact``, split where the certificate's
+    phi may peak (the scan that its verification kept). A refuted or
+    undecided certificate fails the session, named by its dimension,
+    cos_theta and degree. Mutants that tests build by hand never pass
+    through ``_certified``, so the mutant tests keep their meaning."""
     from codebounds import dgs_bound
+    from codebounds.exact import UndecidedError, prove_nonpositive
 
     real, made = dgs_bound._certified, {}
 
@@ -36,20 +38,18 @@ def every_certificate_is_proven():
             # keyed by the certificate itself, whatever _certified's arguments
             poly = cert.poly
             key = (poly.dim, cert.cos_theta, poly.coeffs.tobytes())
-            made[key] = poly.coeffs.tolist()
+            made[key] = poly.coeffs.tolist(), cert.phi._candidates
         return found
 
     dgs_bound._certified = recorded
     yield
     dgs_bound._certified = real
-    from exact_sign import UndecidedError
-    from test_exact_sign import verdict
 
     failures = []
-    for (d, cos_theta, _), coeffs in made.items():
+    for (d, cos_theta, _), (coeffs, splits) in made.items():
         name = f"(d, cos_theta, degree) = ({d}, {cos_theta!r}, {len(coeffs) - 1})"
         try:
-            found = verdict(d, cos_theta, coeffs)
+            found = prove_nonpositive(d, coeffs, -1.0, cos_theta, splits)
         except UndecidedError as exc:
             failures.append(f"{name}: {exc}")
             continue

@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from exact_sign import prove_nonpositive
 
 from codebounds import cli, dgs_bound, jsonutil, pfender
 from codebounds.dgs_bound import bound_table, lp_bound, verify_certificate
 from codebounds.errors import LPFailureError, NoCertificateError
+from codebounds.exact import prove_nonpositive
 from codebounds.gegenbauer import GegenbauerPoly
 from codebounds.linprog import LPSolution, solve_lp
 from codebounds.pfender import (

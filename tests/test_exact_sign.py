@@ -1,34 +1,33 @@
-"""The exact sign oracle (``exact_sign``) on lp_bound's certificates.
+"""The exact kernel (``codebounds.exact``) on lp_bound's certificates.
 
 The float verifier accepts a maximum of P up to COND_TOL = 1e-9 on
-[-1, cos_theta]. The oracle decides the sign of P for the float64
+[-1, cos_theta]. The kernel decides the sign of P for the float64
 coefficients that a certificate file stores, in exact arithmetic.
 """
 
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from exact_sign import (
-    Refuted,
-    UndecidedError,
-    gegenbauer_table,
-    integer_polynomial,
-    prove_nonpositive,
-)
 
 from codebounds import jsonutil, pfender
 from codebounds.dgs_bound import lp_bound
-from codebounds.gegenbauer import basis_values
-from codebounds.scanning import chebyshev_points, critical_points
+from codebounds.exact import (
+    Refuted,
+    UndecidedError,
+    gegenbauer_from_monomial,
+    gegenbauer_table,
+    integer_polynomial,
+    monomial_from_roots,
+    prove_nonpositive,
+)
 
 # the kissing_lp and lp_stress certificates of perfbench/workloads.py
 BENCHMARK_CASES = [
     (3, 0.5, 10), (4, 0.5, 10), (8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20),
     (32, 0.5, 20), (16, 0.7, 16), (24, 0.7, 30), (48, 0.5, 30), (32, 0.5, 30),
 ]
-# pool certificates that the oracle once refuted and now proves:
+# pool certificates that the kernel once refuted and now proves:
 # (22, .4927, 34) was exactly +6.0e-10 at t ~ -0.5111 while its first LP
 # started from the all-slack basis. (19, .4844, 8) was +6.6e-10 at
 # t ~ 0.1779 and (15, .5745, 35) +8.2e-10 at t ~ 0.0164, unpolished LP
@@ -62,7 +61,7 @@ def exact_value(d, coeffs, t):
     g = [Fraction(1), t]
     for k in range(2, len(coeffs)):
         g.append(((2 * k + d - 4) * t * g[k - 1] - (k - 1) * g[k - 2]) / (k + d - 3))
-    return sum(Fraction(float(a)) * g_k for a, g_k in zip(coeffs, g))
+    return sum(Fraction(a) * g_k for a, g_k in zip(coeffs, g))
 
 
 def stored(case):
@@ -75,13 +74,9 @@ def stored(case):
 
 
 def verdict(d, cos_theta, coeffs):
-    """The oracle on [-1, cos_theta], split at P's float critical points."""
-    m = len(coeffs) - 1
-    samples = np.array(coeffs) @ basis_values(
-        d, m, chebyshev_points(-1.0, cos_theta, m + 1)
-    )
-    splits = critical_points(samples, -1.0, cos_theta).tolist()
-    return prove_nonpositive(d, coeffs, -1.0, cos_theta, splits)
+    """The kernel on [-1, cos_theta], split where phi = P - a_0 may peak."""
+    phi = pfender.PhiSpec("gegenbauer", [0.0, *coeffs[1:]], dim=d)
+    return prove_nonpositive(d, coeffs, -1.0, cos_theta, phi._candidates)
 
 
 class TestOracle:
@@ -120,6 +115,27 @@ class TestOracle:
         with pytest.raises(UndecidedError, match="after 0 bisections"):
             prove_nonpositive(3, coeffs, -1.0, 1.0, max_depth=0)
 
+    def test_a_one_point_interval_is_decided_by_its_value(self):
+        # 1/2 + t is exactly 0 at -1, and 3/2 + t is 1/2 there
+        assert prove_nonpositive(3, [0.5, 1.0], -1.0, -1.0, [-1.0, 0.0]) is None
+        found = prove_nonpositive(3, [1.5, 1.0], -1.0, -1.0)
+        assert found == Refuted(Fraction(-1), Fraction(1, 2))
+        with pytest.raises(ValueError, match="need lo <= hi"):
+            prove_nonpositive(3, [0.5, 1.0], 0.5, -1.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 24])
+    def test_the_expansions_are_exact(self, d):
+        roots = [0.5, -1.0, 0.1, 0.1]
+        monomial = monomial_from_roots(roots)
+        t = Fraction(2, 7)
+        product = (t - Fraction(0.5)) * (t + 1) * (t - Fraction(0.1)) ** 2
+        assert sum(c * t**j for j, c in enumerate(monomial)) == product
+        coeffs = gegenbauer_from_monomial(d, monomial)
+        assert exact_value(d, coeffs, t) == product
+        T, D = gegenbauer_table(d, 3)
+        g_3 = [Fraction(c, D[3]) for c in T[3]]
+        assert gegenbauer_from_monomial(d, g_3) == [0, 0, 0, 1]
+
     def test_a_mutant_inside_cond_tol_is_refuted(self):
         # (8, .5, 6) with a_0 raised by 1e-9: the float margin still passes
         d, cos_theta, coeffs = stored((8, 0.5, 6))
@@ -142,6 +158,13 @@ def test_a_certificate_that_is_exactly_0_at_an_end_is_proven():
     d, cos_theta, coeffs = 9, 0.0733, [1.0, 24.508668821627978, 23.508668821627978]
     assert exact_value(d, coeffs, Fraction(-1)) == 0
     assert verdict(d, cos_theta, coeffs) is None
+
+
+def test_a_certificate_at_cos_theta_minus_1_is_proven():
+    # [-1, -1] is one point, where P must be <= 0; the session check proves
+    # lp_bound's own certificate there too
+    assert lp_bound(3, -1.0, 2).bound_real == pytest.approx(2.0)
+    assert verdict(*stored((3, -1.0, 2))) is None
 
 
 # degree-1 LP answers 1 + a_1 t, a_1 the float nearest -1/s: each was once

@@ -36,6 +36,12 @@ def test_importing_the_package_loads_no_module(tmp_path):
     assert loaded_after("import codebounds", tmp_path) == set()
 
 
+def test_the_exact_kernel_loads_no_numpy_and_no_other_module(tmp_path):
+    # the standard library only: no numpy.* and no codebounds.* but itself
+    assert loaded_after("import codebounds.exact", tmp_path) == {"exact"}
+    assert loaded_after("import codebounds.exact", tmp_path, "numpy") == set()
+
+
 @pytest.mark.parametrize(
     "argv, unused",
     [
@@ -61,6 +67,8 @@ def test_a_command_imports_only_what_it_runs(tmp_path, argv, unused):
     script = f"from codebounds import cli\nassert cli.main({argv!r}) == 0"
     loaded = loaded_after(script, tmp_path)
     assert "cli" in loaded
+    # no command loads the exact kernel, which only tests and scripts call
+    unused = unused | {"exact"}
     assert not loaded & unused, sorted(loaded & unused)
 
 

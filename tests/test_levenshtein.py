@@ -14,6 +14,7 @@ import pytest
 
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import NoCertificateError
+from codebounds.exact import gegenbauer_from_monomial, monomial_from_roots
 from codebounds.gegenbauer import MAX_TABLE_DEGREE, basis_values
 from codebounds.levenshtein import (
     bdb_test,
@@ -22,7 +23,6 @@ from codebounds.levenshtein import (
     levenshtein_degree,
     levenshtein_polynomial,
 )
-from exact_sign import gegenbauer_table
 
 
 ANCHORS = [
@@ -45,13 +45,8 @@ def exact_f_m(dim, s):
     """f_m's ascending monomial coefficients as Fractions, multiplied out
     exactly from levenshtein's own float zeros."""
     _, eps, zeros = levenshtein_polynomial(dim, s)
-    roots = [Fraction(s)] + [Fraction(-1)] * eps
-    roots += [Fraction(float(z)) for z in zeros for _ in range(2)]
-    coeffs = [Fraction(1)]
-    for root in roots:
-        # times (t - root)
-        coeffs = [a - root * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-    return coeffs
+    roots = [s, *[-1.0] * eps, *[float(z) for z in zeros for _ in range(2)]]
+    return monomial_from_roots(roots)
 
 
 def exact_levenshtein(dim, s):
@@ -242,28 +237,12 @@ def test_lp_bound_against_levenshtein(dim, s, degree):
         assert bound <= value * (1.0 + 1e-6)
 
 
-def exact_gegenbauer_coefficients(dim, monomial):
-    """a_0..a_m of the polynomial with ascending Fraction ``monomial``
-    coefficients, by back-substitution over exact_sign's integer table
-    G_k = T_k / D_k, whose leading coefficient T_k[k] / D_k is G_k's."""
-    rest = list(monomial)
-    m = len(rest) - 1
-    T, D = gegenbauer_table(dim, m)
-    coeffs = [Fraction(0)] * (m + 1)
-    for k in range(m, -1, -1):
-        coeffs[k] = rest[k] * D[k] / T[k][k]
-        for j, t in enumerate(T[k]):
-            rest[j] -= coeffs[k] * Fraction(t, D[k])
-    assert not any(rest)
-    return coeffs
-
-
 @pytest.mark.parametrize("dim, s", [(121, 0.579), (171, 0.4871)])
 def test_f_m_is_a_certificate_where_the_lp_is_called_infeasible(dim, s):
     # f_m = (t - s) (t + 1)^eps prod_z (t - z)^2 is <= 0 on [-1, s] by its
     # product form, for any float zeros z; its exact coefficients are all
     # >= a_0 > 0, so the degree-m(s) LP has a feasible point
-    coeffs = exact_gegenbauer_coefficients(dim, exact_f_m(dim, s))
+    coeffs = gegenbauer_from_monomial(dim, exact_f_m(dim, s))
     assert len(coeffs) == levenshtein_degree(dim, s) + 1
     assert min(coeffs) == coeffs[0] > 0
 

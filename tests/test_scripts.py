@@ -113,10 +113,28 @@ def test_domain_sweep_exits_1_on_a_certificate_it_cannot_prove(monkeypatch, caps
     assert all(line.endswith("> 0 at t = 0.5") for line in refuted)
 
 
-def test_domain_sweep_names_a_false_lp_infeasible_claim(monkeypatch, capsys):
-    # f_39 is a certificate at (121, .579, 39), where m(s) = 39, so the LP's
-    # "infeasible" is false there; at (24, .7, 12), m(s) = 19 > 12, it holds
+def test_domain_sweep_proves_a_certificate_at_cos_theta_minus_1(monkeypatch, capsys):
+    # [-1, -1] is one point, decided by the exact sign of P(-1)
     sweep = load_sweep()
+    monkeypatch.setattr(
+        sweep, "sweep_inputs", lambda *args: [(3, -1.0, 2), (24, -1.0, 10)]
+    )
+    monkeypatch.setattr(sys, "argv", ["domain_sweep.py"])
+    assert sweep.main() == 0
+    assert "proven: 2 of 2 certificates" in capsys.readouterr().out.splitlines()
+
+
+def test_domain_sweep_names_a_false_lp_infeasible_claim(monkeypatch, capsys):
+    # f_39 is a certificate at (121, .579, 39), where m(s) = 39, so an LP's
+    # "infeasible" is false there; at (24, .7, 12), m(s) = 19 > 12, it holds.
+    # The LP is stubbed: which outcome the real one reaches at (121, .579,
+    # 39) depends on the BLAS kernel (tests/test_levenshtein.py pins it)
+    sweep = load_sweep()
+
+    def infeasible(*case):
+        raise NoCertificateError(f"the degree-{case[2]} LP is infeasible")
+
+    monkeypatch.setattr(sweep, "lp_bound", infeasible)
     monkeypatch.setattr(
         sweep, "sweep_inputs", lambda *args: [(121, 0.579, 39), (24, 0.7, 12)]
     )
