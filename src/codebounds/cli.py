@@ -19,11 +19,11 @@ are deterministic; rerunning writes byte-identical files.
 
 Each command imports the modules it runs when it runs, so a cold start
 of ``bound lp``, say, never loads the codes. Arguments are checked, and
-``gegenbauer eval``'s value and ``gegenbauer expand``'s coefficients
-are computed, by ``_scalar`` in plain Python; ``code gen`` builds and
-writes its code with ``_catalog``, also plain Python. So ``gegenbauer
-eval``, ``gegenbauer expand``, ``code gen`` and any ``bound lp``
-argument error load no numpy.
+``gegenbauer eval``'s value is computed, by ``_scalar`` in plain Python;
+``gegenbauer expand``'s coefficients come from ``exact``, in integers,
+and ``code gen`` builds and writes its code with ``_catalog``, also
+plain Python. So ``gegenbauer eval``, ``gegenbauer expand``, ``code
+gen`` and any ``bound lp`` argument error load no numpy.
 """
 
 from __future__ import annotations
@@ -53,7 +53,10 @@ def cmd_gegenbauer(args) -> int:
         print(format_float(_scalar._point_values(dim, degree, at)[degree]))
         return 0
     mono = [float(v) for v in args.expand.split(",")]
-    for k, a in enumerate(_scalar.expand_in_basis(mono, args.dim)):
+    dim = _scalar._check_table(args.dim, len(mono) - 1)[0]
+    from . import exact
+
+    for k, a in enumerate(exact.expand_rounded(dim, mono)):
         print(f"a_{k} = {format_float(a)}")
     return 0
 

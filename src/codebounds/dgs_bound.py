@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import levenshtein, pfender
+from . import exact, levenshtein, pfender
 from ._scalar import _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
 from .gegenbauer import GegenbauerPoly, _derivative_recursion, basis_values
@@ -215,16 +215,19 @@ def _levenshtein_path(d, cos_theta, degree, polynomial):
     """Levenshtein's f_m as the degree-``degree`` certificate, or None.
 
     ``polynomial`` is ``levenshtein.levenshtein_polynomial(d, cos_theta,
-    degree)``, None when m(s) > degree. f_m (a_0 = 1) passes a polished P's
-    rule: ``levenshtein.bdb_test`` (its dual weights prove it the LP optimum
-    L), the noise gate and ``_certified``. Its one message names the path,
-    m(s), the least BDB test value over m(s) < j <= degree, L and the shift.
+    degree)``, None when m(s) > degree. f_m, each a_k / a_0 the exact ratio
+    of its product form correctly rounded (``exact.ratios_from_roots``),
+    passes a polished P's rule: ``levenshtein.bdb_test`` (its dual weights
+    prove it the LP optimum L), the noise gate and ``_certified``. Its one
+    message names the path, m(s), the least BDB test value over
+    m(s) < j <= degree, L and the shift.
     """
     least = polynomial and levenshtein.bdb_test(d, cos_theta, degree, polynomial)
     if least is None:
         return None
     m, eps, zeros = polynomial
-    coeffs = levenshtein.gegenbauer_coefficients(d, cos_theta, eps, zeros)
+    roots = [cos_theta] + [-1.0] * eps + [z for z in zeros.tolist() for _ in range(2)]
+    coeffs = np.array(exact.ratios_from_roots(d, roots))
     phi, violation, p_at_1 = _measured(d, coeffs, cos_theta)
     if not violation <= _noise(p_at_1):
         return None

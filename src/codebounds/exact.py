@@ -28,15 +28,18 @@ points, rounded to SPLIT_BITS bits. They only make the proof short: a
 piece whose maximum lies at one of its ends needs no bisection. The
 verdict never depends on them.
 
-The same table takes exact monomial coefficients, such as those of
-prod_i (t - r_i) (``monomial_from_roots``), to Gegenbauer ones
-(``gegenbauer_from_monomial``). No command imports this module.
+The same table is the program's one change of basis from monomials to
+Gegenbauer polynomials, in integers over one denominator: exactly for
+``gegenbauer_from_monomial`` and ``monomial_from_roots`` (prod_i
+(t - r_i)), and correctly rounded for ``gegenbauer.monomial_table``,
+``expand_rounded`` (``expand_in_basis`` and ``gegenbauer expand``) and
+``ratios_from_roots`` (Levenshtein's f_m in ``lp_bound``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite, lcm
 from typing import NamedTuple
 
 # the split points are rounded to multiples of 2^-SPLIT_BITS, which keeps
@@ -84,29 +87,68 @@ def integer_polynomial(d: int, coeffs) -> tuple[list[int], Fraction]:
     return q, Fraction(1, D[m] * common)
 
 
+def _product(roots) -> tuple[list[int], int]:
+    """(c, den): prod_i (t - roots[i]) = sum_j c_j t^j / den, den > 0."""
+    c, den = [1], 1
+    for p, q in (Fraction(r).as_integer_ratio() for r in roots):
+        # times (q t - p)
+        c = [q * a - p * b for a, b in zip([0, *c], [*c, 0])]
+        den *= q
+    return c, den
+
+
+def _expansion(d: int, c: list[int], den: int) -> tuple[list[int], int]:
+    """(A, M): sum_j c_j t^j / den = sum_k A_k G_k^(d) / M, in integers,
+    by back-substitution from a_m down. With L_k = T_k[k], G_k's leading
+    coefficient is L_k / D_k, and the coefficients start as c_j L_m. Each
+    division by L_k is exact: L_k divides L_m, and T_{k+2j}[k] / L_k =
+    (-1)^j C(k + 2j, 2j) (2j - 1)!! prod_{i < j} (2(k + i) + d - 2)."""
+    m = len(c) - 1
+    T, D = gegenbauer_table(d, m)
+    rest, A = [x * T[m][m] for x in c], [0] * (m + 1)
+    for k in range(m, -1, -1):
+        q = rest[k] // T[k][k]
+        A[k] = q * D[k]
+        # G_k has the parity of k
+        for j in range(k - 2, -1, -2):
+            rest[j] -= q * T[k][j]
+    return A, den * T[m][m]
+
+
 def monomial_from_roots(roots) -> list[Fraction]:
     """The ascending monomial coefficients of prod_i (t - roots[i]), each
     root taken exactly (a float as its dyadic rational)."""
-    coeffs = [Fraction(1)]
-    for root in map(Fraction, roots):
-        # times (t - root)
-        coeffs = [a - root * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-    return coeffs
+    c, den = _product(roots)
+    return [Fraction(x, den) for x in c]
 
 
 def gegenbauer_from_monomial(d: int, monomial) -> list[Fraction]:
     """a_0..a_m with sum_k a_k G_k^(d) = sum_j monomial[j] t^j, exactly,
-    by back-substitution over the integer table: G_k's leading
-    coefficient is T_k[k] / D_k."""
-    rest = [Fraction(c) for c in monomial]
-    m = len(rest) - 1
-    T, D = gegenbauer_table(d, m)
-    coeffs = [Fraction(0)] * (m + 1)
-    for k in range(m, -1, -1):
-        coeffs[k] = rest[k] * D[k] / T[k][k]
-        for j, t in enumerate(T[k]):
-            rest[j] -= coeffs[k] * Fraction(t, D[k])
-    return coeffs
+    for ints, floats or Fractions, brought to their least common
+    denominator."""
+    ratios = [Fraction(v).as_integer_ratio() for v in monomial]
+    den = lcm(*(q for _, q in ratios))
+    A, M = _expansion(d, [p * (den // q) for p, q in ratios], den)
+    return [Fraction(a, M) for a in A]
+
+
+def expand_rounded(d: int, monomial: list[float]) -> list[float]:
+    """``gegenbauer_from_monomial`` of the floats ``monomial``, each a_k
+    correctly rounded. A NaN or an infinity, and an a_k past the float
+    range, raise ValueError."""
+    if not all(map(isfinite, monomial)):
+        raise ValueError("mono_coeffs must be finite")
+    try:
+        return [float(a) for a in gegenbauer_from_monomial(d, monomial)]
+    except OverflowError:
+        raise ValueError("coeffs must be finite") from None
+
+
+def ratios_from_roots(d: int, roots) -> list[float]:
+    """a_k / a_0 for prod_i (t - roots[i]) = sum_k a_k G_k^(d), each ratio
+    correctly rounded (int / int), so the first is 1.0; a_0 must be > 0."""
+    A, _ = _expansion(d, *_product(roots))
+    return [a / A[0] for a in A]
 
 
 def _bernstein(q: list[int], a: Fraction, b: Fraction) -> list[int]:

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _scalar
 from ._immutable import Rebuilt, float_array, read_only
 from ._scalar import (
     MAX_TABLE_DEGREE,
     _check_dim,
     _check_int,
     _check_nonnegative_degree,
+    _check_table,
     _point_error,
 )
 
@@ -139,9 +139,15 @@ def gegenbauer_eval(dim: int, k: int, r):
 
 def monomial_table(dim: int, max_degree: int) -> np.ndarray:
     """Upper-triangular (m+1) x (m+1) matrix whose column k holds G_k's
-    ascending monomial coefficients, built by the same recursion
-    (``_scalar.monomial_table``)."""
-    return np.array(_scalar.monomial_table(dim, max_degree))
+    ascending monomial coefficients, T_k[j] / D_k of the integer table
+    ``exact.gegenbauer_table``, each correctly rounded."""
+    from . import exact
+
+    T, D = exact.gegenbauer_table(*_check_table(dim, max_degree))
+    table = np.zeros((len(T), len(T)))
+    for k, (T_k, D_k) in enumerate(zip(T, D)):
+        table[: k + 1, k] = [c / D_k for c in T_k]
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +251,15 @@ def weighted_inner_product(p, q, dim: int) -> float:
 def expand_in_basis(mono_coeffs, dim: int) -> GegenbauerPoly:
     """Rewrite sum_j b_j r^j as a Gegenbauer combination.
 
-    Solves the upper-triangular change-of-basis system, the monomial
-    table (degree of G_k is exactly k, with positive leading
-    coefficient), by back-substitution (``_scalar.expand_in_basis``).
-    Quadrature projection is the independent cross-check used by the
-    test suite, not by this routine.
+    Each coefficient is the exact one, correctly rounded: the change of
+    basis runs in integers (``exact.expand_rounded``). Quadrature
+    projection is the independent cross-check used by the test suite,
+    not by this routine.
     """
-    dim = _check_dim(dim)
+    from . import exact
+
     b = np.atleast_1d(np.asarray(mono_coeffs, dtype=float))
-    if b.ndim != 1:
+    if b.ndim != 1 or not b.size:
         raise ValueError("mono_coeffs must be a non-empty 1-d vector")
-    return GegenbauerPoly(dim, _scalar.expand_in_basis(b.tolist(), dim))
+    dim = _check_table(dim, b.size - 1)[0]
+    return GegenbauerPoly(dim, exact.expand_rounded(dim, b.tolist()))

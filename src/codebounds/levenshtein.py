@@ -27,7 +27,9 @@ is 0 for j = 1..m, and its value Q_j L at j > m is the BDB test function
 (Boyvalenkov, Danev & Bumova, IEEE Trans. Inf. Theory 42, 1996). The
 rho'_i are an LP-dual point at the nodes with objective 1 + sum rho'_i = L,
 so when no Q_j L with j <= n is negative, no Delsarte polynomial of
-degree n beats L (``bdb_test``).
+degree n beats L (``bdb_test``). ``levenshtein`` computes L by quadrature,
+the reference for the certified f_m, whose coefficients ``lp_bound``
+expands exactly from its float roots (``exact.ratios_from_roots``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import operator
 import numpy as np
 
 from ._scalar import MAX_TABLE_DEGREE, _point_values
-from .gegenbauer import expand_in_basis, quadrature_rule
+from .gegenbauer import quadrature_rule
 from .linprog import within_rounding
 
 __all__ = [
@@ -47,7 +49,6 @@ __all__ = [
     "levenshtein",
     "bdb_test",
     "dual_values",
-    "gegenbauer_coefficients",
 ]
 
 
@@ -168,19 +169,3 @@ def bdb_test(dim, s, degree, polynomial):
         return None
     values = dual_values(rows, weights.tolist())
     return None if values is None else min(values[m:], default=math.inf)
-
-
-def gegenbauer_coefficients(dim, s, eps, zeros):
-    """f_m's Gegenbauer coefficients a_0..a_m, divided by a_0: its
-    ascending monomial coefficients, multiplied out root by root in Python
-    floats, then ``expand_in_basis`` (back-substitution). Both steps lose
-    digits at high degree: the sum misses ``levenshtein``'s L by 6.5e-5
-    relative at (121, .579), and by 3.6e-5 from correctly rounded monomial
-    coefficients, where the quadrature's L is within 1e-12 of exact."""
-    roots = [s] + [-1.0] * eps + [float(z) for z in zeros for _ in range(2)]
-    mono = [1.0]
-    for root in roots:
-        # times (t - root)
-        mono = [a - root * b for a, b in zip([0.0, *mono], [*mono, 0.0])]
-    coeffs = expand_in_basis(mono, dim).coeffs
-    return coeffs / coeffs[0]

@@ -291,13 +291,13 @@ class TestLevenshteinPath:
     @pytest.mark.parametrize("case", DECLINED_CASES, ids=str)
     def test_declined_before_any_coefficient_work(self, monkeypatch, case):
         expansions = []
-        real = dgs_bound.levenshtein.gegenbauer_coefficients
+        real = dgs_bound.exact.ratios_from_roots
 
         def spy(*args):
             expansions.append(args)
             return real(*args)
 
-        monkeypatch.setattr(dgs_bound.levenshtein, "gegenbauer_coefficients", spy)
+        monkeypatch.setattr(dgs_bound.exact, "ratios_from_roots", spy)
         polynomial = dgs_bound.levenshtein.levenshtein_polynomial(*case)
         assert dgs_bound._levenshtein_path(*case, polynomial) is None
         assert not expansions

@@ -7,6 +7,7 @@ coefficients that a certificate file stores, in exact arithmetic.
 
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -123,7 +124,7 @@ class TestOracle:
         with pytest.raises(ValueError, match="need lo <= hi"):
             prove_nonpositive(3, [0.5, 1.0], 0.5, -1.0)
 
-    @pytest.mark.parametrize("d", [2, 3, 24])
+    @pytest.mark.parametrize("d", [2, 3, 24, 121, 2**52])
     def test_the_expansions_are_exact(self, d):
         roots = [0.5, -1.0, 0.1, 0.1]
         monomial = monomial_from_roots(roots)
@@ -135,6 +136,11 @@ class TestOracle:
         T, D = gegenbauer_table(d, 3)
         g_3 = [Fraction(c, D[3]) for c in T[3]]
         assert gegenbauer_from_monomial(d, g_3) == [0, 0, 0, 1]
+        # degree 40, against the three-term recursion rather than the table
+        roots = [(-0.9) ** i for i in range(40)]
+        coeffs = gegenbauer_from_monomial(d, monomial_from_roots(roots))
+        t = Fraction(-3, 11)
+        assert exact_value(d, coeffs, t) == prod(t - Fraction(r) for r in roots)
 
     def test_a_mutant_inside_cond_tol_is_refuted(self):
         # (8, .5, 6) with a_0 raised by 1e-9: the float margin still passes

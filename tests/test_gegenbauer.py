@@ -1,10 +1,8 @@
 """Gegenbauer family: recursion, tables, quadrature, expansion."""
 
 import copy
-import hashlib
 import math
 import pickle
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from codebounds._scalar import _point_values
+from codebounds.exact import gegenbauer_from_monomial, gegenbauer_table
 from codebounds.gegenbauer import (
     GegenbauerPoly,
     _derivative_recursion,
@@ -252,17 +251,15 @@ class TestBasisTables:
             at_one = monomial_table(dim, 20).sum(axis=0)
             assert at_one == pytest.approx(np.ones(21), abs=1e-10)
 
-    def test_tables_keep_their_bits(self):
-        # sha256 of the degree-40 tables for dim 2..24, C order, pinned
-        # from the array recursion the plain Python table replaced
-        digest = hashlib.sha256()
-        for dim in range(2, 25):
+    def test_tables_are_the_exact_tables_correctly_rounded(self):
+        # G_k = T_k / D_k exactly, and int / int rounds correctly
+        for dim in [*range(2, 25), 1000, 2**52]:
             table = monomial_table(dim, 40)
             assert table.dtype == np.float64 and table.flags.c_contiguous
-            digest.update(table.tobytes())
-        assert digest.hexdigest() == (
-            "57bb7c12da0e3ccfef66c6fe2b5cae75f06e12a0283573966cf32b61e6262ca3"
-        )
+            T, D = gegenbauer_table(dim, 40)
+            for k, (T_k, D_k) in enumerate(zip(T, D)):
+                column = [c / D_k for c in T_k] + [0.0] * (40 - k)
+                assert table[:, k].tolist() == column, (dim, k)
 
     def test_degree_cap(self):
         assert monomial_table(3, 40).shape == (41, 41)
@@ -393,20 +390,11 @@ class TestExpansion:
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 24, 100, 200])
     def test_expansion_matches_exact_rationals(self, rng, dim):
-        # the float table's system, solved in exact rationals
-        for degree in (20, 30, 40):
+        # the exact expansion, each a_k correctly rounded (Fraction.__float__)
+        for degree in (0, 1, 20, 30, 40):
             mono = rng.uniform(-1.0, 1.0, degree + 1)
-            table = monomial_table(dim, degree)
-            table = [[Fraction(v) for v in row] for row in table]
-            exact = [Fraction(v) for v in mono.tolist()]
-            for k in range(degree, -1, -1):
-                exact[k] /= table[k][k]
-                for i in range(k):
-                    exact[i] -= exact[k] * table[i][k]
-            exact = np.array([float(v) for v in exact])
-            solved = expand_in_basis(mono, dim).coeffs
-            scale = np.max(np.abs(exact))
-            assert np.max(np.abs(solved - exact)) <= 1e-10 * scale, degree
+            exact = gegenbauer_from_monomial(dim, mono.tolist())
+            assert expand_in_basis(mono, dim).coeffs.tolist() == list(map(float, exact))
 
 
 class TestPositiveDefiniteness:

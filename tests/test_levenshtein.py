@@ -14,11 +14,14 @@ import pytest
 
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import NoCertificateError
-from codebounds.exact import gegenbauer_from_monomial, monomial_from_roots
+from codebounds.exact import (
+    gegenbauer_from_monomial,
+    monomial_from_roots,
+    ratios_from_roots,
+)
 from codebounds.gegenbauer import MAX_TABLE_DEGREE, basis_values
 from codebounds.levenshtein import (
     bdb_test,
-    gegenbauer_coefficients,
     levenshtein,
     levenshtein_degree,
     levenshtein_polynomial,
@@ -41,12 +44,17 @@ def test_anchors(dim, s, bound):
     assert value == pytest.approx(bound, rel=1e-9 if bound < 1e6 else 1e-8)
 
 
+def f_m_roots(dim, s):
+    """f_m's roots: s, -1 when eps = 1, and levenshtein's float zeros, each
+    twice."""
+    _, eps, zeros = levenshtein_polynomial(dim, s)
+    return [s, *[-1.0] * eps, *[float(z) for z in zeros for _ in range(2)]]
+
+
 def exact_f_m(dim, s):
     """f_m's ascending monomial coefficients as Fractions, multiplied out
     exactly from levenshtein's own float zeros."""
-    _, eps, zeros = levenshtein_polynomial(dim, s)
-    roots = [s, *[-1.0] * eps, *[float(z) for z in zeros for _ in range(2)]]
-    return monomial_from_roots(roots)
+    return monomial_from_roots(f_m_roots(dim, s))
 
 
 def exact_levenshtein(dim, s):
@@ -76,21 +84,29 @@ def test_quadrature_agrees_with_exact_moments(dim, s):
 
 @pytest.mark.parametrize(
     "dim, s",
-    [(8, 0.5), (24, 0.5), (3, 0.5), (96, 0.2794), (1000, 0.1), (16, 0.7)]
-    + [
-        pytest.param(121, 0.579, marks=pytest.mark.xfail(
-            reason="P(1) ~ 8.8e23: the float expansion misses L by 6.5e-5; "
-            "ROADMAP item 19a (exact f_m)",
-            raises=AssertionError,
-            strict=True,
-        ))
-    ],
+    [(8, 0.5), (24, 0.5), (3, 0.5), (96, 0.2794), (1000, 0.1), (16, 0.7),
+     (121, 0.579), (41, 0.781), (49, 0.7447)],
 )
-def test_the_float_expansion_keeps_l(dim, s):
-    # gegenbauer_coefficients divides by a_0, so its sum is f_m(1) / a_0 = L
-    _, eps, zeros = levenshtein_polynomial(dim, s)
-    value = math.fsum(gegenbauer_coefficients(dim, s, eps, zeros).tolist())
-    assert value == pytest.approx(levenshtein(dim, s)[1], rel=1e-9)
+def test_the_certified_coefficients_keep_l(dim, s):
+    # the a_k / a_0 that Levenshtein's path certifies are the exact ratios,
+    # correctly rounded, so their sum is f_m(1) / a_0 = L
+    coeffs = ratios_from_roots(dim, f_m_roots(dim, s))
+    exact = gegenbauer_from_monomial(dim, exact_f_m(dim, s))
+    assert coeffs == [float(a / exact[0]) for a in exact]
+    assert coeffs[0] == 1.0
+    assert math.fsum(coeffs) == pytest.approx(levenshtein(dim, s)[1], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "dim, s, degree", [(8, 0.5, 6), (24, 0.5, 20), (16, 0.7, 16), (13, 0.8046, 22)]
+)
+def test_lp_bound_certifies_the_rounded_exact_ratios(dim, s, degree):
+    # Levenshtein's path: the certificate lowers a_0 alone, so a_1..a_m are
+    # f_m's exact a_k / a_0 bit for bit
+    cert = lp_bound(dim, s, degree)
+    assert cert.verification.messages[-1].startswith("Levenshtein's f_")
+    exact = gegenbauer_from_monomial(dim, exact_f_m(dim, s))
+    assert cert.phi.coeffs[1:].tolist() == [float(a / exact[0]) for a in exact[1:]]
 
 
 def jacobi_matrix(a, b, size):
@@ -157,16 +173,15 @@ NOISE = "the final shift is the noise term 3e-15 P(1)"
 # cannot carry one, and the violation plus the noise term needs a shift >= 1.
 FLOAT64 = "P(1) >= 1e14: the violation plus the noise term needs a shift >= 1"
 # L = 2.5994e14, and every Gegenbauer coefficient of f_11 is positive in
-# exact arithmetic over the float monomial table. Levenshtein's path
-# certifies f_11 itself, and the noise term's shift alone costs the factor.
+# exact arithmetic. Levenshtein's path certifies f_11 itself, and the noise
+# term's shift alone costs the factor.
 F11 = ("P(1) ~ 2.6e14: the noise term's shift of 0.78 inflates Levenshtein's "
        "f_11 4.54-fold")
 # No certificate: the LP at degree m(s) is called infeasible, and it is not,
 # since f_m is a certificate (its exact expansion is tested below).
 # Levenshtein's path declines: bdb_test finds some Q_j L with j <= m(s)
-# outside its rounding bound, and the float expansion gegenbauer_coefficients
-# would put f_m's P(1)/a_0 off L by 6.5e-5 and 5.8e-6, where levenshtein()'s
-# quadrature is within 3e-13.
+# outside its rounding bound, although f_m's correctly rounded a_k / a_0
+# sum to L within 3e-13 (test_the_certified_coefficients_keep_l).
 FALSE_INFEASIBLE = ("P(1) >= 8e23: the LP is called infeasible, but f_m from "
                     "its own float zeros is a certificate")
 
