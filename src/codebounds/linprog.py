@@ -12,13 +12,13 @@ stall. The dual has no phase 1: with a nonnegative cost its all-slack
 basis is feasible, and so is any optimal basis of the same LP with fewer
 rows. A solve starts from the basis it is given (all-slack by default),
 so a cutting-plane loop can hand each round's optimal basis to the next.
-A given basis whose B^-1 c has an entry below 0 beyond that entry's own
-rounding bound (``_short``) but whose point x is feasible, such as the
-basis of a known good polynomial, is repaired by dual simplex pivots,
-which keep x feasible and drive B^-1 c up to 0 (Maros, Computational
-Techniques of the Simplex Method, 2003, ch. 10). Any other basis, and a
-repair that finds no entering column, start over from the all-slack
-basis, whose B^-1 = I and B^-1 c = c >= 0 need no repair.
+Any factorization whose B^-1 c has an entry below 0 beyond that entry's
+own rounding bound (``_short``), the caller's basis or a periodic
+refactorization, is repaired by dual simplex pivots before primal pivots
+go on (Maros, Computational Techniques of the Simplex Method, 2003, ch.
+10). A singular starting basis, and a repair that finds no entering
+column, start over from the all-slack basis, whose B^-1 = I and
+B^-1 c = c >= 0 need no repair.
 
 At the simplex multipliers -x, the reduced cost of row i's dual variable
 is b_i - A_i x and that of x_j's slack is x_j. An optimum has at most n
@@ -37,23 +37,18 @@ here: the LP is a search step, and the certificate built from it is
 verified on its own.
 
 Cost model: ``solve_lp`` checks the LP and the caller's basis once, and
-factorizes that basis once; a short basis's first pricing also checks that
-its point is feasible (one more matvec); a restart rebuilds the candidates'
-columns and factorizes B = I. Each pivot costs one matvec over the
-candidate rows (pricing), two n x n matvecs (the multipliers and the
+compares and factorizes that basis's columns once; a restart rebuilds the
+candidates' columns and factorizes B = I. Each pivot costs one matvec over
+the candidate rows (pricing), two n x n matvecs (the multipliers and the
 entering column), the entering column's rounding bound (one n-term dot
 product) and one n x (n + 1) rank-1 update. A repair pivot prices the same
-way, and also takes B^-1 c's rounding bounds (one n x n matvec), the
-norms of B^-1's rows, and the leaving row's entry in every candidate
-column (one more matvec over the candidates). B^-1 is refactorized from
-the data at every REFACTOR_INTERVAL-th pivot of the solve. Each time the
-candidates price out, one full-LP matvec finds the violated rows; the
-last of these residuals is reused by ``_refine_primal``. Outside a
-repair, a periodic refactorization clips B^-1 c at 0 even where the
-updates have drifted it below 0 by more than roundoff. That shifts the
-cost the pivots see, so when a solve has clipped an entry that was
-short, its optimum is refactorized once more and repaired before the
-solve ends.
+way, and also takes B^-1 c's rounding bounds (one n x n matvec), the norms
+of B^-1's rows, and the leaving row's entry in every candidate column (one
+more matvec over the candidates). B^-1 is refactorized from the data at
+every REFACTOR_INTERVAL-th pivot of the solve, and each factorization's
+B^-1 c is checked with its rounding bounds. Each time the candidates price
+out, one full-LP matvec finds the violated rows; the last of these
+residuals is reused by ``_refine_primal``.
 """
 
 from __future__ import annotations
@@ -125,7 +120,7 @@ class LPSolution:
     x: np.ndarray | None = None
     objective_value: float = float("nan")
     iterations: int = 0  # pivots of this solve
-    restarts: int = 0  # 1 when a warm start or a repair fell back to all-slack
+    restarts: int = 0  # 1 when the solve started over from all-slack
     # The n primal columns that are nonbasic at the optimum, numbered
     # x_0..x_{n-1} and then the slack of each row. The numbering keeps
     # its meaning when rows are appended, so this can warm-start
@@ -211,6 +206,17 @@ def _factorized(basic_columns, objective):
     return T if np.all(np.isfinite(T)) else None
 
 
+def _parallel(basic_columns):
+    """Whether two dual columns are parallel, such as x_j's slack e_j and a
+    row x_j <= u_j, a singular B that ``np.linalg.inv`` can miss. Divided
+    by their entries of largest magnitude (+ 0.0 turns -0.0 into 0.0),
+    parallel columns have equal bytes."""
+    n = len(basic_columns)
+    lead = basic_columns[np.arange(n), np.abs(basic_columns).argmax(axis=1)]
+    unit = basic_columns / np.where(lead == 0.0, 1.0, lead)[:, None] + 0.0
+    return len({column.tobytes() for column in unit}) < n
+
+
 def _short(T, objective):
     """Which entries of B^-1 c are not ``within_rounding``: each is a sum
     of magnitude (|B^-1| c)_r, as the ``objective`` c is >= 0."""
@@ -224,26 +230,23 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
     ``basis`` warm-starts the solve: n distinct columns, numbered as in
     ``LPSolution.basis``, such as the optimal basis of the same LP or of one
     with the same variables and fewer (leading) rows. It is checked and
-    factorized once. When no entry of B^-1 c lies below 0 beyond its own
-    rounding bound (``_short``), the solve goes on from it. When some entry
-    does but the basis's point x is feasible on the candidates (every
-    reduced cost ``within_rounding``), dual simplex pivots repair B^-1 c
-    first (Maros, Computational Techniques of the Simplex Method, 2003,
-    ch. 10): the leaving row has the most negative entry per unit of its
-    B^-1 row norm, and the entering column the least ratio of reduced cost
-    to -alpha, where alpha is its entry in that row. Any other basis, a
-    singular B, and a repair that finds no entering column go back to the
-    start with the all-slack basis, which needs no repair as c >= 0; that
-    counts one restart. The candidate rows start as ROWS_PER_VARIABLE * n
-    evenly spaced rows (all of them in a shorter LP) plus the rows named in
+    factorized once. After that and after every periodic refactorization,
+    entries of B^-1 c below 0 beyond their own rounding bound (``_short``)
+    are repaired by dual simplex pivots before primal pivots go on: the
+    leaving row has the most negative entry per unit of its B^-1 row norm,
+    and the entering column the least ratio of reduced cost (floored at 0)
+    to -alpha, where alpha is its entry in that row. A singular starting
+    basis (two parallel columns, or a B that ``np.linalg.inv`` rejects)
+    and a repair that finds no entering column go back to the start with
+    the all-slack basis, which needs no repair as c >= 0; that counts one
+    restart. The candidate rows start as ROWS_PER_VARIABLE * n evenly
+    spaced rows (all of them in a shorter LP) plus the rows named in
     ``basis``. The solve ends at the first optimum of the candidates that
     no other row violates; a reduced cost within its own rounding bound
-    counts as optimal there, unless a periodic refactorization clipped a
-    short entry of B^-1 c on the way: then the optimum's B^-1 c is
-    refactorized and repaired the same way, and the solve goes on. Repair
-    pivots count in ``iterations`` and toward the pivot cap. A solve that
-    reaches its pivot cap, or whose basis turns singular when refactorized,
-    is a ``numerical_failure``; nothing else is.
+    counts as optimal there. Repair pivots count in ``iterations`` and
+    toward the pivot cap. A solve that reaches its pivot cap, or whose basis
+    turns singular when refactorized, is a ``numerical_failure``; nothing
+    else is.
     """
     m, n = lp.A.shape
     # the priced dual columns, numbered as in LPSolution.basis: x_j's slack
@@ -258,7 +261,7 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
         basis = _checked_basis(basis, m, n).copy()
         priced[basis] = True
     ids = T = None
-    restarts, drifted, iterations = 0, False, 0
+    restarts, iterations = 0, 0
 
     def ended(status):
         return LPSolution(status, iterations=iterations, restarts=restarts)
@@ -278,46 +281,32 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
             rows = ids[n:] - n
             # one row per dual column: e_j for a slack, -A_i for row i
             columns = np.vstack([np.eye(n), -lp.A[rows]])
-            magnitudes = np.abs(columns)
             cost = np.concatenate([np.zeros(n), lp.b[rows]])
             positions = np.searchsorted(ids, basis)
             basic_cost = cost[positions]
-        fresh = T is None
-        if fresh:
-            # the basis is factorized once
-            T = _factorized(columns[positions], lp.objective)
+        if T is None:
+            # the starting basis is factorized once
+            if not _parallel(columns[positions]):
+                T = _factorized(columns[positions], lp.objective)
             if T is None:
                 basis[:], restarts, ids = range(n), 1, None
                 continue
+            repairing = True
         x, reduced = pricing()
         # repairing: B^-1 c is not yet known to be feasible
-        if fresh or repairing:
+        if repairing:
             short = _short(T, lp.objective)
             repairing = short.any()
-        # a repair needs its point x feasible, or the all-slack basis starts over
-        if fresh and repairing:
-            magnitude = np.abs(cost) + magnitudes @ np.abs(x)
-            if not np.all(within_rounding(reduced, n + 1, magnitude)):
-                basis[:], restarts, ids, T = range(n), 1, None, None
-                continue
         if not repairing:
             enter = int(reduced.argmin())
             # a reduced cost is an (n + 1)-term dot product
-            magnitude = abs(cost[enter]) + magnitudes[enter] @ np.abs(x)
+            magnitude = abs(cost[enter]) + np.abs(columns[enter]) @ np.abs(x)
             if within_rounding(reduced[enter], n + 1, magnitude):
                 np.clip(x, 0.0, None, out=x)
                 residual = _residual(lp, x)
                 violated = np.flatnonzero(~priced[n:] & (residual > 0.0))
                 if not violated.size:
-                    if not drifted:
-                        break
-                    # a periodic refactorization clipped B^-1 c: repair the
-                    # optimum's true B^-1 c, whose reduced costs are feasible
-                    drifted, repairing = False, True
-                    T = _factorized(columns[positions], lp.objective)
-                    if T is None:
-                        return ended("numerical_failure")
-                    continue
+                    break
                 priced[n + violated] = True
                 ids = None
                 continue
@@ -335,7 +324,7 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
             if not eligible.size:
                 basis[:], restarts, ids, T = range(n), 1, None, None
                 continue
-            # the reduced costs are feasible up to rounding: floor them at 0
+            # a reduced cost below 0 enters at ratio 0
             ratios = np.maximum(reduced[eligible], 0.0) / -alpha[eligible]
             enter = int(eligible[ratios.argmin()])
             entering = T[:, :n] @ columns[enter]
@@ -360,9 +349,7 @@ def solve_lp(lp: LinearProgram, basis=None) -> LPSolution:
             T = _factorized(columns[positions], lp.objective)
             if T is None:
                 return ended("numerical_failure")
-            if not repairing:
-                drifted |= _short(T, lp.objective).any()
-                np.clip(T[:, n], 0.0, None, out=T[:, n])
+            repairing = True
     y = np.zeros(m)
     tight = basis >= n
     y[basis[tight] - n] = T[tight, n]

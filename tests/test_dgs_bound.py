@@ -558,14 +558,13 @@ class TestWarmStartedRounds:
         assert 2 * warm.iterations < solve_lp(lp).iterations
 
     @pytest.mark.parametrize("case", [(63, 0.6472, 37), (39, 0.7469, 37)])
-    def test_a_clipped_solve_hands_on_a_basis_that_needs_no_restart(
+    def test_a_repaired_solve_hands_on_a_basis_that_needs_no_restart(
         self, monkeypatch, case
     ):
-        # periodic refactorizations clip short entries of B^-1 c in these
-        # rounds; each solve repairs its optimum before it ends, so no later
-        # round's warm start falls back to the all-slack basis. Unpolished,
-        # so that (39, .7469, 37) reaches those rounds: polished, it ends at
-        # round 1
+        # periodic refactorizations find short entries of B^-1 c in these
+        # rounds; each is repaired where it shows up, so no round's solve
+        # falls back to the all-slack basis. Unpolished, so that
+        # (39, .7469, 37) reaches those rounds: polished, it ends at round 1
         monkeypatch.setattr(dgs_bound, "_polish", lambda *args: None)
         calls = self._record(monkeypatch)
         try:
@@ -573,6 +572,23 @@ class TestWarmStartedRounds:
         except NoCertificateError:
             pass
         assert len(calls) >= 5
+        assert all(solution.restarts == 0 for _, _, solution in calls)
+
+    @pytest.mark.parametrize(
+        "case", [(86, 0.4649956774256001, 23), (177, 0.4913150535231303, 40)]
+    )
+    def test_a_short_warm_start_with_an_infeasible_point_is_repaired(
+        self, monkeypatch, case
+    ):
+        # a solve of each input starts from a basis whose B^-1 c is short
+        # and whose point is infeasible; dual pivots repair it, where the
+        # solve used to start over from the all-slack basis
+        calls = self._record(monkeypatch)
+        try:
+            lp_bound(*case)
+        except NoCertificateError:
+            pass
+        assert calls
         assert all(solution.restarts == 0 for _, _, solution in calls)
 
     def test_f_m_rows_that_share_a_grid_gap_leave_round_1_cold(self, monkeypatch):
@@ -692,10 +708,13 @@ class TestWarmStartedRounds:
         assert cert.verification.passed and verify_certificate(cert).passed
 
     def test_cutting_planes_do_not_import_numpy_ma(self):
-        # np.setdiff1d and np.isin import numpy.ma, 10-20 ms of a cold start
+        # np.setdiff1d, np.isin and np.unique(axis=...) import numpy.ma, 10-20
+        # ms of a cold start; (24, .5, 10) takes Levenshtein's path and
+        # (3, .5, 10) solves the grid LP
         script = (
             "import sys; from codebounds.dgs_bound import lp_bound; "
-            "lp_bound(24, 0.5, 10); print('numpy.ma' in sys.modules)"
+            "lp_bound(24, 0.5, 10); lp_bound(3, 0.5, 10); "
+            "print('numpy.ma' in sys.modules)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -724,7 +743,7 @@ UNPOLISHED_DIGESTS = {
     (24, 0.5, 20): "ad1a9f11b5a457781f2d88c1174f8e34026febdfe77382bc3080ef526d7ec2cf",
     (32, 0.5, 20): "69ed5061f9c43550cf502e9ed37e2cc765b779e74cb35981604c388146b60cd7",
     (16, 0.7, 16): "dc8d7477f5efa0a17d30e7c0a49c4b4ac4c890a5a42dbb492b411a1e4ae669fc",
-    (24, 0.7, 30): "a09aadb2dc10a447d0aab5c8a064c7231460ea4b799b7a0d651e5d08eb557dd2",
+    (24, 0.7, 30): "6c6094455dd56711c7239e7493e2c63a47c3ec995ed7c6dad0da139b07978505",
     (48, 0.5, 30): "d7304f9de4570ed20edae879368d5cc228fab95130393e6e17927ffc2d7a514c",
     (32, 0.5, 30): "ada65bec7a6132feff122f435fb80a25463a979a9ee3c106a038068901eabef9",
 }

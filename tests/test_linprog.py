@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from lp_helpers import (
     enumerate_vertices,
@@ -289,14 +289,15 @@ class TestPivotCap:
 
 class TestSingularRefactorization:
     """A basis that turns singular when B^-1 is refactorized from the data
-    ends the solve as a numerical_failure. The cold solve of the degree-10
-    grid LP at (3, .5) factorizes the all-slack start once, takes 32
-    pivots, and refactorizes once in between, at pivot REFACTOR_INTERVAL."""
+    ends the solve as a numerical_failure, and a B^-1 c that a periodic
+    refactorization finds short is repaired at once. The cold solve of the
+    degree-10 grid LP at (3, .5) factorizes the all-slack start once, takes
+    32 pivots, and refactorizes once in between, at pivot REFACTOR_INTERVAL."""
 
-    def fail_at(self, monkeypatch, singular, drift=False):
+    def fail_at(self, monkeypatch, singular=None, drift=None):
         """Make the ``singular``-th factorization find B singular and every
-        other one run; with ``drift``, the one before it returns a B^-1 c
-        whose first entry is short, as drifted updates leave it."""
+        other one run; the ``drift``-th returns a B^-1 c whose first entry
+        is short, as drifted updates leave it."""
         real = linprog._factorized
         calls = []
 
@@ -305,7 +306,7 @@ class TestSingularRefactorization:
             if len(calls) == singular:
                 return None
             T = real(basic_columns, objective)
-            if drift and len(calls) == singular - 1:
+            if len(calls) == drift:
                 T[0, -1] = -1.0
             return T
 
@@ -321,16 +322,28 @@ class TestSingularRefactorization:
         assert sol.iterations == linprog.REFACTOR_INTERVAL
         assert len(calls) == 2
 
-    def test_before_the_end_of_solve_repair(self, monkeypatch):
-        # the periodic refactorization clips the short entry, so at the
-        # optimum the solve refactorizes once more to repair it: off the
-        # periodic schedule, and that basis is singular
+    def test_a_short_entry_is_repaired_at_once(self, monkeypatch):
+        # each check of B^-1 c (``_short``) is recorded with the number of
+        # factorizations so far: the refactorization at pivot
+        # REFACTOR_INTERVAL finds the first entry short, and the next check
+        # comes after one repair pivot, before any other factorization, with
+        # that entry's row gone from the short ones
         lp = grid_lp(3, 0.5, 10)
-        calls = self.fail_at(monkeypatch, 3, drift=True)
+        cold = solve_lp(lp)
+        calls = self.fail_at(monkeypatch, drift=2)
+        real, checks = linprog._short, []
+
+        def short(T, objective):
+            found = real(T, objective)
+            checks.append((len(calls), found.nonzero()[0].tolist()))
+            return found
+
+        monkeypatch.setattr(linprog, "_short", short)
         sol = solve_lp(lp)
-        assert sol.status == "numerical_failure" and sol.x is None
-        assert linprog.REFACTOR_INTERVAL < sol.iterations < 2 * linprog.REFACTOR_INTERVAL
-        assert len(calls) == 3
+        assert checks[:2] == [(1, []), (2, [0])]
+        assert checks[2][0] == 2 and 0 not in checks[2][1]
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
 
 
 class TestStackedRows:
@@ -436,17 +449,28 @@ class TestWarmStart:
         assert (warm.iterations, warm.restarts) == (1, 0)
         assert np.array_equal(warm.basis, [0])
 
-    def test_a_basis_neither_feasible_nor_dual_feasible_restarts_cold(self):
+    def test_a_basis_neither_feasible_nor_dual_feasible_is_repaired(self):
         # as above, with a last row x <= 3 among the first candidates: the
-        # basis's point x = 5 violates it and row 3's dual is -1, so neither
-        # the primal nor the dual simplex can start from it
+        # basis's point x = 5 violates it and row 3's dual is -1. The repair
+        # pivot does not need a feasible point: x_0's slack enters, and x = 0
         m = 64
         b = np.full(m, 5.0)
         b[-1] = 3.0
         lp = LinearProgram(objective=[1.0], A=np.ones((m, 1)), b=b)
         warm = solve_lp(lp, np.array([1 + 3]))
         assert warm.status == "optimal" and np.array_equal(warm.x, [0.0])
-        assert warm.restarts == 1
+        assert (warm.iterations, warm.restarts) == (1, 0)
+
+    def test_a_basis_with_two_parallel_dual_columns_restarts_cold(self):
+        # min x_0 + x_1 + x_2 s.t. 2.9 x_0 + x_1 + 1.3 x_2 >= 1 and x <= 2:
+        # x_0's slack (dual column e_0) and the row x_0 <= 2 (dual column
+        # -e_0) make B singular, which np.linalg.inv need not report, so the
+        # solve starts over from the all-slack basis and reaches x_0 = 1/2.9
+        A = np.vstack([[-2.9, -1.0, -1.3], np.eye(3)])
+        lp = LinearProgram(np.ones(3), A, [-1.0, 2.0, 2.0, 2.0])
+        warm = solve_lp(lp, np.array([3 + 0, 0, 3 + 1]))
+        assert warm.status == "optimal" and warm.restarts == 1
+        assert warm.x == pytest.approx([1 / 2.9, 0.0, 0.0], rel=1e-12, abs=1e-12)
 
     def test_a_repair_with_no_entering_column_restarts_cold(self, monkeypatch):
         # as in the repair above, where x_0's slack enters at alpha = -1;
@@ -502,6 +526,25 @@ def test_a_repaired_warm_start_matches_the_oracle(seed):
     assert other.status == "optimal"
     sol = solve_lp(lp, other.basis)
     assert sol.status == "optimal" and sol.restarts == 0
+    oracle = enumerate_vertices(*oracle_inputs)
+    assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(183)
+@example(505)
+@example(512)
+@example(2544)
+@example(2966)
+def test_any_caller_basis_reaches_the_oracle(seed):
+    # n distinct columns drawn at random: a singular B, a short B^-1 c and
+    # an infeasible point all occur, and the solve still ends at the optimum.
+    # Each example holds x_j's slack and the row x_j <= u_j
+    rng = np.random.default_rng(seed)
+    lp, oracle_inputs = random_covering_lp(rng)
+    m, n = lp.A.shape
+    sol = solve_lp(lp, rng.choice(n + m, size=n, replace=False))
+    assert sol.status == "optimal"
     oracle = enumerate_vertices(*oracle_inputs)
     assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
 
