@@ -185,8 +185,9 @@ def _polish(d, cos_theta, solution, points, rows, critical, p_at_1):
 def _measured(d, coeffs, cos_theta):
     """(phi, v, P(1)) for the a_0 = 1 ``coeffs`` of P: phi = P - 1, and P's
     maximum v on [-1, cos_theta] as the verifier measures it
-    (``interval_margin``, whose scan phi keeps for ``_certified``). f_m
-    and a polished P, which touch 0 by construction, need v <= noise."""
+    (``interval_margin``, whose scan and values phi keeps for
+    ``_certified``). f_m and a polished P, which touch 0 by construction,
+    need v <= noise."""
     phi = pfender.PhiSpec("gegenbauer", np.append(0.0, coeffs[1:]), dim=d)
     violation = pfender.interval_margin(phi, 1.0, cos_theta)[0]
     return phi, violation, math.fsum(coeffs.tolist())

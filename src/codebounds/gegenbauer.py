@@ -236,8 +236,19 @@ def weighted_inner_product(p, q, dim: int) -> float:
     ``p`` and ``q`` are GegenbauerPoly instances (their dim must match) or
     ascending monomial coefficient vectors. The node count is
     max(64, combined degree + 8), deterministic for a given input, and the
-    nodewise products are accumulated with exact summation so that
-    orthogonality of high-degree pairs is resolved far below the norms.
+    nodewise products are accumulated with exact summation.
+
+    Each product carries its own rounding, so the error is near eps times
+    the integral of |p q|, not eps times the result. A projection
+    <p, G_k> / <G_k, G_k> therefore loses accuracy as ||G_k|| falls: its
+    error is near eps ||p|| / ||G_k||, norms scaled so that ||G_0|| = 1,
+    and ||G_40|| is 2.4e-4 at dim 8, 4.2e-9 at dim 24, 1.9e-13 at dim 50
+    and 2.9e-18 at dim 100. Measured on random degree-40 polynomials,
+    relative to max|a|: the projected coefficients miss by 1e-12 at dim 8,
+    9e-8 at dim 24, 2e-3 at dim 50 and 60 at dim 100. The cause is this
+    cancellation in <p, G_k>, not the Golub-Welsch weights: weights from
+    the orthonormal recurrence, accurate in relative terms, leave errors
+    of the same size.
     """
     dim = _check_dim(dim)
     p_eval, p_deg = _as_poly_eval(p, dim)

@@ -39,8 +39,8 @@ import operator
 
 import numpy as np
 
-from ._scalar import MAX_TABLE_DEGREE, _point_values
-from .gegenbauer import quadrature_rule
+from ._scalar import MAX_TABLE_DEGREE
+from .gegenbauer import basis_values, quadrature_rule
 from .linprog import within_rounding
 
 __all__ = [
@@ -155,17 +155,17 @@ def bdb_test(dim, s, degree, polynomial):
     degree)`` gives it, so m(s) <= degree.
 
     The weights rho'_i solve the N x N system of G_j for j = 1..N at the
-    N = k + eps nodes (by ``_scalar._point_values``). It declines when that
+    N = k + eps nodes (one ``basis_values`` call). It declines when that
     system is singular, and when ``dual_values`` rejects the weights for
     j = 1..degree. No coefficient of f_m is computed here."""
     m, eps, zeros = polynomial
     nodes = [s, *zeros.tolist()] + [-1.0] * eps
     count = len(nodes)
-    # G_1..G_degree, one tuple of node values per degree
-    rows = list(zip(*(_point_values(dim, degree, x) for x in nodes)))[1:]
+    # G_1..G_degree, one row of node values per degree
+    rows = basis_values(dim, degree, np.array(nodes))[1:]
     try:
-        weights = np.linalg.solve(np.array(rows[:count]), np.full(count, -1.0))
+        weights = np.linalg.solve(rows[:count], np.full(count, -1.0))
     except np.linalg.LinAlgError:
         return None
-    values = dual_values(rows, weights.tolist())
+    values = dual_values(rows.tolist(), weights.tolist())
     return None if values is None else min(values[m:], default=math.inf)

@@ -29,11 +29,12 @@ depends on it alone: its coefficients as Python floats, which are also
 the terms of phi(1) (``PhiSpec._terms``); the sorted points above -1
 where phi + c may peak inside an interval, found on its first interval
 check (``PhiSpec._candidates``: a polynomial's critical points on
-[-1, 1], or a table's nodes); and for a Gegenbauer phi G_0..G_m at -1
-and at those points (``PhiSpec._candidate_table``). Each interval check
-then takes phi + c at -1, cos_theta and the candidates in between, found
-by bisection; for a Gegenbauer phi it computes only the column at
-cos_theta, in Python floats (``_scalar._point_values``).
+[-1, 1], or a table's nodes); and phi's values at -1 and at those
+points, from one evaluation (``PhiSpec._candidate_values``). Each
+interval check then adds c to those values at -1 and at the candidates
+below cos_theta, found by bisection, and to phi(cos_theta), the one
+value it computes (for a Gegenbauer phi, G_0..G_m at cos_theta in
+Python floats, ``_scalar._point_values``, and one dot product).
 
 A per-code check reads what depends on the code alone from the code's
 own cached facts (``codes._Code``): its axiom failures, to which only
@@ -47,10 +48,9 @@ code or a cos_theta. Each (code, phi) pair then costs one evaluation of
 phi over the n^2 values, already checked (for a Gegenbauer phi, one run
 of the recursion; for a monomial phi, Horner's rule in numpy's
 ``polyval`` order, ``gegenbauer._horner``), their sum, a margin, and the
-bound from phi's kept terms. The margin on
-the interval is one product of the shifted coefficients with a copy of
-the first columns of the candidates' table; on the finite set it is the
-largest of the off-diagonal values already evaluated. Every check
+bound from phi's kept terms. The margin on the interval is the largest
+of c plus phi's kept values and phi(cos_theta); on the finite set it is
+the largest of the off-diagonal values already evaluated. Every check
 refuses a cos_theta outside [-1, 1].
 """
 
@@ -67,7 +67,7 @@ from . import jsonutil
 from ._immutable import Rebuilt, float_array, read_only
 from ._scalar import _check_dim, _check_int, _point_values
 from .errors import TheoremViolationError
-from .gegenbauer import GegenbauerPoly, _check_r, _horner, _recursion, basis_values
+from .gegenbauer import GegenbauerPoly, _check_r, _horner, _recursion
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
@@ -104,8 +104,8 @@ class PhiSpec(Rebuilt):
     spaced nodes over [-1, 1] (piecewise-linear interpolation between
     nodes, spacing is the certificate author's responsibility).
 
-    ``coeffs`` is a read-only copy, so the candidates a phi keeps after
-    its first interval check cannot go stale.
+    ``coeffs`` is a read-only copy, so the candidates and the values a
+    phi keeps after its first interval check cannot go stale.
     """
 
     basis: str
@@ -175,14 +175,10 @@ class PhiSpec(Rebuilt):
         return points[points > -1.0].tolist()
 
     @cached_property
-    def _candidate_table(self) -> np.ndarray:
-        """G_0..G_m of a Gegenbauer phi at -1, then zeros, then at each
-        candidate, one column each: an interval check's table, whose first
-        2 + h columns it copies before it writes the column at cos_theta
-        over the zeros."""
-        points = np.array([-1.0, *self._candidates])
-        known = basis_values(self.dim, len(self.coeffs) - 1, points)
-        return read_only(np.insert(known, 1, 0.0, axis=1))
+    def _candidate_values(self) -> np.ndarray:
+        """phi at -1 and at each candidate, from one evaluation: an
+        interval check's values at every point but cos_theta."""
+        return read_only(self._values(np.array([-1.0, *self._candidates])))
 
 
 @dataclass
@@ -260,29 +256,20 @@ def interval_margin(phi: PhiSpec, c: float, cos_theta: float):
     rounding: a polynomial peaks at an endpoint or a critical point, and a
     table at an endpoint or a node. The candidates are -1, cos_theta and
     the critical points (or nodes) between them, in that order, and the
-    first maximum wins; c goes into the constant coefficient, so
-    (P - a_0, a_0) is evaluated exactly as P is. A Gegenbauer phi keeps
-    its basis values at every candidate but cos_theta, so a check
-    computes one column, in Python floats, and one product of the
-    shifted coefficients with the candidates' table, the same bits as a
-    ``basis_values`` call over the candidates would give."""
+    first maximum wins. Each value is phi's own value plus c: phi keeps
+    its values at every candidate but cos_theta, so a check computes
+    phi(cos_theta) alone, for a Gegenbauer phi as one dot product of the
+    coefficients with G_0..G_m at cos_theta in Python floats."""
     cos_theta = _checked_cos_theta(cos_theta)
     candidates = phi._candidates
     hi = bisect.bisect_left(candidates, cos_theta)
-    coeffs = phi.coeffs.copy()
-    coeffs[0] += c
     if phi.basis == "gegenbauer":
-        # the table that one basis_values call over the candidates gives,
-        # contiguous, so that the product has the same operands, bit for bit
-        table = phi._candidate_table[:, : 2 + hi].copy()
-        table[:, 1] = _point_values(phi.dim, len(coeffs) - 1, cos_theta)
-        values = coeffs @ table
+        basis = _point_values(phi.dim, len(phi.coeffs) - 1, cos_theta)
+        at_cos_theta = phi.coeffs @ np.array(basis)
     else:
-        points = np.array([-1.0, cos_theta, *candidates[:hi]])
-        if phi.basis == "table":
-            values = phi._values(points) + c
-        else:
-            values = _horner(coeffs, points)
+        at_cos_theta = phi._values(np.array([cos_theta]))[0]
+    known = phi._candidate_values
+    values = np.concatenate((known[:1], [at_cos_theta], known[1 : 1 + hi])) + c
     best = int(values.argmax())
     location = (-1.0, cos_theta)[best] if best < 2 else candidates[best - 2]
     return float(values[best]), location

@@ -487,13 +487,13 @@ class TestDomainSweep:
 # at round 1; each comment gives its bound unpolished -> polished
 ONE_ROUND_DIGESTS = {
     # 13.158330866783311 (1 round, unpolished) -> 13.158329766062527
-    (3, 0.5, 10): "f753a0305134059361cb19aee0ef79aff17dba526e6a4b7a7f94337b3f60acfd",
-    # 25.558461854548923 (1 round, unpolished) -> 25.55842910002798
-    (4, 0.5, 10): "f8f201cdf7afd8b2eeb8ee57031842739aa3fdbb89e1f8affed9e2f27bc79c1c",
+    (3, 0.5, 10): "ae9a481aef35790401f77934483f643a8c68da613ba047cbce9b0e1a89b0e850",
+    # 25.55846185454891 (1 round, unpolished) -> 25.558429100027983
+    (4, 0.5, 10): "25047179e0c3492777b25b2cc142909111737d58cf153847275bc0275bf70f29",
     # 240.0000115669 (2 rounds, unpolished) -> 240.0000000241
-    (8, 0.5, 6): "08e9fc753700d35d218637c5e49eb3db20ba2d5704bef793fa282030595a37bb",
-    # 196560.00013627874 (4 rounds) -> 196560.00013556483
-    (24, 0.5, 10): "989f02210e1809de4219d90083fbd7b2d11bcee4a5c29211c72b18819cf74915",
+    (8, 0.5, 6): "a29c36735f66222aa920ca6a5081fdde44fc4d663d64d8dedae662df7e06dcdf",
+    # 196560.00021717272 (5 rounds, unpolished) -> 196560.00013556413
+    (24, 0.5, 10): "20cb84dadc8a74e1b6c252735c3fbab94b01a56d7b68fafe2e5772dfa9475441",
 }
 
 
@@ -736,15 +736,15 @@ class TestWarmStartedRounds:
 # the rounds, so (24, .5, 20) ends after 4 rounds and (32, .5, 20) after 5,
 # where they would run to MAX_ROUNDS
 UNPOLISHED_DIGESTS = {
-    (3, 0.5, 10): "bdc3ca9a8c11ccf35e16cb24d2f36b210b9e483542548f99a44d89a5bbf7cf31",
-    (4, 0.5, 10): "7b39896380c1effeefbf486e30c5f25ffb379d45142136422fdcacfb340116d5",
+    (3, 0.5, 10): "9200079aea6139ba7c75377d57d5d56faa99a7b2fb48e064905b00298db8b8c1",
+    (4, 0.5, 10): "52b279df4e8e98d16f793e3f45485ef40581ca909c94a04f5783325f810feb39",
     (8, 0.5, 6): "3161fe4615e462f8138a544ba6b77d5d9a630c21a732ed4c907d994ca67673ac",
-    (24, 0.5, 10): "44191ff0c33e263de252a5e0b7dbc0417edf51b44bd91ca6b17c59ec3eaf0ceb",
-    (24, 0.5, 20): "ad1a9f11b5a457781f2d88c1174f8e34026febdfe77382bc3080ef526d7ec2cf",
-    (32, 0.5, 20): "69ed5061f9c43550cf502e9ed37e2cc765b779e74cb35981604c388146b60cd7",
-    (16, 0.7, 16): "dc8d7477f5efa0a17d30e7c0a49c4b4ac4c890a5a42dbb492b411a1e4ae669fc",
-    (24, 0.7, 30): "6c6094455dd56711c7239e7493e2c63a47c3ec995ed7c6dad0da139b07978505",
-    (48, 0.5, 30): "d7304f9de4570ed20edae879368d5cc228fab95130393e6e17927ffc2d7a514c",
+    (24, 0.5, 10): "d71fa690c0119cff264237ef516c5261be3c6113487d04a78dc26765c7125b89",
+    (24, 0.5, 20): "515d3a42ac0f5a970e8754ffc4ef4f48ab41bf15d1e44b1bd1a914923316ac07",
+    (32, 0.5, 20): "f17b1f17ecf59d0916faf85a4065ecf60922d4db4c8389c4dfcc81a75d6a405e",
+    (16, 0.7, 16): "dab8c49fc0237861061f744d41e2ca8279c16b55369c60df6dc6ddac00a0a731",
+    (24, 0.7, 30): "fb8c3544817ae8fa9bfcb8125360c3356d486984ee5bd8c7d1a2519a3cec098f",
+    (48, 0.5, 30): "802c9f69684dfc2c23b0dd9773dbadbcbb455cb6e920d08f33c339ba9d455b17",
     (32, 0.5, 30): "ada65bec7a6132feff122f435fb80a25463a979a9ee3c106a038068901eabef9",
 }
 # inputs whose loop ends with a polished certificate: six kissing_lp and
@@ -909,6 +909,21 @@ def _reloaded(cert):
     )))
 
 
+# certificates whose c, raised by 1e-9, makes P exactly positive on
+# [-1, cos_theta] while the float margin stays below COND_TOL
+MUTANT_CASES = [(8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20)]
+
+
+def _raised_c(cert):
+    """``cert`` with c raised by 1e-9 and the bounds that this c gives, so
+    that only condition (ii) can reject it; no report."""
+    c = cert.c + 1e-9
+    bound_real, bound_int, _ = pfender.bound_values(cert.phi, c)
+    return dataclasses.replace(
+        cert, c=c, bound_real=bound_real, bound_int=bound_int, verification=None
+    )
+
+
 class TestVerification:
     def test_pipeline_output_passes(self, cert_d8):
         report = verify_certificate(cert_d8)
@@ -1001,6 +1016,26 @@ class TestVerification:
         bad.cos_theta = cos_theta
         with pytest.raises(ValueError, match=r"cos_theta must lie in \[-1, 1\]"):
             verify_certificate(bad)
+
+    @pytest.mark.parametrize("case", MUTANT_CASES, ids=str)
+    def test_the_exact_kernel_refutes_a_mutant_above_zero(self, case):
+        # P is exactly 8.99e-10, 3.08e-10 and 3.08e-10 above 0 somewhere
+        mutant = _raised_c(lp_bound(*case))
+        refuted = prove_nonpositive(
+            mutant.phi.dim, mutant.poly.coeffs.tolist(), -1.0, case[1],
+            mutant.phi._candidates,
+        )
+        assert refuted is not None and refuted.value > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the float interval check accepts a margin up "
+        "to COND_TOL, and these mutants' margins (9.0e-10, 3.1e-10 and "
+        "3.1e-10) are below it",
+    )
+    @pytest.mark.parametrize("case", MUTANT_CASES, ids=str)
+    def test_a_self_consistent_mutant_above_zero_is_rejected(self, case):
+        assert not verify_certificate(_raised_c(lp_bound(*case))).passed
 
     def test_a_finite_set_certificate_raises(self, cert_d8):
         # its condition (ii) holds on a code's values, not on the interval

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from codebounds import codes, gegenbauer, jsonutil, pfender
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import TheoremViolationError
-from codebounds.gegenbauer import basis_values
 from codebounds.pfender import (
     COND_TOL,
     PhiSpec,
@@ -576,7 +575,7 @@ def test_every_report_keeps_its_bits():
     ]
     assert len(lines) == 41 * 27 * 2
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "19fe8346172ee8500c94e807caf8a52a51c1582ae8668061d71964b7754aaa8a"
+    assert digest == "91ec29a857fb53df4d2deeba1501ff07878ec6be5758dd6f9cd603b782553ad9"
 
 
 # the certificate cases of the kissing_lp and lp_stress benchmark workloads
@@ -613,14 +612,16 @@ def assert_margins_agree(phi, c, cos_theta):
 
 
 def reference_margin(phi, c, cos_theta):
-    """The margin of a Gegenbauer phi by direct evaluation: phi + c at -1,
-    cos_theta and the critical points in (-1, cos_theta), in that order,
-    one basis_values call over all of them, and the first maximum."""
+    """The margin of a Gegenbauer phi by direct evaluation: c plus phi's
+    own values at -1, cos_theta and the critical points in (-1, cos_theta),
+    in that order, and the first maximum. phi is called once at -1 and
+    every critical point, as wide as the values it keeps, and once at
+    cos_theta."""
     crit = np.array(phi._candidates)
-    points = np.concatenate(([-1.0, cos_theta], crit[crit < cos_theta]))
-    coeffs = phi.coeffs.copy()
-    coeffs[0] += c
-    values = coeffs @ basis_values(phi.dim, len(coeffs) - 1, points)
+    below = crit < cos_theta
+    known = phi(np.array([-1.0, *crit])) + c
+    values = np.concatenate(([known[0], phi(cos_theta) + c], known[1:][below]))
+    points = np.concatenate(([-1.0, cos_theta], crit[below]))
     best = int(np.argmax(values))
     return float(values[best]), float(points[best])
 
@@ -664,7 +665,7 @@ class TestCriticalPointsKeptOnPhi:
         # a fresh phi checked against 50 codes of 3 points: the critical
         # points are found once, the recursion runs once over the code's
         # 9 values per pair, and once each over the 11 samples and the
-        # candidate table; the column at cos_theta is one-point arithmetic
+        # candidates; phi at cos_theta is one-point arithmetic
         phi, c = degree_10_certificate
         fresh = PhiSpec(phi.basis, phi.coeffs, phi.dim)
         roots, sizes, points = [], [], []
