@@ -16,10 +16,9 @@ and the slowest input. An "LP infeasible" result at a degree >= m(s) is
 a class of its own: f_m is a certificate there, so the claim is false.
 
 Every certificate is also proven <= 0 on [-1, cos_theta] in exact
-arithmetic (``proven:``), by the standard-library kernel
-``codebounds.exact`` split where the certificate's phi may peak (the
-scan that its verification kept), as the test suite's session check
-does; a refuted or undecided certificate is named on a line of its own.
+arithmetic (``proven:``) by ``codebounds.exact.unproven``, as the test
+suite's session check does; a refuted or undecided certificate is named
+on a line of its own, with its reason.
 Every input should end quickly in a proven certificate or a
 NoCertificateError: the script exits 1 when any input ends in another
 error or in a certificate that is not proven. Only the ``slowest:`` line
@@ -50,7 +49,7 @@ import numpy as np
 from codebounds import dgs_bound, jsonutil
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import CodeBoundsError, NoCertificateError
-from codebounds.exact import UndecidedError, prove_nonpositive
+from codebounds.exact import unproven
 from codebounds.gegenbauer import MAX_TABLE_DEGREE
 from codebounds.levenshtein import levenshtein, levenshtein_degree
 from codebounds.linprog import solve_lp
@@ -91,22 +90,6 @@ def outcome(case):
             return "NoCertificateError (LP infeasible at m(s) <= degree)", None, output
         return "NoCertificateError (LP infeasible)", None, output
     return "certificate", cert, jsonutil.dumps(certificate_to_json_dict(cert))
-
-
-def unproven(cert):
-    """Why the certificate is not proven <= 0 on [-1, cos_theta] in exact
-    arithmetic, or None when it is: the kernel, split at the points where
-    its phi may peak."""
-    poly = cert.poly
-    try:
-        found = prove_nonpositive(
-            poly.dim, poly.coeffs.tolist(), -1.0, cert.cos_theta, cert.phi._candidates
-        )
-    except UndecidedError as exc:
-        return f"undecided: {exc}"
-    if found is None:
-        return None
-    return f"refuted: P(t) = {float(found.value)!r} > 0 at t = {float(found.t)!r}"
 
 
 def main() -> int:

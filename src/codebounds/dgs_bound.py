@@ -25,7 +25,7 @@ import numpy as np
 from . import exact, levenshtein, pfender
 from ._scalar import _validate_inputs
 from .errors import CodeBoundsError, LPFailureError, NoCertificateError
-from .gegenbauer import GegenbauerPoly, _derivative_recursion, basis_values
+from .gegenbauer import _derivative_recursion, basis_values
 from .linprog import LinearProgram, solve_lp
 from .scanning import chebyshev_points, critical_points
 
@@ -85,12 +85,13 @@ def _noise(p_at_1: float) -> float:
     return 1e-10 + 3e-15 * abs(p_at_1)
 
 
-def _maximum(poly: GegenbauerPoly, sample_basis, cos_theta: float):
+def _maximum(d, coeffs, sample_basis, cos_theta: float):
     """P's values at -1, cos_theta and its critical points, where its
     maximum on [-1, cos_theta] lies, and those critical points: one matvec
     with the G_k at the Chebyshev-Lobatto points, and one evaluation."""
-    critical = critical_points(poly.coeffs @ sample_basis, -1.0, cos_theta)
-    return poly(np.concatenate(([-1.0, cos_theta], critical))), critical
+    critical = critical_points(coeffs @ sample_basis, -1.0, cos_theta)
+    points = np.concatenate(([-1.0, cos_theta], critical))
+    return coeffs @ basis_values(d, len(coeffs) - 1, points), critical
 
 
 def _dual_bound(cos_theta, values, y, t):
@@ -186,8 +187,8 @@ def _measured(d, coeffs, cos_theta):
     """(phi, v, P(1)) for the a_0 = 1 ``coeffs`` of P: phi = P - 1, and P's
     maximum v on [-1, cos_theta] as the verifier measures it
     (``interval_margin``, whose scan and values phi keeps for
-    ``_certified``). f_m and a polished P, which touch 0 by construction,
-    need v <= noise."""
+    ``_certified``). A polished P, which touches 0 by construction, needs
+    v <= noise."""
     phi = pfender.PhiSpec("gegenbauer", np.append(0.0, coeffs[1:]), dim=d)
     violation = pfender.interval_margin(phi, 1.0, cos_theta)[0]
     return phi, violation, math.fsum(coeffs.tolist())
@@ -218,10 +219,11 @@ def _levenshtein_path(d, cos_theta, degree, polynomial):
     ``polynomial`` is ``levenshtein.levenshtein_polynomial(d, cos_theta,
     degree)``, None when m(s) > degree. f_m, each a_k / a_0 the exact ratio
     of its product form correctly rounded (``exact.ratios_from_roots``),
-    passes a polished P's rule: ``levenshtein.bdb_test`` (its dual weights
-    prove it the LP optimum L), the noise gate and ``_certified``. Its one
-    message names the path, m(s), the least BDB test value over
-    m(s) < j <= degree, L and the shift.
+    needs ``levenshtein.bdb_test`` (its dual weights prove it the LP
+    optimum L) and ``_certified``, whose shift absorbs its float maximum
+    (with exact ratios, far below the noise term). Its one message names
+    the path, m(s), the least BDB test value over m(s) < j <= degree, L
+    and the shift.
     """
     least = polynomial and levenshtein.bdb_test(d, cos_theta, degree, polynomial)
     if least is None:
@@ -230,8 +232,6 @@ def _levenshtein_path(d, cos_theta, degree, polynomial):
     roots = [cos_theta] + [-1.0] * eps + [z for z in zeros.tolist() for _ in range(2)]
     coeffs = np.array(exact.ratios_from_roots(d, roots))
     phi, violation, p_at_1 = _measured(d, coeffs, cos_theta)
-    if not violation <= _noise(p_at_1):
-        return None
     certificate, shift = _certified(phi, cos_theta, violation, p_at_1)
     if certificate is None:
         return None
@@ -267,8 +267,9 @@ def _levenshtein_basis(points, degree, polynomial):
 def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificate:
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
-    First, Levenshtein's path (``_levenshtein_path``): where f_m passes a
-    polished P's rule, it is the certificate and no LP runs.
+    First, Levenshtein's path (``_levenshtein_path``): where the BDB test
+    proves f_m the LP optimum and its shift is below 1, it is the
+    certificate and no LP runs.
 
     The first round's LP enforces the sign condition on a fixed grid of
     GRID_POINTS Chebyshev points of [-1, cos_theta], which the cutting
@@ -349,10 +350,9 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificat
         rounds_used = round_index + 1
         basis = solution.basis
         coeffs = np.concatenate(([1.0], solution.x))
-        poly = GegenbauerPoly(d, coeffs)
-        p_at_1 = poly.at_one()
+        p_at_1 = math.fsum(coeffs.tolist())
         # P's maximum is at -1, cos_theta or a critical point
-        values, critical = _maximum(poly, sample_basis, cos_theta)
+        values, critical = _maximum(d, coeffs, sample_basis, cos_theta)
         found = _polish(d, cos_theta, solution, points, rows, critical, p_at_1)
         measured = found and _measured(d, found[0], cos_theta)
         if measured and measured[1] <= _noise(measured[2]):

@@ -2,9 +2,11 @@
 
 ``prove_nonpositive(d, coeffs, lo, hi, splits)`` decides whether
 P = sum_k coeffs[k] G_k^(d) is <= 0 on [lo, hi] in exact arithmetic over
-the given floats, each of which is a dyadic rational. No rounding enters
-the verdict: P is proven <= 0 on the whole interval, or refuted by a point
-where its exact value is > 0.
+the given coefficients, floats (each a dyadic rational) or Fractions. No
+rounding enters the verdict: P is proven <= 0 on the whole interval, or
+refuted by a point where its exact value is > 0. ``unproven(cert)`` is
+that proof for a certificate (phi, c): P = phi + c on [-1, cos_theta],
+with c added to phi's a_0 exactly.
 
 The method is integer Bernstein subdivision (Rouillier & Zimmermann,
 J. Comput. Appl. Math. 162, 2004):
@@ -12,7 +14,8 @@ J. Comput. Appl. Math. 162, 2004):
 - The integer Gegenbauer table: G_k = T_k / D_k with
   D_k = prod_{2 <= j <= k} (j + d - 3) and T_k = (2k + d - 4) t T_{k-1}
   - (k - 1) (D_{k-1} / D_{k-2}) T_{k-2}, which has integer monomial
-  coefficients. So P = Q / (D_m 2^E) for an integer polynomial Q.
+  coefficients. So P = Q / (D_m N) for an integer polynomial Q, N the
+  coefficients' common denominator.
 - On a piece [a, b] with dyadic ends a = A / 2^r and b = B / 2^r,
   2^(r n) Q(a + (b - a) u) = sum_j s_j u^j is an integer polynomial in u,
   whose scaled Bernstein coefficients C(n, k) b_k = sum_{j <= k}
@@ -74,11 +77,12 @@ def gegenbauer_table(d: int, m: int) -> tuple[list[list[int]], list[int]]:
 
 def integer_polynomial(d: int, coeffs) -> tuple[list[int], Fraction]:
     """(q, scale): P = scale * sum_j q_j t^j with integers q_j and a
-    positive rational scale, for P = sum_k coeffs[k] G_k^(d)."""
-    a = [Fraction(float(c)) for c in coeffs]
+    positive rational scale, for P = sum_k coeffs[k] G_k^(d), each
+    coefficient a float or a Fraction, taken exactly."""
+    a = [Fraction(c) for c in coeffs]
     m = len(a) - 1
     T, D = gegenbauer_table(d, m)
-    common = max(c.denominator for c in a)  # a power of 2
+    common = lcm(*(c.denominator for c in a))
     q = [0] * (m + 1)
     for a_k, T_k, D_k in zip(a, T, D):
         weight = a_k.numerator * (common // a_k.denominator) * (D[m] // D_k)
@@ -202,3 +206,25 @@ def prove_nonpositive(d, coeffs, lo, hi, splits=(), max_depth=40):
         mid = (a + b) / 2
         pieces += [(mid, b, depth + 1), (a, mid, depth + 1)]
     return None
+
+
+def unproven(cert) -> str | None:
+    """Why the interval certificate (phi, c) is not proven, or None when
+    P = phi + c is exactly <= 0 on [-1, cos_theta]: "refuted: P(t) = ...
+    > 0 at t = ..." or "undecided: ...". The kernel splits where phi may
+    peak (``phi._candidates``). A finite-set certificate, whose condition
+    (ii) holds on a code's values, or a phi that is not Gegenbauer raises
+    ValueError."""
+    phi = cert.phi
+    if cert.variant != "interval":
+        raise ValueError(f"a {cert.variant} certificate is checked against its code")
+    if phi.basis != "gegenbauer":
+        raise ValueError(f"a {phi.basis} phi is not a Gegenbauer polynomial")
+    coeffs = [Fraction(phi._terms[0]) + Fraction(cert.c), *phi._terms[1:]]
+    try:
+        found = prove_nonpositive(phi.dim, coeffs, -1.0, cert.cos_theta, phi._candidates)
+    except UndecidedError as exc:
+        return f"undecided: {exc}"
+    if found is None:
+        return None
+    return f"refuted: P(t) = {float(found.value)!r} > 0 at t = {float(found.t)!r}"

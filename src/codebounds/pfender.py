@@ -170,8 +170,17 @@ class PhiSpec(Rebuilt):
         if self.basis == "table":
             points = np.linspace(-1.0, 1.0, len(self.coeffs))
         else:
-            samples = self(chebyshev_points(-1.0, 1.0, len(self.coeffs)))
-            points = critical_points(samples, -1.0, 1.0)
+            # phi's samples, or their derivative's Chebyshev coefficients,
+            # past the float range would end in numpy's LinAlgError
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    samples = self(chebyshev_points(-1.0, 1.0, len(self.coeffs)))
+                    points = critical_points(samples, -1.0, 1.0)
+            except FloatingPointError:
+                raise ValueError(
+                    "phi overflows float64: its values or its derivative's "
+                    "are past the float range on [-1, 1]"
+                ) from None
         return points[points > -1.0].tolist()
 
     @cached_property
@@ -280,10 +289,13 @@ def bound_values(phi: PhiSpec, c: float) -> tuple[float, int, bool]:
     (then the bound is also at most 1/c). Every G_k(1) and power of 1 is
     1, so phi(1) + c is the exactly rounded sum of a polynomial's
     coefficients and c, or of a table's last value and c: for (P - a_0,
-    a_0) it is P(1) bit for bit, compared with 1 exactly. A bound past the
-    float range raises ValueError, naming c."""
+    a_0) it is P(1) bit for bit, compared with 1 exactly. A phi(1) + c or a
+    bound past the float range raises ValueError, naming c."""
     terms = phi._terms[-1:] if phi.basis == "table" else phi._terms
-    top = math.fsum([*terms, c])
+    try:
+        top = math.fsum([*terms, c])
+    except OverflowError:
+        raise ValueError(f"phi(1) + c is past the float range, with c = {c!r}") from None
     bound_real = top / c
     if math.isinf(bound_real):
         raise ValueError(

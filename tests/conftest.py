@@ -21,13 +21,12 @@ def rng():
 def every_certificate_is_proven():
     """Every certificate that ``dgs_bound._certified`` returns in the
     session, proven <= 0 on [-1, cos_theta] in exact arithmetic at the
-    session's end by ``codebounds.exact``, split where the certificate's
-    phi may peak (the scan that its verification kept). A refuted or
-    undecided certificate fails the session, named by its dimension,
-    cos_theta and degree. Mutants that tests build by hand never pass
-    through ``_certified``, so the mutant tests keep their meaning."""
+    session's end by ``codebounds.exact.unproven``. A refuted or undecided
+    certificate fails the session, named by its dimension, cos_theta and
+    degree. Mutants that tests build by hand never pass through
+    ``_certified``, so the mutant tests keep their meaning."""
     from codebounds import dgs_bound
-    from codebounds.exact import UndecidedError, prove_nonpositive
+    from codebounds.exact import unproven
 
     real, made = dgs_bound._certified, {}
 
@@ -36,9 +35,8 @@ def every_certificate_is_proven():
         cert = found[0]
         if cert is not None:
             # keyed by the certificate itself, whatever _certified's arguments
-            poly = cert.poly
-            key = (poly.dim, cert.cos_theta, poly.coeffs.tobytes())
-            made[key] = poly.coeffs.tolist(), cert.phi._candidates
+            phi = cert.phi
+            made[phi.dim, cert.cos_theta, cert.c, phi.coeffs.tobytes()] = cert
         return found
 
     dgs_bound._certified = recorded
@@ -46,16 +44,11 @@ def every_certificate_is_proven():
     dgs_bound._certified = real
 
     failures = []
-    for (d, cos_theta, _), (coeffs, splits) in made.items():
-        name = f"(d, cos_theta, degree) = ({d}, {cos_theta!r}, {len(coeffs) - 1})"
-        try:
-            found = prove_nonpositive(d, coeffs, -1.0, cos_theta, splits)
-        except UndecidedError as exc:
-            failures.append(f"{name}: {exc}")
-            continue
-        if found is not None:
-            failures.append(f"{name}: P(t) = {float(found.value)!r} > 0 at "
-                            f"t = {float(found.t)!r}")
+    for (d, cos_theta, _, _), cert in made.items():
+        why = unproven(cert)
+        if why is not None:
+            degree = len(cert.phi.coeffs) - 1
+            failures.append(f"(d, cos_theta, degree) = ({d}, {cos_theta!r}, {degree}): {why}")
     if failures:
         pytest.fail(f"{len(failures)} of {len(made)} certificates not proven "
                     "exactly:\n" + "\n".join(failures), pytrace=False)

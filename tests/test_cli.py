@@ -248,6 +248,29 @@ class TestBoundPfender:
         assert err.startswith("error: c = 1e-320 ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "dim, coeffs, c, cos_theta, message",
+        [
+            # phi(1) + c overflows
+            (3, [0.0, 1.7e308], "1e308", "-0.5",
+             "phi(1) + c is past the float range, with c = 1e+308"),
+            # phi's samples are finite, its derivative's Chebyshev
+            # coefficients are not
+            (5, [0.0] + [1e307] * 10, "1", "0.5", "phi overflows float64: "),
+        ],
+        ids=["phi(1) + c", "phi'"],
+    )
+    def test_an_overflowing_phi_exits_2_with_one_error_line(
+        self, tmp_path, dim, coeffs, c, cos_theta, message
+    ):
+        phi_file = tmp_path / "big.json"
+        jsonutil.dump_path(str(phi_file), {"basis": "gegenbauer", "dim": dim, "coeffs": coeffs})
+        code, out, err = run_cli(
+            "bound", "pfender", "--phi", str(phi_file), "--c", c, "--cos-theta", cos_theta
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message) and err.count("\n") == 1, err
+
     def test_finite_set_non_finite_cos_theta_exits_2(self, phi_file, tmp_path):
         simplex = tmp_path / "s3.json"
         jsonutil.dump_path(

@@ -18,7 +18,7 @@ import pytest
 from codebounds import cli, dgs_bound, jsonutil, pfender
 from codebounds.dgs_bound import bound_table, lp_bound, verify_certificate
 from codebounds.errors import LPFailureError, NoCertificateError
-from codebounds.exact import prove_nonpositive
+from codebounds.exact import unproven
 from codebounds.gegenbauer import GegenbauerPoly
 from codebounds.linprog import LPSolution, solve_lp
 from codebounds.pfender import (
@@ -94,7 +94,7 @@ class TestLPBound:
             assert ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
             assert cert.poly.coeffs.tobytes() == f_1.poly.coeffs.tobytes()
             assert cert.bound_real == f_1.bound_real >= d + 1
-            assert prove_nonpositive(d, cert.poly.coeffs.tolist(), -1.0, -1.0 / d) is None
+            assert unproven(cert) is None
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -883,7 +883,7 @@ class TestNewtonPolish:
         # the last bits depend on the BLAS kernel (ROADMAP item 13)
         assert cert.bound_real == pytest.approx(240.00000003913144, rel=1e-12)
         assert cert.bound_int == 240
-        assert prove_nonpositive(8, cert.poly.coeffs.tolist(), -1.0, 0.5) is None
+        assert unproven(cert) is None
 
     def test_a_lone_tight_row_is_polished(self, monkeypatch):
         # (48, .5, 30) keeps one tight row apart from any other, so 2 J + E
@@ -1020,12 +1020,7 @@ class TestVerification:
     @pytest.mark.parametrize("case", MUTANT_CASES, ids=str)
     def test_the_exact_kernel_refutes_a_mutant_above_zero(self, case):
         # P is exactly 8.99e-10, 3.08e-10 and 3.08e-10 above 0 somewhere
-        mutant = _raised_c(lp_bound(*case))
-        refuted = prove_nonpositive(
-            mutant.phi.dim, mutant.poly.coeffs.tolist(), -1.0, case[1],
-            mutant.phi._candidates,
-        )
-        assert refuted is not None and refuted.value > 0
+        assert unproven(_raised_c(lp_bound(*case))).startswith("refuted: ")
 
     @pytest.mark.xfail(
         strict=True,
@@ -1036,6 +1031,23 @@ class TestVerification:
     @pytest.mark.parametrize("case", MUTANT_CASES, ids=str)
     def test_a_self_consistent_mutant_above_zero_is_rejected(self, case):
         assert not verify_certificate(_raised_c(lp_bound(*case))).passed
+
+    def test_an_overflowing_phi_1_plus_c_fails(self):
+        # phi(1) + c = 1.7e308 + 1e308 is past the float range
+        phi = pfender.PhiSpec("gegenbauer", [0.0, 1.7e308], dim=3)
+        report = verify_certificate(
+            pfender.PfenderCertificate(phi, 1e308, -0.5, "interval", 1.0, 1)
+        )
+        assert not report.passed
+        assert report.messages == ["phi(1) + c is past the float range, with c = 1e+308"]
+
+    def test_a_phi_whose_derivative_overflows_raises(self):
+        # phi's samples are finite, its derivative's Chebyshev coefficients
+        # are not; no RuntimeWarning on the way
+        phi = pfender.PhiSpec("gegenbauer", [0.0] + [1e307] * 10, dim=5)
+        cert = pfender.PfenderCertificate(phi, 1.0, 0.5, "interval", 1.0, 1)
+        with pytest.raises(ValueError, match="phi overflows float64"):
+            verify_certificate(cert)
 
     def test_a_finite_set_certificate_raises(self, cert_d8):
         # its condition (ii) holds on a code's values, not on the interval
@@ -1136,7 +1148,7 @@ class TestCertified:
         violation = pfender.interval_margin(cert.phi, 1.0, cos_theta)[0]
         p_at_1 = pfender.bound_values(cert.phi, 1.0)[0]
         assert shift == max(violation, 0.0) + dgs_bound._noise(p_at_1)
-        assert prove_nonpositive(d, cert.poly.coeffs.tolist(), -1.0, cos_theta) is None
+        assert unproven(cert) is None
 
     def test_the_noise_term_alone_can_refuse_a_candidate(self):
         # the last round's P is below 0 on the interval, but its P(1) above

@@ -5,6 +5,7 @@ The float verifier accepts a maximum of P up to COND_TOL = 1e-9 on
 coefficients that a certificate file stores, in exact arithmetic.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from math import prod
@@ -21,6 +22,7 @@ from codebounds.exact import (
     integer_polynomial,
     monomial_from_roots,
     prove_nonpositive,
+    unproven,
 )
 
 # the kissing_lp and lp_stress certificates of perfbench/workloads.py
@@ -66,18 +68,10 @@ def exact_value(d, coeffs, t):
 
 
 def stored(case):
-    """(d, cos_theta, coeffs) of lp_bound(*case)'s P as its file stores it,
-    the pair (phi, c) with phi's a_0 = 0: P's coefficients are c, then
-    phi's a_1..a_m."""
+    """lp_bound(*case)'s certificate as its file stores it: phi, whose
+    a_0 is 0, and c."""
     text = jsonutil.dumps(pfender.certificate_to_json_dict(lp_bound(*case)))
-    cert = pfender.certificate_from_json_dict(json.loads(text))
-    return cert.phi.dim, cert.cos_theta, cert.poly.coeffs.tolist()
-
-
-def verdict(d, cos_theta, coeffs):
-    """The kernel on [-1, cos_theta], split where phi = P - a_0 may peak."""
-    phi = pfender.PhiSpec("gegenbauer", [0.0, *coeffs[1:]], dim=d)
-    return prove_nonpositive(d, coeffs, -1.0, cos_theta, phi._candidates)
+    return pfender.certificate_from_json_dict(json.loads(text))
 
 
 class TestOracle:
@@ -142,20 +136,10 @@ class TestOracle:
         t = Fraction(-3, 11)
         assert exact_value(d, coeffs, t) == prod(t - Fraction(r) for r in roots)
 
-    def test_a_mutant_inside_cond_tol_is_refuted(self):
-        # (8, .5, 6) with a_0 raised by 1e-9: the float margin still passes
-        d, cos_theta, coeffs = stored((8, 0.5, 6))
-        coeffs[0] += 1e-9
-        phi, c = pfender.PhiSpec("gegenbauer", [0.0, *coeffs[1:]], dim=d), coeffs[0]
-        assert pfender.interval_margin(phi, c, cos_theta)[0] <= pfender.COND_TOL
-        found = verdict(d, cos_theta, coeffs)
-        assert isinstance(found, Refuted) and found.value > 0
-        assert found.value == exact_value(d, coeffs, found.t)
-
 
 @pytest.mark.parametrize("case", BENCHMARK_CASES, ids=str)
 def test_every_benchmark_certificate_is_proven(case):
-    assert verdict(*stored(case)) is None
+    assert unproven(stored(case)) is None
 
 
 def test_a_certificate_that_is_exactly_0_at_an_end_is_proven():
@@ -163,14 +147,15 @@ def test_a_certificate_that_is_exactly_0_at_an_end_is_proven():
     # its P(-1) is exactly 0, which is not a violation
     d, cos_theta, coeffs = 9, 0.0733, [1.0, 24.508668821627978, 23.508668821627978]
     assert exact_value(d, coeffs, Fraction(-1)) == 0
-    assert verdict(d, cos_theta, coeffs) is None
+    phi = pfender.PhiSpec("gegenbauer", [0.0, *coeffs[1:]], dim=d)
+    assert unproven(pfender.pfender_bound(phi, coeffs[0], cos_theta)) is None
 
 
 def test_a_certificate_at_cos_theta_minus_1_is_proven():
     # [-1, -1] is one point, where P must be <= 0; the session check proves
     # lp_bound's own certificate there too
     assert lp_bound(3, -1.0, 2).bound_real == pytest.approx(2.0)
-    assert verdict(*stored((3, -1.0, 2))) is None
+    assert unproven(stored((3, -1.0, 2))) is None
 
 
 # degree-1 LP answers 1 + a_1 t, a_1 the float nearest -1/s: each was once
@@ -185,19 +170,55 @@ DEGREE_ONE = {
 @pytest.mark.parametrize("case", DEGREE_ONE, ids=str)
 def test_a_degree_one_certificate_is_proven(case):
     assert lp_bound(*case).bound_int == DEGREE_ONE[case]
-    assert verdict(*stored(case)) is None
+    assert unproven(stored(case)) is None
 
 
 @pytest.mark.parametrize("case", PROVEN, ids=str)
 def test_a_formerly_refuted_pool_certificate_is_proven(case):
-    assert verdict(*stored(case)) is None
+    assert unproven(stored(case)) is None
 
 
 @pytest.mark.parametrize("case", NEWLY_POLISHED, ids=str)
 def test_a_newly_polished_pool_certificate_is_proven(case):
-    assert verdict(*stored(case)) is None
+    assert unproven(stored(case)) is None
 
 
 @pytest.mark.parametrize("case", NEWLY_LEVENSHTEIN, ids=str)
 def test_a_newly_levenshtein_pool_certificate_is_proven(case):
-    assert verdict(*stored(case)) is None
+    assert unproven(stored(case)) is None
+
+
+class TestUnproven:
+    # anchors whose P touches 0 at -1, so that c raised by 1e-9 makes
+    # P(-1) exactly positive, by less than COND_TOL
+    @pytest.mark.parametrize("case", [(8, 0.5, 6), (24, 0.5, 10), (3, 0.5, 10)], ids=str)
+    def test_an_anchor_is_proven_and_its_raised_c_refuted(self, case):
+        cert = stored(case)
+        assert unproven(cert) is None
+        mutant = pfender.pfender_bound(cert.phi, cert.c + 1e-9, cert.cos_theta)
+        # the float interval check passes it (ROADMAP item 1)
+        assert mutant.verification.passed
+        value = exact_value(case[0], [mutant.c, *cert.phi.coeffs[1:]], Fraction(-1))
+        assert 0 < value < 1e-9
+        assert unproven(mutant) == f"refuted: P(t) = {float(value)!r} > 0 at t = -1.0"
+
+    def test_c_is_added_to_phis_a_0_exactly(self):
+        cert = stored((8, 0.5, 6))
+        coeffs = cert.phi.coeffs.copy()
+        coeffs[0] = 0.25
+        split = pfender.PhiSpec("gegenbauer", coeffs, dim=8)
+        assert unproven(pfender.pfender_bound(split, cert.c - 0.25, 0.5)) is None
+        # (9, .0733, 2)'s P, exactly 0 at -1, raised by 1e-300 in phi's a_0:
+        # 1e-300 + c rounds to c, but the exact P(-1) is 1e-300
+        phi = pfender.PhiSpec("gegenbauer", [1e-300, 24.508668821627978, 23.508668821627978], dim=9)
+        assert unproven(pfender.pfender_bound(phi, 1.0, 0.0733)) == (
+            "refuted: P(t) = 1e-300 > 0 at t = -1.0"
+        )
+
+    def test_a_certificate_that_is_not_a_gegenbauer_interval_one_raises(self):
+        cert = stored((8, 0.5, 6))
+        with pytest.raises(ValueError, match="checked against its code"):
+            unproven(dataclasses.replace(cert, variant="finite_set"))
+        monomial = pfender.PhiSpec("monomial", [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="monomial phi is not a Gegenbauer"):
+            unproven(pfender.pfender_bound(monomial, 1.0, 0.5))

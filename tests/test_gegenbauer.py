@@ -55,6 +55,17 @@ class TestEval:
     def test_value_one_at_one(self):
         assert gegenbauer_eval(9, 7, 1.0) == 1.0
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)], ids=str)
+    def test_an_array_keeps_its_shape_and_basis_values_bits(self, shape):
+        r = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+        values = gegenbauer_eval(7, 4, r)
+        assert isinstance(values, np.ndarray) and values.shape == shape
+        assert values.tobytes() == basis_values(7, 4, r)[4].tobytes()
+
+    def test_a_0d_array_gives_a_float(self):
+        value = gegenbauer_eval(7, 4, np.array(0.3))
+        assert type(value) is float and value == basis_values(7, 4, 0.3)[4]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             gegenbauer_eval(1, 2, 0.5)
