@@ -7,18 +7,20 @@ normalized to 1 the best such bound at a fixed degree is a linear
 program over the remaining coefficients. ``lp_bound`` takes
 Levenshtein's f_m where the Boyvalenkov-Danev-Bumova test shows it is that
 optimum (``levenshtein``), and otherwise solves the LP on a Chebyshev grid
-grown by cutting planes, with a Newton polish on its active set. f_m, a
-polished P or the last round is measured once, by the verifier's
-``pfender.interval_margin`` on its Pfender form phi = P - 1
-(``_measured``), and one rule (``_certified``) lowers its a_0 alone by
-the shift that maximum sets, to the certificate (phi, 1 - shift), which
-``verify_certificate`` re-checks from a file by one ``pfender_bound`` call.
+grown by cutting planes, with a Newton polish on its active set. f_m's
+a_0 is lowered by its coefficients' exact rounding error E. A polished P
+or the last round is measured once, by the verifier's
+``pfender.interval_margin`` on phi = P - 1 (``_measured``), and its a_0
+is lowered by the shift that maximum sets. One check (``_certified``)
+builds every path's certificate (phi, c), which ``verify_certificate``
+re-checks from a file by one ``pfender_bound`` call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -194,52 +196,50 @@ def _measured(d, coeffs, cos_theta):
     return phi, violation, math.fsum(coeffs.tolist())
 
 
-def _certified(phi, cos_theta, violation, p_at_1):
-    """(certificate, shift) for ``_measured``'s (phi, v, P(1)): one rule for
-    f_m, a polished P and an LP answer, shift = max(v, 0) + noise, lowers
-    a_0 alone, to the certificate (phi, 1 - shift) with its ``pfender_bound``
-    report on phi's kept scan (None at shift >= 1). A P_hat = P - shift
-    that fails it raises CodeBoundsError (internal error)."""
-    shift = max(violation, 0.0) + _noise(p_at_1)
-    if shift >= 1.0:
-        return None, shift
-    certificate = pfender.pfender_bound(phi, 1.0 - shift, cos_theta)
+def _certified(phi, cos_theta, c):
+    """The certificate (phi, c) with its ``pfender_bound`` report, on
+    ``_measured``'s scan of phi where it made one: the one check of every
+    path. A (phi, c) that fails it raises CodeBoundsError (internal error)."""
+    certificate = pfender.pfender_bound(phi, c, cos_theta)
     report = certificate.verification
     if not report.passed:
         raise CodeBoundsError(
             "internal error: freshly produced certificate failed verification "
             f"(condition (ii) margin {report.condition_ii_margin!r})"
         )
-    return certificate, shift
+    return certificate
 
 
 def _levenshtein_path(d, cos_theta, degree, polynomial):
     """Levenshtein's f_m as the degree-``degree`` certificate, or None.
 
     ``polynomial`` is ``levenshtein.levenshtein_polynomial(d, cos_theta,
-    degree)``, None when m(s) > degree. f_m, each a_k / a_0 the exact ratio
-    of its product form correctly rounded (``exact.ratios_from_roots``),
-    needs ``levenshtein.bdb_test`` (its dual weights prove it the LP
-    optimum L) and ``_certified``, whose shift absorbs its float maximum
-    (with exact ratios, far below the noise term). Its one message names
-    the path, m(s), the least BDB test value over m(s) < j <= degree, L
-    and the shift.
+    degree)``, None when m(s) > degree. f_m needs ``levenshtein.bdb_test``
+    (its dual weights prove it the LP optimum L). By its product form,
+    sum r_k G_k <= 0 on [-1, cos_theta] for its exact ratios r_k = a_k /
+    a_0, which round to f_k with E = sum |f_k - r_k| exact
+    (``exact.ratios_from_roots``). As |G_k| <= 1, c, the largest float
+    <= 1 - E, makes (f_m - 1, c) a certificate with no scan or noise term
+    (None where E >= 1). Its one message names the path, m(s), the least
+    BDB test value over m(s) < j <= degree, L and E.
     """
     least = polynomial and levenshtein.bdb_test(d, cos_theta, degree, polynomial)
     if least is None:
         return None
     m, eps, zeros = polynomial
     roots = [cos_theta] + [-1.0] * eps + [z for z in zeros.tolist() for _ in range(2)]
-    coeffs = np.array(exact.ratios_from_roots(d, roots))
-    phi, violation, p_at_1 = _measured(d, coeffs, cos_theta)
-    certificate, shift = _certified(phi, cos_theta, violation, p_at_1)
-    if certificate is None:
+    coeffs, error = exact.ratios_from_roots(d, roots)
+    c = float(1 - error)
+    c = c if Fraction(c) <= 1 - error else math.nextafter(c, -math.inf)
+    if c <= 0.0:  # E >= 1, or no positive float is <= 1 - E
         return None
+    phi = pfender.PhiSpec("gegenbauer", [0.0, *coeffs[1:]], dim=d)
+    certificate = _certified(phi, cos_theta, c)
     least = repr(least) if degree > m else "none (degree = m(s))"
     certificate.verification.messages.append(
         f"Levenshtein's f_{m}, m(s) = {m}: BDB test min Q_j L over "
-        f"m(s) < j <= {degree} is {least}; L = {p_at_1!r} inflated by "
-        f"shift {shift!r}"
+        f"m(s) < j <= {degree} is {least}; L = {math.fsum(coeffs)!r} inflated "
+        f"by rounding error E = {float(error)!r}"
     )
     return certificate
 
@@ -268,8 +268,8 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificat
     """Best degree-``degree`` LP bound for (d, cos_theta), post-validated.
 
     First, Levenshtein's path (``_levenshtein_path``): where the BDB test
-    proves f_m the LP optimum and its shift is below 1, it is the
-    certificate and no LP runs.
+    proves f_m the LP optimum and its rounding error E is below 1, it is
+    the certificate and no LP runs.
 
     The first round's LP enforces the sign condition on a fixed grid of
     GRID_POINTS Chebyshev points of [-1, cos_theta], which the cutting
@@ -302,12 +302,11 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificat
     fails, which the rounds message names, or that takes no pivot, which
     repeats the round before it, ends them without being taken. Only a
     degree-1 P (no critical point), or rounds whose every polish fails,
-    end in an unpolished LP answer, shifted by the same rule as the rest.
+    end in an unpolished LP answer.
 
-    The last round taken is certified by ``_certified``, which verifies
-    every path's certificate; when its shift is >= 1, NoCertificateError
-    names its maximum, the shift and the noise term, which alone reaches 1
-    at P(1) > 3.3e14.
+    The last round taken is shifted by max(v, 0) + noise, for its maximum
+    v, and certified by ``_certified``; at a shift >= 1, NoCertificateError
+    names v, the shift and the noise term (alone 1 at P(1) > 3.3e14).
     """
     _validate_inputs(d, cos_theta, degree)
     if degree < 1:
@@ -369,13 +368,14 @@ def lp_bound(d: int, cos_theta: float, degree: int) -> pfender.PfenderCertificat
     if polish is None:
         measured = _measured(d, coeffs, cos_theta)
     phi, violation, p_at_1 = measured
-    certificate, shift = _certified(phi, cos_theta, violation, p_at_1)
-    if certificate is None:
+    shift = max(violation, 0.0) + _noise(p_at_1)
+    if shift >= 1.0:
         raise NoCertificateError(
             f"residual sign violation {violation!r} after {rounds_used} "
             f"cutting-plane rounds on a {GRID_POINTS}-point grid cannot be "
             f"absorbed by shift {shift!r} (noise term {_noise(p_at_1)!r}){failed_round}"
         )
+    certificate = _certified(phi, cos_theta, 1.0 - shift)
     report = certificate.verification
     if polish is not None:
         optimum, active, dual = polish

@@ -36,7 +36,8 @@ Gegenbauer polynomials, in integers over one denominator: exactly for
 ``gegenbauer_from_monomial`` and ``monomial_from_roots`` (prod_i
 (t - r_i)), and correctly rounded for ``gegenbauer.monomial_table``,
 ``expand_rounded`` (``expand_in_basis`` and ``gegenbauer expand``) and
-``ratios_from_roots`` (Levenshtein's f_m in ``lp_bound``).
+``ratios_from_roots`` (Levenshtein's f_m in ``lp_bound``, with its exact
+rounding error).
 """
 
 from __future__ import annotations
@@ -148,11 +149,17 @@ def expand_rounded(d: int, monomial: list[float]) -> list[float]:
         raise ValueError("coeffs must be finite") from None
 
 
-def ratios_from_roots(d: int, roots) -> list[float]:
-    """a_k / a_0 for prod_i (t - roots[i]) = sum_k a_k G_k^(d), each ratio
-    correctly rounded (int / int), so the first is 1.0; a_0 must be > 0."""
+def ratios_from_roots(d: int, roots) -> tuple[list[float], Fraction]:
+    """(f, E) for prod_i (t - roots[i]) = sum_k a_k G_k^(d), a_0 > 0: each
+    f_k = a_k / a_0 correctly rounded (int / int), so f_0 = 1.0, and
+    E = sum_k |f_k - a_k / a_0| exactly. Every |G_k| <= 1 on [-1, 1], so
+    sum_k f_k G_k lies within E of the exact ratios' polynomial there."""
     A, _ = _expansion(d, *_product(roots))
-    return [a / A[0] for a in A]
+    f = [a / A[0] for a in A]
+    pairs = [x.as_integer_ratio() for x in f]
+    den = max(q for _, q in pairs)  # a power of 2, so every q divides it
+    error = sum(abs(p * (den // q) * A[0] - a * den) for (p, q), a in zip(pairs, A))
+    return f, Fraction(error, A[0] * den)
 
 
 def _bernstein(q: list[int], a: Fraction, b: Fraction) -> list[int]:

@@ -18,7 +18,7 @@ import pytest
 from codebounds import cli, dgs_bound, jsonutil, pfender
 from codebounds.dgs_bound import bound_table, lp_bound, verify_certificate
 from codebounds.errors import LPFailureError, NoCertificateError
-from codebounds.exact import unproven
+from codebounds.exact import gegenbauer_from_monomial, monomial_from_roots, unproven
 from codebounds.gegenbauer import GegenbauerPoly
 from codebounds.linprog import LPSolution, solve_lp
 from codebounds.pfender import (
@@ -41,8 +41,19 @@ ROUNDS_MESSAGE = re.compile(
 LEVENSHTEIN_MESSAGE = re.compile(
     r"Levenshtein's f_(\d+), m\(s\) = (\d+): BDB test min Q_j L over "
     r"m\(s\) < j <= (\d+) is (\S+|none \(degree = m\(s\)\)); L = (\S+) "
-    r"inflated by shift (\S+)"
+    r"inflated by rounding error E = (\S+)"
 )
+
+
+def f_m_rounding_error(case, cert):
+    """E = sum_k |f_k - r_k| for the f_k of ``cert``, Levenshtein's f_m at
+    ``case``, and the exact ratios r_k = a_k / a_0 of f_m's product form,
+    expanded exactly from its float roots (f_0 = r_0 = 1)."""
+    m, eps, zeros = dgs_bound.levenshtein.levenshtein_polynomial(*case)
+    roots = [case[1]] + [-1.0] * eps + [z for z in zeros.tolist() for _ in range(2)]
+    a = gegenbauer_from_monomial(case[0], monomial_from_roots(roots))
+    f = cert.phi.coeffs.tolist()
+    return sum(abs(Fraction(f[k]) - a[k] / a[0]) for k in range(1, m + 1))
 
 
 @pytest.fixture
@@ -83,18 +94,20 @@ class TestLPBound:
             lp_bound(3, 0.5, 1)
 
     def test_simplex_angle_degree_one_exact(self, monkeypatch):
-        # the optimum P = 1 + d t is f_1 and the LP answer [1, d] alike, and
-        # one shift rule certifies both: the same bits on either path, proven
-        # exactly (unshifted, the LP answer was refuted at d = 3 and d = 7)
+        # the optimum P = 1 + d t is f_1 and the LP answer [1, d] alike.
+        # f_1's c = 1 - E is exact where its a_1 = d is (E = 0), so at d = 16
+        # its bound is d + 1 itself; the LP answer is shifted by its maximum
+        # plus noise (unshifted, it was refuted at d = 3 and d = 7). Each is
+        # proven exactly
         cases = {d: lp_bound(d, -1.0 / d, 1) for d in (2, 3, 7, 16)}
         monkeypatch.setattr(dgs_bound, "_levenshtein_path", lambda *args: None)
         for d, f_1 in cases.items():
             cert = lp_bound(d, -1.0 / d, 1)
             assert LEVENSHTEIN_MESSAGE.fullmatch(f_1.verification.messages[-1])
             assert ROUNDS_MESSAGE.fullmatch(cert.verification.messages[-1])
-            assert cert.poly.coeffs.tobytes() == f_1.poly.coeffs.tobytes()
-            assert cert.bound_real == f_1.bound_real >= d + 1
-            assert unproven(cert) is None
+            assert cert.bound_real >= d + 1
+            assert unproven(cert) is None and unproven(f_1) is None
+        assert cases[16].bound_real == 17.0 and cases[16].c == 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -239,8 +252,8 @@ class TestRoundStops:
 # the inputs where Levenshtein's f_m is provably the degree's optimum: four
 # kissing_lp cases and a small one; (8, .5) and (24, .5) sit on the closed
 # end of I_6 and I_10, where the monic recurrence reads exactly 0. In the
-# last three f_m's shift is large (0.78 at (1000, .1, 11)), and any shift
-# below 1 is taken, on this path as on the LP's
+# last three f_m's rounding error E is large (0.0143 at (1000, .1, 11)),
+# and any E below 1 is taken
 FAST_PATH_CASES = [
     (8, 0.5, 6), (24, 0.5, 10), (24, 0.5, 20), (16, 0.7, 16), (3, 0.5, 6),
     (1000, 0.1, 11), (96, 0.2794, 35), (114, 0.33, 17),
@@ -258,6 +271,8 @@ class TestLevenshteinPath:
     @pytest.mark.parametrize("case", FAST_PATH_CASES, ids=str)
     def test_taken_without_an_lp(self, monkeypatch, case):
         calls = TestWarmStartedRounds._record(monkeypatch)
+        for name in ("_measured", "_noise"):
+            monkeypatch.setattr(dgs_bound, name, lambda *args, name=name: calls.append(name))
         cert = lp_bound(*case)
         assert not calls
         assert cert.verification.passed and verify_certificate(cert).passed
@@ -271,12 +286,13 @@ class TestLevenshteinPath:
         if m < case[2]:
             # the BDB test values sit at or above minus their rounding
             assert float(least) > -1e-9
-        # P_hat = P - shift, a_0 = 1 - shift, with shift >= the noise term
-        p_at_1, shift = float(found[5]), float(found[6])
-        assert shift >= 1e-10 + 3e-15 * p_at_1
-        assert cert.bound_real == pytest.approx(
-            (p_at_1 - shift) / (1.0 - shift), rel=1e-15
-        )
+        # (f_m - 1, c), c the largest float <= 1 - E, with E recomputed
+        # exactly; the bound is (L - 1 + c) / c
+        error = f_m_rounding_error(case, cert)
+        assert float(found[6]) == float(error)
+        assert Fraction(cert.c) <= 1 - error < Fraction(np.nextafter(cert.c, 2.0))
+        p_at_1 = float(found[5])
+        assert cert.bound_real == pytest.approx((p_at_1 - 1.0 + cert.c) / cert.c, rel=1e-15)
         assert cert.verification.condition_ii_margin < 0.0
 
     def test_the_anchors_keep_their_windows(self):
@@ -308,13 +324,18 @@ class TestLevenshteinPath:
     )
     def test_a_degree_one_certificate_is_exactly_nonpositive(self, d, s):
         # P = a_0 + a_1 t is linear, so P <= 0 at -1 and at s, in exact
-        # arithmetic over the stored floats, proves the sign condition
+        # arithmetic over the stored floats, proves the sign condition. f_1's
+        # a_1 = -1/s is exact at s = -1/2 and -1/16, so E = 0, c = 1 and P(s)
+        # is exactly 0 there; elsewhere c = 1 - E takes P(s) below 0
         cert = lp_bound(d, s, 1)
         assert LEVENSHTEIN_MESSAGE.fullmatch(cert.verification.messages[-1])
         a_0, a_1 = (Fraction(float(a)) for a in cert.poly.coeffs)
         assert a_0 > 0 and a_1 >= 0
         assert a_0 - a_1 <= 0
-        assert a_0 + a_1 * Fraction(s) < 0
+        if s in (-0.5, -1.0 / 16):
+            assert a_0 == 1 and a_0 + a_1 * Fraction(s) == 0
+        else:
+            assert a_0 + a_1 * Fraction(s) < 0
 
 
 class TestGapRows:
@@ -659,9 +680,10 @@ class TestWarmStartedRounds:
     )
     def test_each_round_and_candidate_is_scanned_once(self, monkeypatch, case):
         # a round scans its LP answer once for its cuts (``_maximum``); each
-        # candidate that reaches the noise gate or is certified (f_m, a
-        # polished P, the last unpolished LP answer) is scanned once by the
-        # verifier's interval_margin, and pfender_bound reuses that scan
+        # candidate that reaches the noise gate or is certified (a polished
+        # P, the last unpolished LP answer) is scanned once by the verifier's
+        # interval_margin, and pfender_bound reuses that scan; f_m, shifted
+        # by its exact rounding error, is scanned once, inside pfender_bound
         scans, inside, polished = [], [], []
         real_scan, real_bound = pfender.critical_points, pfender.pfender_bound
         real_polish = dgs_bound._polish
@@ -689,12 +711,11 @@ class TestWarmStartedRounds:
         cert = lp_bound(*case)
         messages = cert.verification.messages
         if LEVENSHTEIN_MESSAGE.fullmatch(messages[-1]):
-            expected = 1  # f_m, with no LP
-        else:
-            rounds = int(ROUNDS_MESSAGE.fullmatch(messages[-1])[1])
-            unpolished = not messages[0].startswith("Newton-polished")
-            expected = rounds + sum(polished) + unpolished
-        assert len(scans) == expected
+            assert scans == [True]  # f_m, with no LP
+            return
+        rounds = int(ROUNDS_MESSAGE.fullmatch(messages[-1])[1])
+        unpolished = not messages[0].startswith("Newton-polished")
+        assert len(scans) == rounds + sum(polished) + unpolished
         assert not any(scans)
 
     @pytest.mark.parametrize("case", [(44, 0.625, 33), (63, 0.4643, 23)])
@@ -1127,7 +1148,6 @@ class TestCertified:
     @pytest.mark.parametrize(
         "case, path",
         [
-            ((8, 0.5, 6), "Levenshtein's f_6"),
             ((3, 0.5, 10), "Newton-polished"),
             ((78, 0.4671, 26), "Newton-polished"),
             ((3, -0.21, 1), "P(1)"),
@@ -1135,7 +1155,7 @@ class TestCertified:
         ids=str,
     )
     def test_the_shift_is_the_verifiers_maximum_plus_noise(self, case, path):
-        # f_m, a polished P and a degree-1 LP answer: the certificate is
+        # a polished P and a degree-1 LP answer: the certificate is
         # (P - 1, 1 - shift), with shift = max(v, 0) + noise for P's maximum
         # v as the verifier's interval_margin measures it on the
         # certificate's own phi, and it is proven <= 0 exactly
@@ -1149,6 +1169,18 @@ class TestCertified:
         p_at_1 = pfender.bound_values(cert.phi, 1.0)[0]
         assert shift == max(violation, 0.0) + dgs_bound._noise(p_at_1)
         assert unproven(cert) is None
+
+    def test_f_m_is_lowered_below_its_exact_rounding_error(self):
+        # f_1 at (54, -.4329) has E = 3.2e-17, so fl(1 - E) is 1.0, which
+        # leaves P(s) exactly 1.4e-17 above 0: c is the largest float
+        # <= 1 - E, compared exactly, one float below 1.0
+        case = (54, -0.4329, 1)
+        cert = lp_bound(*case)
+        error = f_m_rounding_error(case, cert)
+        assert 0 < error and float(1 - error) == 1.0
+        assert cert.c == np.nextafter(1.0, 0.0)
+        assert unproven(cert) is None
+        assert unproven(dataclasses.replace(cert, c=1.0)).startswith("refuted: ")
 
     def test_the_noise_term_alone_can_refuse_a_candidate(self):
         # the last round's P is below 0 on the interval, but its P(1) above

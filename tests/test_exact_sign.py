@@ -48,9 +48,8 @@ NEWLY_POLISHED = [
     (45, 0.4736, 36), (34, 0.6135, 28), (32, 0.4907, 38), (24, 0.765, 29),
     (2, 0.6393, 28), (5, 0.504, 27), (3, 0.7961, 13),
 ]
-# pool certificates from Levenshtein's path whose f_m's shift inflates L by
-# more than 1e-4, a gate the path once had; like the polish, it takes any
-# shift below 1
+# pool certificates from Levenshtein's path whose f_m's noise shift once
+# inflated L by more than 1e-4, a gate the path had then
 NEWLY_LEVENSHTEIN = [
     (51, 0.4552, 24), (55, 0.403, 29), (62, 0.3702, 19), (56, 0.4279, 38),
     (78, 0.3146, 34), (93, 0.2367, 13), (114, 0.33, 17), (48, 0.3716, 31),
@@ -201,6 +200,16 @@ class TestUnproven:
         value = exact_value(case[0], [mutant.c, *cert.phi.coeffs[1:]], Fraction(-1))
         assert 0 < value < 1e-9
         assert unproven(mutant) == f"refuted: P(t) = {float(value)!r} > 0 at t = -1.0"
+
+    @pytest.mark.parametrize("case", [(8, 0.5, 6), (24, 0.5, 10), (16, 0.7, 16)], ids=str)
+    def test_f_m_unshifted_is_refuted(self, case):
+        # Levenshtein's f_m with c = 1, not 1 - E: its float64 coefficients
+        # lie above the exact ratios' polynomial somewhere on the interval,
+        # so E's shift is what makes it a certificate
+        cert = stored(case)
+        assert cert.verification.messages[-1].startswith("Levenshtein's f_")
+        assert cert.c < 1.0 and unproven(cert) is None
+        assert unproven(dataclasses.replace(cert, c=1.0)).startswith("refuted: ")
 
     def test_c_is_added_to_phis_a_0_exactly(self):
         cert = stored((8, 0.5, 6))

@@ -89,10 +89,13 @@ def test_quadrature_agrees_with_exact_moments(dim, s):
 )
 def test_the_certified_coefficients_keep_l(dim, s):
     # the a_k / a_0 that Levenshtein's path certifies are the exact ratios,
-    # correctly rounded, so their sum is f_m(1) / a_0 = L
-    coeffs = ratios_from_roots(dim, f_m_roots(dim, s))
+    # correctly rounded, so their sum is f_m(1) / a_0 = L; E is the exact
+    # sum of their rounding errors
+    coeffs, error = ratios_from_roots(dim, f_m_roots(dim, s))
     exact = gegenbauer_from_monomial(dim, exact_f_m(dim, s))
-    assert coeffs == [float(a / exact[0]) for a in exact]
+    ratios = [a / exact[0] for a in exact]
+    assert coeffs == [float(r) for r in ratios]
+    assert error == sum(abs(Fraction(f) - r) for f, r in zip(coeffs, ratios))
     assert coeffs[0] == 1.0
     assert math.fsum(coeffs) == pytest.approx(levenshtein(dim, s)[1], rel=1e-9)
 
@@ -169,14 +172,17 @@ def test_simplex_and_cap():
 
 # Above L by the shift's noise term 3e-15 P(1), not by any violation.
 NOISE = "the final shift is the noise term 3e-15 P(1)"
+# Levenshtein's f_m, above L by exactly its c = 1 - E: E = sum |f_k - r_k|,
+# the exact rounding error of its float64 coefficients f_k.
+ROUNDING = "f_m pays its rounding error E"
 # No certificate, although f_m is one: at P(1) >= 1e14 float64 coefficients
 # cannot carry one, and the violation plus the noise term needs a shift >= 1.
 FLOAT64 = "P(1) >= 1e14: the violation plus the noise term needs a shift >= 1"
 # L = 2.5994e14, and every Gegenbauer coefficient of f_11 is positive in
-# exact arithmetic. Levenshtein's path certifies f_11 itself, and the noise
-# term's shift alone costs the factor.
-F11 = ("P(1) ~ 2.6e14: the noise term's shift of 0.78 inflates Levenshtein's "
-       "f_11 4.54-fold")
+# exact arithmetic. Levenshtein's path certifies f_11 itself, and its
+# rounding error E = 0.0143 alone costs the factor.
+F11 = ("P(1) ~ 2.6e14: f_11's rounding error E = 0.0143 lowers c to 1 - E, "
+       "x1.0145 = 1 / (1 - E)")
 # No certificate: the LP at degree m(s) is called infeasible, and it is not,
 # since f_m is a certificate (its exact expansion is tested below).
 # Levenshtein's path declines: bdb_test finds some Q_j L with j <= m(s)
@@ -210,19 +216,21 @@ ORACLE_CASES = [
     (44, 0.3829, 32),
     (96, 0.2794, 35),
     (38, 0.4607, 35),
+    # Levenshtein's f_11, above L by its E alone: x1.000000008
+    (87, 0.3194, 20),
     # Levenshtein's path: 6.0000000005 at L = 6, where the rounds' shift
     # paid for a violation
     (2, 0.5, 40),
-    # 18 strict xfails: 7 NOISE, 5 FLOAT64, 2 F11, 2 FALSE_INFEASIBLE and
-    # 2 with their own cause
-    # these three are Levenshtein's f_m, shifted by the noise term alone
-    miss((197, 0.2559, 30), NOISE, AssertionError),
-    miss((88, 0.4013, 37), NOISE, AssertionError),
-    miss((114, 0.33, 17), NOISE, AssertionError),
+    # 17 strict xfails: 3 ROUNDING, 3 NOISE, 5 FLOAT64, 2 F11,
+    # 2 FALSE_INFEASIBLE and 2 with their own cause
+    # these three are Levenshtein's f_m, above L by E alone: E = 9.8e-5,
+    # 8.7e-6 and 2.6e-6
+    miss((197, 0.2559, 30), ROUNDING, AssertionError),
+    miss((88, 0.4013, 37), ROUNDING, AssertionError),
+    miss((114, 0.33, 17), ROUNDING, AssertionError),
     miss((36, 0.7024, 28), NOISE, AssertionError),
     miss((177, 0.2468, 39), NOISE, AssertionError),
     miss((50, 0.5458, 19), NOISE, AssertionError),
-    miss((87, 0.3194, 20), NOISE, AssertionError),
     miss((50, 0.6738, 30), "P(1) ~ 1.2e14: the noise term's shift of 0.35 "
          "inflates a polished P(1) within 1e-12 of L 1.5-fold", AssertionError),
     miss((63, 0.6472, 37), FLOAT64, NoCertificateError),
