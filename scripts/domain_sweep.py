@@ -12,8 +12,10 @@ to the all-slack basis (``restarts:``), a sha256 digest of the outputs
 many came from Levenshtein's path, every input that ended in an
 error, the certificates at a degree >= m(s) that are worse than
 Levenshtein's bound L (above L (1 + 1e-6)), each with its bound and L,
-and the slowest input. An "LP infeasible" result at a degree >= m(s) is
-a class of its own: f_m is a certificate there, so the claim is false.
+and the slowest input. L is ``levenshtein.levenshtein``'s: f_m(1) / a_0,
+exact from f_m's float zeros and rounded once. An "LP infeasible" result
+at a degree >= m(s) is a class of its own: f_m is a certificate there, so
+the claim is false.
 
 Every certificate is also proven <= 0 on [-1, cos_theta] in exact
 arithmetic (``proven:``) by ``codebounds.exact.unproven``, as the test

@@ -5,7 +5,7 @@ programming bound with certificate verification, Pfender-style bounds
 (structural, per-code, and finite-set variants), and a catalog of
 classical code constructions to check everything against. numpy is the
 only runtime dependency; scipy is used by the test suite alone, as an
-independent oracle for the quadrature and the LP solver.
+independent oracle (Gauss-Jacobi quadrature and the HiGHS LP solver).
 
 Every public name is importable from the package itself, and each is
 resolved on first access (PEP 562), so ``import codebounds`` loads none

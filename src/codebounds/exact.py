@@ -37,7 +37,8 @@ Gegenbauer polynomials, in integers over one denominator: exactly for
 (t - r_i)), and correctly rounded for ``gegenbauer.monomial_table``,
 ``expand_rounded`` (``expand_in_basis`` and ``gegenbauer expand``) and
 ``ratios_from_roots`` (Levenshtein's f_m in ``lp_bound``, with its exact
-rounding error).
+rounding error). ``weighted_mean``, from the weight's exact moments, is the
+one integral against it (``weighted_inner_product`` and Levenshtein's L).
 """
 
 from __future__ import annotations
@@ -76,17 +77,24 @@ def gegenbauer_table(d: int, m: int) -> tuple[list[list[int]], list[int]]:
     return T[: m + 1], D[: m + 1]
 
 
+def integer_ratios(values) -> tuple[list[int], int]:
+    """(c, den): values[j] = c[j] / den exactly, for ints, floats or
+    Fractions, den their least common denominator."""
+    ratios = [Fraction(v).as_integer_ratio() for v in values]
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
 def integer_polynomial(d: int, coeffs) -> tuple[list[int], Fraction]:
     """(q, scale): P = scale * sum_j q_j t^j with integers q_j and a
     positive rational scale, for P = sum_k coeffs[k] G_k^(d), each
     coefficient a float or a Fraction, taken exactly."""
-    a = [Fraction(c) for c in coeffs]
+    a, common = integer_ratios(coeffs)
     m = len(a) - 1
     T, D = gegenbauer_table(d, m)
-    common = lcm(*(c.denominator for c in a))
     q = [0] * (m + 1)
     for a_k, T_k, D_k in zip(a, T, D):
-        weight = a_k.numerator * (common // a_k.denominator) * (D[m] // D_k)
+        weight = a_k * (D[m] // D_k)
         for j, c in enumerate(T_k):
             q[j] += weight * c
     return q, Fraction(1, D[m] * common)
@@ -131,10 +139,22 @@ def gegenbauer_from_monomial(d: int, monomial) -> list[Fraction]:
     """a_0..a_m with sum_k a_k G_k^(d) = sum_j monomial[j] t^j, exactly,
     for ints, floats or Fractions, brought to their least common
     denominator."""
-    ratios = [Fraction(v).as_integer_ratio() for v in monomial]
-    den = lcm(*(q for _, q in ratios))
-    A, M = _expansion(d, [p * (den // q) for p, q in ratios], den)
+    A, M = _expansion(d, *integer_ratios(monomial))
     return [Fraction(a, M) for a in A]
+
+
+def weighted_mean(d: int, monomial) -> Fraction:
+    """sum_j c_j mu_j / mu_0 exactly (ints, floats or Fractions c_j), the
+    mean of sum_j c_j t^j under the weight (1 - t^2)^((d - 3) / 2), whose
+    moments vanish at odd j and have mu_2j / mu_2j-2 = (2j - 1) / (2j + d - 2):
+    Horner's rule from the top, in integers over one denominator."""
+    c, den = integer_ratios(monomial[::2])
+    total, scale = 0, 1
+    for j in range(len(c) - 1, -1, -1):
+        # den sum_{i >= j} c_2i mu_2i / mu_2j, from the same sum past j
+        scale *= 2 * j + d
+        total = total * (2 * j + 1) + c[j] * scale
+    return Fraction(total, scale * den)
 
 
 def expand_rounded(d: int, monomial: list[float]) -> list[float]:
@@ -156,9 +176,8 @@ def ratios_from_roots(d: int, roots) -> tuple[list[float], Fraction]:
     sum_k f_k G_k lies within E of the exact ratios' polynomial there."""
     A, _ = _expansion(d, *_product(roots))
     f = [a / A[0] for a in A]
-    pairs = [x.as_integer_ratio() for x in f]
-    den = max(q for _, q in pairs)  # a power of 2, so every q divides it
-    error = sum(abs(p * (den // q) * A[0] - a * den) for (p, q), a in zip(pairs, A))
+    num, den = integer_ratios(f)
+    error = sum(abs(n * A[0] - a * den) for n, a in zip(num, A))
     return f, Fraction(error, A[0] * den)
 
 

@@ -23,7 +23,6 @@ from ._immutable import Rebuilt, float_array, read_only
 from ._scalar import (
     MAX_TABLE_DEGREE,
     _check_dim,
-    _check_int,
     _check_nonnegative_degree,
     _check_table,
     _point_error,
@@ -35,7 +34,6 @@ __all__ = [
     "monomial_table",
     "gegenbauer_eval",
     "basis_values",
-    "quadrature_rule",
     "weighted_inner_product",
     "expand_in_basis",
 ]
@@ -188,84 +186,53 @@ class GegenbauerPoly(Rebuilt):
         return float(math.fsum(self.coeffs.tolist()))
 
 
-def quadrature_rule(dim: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes and weights for the dimension-``dim`` weight.
-
-    Exact for polynomial integrands of degree <= 2 * n_nodes - 1. By
-    Golub & Welsch (Math. Comp. 23, 1969) the nodes are the eigenvalues
-    of the weight's Jacobi matrix and each weight is mu_0 v_0^2, from
-    the first entry of the eigenvector. The dim = 2 exponent -1/2 is an
-    endpoint singularity that this handles natively (nodes stay interior).
-    """
-    dim = _check_dim(dim)
-    if _check_int(n_nodes, "n_nodes") < 1:
-        raise ValueError("need at least one quadrature node")
-    lam = (dim - 2) / 2.0
-    k = np.arange(1.0, n_nodes)
-    # squared off-diagonal of the monic recurrence; at dim = 2 the first
-    # is 0/0, and the Chebyshev value 1/2 takes its place
-    numerator = k * (k + 2 * lam - 1)
-    denominator = 4 * (k + lam) * (k + lam - 1)
-    beta = np.divide(
-        numerator, denominator, out=np.full(n_nodes - 1, 0.5), where=denominator != 0
-    )
-    # eigh reads the lower triangle only
-    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(beta), -1))
-    # mu_0 is the weight's integral; lgamma, since gamma overflows near dim 340
-    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(lam + 0.5) - math.lgamma(lam + 1))
-    return nodes, mu0 * vectors[0] ** 2
-
-
-def _as_poly_eval(p, dim: int):
-    """Interpret ``p`` as a polynomial; return (evaluator, degree)."""
-    if isinstance(p, GegenbauerPoly):
-        if p.dim != dim:
-            raise ValueError(
-                f"polynomial tagged for dimension {p.dim}, inner product uses {dim}"
-            )
-        return p, p.degree
-    coeffs = np.atleast_1d(np.asarray(p, dtype=float))
-    if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
-        raise ValueError("monomial coefficients must be a finite 1-d vector")
-    return (lambda r: _horner(coeffs, r)), len(coeffs) - 1
-
-
 def weighted_inner_product(p, q, dim: int) -> float:
-    """Integral of p(r) q(r) rho(r) over [-1, 1] by fixed Gauss-Jacobi quadrature.
+    """Integral of p(r) q(r) (1 - r^2)^((dim-3)/2) over [-1, 1].
 
     ``p`` and ``q`` are GegenbauerPoly instances (their dim must match) or
-    ascending monomial coefficient vectors. The node count is
-    max(64, combined degree + 8), deterministic for a given input, and the
-    nodewise products are accumulated with exact summation.
-
-    Each product carries its own rounding, so the error is near eps times
-    the integral of |p q|, not eps times the result. A projection
-    <p, G_k> / <G_k, G_k> therefore loses accuracy as ||G_k|| falls: its
-    error is near eps ||p|| / ||G_k||, norms scaled so that ||G_0|| = 1,
-    and ||G_40|| is 2.4e-4 at dim 8, 4.2e-9 at dim 24, 1.9e-13 at dim 50
-    and 2.9e-18 at dim 100. Measured on random degree-40 polynomials,
-    relative to max|a|: the projected coefficients miss by 1e-12 at dim 8,
-    9e-8 at dim 24, 2e-3 at dim 50 and 60 at dim 100. The cause is this
-    cancellation in <p, G_k>, not the Golub-Welsch weights: weights from
-    the orthonormal recurrence, accurate in relative terms, leave errors
-    of the same size.
+    ascending monomial coefficient vectors, each taken exactly. Their
+    product's mean under the weight is exact (``exact.weighted_mean``), and
+    the weight's integral mu_0 times it is rounded once, so <G_j, G_k> is
+    exactly 0.0 for j != k. A result past the float range raises ValueError.
     """
+    from fractions import Fraction
+
+    from . import exact
+
     dim = _check_dim(dim)
-    p_eval, p_deg = _as_poly_eval(p, dim)
-    q_eval, q_deg = _as_poly_eval(q, dim)
-    n_nodes = max(64, p_deg + q_deg + 8)
-    x, w = quadrature_rule(dim, n_nodes)
-    terms = p_eval(x) * q_eval(x) * w
-    return math.fsum(np.asarray(terms, dtype=float).tolist())
+
+    def integer_polynomial(x):
+        """(c, scale): x = scale * sum_j c_j r^j, integers c_j, exactly."""
+        if isinstance(x, GegenbauerPoly):
+            if x.dim != dim:
+                raise ValueError(
+                    f"polynomial tagged for dimension {x.dim}, inner product uses {dim}"
+                )
+            return exact.integer_polynomial(dim, x.coeffs.tolist())
+        coeffs = np.atleast_1d(np.asarray(x, dtype=float))
+        if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
+            raise ValueError("monomial coefficients must be a finite 1-d vector")
+        c, den = exact.integer_ratios(coeffs.tolist())
+        return c, Fraction(1, den)
+
+    (a, a_scale), (b, b_scale) = map(integer_polynomial, (p, q))
+    product = np.convolve(np.array(a, dtype=object), np.array(b, dtype=object))
+    # lgamma, since gamma overflows near dim 340
+    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma((dim - 1) / 2) - math.lgamma(dim / 2))
+    mean = exact.weighted_mean(dim, product.tolist()) * a_scale * b_scale
+    try:
+        return float(Fraction(mu0) * mean)
+    except OverflowError:
+        raise ValueError("the inner product is past the float range") from None
 
 
 def expand_in_basis(mono_coeffs, dim: int) -> GegenbauerPoly:
     """Rewrite sum_j b_j r^j as a Gegenbauer combination.
 
     Each coefficient is the exact one, correctly rounded: the change of
-    basis runs in integers (``exact.expand_rounded``). Quadrature
-    projection is the independent cross-check used by the test suite,
-    not by this routine.
+    basis runs in integers (``exact.expand_rounded``). Projection by
+    ``weighted_inner_product``, from the weight's exact moments, is the
+    test suite's cross-check, not used by this routine.
     """
     from . import exact
 

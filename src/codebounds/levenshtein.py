@@ -27,9 +27,9 @@ is 0 for j = 1..m, and its value Q_j L at j > m is the BDB test function
 (Boyvalenkov, Danev & Bumova, IEEE Trans. Inf. Theory 42, 1996). The
 rho'_i are an LP-dual point at the nodes with objective 1 + sum rho'_i = L,
 so when no Q_j L with j <= n is negative, no Delsarte polynomial of
-degree n beats L (``bdb_test``). ``levenshtein`` computes L by quadrature,
-the reference for the certified f_m, whose coefficients ``lp_bound``
-expands exactly from its float roots (``exact.ratios_from_roots``).
+degree n beats L (``bdb_test``). ``levenshtein`` rounds L = f_m(1) / a_0,
+exact from f_m's float zeros (``exact.weighted_mean``), once; ``lp_bound``
+expands f_m exactly from the same zeros (``exact.ratios_from_roots``).
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ import operator
 
 import numpy as np
 
+from . import exact
 from ._scalar import MAX_TABLE_DEGREE
-from .gegenbauer import basis_values, quadrature_rule
+from .gegenbauer import basis_values
 from .linprog import within_rounding
 
 __all__ = [
@@ -120,16 +121,10 @@ def levenshtein(dim, s):
     found = levenshtein_polynomial(dim, s)
     if found is None:
         return None
-    m, eps, nodes = found
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return (t - s) * (t + 1) ** eps * np.prod((t[..., None] - nodes) ** 2, axis=-1)
-
-    # a_0 is f's mean under the weight (1 - t^2)^alpha, exact at degree m
-    points, weights = quadrature_rule(dim, m // 2 + 1)
-    a_0 = float(weights @ f(points)) / float(weights.sum())
-    return m, float(f(1.0)) / a_0
+    m, eps, zeros = found
+    # f_m(1) / a_0 exactly from f_m's float zeros, a_0 its mean under the weight
+    f = exact.monomial_from_roots([s, *[-1.0] * eps, *np.repeat(zeros, 2).tolist()])
+    return m, float(sum(f) / exact.weighted_mean(dim, f))
 
 
 def dual_values(rows, weights):

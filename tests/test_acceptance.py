@@ -22,7 +22,6 @@ from codebounds.gegenbauer import (
     expand_in_basis,
     gegenbauer_eval,
     monomial_table,
-    quadrature_rule,
     weighted_inner_product,
 )
 from codebounds.pfender import PhiSpec, functional_pfender_check, pfender_bound
@@ -51,9 +50,12 @@ def test_criterion_1_gegenbauer_suite():
         at_one = basis_values(dim, 20, np.array([1.0]))
         worst_norm = max(worst_norm, float(np.max(np.abs(at_one - 1.0))))
 
+    # the 64-point Gauss-Jacobi rule of each weight, from scipy as an oracle
+    from scipy.special import roots_jacobi
+
     worst_orth = 0.0
     for dim in range(3, 25):
-        x, w = quadrature_rule(dim, 64)
+        x, w = roots_jacobi(64, (dim - 3) / 2, (dim - 3) / 2)
         table = basis_values(dim, 20, x)
         norms = [math.fsum((table[k] * table[k] * w).tolist()) for k in range(21)]
         for j in range(21):
@@ -100,8 +102,8 @@ def test_criterion_2_kissing_d8(tmp_path):
     data = json.loads(out_file.read_text())
     bound_real = data["bound_real"]
     in_window = 240.0 - 1e-6 <= bound_real <= 240.001
-    # cross-check: the classical degree-6 polynomial through the quadrature
-    # projection oracle must reproduce P(1)/a_0 = 240
+    # cross-check: the classical degree-6 polynomial, projected by the exact
+    # inner product, must reproduce P(1)/a_0 = 240
     p = np.array([1.0])
     for root, mult in [(-1.0, 1), (-0.5, 2), (0.0, 2), (0.5, 1)]:
         for _ in range(mult):

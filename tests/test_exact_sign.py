@@ -23,6 +23,7 @@ from codebounds.exact import (
     monomial_from_roots,
     prove_nonpositive,
     unproven,
+    weighted_mean,
 )
 
 # the kissing_lp and lp_stress certificates of perfbench/workloads.py
@@ -134,6 +135,18 @@ class TestOracle:
         coeffs = gegenbauer_from_monomial(d, monomial_from_roots(roots))
         t = Fraction(-3, 11)
         assert exact_value(d, coeffs, t) == prod(t - Fraction(r) for r in roots)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 121, 2**52])
+    def test_the_weighted_mean_is_a_0(self, d):
+        # G_k is orthogonal to G_0 = 1, so its mean is 0 for k >= 1
+        T, D = gegenbauer_table(d, 40)
+        assert weighted_mean(d, [Fraction(c, D[0]) for c in T[0]]) == 1
+        for k in range(1, 41):
+            assert weighted_mean(d, T[k]) == 0, k
+        # E[t^2] = 1 / d, E[t^4] = 3 / (d (d + 2)); odd powers and floats
+        expected = Fraction(1, d) + Fraction(3, 4 * d * (d + 2))
+        assert weighted_mean(d, [0.0, 5.0, 1.0, 0.5, 0.25]) == expected
+        assert weighted_mean(d, []) == 0
 
 
 @pytest.mark.parametrize("case", BENCHMARK_CASES, ids=str)

@@ -6,7 +6,6 @@ should too, up to its final shift. The strict xfails are the inputs known
 to miss, each with its cause; removing the mark is how a fix shows.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +17,7 @@ from codebounds.exact import (
     gegenbauer_from_monomial,
     monomial_from_roots,
     ratios_from_roots,
+    weighted_mean,
 )
 from codebounds.gegenbauer import MAX_TABLE_DEGREE, basis_values
 from codebounds.levenshtein import (
@@ -57,29 +57,22 @@ def exact_f_m(dim, s):
     return monomial_from_roots(f_m_roots(dim, s))
 
 
-def exact_levenshtein(dim, s):
-    """f_m(1) / a_0 in exact arithmetic from levenshtein's own float zeros:
-    f_m's monomial coefficients c_j (``exact_f_m``), and a_0 = sum_j c_j
-    E[t^j] from the weight's exact moments E[t^(2j)] = prod_{i<j}
-    (2i+1)/(d+2i) (the odd ones vanish)."""
-    coeffs = exact_f_m(dim, s)
-    a_0, moment = Fraction(0), Fraction(1)
-    for j in range(0, len(coeffs), 2):
-        a_0 += coeffs[j] * moment
-        moment *= Fraction(j + 1, dim + j)
-    return sum(coeffs) / a_0
-
-
 @pytest.mark.parametrize(
     "dim, s",
     [(dim, s) for dim, s, _ in ANCHORS]
     + [(1000, 0.1), (121, 0.579), (171, 0.4871), (41, 0.781), (49, 0.7447)],
 )
-def test_quadrature_agrees_with_exact_moments(dim, s):
-    # the same zeros, so this checks the quadrature's a_0 and the float f(1)
-    _, value = levenshtein(dim, s)
-    exact = exact_levenshtein(dim, s)
-    assert abs(Fraction(value) / exact - 1) <= Fraction(1, 10**12)
+def test_exact_moments_agree_with_quadrature(dim, s):
+    # the independent oracle: f_m at the same zeros in floats, and a_0 its
+    # mean under scipy's Gauss-Jacobi rule, exact at degree m
+    from scipy.special import roots_jacobi
+
+    m, value = levenshtein(dim, s)
+    roots = np.array(f_m_roots(dim, s))
+    points, weights = roots_jacobi(m // 2 + 1, (dim - 3) / 2, (dim - 3) / 2)
+    f = np.prod(points[:, None] - roots, axis=1)
+    quadrature = np.prod(1.0 - roots) * weights.sum() / (weights @ f)
+    assert value == pytest.approx(quadrature, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -93,11 +86,13 @@ def test_the_certified_coefficients_keep_l(dim, s):
     # sum of their rounding errors
     coeffs, error = ratios_from_roots(dim, f_m_roots(dim, s))
     exact = gegenbauer_from_monomial(dim, exact_f_m(dim, s))
+    assert exact[0] == weighted_mean(dim, exact_f_m(dim, s))
     ratios = [a / exact[0] for a in exact]
     assert coeffs == [float(r) for r in ratios]
     assert error == sum(abs(Fraction(f) - r) for f, r in zip(coeffs, ratios))
     assert coeffs[0] == 1.0
-    assert math.fsum(coeffs) == pytest.approx(levenshtein(dim, s)[1], rel=1e-9)
+    # the exact sum is f_m(1) / a_0, the L that levenshtein rounds once
+    assert float(sum(ratios)) == levenshtein(dim, s)[1]
 
 
 @pytest.mark.parametrize(
@@ -159,8 +154,8 @@ def test_closed_interval_ends_take_the_lower_degree():
     # reads exactly 0 there: E8's and the Leech lattice's polynomials
     assert levenshtein_degree(8, 0.5) == 6
     assert levenshtein_degree(24, 0.5) == 10
-    assert levenshtein(8, 0.5) == (6, pytest.approx(240.0, rel=1e-12))
-    assert levenshtein(24, 0.5) == (10, pytest.approx(196560.0, rel=1e-12))
+    assert levenshtein(8, 0.5) == (6, 240.0)
+    assert levenshtein(24, 0.5) == (10, 196560.0)
 
 
 def test_simplex_and_cap():
