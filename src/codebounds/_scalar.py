@@ -1,7 +1,8 @@
 """The home of the input checks, which the CLI, the JSON readers and
-the library share, and the one-point Gegenbauer recursion, in plain
-Python. ``cli`` runs them without importing a module that needs numpy,
-so ``gegenbauer eval``, ``gegenbauer expand`` (whose expansion is
+the library share, and of the one Gegenbauer recursion,
+``gegenbauer_rows``, which runs on a float and on an array alike.
+``cli`` runs them without importing a module that needs numpy, so
+``gegenbauer eval``, ``gegenbauer expand`` (whose expansion is
 ``exact``'s) and a bad ``bound lp`` argument cost no numpy import; the
 integer checks accept numpy integers through ``numbers.Integral``, with
 which numpy registers its integer types."""
@@ -71,18 +72,23 @@ def _validate_inputs(d: int, cos_theta: float, degree: int):
         raise ValueError(f"degree is capped at {MAX_TABLE_DEGREE}")
 
 
-def _point_values(dim: int, max_degree: int, x: float) -> list[float]:
-    """G_0..G_max_degree at the one float ``x``, which the caller has
-    checked as ``basis_values`` would, in Python floats. Each step is the
-    same IEEE operation, in the same order, as in ``gegenbauer._recursion``,
-    so the values are the same bits, without numpy's cost per call."""
-    values = [1.0, x]
+def gegenbauer_rows(dim: int, max_degree: int, x, rows):
+    """``rows`` with G_0..G_max_degree at ``x``, checked as ``basis_values``
+    checks it: a float into a list of max_degree + 1 entries, or a float
+    array into an array of shape (max_degree + 1,) + x.shape. G_k is
+    ((2k + dim - 4) x G_{k-1} - (k - 1) G_{k-2}) / (k + dim - 3) in this
+    order of IEEE operations, so a float and an array give the same bits."""
+    rows[0] = 1.0
+    if max_degree >= 1:
+        rows[1] = x
     for k in range(2, max_degree + 1):
-        values.append(
-            (x * float(2 * k + dim - 4) * values[k - 1] - values[k - 2] * float(k - 1))
-            / float(k + dim - 3)
-        )
-    return values[: max_degree + 1]
+        # in place on an array's one fresh row; a float is rebound
+        row = x * float(2 * k + dim - 4)
+        row *= rows[k - 1]
+        row -= rows[k - 2] * float(k - 1)
+        row /= float(k + dim - 3)
+        rows[k] = row
+    return rows
 
 
 def _check_table(dim, max_degree) -> tuple[int, int]:

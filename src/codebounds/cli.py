@@ -50,7 +50,8 @@ def cmd_gegenbauer(args) -> int:
         degree = _scalar._check_nonnegative_degree(args.degree)
         dim = _scalar._check_dim(args.dim)
         at = _scalar._check_point(args.at)
-        print(format_float(_scalar._point_values(dim, degree, at)[degree]))
+        rows = _scalar.gegenbauer_rows(dim, degree, at, [0.0] * (degree + 1))
+        print(format_float(rows[degree]))
         return 0
     mono = [float(v) for v in args.expand.split(",")]
     dim = _scalar._check_table(args.dim, len(mono) - 1)[0]

@@ -62,7 +62,7 @@ def _jacobi_entry(a, b, j):
     if not j:
         return diagonal, 0.0
     squared = 4 * j * (j + a) * (j + b) * (j + a + b) / (
-        total**2 * (total + 1) * (total - 1)
+        total * total * (total + 1) * (total - 1)
     )
     return diagonal, squared
 

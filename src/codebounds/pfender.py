@@ -33,8 +33,7 @@ check (``PhiSpec._candidates``: a polynomial's critical points on
 points, from one evaluation (``PhiSpec._candidate_values``). Each
 interval check then adds c to those values at -1 and at the candidates
 below cos_theta, found by bisection, and to phi(cos_theta), the one
-value it computes (for a Gegenbauer phi, G_0..G_m at cos_theta in
-Python floats, ``_scalar._point_values``, and one dot product).
+value it computes (``PhiSpec._values`` at the one float cos_theta).
 
 A per-code check reads what depends on the code alone from the code's
 own cached facts (``codes._Code``): its axiom failures, to which only
@@ -65,9 +64,9 @@ import numpy as np
 
 from . import jsonutil
 from ._immutable import Rebuilt, float_array, read_only
-from ._scalar import _check_dim, _check_int, _point_values
+from ._scalar import _check_dim, _check_int, gegenbauer_rows
 from .errors import TheoremViolationError
-from .gegenbauer import GegenbauerPoly, _check_r, _horner, _recursion
+from .gegenbauer import GegenbauerPoly, _check_r, _horner
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
@@ -133,15 +132,17 @@ class PhiSpec(Rebuilt):
             return float(out)
         return out
 
-    def _values(self, x: np.ndarray) -> np.ndarray:
-        """phi at the points of the 1-d float array ``x``, which the caller
-        has checked to lie in [-1, 1]."""
+    def _values(self, x):
+        """phi at the points of the 1-d float array ``x``, or at the one
+        float ``x`` (G_k then in Python floats), checked to lie in [-1, 1]."""
         if self.basis == "table":
             nodes = np.linspace(-1.0, 1.0, len(self.coeffs))
             return np.interp(x, nodes, self.coeffs)
         if self.basis == "monomial":
             return _horner(self._terms, x)
-        return self.coeffs @ _recursion(self.dim, len(self.coeffs) - 1, x)
+        size = len(self.coeffs)
+        rows = [0.0] * size if isinstance(x, float) else np.empty((size,) + x.shape)
+        return self.coeffs @ gegenbauer_rows(self.dim, size - 1, x, rows)
 
     @property
     def phi_at_1(self) -> float:
@@ -267,18 +268,12 @@ def interval_margin(phi: PhiSpec, c: float, cos_theta: float):
     the critical points (or nodes) between them, in that order, and the
     first maximum wins. Each value is phi's own value plus c: phi keeps
     its values at every candidate but cos_theta, so a check computes
-    phi(cos_theta) alone, for a Gegenbauer phi as one dot product of the
-    coefficients with G_0..G_m at cos_theta in Python floats."""
+    phi(cos_theta) alone, at the one float."""
     cos_theta = _checked_cos_theta(cos_theta)
     candidates = phi._candidates
     hi = bisect.bisect_left(candidates, cos_theta)
-    if phi.basis == "gegenbauer":
-        basis = _point_values(phi.dim, len(phi.coeffs) - 1, cos_theta)
-        at_cos_theta = phi.coeffs @ np.array(basis)
-    else:
-        at_cos_theta = phi._values(np.array([cos_theta]))[0]
     known = phi._candidate_values
-    values = np.concatenate((known[:1], [at_cos_theta], known[1 : 1 + hi])) + c
+    values = np.concatenate((known[:1], [phi._values(cos_theta)], known[1 : 1 + hi])) + c
     best = int(values.argmax())
     location = (-1.0, cos_theta)[best] if best < 2 else candidates[best - 2]
     return float(values[best]), location

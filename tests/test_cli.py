@@ -146,6 +146,16 @@ class TestBoundLP:
         assert code == 1
         assert "no certificate" in err
 
+    def test_a_huge_dimension_has_no_certificate(self):
+        # the Jacobi entries of Levenshtein's search are past the float
+        # range here, and used to end in an OverflowError traceback
+        code, _, err = run_cli(
+            "bound", "lp", "--dim", str(10**300), "--cos-theta", "0.5", "--degree", "3"
+        )
+        assert code == 1
+        assert err.startswith("no certificate:")
+        assert "Traceback" not in err
+
     def test_negative_degree_exits_2(self):
         code, _, err = run_cli(
             "bound", "lp", "--dim", "3", "--cos-theta", "0.5", "--degree", "-2"

@@ -5,19 +5,19 @@ import functools
 import itertools
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from codebounds._scalar import _point_values
+from codebounds._scalar import gegenbauer_rows
 from codebounds.exact import gegenbauer_from_monomial, gegenbauer_table
 from codebounds.gegenbauer import (
     GegenbauerPoly,
     _derivative_recursion,
     _horner,
-    _recursion,
     basis_values,
     expand_in_basis,
     gegenbauer_eval,
@@ -195,12 +195,12 @@ def test_derivative_recursion_matches_the_shifted_dimensions(dim):
     x = np.linspace(-1.0, 1.0, 17)
     fused = _derivative_recursion(dim, m, x)
     assert fused.shape == (m + 1, 3, x.size)
-    assert fused[:, 0].tobytes() == _recursion(dim, m, x).tobytes()
+    assert fused[:, 0].tobytes() == basis_values(dim, m, x).tobytes()
     k = np.arange(m + 1.0)[:, None]
     first = k * (k + dim - 2) / (dim - 1)
     second = first * (k - 1) * (k + dim - 1) / (dim + 1)
-    for order, shifted in ((1, first[1:] * _recursion(dim + 2, m - 1, x)),
-                           (2, second[2:] * _recursion(dim + 4, m - 2, x))):
+    for order, shifted in ((1, first[1:] * basis_values(dim + 2, m - 1, x)),
+                           (2, second[2:] * basis_values(dim + 4, m - 2, x))):
         assert not fused[:order, order].any()
         scale = np.abs(shifted).max()
         assert np.abs(fused[order:, order] - shifted).max() <= 1e-13 * scale
@@ -221,8 +221,13 @@ SPECIAL_POINTS = (-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0)
 @example(dim=10**4, degree=40, x=5e-324)
 @example(dim=5, degree=0, x=0.5)
 def test_point_values_match_basis_values_bit_for_bit(dim, degree, x):
-    values = _point_values(dim, degree, x)
+    # the recursion on a float into a list, and on an array of that one
+    # point: the same operations in the same order, so the same bits
+    values = gegenbauer_rows(dim, degree, x, [0.0] * (degree + 1))
     assert len(values) == degree + 1
+    assert all(type(value) is float for value in values)
+    rows = gegenbauer_rows(dim, degree, np.array([x]), np.empty((degree + 1, 1)))
+    assert np.array(values).tobytes() == rows.tobytes()
     assert np.array(values).tobytes() == basis_values(dim, degree, x).tobytes()
 
 
@@ -328,6 +333,16 @@ class TestInnerProduct:
             harmonics = math.comb(k + dim - 1, dim - 1) - math.comb(k + dim - 3, dim - 1)
             ratio = weighted_inner_product(g_k, g_k, dim) / norm_0 * harmonics
             assert abs(ratio - 1.0) <= 4 * math.ulp(1.0), k
+
+    @pytest.mark.parametrize("dim", [5, 101, 1001])
+    def test_mu_0_keeps_its_stated_error(self, dim):
+        # mu_0 from lgamma, against the exact 2 prod (j - 3)/(j - 2) over
+        # j = 5, 7, ..., dim: within the docstring's 2e-16 dim ln(dim)
+        exact_mu_0 = Fraction(2)
+        for j in range(5, dim + 1, 2):
+            exact_mu_0 *= Fraction(j - 3, j - 2)
+        mu_0 = weighted_inner_product([1.0], [1.0], dim)
+        assert abs(Fraction(mu_0) / exact_mu_0 - 1) <= 2e-16 * dim * math.log(dim)
 
     def test_a_result_past_the_float_range_is_rejected(self):
         big = [1e300, 0.0, 1e300]

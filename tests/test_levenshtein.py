@@ -165,6 +165,19 @@ def test_simplex_and_cap():
     assert levenshtein(3, 0.999) is None  # m(s) > 40
 
 
+@pytest.mark.parametrize(
+    "dim", [10**155, 10**200, 10**300, int(1.7e308)],
+    ids=["1e155", "1e200", "1e300", "1.7e308"],
+)
+def test_a_huge_dimension_ends_in_no_certificate(dim):
+    # the Jacobi entries' squared total overflowed once dim passed 1.35e154
+    for degree in (3, 5, 12, 40):
+        assert levenshtein_degree(dim, 0.5, degree) is None
+        with pytest.raises(NoCertificateError, match="LP at .* is infeasible"):
+            lp_bound(dim, 0.5, degree)
+    assert levenshtein(dim, 0.5) is None
+
+
 # Above L by the shift's noise term 3e-15 P(1), not by any violation.
 NOISE = "the final shift is the noise term 3e-15 P(1)"
 # Levenshtein's f_m, above L by exactly its c = 1 - E: E = sum |f_k - r_k|,

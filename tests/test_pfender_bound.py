@@ -663,38 +663,34 @@ class TestCriticalPointsKeptOnPhi:
 
     def test_one_recursion_per_pair(self, monkeypatch, degree_10_certificate):
         # a fresh phi checked against 50 codes of 3 points: the critical
-        # points are found once, the recursion runs once over the code's
-        # 9 values per pair, and once each over the 11 samples and the
-        # candidates; phi at cos_theta is one-point arithmetic
+        # points are found once, and the recursion runs once over the 11
+        # samples and the candidates, then once per pair over the code's 9
+        # values and once at the one float cos_theta
         phi, c = degree_10_certificate
         fresh = PhiSpec(phi.basis, phi.coeffs, phi.dim)
         roots, sizes, points = [], [], []
         real_critical_points = pfender.critical_points
-        real_recursion = gegenbauer._recursion
-        real_point_values = pfender._point_values
+        real_rows = pfender.gegenbauer_rows
 
         def critical(samples, lo, hi):
             roots.append(len(samples))
             return real_critical_points(samples, lo, hi)
 
-        def recursion(dim, max_degree, x):
-            sizes.append(x.size)
-            return real_recursion(dim, max_degree, x)
-
-        def point_values(dim, max_degree, x):
-            points.append(x)
-            return real_point_values(dim, max_degree, x)
+        def rows(dim, max_degree, x, out):
+            sizes.append(np.size(x))
+            if isinstance(x, float):
+                points.append(x)
+            return real_rows(dim, max_degree, x, out)
 
         monkeypatch.setattr(pfender, "critical_points", critical)
-        monkeypatch.setattr(pfender, "_recursion", recursion)
-        monkeypatch.setattr(gegenbauer, "_recursion", recursion)
-        monkeypatch.setattr(pfender, "_point_values", point_values)
+        monkeypatch.setattr(pfender, "gegenbauer_rows", rows)
+        monkeypatch.setattr(gegenbauer, "gegenbauer_rows", rows)
         angles = np.linspace(0.0, 0.5, 50).tolist()
         for ct in angles:
             functional_pfender_check(codes.SphericalCode(3, np.eye(3), ct), fresh, c)
         crit = fresh._candidates
         assert roots == [11]
-        assert sizes == [9, 11, 1 + len(crit)] + [9] * 49
+        assert sizes == [9, 11, 1 + len(crit), 1] + [9, 1] * 49
         assert points == angles
 
     def test_phi_is_evaluated_once_at_its_samples(self, monkeypatch, degree_10_certificate):
