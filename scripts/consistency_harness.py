@@ -4,13 +4,14 @@
 Builds the fixed catalog codes, as l_2 functional codes and embedded as
 metric codes, plus --n-random random l_p functional codes, applies a catalog of Pfender certificates to every one of them,
 and reports how many pairs were applicable, the least slack
-bound_int - n among them (applicability is n <= bound_int) and the
-throughput in pairs per second. Any genuine violation raises
-TheoremViolationError and exits nonzero; with a correct implementation
-the sweep always ends clean.
+bound_int - n among them (applicability is n <= bound_int), the
+throughput in pairs per second and the process's peak resident memory.
+Any genuine violation raises TheoremViolationError and exits nonzero;
+with a correct implementation the sweep always ends clean.
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -89,8 +90,11 @@ def main() -> int:
         print(f"THEOREM VIOLATION: {exc}")
         return 1
     elapsed = time.perf_counter() - t0
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"checked {checked} pairs over {len(pool)} codes x {len(catalog)} "
-          f"certificates in {elapsed:.1f}s ({checked / elapsed:.0f} pairs/s)")
+          f"certificates in {elapsed:.1f}s ({checked / elapsed:.0f} pairs/s), "
+          f"peak RSS {peak_mb:.1f} MB")
     print(f"applicable: {applicable}; least slack bound_int - n = {least_slack} "
           f"at {least_pair}")
     print("zero violations" if least_slack >= 0 else "SLACK BELOW ZERO")

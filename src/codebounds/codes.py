@@ -18,10 +18,12 @@ A metric code's check is exact and visits only the work that can change
 its answer. The triangle inequality runs its per-point slack only on the
 pairs that row and column minima of the distances cannot clear (IEEE
 rounding is monotone), which no catalog embedding has, so it costs
-O(N^2) over N space points. The Lipschitz norms of all n functions are
-one pass over the point pairs, each unordered pair once when the matrix
-is exactly symmetric (|x - y| has the same bits both ways), about
-n N^2 / 2 divisions.
+O(N^2) over N space points. An embedded spherical code's distance
+matrix is built row by row (``embed_as_metric_code``), so its working
+memory is O(N^2), with no N^2 x dim difference tensor. The Lipschitz
+norms of all n functions are one pass over the point pairs, each
+unordered pair once when the matrix is exactly symmetric (|x - y| has
+the same bits both ways), about n N^2 / 2 divisions.
 """
 
 from __future__ import annotations
@@ -520,8 +522,11 @@ def embed_as_metric_code(code: SphericalCode) -> MetricCode:
     if not report.valid:
         raise ValueError(f"invalid spherical code: {report.axiom_failures}")
     pts = np.vstack([np.zeros(code.dim), code.vectors])
-    diff = pts[:, None, :] - pts[None, :, :]
-    distance = np.linalg.norm(diff, axis=2)
+    # row by row, with no (N + 1)^2 x dim difference tensor: the same
+    # last-axis reduction, so the same bits, and |x - y| = |y - x| exactly
+    distance = np.empty((len(pts), len(pts)))
+    for i, p in enumerate(pts):
+        distance[i] = np.linalg.norm(pts - p, axis=1)
     functions = pts @ code.vectors.T  # column j = <., tau_j>
     functions = functions.T
     return MetricCode(

@@ -47,10 +47,13 @@ code or a cos_theta. Each (code, phi) pair then costs one evaluation of
 phi over the n^2 values, already checked (for a Gegenbauer phi, one run
 of the recursion; for a monomial phi, Horner's rule in numpy's
 ``polyval`` order, ``gegenbauer._horner``), their sum, a margin, and the
-bound from phi's kept terms. The margin on the interval is the largest
-of c plus phi's kept values and phi(cos_theta); on the finite set it is
-the largest of the off-diagonal values already evaluated. Every check
-refuses a cos_theta outside [-1, 1].
+bound from phi's kept terms. Its working memory is the n^2 values plus
+one (m + 1)-row table of G_0..G_m: over 2 * BLOCK values or more, the
+recursion and the product with phi's coefficients run on one column
+block at a time (``PhiSpec._values``). The margin on the interval is
+the largest of c plus phi's kept values and phi(cos_theta); on the
+finite set it is the largest of the off-diagonal values already
+evaluated. Every check refuses a cos_theta outside [-1, 1].
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ from .gegenbauer import GegenbauerPoly, _check_r, _horner
 from .scanning import chebyshev_points, critical_points
 
 COND_TOL = 1e-9
+# columns per block of a Gegenbauer phi's table over many points
+BLOCK = 8192
 
 __all__ = [
     "PhiSpec",
@@ -124,9 +129,7 @@ class PhiSpec(Rebuilt):
         object.__setattr__(self, "coeffs", read_only(arr))
 
     def __call__(self, r):
-        arr = np.asarray(r, dtype=float)
-        if self.basis == "gegenbauer":
-            _check_r(arr)
+        arr = _check_r(r)
         out = self._values(arr.reshape(-1)).reshape(arr.shape)
         if arr.shape == ():
             return float(out)
@@ -134,15 +137,36 @@ class PhiSpec(Rebuilt):
 
     def _values(self, x):
         """phi at the points of the 1-d float array ``x``, or at the one
-        float ``x`` (G_k then in Python floats), checked to lie in [-1, 1]."""
+        float ``x`` (G_k then in Python floats), checked to lie in [-1, 1].
+
+        A Gegenbauer phi over 2 * BLOCK points or more is evaluated in
+        column blocks that start at multiples of BLOCK, the last running
+        to the end, so each (m + 1)-row table has at least BLOCK columns.
+        A gemv's column result can depend on the product's width and on
+        the column's offset; these blocks give the single product's bits
+        on one BLAS thread, and on 1-4 threads at widths that a threaded
+        gemv splits at aligned offsets, such as E8's 240^2. At an odd
+        width the single product's own bits depend on the thread count."""
         if self.basis == "table":
             nodes = np.linspace(-1.0, 1.0, len(self.coeffs))
             return np.interp(x, nodes, self.coeffs)
         if self.basis == "monomial":
             return _horner(self._terms, x)
         size = len(self.coeffs)
-        rows = [0.0] * size if isinstance(x, float) else np.empty((size,) + x.shape)
-        return self.coeffs @ gegenbauer_rows(self.dim, size - 1, x, rows)
+        if isinstance(x, float):
+            return self.coeffs @ gegenbauer_rows(self.dim, size - 1, x, [0.0] * size)
+        if x.size < 2 * BLOCK:
+            return self.coeffs @ self._table(x)
+        out = np.empty(x.size)
+        starts = range(0, x.size - BLOCK + 1, BLOCK)
+        for start, stop in zip(starts, [*starts[1:], x.size]):
+            out[start:stop] = self.coeffs @ self._table(x[start:stop])
+        return out
+
+    def _table(self, x: np.ndarray) -> np.ndarray:
+        """G_0..G_m at the points of the 1-d float array ``x``."""
+        size = len(self.coeffs)
+        return gegenbauer_rows(self.dim, size - 1, x, np.empty((size, x.size)))
 
     @property
     def phi_at_1(self) -> float:

@@ -7,6 +7,7 @@ import math
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -182,6 +183,35 @@ class TestMetricEmbedding:
     def test_base_point_values_zero(self):
         metric = embed_as_metric_code(generate("simplex", dim=2))
         assert np.allclose(metric.functions[:, 0], 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        ("family", "dim"),
+        [("simplex", 3), ("simplex", 5), ("simplex", 8),
+         ("orthonormal", 4), ("orthonormal", 9), ("orthonormal", 16),
+         ("cross_polytope", 3), ("cross_polytope", 8), ("cross_polytope", 64),
+         ("icosahedron", None), ("d4_roots", None), ("e8_roots", None)],
+    )
+    def test_distances_keep_the_broadcast_bits(self, family, dim):
+        # the distances are built row by row; the reference is the one
+        # (N + 1)^2 x dim difference tensor reduced along its last axis
+        code = generate(family, dim)
+        pts = np.vstack([np.zeros(code.dim), code.vectors])
+        broadcast = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        distance = embed_as_metric_code(code).space.distance
+        assert np.array_equal(distance.view(np.int64), broadcast.view(np.int64))
+        assert np.array_equal(distance, distance.T)
+
+    def test_e8_embedding_peak_memory(self):
+        # two (N + 1)^2 x dim difference tensors would be 3.7 MB each
+        code = generate("e8_roots")
+        embed_as_metric_code(code)
+        tracemalloc.start()
+        try:
+            embed_as_metric_code(code)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 4.0
 
 
 class TestMetricVerification:

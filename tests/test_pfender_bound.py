@@ -5,7 +5,11 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ from codebounds import codes, gegenbauer, jsonutil, pfender
 from codebounds.dgs_bound import lp_bound
 from codebounds.errors import TheoremViolationError
 from codebounds.pfender import (
+    BLOCK,
     COND_TOL,
     PhiSpec,
     certificate_from_json_dict,
@@ -112,6 +117,21 @@ class TestPhiSpec:
     def test_numpy_integer_dim_is_accepted(self):
         phi = PhiSpec("gegenbauer", [0.0, 1.0], dim=np.int64(3))
         assert phi(0.25) == g1(3)(0.25)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [g1(3), PhiSpec("monomial", [0.0, 0.0, 1.0]), PhiSpec("table", [0.0, 1.0, 3.0])],
+        ids=lambda phi: phi.basis,
+    )
+    def test_every_basis_refuses_points_outside_the_interval(self, phi):
+        # np.interp would clamp 2.0 to the table's last value 3.0, and r^2
+        # would give 4.0; NaN would pass through either
+        for r in (2.0, -1.5, [0.5, 2.0]):
+            with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+                phi(r)
+        for r in (math.nan, [0.5, math.inf]):
+            with pytest.raises(ValueError, match="must be finite"):
+                phi(r)
 
 
 class TestStructuralBound:
@@ -225,6 +245,85 @@ class TestDoubleSum:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             double_sum(g1(3), np.array([[np.nan]]))
+
+
+def blocked_table_moves(sizes, rng):
+    """Per size, how many of phi's values over that many points differ
+    from the single product over basis_values at degrees 1, 10, 20, 40."""
+    moved = []
+    for size in sizes:
+        x = rng.uniform(-1.0, 1.0, size)
+        x[:2] = -1.0, 1.0
+        count = 0
+        for degree in (1, 10, 20, 40):
+            phi = PhiSpec("gegenbauer", rng.normal(size=degree + 1), dim=8)
+            single = phi.coeffs @ gegenbauer.basis_values(8, degree, x)
+            count += int(np.sum(phi._values(x).view(np.int64) != single.view(np.int64)))
+        moved.append(count)
+    return moved
+
+
+class TestBlockedTable:
+    """A Gegenbauer phi over 2 * BLOCK points or more is evaluated in
+    column blocks, with the single product's bits."""
+
+    def test_blocks_keep_the_bits_at_catalog_widths(self, rng):
+        # widths that a gemv on 1-4 threads splits at aligned offsets, up
+        # to E8's 240^2 evaluation values
+        sizes = [BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 240 * 240]
+        assert blocked_table_moves(sizes, rng) == [0] * len(sizes)
+
+    def test_blocks_keep_the_bits_at_every_width_on_one_thread(self):
+        # 2 * BLOCK + 1 and 57601 are where a 1-column last block moved
+        # entries. One BLAS thread: a threaded gemv splits an odd width at
+        # an odd offset of its own, so there the single product's bits
+        # depend on the thread count too
+        script = (
+            "import numpy as np, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_pfender_bound as t\n"
+            "B = t.BLOCK\n"
+            "sizes = [B - 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 57601]\n"
+            "print(t.blocked_table_moves(sizes, np.random.default_rng(7)))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{[0] * 6}\n", "")
+
+
+def traced_peak_mb(run) -> float:
+    """The peak of memory traced by tracemalloc while ``run()`` runs, in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """A per-code check holds the n^2 values and one (m + 1)-row block
+    table, not an (m + 1) x n^2 table. Each check runs once first, so the
+    code's facts and phi's candidates are warm."""
+
+    @pytest.mark.parametrize(
+        ("family", "dim", "degree", "limit_mb"),
+        [("e8_roots", None, 10, 2.5), ("e8_roots", None, 40, 6.0),
+         ("cross_polytope", 512, 10, 20.0)],
+    )
+    def test_check_peak(self, family, dim, degree, limit_mb):
+        spherical = codes.generate(family, dim=dim)
+        code = codes.euclidean_to_functional(spherical)
+        phi = PhiSpec("gegenbauer", np.linspace(1.0, 0.0, degree + 1), dim=spherical.dim)
+
+        def check():
+            return functional_pfender_check(code, phi, 1.0)
+
+        check()
+        assert traced_peak_mb(check) < limit_mb
 
 
 class TestFunctionalCheck:
